@@ -101,14 +101,16 @@ bool ChunkCache::Contains(uint32_t group_by_id, uint64_t chunk_num,
   return s.by_key.find(key) != s.by_key.end();
 }
 
-uint64_t ChunkCache::CountForGroupBy(uint32_t group_by_id) const {
-  uint64_t count = 0;
+std::vector<uint64_t> ChunkCache::GroupByCounts(
+    uint32_t num_group_by_ids) const {
+  std::vector<uint64_t> counts(num_group_by_ids, 0);
   for (const auto& shard : shards_) {
     auto lock = LockShard(*shard);
-    auto it = shard->per_group_by.find(group_by_id);
-    if (it != shard->per_group_by.end()) count += it->second;
+    for (const auto& [gb, n] : shard->per_group_by) {
+      if (gb < num_group_by_ids) counts[gb] += n;
+    }
   }
-  return count;
+  return counts;
 }
 
 void ChunkCache::EraseLocked(Shard& s, uint64_t handle) {

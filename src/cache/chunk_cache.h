@@ -280,10 +280,11 @@ class ChunkCache {
   /// construction, or the cache's own private one.
   MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// Number of cached chunks belonging to `group_by_id` (any filter) —
-  /// lets the in-cache aggregation extension find promising source
-  /// group-bys cheaply.
-  uint64_t CountForGroupBy(uint32_t group_by_id) const;
+  /// Cached-chunk count (any filter) of every group-by id below
+  /// `num_group_by_ids`, indexed by id, taking each shard lock once. The
+  /// in-cache aggregation planner reads it once per query to skip source
+  /// group-bys that cannot cover a source box.
+  std::vector<uint64_t> GroupByCounts(uint32_t num_group_by_ids) const;
 
   /// Attaches a ghost-cache shadow simulation: every subsequent lookup hit
   /// and insert is also fed (key hash + bytes + benefit only) to one

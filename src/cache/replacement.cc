@@ -37,71 +37,25 @@ std::optional<uint64_t> LruPolicy::PickVictim(double /*incoming_benefit*/) {
 
 void ClockBase::OnInsert(uint64_t handle, double benefit) {
   CHUNKCACHE_DCHECK(map_.find(handle) == map_.end());
-  Slot slot;
-  slot.handle = handle;
-  slot.weight = benefit;
-  slot.alive = true;
-  if (arm_ == 0 || arm_ >= ring_.size()) {
-    // Arm at ring start (or unnormalized past the end): appending puts the
-    // new slot at the end of the current sweep, i.e. just behind the arm.
-    map_[handle] = ring_.size();
-    ring_.push_back(slot);
-  } else {
-    // Insert just behind the arm so the new entry is always examined last
-    // in the current sweep. A plain push_back would place it mid-sweep
-    // (between the arm's wrap point and the arm), making eviction order
-    // depend on where the arm happened to sit — and on whether Compact()
-    // had reset it — when the insert landed.
-    ring_.insert(ring_.begin() + static_cast<ptrdiff_t>(arm_), slot);
-    for (auto& [h, idx] : map_) {
-      if (idx >= arm_) ++idx;
-    }
-    map_[handle] = arm_;
-    ++arm_;
-  }
-  if (dead_ > map_.size()) Compact();
+  // Just behind the arm, so the new entry is examined last in the current
+  // sweep. With the arm at end() (= begin()) that is the back of the list.
+  map_[handle] = ring_.insert(arm_, Slot{handle, benefit, benefit});
 }
 
 void ClockBase::OnErase(uint64_t handle) {
   auto it = map_.find(handle);
   if (it == map_.end()) return;
-  ring_[it->second].alive = false;
-  ++dead_;
+  if (arm_ == it->second) ++arm_;
+  ring_.erase(it->second);
   map_.erase(it);
-  if (dead_ > map_.size() + 16) Compact();
 }
 
-void ClockBase::Compact() {
-  std::vector<Slot> fresh;
-  fresh.reserve(map_.size());
-  // Rebuild starting at the arm: the circular sweep order is preserved
-  // exactly (slot k of the new ring is the k-th live slot the arm would
-  // have visited), so compaction can never change which entry a future
-  // sweep reaches first.
-  if (!ring_.empty()) {
-    const size_t start = arm_ % ring_.size();
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      const Slot& s = ring_[(start + i) % ring_.size()];
-      if (s.alive) fresh.push_back(s);
-    }
-  }
-  ring_ = std::move(fresh);
-  for (size_t i = 0; i < ring_.size(); ++i) map_[ring_[i].handle] = i;
-  arm_ = 0;
-  dead_ = 0;
-}
-
-std::optional<size_t> ClockBase::Advance() {
-  if (map_.empty()) return std::nullopt;
-  while (true) {
-    if (arm_ >= ring_.size()) arm_ = 0;
-    if (ring_[arm_].alive) {
-      const size_t idx = arm_;
-      arm_ = (arm_ + 1) % (ring_.empty() ? 1 : ring_.size());
-      return idx;
-    }
-    ++arm_;
-  }
+ClockBase::Slot* ClockBase::Advance() {
+  if (ring_.empty()) return nullptr;
+  if (arm_ == ring_.end()) arm_ = ring_.begin();
+  Slot* slot = &*arm_;
+  ++arm_;
+  return slot;
 }
 
 // ----------------------------------- CLOCK ----------------------------------
@@ -113,21 +67,20 @@ void ClockPolicy::OnInsert(uint64_t handle, double /*benefit*/) {
 void ClockPolicy::OnAccess(uint64_t handle) {
   auto it = map_.find(handle);
   if (it == map_.end()) return;
-  ring_[it->second].weight = 1.0;
+  it->second->weight = 1.0;
 }
 
 std::optional<uint64_t> ClockPolicy::PickVictim(double /*incoming*/) {
   // Classic second chance: clear reference bits until an unreferenced
-  // entry comes under the arm. Bounded by live entries so the bound (never
-  // reached in practice) is compaction-invariant.
+  // entry comes under the arm. Bounded by live entries (never reached in
+  // practice: one full sweep clears every bit).
   for (size_t steps = 0; steps < 2 * map_.size() + 1; ++steps) {
-    auto idx = Advance();
-    if (!idx) return std::nullopt;
-    Slot& s = ring_[*idx];
-    if (s.weight > 0) {
-      s.weight = 0;
+    Slot* s = Advance();
+    if (s == nullptr) return std::nullopt;
+    if (s->weight > 0) {
+      s->weight = 0;
     } else {
-      return s.handle;
+      return s->handle;
     }
   }
   return std::nullopt;  // unreachable with live entries
@@ -140,7 +93,7 @@ void BenefitClockPolicy::OnAccess(uint64_t handle) {
   if (it == map_.end()) return;
   // "The weight is reset to its initial benefit value whenever the chunk is
   // reaccessed."
-  ring_[it->second].weight = benefit_[handle];
+  it->second->weight = it->second->benefit;
 }
 
 std::optional<uint64_t> BenefitClockPolicy::PickVictim(
@@ -151,22 +104,19 @@ std::optional<uint64_t> BenefitClockPolicy::PickVictim(
   // whose weight was already exhausted is the victim. The sweep is bounded:
   // if no weight drains within a few cycles (a stream of tiny chunks
   // hitting a cache of expensive ones), evict the minimum-weight entry seen
-  // rather than spinning. The bound counts live entries (Advance() skips
-  // dead slots), so it is invariant under ring compaction — the forced-
-  // compaction determinism test relies on that.
+  // rather than spinning.
   const size_t max_steps = 4 * map_.size() + 4;
   std::optional<uint64_t> min_handle;
   double min_weight = 0;
   for (size_t steps = 0; steps < max_steps; ++steps) {
-    auto idx = Advance();
-    if (!idx) return std::nullopt;
-    Slot& s = ring_[*idx];
-    if (s.weight <= 0) return s.handle;
-    if (!min_handle || s.weight < min_weight) {
-      min_handle = s.handle;
-      min_weight = s.weight;
+    Slot* s = Advance();
+    if (s == nullptr) return std::nullopt;
+    if (s->weight <= 0) return s->handle;
+    if (!min_handle || s->weight < min_weight) {
+      min_handle = s->handle;
+      min_weight = s->weight;
     }
-    s.weight -= incoming_benefit;
+    s->weight -= incoming_benefit;
   }
   return min_handle;
 }

@@ -75,42 +75,39 @@ class LruPolicy final : public ReplacementPolicy {
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
 };
 
-/// Shared machinery for the two CLOCK variants: a ring of slots with a
-/// sweeping arm; erased entries leave tombstones that are compacted when
-/// they outnumber live entries.
+/// Shared machinery for the two CLOCK variants: a circular list of live
+/// slots with a sweeping arm. Insert, erase and one arm step are O(1).
 ///
 /// Determinism: a new entry always enters the ring *just behind* the arm,
-/// so it is examined last in the current sweep — regardless of where the
-/// arm sits or whether tombstone compaction has renumbered the ring.
-/// Compact() rebuilds the ring starting at the arm, which preserves the
-/// circular sweep order exactly; eviction order is therefore identical
-/// with and without compaction (regression-tested).
+/// so it is examined last in the current sweep, wherever the arm sits.
+/// Erasing the slot under the arm moves the arm to its successor, so the
+/// circular sweep order of the remaining entries never changes.
 class ClockBase : public ReplacementPolicy {
  public:
+  ClockBase() = default;
+  // The arm is an iterator into ring_; a copy would point into the source.
+  ClockBase(const ClockBase&) = delete;
+  ClockBase& operator=(const ClockBase&) = delete;
+
   void OnInsert(uint64_t handle, double benefit) override;
   void OnErase(uint64_t handle) override;
   size_t size() const override { return map_.size(); }
 
-  /// Forces tombstone compaction now. Exposed so tests can assert that
-  /// compaction never changes the eviction order; harmless otherwise.
-  void ForceCompact() { Compact(); }
-
  protected:
   struct Slot {
     uint64_t handle = 0;
-    double weight = 0;  // reference bit (0/1) for plain CLOCK
-    bool alive = false;
+    double weight = 0;   // reference bit (0/1) for plain CLOCK
+    double benefit = 0;  // weight at insert; benefit-CLOCK resets to it
   };
+  using Ring = std::list<Slot>;
 
-  void Compact();
-  /// Advances the arm to the next live slot; returns its index or nullopt
-  /// when the ring has no live slots.
-  std::optional<size_t> Advance();
+  /// The slot under the arm, stepping the arm past it; nullptr when the
+  /// ring is empty. The arm at ring_.end() stands for ring_.begin().
+  Slot* Advance();
 
-  std::vector<Slot> ring_;
-  std::unordered_map<uint64_t, size_t> map_;  // handle -> ring index
-  size_t arm_ = 0;
-  size_t dead_ = 0;
+  Ring ring_;
+  std::unordered_map<uint64_t, Ring::iterator> map_;  // handle -> slot
+  Ring::iterator arm_ = ring_.end();
 };
 
 /// Plain CLOCK (second chance): weight is a 0/1 reference bit.
@@ -128,20 +125,6 @@ class BenefitClockPolicy final : public ClockBase {
   void OnAccess(uint64_t handle) override;
   std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   std::string name() const override { return "benefit-clock"; }
-
- private:
-  // Remembers each entry's initial benefit so re-access can reset weight.
-  std::unordered_map<uint64_t, double> benefit_;
-
- public:
-  void OnInsert(uint64_t handle, double benefit) override {
-    ClockBase::OnInsert(handle, benefit);
-    benefit_[handle] = benefit;
-  }
-  void OnErase(uint64_t handle) override {
-    ClockBase::OnErase(handle);
-    benefit_.erase(handle);
-  }
 };
 
 /// ARC: live T1 (seen once) / T2 (seen twice+) lists plus ghost B1/B2 key

@@ -31,6 +31,10 @@ class ChunkGrid {
     }
   }
 
+  friend bool operator==(const ChunkGrid& a, const ChunkGrid& b) {
+    return a.spec_ == b.spec_ && a.num_ranges_ == b.num_ranges_;
+  }
+
   const GroupBySpec& spec() const { return spec_; }
   uint32_t num_dims() const { return spec_.num_dims; }
   uint64_t num_chunks() const { return num_chunks_; }

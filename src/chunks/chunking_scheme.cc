@@ -43,6 +43,16 @@ Result<ChunkingScheme> ChunkingScheme::Build(const schema::StarSchema* schema,
                                 DimensionChunking::Build(h, sizes));
     scheme.dim_chunking_.push_back(std::move(dc));
   }
+  const uint32_t num_ids = scheme.NumGroupByIds();
+  scheme.finer_ids_.resize(num_ids);
+  for (uint32_t id = 0; id < num_ids; ++id) {
+    const GroupBySpec spec = scheme.SpecOfId(id);
+    for (uint32_t fine = 0; fine < num_ids; ++fine) {
+      if (fine != id && spec.CoarserOrEqual(scheme.SpecOfId(fine))) {
+        scheme.finer_ids_[id].push_back(fine);
+      }
+    }
+  }
   return scheme;
 }
 
@@ -87,21 +97,12 @@ uint32_t ChunkingScheme::NumGroupByIds() const {
   return n;
 }
 
-const ChunkGrid& ChunkingScheme::GridFor(const GroupBySpec& spec) const {
-  const uint32_t id = GroupById(spec);
-  std::lock_guard<std::mutex> lock(grids_->mu);
-  auto it = grids_->grids.find(id);
-  if (it != grids_->grids.end()) return *it->second;
+ChunkGrid ChunkingScheme::GridFor(const GroupBySpec& spec) const {
   std::array<uint32_t, storage::kMaxDims> num_ranges{};
   for (uint32_t d = 0; d < num_dims(); ++d) {
     num_ranges[d] = dim_chunking_[d].NumRanges(spec.levels[d]);
   }
-  auto grid = std::make_unique<ChunkGrid>(spec, num_ranges);
-  // The returned reference stays valid: grids are held by unique_ptr, so
-  // rehashing never moves the ChunkGrid itself.
-  const ChunkGrid& ref = *grid;
-  grids_->grids.emplace(id, std::move(grid));
-  return ref;
+  return ChunkGrid(spec, num_ranges);
 }
 
 ChunkBox ChunkingScheme::BoxForSelection(
@@ -122,7 +123,7 @@ ChunkBox ChunkingScheme::BoxForSelection(
 std::array<schema::OrdinalRange, storage::kMaxDims>
 ChunkingScheme::ChunkExtent(const GroupBySpec& spec,
                             uint64_t chunk_num) const {
-  const ChunkGrid& grid = GridFor(spec);
+  const ChunkGrid grid = GridFor(spec);
   const ChunkCoords coords = grid.DecodeChunkNum(chunk_num);
   std::array<schema::OrdinalRange, storage::kMaxDims> extent{};
   for (uint32_t d = 0; d < num_dims(); ++d) {
@@ -139,7 +140,7 @@ Result<ChunkBox> ChunkingScheme::SourceBox(const GroupBySpec& spec,
         "SourceBox: target group-by " + spec.ToString() +
         " is not computable from " + fine_spec.ToString());
   }
-  const ChunkGrid& grid = GridFor(spec);
+  const ChunkGrid grid = GridFor(spec);
   if (chunk_num >= grid.num_chunks()) {
     return Status::OutOfRange("SourceBox: chunk number out of range");
   }
@@ -155,7 +156,7 @@ Result<ChunkBox> ChunkingScheme::SourceBox(const GroupBySpec& spec,
 
 uint64_t ChunkingScheme::ChunkOfCell(const GroupBySpec& spec,
                                      const ChunkCoords& cell) const {
-  const ChunkGrid& grid = GridFor(spec);
+  const ChunkGrid grid = GridFor(spec);
   ChunkCoords coords{};
   for (uint32_t d = 0; d < num_dims(); ++d) {
     coords[d] = dim_chunking_[d].RangeOfValue(spec.levels[d], cell[d]);

@@ -3,9 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "chunks/chunk_grid.h"
@@ -32,7 +29,8 @@ struct ChunkingOptions {
 /// Ties a StarSchema to its chunk ranges on every dimension and exposes the
 /// paper's chunk algebra:
 ///  - group-by specs interned to dense ids,
-///  - the ChunkGrid of any group-by (lazily built and cached),
+///  - the ChunkGrid of any group-by,
+///  - the strictly-finer group-bys of each group-by (the lattice),
 ///  - selection ranges -> chunk numbers (ComputeChunkNums),
 ///  - chunk extents (ordinal ranges a chunk spans),
 ///  - closure: the source chunks at a finer group-by needed to compute a
@@ -63,8 +61,15 @@ class ChunkingScheme {
   GroupBySpec SpecOfId(uint32_t id) const;
   uint32_t NumGroupByIds() const;
 
-  /// Grid of `spec`, built on first use.
-  const ChunkGrid& GridFor(const GroupBySpec& spec) const;
+  /// Grid of `spec`: one range count per dimension, so building it is a
+  /// few multiplies and needs no cache (or lock).
+  ChunkGrid GridFor(const GroupBySpec& spec) const;
+
+  /// Ids of every group-by strictly finer than group-by `id` (the target
+  /// is computable from each), in ascending id order. Precomputed.
+  const std::vector<uint32_t>& StrictlyFinerIds(uint32_t id) const {
+    return finer_ids_[id];
+  }
 
   /// Box of chunk coordinates covering the selection `sel` (per-dimension
   /// inclusive ordinal ranges *at the spec's levels*; a dimension at level
@@ -100,23 +105,14 @@ class ChunkingScheme {
   uint64_t num_base_tuples() const { return num_base_tuples_; }
 
  private:
-  // Lazily materialized grids, keyed by interned group-by id. GridFor is
-  // called from concurrent query threads, so the map is mutex-guarded;
-  // boxed in a unique_ptr because the scheme itself must stay movable.
-  struct GridCache {
-    std::mutex mu;
-    std::unordered_map<uint32_t, std::unique_ptr<ChunkGrid>> grids;
-  };
-
   ChunkingScheme(const schema::StarSchema* schema, uint64_t num_base_tuples)
-      : schema_(schema),
-        num_base_tuples_(num_base_tuples),
-        grids_(std::make_unique<GridCache>()) {}
+      : schema_(schema), num_base_tuples_(num_base_tuples) {}
 
   const schema::StarSchema* schema_;
   uint64_t num_base_tuples_;
   std::vector<DimensionChunking> dim_chunking_;
-  std::unique_ptr<GridCache> grids_;
+  // The lattice's strict "finer than" relation, indexed by group-by id.
+  std::vector<std::vector<uint32_t>> finer_ids_;
 };
 
 }  // namespace chunkcache::chunks

@@ -530,7 +530,7 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
   // 1. Query analysis: chunk numbers needed (Section 5.2.2).
   const uint32_t decompose_span = trace->BeginSpan("decompose", trace->root());
   const ChunkBox box = scheme.BoxForSelection(query.group_by, query.selection);
-  const chunks::ChunkGrid& grid = scheme.GridFor(query.group_by);
+  const chunks::ChunkGrid grid = scheme.GridFor(query.group_by);
   std::vector<uint64_t> needed;
   needed.reserve(box.NumChunks());
   box.ForEach(grid, [&](uint64_t num, const ChunkCoords&) {
@@ -607,6 +607,16 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     }
   };
 
+  // Closure-property roll-up of one missing chunk from finer cached
+  // chunks, shared by in-cache aggregation and degraded answering. The
+  // candidate sources are planned once per query, on first use.
+  std::optional<RollupPlan> rollup_plan;
+  const auto roll_up = [&](uint64_t chunk_num) {
+    if (!rollup_plan) rollup_plan = PlanRollup(gb_id);
+    return TryInCacheAggregation(*rollup_plan, query.group_by, chunk_num,
+                                 filter_hash);
+  };
+
   // 3. Optional middle-tier aggregation of finer cached chunks (paper §7).
   // Runs only for chunks this query owns, so it can never duplicate a
   // computation already in flight elsewhere.
@@ -614,8 +624,7 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     ScopedSpan agg_span(trace, "aggregate_in_cache", trace->root());
     std::vector<Miss> still_owned;
     for (Miss& om : owned) {
-      auto aggregated =
-          TryInCacheAggregation(query.group_by, om.chunk_num, filter_hash);
+      auto aggregated = roll_up(om.chunk_num);
       if (aggregated) {
         auto entry = std::make_shared<cache::CachedChunk>();
         entry->group_by_id = gb_id;
@@ -737,8 +746,7 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
       ScopedSpan degraded_span(trace, "degraded_rollup", miss_span);
       assembled.reserve(owned.size());
       for (const Miss& om : owned) {
-        auto cols =
-            TryInCacheAggregation(query.group_by, om.chunk_num, filter_hash);
+        auto cols = roll_up(om.chunk_num);
         if (!cols) break;
         ChunkData data;
         data.chunk_num = om.chunk_num;
@@ -822,8 +830,7 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
       continue;
     }
     if (options_.enable_degraded_mode) {
-      auto cols =
-          TryInCacheAggregation(query.group_by, wm.chunk_num, filter_hash);
+      auto cols = roll_up(wm.chunk_num);
       if (cols) {
         // Not the owner of this key, so no slot to publish — just admit
         // the assembled chunk for future queries and use its rows.
@@ -910,39 +917,57 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
   return rows;
 }
 
-std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
-    const GroupBySpec& target, uint64_t chunk_num, uint64_t filter_hash) {
+ChunkCacheManager::RollupPlan ChunkCacheManager::PlanRollup(
+    uint32_t target_id) const {
   const chunks::ChunkingScheme& scheme = engine_->scheme();
-  // Candidate source group-bys: any strictly finer group-by that has
-  // cached chunks at all. The per-group-by counters make the scan cheap.
-  for (uint32_t id = 0; id < scheme.NumGroupByIds(); ++id) {
-    if (cache_.CountForGroupBy(id) == 0) continue;
-    const GroupBySpec src = scheme.SpecOfId(id);
-    if (src == target || !target.CoarserOrEqual(src)) continue;
-    auto box = scheme.SourceBox(target, chunk_num, src);
-    if (!box.ok()) continue;
-    // Pin every source chunk up front; a missing one (or one evicted by a
-    // concurrent client since the counter was read) aborts this source.
-    std::vector<cache::ChunkHandle> sources;
-    bool all_present = true;
-    const chunks::ChunkGrid& src_grid = scheme.GridFor(src);
-    box->ForEach(src_grid, [&](uint64_t src_num, const ChunkCoords&) {
-      if (!all_present) return;
-      cache::ChunkHandle h = cache_.Lookup(id, src_num, filter_hash);
-      if (h == nullptr) {
-        all_present = false;
-        return;
-      }
+  const std::vector<uint64_t> counts =
+      cache_.GroupByCounts(scheme.NumGroupByIds());
+  RollupPlan plan;
+  for (uint32_t id : scheme.StrictlyFinerIds(target_id)) {
+    if (counts[id] != 0) {
+      plan.sources.push_back({id, scheme.SpecOfId(id), counts[id]});
+    }
+  }
+  return plan;
+}
+
+std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
+    const RollupPlan& plan, const GroupBySpec& target, uint64_t chunk_num,
+    uint64_t filter_hash) {
+  const chunks::ChunkingScheme& scheme = engine_->scheme();
+  std::vector<uint64_t> nums;
+  std::vector<cache::ChunkHandle> sources;
+  for (const RollupPlan::Source& src : plan.sources) {
+    auto box = scheme.SourceBox(target, chunk_num, src.spec);
+    if (!box.ok() || src.cached < box->NumChunks()) continue;
+    // Probe the whole box before pinning anything: Contains touches no
+    // statistics or replacement state, so an incomplete box costs nothing
+    // beyond the probes.
+    nums.clear();
+    bool complete = true;
+    box->ForEach(scheme.GridFor(src.spec),
+                 [&](uint64_t src_num, const ChunkCoords&) {
+                   if (!complete) return;
+                   complete = cache_.Contains(src.id, src_num, filter_hash);
+                   nums.push_back(src_num);
+                 });
+    if (!complete) continue;
+    // Pin every source chunk; one evicted by a concurrent client since the
+    // probe aborts this source.
+    sources.clear();
+    for (uint64_t src_num : nums) {
+      cache::ChunkHandle h = cache_.Lookup(src.id, src_num, filter_hash);
+      if (h == nullptr) break;
       sources.push_back(std::move(h));
-    });
-    if (!all_present) continue;
+    }
+    if (sources.size() != nums.size()) continue;
     // Aggregate the pinned chunks through the per-chunk kernel dispatch
     // (dense grid when the target chunk's cell box is small enough).
     backend::ChunkAggregator agg(&scheme, target, chunk_num,
                                  engine_->options().dense_cell_limit,
                                  engine_->kernel_counters());
     for (const cache::ChunkHandle& chunk : sources) {
-      agg.AddAggColumns(*ResolveCols(chunk), src);
+      agg.AddAggColumns(*ResolveCols(chunk), src.spec);
     }
     return agg.TakeColumns();  // already canonical order
   }
@@ -968,7 +993,7 @@ ChunkCacheManager::PlanDrillDown(const StarJoinQuery& query,
   if (!changed) return std::optional<PrefetchPlan>();  // at base everywhere
   plan.drill_id = scheme.GroupById(plan.drill);
   plan.benefit = scheme.ChunkBenefit(plan.drill);
-  const chunks::ChunkGrid& drill_grid = scheme.GridFor(plan.drill);
+  const chunks::ChunkGrid drill_grid = scheme.GridFor(plan.drill);
 
   for (uint64_t num : chunk_nums) {
     if (plan.to_fetch.size() >= options_.prefetch_budget_chunks) break;

@@ -261,14 +261,33 @@ class ChunkCacheManager final : public MiddleTier {
     std::vector<uint64_t> to_fetch;
   };
 
+  /// One query's candidate sources for in-cache aggregation: the target's
+  /// strictly finer group-bys that held any cached chunk when the plan was
+  /// made, in ascending id order, each with that chunk count (any filter).
+  struct RollupPlan {
+    struct Source {
+      uint32_t id = 0;
+      chunks::GroupBySpec spec;
+      uint64_t cached = 0;
+    };
+    std::vector<Source> sources;
+  };
+
+  /// Builds the plan for target group-by `target_id` from one snapshot of
+  /// the cache's per-group-by counts.
+  RollupPlan PlanRollup(uint32_t target_id) const;
+
   /// Tries to build the missing chunk by aggregating finer chunks already
   /// in the cache; returns the columnar rows (canonical order) or nullopt.
-  /// The roll-up runs through the same per-chunk kernel dispatch as the
-  /// backend (dense grid when the chunk's cell box allows), recorded in
-  /// the engine's kernel counters.
+  /// The first plan source whose whole source box is cached wins. Boxes
+  /// are probed with the statistics-free Contains and pinned only once
+  /// complete, so a failed attempt leaves no trace in hit counters,
+  /// replacement state or ghost simulators. The roll-up runs through the
+  /// same per-chunk kernel dispatch as the backend (dense grid when the
+  /// chunk's cell box allows), recorded in the engine's kernel counters.
   std::optional<storage::AggColumns> TryInCacheAggregation(
-      const chunks::GroupBySpec& target, uint64_t chunk_num,
-      uint64_t filter_hash);
+      const RollupPlan& plan, const chunks::GroupBySpec& target,
+      uint64_t chunk_num, uint64_t filter_hash);
 
   /// Computes the drill-down spec (every grouped dimension one level
   /// finer, capped at base) and the missing child chunks of `chunk_nums`;

@@ -110,6 +110,8 @@ TEST(CacheConcurrencyTest, HammerLookupInsertClearKeepsInvariants) {
           case 4:
             if (i % 1000 == 4) {
               cache.Clear();
+            } else if (i % 100 == 9) {
+              (void)cache.GroupByCounts(4);  // cross-shard snapshot
             } else {
               cache.Contains(gb, chunk, 0);
             }
@@ -128,7 +130,7 @@ TEST(CacheConcurrencyTest, HammerLookupInsertClearKeepsInvariants) {
 
   // Per-group-by counts must agree with a full enumeration of keys.
   uint64_t by_group = 0;
-  for (uint32_t gb = 0; gb < 4; ++gb) by_group += cache.CountForGroupBy(gb);
+  for (uint64_t n : cache.GroupByCounts(4)) by_group += n;
   EXPECT_EQ(by_group, cache.num_chunks());
 
   cache::ChunkCacheStats s = cache.stats();
@@ -158,8 +160,9 @@ TEST(CacheConcurrencyTest, DisjointWritersLandEveryChunk) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(cache.num_chunks(), static_cast<size_t>(kThreads * kChunks));
+  const std::vector<uint64_t> counts = cache.GroupByCounts(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(cache.CountForGroupBy(t), static_cast<uint64_t>(kChunks));
+    EXPECT_EQ(counts[t], static_cast<uint64_t>(kChunks));
     for (int c = 0; c < kChunks; ++c) {
       ChunkHandle h = cache.Lookup(t, c, 0);
       ExpectChunkConsistent(h);

@@ -201,16 +201,16 @@ TEST(ChunkCacheTest, BenefitPolicyKeepsExpensiveChunks) {
   EXPECT_NE(cache.Lookup(9, 0, 0), nullptr);
 }
 
-TEST(ChunkCacheTest, CountForGroupByTracksContents) {
+TEST(ChunkCacheTest, GroupByCountsTrackContents) {
   ChunkCache cache(1 << 20, MakePolicy("lru"));
   cache.Insert(MakeChunk(1, 0, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 1, 0, 1.0, 4));
+  cache.Insert(MakeChunk(1, 1, 7, 1.0, 4));  // same chunk, other filter
   cache.Insert(MakeChunk(2, 0, 0, 1.0, 4));
-  EXPECT_EQ(cache.CountForGroupBy(1), 2u);
-  EXPECT_EQ(cache.CountForGroupBy(2), 1u);
-  EXPECT_EQ(cache.CountForGroupBy(3), 0u);
+  cache.Insert(MakeChunk(9, 0, 0, 1.0, 4));  // beyond the requested ids
+  EXPECT_EQ(cache.GroupByCounts(4), (std::vector<uint64_t>{0, 3, 1, 0}));
   cache.Clear();
-  EXPECT_EQ(cache.CountForGroupBy(1), 0u);
+  EXPECT_EQ(cache.GroupByCounts(4), (std::vector<uint64_t>{0, 0, 0, 0}));
   EXPECT_EQ(cache.num_chunks(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }

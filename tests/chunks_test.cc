@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -274,11 +275,12 @@ TEST_F(ChunkingSchemeTest, BaseSpecIsFinest) {
   }
 }
 
-TEST_F(ChunkingSchemeTest, GridCachesAndCounts) {
+TEST_F(ChunkingSchemeTest, GridIsStableAndCounts) {
   const GroupBySpec base = scheme_->BaseSpec();
-  const ChunkGrid& g1 = scheme_->GridFor(base);
-  const ChunkGrid& g2 = scheme_->GridFor(base);
-  EXPECT_EQ(&g1, &g2);  // cached
+  const ChunkGrid g1 = scheme_->GridFor(base);
+  const ChunkGrid g2 = scheme_->GridFor(base);
+  EXPECT_TRUE(g1 == g2);  // rebuilt per call, always the same grid
+  EXPECT_FALSE(g1 == scheme_->GridFor(GroupBySpec{{2, 1, 0, 2}, 4}));
   // The grid's chunk count is the product of per-dimension range counts.
   // With fraction 0.1 the desired count is 10 ranges per dimension, but
   // hierarchy alignment may fragment ranges (Figure 6: "the desired chunk
@@ -293,6 +295,25 @@ TEST_F(ChunkingSchemeTest, GridCachesAndCounts) {
     product *= n;
   }
   EXPECT_EQ(g1.num_chunks(), product);
+}
+
+TEST_F(ChunkingSchemeTest, StrictlyFinerIdsIsTheLatticeInIdOrder) {
+  const uint32_t n = scheme_->NumGroupByIds();
+  for (uint32_t id = 0; id < n; ++id) {
+    const GroupBySpec spec = scheme_->SpecOfId(id);
+    const std::vector<uint32_t>& finer = scheme_->StrictlyFinerIds(id);
+    EXPECT_TRUE(std::is_sorted(finer.begin(), finer.end())) << "id " << id;
+    for (uint32_t fine : finer) {
+      EXPECT_NE(fine, id);
+      EXPECT_TRUE(spec.CoarserOrEqual(scheme_->SpecOfId(fine))) << fine;
+    }
+    // Every dimension independently picks a level at or below the target's.
+    uint64_t count = 1;
+    for (uint32_t d = 0; d < 4; ++d) {
+      count *= schema_->dimension(d).hierarchy.depth() + 1 - spec.levels[d];
+    }
+    EXPECT_EQ(finer.size(), count - 1) << "id " << id;
+  }
 }
 
 TEST_F(ChunkingSchemeTest, BoxForSelectionCoversSelection) {

@@ -2,10 +2,16 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "backend/aggregator.h"
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
+#include "common/fault_injector.h"
+#include "common/random.h"
 #include "core/chunk_cache_manager.h"
 #include "core/query_cache_manager.h"
 #include "schema/synthetic.h"
@@ -34,9 +40,7 @@ class CoreFixture : public ::testing::Test {
     auto s = schema::BuildPaperSchema();
     ASSERT_TRUE(s.ok());
     schema_ = std::make_unique<schema::StarSchema>(std::move(s).value());
-    ChunkingOptions copts;
-    copts.range_fraction = 0.2;
-    auto scheme = ChunkingScheme::Build(schema_.get(), copts, kTuples);
+    auto scheme = ChunkingScheme::Build(schema_.get(), chunking_, kTuples);
     ASSERT_TRUE(scheme.ok());
     scheme_ = std::make_unique<ChunkingScheme>(std::move(scheme).value());
 
@@ -113,6 +117,67 @@ class CoreFixture : public ::testing::Test {
     return ChunkCacheManager(engine_.get(), opts);
   }
 
+  /// Full-domain query at `gb`: every chunk of its grid is needed.
+  StarJoinQuery FullDomainQuery(const GroupBySpec& gb) const {
+    StarJoinQuery q;
+    q.group_by = gb;
+    for (uint32_t d = 0; d < 4; ++d) {
+      const auto& h = schema_->dimension(d).hierarchy;
+      q.selection[d] = OrdinalRange{0, h.LevelCardinality(gb.levels[d]) - 1};
+    }
+    return q;
+  }
+
+  /// The chunk numbers `q` needs, in decomposition order.
+  std::vector<uint64_t> NeededChunks(const StarJoinQuery& q) const {
+    std::vector<uint64_t> nums;
+    scheme_->BoxForSelection(q.group_by, q.selection)
+        .ForEach(scheme_->GridFor(q.group_by),
+                 [&](uint64_t n, const chunks::ChunkCoords&) {
+                   nums.push_back(n);
+                 });
+    return nums;
+  }
+
+  /// The chunks of `src` that chunk `chunk_num` of `target` rolls up from,
+  /// in source-box order.
+  std::vector<uint64_t> SourceChunks(const GroupBySpec& target,
+                                     uint64_t chunk_num,
+                                     const GroupBySpec& src) const {
+    auto box = scheme_->SourceBox(target, chunk_num, src);
+    EXPECT_TRUE(box.ok());
+    std::vector<uint64_t> nums;
+    box->ForEach(scheme_->GridFor(src),
+                 [&](uint64_t n, const chunks::ChunkCoords&) {
+                   nums.push_back(n);
+                 });
+    return nums;
+  }
+
+  /// Computes chunks `nums` of `spec` on the backend and admits them into
+  /// `cache` under the filter of `preds`; returns their columns by chunk.
+  std::map<uint64_t, storage::AggColumns> SeedChunks(
+      cache::ChunkCache* cache, const GroupBySpec& spec,
+      const std::vector<uint64_t>& nums,
+      const std::vector<NonGroupByPredicate>& preds) {
+    WorkCounters work;
+    auto computed = engine_->ComputeChunks(spec, nums, preds, &work);
+    EXPECT_TRUE(computed.ok());
+    std::map<uint64_t, storage::AggColumns> out;
+    for (backend::ChunkData& data : *computed) {
+      cache::CachedChunk c;
+      c.group_by_id = scheme_->GroupById(spec);
+      c.chunk_num = data.chunk_num;
+      c.filter_hash = ChunkCacheManager::FilterHash(preds);
+      c.benefit = scheme_->ChunkBenefit(spec);
+      c.cols = data.cols;
+      cache->Insert(std::move(c));
+      out.emplace(data.chunk_num, std::move(data.cols));
+    }
+    return out;
+  }
+
+  ChunkingOptions chunking_{0.2, {}};
   storage::InMemoryDiskManager disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<schema::StarSchema> schema_;
@@ -295,6 +360,224 @@ TEST_F(CoreFixture, InCacheAggregationDisabledGoesToBackend) {
   EXPECT_GT(s2.chunks_from_backend, 0u);
   EXPECT_EQ(s2.chunks_from_aggregation, 0u);
 }
+
+/// Chunking whose finer levels split each level-1 chunk range in two on
+/// D0 and D1 and in five on D2, so source boxes span several chunks. With
+/// one range fraction at every level they are mostly a single chunk.
+class RollupFixture : public CoreFixture {
+ protected:
+  RollupFixture() {
+    chunking_.explicit_sizes = {{{5, 5, 10}}, {{5, 5}}, {{5, 5, 10}}, {{5, 25}}};
+  }
+};
+
+// A failed in-cache aggregation attempt must be invisible. The only finer
+// candidate is one chunk short in every source box the query needs (its
+// other boxes are complete, so the count filter lets the attempt probe),
+// so a tier with the extension on must end in exactly the state of a twin
+// with it off: same shard lookup/hit counters, same ghost standings, same
+// victim order. LRU makes any stray OnAccess show in the victim order.
+TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
+  const GroupBySpec target{{1, 1, 1, 1}, 4};
+  const GroupBySpec fine{{3, 2, 1, 1}, 4};
+  StarJoinQuery q = FullDomainQuery(target);
+  q.selection[0] = OrdinalRange{0, 4};
+  const std::vector<uint64_t> needed = NeededChunks(q);
+  const std::set<uint64_t> queried(needed.begin(), needed.end());
+
+  ChunkManagerOptions opts;
+  opts.cache_bytes = 8ull << 20;
+  opts.policy = "lru";
+  opts.ghost_policies = {"lru", "benefit-clock"};
+  ChunkManagerOptions with_opts = opts;
+  with_opts.enable_in_cache_aggregation = true;
+  ChunkCacheManager with(engine_.get(), with_opts);
+  ChunkCacheManager without(engine_.get(), opts);
+  size_t partial_boxes = 0;
+  for (uint64_t t : NeededChunks(FullDomainQuery(target))) {
+    std::vector<uint64_t> box = SourceChunks(target, t, fine);
+    if (queried.count(t) != 0) {
+      box.pop_back();  // every earlier chunk would be pinned first
+      if (box.empty()) continue;
+      ++partial_boxes;
+    }
+    SeedChunks(&with.chunk_cache(), fine, box, {});
+    SeedChunks(&without.chunk_cache(), fine, box, {});
+  }
+  ASSERT_GT(partial_boxes, 0u);
+
+  QueryStats s_with, s_without;
+  auto r_with = with.Execute(q, &s_with);
+  auto r_without = without.Execute(q, &s_without);
+  ASSERT_TRUE(r_with.ok());
+  ASSERT_TRUE(r_without.ok());
+  EXPECT_EQ(s_with.chunks_from_aggregation, 0u);
+  EXPECT_EQ(s_with.chunks_from_backend, needed.size());
+  ASSERT_EQ(with.chunk_cache().stats().evictions, 0u);
+
+  const auto a = with.metrics().TakeSnapshot();
+  const auto b = without.metrics().TakeSnapshot();
+  size_t compared = 0;
+  for (const auto& [name, value] : b.counters) {
+    if (name.rfind("cache.shard", 0) == 0 ||
+        name.rfind("cache.ghost.", 0) == 0) {
+      EXPECT_EQ(a.counter(name), value) << name;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 2u + 2u * 3u);  // shard0 lookups/hits + 2 ghosts x 3
+
+  // Victim order: an entry as large as the whole cache evicts every
+  // resident, in the order the policy nominates them.
+  struct EvictionLog : cache::CacheEventSink {
+    std::vector<cache::ChunkKey> evicted;
+    void OnAdmit(const std::shared_ptr<const cache::CachedChunk>&) override {}
+    void OnEvict(const cache::ChunkKey& key) override {
+      evicted.push_back(key);
+    }
+  };
+  const auto victims = [](ChunkCacheManager& mgr) {
+    EvictionLog log;
+    mgr.chunk_cache().SetEventSink(&log);
+    cache::CachedChunk big;
+    big.filter_hash = 99;
+    big.encoded = std::vector<uint8_t>(mgr.chunk_cache().capacity_bytes() -
+                                       big.ByteSize());
+    mgr.chunk_cache().Insert(std::move(big));
+    mgr.chunk_cache().SetEventSink(nullptr);
+    return log.evicted;
+  };
+  const std::vector<cache::ChunkKey> want = victims(without);
+  EXPECT_FALSE(want.empty());
+  EXPECT_TRUE(victims(with) == want);
+}
+
+// Differential check of the closure-property roll-up against the reference
+// rule: chunk t of the target comes from the first strictly finer group-by,
+// in ascending id order, whose whole source box is cached, folded through
+// ChunkAggregator in box order — bit-identical. The cache holds random
+// partial contents: for each (target chunk, candidate source) the box is
+// complete, one chunk short, or absent. The degraded variant kills the
+// backend instead of enabling the extension; degraded answering rolls up
+// through the same function.
+class RollupReferenceTest
+    : public RollupFixture,
+      public ::testing::WithParamInterface<std::tuple<bool, bool>> {};
+
+TEST_P(RollupReferenceTest, RolledUpChunksMatchReferenceBitForBit) {
+  const auto [filtered, degraded] = GetParam();
+  const GroupBySpec target{{1, 1, 1, 1}, 4};
+  const uint32_t target_id = scheme_->GroupById(target);
+  StarJoinQuery q = FullDomainQuery(target);
+  if (filtered) {
+    q.non_group_by.push_back(NonGroupByPredicate{3, 2, OrdinalRange{0, 24}});
+  }
+  const uint64_t filter_hash = ChunkCacheManager::FilterHash(q.non_group_by);
+  const std::vector<uint64_t> needed = NeededChunks(q);
+  std::vector<uint32_t> finer;  // brute force, not the scheme's table
+  for (uint32_t id = 0; id < scheme_->NumGroupByIds(); ++id) {
+    if (id != target_id && target.CoarserOrEqual(scheme_->SpecOfId(id))) {
+      finer.push_back(id);
+    }
+  }
+
+  for (uint64_t seed : {1, 2, 3}) {
+    Random rng(seed);
+    ChunkManagerOptions opts;
+    opts.cache_bytes = 256ull << 20;  // nothing evicts
+    opts.enable_in_cache_aggregation = !degraded;
+    opts.retry.backoff_base_us = 20;
+    opts.retry.backoff_max_us = 200;
+    ChunkCacheManager mgr = MakeChunkManager(opts);
+
+    std::set<uint32_t> candidates;
+    while (candidates.size() < 4) {
+      candidates.insert(finer[rng.Uniform(finer.size())]);
+    }
+    std::map<uint32_t, std::set<uint64_t>> to_seed;
+    for (uint64_t t : needed) {
+      bool any_complete = false;
+      for (uint32_t id : candidates) {
+        std::vector<uint64_t> box =
+            SourceChunks(target, t, scheme_->SpecOfId(id));
+        const double roll = rng.NextDouble();
+        if (roll < 0.3) {
+          any_complete = true;
+        } else if (roll < 0.65) {
+          box.erase(box.begin() +
+                    static_cast<ptrdiff_t>(rng.Uniform(box.size())));
+        } else {
+          continue;
+        }
+        to_seed[id].insert(box.begin(), box.end());
+      }
+      if (degraded && !any_complete) {
+        // Degraded answering is all-or-nothing: give every chunk a source.
+        const uint32_t id = *candidates.rbegin();
+        for (uint64_t n : SourceChunks(target, t, scheme_->SpecOfId(id))) {
+          to_seed[id].insert(n);
+        }
+      }
+    }
+    std::map<std::pair<uint32_t, uint64_t>, storage::AggColumns> seeded;
+    for (const auto& [id, nums] : to_seed) {
+      auto cols = SeedChunks(&mgr.chunk_cache(), scheme_->SpecOfId(id),
+                             std::vector<uint64_t>(nums.begin(), nums.end()),
+                             q.non_group_by);
+      for (auto& [n, c] : cols) seeded.emplace(std::make_pair(id, n), c);
+    }
+
+    std::map<uint64_t, storage::AggColumns> want;
+    for (uint64_t t : needed) {
+      for (uint32_t id : finer) {
+        const GroupBySpec src = scheme_->SpecOfId(id);
+        const std::vector<uint64_t> box = SourceChunks(target, t, src);
+        bool whole = true;
+        for (uint64_t n : box) whole = whole && seeded.count({id, n}) != 0;
+        if (!whole) continue;
+        backend::ChunkAggregator agg(scheme_.get(), target, t,
+                                     engine_->options().dense_cell_limit);
+        for (uint64_t n : box) agg.AddAggColumns(seeded.at({id, n}), src);
+        want.emplace(t, agg.TakeColumns());
+        break;
+      }
+    }
+    ASSERT_FALSE(want.empty());
+
+    FaultInjector& fi = FaultInjector::Global();
+    if (degraded) {
+      fi.Arm(FaultSite::kFactScan, 1.0);
+      fi.Arm(FaultSite::kAggScan, 1.0);
+    }
+    QueryStats s;
+    auto rows = mgr.Execute(q, &s);
+    fi.DisarmAll();
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ExpectRowsEqual(*rows, Naive(q), 4);
+    if (degraded) {
+      ASSERT_EQ(want.size(), needed.size());
+      EXPECT_EQ(s.degraded_answers, needed.size());
+    } else {
+      EXPECT_EQ(s.chunks_from_aggregation, want.size());
+      EXPECT_EQ(s.chunks_from_backend, needed.size() - want.size());
+    }
+    EXPECT_EQ(mgr.chunk_cache().stats().evictions, 0u);
+    for (const auto& [t, cols] : want) {
+      cache::ChunkHandle h =
+          mgr.chunk_cache().Lookup(target_id, t, filter_hash);
+      ASSERT_NE(h, nullptr) << "seed " << seed << " chunk " << t;
+      EXPECT_TRUE(h->cols == cols) << "seed " << seed << " chunk " << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FilterAndMode, RollupReferenceTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& i) {
+      return std::string(std::get<0>(i.param) ? "filtered" : "unfiltered") +
+             (std::get<1>(i.param) ? "_degraded" : "_in_cache");
+    });
 
 TEST_F(CoreFixture, DrillDownPrefetchWarmsFinerLevel) {
   ChunkManagerOptions opts;

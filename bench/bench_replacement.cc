@@ -1,5 +1,4 @@
-// Replacement-policy lab: every policy behind MakePolicy() x benefit
-// source (static heuristic vs measured cost-of-recompute EWMA) x cache
+// Replacement-policy lab: every policy behind MakePolicy() x cache
 // budget, across three workload mixes:
 //   - zipfian:    16 fixed regions with Zipf(0.9) popularity — skewed
 //                 reuse, where recency/frequency policies separate;
@@ -12,13 +11,12 @@
 // latency (from the query.latency_ns histogram), backend pages, and a
 // result hash. Replacement only decides which chunks stay cached, never
 // answers, so every cell of one mix must hash identically — the bench
-// fails otherwise (this is the measured-benefit bit-identity ablation).
+// fails otherwise.
 //
 // Per {mix, budget} a ghost run shadows ALL policies against one real
-// cache's access stream and validates the online standings by replaying
-// the recorded trace through fresh simulators (same trace => same hit
-// counts), plus checks the active policy's ghost agrees with the real
-// cache (serial single-shard, so the shadow must match reality exactly).
+// cache's access stream and checks the active policy's ghost agrees with
+// the real cache (serial single-shard, so the shadow must match reality
+// exactly).
 //
 // Results go to stdout AND BENCH_replacement.json (CI validates the
 // schema). Honors CHUNKCACHE_BENCH_SCALE / CHUNKCACHE_BENCH_QUERIES.
@@ -113,7 +111,6 @@ struct Cell {
   std::string mix;
   double cache_mb = 0;
   std::string policy;
-  std::string benefit_source;
   double hit_ratio = 0;
   uint64_t evictions = 0;
   double avg_ms = 0;   ///< Real wall per query.
@@ -127,21 +124,15 @@ struct GhostRun {
   double cache_mb = 0;
   std::string active_policy;
   std::vector<cache::GhostStanding> standings;
-  uint64_t trace_events = 0;
-  bool replay_ok = false;        ///< Trace replay reproduces standings.
-  bool matches_real = false;     ///< Active policy's ghost == real hits.
-  uint64_t real_hits = 0;
+  bool matches_real = false;  ///< Active policy's ghost == real hits.
 };
 
 Result<Cell> RunCell(System* sys, const Mix& mix, uint64_t cache_bytes,
-                     const std::string& policy,
-                     const std::string& benefit_source,
-                     uint64_t num_queries) {
+                     const std::string& policy, uint64_t num_queries) {
   CHUNKCACHE_RETURN_IF_ERROR(sys->ResetBackend());
   ChunkManagerOptions opts;
   opts.cache_bytes = cache_bytes;
   opts.policy = policy;
-  opts.benefit_source = benefit_source;
   opts.cost_model = sys->config().cost_model;
   ChunkCacheManager mgr(&sys->engine(), opts);
   auto next = mix.make(&sys->schema());
@@ -150,7 +141,6 @@ Result<Cell> RunCell(System* sys, const Mix& mix, uint64_t cache_bytes,
   cell.mix = mix.name;
   cell.cache_mb = static_cast<double>(cache_bytes) / (1 << 20);
   cell.policy = policy;
-  cell.benefit_source = benefit_source;
   cell.hash = 0xcbf29ce484222325ULL;
   uint64_t pages = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -190,7 +180,6 @@ Result<GhostRun> RunGhosts(System* sys, const Mix& mix, uint64_t cache_bytes,
   opts.policy = "lru";  // the active policy also runs as its own ghost
   opts.cost_model = sys->config().cost_model;
   opts.ghost_policies = cache::KnownPolicyNames();
-  opts.ghost_record_trace = true;
   ChunkCacheManager mgr(&sys->engine(), opts);
   auto next = mix.make(&sys->schema());
   for (uint64_t i = 0; i < num_queries; ++i) {
@@ -207,28 +196,11 @@ Result<GhostRun> RunGhosts(System* sys, const Mix& mix, uint64_t cache_bytes,
   const cache::GhostCacheSet* ghosts = mgr.chunk_cache().ghosts();
   CHUNKCACHE_CHECK(ghosts != nullptr);
   run.standings = ghosts->Standings();
-  const std::vector<cache::GhostEvent> trace = ghosts->Trace();
-  run.trace_events = trace.size();
-
-  // Dedicated re-run: the same trace through fresh simulators must land
-  // on exactly the online standings.
-  run.replay_ok = !ghosts->trace_truncated();
+  // The active policy's shadow saw the identical reference stream the
+  // real (serial, single-shard) cache served, so it must agree.
+  const uint64_t real_hits = mgr.StatsSnapshot().hits;
   for (const cache::GhostStanding& st : run.standings) {
-    cache::GhostCacheSim sim(st.policy, cache_bytes);
-    for (const cache::GhostEvent& e : trace) {
-      sim.Access(e.key_id, e.bytes, e.benefit);
-    }
-    if (sim.hits() != st.hits || sim.misses() != st.misses ||
-        sim.evictions() != st.evictions) {
-      run.replay_ok = false;
-    }
-    // The active policy's shadow saw the identical reference stream the
-    // real (serial, single-shard) cache served, so it must agree.
-    if (st.policy == run.active_policy) {
-      const cache::ChunkCacheStats real = mgr.StatsSnapshot();
-      run.real_hits = real.hits;
-      run.matches_real = st.hits == real.hits;
-    }
+    if (st.policy == run.active_policy) run.matches_real = st.hits == real_hits;
   }
   return run;
 }
@@ -236,7 +208,7 @@ Result<GhostRun> RunGhosts(System* sys, const Mix& mix, uint64_t cache_bytes,
 Status Run() {
   ExperimentConfig config = ExperimentConfig::FromEnv();
   config.pool_frames = 256;  // undersized pool: backend pages are real I/O
-  PrintSetup(config, "Replacement lab: policy x benefit source x budget");
+  PrintSetup(config, "Replacement lab: policy x budget");
   CHUNKCACHE_ASSIGN_OR_RETURN(std::unique_ptr<System> sys,
                               System::Build(config));
 
@@ -253,49 +225,37 @@ Status Run() {
   std::vector<Cell> cells;
   std::vector<GhostRun> ghost_runs;
   bool identical_all = true;
-  bool replay_ok_all = true;
   bool ghost_matches_real_all = true;
 
   for (const Mix& mix : mixes) {
     uint64_t mix_hash = 0;
     bool have_hash = false;
     std::printf("\n-- mix: %s --\n", mix.name.c_str());
-    std::printf("%8s %18s %9s %7s %9s %9s %9s %9s\n", "cache", "policy",
-                "benefit", "hit%", "evict", "ms/q", "p99 ms", "pages");
+    std::printf("%8s %18s %7s %9s %9s %9s %9s\n", "cache", "policy", "hit%",
+                "evict", "ms/q", "p99 ms", "pages");
     for (uint64_t bytes : budgets) {
       for (const std::string& policy : policies) {
-        for (const char* source : {"static", "measured"}) {
-          CHUNKCACHE_ASSIGN_OR_RETURN(
-              Cell cell,
-              RunCell(sys.get(), mix, bytes, policy, source, num_queries));
-          if (!have_hash) {
-            mix_hash = cell.hash;
-            have_hash = true;
-          } else if (cell.hash != mix_hash) {
-            identical_all = false;
-            std::fprintf(stderr,
-                         "HASH MISMATCH: %s %s/%s @%.2fMB diverged\n",
-                         mix.name.c_str(), policy.c_str(), source,
-                         cell.cache_mb);
-          }
-          std::printf("%6.2fM %18s %9s %6.1f%% %9llu %9.3f %9.3f %9llu\n",
-                      cell.cache_mb, policy.c_str(), source,
-                      100 * cell.hit_ratio,
-                      static_cast<unsigned long long>(cell.evictions),
-                      cell.avg_ms, cell.p99_ms,
-                      static_cast<unsigned long long>(cell.pages));
-          cells.push_back(std::move(cell));
+        CHUNKCACHE_ASSIGN_OR_RETURN(
+            Cell cell, RunCell(sys.get(), mix, bytes, policy, num_queries));
+        if (!have_hash) {
+          mix_hash = cell.hash;
+          have_hash = true;
+        } else if (cell.hash != mix_hash) {
+          identical_all = false;
+          std::fprintf(stderr, "HASH MISMATCH: %s %s @%.2fMB diverged\n",
+                       mix.name.c_str(), policy.c_str(), cell.cache_mb);
         }
+        std::printf("%6.2fM %18s %6.1f%% %9llu %9.3f %9.3f %9llu\n",
+                    cell.cache_mb, policy.c_str(), 100 * cell.hit_ratio,
+                    static_cast<unsigned long long>(cell.evictions),
+                    cell.avg_ms, cell.p99_ms,
+                    static_cast<unsigned long long>(cell.pages));
+        cells.push_back(std::move(cell));
       }
       CHUNKCACHE_ASSIGN_OR_RETURN(
           GhostRun gr, RunGhosts(sys.get(), mix, bytes, num_queries));
-      replay_ok_all = replay_ok_all && gr.replay_ok;
       ghost_matches_real_all = ghost_matches_real_all && gr.matches_real;
-      std::printf("  ghosts @%.2fMB (%llu events, replay %s, real-agree "
-                  "%s):",
-                  gr.cache_mb,
-                  static_cast<unsigned long long>(gr.trace_events),
-                  gr.replay_ok ? "ok" : "FAILED",
+      std::printf("  ghosts @%.2fMB (real-agree %s):", gr.cache_mb,
                   gr.matches_real ? "ok" : "FAILED");
       for (const cache::GhostStanding& st : gr.standings) {
         const uint64_t refs = st.hits + st.misses;
@@ -328,11 +288,9 @@ Status Run() {
     std::fprintf(
         out,
         "    {\"mix\": \"%s\", \"cache_mb\": %.2f, \"policy\": \"%s\", "
-        "\"benefit_source\": \"%s\", \"hit_ratio\": %.4f, "
-        "\"evictions\": %llu, \"avg_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"pages\": %llu}%s\n",
-        c.mix.c_str(), c.cache_mb, c.policy.c_str(),
-        c.benefit_source.c_str(), c.hit_ratio,
+        "\"hit_ratio\": %.4f, \"evictions\": %llu, \"avg_ms\": %.4f, "
+        "\"p99_ms\": %.4f, \"pages\": %llu}%s\n",
+        c.mix.c_str(), c.cache_mb, c.policy.c_str(), c.hit_ratio,
         static_cast<unsigned long long>(c.evictions), c.avg_ms, c.p99_ms,
         static_cast<unsigned long long>(c.pages),
         i + 1 < cells.size() ? "," : "");
@@ -342,11 +300,8 @@ Status Run() {
     const GhostRun& g = ghost_runs[i];
     std::fprintf(out,
                  "    {\"mix\": \"%s\", \"cache_mb\": %.2f, "
-                 "\"trace_events\": %llu, \"replay_ok\": %s, "
                  "\"matches_real\": %s, \"standings\": [",
                  g.mix.c_str(), g.cache_mb,
-                 static_cast<unsigned long long>(g.trace_events),
-                 g.replay_ok ? "true" : "false",
                  g.matches_real ? "true" : "false");
     for (size_t j = 0; j < g.standings.size(); ++j) {
       const cache::GhostStanding& st = g.standings[j];
@@ -362,20 +317,15 @@ Status Run() {
     std::fprintf(out, "]}%s\n", i + 1 < ghost_runs.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"identical_all\": %s,\n  \"replay_ok_all\": %s,\n"
+               "  ],\n  \"identical_all\": %s,\n"
                "  \"ghost_matches_real_all\": %s\n}\n",
                identical_all ? "true" : "false",
-               replay_ok_all ? "true" : "false",
                ghost_matches_real_all ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote BENCH_replacement.json\n");
 
   if (!identical_all) {
-    return Status::Internal("results diverged across policies/benefit "
-                            "sources within a mix");
-  }
-  if (!replay_ok_all) {
-    return Status::Internal("ghost replay disagreed with online standings");
+    return Status::Internal("results diverged across policies within a mix");
   }
   if (!ghost_matches_real_all) {
     return Status::Internal("active policy's ghost disagreed with the "

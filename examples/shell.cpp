@@ -3,8 +3,7 @@
 // the chunk cache work; dot-commands inspect the system.
 //
 //   $ ./shell [num_tuples] [--compress] [--policy=<name>]
-//             [--benefit-source=static|measured] [--ghosts[=p1,p2,...]]
-//             [--persist-dir=PATH] [--snapshot-every=N]
+//             [--ghosts[=p1,p2,...]] [--persist-dir=PATH] [--snapshot-every=N]
 //   chunkcache> SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 GROUP BY D0.L1
 //   chunkcache> .schema
 //   chunkcache> .cache
@@ -15,8 +14,15 @@
 //
 //   $ ./shell --serve            # ephemeral port, printed on startup
 //   $ ./shell --serve=7437 --rate-qps=200 --max-deadline-ms=500
+//
+// An unknown argument, or a numeric flag whose value is not a number,
+// prints the usage line and exits with status 2.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -56,6 +62,45 @@ void PrintSchema(const schema::StarSchema& schema) {
   }
 }
 
+/// Prints the usage line for a rejected argument; returns exit status 2.
+int BadArgument(const std::string& arg) {
+  std::fprintf(
+      stderr,
+      "shell: bad argument \"%s\"\n"
+      "usage: shell [num_tuples] [--compress] [--policy=<name>]\n"
+      "             [--ghosts[=p1,p2,...]] [--persist-dir=PATH]\n"
+      "             [--snapshot-every=N] [--serve[=port]] [--rate-qps=Q]\n"
+      "             [--max-deadline-ms=N]\n",
+      arg.c_str());
+  return 2;
+}
+
+/// Parses all of `s` as an unsigned decimal; false on an empty string, a
+/// sign, trailing characters or overflow.
+bool ParseU64(const std::string& s, uint64_t* out) {
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `s` as a finite number that starts with a digit.
+bool ParseRate(const std::string& s, double* out) {
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 void PrintHelp() {
   std::printf(
       "star-join SQL:\n"
@@ -73,7 +118,6 @@ int main(int argc, char** argv) {
   uint64_t tuples = 100000;
   bool compress = false;
   std::string policy = "benefit-clock";
-  std::string benefit_source = "static";
   std::vector<std::string> ghosts;
   std::string persist_dir;
   uint64_t snapshot_every = 4096;
@@ -86,13 +130,16 @@ int main(int argc, char** argv) {
     if (arg == "--serve") {
       serve = true;
     } else if (arg.rfind("--serve=", 0) == 0) {
+      uint64_t port = 0;
+      if (!ParseU64(arg.substr(8), &port) || port > 65535) {
+        return BadArgument(arg);
+      }
       serve = true;
-      serve_port = static_cast<uint16_t>(
-          std::strtoul(arg.c_str() + 8, nullptr, 10));
+      serve_port = static_cast<uint16_t>(port);
     } else if (arg.rfind("--rate-qps=", 0) == 0) {
-      rate_qps = std::strtod(arg.c_str() + 11, nullptr);
+      if (!ParseRate(arg.substr(11), &rate_qps)) return BadArgument(arg);
     } else if (arg.rfind("--max-deadline-ms=", 0) == 0) {
-      max_deadline_ms = std::strtoull(arg.c_str() + 18, nullptr, 10);
+      if (!ParseU64(arg.substr(18), &max_deadline_ms)) return BadArgument(arg);
     } else if (arg == "--compress") {
       compress = true;
     } else if (arg.rfind("--policy=", 0) == 0) {
@@ -105,13 +152,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "\n");
         return 1;
       }
-    } else if (arg.rfind("--benefit-source=", 0) == 0) {
-      benefit_source = arg.substr(17);
-      if (benefit_source != "static" && benefit_source != "measured") {
-        std::fprintf(stderr,
-                     "--benefit-source must be 'static' or 'measured'\n");
-        return 1;
-      }
     } else if (arg.rfind("--persist-dir=", 0) == 0) {
       persist_dir = arg.substr(14);
       if (persist_dir.empty()) {
@@ -119,7 +159,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
-      snapshot_every = std::strtoull(arg.c_str() + 17, nullptr, 10);
+      if (!ParseU64(arg.substr(17), &snapshot_every)) return BadArgument(arg);
     } else if (arg == "--ghosts") {
       ghosts.assign(cache::KnownPolicyNames().begin(),
                     cache::KnownPolicyNames().end());
@@ -142,8 +182,8 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
-    } else {
-      tuples = std::strtoull(argv[i], nullptr, 10);
+    } else if (!ParseU64(arg, &tuples)) {
+      return BadArgument(arg);
     }
   }
 
@@ -175,7 +215,6 @@ int main(int argc, char** argv) {
   mopts.trace_capacity = 64;  // per-query span trees for .trace
   mopts.enable_compression = compress;  // --compress: encoded cache tier
   mopts.policy = policy;
-  mopts.benefit_source = benefit_source;
   mopts.ghost_policies = ghosts;  // shadow policy scoreboard for .stats
   // --persist-dir: the cache survives restarts (snapshot + WAL). Note the
   // shell regenerates its synthetic facts per run, so recovered entries
@@ -263,9 +302,8 @@ int main(int argc, char** argv) {
                   (unsigned long long)cs.evictions,
                   (unsigned long long)cs.rejected);
       std::printf("  lock contention: %.3f ms total\n", cs.contention_ns / 1e6);
-      std::printf("replacement: policy=%s benefit-source=%s\n",
-                  tier.chunk_cache().policy_name().c_str(),
-                  tier.options().benefit_source.c_str());
+      std::printf("replacement: policy=%s\n",
+                  tier.chunk_cache().policy_name().c_str());
       if (cache::GhostCacheSet* gs = tier.chunk_cache().ghosts()) {
         std::printf("  ghost standings (would-be hit ratio at same budget):\n");
         for (const auto& st : gs->Standings()) {

@@ -203,13 +203,13 @@ void ChunkCache::Insert(std::shared_ptr<CachedChunk> chunk) {
   }
 }
 
-void ChunkCache::EnableGhostPolicies(const std::vector<std::string>& policies,
-                                     bool record_trace) {
+void ChunkCache::EnableGhostPolicies(
+    const std::vector<std::string>& policies) {
   ghosts_live_.store(nullptr, std::memory_order_release);
   ghosts_.reset();
   if (policies.empty()) return;
-  ghosts_ = std::make_unique<GhostCacheSet>(policies, capacity_bytes_,
-                                            metrics_, record_trace);
+  ghosts_ =
+      std::make_unique<GhostCacheSet>(policies, capacity_bytes_, metrics_);
   ghosts_live_.store(ghosts_.get(), std::memory_order_release);
 }
 

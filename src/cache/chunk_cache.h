@@ -293,8 +293,7 @@ class ChunkCache {
   /// access stream. Standings export to the registry as
   /// "cache.ghost.<policy>.*". Call during setup, before concurrent use;
   /// calling again replaces the simulators.
-  void EnableGhostPolicies(const std::vector<std::string>& policies,
-                           bool record_trace = false);
+  void EnableGhostPolicies(const std::vector<std::string>& policies);
 
   /// The attached shadow simulation, or nullptr when disabled.
   GhostCacheSet* ghosts() const {

@@ -44,11 +44,8 @@ bool GhostCacheSim::Access(uint64_t key_id, uint64_t bytes, double benefit) {
 // -------------------------------- GhostCacheSet ------------------------------
 
 GhostCacheSet::GhostCacheSet(const std::vector<std::string>& policies,
-                             uint64_t capacity_bytes, MetricsRegistry* metrics,
-                             bool record_trace, size_t trace_cap)
-    : capacity_bytes_(capacity_bytes),
-      record_trace_(record_trace),
-      trace_cap_(trace_cap) {
+                             uint64_t capacity_bytes, MetricsRegistry* metrics)
+    : capacity_bytes_(capacity_bytes) {
   sims_.reserve(policies.size());
   counters_.reserve(policies.size());
   for (const auto& name : policies) {
@@ -68,13 +65,6 @@ GhostCacheSet::~GhostCacheSet() = default;
 
 void GhostCacheSet::Access(uint64_t key_id, uint64_t bytes, double benefit) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (record_trace_) {
-    if (trace_.size() < trace_cap_) {
-      trace_.push_back(GhostEvent{key_id, bytes, benefit});
-    } else {
-      trace_truncated_ = true;
-    }
-  }
   for (size_t i = 0; i < sims_.size(); ++i) {
     const bool hit = sims_[i]->Access(key_id, bytes, benefit);
     const PolicyCounters& pc = counters_[i];
@@ -110,16 +100,6 @@ std::vector<GhostStanding> GhostCacheSet::Standings() const {
     out.push_back(std::move(s));
   }
   return out;
-}
-
-std::vector<GhostEvent> GhostCacheSet::Trace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_;
-}
-
-bool GhostCacheSet::trace_truncated() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_truncated_;
 }
 
 }  // namespace chunkcache::cache

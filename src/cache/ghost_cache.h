@@ -17,16 +17,6 @@ class MetricsRegistry;
 
 namespace chunkcache::cache {
 
-/// One policy-event record from the real cache's access stream: key
-/// identity, payload size, and insert benefit — no payloads. A recorded
-/// trace replayed through a fresh GhostCacheSim must reproduce the online
-/// counters exactly (the bench asserts this).
-struct GhostEvent {
-  uint64_t key_id = 0;
-  uint64_t bytes = 0;
-  double benefit = 0;
-};
-
 /// Per-policy scoreboard row.
 struct GhostStanding {
   std::string policy;
@@ -77,16 +67,12 @@ class GhostCacheSim {
 /// stream, so one run scores every policy at once. Would-be hit/miss/
 /// eviction counts are exported to the metrics registry as
 /// "cache.ghost.<policy>.hits" / ".misses" / ".evictions".
-///
-/// With record_trace, the set also keeps the event stream (capped) so a
-/// dedicated replay can verify the online standings event-for-event.
 class GhostCacheSet {
  public:
   /// `policies` must all be valid MakePolicy names (checked fatally).
   /// `metrics` may be null (counters skipped, standings still tracked).
   GhostCacheSet(const std::vector<std::string>& policies,
-                uint64_t capacity_bytes, MetricsRegistry* metrics,
-                bool record_trace = false, size_t trace_cap = 1u << 22);
+                uint64_t capacity_bytes, MetricsRegistry* metrics);
   ~GhostCacheSet();
 
   GhostCacheSet(const GhostCacheSet&) = delete;
@@ -96,11 +82,6 @@ class GhostCacheSet {
   void Access(uint64_t key_id, uint64_t bytes, double benefit);
 
   std::vector<GhostStanding> Standings() const;
-
-  /// Copy of the recorded event stream (empty unless record_trace). If the
-  /// cap was hit, trace_truncated() is true and replay validation is off.
-  std::vector<GhostEvent> Trace() const;
-  bool trace_truncated() const;
 
   size_t num_policies() const { return sims_.size(); }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
@@ -113,14 +94,10 @@ class GhostCacheSet {
   };
 
   const uint64_t capacity_bytes_;
-  const bool record_trace_;
-  const size_t trace_cap_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<GhostCacheSim>> sims_;
   std::vector<PolicyCounters> counters_;
   std::vector<uint64_t> exported_evictions_;  // last value pushed to registry
-  std::vector<GhostEvent> trace_;
-  bool trace_truncated_ = false;
 };
 
 }  // namespace chunkcache::cache

@@ -69,15 +69,8 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
     decoded_ = std::make_unique<cache::DecodedCache>(
         options_.decoded_cache_bytes, metrics_);
   }
-  CHUNKCACHE_CHECK_MSG(options_.benefit_source == "static" ||
-                           options_.benefit_source == "measured",
-                       "benefit_source must be \"static\" or \"measured\"");
-  measured_benefit_ = options_.benefit_source == "measured";
-  benefit_ewma_.assign(engine_->scheme().NumGroupByIds(), 0.0);
-  benefit_seen_.assign(engine_->scheme().NumGroupByIds(), 0);
   if (!options_.ghost_policies.empty()) {
-    cache_.EnableGhostPolicies(options_.ghost_policies,
-                               options_.ghost_record_trace);
+    cache_.EnableGhostPolicies(options_.ghost_policies);
   }
   queries_ = metrics_->GetCounter("query.executions");
   query_errors_ = metrics_->GetCounter("query.errors");
@@ -123,9 +116,7 @@ ChunkCacheManager::~ChunkCacheManager() {
     // writer, then leave a final snapshot (skipped after SimulateCrash —
     // a killed process writes nothing on the way down).
     cache_.SetEventSink(nullptr);
-    if (options_.persist_snapshot_on_shutdown && !persist_->crashed()) {
-      (void)SnapshotNow(/*only_if_idle=*/false);
-    }
+    if (!persist_->crashed()) (void)SnapshotNow(/*only_if_idle=*/false);
     persist_.reset();
   }
   engine_->pool().UnbindMetrics(metrics_);
@@ -171,15 +162,6 @@ void ChunkCacheManager::RecoverPersistedCache() {
     cache_.Insert(std::move(entry));
   }
   rec.entries.clear();
-  {
-    std::lock_guard<std::mutex> lock(benefit_mu_);
-    for (const auto& [gb, v] : rec.benefit_ewma) {
-      if (gb < benefit_ewma_.size()) {
-        benefit_ewma_[gb] = v;
-        benefit_seen_[gb] = 1;
-      }
-    }
-  }
   recovery_info_ = std::move(rec);
   // Only now start logging: the recovered admissions above are already
   // durable, re-logging them would just bloat the fresh WAL generation.
@@ -225,14 +207,6 @@ Status ChunkCacheManager::SnapshotNow(bool only_if_idle) {
         cache_.ForEachEntry([this, out](const cache::ChunkHandle& h) {
           out->push_back(ToPersisted(*h));
         });
-      },
-      [this](std::vector<std::pair<uint32_t, double>>* out) {
-        std::lock_guard<std::mutex> lock(benefit_mu_);
-        for (uint32_t gb = 0; gb < benefit_ewma_.size(); ++gb) {
-          if (benefit_seen_[gb] != 0) {
-            out->emplace_back(gb, benefit_ewma_[gb]);
-          }
-        }
       },
       only_if_idle);
 }
@@ -504,10 +478,8 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
   const chunks::ChunkingScheme& scheme = engine_->scheme();
   const uint32_t gb_id = scheme.GroupById(query.group_by);
   const uint64_t filter_hash = FilterHash(query.non_group_by);
-  // Benefit carried by this query's inserts: the static |base|/#chunks
-  // heuristic, or the measured recompute EWMA (benefit_source option).
-  const double benefit =
-      InsertBenefit(gb_id, scheme.ChunkBenefit(query.group_by));
+  // Benefit carried by this query's inserts: the paper's |base|/#chunks.
+  const double benefit = scheme.ChunkBenefit(query.group_by);
 
   // 1. Query analysis: chunk numbers needed (Section 5.2.2).
   const uint32_t decompose_span = trace->BeginSpan("decompose", trace->root());
@@ -652,17 +624,9 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     const auto rt0 = std::chrono::steady_clock::now();
     auto res =
         RunWithRetry(options_.retry, ctrl, &stats->retries, compute_once);
-    if (res.ok() && !res->empty()) {
-      // The whole retry loop is the honest cost of getting these chunks
-      // back — that is exactly what a future eviction would re-pay.
-      RecordRecompute(
-          gb_id,
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - rt0)
-                  .count()),
-          res->size());
-    }
+    // The whole retry loop is the honest cost of getting these chunks
+    // back — that is exactly what a future eviction would re-pay.
+    if (res.ok()) RecordRecompute(rt0, res->size());
     return res;
   };
   Result<std::vector<ChunkData>> computed = std::vector<ChunkData>{};
@@ -969,44 +933,13 @@ ChunkCacheManager::PlanDrillDown(const StarJoinQuery& query,
   return plan;
 }
 
-void ChunkCacheManager::RecordRecompute(uint32_t gb_id, uint64_t total_ns,
-                                        size_t chunks) {
+void ChunkCacheManager::RecordRecompute(
+    std::chrono::steady_clock::time_point start, size_t chunks) {
   if (chunks == 0) return;
-  const uint64_t per_chunk_ns = total_ns / chunks;
-  recompute_ns_->Record(per_chunk_ns);
-  if (!measured_benefit_) return;
-  constexpr double kAlpha = 0.25;  // EWMA smoothing
-  double updated;
-  {
-    std::lock_guard<std::mutex> lock(benefit_mu_);
-    if (gb_id >= benefit_ewma_.size()) return;
-    const double sample = static_cast<double>(per_chunk_ns);
-    if (benefit_seen_[gb_id] == 0) {
-      benefit_ewma_[gb_id] = sample;
-      benefit_seen_[gb_id] = 1;
-    } else {
-      benefit_ewma_[gb_id] += kAlpha * (sample - benefit_ewma_[gb_id]);
-    }
-    updated = benefit_ewma_[gb_id];
-  }
-  // WAL the cost model too (outside benefit_mu_): a warm restart resumes
-  // with the learned recompute costs instead of relearning from scratch.
-  if (persist_ != nullptr) {
-    persist_->LogBenefit(gb_id, updated);
-    MaybeAutoSnapshot();
-  }
-}
-
-double ChunkCacheManager::InsertBenefit(uint32_t gb_id,
-                                        double static_benefit) const {
-  if (!measured_benefit_) return static_benefit;
-  std::lock_guard<std::mutex> lock(benefit_mu_);
-  if (gb_id < benefit_ewma_.size() && benefit_seen_[gb_id] != 0) {
-    return benefit_ewma_[gb_id];
-  }
-  // No measurement yet for this class — fall back to the heuristic so the
-  // very first inserts still carry a sane relative weight.
-  return static_benefit;
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  recompute_ns_->Record(static_cast<uint64_t>(ns) / chunks);
 }
 
 uint64_t ChunkCacheManager::RunPrefetch(
@@ -1052,22 +985,14 @@ uint64_t ChunkCacheManager::RunPrefetch(
     }
     return 0;
   }
-  if (!computed->empty()) {
-    RecordRecompute(plan.drill_id,
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - rt0)
-                            .count()),
-                    computed->size());
-  }
-  const double insert_benefit = InsertBenefit(plan.drill_id, plan.benefit);
+  RecordRecompute(rt0, computed->size());
   for (size_t i = 0; i < computed->size(); ++i) {
     ChunkData& data = (*computed)[i];
     auto entry = std::make_shared<cache::CachedChunk>();
     entry->group_by_id = plan.drill_id;
     entry->chunk_num = data.chunk_num;
     entry->filter_hash = filter_hash;
-    entry->benefit = insert_benefit;
+    entry->benefit = plan.benefit;
     entry->cols = std::move(data.cols);
     MaybeCompressEntry(entry.get());
     cache::ChunkHandle handle = entry;

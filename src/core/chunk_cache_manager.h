@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -32,27 +33,11 @@ struct ChunkManagerOptions {
   std::string policy = "benefit-clock";
   CostModel cost_model;
 
-  /// Where the benefit fed to the replacement policy on insert comes from:
-  ///  - "static":   the paper's |base| / #chunks heuristic
-  ///                (ChunkingScheme::ChunkBenefit) — today's behavior.
-  ///  - "measured": the EWMA of actual per-chunk scan+aggregate ns
-  ///                observed for the chunk's group-by (each group-by has
-  ///                one fixed chunk volume, so group-by id is exactly the
-  ///                (group-by, chunk-volume) class), falling back to the
-  ///                static value until the first measurement lands.
-  /// Replacement only decides *which* chunks stay cached, never answers,
-  /// so query results are bit-identical either way (bench-asserted).
-  std::string benefit_source = "static";
-
   /// Ghost-cache shadow policies: for each name listed here the chunk
   /// cache runs an online simulator (keys + sizes only) against the real
   /// access stream and exports would-be-hit counters as
   /// "cache.ghost.<policy>.*". Empty = no shadow simulation (no overhead).
   std::vector<std::string> ghost_policies;
-
-  /// Record the ghost event stream so a replay can validate the online
-  /// standings (bench_replacement does); costs memory, off by default.
-  bool ghost_record_trace = false;
 
   /// Worker threads for the parallel miss pipeline. With <= 1 the manager
   /// runs the exact serial paper path (no pool is created); with more, a
@@ -99,9 +84,9 @@ struct ChunkManagerOptions {
   uint64_t decoded_cache_bytes = 4ull << 20;
 
   /// Crash-safe persistent cache (DESIGN.md §14). When non-empty, the
-  /// cache's contents and benefit metadata live in this directory as
-  /// generation-numbered snapshots plus a CRC32C-framed WAL of
-  /// admissions/evictions/benefit updates. Construction recovers: newest
+  /// cache's contents (each entry with its benefit) live in this
+  /// directory as generation-numbered snapshots plus a CRC32C-framed WAL
+  /// of admissions/evictions. Construction recovers: newest
   /// readable snapshot + WAL replay, torn tails truncated, corrupt
   /// entries quarantined (dropped + counted, never served), then traffic
   /// is served warm — bit-identical to a cold run, since cache warmth
@@ -109,16 +94,14 @@ struct ChunkManagerOptions {
   std::string persist_dir;
 
   /// WAL records between automatic snapshots (0 = snapshot only on
-  /// explicit PersistSnapshot() calls and at clean shutdown).
+  /// explicit PersistSnapshot() calls and at clean shutdown). The
+  /// destructor always writes a final snapshot unless SimulateCrash()
+  /// fired, so a clean shutdown restarts without a long WAL replay.
   uint64_t persist_snapshot_every = 4096;
 
   /// WAL records per fsync (1 = every record — full durability; 0 =
   /// never fsync; N amortizes, risking the last < N records on a crash).
   uint64_t persist_wal_fsync_every = 1;
-
-  /// Write a final snapshot in the destructor so a clean shutdown
-  /// restarts from a snapshot instead of a long WAL replay.
-  bool persist_snapshot_on_shutdown = true;
 
   /// Per-query trace spans retained in a ring buffer (0 = tracing off).
   /// When off, every trace hook in Execute is a disarmed branch-and-return
@@ -296,15 +279,10 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<backend::NonGroupByPredicate>& preds,
       uint64_t filter_hash, WorkCounters* work);
 
-  /// Feeds one backend recompute observation (`total_ns` spent producing
-  /// `chunks` chunks of `gb_id`) into the "benefit.recompute_ns" histogram
-  /// and, in measured mode, the per-group-by EWMA.
-  void RecordRecompute(uint32_t gb_id, uint64_t total_ns, size_t chunks);
-
-  /// The benefit an insert of a `gb_id` chunk should carry: the static
-  /// heuristic value, or (benefit_source = "measured") the EWMA of
-  /// measured per-chunk recompute ns once a sample exists.
-  double InsertBenefit(uint32_t gb_id, double static_benefit) const;
+  /// Records one backend recompute (`chunks` chunks produced since
+  /// `start`) as per-chunk ns on "benefit.recompute_ns".
+  void RecordRecompute(std::chrono::steady_clock::time_point start,
+                       size_t chunks);
 
   /// Cache entry -> durable form: compressed entries persist their codec
   /// blob verbatim; raw entries encode here (the blob self-checksums).
@@ -312,9 +290,9 @@ class ChunkCacheManager final : public MiddleTier {
 
   /// Recovery half of the warm-restart path: opens the persistence
   /// subsystem, re-admits every recovered entry through the normal Insert
-  /// path (decode-verifying each blob; failures are quarantined), restores
-  /// the benefit EWMA table, and only then installs the WAL event sink so
-  /// recovered state isn't re-logged.
+  /// path (decode-verifying each blob; failures are quarantined), and
+  /// only then installs the WAL event sink so recovered state isn't
+  /// re-logged.
   void RecoverPersistedCache();
 
   /// Auto-snapshot trigger, called by the event sink after each logged
@@ -323,8 +301,8 @@ class ChunkCacheManager final : public MiddleTier {
   void MaybeAutoSnapshot();
 
   /// Shared body of PersistSnapshot / MaybeAutoSnapshot: gathers entries
-  /// via ForEachEntry (one shard lock at a time) and the EWMA table under
-  /// benefit_mu_, both inside the persistence rotate-then-gather protocol.
+  /// via ForEachEntry (one shard lock at a time) inside the persistence
+  /// rotate-then-gather protocol.
   Status SnapshotNow(bool only_if_idle);
 
   backend::BackendEngine* engine_;
@@ -373,16 +351,7 @@ class ChunkCacheManager final : public MiddleTier {
   std::array<Counter*, storage::codec::kNumCodecs> codec_col_columns_{};
   Histogram* encode_ns_ = nullptr;  // codec.encode_ns
   Histogram* decode_ns_ = nullptr;  // codec.decode_ns
-
-  // Measured cost-of-recompute benefit source (benefit_source option).
-  // One EWMA of per-chunk scan+aggregate ns per group-by id; group-by id
-  // doubles as the (group-by, chunk-volume) class since each group-by's
-  // grid fixes its chunk volume.
-  bool measured_benefit_ = false;
   Histogram* recompute_ns_ = nullptr;  // benefit.recompute_ns
-  mutable std::mutex benefit_mu_;
-  std::vector<double> benefit_ewma_;
-  std::vector<uint8_t> benefit_seen_;
 
   // Crash-safe persistence (persist_dir option). The sink is detached from
   // the cache before persist_ is destroyed (see the destructor), so no

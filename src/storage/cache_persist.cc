@@ -246,7 +246,6 @@ struct CachePersistence::ReplayState {
   std::vector<PersistedChunk> entries;
   std::vector<bool> live;
   std::unordered_map<ReplayKey, size_t, ReplayKeyHash> index;
-  std::unordered_map<uint32_t, double> ewma;
 
   void Admit(PersistedChunk&& chunk) {
     const ReplayKey key{chunk.group_by_id, chunk.chunk_num,
@@ -358,11 +357,9 @@ void CachePersistence::Recover() {
   replay_ = &state;
   uint64_t snapshot_gen = 0;
   std::vector<PersistedChunk> snap_entries;
-  std::vector<std::pair<uint32_t, double>> snap_ewma;
   for (uint64_t gen : snapshot_gens) {
     snap_entries.clear();
-    snap_ewma.clear();
-    if (ReadSnapshot(gen, &snap_entries, &snap_ewma)) {
+    if (ReadSnapshot(gen, &snap_entries)) {
       snapshot_gen = gen;
       break;
     }
@@ -370,7 +367,6 @@ void CachePersistence::Recover() {
   recovery_.generation = snapshot_gen;
   recovery_.snapshot_entries = snap_entries.size();
   for (PersistedChunk& chunk : snap_entries) state.Admit(std::move(chunk));
-  for (const auto& [gb, v] : snap_ewma) state.ewma[gb] = v;
 
   // Replay every WAL at or above the snapshot generation, oldest first.
   // Replay is idempotent (admit = upsert, evict of a missing key = no-op),
@@ -385,8 +381,6 @@ void CachePersistence::Recover() {
   for (size_t i = 0; i < state.entries.size(); ++i) {
     if (state.live[i]) recovery_.entries.push_back(std::move(state.entries[i]));
   }
-  recovery_.benefit_ewma.assign(state.ewma.begin(), state.ewma.end());
-  std::sort(recovery_.benefit_ewma.begin(), recovery_.benefit_ewma.end());
   replay_ = nullptr;
 
   recovered_entries_->Add(recovery_.entries.size());
@@ -397,9 +391,8 @@ void CachePersistence::Recover() {
   generation_.store(max_gen + 1, std::memory_order_relaxed);
 }
 
-bool CachePersistence::ReadSnapshot(
-    uint64_t generation, std::vector<PersistedChunk>* entries,
-    std::vector<std::pair<uint32_t, double>>* ewma) {
+bool CachePersistence::ReadSnapshot(uint64_t generation,
+                                    std::vector<PersistedChunk>* entries) {
   std::vector<uint8_t> data;
   if (!ReadFileFully(SnapshotPath(opts_.dir, generation), &data)) return false;
   if (data.size() < kFileHeaderBytes) return false;
@@ -427,24 +420,17 @@ bool CachePersistence::ReadSnapshot(
       recovery_.quarantined++;
       continue;
     }
-    const uint8_t type = body[0];
-    const uint8_t* payload = body + 1;
-    const size_t payload_len = len - 1;
-    if (type == kAdmit) {
+    if (body[0] == kAdmit) {
       PersistedChunk chunk;
-      if (DecodeAdmitPayload(payload, payload_len, &chunk)) {
+      if (DecodeAdmitPayload(body + 1, len - 1, &chunk)) {
         entries->push_back(std::move(chunk));
       } else {
         recovery_.quarantined++;
       }
-    } else if (type == kBenefit) {
-      Cursor c{payload, payload + payload_len};
-      const uint32_t gb = c.U32();
-      const double v = c.F64();
-      if (c.ok) ewma->emplace_back(gb, v);
     }
-    // kFooter and unknown types carry no recoverable state; the snapshot
-    // is usable either way (partial warmth beats a cold start).
+    // kFooter and unknown types (the retired type 3 among them) carry no
+    // recoverable state; the snapshot is usable either way (partial
+    // warmth beats a cold start).
   }
   return true;
 }
@@ -494,16 +480,10 @@ void CachePersistence::ReplayWal(uint64_t generation) {
         replay_->Evict(gb, chunk_num, filter_hash);
         applied = true;
       }
-    } else if (type == kBenefit) {
-      Cursor c{payload, payload + payload_len};
-      const uint32_t gb = c.U32();
-      const double v = c.F64();
-      if (c.ok) {
-        replay_->ewma[gb] = v;
-        applied = true;
-      }
     }
-    if (!applied) break;  // CRC passed but payload malformed: stop trusting.
+    // CRC passed but the payload is malformed or of an unknown type (the
+    // retired type 3 among them): stop trusting the rest.
+    if (!applied) break;
     off += kRecordHeaderBytes + len;
     recovery_.wal_records++;
   }
@@ -598,20 +578,10 @@ void CachePersistence::LogEvict(uint32_t group_by_id, uint64_t chunk_num,
   AppendRecord(kEvict, payload);
 }
 
-void CachePersistence::LogBenefit(uint32_t group_by_id, double ewma) {
-  std::vector<uint8_t> payload;
-  payload.reserve(12);
-  PutU32(&payload, group_by_id);
-  PutF64(&payload, ewma);
-  AppendRecord(kBenefit, payload);
-}
-
 // -- Snapshots -------------------------------------------------------------
 
 Status CachePersistence::WriteSnapshot(
     const std::function<void(std::vector<PersistedChunk>*)>& gather_entries,
-    const std::function<void(std::vector<std::pair<uint32_t, double>>*)>&
-        gather_ewma,
     bool only_if_idle) {
   if (crashed()) return Status::OK();  // simulated kill: nothing runs
   std::unique_lock<std::mutex> snap_lock(snapshot_mu_, std::defer_lock);
@@ -642,9 +612,7 @@ Status CachePersistence::WriteSnapshot(
   }
 
   std::vector<PersistedChunk> entries;
-  std::vector<std::pair<uint32_t, double>> ewma;
   gather_entries(&entries);
-  gather_ewma(&ewma);
 
   const std::string final_path = SnapshotPath(opts_.dir, gen);
   const std::string tmp_path = final_path + ".tmp";
@@ -671,14 +639,6 @@ Status CachePersistence::WriteSnapshot(
     PutU64(&header, gen);
     if (!checked_write(header)) return fail_write();
     total_bytes += header.size();
-  }
-  for (const auto& [gb, v] : ewma) {
-    std::vector<uint8_t> payload;
-    PutU32(&payload, gb);
-    PutF64(&payload, v);
-    const std::vector<uint8_t> frame = FrameRecord(kBenefit, payload);
-    if (!checked_write(frame)) return fail_write();
-    total_bytes += frame.size();
   }
   for (const PersistedChunk& chunk : entries) {
     std::vector<uint8_t> payload;

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -37,8 +36,8 @@ struct PersistOptions {
   uint64_t wal_fsync_every = 1;
 };
 
-/// What recovery found. Entries and the benefit-EWMA table are handed to
-/// the manager exactly once via CachePersistence::TakeRecovery().
+/// What recovery found. Entries are handed to the manager exactly once
+/// via CachePersistence::TakeRecovery().
 struct RecoveryStats {
   uint64_t generation = 0;          ///< Snapshot generation recovered from.
   uint64_t snapshot_entries = 0;    ///< Entries read from the snapshot.
@@ -47,19 +46,17 @@ struct RecoveryStats {
   uint64_t quarantined = 0;         ///< Corrupt entries dropped, not served.
   uint64_t recovery_ns = 0;
   std::vector<PersistedChunk> entries;  ///< Surviving state, stable order.
-  std::vector<std::pair<uint32_t, double>> benefit_ewma;  ///< (gb_id, ewma).
 };
 
 /// Crash-safe persistence for the chunk cache (DESIGN.md §14): an
-/// append-only WAL of admissions / evictions / benefit-EWMA updates in
-/// CRC32C-framed records, plus generation-numbered snapshots written
+/// append-only WAL of admissions / evictions in CRC32C-framed records, plus generation-numbered snapshots written
 /// shadow-file-then-atomic-rename. Recovery = newest readable snapshot +
 /// replay of every WAL at or above its generation, truncating torn tails
 /// and quarantining (dropping + counting) corrupt entries — it never
 /// fails on corrupt *content*; the worst case is a cold start. Only an
 /// unusable directory makes Open() return an error.
 ///
-/// Thread safety: LogAdmit/LogEvict/LogBenefit are safe from any thread.
+/// Thread safety: LogAdmit/LogEvict are safe from any thread.
 /// WriteSnapshot serializes internally; `only_if_idle` turns a contended
 /// call into a no-op so the auto-trigger never piles up behind a running
 /// snapshot.
@@ -85,10 +82,9 @@ class CachePersistence {
   void LogAdmit(const PersistedChunk& chunk);
   void LogEvict(uint32_t group_by_id, uint64_t chunk_num,
                 uint64_t filter_hash);
-  void LogBenefit(uint32_t group_by_id, double ewma);
 
   /// Writes the next snapshot generation. The protocol rotates the WAL
-  /// *first*, then calls `gather_entries` / `gather_ewma` (so any event
+  /// *first*, then calls `gather_entries` (so any event
   /// racing the snapshot lands in the new WAL, where idempotent replay
   /// absorbs the duplicate), writes snapshot-<G>.tmp, fsyncs, atomically
   /// renames to snapshot-<G>, fsyncs the directory, and only then GCs
@@ -96,8 +92,6 @@ class CachePersistence {
   /// authoritative and no event has been lost.
   Status WriteSnapshot(
       const std::function<void(std::vector<PersistedChunk>*)>& gather_entries,
-      const std::function<void(std::vector<std::pair<uint32_t, double>>*)>&
-          gather_ewma,
       bool only_if_idle = false);
 
   /// WAL records appended since the last completed snapshot (the
@@ -129,11 +123,12 @@ class CachePersistence {
   static constexpr uint64_t kSnapMagic = 0x50414E53'43434843ull;  // CHCCSNAP
   static constexpr size_t kFileHeaderBytes = 16;
   static constexpr size_t kRecordHeaderBytes = 8;
+  // Type 3 is retired and never reused. Recovery treats it like any
+  // unknown type: a snapshot skips it, a WAL stops replay there.
   enum RecordType : uint8_t {
-    kAdmit = 1,    ///< key, benefit, raw_bytes, rows, blob
-    kEvict = 2,    ///< key
-    kBenefit = 3,  ///< group_by_id, ewma
-    kFooter = 4,   ///< snapshot only: entry count (validity marker)
+    kAdmit = 1,   ///< key, benefit, raw_bytes, rows, blob
+    kEvict = 2,   ///< key
+    kFooter = 4,  ///< snapshot only: entry count (validity marker)
   };
 
  private:
@@ -146,8 +141,7 @@ class CachePersistence {
   /// Recovery pipeline (constructor only; no locks needed).
   void Recover();
   bool ReadSnapshot(uint64_t generation,
-                    std::vector<PersistedChunk>* entries,
-                    std::vector<std::pair<uint32_t, double>>* ewma);
+                    std::vector<PersistedChunk>* entries);
   void ReplayWal(uint64_t generation);
 
   PersistOptions opts_;

@@ -1,7 +1,8 @@
 // Ghost-cache shadow simulation: the online standings must be exactly
-// reproducible from the recorded trace (oracle replay), must land on the
-// metrics registry, and — when the active policy shadows itself on a
-// serial single-shard cache — must agree with the real cache's counters.
+// reproducible by replaying the same stream through fresh simulators
+// (oracle replay), must land on the metrics registry, and — when the
+// active policy shadows itself on a serial single-shard cache — must agree
+// with the real cache's counters.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,14 @@
 
 namespace chunkcache::cache {
 namespace {
+
+/// One reference of a synthetic access stream: key identity, payload
+/// size and insert benefit, as the real cache feeds them to the ghosts.
+struct GhostEvent {
+  uint64_t key_id = 0;
+  uint64_t bytes = 0;
+  double benefit = 0;
+};
 
 // A deterministic reference stream with skewed reuse: keys from a small
 // universe, sizes varying enough to exercise multi-victim evictions.
@@ -69,17 +78,12 @@ TEST(GhostCacheSimTest, EvictsUntilTheEntryFits) {
 TEST(GhostCacheSetTest, OracleReplayReproducesOnlineStandings) {
   const std::vector<GhostEvent> stream = MakeStream(7, 20000);
   const uint64_t capacity = 20000;
-  GhostCacheSet set(KnownPolicyNames(), capacity, nullptr,
-                    /*record_trace=*/true);
+  GhostCacheSet set(KnownPolicyNames(), capacity, nullptr);
   for (const GhostEvent& e : stream) set.Access(e.key_id, e.bytes, e.benefit);
-
-  ASSERT_FALSE(set.trace_truncated());
-  const std::vector<GhostEvent> trace = set.Trace();
-  ASSERT_EQ(trace.size(), stream.size());
 
   for (const GhostStanding& st : set.Standings()) {
     GhostCacheSim replay(st.policy, capacity);
-    for (const GhostEvent& e : trace) {
+    for (const GhostEvent& e : stream) {
       replay.Access(e.key_id, e.bytes, e.benefit);
     }
     EXPECT_EQ(replay.hits(), st.hits) << st.policy;
@@ -106,19 +110,6 @@ TEST(GhostCacheSetTest, StandingsExportToTheRegistry) {
   }
 }
 
-TEST(GhostCacheSetTest, TraceCapSetsTruncatedFlag) {
-  GhostCacheSet set({"lru"}, 10000, nullptr, /*record_trace=*/true,
-                    /*trace_cap=*/100);
-  const std::vector<GhostEvent> stream = MakeStream(3, 500);
-  for (const GhostEvent& e : stream) set.Access(e.key_id, e.bytes, e.benefit);
-  EXPECT_TRUE(set.trace_truncated());
-  EXPECT_EQ(set.Trace().size(), 100u);
-  // Counters keep counting past the cap.
-  uint64_t refs = 0;
-  for (const GhostStanding& st : set.Standings()) refs += st.hits + st.misses;
-  EXPECT_EQ(refs, 500u);
-}
-
 // Serial, single-shard: the active policy's own shadow sees exactly the
 // reference stream the real cache serves, so its standings must agree
 // with the real counters hit-for-hit.
@@ -126,7 +117,7 @@ TEST(GhostCacheIntegrationTest, ActivePolicyShadowMatchesRealCache) {
   const uint64_t entry_bytes = CachedChunk{}.ByteSize();
   const uint64_t capacity = entry_bytes * 8;
   ChunkCache cache(capacity, MakePolicy("lru"));
-  cache.EnableGhostPolicies(KnownPolicyNames(), /*record_trace=*/true);
+  cache.EnableGhostPolicies(KnownPolicyNames());
 
   Random rng(31);
   for (int i = 0; i < 5000; ++i) {

@@ -2,8 +2,8 @@
 //
 //  1. CachePersistence unit tests on raw temp directories — WAL round
 //     trip, torn-tail truncation at EVERY byte offset of the final
-//     record, snapshot rotation/GC, and skip-and-quarantine of corrupt
-//     snapshot records.
+//     record, snapshot rotation/GC, skip-and-quarantine of corrupt
+//     snapshot records, and the retired record type 3.
 //  2. End-to-end warm restart through ChunkCacheManager — a restarted
 //     manager must answer bit-identically to a cold one (compression on
 //     and off) while doing strictly less backend work.
@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,7 @@
 
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
+#include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "core/chunk_cache_manager.h"
 #include "gtest/gtest.h"
@@ -124,6 +126,32 @@ std::vector<Frame> ParseFrames(const std::vector<uint8_t>& bytes) {
   return out;
 }
 
+/// A valid-CRC frame of record type 3, retired from the format. It carried
+/// a per-group-by benefit value: u32 group_by_id | f64 value.
+std::vector<uint8_t> RetiredType3Frame() {
+  const uint32_t len = 1 + 4 + 8;
+  std::vector<uint8_t> frame(CachePersistence::kRecordHeaderBytes + len);
+  uint8_t* body = frame.data() + CachePersistence::kRecordHeaderBytes;
+  body[0] = 3;
+  const uint32_t group_by_id = 2;
+  const double value = 0.625;
+  std::memcpy(body + 1, &group_by_id, 4);
+  std::memcpy(body + 5, &value, 8);
+  const uint32_t crc = Crc32c(body, len);
+  std::memcpy(frame.data(), &crc, 4);
+  std::memcpy(frame.data() + 4, &len, 4);
+  return frame;
+}
+
+/// Rewrites `path` with `frame` inserted at byte offset `at`.
+void SpliceFrame(const std::string& path, size_t at,
+                 const std::vector<uint8_t>& frame) {
+  std::vector<uint8_t> image = ReadFileBytes(path);
+  image.insert(image.begin() + static_cast<std::ptrdiff_t>(at), frame.begin(),
+               frame.end());
+  WriteFileBytes(path, image);
+}
+
 std::unique_ptr<CachePersistence> OpenOrDie(const std::string& dir,
                                             uint64_t fsync_every = 1) {
   PersistOptions opts;
@@ -172,20 +200,16 @@ TEST(PersistWal, AdmitEvictBenefitRoundTrip) {
     p->LogAdmit(b);
     p->LogAdmit(c);
     p->LogEvict(b.group_by_id, b.chunk_num, b.filter_hash);
-    p->LogBenefit(2, 0.625);
-    EXPECT_EQ(p->wal_records_since_snapshot(), 5u);
+    EXPECT_EQ(p->wal_records_since_snapshot(), 4u);
   }
   auto p = OpenOrDie(dir.path);
   RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.wal_records, 5u);
+  EXPECT_EQ(rec.wal_records, 4u);
   EXPECT_EQ(rec.wal_truncated_bytes, 0u);
   EXPECT_EQ(rec.quarantined, 0u);
   ASSERT_EQ(rec.entries.size(), 2u);
   EXPECT_TRUE(SameChunk(rec.entries[0], a));
   EXPECT_TRUE(SameChunk(rec.entries[1], c));
-  ASSERT_EQ(rec.benefit_ewma.size(), 1u);
-  EXPECT_EQ(rec.benefit_ewma[0].first, 2u);
-  EXPECT_DOUBLE_EQ(rec.benefit_ewma[0].second, 0.625);
 }
 
 TEST(PersistWal, ReAdmitSameKeyUpserts) {
@@ -298,14 +322,10 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
     auto p = OpenOrDie(dir.path);
     p->LogAdmit(a);
     p->LogAdmit(b);
-    Status s = p->WriteSnapshot(
-        [&](std::vector<PersistedChunk>* out) {
-          out->push_back(a);
-          out->push_back(b);
-        },
-        [&](std::vector<std::pair<uint32_t, double>>* out) {
-          out->emplace_back(1, 0.75);
-        });
+    Status s = p->WriteSnapshot([&](std::vector<PersistedChunk>* out) {
+      out->push_back(a);
+      out->push_back(b);
+    });
     ASSERT_TRUE(s.ok()) << s.message();
     EXPECT_EQ(p->wal_records_since_snapshot(), 0u);
     p->LogAdmit(c);  // lands in the rotated WAL, replayed over the snapshot
@@ -325,8 +345,6 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
   EXPECT_TRUE(SameChunk(rec.entries[0], a));
   EXPECT_TRUE(SameChunk(rec.entries[1], b));
   EXPECT_TRUE(SameChunk(rec.entries[2], c));
-  ASSERT_EQ(rec.benefit_ewma.size(), 1u);
-  EXPECT_DOUBLE_EQ(rec.benefit_ewma[0].second, 0.75);
 }
 
 // Corrupt snapshot record: skipped and quarantined; neighbors survive.
@@ -337,8 +355,7 @@ TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   {
     auto p = OpenOrDie(dir.path);
     Status s = p->WriteSnapshot(
-        [&](std::vector<PersistedChunk>* out) { *out = chunks; },
-        [](std::vector<std::pair<uint32_t, double>>*) {});
+        [&](std::vector<PersistedChunk>* out) { *out = chunks; });
     ASSERT_TRUE(s.ok()) << s.message();
     p->SimulateCrash();  // keep the shutdown path from appending anything
   }
@@ -364,11 +381,9 @@ TEST(PersistSnapshot, BadMagicFallsBackCold) {
   ScratchDir dir;
   {
     auto p = OpenOrDie(dir.path);
-    Status s = p->WriteSnapshot(
-        [&](std::vector<PersistedChunk>* out) {
-          out->push_back(MakeChunk(1, 1, 1));
-        },
-        [](std::vector<std::pair<uint32_t, double>>*) {});
+    Status s = p->WriteSnapshot([&](std::vector<PersistedChunk>* out) {
+      out->push_back(MakeChunk(1, 1, 1));
+    });
     ASSERT_TRUE(s.ok());
     p->SimulateCrash();
   }
@@ -575,6 +590,76 @@ TEST_F(PersistenceFixture, CrossTierRestartBitIdentical) {
   }
 }
 
+// ------------------------- retired record type 3 ---------------------------
+
+// Directories written while record type 3 existed may still hold one. A
+// WAL stops replay at it and counts the rest as torn; a snapshot skips it
+// and keeps its neighbours. Either way the warm cache answers exactly
+// like a cold one: a retired record costs warmth, never correctness.
+TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
+  const auto queries = MakeQueries(12, 59);
+  const auto reference = ReferenceRows(queries);
+  ScratchDir wal_dir, snap_dir;
+  for (const std::string* dir : {&wal_dir.path, &snap_dir.path}) {
+    ChunkManagerOptions opts;
+    opts.persist_dir = *dir;
+    opts.persist_snapshot_every = 0;
+    ChunkCacheManager mgr(engine_.get(), opts);
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+    if (dir == &snap_dir.path) {
+      ASSERT_TRUE(mgr.PersistSnapshot().ok());
+    }
+    mgr.persistence()->SimulateCrash();  // no shutdown snapshot
+  }
+
+  // WAL: admit, type 3, admit, ... recovers only the first admit.
+  const std::string wal = OnlyFileWithPrefix(wal_dir.path, "wal-");
+  const std::vector<Frame> wal_frames = ParseFrames(ReadFileBytes(wal));
+  ASSERT_GE(wal_frames.size(), 2u);
+  ASSERT_EQ(wal_frames[0].type, CachePersistence::kAdmit);
+  SpliceFrame(wal, wal_frames[1].offset, RetiredType3Frame());
+  {
+    auto p = OpenOrDie(wal_dir.path);
+    RecoveryStats rec = p->TakeRecovery();
+    EXPECT_EQ(rec.wal_records, 1u);
+    EXPECT_EQ(rec.entries.size(), 1u);
+    EXPECT_EQ(rec.wal_truncated_bytes,
+              ReadFileBytes(wal).size() - wal_frames[1].offset);
+    EXPECT_EQ(rec.quarantined, 0u);
+  }
+
+  // Snapshot: admit, type 3, admit, ..., footer keeps every admit.
+  const std::string snap = OnlyFileWithPrefix(snap_dir.path, "snapshot-");
+  const std::vector<Frame> snap_frames = ParseFrames(ReadFileBytes(snap));
+  ASSERT_GE(snap_frames.size(), 3u);
+  ASSERT_EQ(snap_frames.back().type, CachePersistence::kFooter);
+  const size_t admits = snap_frames.size() - 1;
+  SpliceFrame(snap, snap_frames[1].offset, RetiredType3Frame());
+  {
+    auto p = OpenOrDie(snap_dir.path);
+    RecoveryStats rec = p->TakeRecovery();
+    EXPECT_EQ(rec.snapshot_entries, admits);
+    EXPECT_EQ(rec.entries.size(), admits);
+    EXPECT_EQ(rec.quarantined, 0u);
+  }
+
+  for (const std::string* dir : {&wal_dir.path, &snap_dir.path}) {
+    ChunkManagerOptions opts;
+    opts.persist_dir = *dir;
+    ChunkCacheManager warm(engine_.get(), opts);
+    EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryStats st;
+      auto r = warm.Execute(queries[i], &st);
+      ASSERT_TRUE(r.ok()) << *dir;
+      EXPECT_TRUE(RowsEqual(*r, reference[i])) << *dir << " query " << i;
+    }
+  }
+}
+
 // ----------------------------- crash-point fuzz -----------------------------
 
 /// One kill/restart cycle: run traffic with `site` armed to fault the
@@ -658,7 +743,6 @@ TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
            StatusCode::kIoError, FaultInjector::kUnlimited, skip);
     ChunkManagerOptions opts;
     opts.persist_dir = dir.path;
-    opts.persist_snapshot_on_shutdown = false;  // keep the dir warm
     ChunkCacheManager warm(engine_.get(), opts);
     fi.DisarmAll();
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -667,6 +751,8 @@ TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
       ASSERT_TRUE(r.ok()) << "skip " << skip;
       EXPECT_TRUE(RowsEqual(*r, reference[i])) << "skip " << skip;
     }
+    // Keep the dir as the first run left it: no shutdown snapshot.
+    warm.persistence()->SimulateCrash();
   }
 }
 

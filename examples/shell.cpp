@@ -325,11 +325,10 @@ int main(int argc, char** argv) {
                     sh.lookups ? 100.0 * sh.hits / sh.lookups : 0.0);
       }
       std::printf("executor: tasks submitted=%llu run=%llu queue peak=%llu "
-                  "steal-queue depth=%llu async prefetched=%llu\n",
+                  "async prefetched=%llu\n",
                   (unsigned long long)cs.exec_tasks_submitted,
                   (unsigned long long)cs.exec_tasks_run,
                   (unsigned long long)cs.exec_queue_peak,
-                  (unsigned long long)cs.exec_steal_queue_depth,
                   (unsigned long long)cs.async_prefetched_chunks);
       std::printf("simd: level=%s detected=%s override=%s\n",
                   simd::IsaLevelName(

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/fault_injector.h"
-#include "storage/codec.h"
 
 namespace chunkcache::backend {
 
@@ -13,31 +12,8 @@ using storage::AggTuple;
 using storage::kPageSize;
 using storage::PageGuard;
 using storage::PageId;
-namespace codec = storage::codec;
 
-namespace {
-
-/// Appends rows [from, from + n) of `src` to `*out` (same num_dims).
-void AppendAggRange(const AggColumns& src, size_t from, size_t n,
-                    AggColumns* out) {
-  for (uint32_t d = 0; d < src.num_dims(); ++d) {
-    auto* col = out->mutable_coords(d);
-    col->insert(col->end(), src.coords(d).begin() + from,
-                src.coords(d).begin() + from + n);
-  }
-  const auto extend = [&](auto* col, const auto& s) {
-    col->insert(col->end(), s.begin() + from, s.begin() + from + n);
-  };
-  extend(out->mutable_sums(), src.sums());
-  extend(out->mutable_counts(), src.counts());
-  extend(out->mutable_mins(), src.mins());
-  extend(out->mutable_maxs(), src.maxs());
-}
-
-}  // namespace
-
-Result<AggFile> AggFile::Create(storage::BufferPool* pool, uint32_t num_dims,
-                                bool compressed) {
+Result<AggFile> AggFile::Create(storage::BufferPool* pool, uint32_t num_dims) {
   if (num_dims == 0 || num_dims > storage::kMaxDims) {
     return Status::InvalidArgument("AggFile: bad dimension count");
   }
@@ -47,78 +23,30 @@ Result<AggFile> AggFile::Create(storage::BufferPool* pool, uint32_t num_dims,
   auto* h = guard.page()->As<Header>();
   h->magic = kMagic;
   h->num_dims = num_dims;
-  h->flags = compressed ? kFlagCompressed : 0;
+  h->flags = 0;
   h->num_rows = 0;
   guard.MarkDirty();
-  if (compressed) {
-    f.compressed_ = true;
-    f.block_rows_ = 4 * f.rows_per_page_;
-    f.store_ = std::make_unique<storage::BlockStore>(pool, file_id, 1);
-    f.pending_ = AggColumns(num_dims);
-    f.pending_.Reserve(f.block_rows_);
-  }
   return f;
 }
 
 Result<AggFile> AggFile::Open(storage::BufferPool* pool, uint32_t file_id) {
-  uint32_t num_dims;
-  uint32_t flags;
-  uint64_t num_rows;
-  {
-    CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                                pool->Fetch(PageId{file_id, 0}));
-    const auto* h = guard.page()->As<Header>();
-    if (h->magic != kMagic) return Status::Corruption("AggFile: bad magic");
-    num_dims = h->num_dims;
-    flags = h->flags;
-    num_rows = h->num_rows;
+  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
+                              pool->Fetch(PageId{file_id, 0}));
+  const auto* h = guard.page()->As<Header>();
+  if (h->magic != kMagic) return Status::Corruption("AggFile: bad magic");
+  if (h->num_dims == 0 || h->num_dims > storage::kMaxDims) {
+    return Status::Corruption("AggFile: bad header dimension count");
   }
-  AggFile f(pool, file_id, num_dims);
-  f.num_rows_ = num_rows;
-  if (flags & kFlagCompressed) {
-    f.compressed_ = true;
-    f.block_rows_ = 4 * f.rows_per_page_;
-    f.store_ = std::make_unique<storage::BlockStore>(pool, file_id, 1);
-    CHUNKCACHE_RETURN_IF_ERROR(f.store_->Rebuild(num_rows));
-    f.flushed_rows_ = num_rows;
-    f.pending_ = AggColumns(num_dims);
+  if (h->flags != 0) {
+    return Status::Corruption("AggFile: unsupported header flags");
   }
+  AggFile f(pool, file_id, h->num_dims);
+  f.num_rows_ = h->num_rows;
   return f;
-}
-
-Status AggFile::FlushPending() {
-  if (pending_.empty()) return Status::OK();
-  std::vector<uint8_t> blob;
-  codec::EncodeAggColumns(pending_, &blob);
-  CHUNKCACHE_RETURN_IF_ERROR(
-      store_->AppendBlock(static_cast<uint32_t>(pending_.size()), blob));
-  flushed_rows_ += pending_.size();
-  pending_.Clear();
-  return Status::OK();
-}
-
-Status AggFile::DecodeBlock(size_t idx, AggColumns* out) {
-  std::vector<uint8_t> blob;
-  CHUNKCACHE_RETURN_IF_ERROR(store_->ReadBlock(idx, &blob));
-  CHUNKCACHE_ASSIGN_OR_RETURN(
-      *out, codec::DecodeAggColumns(blob.data(), blob.size()));
-  if (out->size() != store_->blocks()[idx].rows ||
-      out->num_dims() != num_dims_) {
-    return Status::Corruption("AggFile: block shape mismatch");
-  }
-  return Status::OK();
 }
 
 Result<uint64_t> AggFile::Append(const AggTuple& row) {
   const uint64_t rid = num_rows_;
-  if (compressed_) {
-    pending_.PushRow(row);
-    ++num_rows_;
-    if (pending_.size() >= block_rows_) {
-      CHUNKCACHE_RETURN_IF_ERROR(FlushPending());
-    }
-    return rid;
-  }
   const uint32_t page_no = 1 + static_cast<uint32_t>(rid / rows_per_page_);
   const uint32_t slot = static_cast<uint32_t>(rid % rows_per_page_);
   PageGuard guard;
@@ -150,20 +78,6 @@ Result<uint64_t> AggFile::AppendColumns(const AggColumns& cols) {
   }
   const uint64_t first_rid = num_rows_;
   const size_t n = cols.size();
-  if (compressed_) {
-    size_t from = 0;
-    while (from < n) {
-      const size_t take =
-          std::min<size_t>(block_rows_ - pending_.size(), n - from);
-      AppendAggRange(cols, from, take, &pending_);
-      from += take;
-      num_rows_ += take;
-      if (pending_.size() >= block_rows_) {
-        CHUNKCACHE_RETURN_IF_ERROR(FlushPending());
-      }
-    }
-    return first_rid;
-  }
   size_t done = 0;
   while (done < n) {
     const uint32_t page_no =
@@ -203,18 +117,6 @@ Result<uint64_t> AggFile::AppendColumns(const AggColumns& cols) {
 
 Status AggFile::Get(uint64_t rid, AggTuple* out) {
   if (rid >= num_rows_) return Status::OutOfRange("AggFile::Get beyond EOF");
-  if (compressed_) {
-    if (rid >= flushed_rows_) {
-      *out = pending_.RowAt(static_cast<size_t>(rid - flushed_rows_));
-      return Status::OK();
-    }
-    AggColumns block;
-    const size_t idx = store_->FindBlock(rid);
-    CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-    *out = block.RowAt(
-        static_cast<size_t>(rid - store_->blocks()[idx].first_row));
-    return Status::OK();
-  }
   const uint32_t page_no = 1 + static_cast<uint32_t>(rid / rows_per_page_);
   const uint32_t slot = static_cast<uint32_t>(rid % rows_per_page_);
   CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
@@ -239,27 +141,6 @@ Status AggFile::ScanRange(
     return Status::OutOfRange("AggFile::ScanRange beyond EOF");
   }
   const uint64_t end = std::min(first + count, num_rows_);
-  if (compressed_) {
-    uint64_t rid = first;
-    AggColumns block;
-    while (rid < end && rid < flushed_rows_) {
-      const size_t idx = store_->FindBlock(rid);
-      CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-      const storage::BlockStore::BlockRef& ref = store_->blocks()[idx];
-      const uint64_t block_end = std::min(ref.first_row + ref.rows, end);
-      for (; rid < block_end; ++rid) {
-        if (!fn(block.RowAt(static_cast<size_t>(rid - ref.first_row)))) {
-          return Status::OK();
-        }
-      }
-    }
-    for (; rid < end; ++rid) {
-      if (!fn(pending_.RowAt(static_cast<size_t>(rid - flushed_rows_)))) {
-        return Status::OK();
-      }
-    }
-    return Status::OK();
-  }
   AggTuple row;
   uint64_t rid = first;
   while (rid < end) {
@@ -302,24 +183,6 @@ Status AggFile::ScanRangeColumns(uint64_t first, uint64_t count,
     *out = AggColumns(num_dims_);
   }
   out->Reserve(out->size() + static_cast<size_t>(end - first));
-  if (compressed_) {
-    uint64_t rid = first;
-    AggColumns block;
-    while (rid < end && rid < flushed_rows_) {
-      const size_t idx = store_->FindBlock(rid);
-      CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-      const storage::BlockStore::BlockRef& ref = store_->blocks()[idx];
-      const uint64_t block_end = std::min(ref.first_row + ref.rows, end);
-      AppendAggRange(block, static_cast<size_t>(rid - ref.first_row),
-                     static_cast<size_t>(block_end - rid), out);
-      rid = block_end;
-    }
-    if (rid < end) {
-      AppendAggRange(pending_, static_cast<size_t>(rid - flushed_rows_),
-                     static_cast<size_t>(end - rid), out);
-    }
-    return Status::OK();
-  }
   uint64_t rid = first;
   while (rid < end) {
     const uint32_t page_no = 1 + static_cast<uint32_t>(rid / rows_per_page_);
@@ -353,16 +216,7 @@ Status AggFile::ScanRangeColumns(uint64_t first, uint64_t count,
   return Status::OK();
 }
 
-uint32_t AggFile::num_data_pages() const {
-  if (compressed_) return store_->num_pages();
-  return num_rows_ == 0
-             ? 0
-             : static_cast<uint32_t>((num_rows_ + rows_per_page_ - 1) /
-                                     rows_per_page_);
-}
-
 Status AggFile::SyncHeader() {
-  if (compressed_) CHUNKCACHE_RETURN_IF_ERROR(FlushPending());
   CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
                               pool_->Fetch(PageId{file_id_, 0}));
   auto* h = guard.page()->As<Header>();

@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/agg_columns.h"
-#include "storage/block_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/tuple.h"
 
@@ -18,25 +16,22 @@ namespace chunkcache::backend {
 /// page**: a page holds `rows_per_page` slots laid out as one contiguous
 /// block per column — `num_dims` uint32 coordinate blocks, then the SUM /
 /// COUNT / MIN / MAX blocks (8 bytes per entry each). Row ids are dense
-/// append-order indexes exactly as before (rid -> page, slot), so the
-/// B-tree chunk runs over this file are unchanged; what changed is the
-/// in-page layout, which lets ScanRangeColumns hand whole chunk runs to
-/// the dense aggregation kernels as flat arrays via a handful of memcpys
-/// instead of a per-row field-by-field decode.
+/// append-order indexes (rid -> page, slot), which the B-tree chunk runs
+/// over this file address. The columnar in-page layout lets
+/// ScanRangeColumns hand whole chunk runs to the dense aggregation kernels
+/// as flat arrays via a handful of memcpys instead of a per-row
+/// field-by-field decode.
 ///
 /// Used to store precomputed aggregate tables in chunked form at the
 /// backend (Section 3.1: "even statically precomputed aggregate tables can
 /// be organized on a chunk basis").
-///
-/// A file may instead be created *compressed*: rows are buffered and
-/// written as codec-encoded blocks of 4x the raw page row count (see
-/// storage/BlockStore), so a chunk run touches several-fold fewer pages on
-/// the miss path. Row ids stay dense append-order indexes in both modes —
-/// the chunk B-tree over this file is unchanged.
 class AggFile {
  public:
-  static Result<AggFile> Create(storage::BufferPool* pool, uint32_t num_dims,
-                                bool compressed = false);
+  static Result<AggFile> Create(storage::BufferPool* pool, uint32_t num_dims);
+
+  /// Opens an existing file by its DiskManager file id. A header whose
+  /// dimension count is outside [1, kMaxDims] or whose flags word is
+  /// nonzero is Corruption.
   static Result<AggFile> Open(storage::BufferPool* pool, uint32_t file_id);
 
   AggFile(AggFile&&) = default;
@@ -69,13 +64,8 @@ class AggFile {
   uint32_t file_id() const { return file_id_; }
   uint32_t num_dims() const { return num_dims_; }
   uint32_t rows_per_page() const { return rows_per_page_; }
-  bool compressed() const { return compressed_; }
 
-  /// Data pages currently allocated (compressed mode: block pages).
-  uint32_t num_data_pages() const;
-
-  /// Persists the header (row count). In compressed mode this first
-  /// flushes the buffered tail rows as a final (possibly short) block.
+  /// Persists the header (row count). Call after a bulk load.
   Status SyncHeader();
 
  private:
@@ -96,21 +86,14 @@ class AggFile {
     return num_dims_ * 4 * rows_per_page_ + (m * rows_per_page_ + slot) * 8;
   }
 
-  /// Encodes and writes the pending row buffer as one block.
-  Status FlushPending();
-
-  /// Decodes block `idx` into `*out` (replacing its contents).
-  Status DecodeBlock(size_t idx, storage::AggColumns* out);
-
   struct Header {
     uint64_t magic;
     uint32_t num_dims;
-    uint32_t flags;  // bit 0: compressed block format
+    uint32_t flags;  // must be 0: nonzero marks a layout Open refuses
     uint64_t num_rows;
   };
   // "AGGFILE2": version 2 is the columnar in-page layout.
   static constexpr uint64_t kMagic = 0x41474746494C4532ULL;
-  static constexpr uint32_t kFlagCompressed = 1u;
 
   storage::BufferPool* pool_;
   uint32_t file_id_;
@@ -118,13 +101,6 @@ class AggFile {
   uint32_t record_size_;
   uint32_t rows_per_page_;
   uint64_t num_rows_ = 0;
-
-  // Compressed mode state (mirrors FactFile).
-  bool compressed_ = false;
-  uint32_t block_rows_ = 0;
-  std::unique_ptr<storage::BlockStore> store_;
-  storage::AggColumns pending_;
-  uint64_t flushed_rows_ = 0;
 };
 
 }  // namespace chunkcache::backend

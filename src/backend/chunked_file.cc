@@ -32,7 +32,7 @@ std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
 Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
                                           const chunks::ChunkingScheme* scheme,
                                           std::vector<Tuple> tuples,
-                                          bool clustered, bool compressed) {
+                                          bool clustered) {
   const chunks::GroupBySpec base = scheme->BaseSpec();
   // Pair each tuple with its base chunk number; cluster if requested.
   std::vector<std::pair<uint64_t, uint32_t>> order(tuples.size());
@@ -52,8 +52,7 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
 
   CHUNKCACHE_ASSIGN_OR_RETURN(
       storage::FactFile fact,
-      storage::FactFile::Create(pool, scheme->schema().tuple_desc(),
-                                compressed));
+      storage::FactFile::Create(pool, scheme->schema().tuple_desc()));
   // Append in (possibly clustered) order, recording chunk runs.
   std::vector<std::pair<uint64_t, index::BTreePayload>> runs;
   for (const auto& [chunk, idx] : order) {

@@ -48,13 +48,11 @@ class ChunkedFile {
  public:
   /// Bulk-loads `tuples` (consumed) into a new file inside `pool`'s disk.
   /// When `clustered`, tuples are sorted by base chunk number first and the
-  /// chunk index is built. When `compressed`, the fact file uses the
-  /// codec-encoded block page format (RowIds are unchanged; reads decode).
+  /// chunk index is built.
   static Result<ChunkedFile> BulkLoad(storage::BufferPool* pool,
                                       const chunks::ChunkingScheme* scheme,
                                       std::vector<storage::Tuple> tuples,
-                                      bool clustered = true,
-                                      bool compressed = false);
+                                      bool clustered = true);
 
   ChunkedFile(ChunkedFile&&) = default;
   ChunkedFile& operator=(ChunkedFile&&) = default;

@@ -78,9 +78,8 @@ Status BackendEngine::MaterializeAggregate(const GroupBySpec& spec) {
       order.begin(), order.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  CHUNKCACHE_ASSIGN_OR_RETURN(
-      AggFile file,
-      AggFile::Create(pool_, scheme_->num_dims(), options_.compress_pages));
+  CHUNKCACHE_ASSIGN_OR_RETURN(AggFile file,
+                              AggFile::Create(pool_, scheme_->num_dims()));
   std::vector<std::pair<uint64_t, index::BTreePayload>> runs;
   for (const auto& [chunk, idx] : order) {
     CHUNKCACHE_ASSIGN_OR_RETURN(uint64_t rid, file.Append(rows[idx]));

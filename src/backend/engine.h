@@ -90,13 +90,6 @@ struct BackendOptions {
   /// results — down to 1, one read per source chunk. 1M rows ~= 32 MB of
   /// fact columns per in-flight read.
   uint64_t max_merged_run_rows = 1ull << 20;
-
-  /// Store materialized aggregate tables in the compressed block page
-  /// format, so a chunk run on the miss path touches fewer pages (the
-  /// CPU/IO trade bench_compression sweeps). Off = the raw columnar
-  /// in-page layout, kept for ablation. Decoded results are bit-identical
-  /// either way.
-  bool compress_pages = false;
 };
 
 /// The relational backend ("PARADISE" stand-in): evaluates star-join

@@ -119,12 +119,10 @@ struct ChunkCacheStats {
   std::vector<ChunkShardStats> shards;
 
   // Executor counters, filled by ChunkCacheManager::StatsSnapshot when a
-  // worker pool is attached; zero otherwise. steal_queue_depth is always
-  // zero by construction (the executor is work-stealing-free).
+  // worker pool is attached; zero otherwise.
   uint64_t exec_tasks_submitted = 0;
   uint64_t exec_tasks_run = 0;
   uint64_t exec_queue_peak = 0;
-  uint64_t exec_steal_queue_depth = 0;
   uint64_t async_prefetched_chunks = 0;
 
   // Aggregation-kernel and run-I/O counters, filled by

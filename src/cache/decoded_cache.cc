@@ -44,24 +44,6 @@ void DecodedCache::Put(const ChunkKey& key,
   bytes_gauge_->Set(static_cast<int64_t>(bytes_used_));
 }
 
-void DecodedCache::Erase(const ChunkKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  bytes_used_ -= it->second->second->ByteSize();
-  lru_.erase(it->second);
-  index_.erase(it);
-  bytes_gauge_->Set(static_cast<int64_t>(bytes_used_));
-}
-
-void DecodedCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_used_ = 0;
-  bytes_gauge_->Set(0);
-}
-
 void DecodedCache::EvictOverBudgetLocked() {
   while (bytes_used_ > capacity_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
@@ -70,16 +52,6 @@ void DecodedCache::EvictOverBudgetLocked() {
     lru_.pop_back();
     evictions_->Increment();
   }
-}
-
-uint64_t DecodedCache::bytes_used() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_used_;
-}
-
-size_t DecodedCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
 }
 
 }  // namespace chunkcache::cache

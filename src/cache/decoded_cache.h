@@ -45,17 +45,6 @@ class DecodedCache {
   void Put(const ChunkKey& key,
            std::shared_ptr<const storage::AggColumns> cols);
 
-  /// Drops `key` if present (entry invalidated by a re-insert).
-  void Erase(const ChunkKey& key);
-
-  void Clear();
-
-  uint64_t bytes_used() const;
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
-  size_t size() const;
-  uint64_t hits() const { return hits_->Value(); }
-  uint64_t evictions() const { return evictions_->Value(); }
-
  private:
   using Entry =
       std::pair<ChunkKey, std::shared_ptr<const storage::AggColumns>>;
@@ -67,7 +56,7 @@ class DecodedCache {
   Counter* hits_ = nullptr;       // cache.decoded_lru_hits
   Counter* evictions_ = nullptr;  // cache.decoded_lru_evictions
   Gauge* bytes_gauge_ = nullptr;  // cache.decoded_lru_bytes
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash>
       index_;

@@ -30,14 +30,11 @@ class WaitGroup {
   uint64_t count_ = 0;
 };
 
-/// Cumulative executor counters. `steal_queue_depth` is always zero — the
-/// pool is deliberately work-stealing-free (one shared FIFO, no per-worker
-/// deques) — and is reported so monitoring can assert that invariant.
+/// Cumulative executor counters.
 struct ThreadPoolStats {
   uint64_t tasks_submitted = 0;
   uint64_t tasks_run = 0;
   uint64_t queue_peak = 0;  ///< High-water mark of the shared queue.
-  uint64_t steal_queue_depth = 0;
 };
 
 /// Fixed-size thread-pool executor with a single shared FIFO queue — no

@@ -226,8 +226,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
         ->Set(static_cast<int64_t>(es.tasks_run));
     metrics_->GetGauge("exec.queue_peak")
         ->Set(static_cast<int64_t>(es.queue_peak));
-    metrics_->GetGauge("exec.steal_queue_depth")
-        ->Set(static_cast<int64_t>(es.steal_queue_depth));
   }
   const backend::AggKernelStats ks = engine_->kernel_stats();
   metrics_->GetGauge("kernels.dense")
@@ -271,8 +269,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
       static_cast<uint64_t>(snap.gauge("exec.tasks_submitted"));
   s.exec_tasks_run = static_cast<uint64_t>(snap.gauge("exec.tasks_run"));
   s.exec_queue_peak = static_cast<uint64_t>(snap.gauge("exec.queue_peak"));
-  s.exec_steal_queue_depth =
-      static_cast<uint64_t>(snap.gauge("exec.steal_queue_depth"));
   s.async_prefetched_chunks = snap.counter("prefetch.async_chunks");
   s.dense_kernels = static_cast<uint64_t>(snap.gauge("kernels.dense"));
   s.hash_kernels = static_cast<uint64_t>(snap.gauge("kernels.hash"));

@@ -159,13 +159,13 @@ class ChunkCacheManager final : public MiddleTier {
   /// completed (the drain point for asynchronous drill-down prefetch).
   void DrainPrefetch();
 
-  /// Cache stats plus executor counters (tasks submitted/run, queue peak,
-  /// steal-queue depth — zero by construction), the async-prefetch count,
-  /// and the miss-coalescing counters; what `examples/shell.cpp`'s `stats`
-  /// command prints. Every cumulative value is served from the metrics
-  /// registry (the single store); natively-atomic subsystem counters
-  /// (executor, kernels, fault injector, disk) are folded into registry
-  /// gauges here so the registry export and this struct always agree.
+  /// Cache stats plus executor counters (tasks submitted/run, queue peak),
+  /// the async-prefetch count, and the miss-coalescing counters; what
+  /// `examples/shell.cpp`'s `stats` command prints. Every cumulative value
+  /// is served from the metrics registry (the single store);
+  /// natively-atomic subsystem counters (executor, kernels, fault injector,
+  /// disk) are folded into registry gauges here so the registry export and
+  /// this struct always agree.
   cache::ChunkCacheStats StatsSnapshot() const;
 
   /// The registry every middle-tier statistic lives on (the one passed in

@@ -971,9 +971,8 @@ Status DecodeF64Column(const uint8_t** p, const uint8_t* end, size_t n,
 namespace {
 
 constexpr uint8_t kAggBlobTag = 0xA1;
-constexpr uint8_t kTupleBlobTag = 0xB1;
 
-/// Common blob epilogue: CRC32C over [data, data+len).
+/// Blob epilogue: CRC32C over [data, data+len).
 void AppendCrc(std::vector<uint8_t>* out, size_t from) {
   const uint32_t crc = Crc32c(out->data() + from, out->size() - from);
   const size_t at = out->size();
@@ -981,14 +980,13 @@ void AppendCrc(std::vector<uint8_t>* out, size_t from) {
   std::memcpy(out->data() + at, &crc, 4);
 }
 
-/// Validates the trailing CRC and the blob tag; on success sets `*p` past
+/// Validates the trailing CRC and the Agg blob tag; on success sets `*p` past
 /// the tag and `*end` to the start of the CRC, and parses num_dims +
 /// num_rows. A claimed row count is sanity-bounded against the input
 /// length (every active column costs at least one bit per row), so a
 /// corrupt header can never drive a huge allocation.
-Status OpenBlob(const uint8_t* data, size_t len, uint8_t expected_tag,
-                const uint8_t** p, const uint8_t** end, uint32_t* num_dims,
-                size_t* num_rows) {
+Status OpenBlob(const uint8_t* data, size_t len, const uint8_t** p,
+                const uint8_t** end, uint32_t* num_dims, size_t* num_rows) {
   if (len < 6) return Status::Corruption("codec: blob too short");
   uint32_t crc_stored;
   std::memcpy(&crc_stored, data + len - 4, 4);
@@ -998,7 +996,7 @@ Status OpenBlob(const uint8_t* data, size_t len, uint8_t expected_tag,
   *p = data;
   *end = data + len - 4;
   const uint8_t tag = *(*p)++;
-  if (tag != expected_tag) return Status::Corruption("codec: bad blob tag");
+  if (tag != kAggBlobTag) return Status::Corruption("codec: bad blob tag");
   if (*p >= *end) return Status::Corruption("codec: truncated blob header");
   *num_dims = *(*p)++;
   if (*num_dims > kMaxDims) {
@@ -1021,10 +1019,6 @@ uint64_t RawPayloadBytes(const AggColumns& cols) {
   return cols.size() * (cols.num_dims() * 4ull + 32ull);
 }
 
-uint64_t RawPayloadBytes(const TupleColumns& cols) {
-  return cols.size() * (cols.num_dims * 4ull + 8ull);
-}
-
 void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,
                       CodecStats* stats) {
   const size_t from = out->size();
@@ -1044,12 +1038,11 @@ void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,
 
 Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
                                     DecodeMode mode) {
-  const uint8_t* p;
-  const uint8_t* end;
-  uint32_t num_dims;
-  size_t n;
-  CHUNKCACHE_RETURN_IF_ERROR(
-      OpenBlob(data, len, kAggBlobTag, &p, &end, &num_dims, &n));
+  const uint8_t* p = nullptr;
+  const uint8_t* end = nullptr;
+  uint32_t num_dims = 0;
+  size_t n = 0;
+  CHUNKCACHE_RETURN_IF_ERROR(OpenBlob(data, len, &p, &end, &num_dims, &n));
   AggColumns cols(num_dims);
   cols.Reserve(n);
   for (uint32_t d = 0; d < num_dims; ++d) {
@@ -1064,41 +1057,6 @@ Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
       DecodeF64Column(&p, end, n, cols.mutable_mins(), mode));
   CHUNKCACHE_RETURN_IF_ERROR(
       DecodeF64Column(&p, end, n, cols.mutable_maxs(), mode));
-  if (p != end) return Status::Corruption("codec: trailing blob bytes");
-  return cols;
-}
-
-void EncodeTupleColumns(const TupleColumns& cols, std::vector<uint8_t>* out,
-                        CodecStats* stats) {
-  const size_t from = out->size();
-  out->push_back(kTupleBlobTag);
-  out->push_back(static_cast<uint8_t>(cols.num_dims));
-  PutVarint(out, cols.size());
-  const size_t n = cols.size();
-  for (uint32_t d = 0; d < cols.num_dims; ++d) {
-    EncodeU32Column(cols.keys[d].data(), n, out, stats);
-  }
-  EncodeF64Column(cols.measure.data(), n, out, stats);
-  AppendCrc(out, from);
-}
-
-Result<TupleColumns> DecodeTupleColumns(const uint8_t* data, size_t len,
-                                        DecodeMode mode) {
-  const uint8_t* p;
-  const uint8_t* end;
-  uint32_t num_dims;
-  size_t n;
-  CHUNKCACHE_RETURN_IF_ERROR(
-      OpenBlob(data, len, kTupleBlobTag, &p, &end, &num_dims, &n));
-  TupleColumns cols;
-  cols.num_dims = num_dims;
-  cols.Reserve(n);
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    CHUNKCACHE_RETURN_IF_ERROR(
-        DecodeU32Column(&p, end, n, &cols.keys[d], mode));
-  }
-  CHUNKCACHE_RETURN_IF_ERROR(
-      DecodeF64Column(&p, end, n, &cols.measure, mode));
   if (p != end) return Status::Corruption("codec: trailing blob bytes");
   return cols;
 }

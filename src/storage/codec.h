@@ -97,16 +97,9 @@ void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,
 Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
                                     DecodeMode mode = DecodeMode::kFast);
 
-/// Encodes a base-tuple batch (key columns then the measure column).
-void EncodeTupleColumns(const TupleColumns& cols, std::vector<uint8_t>* out,
-                        CodecStats* stats = nullptr);
-Result<TupleColumns> DecodeTupleColumns(const uint8_t* data, size_t len,
-                                        DecodeMode mode = DecodeMode::kFast);
-
 /// Raw (uncompressed) byte size of the payload the blob encodes — the
 /// denominator of a compression ratio.
 uint64_t RawPayloadBytes(const AggColumns& cols);
-uint64_t RawPayloadBytes(const TupleColumns& cols);
 
 }  // namespace chunkcache::storage::codec
 

@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/codec.h"
-
 namespace chunkcache::storage {
 
-namespace {
-
-/// Appends rows [from, from + n) of `src` to `*out`.
-void AppendTupleRange(const TupleColumns& src, size_t from, size_t n,
-                      TupleColumns* out) {
-  out->num_dims = src.num_dims;
-  for (uint32_t d = 0; d < src.num_dims; ++d) {
-    out->keys[d].insert(out->keys[d].end(), src.keys[d].begin() + from,
-                        src.keys[d].begin() + from + n);
-  }
-  out->measure.insert(out->measure.end(), src.measure.begin() + from,
-                      src.measure.begin() + from + n);
-}
-
-}  // namespace
-
-Result<FactFile> FactFile::Create(BufferPool* pool, TupleDesc desc,
-                                  bool compressed) {
+Result<FactFile> FactFile::Create(BufferPool* pool, TupleDesc desc) {
   if (desc.num_dims == 0 || desc.num_dims > kMaxDims) {
     return Status::InvalidArgument("FactFile: bad dimension count");
   }
@@ -35,81 +16,32 @@ Result<FactFile> FactFile::Create(BufferPool* pool, TupleDesc desc,
   auto* h = guard.page()->As<Header>();
   h->magic = kMagic;
   h->num_dims = desc.num_dims;
-  h->flags = compressed ? kFlagCompressed : 0;
+  h->flags = 0;
   h->num_tuples = 0;
   guard.MarkDirty();
-  if (compressed) {
-    f.compressed_ = true;
-    f.block_rows_ = 4 * f.tuples_per_page_;
-    f.store_ = std::make_unique<BlockStore>(pool, file_id, 1);
-    f.pending_.num_dims = desc.num_dims;
-    f.pending_.Reserve(f.block_rows_);
-  }
   return f;
 }
 
 Result<FactFile> FactFile::Open(BufferPool* pool, uint32_t file_id) {
-  uint32_t flags;
-  uint64_t num_tuples;
-  TupleDesc desc;
-  {
-    CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                                pool->Fetch(PageId{file_id, 0}));
-    const auto* h = guard.page()->As<Header>();
-    if (h->magic != kMagic) {
-      return Status::Corruption("FactFile: bad header magic");
-    }
-    desc = TupleDesc{h->num_dims};
-    flags = h->flags;
-    num_tuples = h->num_tuples;
+  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
+                              pool->Fetch(PageId{file_id, 0}));
+  const auto* h = guard.page()->As<Header>();
+  if (h->magic != kMagic) {
+    return Status::Corruption("FactFile: bad header magic");
   }
-  FactFile f(pool, file_id, desc);
-  f.num_tuples_ = num_tuples;
-  if (flags & kFlagCompressed) {
-    f.compressed_ = true;
-    f.block_rows_ = 4 * f.tuples_per_page_;
-    f.store_ = std::make_unique<BlockStore>(pool, file_id, 1);
-    CHUNKCACHE_RETURN_IF_ERROR(f.store_->Rebuild(num_tuples));
-    f.flushed_rows_ = num_tuples;
-    f.pending_.num_dims = desc.num_dims;
+  if (h->num_dims == 0 || h->num_dims > kMaxDims) {
+    return Status::Corruption("FactFile: bad header dimension count");
   }
+  if (h->flags != 0) {
+    return Status::Corruption("FactFile: unsupported header flags");
+  }
+  FactFile f(pool, file_id, TupleDesc{h->num_dims});
+  f.num_tuples_ = h->num_tuples;
   return f;
-}
-
-Status FactFile::FlushPending() {
-  if (pending_.empty()) return Status::OK();
-  std::vector<uint8_t> blob;
-  codec::EncodeTupleColumns(pending_, &blob);
-  CHUNKCACHE_RETURN_IF_ERROR(
-      store_->AppendBlock(static_cast<uint32_t>(pending_.size()), blob));
-  flushed_rows_ += pending_.size();
-  pending_.Clear();
-  return Status::OK();
-}
-
-Status FactFile::DecodeBlock(size_t idx, TupleColumns* out) {
-  std::vector<uint8_t> blob;
-  CHUNKCACHE_RETURN_IF_ERROR(store_->ReadBlock(idx, &blob));
-  CHUNKCACHE_ASSIGN_OR_RETURN(*out,
-                              codec::DecodeTupleColumns(blob.data(),
-                                                        blob.size()));
-  if (out->size() != store_->blocks()[idx].rows ||
-      out->num_dims != desc_.num_dims) {
-    return Status::Corruption("FactFile: block shape mismatch");
-  }
-  return Status::OK();
 }
 
 Result<RowId> FactFile::Append(const Tuple& t) {
   const RowId rid = num_tuples_;
-  if (compressed_) {
-    pending_.PushTuple(t);
-    ++num_tuples_;
-    if (pending_.size() >= block_rows_) {
-      CHUNKCACHE_RETURN_IF_ERROR(FlushPending());
-    }
-    return rid;
-  }
   const uint32_t page_no = PageOfRow(rid);
   const uint32_t slot = static_cast<uint32_t>(rid % tuples_per_page_);
   PageGuard guard;
@@ -132,18 +64,6 @@ Status FactFile::Get(RowId rid, Tuple* out) {
   if (rid >= num_tuples_) {
     return Status::OutOfRange("FactFile::Get: rid beyond EOF");
   }
-  if (compressed_) {
-    if (rid >= flushed_rows_) {
-      *out = pending_.TupleAt(static_cast<size_t>(rid - flushed_rows_));
-      return Status::OK();
-    }
-    TupleColumns block;
-    const size_t idx = store_->FindBlock(rid);
-    CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-    *out = block.TupleAt(
-        static_cast<size_t>(rid - store_->blocks()[idx].first_row));
-    return Status::OK();
-  }
   const uint32_t page_no = PageOfRow(rid);
   const uint32_t slot = static_cast<uint32_t>(rid % tuples_per_page_);
   CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
@@ -159,28 +79,6 @@ Status FactFile::ScanRange(RowId first, uint64_t count,
     return Status::OutOfRange("FactFile::ScanRange: start beyond EOF");
   }
   const RowId end = std::min<RowId>(first + count, num_tuples_);
-  if (compressed_) {
-    RowId rid = first;
-    TupleColumns block;
-    while (rid < end && rid < flushed_rows_) {
-      const size_t idx = store_->FindBlock(rid);
-      CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-      const BlockStore::BlockRef& ref = store_->blocks()[idx];
-      const RowId block_end = std::min<RowId>(ref.first_row + ref.rows, end);
-      for (; rid < block_end; ++rid) {
-        if (!fn(rid, block.TupleAt(static_cast<size_t>(rid - ref.first_row)))) {
-          return Status::OK();
-        }
-      }
-    }
-    for (; rid < end; ++rid) {
-      if (!fn(rid,
-              pending_.TupleAt(static_cast<size_t>(rid - flushed_rows_)))) {
-        return Status::OK();
-      }
-    }
-    return Status::OK();
-  }
   Tuple t;
   RowId rid = first;
   while (rid < end) {
@@ -210,24 +108,6 @@ Status FactFile::ScanRangeColumns(RowId first, uint64_t count,
   if (first >= end) return Status::OK();
   out->num_dims = desc_.num_dims;
   out->Reserve(out->size() + static_cast<size_t>(end - first));
-  if (compressed_) {
-    RowId rid = first;
-    TupleColumns block;
-    while (rid < end && rid < flushed_rows_) {
-      const size_t idx = store_->FindBlock(rid);
-      CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-      const BlockStore::BlockRef& ref = store_->blocks()[idx];
-      const RowId block_end = std::min<RowId>(ref.first_row + ref.rows, end);
-      AppendTupleRange(block, static_cast<size_t>(rid - ref.first_row),
-                       static_cast<size_t>(block_end - rid), out);
-      rid = block_end;
-    }
-    if (rid < end) {
-      AppendTupleRange(pending_, static_cast<size_t>(rid - flushed_rows_),
-                       static_cast<size_t>(end - rid), out);
-    }
-    return Status::OK();
-  }
   const uint32_t record_size = desc_.RecordSize();
   RowId rid = first;
   while (rid < end) {
@@ -258,29 +138,6 @@ Status FactFile::FetchRows(const std::vector<RowId>& rids,
                            std::vector<Tuple>* out) {
   out->clear();
   out->reserve(rids.size());
-  if (compressed_) {
-    // Consecutive rids usually share a block: keep the last one decoded.
-    TupleColumns block;
-    size_t block_idx = SIZE_MAX;
-    for (RowId rid : rids) {
-      if (rid >= num_tuples_) {
-        return Status::OutOfRange("FactFile::FetchRows: rid beyond EOF");
-      }
-      if (rid >= flushed_rows_) {
-        out->push_back(
-            pending_.TupleAt(static_cast<size_t>(rid - flushed_rows_)));
-        continue;
-      }
-      const size_t idx = store_->FindBlock(rid);
-      if (idx != block_idx) {
-        CHUNKCACHE_RETURN_IF_ERROR(DecodeBlock(idx, &block));
-        block_idx = idx;
-      }
-      out->push_back(block.TupleAt(
-          static_cast<size_t>(rid - store_->blocks()[idx].first_row)));
-    }
-    return Status::OK();
-  }
   PageGuard guard;
   uint32_t pinned_page = 0;  // 0 = none (page 0 is the header, never data)
   Tuple t;
@@ -303,25 +160,13 @@ Status FactFile::FetchRows(const std::vector<RowId>& rids,
 }
 
 uint32_t FactFile::num_data_pages() const {
-  if (compressed_) return store_->num_pages();
   return num_tuples_ == 0
              ? 0
              : static_cast<uint32_t>((num_tuples_ + tuples_per_page_ - 1) /
                                      tuples_per_page_);
 }
 
-uint32_t FactFile::PageOfRow(RowId rid) const {
-  if (compressed_) {
-    if (rid >= flushed_rows_ || store_->blocks().empty()) {
-      return 1 + store_->num_pages();
-    }
-    return store_->blocks()[store_->FindBlock(rid)].first_page;
-  }
-  return 1 + static_cast<uint32_t>(rid / tuples_per_page_);
-}
-
 Status FactFile::SyncHeader() {
-  if (compressed_) CHUNKCACHE_RETURN_IF_ERROR(FlushPending());
   CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
                               pool_->Fetch(PageId{file_id_, 0}));
   auto* h = guard.page()->As<Header>();

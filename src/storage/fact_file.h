@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/agg_columns.h"
-#include "storage/block_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/tuple.h"
 
@@ -24,20 +22,14 @@ using RowId = uint64_t;
 /// one division. Supports append (bulk load), point reads, full scans, and
 /// skipped-sequential scans over RowId ranges — the access pattern chunk
 /// reads need.
-///
-/// A file may instead be created *compressed*: tuples are buffered and
-/// written as codec-encoded blocks of 4x the raw page row count through a
-/// BlockStore, so sequential chunk runs read several-fold fewer pages.
-/// RowIds stay dense append-order indexes in both modes, so the chunk
-/// B-tree and bitmap indexes over the file never notice the difference.
 class FactFile {
  public:
-  /// Creates a new empty fact file inside `pool`'s disk manager. With
-  /// `compressed`, pages hold codec-encoded blocks instead of raw records.
-  static Result<FactFile> Create(BufferPool* pool, TupleDesc desc,
-                                 bool compressed = false);
+  /// Creates a new empty fact file inside `pool`'s disk manager.
+  static Result<FactFile> Create(BufferPool* pool, TupleDesc desc);
 
-  /// Opens an existing fact file by its DiskManager file id.
+  /// Opens an existing fact file by its DiskManager file id. A header whose
+  /// dimension count is outside [1, kMaxDims] or whose flags word is
+  /// nonzero is Corruption.
   static Result<FactFile> Open(BufferPool* pool, uint32_t file_id);
 
   FactFile(FactFile&&) = default;
@@ -76,20 +68,17 @@ class FactFile {
   uint32_t file_id() const { return file_id_; }
   const TupleDesc& desc() const { return desc_; }
   uint32_t tuples_per_page() const { return tuples_per_page_; }
-  bool compressed() const { return compressed_; }
 
   /// Number of data pages currently allocated.
   uint32_t num_data_pages() const;
 
   /// Page number (within this file) holding `rid`; useful for analyses that
-  /// count distinct pages a row set touches. In compressed mode this is the
-  /// first page of the rid's block (not-yet-flushed tail rows report the
-  /// page the next block will land on).
-  uint32_t PageOfRow(RowId rid) const;
+  /// count distinct pages a row set touches.
+  uint32_t PageOfRow(RowId rid) const {
+    return 1 + static_cast<uint32_t>(rid / tuples_per_page_);
+  }
 
-  /// Persists the header (tuple count). Call after a bulk load. In
-  /// compressed mode this first flushes the buffered tail rows as a final
-  /// (possibly short) block — required before Open can see them.
+  /// Persists the header (tuple count). Call after a bulk load.
   Status SyncHeader();
 
  private:
@@ -97,35 +86,19 @@ class FactFile {
       : pool_(pool), file_id_(file_id), desc_(desc),
         tuples_per_page_(kPageSize / desc.RecordSize()) {}
 
-  /// Encodes and writes the pending tuple buffer as one block.
-  Status FlushPending();
-
-  /// Decodes block `idx` into `*out` (replacing its contents).
-  Status DecodeBlock(size_t idx, TupleColumns* out);
-
   struct Header {
     uint64_t magic;
     uint32_t num_dims;
-    uint32_t flags;  // bit 0: compressed block format
+    uint32_t flags;  // must be 0: nonzero marks a layout Open refuses
     uint64_t num_tuples;
   };
   static constexpr uint64_t kMagic = 0x4641435446494C45ULL;  // "FACTFILE"
-  static constexpr uint32_t kFlagCompressed = 1u;
 
   BufferPool* pool_;
   uint32_t file_id_;
   TupleDesc desc_;
   uint32_t tuples_per_page_;
   uint64_t num_tuples_ = 0;
-
-  // Compressed mode state. `block_rows_` is the target rows per block
-  // (4x the raw page capacity); `pending_` buffers appended tuples until a
-  // block fills; `flushed_rows_` counts rows already in the block store.
-  bool compressed_ = false;
-  uint32_t block_rows_ = 0;
-  std::unique_ptr<BlockStore> store_;
-  TupleColumns pending_;
-  uint64_t flushed_rows_ = 0;
 };
 
 }  // namespace chunkcache::storage

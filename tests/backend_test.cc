@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -360,6 +361,45 @@ TEST(AggFileTest, ReopenAfterSync) {
   ASSERT_TRUE(file.ok());
   EXPECT_EQ(file->num_rows(), 1u);
   EXPECT_EQ(file->num_dims(), 2u);
+}
+
+TEST(AggFileTest, OpenRejectsCorruptHeader) {
+  // The header comes back from disk, so Open must not trust it: a dimension
+  // count above kMaxDims would overrun AggTuple's coordinate array in Get,
+  // and one of 1017 or more leaves no row per page (a division by zero on
+  // every rid). A nonzero flags word marks a page layout this file cannot
+  // read. Header layout: u64 magic | u32 num_dims | u32 flags | u64 count.
+  struct Patch {
+    uint32_t num_dims;
+    uint32_t flags;
+    bool ok;
+  };
+  for (const Patch& patch :
+       {Patch{3, 0, true}, Patch{0, 0, false}, Patch{9, 0, false},
+        Patch{1017, 0, false}, Patch{2, 1, false}}) {
+    InMemoryDiskManager disk;
+    BufferPool pool(&disk, 64);
+    auto file = AggFile::Create(&pool, 2);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(file->SyncHeader().ok());
+    {
+      auto guard = pool.Fetch(storage::PageId{file->file_id(), 0});
+      ASSERT_TRUE(guard.ok());
+      uint8_t* header = guard->page()->data.data();
+      std::memcpy(header + 8, &patch.num_dims, 4);
+      std::memcpy(header + 12, &patch.flags, 4);
+      guard->MarkDirty();
+    }
+    auto reopened = AggFile::Open(&pool, file->file_id());
+    if (patch.ok) {
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(reopened->num_dims(), patch.num_dims);
+      continue;
+    }
+    ASSERT_FALSE(reopened.ok())
+        << "num_dims " << patch.num_dims << " flags " << patch.flags;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  }
 }
 
 // ---------------------------------- Engine ----------------------------------

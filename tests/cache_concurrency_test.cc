@@ -366,7 +366,6 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   cache::ChunkCacheStats s = par_mgr.StatsSnapshot();
   EXPECT_EQ(s.shards.size(), 8u);
   EXPECT_GT(s.exec_tasks_run, 0u);
-  EXPECT_EQ(s.exec_steal_queue_depth, 0u);
 }
 
 }  // namespace

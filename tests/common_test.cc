@@ -206,7 +206,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPoolStats s = pool.stats();
   EXPECT_EQ(s.tasks_submitted, kTasks);
   EXPECT_EQ(s.tasks_run, kTasks);
-  EXPECT_EQ(s.steal_queue_depth, 0u);  // work-stealing-free by construction
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

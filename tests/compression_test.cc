@@ -1,6 +1,5 @@
 // Compression subsystem tests that cut across layers: the FilterToSelection
 // capacity fix, AggColumns::Deserialize hardening against corrupt input,
-// the compressed FactFile/AggFile page formats (round trip and reopen),
 // and the end-to-end ablation — enable_compression on == off must be
 // bit-identical while the compressed tier holds more chunks per byte.
 
@@ -9,7 +8,6 @@
 #include <random>
 #include <vector>
 
-#include "backend/agg_file.h"
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
 #include "core/chunk_cache_manager.h"
@@ -17,9 +15,7 @@
 #include "schema/synthetic.h"
 #include "storage/agg_columns.h"
 #include "storage/buffer_pool.h"
-#include "storage/codec.h"
 #include "storage/disk_manager.h"
-#include "storage/fact_file.h"
 #include "workload/query_generator.h"
 
 namespace chunkcache {
@@ -32,7 +28,6 @@ using core::ChunkManagerOptions;
 using core::QueryStats;
 using schema::OrdinalRange;
 using storage::AggColumns;
-using storage::AggTuple;
 using storage::Tuple;
 
 AggColumns MakeAgg(uint32_t num_dims, size_t rows, uint32_t seed = 11) {
@@ -137,111 +132,6 @@ TEST(DeserializeHardening, RandomGarbageNeverCrashes) {
     for (auto& b : junk) b = uint8_t(rng());
     (void)AggColumns::Deserialize(junk.data(), junk.size());
   }
-}
-
-// ------------------------- Compressed file formats --------------------------
-
-TEST(CompressedFactFile, RoundTripMatchesRawAndSurvivesReopen) {
-  storage::InMemoryDiskManager disk;
-  storage::BufferPool pool(&disk, 512);
-  storage::TupleDesc desc;
-  desc.num_dims = 4;
-  auto raw = storage::FactFile::Create(&pool, desc, /*compressed=*/false);
-  auto comp = storage::FactFile::Create(&pool, desc, /*compressed=*/true);
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(comp.ok());
-  EXPECT_FALSE(raw->compressed());
-  EXPECT_TRUE(comp->compressed());
-
-  std::mt19937 rng(3);
-  std::vector<Tuple> tuples(5000);
-  for (auto& t : tuples) {
-    for (uint32_t d = 0; d < desc.num_dims; ++d) t.keys[d] = rng() % 500;
-    t.measure = static_cast<double>(rng() % 100000) / 8.0;
-  }
-  for (const Tuple& t : tuples) {
-    ASSERT_TRUE(raw->Append(t).ok());
-    ASSERT_TRUE(comp->Append(t).ok());
-  }
-  ASSERT_EQ(comp->num_tuples(), tuples.size());
-
-  // Point reads and range scans agree with the raw twin, including the
-  // unflushed tail.
-  for (storage::RowId rid : {storage::RowId{0}, storage::RowId{1234},
-                             storage::RowId{tuples.size() - 1}}) {
-    Tuple a, b;
-    ASSERT_TRUE(raw->Get(rid, &a).ok());
-    ASSERT_TRUE(comp->Get(rid, &b).ok());
-    EXPECT_EQ(a.keys, b.keys);
-    EXPECT_EQ(a.measure, b.measure);
-  }
-  storage::TupleColumns ra, rb;
-  ra.num_dims = rb.num_dims = desc.num_dims;
-  ASSERT_TRUE(raw->ScanRangeColumns(100, 3000, &ra).ok());
-  ASSERT_TRUE(comp->ScanRangeColumns(100, 3000, &rb).ok());
-  for (uint32_t d = 0; d < desc.num_dims; ++d) EXPECT_EQ(ra.keys[d], rb.keys[d]);
-  EXPECT_EQ(ra.measure, rb.measure);
-
-  // Compression is the point: fewer data pages than the raw layout.
-  EXPECT_LT(comp->num_data_pages(), raw->num_data_pages());
-
-  // Reopen from disk: the block directory is rebuilt by walking headers.
-  const uint32_t comp_id = comp->file_id();
-  ASSERT_TRUE(comp->SyncHeader().ok());
-  auto reopened = storage::FactFile::Open(&pool, comp_id);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(reopened->compressed());
-  ASSERT_EQ(reopened->num_tuples(), tuples.size());
-  size_t idx = 0;
-  ASSERT_TRUE(reopened
-                  ->Scan([&](storage::RowId rid, const Tuple& t) {
-                    EXPECT_EQ(rid, idx);
-                    EXPECT_EQ(t.keys, tuples[idx].keys);
-                    EXPECT_EQ(t.measure, tuples[idx].measure);
-                    ++idx;
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(idx, tuples.size());
-}
-
-TEST(CompressedAggFile, RoundTripMatchesRawAndSurvivesReopen) {
-  storage::InMemoryDiskManager disk;
-  storage::BufferPool pool(&disk, 512);
-  const uint32_t num_dims = 3;
-  auto raw = backend::AggFile::Create(&pool, num_dims, /*compressed=*/false);
-  auto comp = backend::AggFile::Create(&pool, num_dims, /*compressed=*/true);
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(comp.ok());
-
-  AggColumns rows = MakeAgg(num_dims, 20000, /*seed=*/21);
-  rows.SortRowMajor();
-  ASSERT_TRUE(raw->AppendColumns(rows).ok());
-  ASSERT_TRUE(comp->AppendColumns(rows).ok());
-  ASSERT_EQ(comp->num_rows(), rows.size());
-
-  for (uint64_t rid : {uint64_t{0}, uint64_t{777}, rows.size() - 1}) {
-    AggTuple a, b;
-    ASSERT_TRUE(raw->Get(rid, &a).ok());
-    ASSERT_TRUE(comp->Get(rid, &b).ok());
-    EXPECT_EQ(a.coords, b.coords);
-    EXPECT_EQ(a.sum, b.sum);
-    EXPECT_EQ(a.count, b.count);
-  }
-  AggColumns ca(num_dims), cb(num_dims);
-  ASSERT_TRUE(raw->ScanRangeColumns(500, 10000, &ca).ok());
-  ASSERT_TRUE(comp->ScanRangeColumns(500, 10000, &cb).ok());
-  EXPECT_TRUE(ca == cb);
-  EXPECT_LT(comp->num_data_pages(), raw->num_data_pages());
-
-  const uint32_t comp_id = comp->file_id();
-  ASSERT_TRUE(comp->SyncHeader().ok());
-  auto reopened = backend::AggFile::Open(&pool, comp_id);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_EQ(reopened->num_rows(), rows.size());
-  AggColumns cc(num_dims);
-  ASSERT_TRUE(reopened->ScanRangeColumns(0, rows.size(), &cc).ok());
-  EXPECT_TRUE(cc == rows);
 }
 
 // --------------------------- End-to-end ablation ----------------------------
@@ -369,31 +259,6 @@ TEST_F(CompressionTierFixture, TinyDecodedFrontFallsBackToDecode) {
   if (stats.compressed_chunks > 0) {
     EXPECT_GT(stats.decode_calls, 0u);
     EXPECT_EQ(stats.decoded_lru_hits, 0u);
-  }
-}
-
-TEST_F(CompressionTierFixture, CompressedEngineFilesAnswerIdentically) {
-  // The whole backend over compressed base pages: same queries, same rows.
-  auto cfile = backend::ChunkedFile::BulkLoad(pool_.get(), scheme_.get(),
-                                              tuples_, /*compressed=*/true);
-  ASSERT_TRUE(cfile.ok());
-  backend::ChunkedFile compressed_file = std::move(cfile).value();
-  backend::BackendEngine cengine(pool_.get(), &compressed_file, scheme_.get());
-  ASSERT_TRUE(cengine.BuildBitmapIndexes().ok());
-
-  workload::WorkloadOptions wopts;
-  wopts.seed = 43;
-  workload::QueryGenerator gen(schema_.get(), wopts);
-  ChunkCacheManager raw_mgr(engine_.get(), ChunkManagerOptions{});
-  ChunkCacheManager comp_mgr(&cengine, ChunkManagerOptions{});
-  for (int i = 0; i < 12; ++i) {
-    const StarJoinQuery q = gen.Next();
-    QueryStats sa, sb;
-    auto ra = raw_mgr.Execute(q, &sa);
-    auto rb = comp_mgr.Execute(q, &sb);
-    ASSERT_TRUE(ra.ok());
-    ASSERT_TRUE(rb.ok());
-    EXPECT_TRUE(RowsEqual(*ra, *rb)) << "query " << i;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -455,6 +456,45 @@ TEST(FactFileTest, ReopenSeesSyncedHeader) {
   Tuple t;
   ASSERT_TRUE(reopened->Get(499, &t).ok());
   EXPECT_EQ(t.keys[2], 501u);
+}
+
+TEST(FactFileTest, OpenRejectsCorruptHeader) {
+  // The header comes back from disk, so Open must not trust it: a dimension
+  // count above kMaxDims would overrun Tuple's key array on every read,
+  // zero dimensions is no fact table, and a nonzero flags word marks a page
+  // layout this file cannot read. Header layout: u64 magic | u32 num_dims |
+  // u32 flags | u64 count.
+  struct Patch {
+    uint32_t num_dims;
+    uint32_t flags;
+    bool ok;
+  };
+  for (const Patch& patch :
+       {Patch{2, 0, true}, Patch{0, 0, false}, Patch{9, 0, false},
+        Patch{3, 1, false}}) {
+    InMemoryDiskManager dm;
+    BufferPool pool(&dm, 64);
+    auto file = FactFile::Create(&pool, TupleDesc{3});
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(file->SyncHeader().ok());
+    {
+      auto guard = pool.Fetch(PageId{file->file_id(), 0});
+      ASSERT_TRUE(guard.ok());
+      uint8_t* header = guard->page()->data.data();
+      std::memcpy(header + 8, &patch.num_dims, 4);
+      std::memcpy(header + 12, &patch.flags, 4);
+      guard->MarkDirty();
+    }
+    auto reopened = FactFile::Open(&pool, file->file_id());
+    if (patch.ok) {
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(reopened->desc().num_dims, patch.num_dims);
+      continue;
+    }
+    ASSERT_FALSE(reopened.ok())
+        << "num_dims " << patch.num_dims << " flags " << patch.flags;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(FactFileTest, LargeBulkLoadSurvivesSmallPool) {

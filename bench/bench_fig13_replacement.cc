@@ -1,8 +1,6 @@
 // Reproduces Figure 13: replacement policies for the chunk cache (EQPR
-// stream) — plain LRU (approximated by CLOCK, as in the paper) vs the
-// benefit-weighted CLOCK of Section 5.4, plus every other policy the
-// replacement lab knows (ARC, SLRU, 2Q, LFU-aging and its
-// benefit-weighted variant) for a modern baseline comparison.
+// stream) — plain LRU, CLOCK (the paper's approximation of LRU) and the
+// benefit-weighted CLOCK of Section 5.4.
 // Expected shape (paper): the benefit-aware policy clearly beats plain
 // LRU, because chunks at higher aggregation levels are much more expensive
 // to recompute and deserve preferential retention. The effect shows at

@@ -33,7 +33,7 @@ int Run() {
   Random rng(5);
   for (uint64_t n : {256u, 1024u, 4096u, 16384u, 65536u}) {
     // Chunk cache with n chunks of this group-by.
-    cache::ChunkCache chunk_cache(1ull << 30, cache::MakePolicy("lru"));
+    cache::ChunkCache chunk_cache(1ull << 30, "lru");
     for (uint64_t i = 0; i < n; ++i) {
       cache::CachedChunk c;
       c.group_by_id = 7;

@@ -153,41 +153,6 @@ if d['avx2_available']:
         'BMI2 codec decode lost its speedup'
 print('BENCH_simd.json schema OK; fold %.2fx decode %.2fx'
       % (d['dense_fold']['speedup'], d['codec_decode']['speedup']))
-d = json.load(open('BENCH_replacement.json'))
-assert d.get('bench') == 'replacement', 'bench tag missing'
-assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0
-assert d['queries_per_point'] > 0
-policies = d['policies']
-assert len(policies) >= 5, 'fewer than 5 policies swept'
-cells = d['cells']
-assert isinstance(cells, list) and cells, 'cells empty'
-mixes, budgets = set(), set()
-for c in cells:
-    for key in ('mix', 'cache_mb', 'policy',
-                'hit_ratio', 'evictions', 'avg_ms', 'p99_ms',
-                'pages'):
-        assert key in c, f'cells.{key} missing'
-    mixes.add(c['mix'])
-    budgets.add(c['cache_mb'])
-assert mixes == {'zipfian', 'scan-heavy', 'session'}, mixes
-assert len(budgets) == 3, 'expected 3 cache budgets'
-assert len(cells) == len(mixes) * len(budgets) * len(policies)
-ghosts = d['ghosts']
-assert len(ghosts) == len(mixes) * len(budgets)
-for g in ghosts:
-    assert g['matches_real'], f'ghost != real cache: {g["mix"]}'
-    assert len(g['standings']) == len(policies)
-assert d['identical_all'], 'policy ablation diverged'
-assert d['ghost_matches_real_all']
-# Quality floor: on the skewed-reuse mix at the middle budget,
-# the best policy must find real locality (smoke scale observes
-# ~0.11; full scale is higher).
-mid = sorted(budgets)[1]
-best = max(c['hit_ratio'] for c in cells
-           if c['mix'] == 'zipfian' and c['cache_mb'] == mid)
-assert best >= 0.05, f'zipfian mid-budget hit ratio {best}'
-print('BENCH_replacement.json schema OK; zipfian mid-budget '
-      'best hit ratio %.3f' % best)
 d = json.load(open('BENCH_persistence.json'))
 assert d.get('bench') == 'persistence', 'bench tag missing'
 assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0

@@ -3,7 +3,7 @@
 // the chunk cache work; dot-commands inspect the system.
 //
 //   $ ./shell [num_tuples] [--compress] [--policy=<name>]
-//             [--ghosts[=p1,p2,...]] [--persist-dir=PATH] [--snapshot-every=N]
+//             [--persist-dir=PATH] [--snapshot-every=N]
 //   chunkcache> SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 GROUP BY D0.L1
 //   chunkcache> .schema
 //   chunkcache> .cache
@@ -15,9 +15,10 @@
 //   $ ./shell --serve            # ephemeral port, printed on startup
 //   $ ./shell --serve=7437 --rate-qps=200 --max-deadline-ms=500
 //
-// An unknown argument, or a numeric flag whose value is not a number,
-// prints the usage line and exits with status 2.
+// An unknown argument, a numeric flag whose value is not a number, or an
+// unknown --policy= name prints the usage line and exits with status 2.
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -68,10 +69,14 @@ int BadArgument(const std::string& arg) {
       stderr,
       "shell: bad argument \"%s\"\n"
       "usage: shell [num_tuples] [--compress] [--policy=<name>]\n"
-      "             [--ghosts[=p1,p2,...]] [--persist-dir=PATH]\n"
-      "             [--snapshot-every=N] [--serve[=port]] [--rate-qps=Q]\n"
-      "             [--max-deadline-ms=N]\n",
+      "             [--persist-dir=PATH] [--snapshot-every=N]\n"
+      "             [--serve[=port]] [--rate-qps=Q] [--max-deadline-ms=N]\n"
+      "policies:",
       arg.c_str());
+  for (const auto& name : cache::KnownPolicyNames()) {
+    std::fprintf(stderr, " %s", name.c_str());
+  }
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
@@ -118,7 +123,6 @@ int main(int argc, char** argv) {
   uint64_t tuples = 100000;
   bool compress = false;
   std::string policy = "benefit-clock";
-  std::vector<std::string> ghosts;
   std::string persist_dir;
   uint64_t snapshot_every = 4096;
   bool serve = false;
@@ -144,13 +148,9 @@ int main(int argc, char** argv) {
       compress = true;
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = arg.substr(9);
-      if (cache::MakePolicy(policy) == nullptr) {
-        std::fprintf(stderr, "unknown policy \"%s\"; valid:", policy.c_str());
-        for (const auto& n : cache::KnownPolicyNames()) {
-          std::fprintf(stderr, " %s", n.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 1;
+      const auto& known = cache::KnownPolicyNames();
+      if (std::find(known.begin(), known.end(), policy) == known.end()) {
+        return BadArgument(arg);
       }
     } else if (arg.rfind("--persist-dir=", 0) == 0) {
       persist_dir = arg.substr(14);
@@ -160,28 +160,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
       if (!ParseU64(arg.substr(17), &snapshot_every)) return BadArgument(arg);
-    } else if (arg == "--ghosts") {
-      ghosts.assign(cache::KnownPolicyNames().begin(),
-                    cache::KnownPolicyNames().end());
-    } else if (arg.rfind("--ghosts=", 0) == 0) {
-      std::string list = arg.substr(9);
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        const size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        if (!name.empty()) {
-          if (cache::MakePolicy(name) == nullptr) {
-            std::fprintf(stderr, "unknown ghost policy \"%s\"\n",
-                         name.c_str());
-            return 1;
-          }
-          ghosts.push_back(name);
-        }
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
     } else if (!ParseU64(arg, &tuples)) {
       return BadArgument(arg);
     }
@@ -215,7 +193,6 @@ int main(int argc, char** argv) {
   mopts.trace_capacity = 64;  // per-query span trees for .trace
   mopts.enable_compression = compress;  // --compress: encoded cache tier
   mopts.policy = policy;
-  mopts.ghost_policies = ghosts;  // shadow policy scoreboard for .stats
   // --persist-dir: the cache survives restarts (snapshot + WAL). Note the
   // shell regenerates its synthetic facts per run, so recovered entries
   // are only meaningful when num_tuples (and the seed) match the run that
@@ -304,17 +281,6 @@ int main(int argc, char** argv) {
       std::printf("  lock contention: %.3f ms total\n", cs.contention_ns / 1e6);
       std::printf("replacement: policy=%s\n",
                   tier.chunk_cache().policy_name().c_str());
-      if (cache::GhostCacheSet* gs = tier.chunk_cache().ghosts()) {
-        std::printf("  ghost standings (would-be hit ratio at same budget):\n");
-        for (const auto& st : gs->Standings()) {
-          const uint64_t refs = st.hits + st.misses;
-          std::printf("    %-18s hits=%llu/%llu (%.1f%%) evictions=%llu\n",
-                      st.policy.c_str(), (unsigned long long)st.hits,
-                      (unsigned long long)refs,
-                      refs ? 100.0 * st.hits / refs : 0.0,
-                      (unsigned long long)st.evictions);
-        }
-      }
       for (size_t i = 0; i < cs.shards.size(); ++i) {
         const auto& sh = cs.shards[i];
         std::printf("  shard %2zu: chunks=%llu bytes=%llu lookups=%llu "

@@ -15,35 +15,9 @@ uint32_t RoundUpPow2(uint32_t n) {
 }
 }  // namespace
 
-ChunkCache::ChunkCache(uint64_t capacity_bytes,
-                       std::unique_ptr<ReplacementPolicy> policy,
-                       MetricsRegistry* metrics)
-    : capacity_bytes_(capacity_bytes) {
-  CHUNKCACHE_CHECK(policy != nullptr);
-  auto shard = std::make_unique<Shard>();
-  shard->policy = std::move(policy);
-  shard->capacity_bytes = capacity_bytes;
-  shards_.push_back(std::move(shard));
-  metrics_ = metrics;
-  WireMetrics();
-}
-
 ChunkCache::ChunkCache(uint64_t capacity_bytes, const std::string& policy,
                        uint32_t num_shards, MetricsRegistry* metrics)
-    : capacity_bytes_(capacity_bytes) {
-  const uint32_t n = RoundUpPow2(num_shards == 0 ? 1 : num_shards);
-  shards_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->policy = MakePolicyOrDie(policy);
-    shard->capacity_bytes = capacity_bytes / n;
-    shards_.push_back(std::move(shard));
-  }
-  metrics_ = metrics;
-  WireMetrics();
-}
-
-void ChunkCache::WireMetrics() {
+    : capacity_bytes_(capacity_bytes), metrics_(metrics) {
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
@@ -52,10 +26,16 @@ void ChunkCache::WireMetrics() {
   evictions_ = metrics_->GetCounter("cache.evictions");
   rejected_ = metrics_->GetCounter("cache.rejected");
   lock_wait_ns_ = metrics_->GetHistogram("cache.lock_wait_ns");
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  const uint32_t n = RoundUpPow2(num_shards == 0 ? 1 : num_shards);
+  shards_.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    auto shard = std::make_unique<Shard>();
+    shard->policy = MakePolicy(policy);
+    shard->capacity_bytes = capacity_bytes / n;
     const std::string prefix = "cache.shard" + std::to_string(i);
-    shards_[i]->lookups = metrics_->GetCounter(prefix + ".lookups");
-    shards_[i]->hits = metrics_->GetCounter(prefix + ".hits");
+    shard->lookups = metrics_->GetCounter(prefix + ".lookups");
+    shard->hits = metrics_->GetCounter(prefix + ".hits");
+    shards_.push_back(std::move(shard));
   }
 }
 
@@ -75,22 +55,13 @@ ChunkHandle ChunkCache::Lookup(uint32_t group_by_id, uint64_t chunk_num,
                                uint64_t filter_hash) {
   const Key key{group_by_id, chunk_num, filter_hash};
   Shard& s = ShardFor(key);
-  ChunkHandle out;
-  {
-    auto lock = LockShard(s);
-    s.lookups->Increment();
-    auto it = s.by_key.find(key);
-    if (it == s.by_key.end()) return nullptr;
-    s.hits->Increment();
-    s.policy->OnAccess(it->second);
-    out = s.by_handle.at(it->second);
-  }
-  // Shadow simulation sees every policy event (hits here, inserts in
-  // Insert), outside the shard lock so it never extends hold times.
-  if (GhostCacheSet* ghosts = this->ghosts()) {
-    ghosts->Access(KeyHash{}(key), out->ByteSize(), out->benefit);
-  }
-  return out;
+  auto lock = LockShard(s);
+  s.lookups->Increment();
+  auto it = s.by_key.find(key);
+  if (it == s.by_key.end()) return nullptr;
+  s.hits->Increment();
+  s.policy->OnAccess(it->second);
+  return s.by_handle.at(it->second);
 }
 
 bool ChunkCache::Contains(uint32_t group_by_id, uint64_t chunk_num,
@@ -148,16 +119,11 @@ void ChunkCache::Insert(std::shared_ptr<CachedChunk> chunk) {
   const uint64_t bytes = chunk->ByteSize();
   const double benefit = chunk->benefit;
   // Event-sink bookkeeping: victim keys are collected under the shard lock
-  // but delivered only after it is dropped (same discipline as the ghost
-  // feed below), so the WAL writer never extends shard hold times.
+  // but delivered only after it is dropped, so the WAL writer never
+  // extends shard hold times.
   std::vector<Key> evicted;
-  bool admitted = false;
-  std::shared_ptr<const CachedChunk> admitted_entry;
-  // Locked admission body as a lambda so every exit path — reject paths
-  // included — still feeds the ghost simulators below: a rejected insert
-  // is still a reference to the key, and the sims replicate the rejection
-  // logic themselves.
-  [&] {
+  std::shared_ptr<const CachedChunk> admitted;
+  {
     auto lock = LockShard(s);
     if (bytes > s.capacity_bytes) {
       rejected_->Increment();
@@ -179,38 +145,21 @@ void ChunkCache::Insert(std::shared_ptr<CachedChunk> chunk) {
     }
     if (s.bytes_used + bytes > s.capacity_bytes) {
       rejected_->Increment();
-      return;
+    } else {
+      const uint64_t handle = s.next_handle++;
+      s.policy->OnInsert(handle, benefit);
+      s.per_group_by[chunk->group_by_id]++;
+      s.by_key[key] = handle;
+      s.bytes_used += bytes;
+      admitted = chunk;
+      s.by_handle.emplace(handle, std::move(chunk));
+      insertions_->Increment();
     }
-    const uint64_t handle = s.next_handle++;
-    // Keyed insert: the key hash is stable across re-insertions of the
-    // same chunk under fresh handles, which is what ghost-listed policies
-    // (ARC, 2Q) need to recognize a re-fetched key.
-    s.policy->OnInsertKeyed(handle, KeyHash{}(key), benefit);
-    s.per_group_by[chunk->group_by_id]++;
-    s.by_key[key] = handle;
-    s.bytes_used += bytes;
-    admitted_entry = chunk;
-    admitted = true;
-    s.by_handle.emplace(handle, std::move(chunk));
-    insertions_->Increment();
-  }();
+  }
   if (CacheEventSink* sink = sink_live_.load(std::memory_order_acquire)) {
     for (const Key& k : evicted) sink->OnEvict(k);
-    if (admitted) sink->OnAdmit(admitted_entry);
+    if (admitted) sink->OnAdmit(admitted);
   }
-  if (GhostCacheSet* ghosts = this->ghosts()) {
-    ghosts->Access(KeyHash{}(key), bytes, benefit);
-  }
-}
-
-void ChunkCache::EnableGhostPolicies(
-    const std::vector<std::string>& policies) {
-  ghosts_live_.store(nullptr, std::memory_order_release);
-  ghosts_.reset();
-  if (policies.empty()) return;
-  ghosts_ =
-      std::make_unique<GhostCacheSet>(policies, capacity_bytes_, metrics_);
-  ghosts_live_.store(ghosts_.get(), std::memory_order_release);
 }
 
 void ChunkCache::Clear() {

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/ghost_cache.h"
 #include "cache/replacement.h"
 #include "chunks/group_by_spec.h"
 #include "common/metrics.h"
@@ -188,12 +187,12 @@ struct ChunkCacheStats {
 };
 
 /// Observer of cache admission state changes, used by the persistence WAL.
-/// Both callbacks run OUTSIDE every shard lock (same discipline as the
-/// ghost-cache feed), so implementations may block on I/O or call back
-/// into the cache without holding up other shards. Because they run after
-/// the lock is dropped, callbacks from concurrent inserts may interleave
-/// in an order different from the cache mutations; consumers must treat
-/// the stream as idempotent hints (the WAL replay does).
+/// Both callbacks run OUTSIDE every shard lock, so implementations may
+/// block on I/O or call back into the cache without holding up other
+/// shards. Because they run after the lock is dropped, callbacks from
+/// concurrent inserts may interleave in an order different from the cache
+/// mutations; consumers must treat the stream as idempotent hints (the WAL
+/// replay does).
 class CacheEventSink {
  public:
   virtual ~CacheEventSink() = default;
@@ -218,19 +217,13 @@ class CacheEventSink {
 /// use.
 class ChunkCache {
  public:
-  /// Single-shard cache using the given policy instance (the serial
-  /// configuration; exact legacy semantics). All statistics live on
-  /// `metrics` (under "cache." names); passing nullptr gives the cache a
-  /// private registry so its stats stay attributable.
-  ChunkCache(uint64_t capacity_bytes,
-             std::unique_ptr<ReplacementPolicy> policy,
-             MetricsRegistry* metrics = nullptr);
-
-  /// Sharded cache: `num_shards` is rounded up to a power of two, and each
-  /// shard gets its own `MakePolicy(policy)` instance and an equal slice
-  /// of `capacity_bytes`.
+  /// `num_shards` is rounded up to a power of two, and each shard gets its
+  /// own `MakePolicy(policy)` instance and an equal slice of
+  /// `capacity_bytes`; one shard is the serial configuration. All
+  /// statistics live on `metrics` (under "cache." names); passing nullptr
+  /// gives the cache a private registry so its stats stay attributable.
   ChunkCache(uint64_t capacity_bytes, const std::string& policy,
-             uint32_t num_shards, MetricsRegistry* metrics = nullptr);
+             uint32_t num_shards = 1, MetricsRegistry* metrics = nullptr);
 
   ChunkCache(const ChunkCache&) = delete;
   ChunkCache& operator=(const ChunkCache&) = delete;
@@ -284,20 +277,6 @@ class ChunkCache {
   /// group-bys that cannot cover a source box.
   std::vector<uint64_t> GroupByCounts(uint32_t num_group_by_ids) const;
 
-  /// Attaches a ghost-cache shadow simulation: every subsequent lookup hit
-  /// and insert is also fed (key hash + bytes + benefit only) to one
-  /// simulator per named policy, each budgeted at this cache's full
-  /// capacity, so alternative policies are scored online against the real
-  /// access stream. Standings export to the registry as
-  /// "cache.ghost.<policy>.*". Call during setup, before concurrent use;
-  /// calling again replaces the simulators.
-  void EnableGhostPolicies(const std::vector<std::string>& policies);
-
-  /// The attached shadow simulation, or nullptr when disabled.
-  GhostCacheSet* ghosts() const {
-    return ghosts_live_.load(std::memory_order_acquire);
-  }
-
   /// Attaches (or with nullptr detaches) an admission/eviction observer.
   /// Call during setup or shutdown, not concurrently with traffic: events
   /// already past their shard unlock may still be delivered to the old
@@ -347,17 +326,11 @@ class ChunkCache {
   /// Removes `handle` from `s`. Caller holds s.mu.
   void EraseLocked(Shard& s, uint64_t handle);
 
-  /// Registers cache-level metrics and per-shard counters on metrics_.
-  /// Called once from each constructor after shards_ is populated.
-  void WireMetrics();
-
   uint64_t capacity_bytes_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::unique_ptr<GhostCacheSet> ghosts_;
-  // Published with release so hot-path readers can load without a lock.
-  std::atomic<GhostCacheSet*> ghosts_live_{nullptr};
-  // Not owned; published the same way as the ghost feed.
+  // Not owned; published with release so hot-path readers can load
+  // without a lock.
   std::atomic<CacheEventSink*> sink_live_{nullptr};
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was passed

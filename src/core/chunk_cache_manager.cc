@@ -69,9 +69,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
     decoded_ = std::make_unique<cache::DecodedCache>(
         options_.decoded_cache_bytes, metrics_);
   }
-  if (!options_.ghost_policies.empty()) {
-    cache_.EnableGhostPolicies(options_.ghost_policies);
-  }
   queries_ = metrics_->GetCounter("query.executions");
   query_errors_ = metrics_->GetCounter("query.errors");
   chunks_requested_ = metrics_->GetCounter("chunks.requested");
@@ -90,7 +87,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
   codec_raw_bytes_ = metrics_->GetCounter("cache.codec_raw_bytes");
   codec_encoded_bytes_ = metrics_->GetCounter("cache.codec_encoded_bytes");
   decode_calls_ = metrics_->GetCounter("cache.decode_calls");
-  recompute_ns_ = metrics_->GetHistogram("benefit.recompute_ns");
   for (size_t c = 0; c < storage::codec::kNumCodecs; ++c) {
     const std::string base =
         std::string("cache.codec.") +
@@ -617,13 +613,7 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
   // the calling thread in both branches below, so the span is safe.
   const auto compute_owned = [&]() -> Result<std::vector<ChunkData>> {
     ScopedSpan scan_span(trace, "scan_aggregate", miss_span);
-    const auto rt0 = std::chrono::steady_clock::now();
-    auto res =
-        RunWithRetry(options_.retry, ctrl, &stats->retries, compute_once);
-    // The whole retry loop is the honest cost of getting these chunks
-    // back — that is exactly what a future eviction would re-pay.
-    if (res.ok()) RecordRecompute(rt0, res->size());
-    return res;
+    return RunWithRetry(options_.retry, ctrl, &stats->retries, compute_once);
   };
   Result<std::vector<ChunkData>> computed = std::vector<ChunkData>{};
   const bool overlap = pool_ != nullptr && !owned_nums.empty() &&
@@ -929,15 +919,6 @@ ChunkCacheManager::PlanDrillDown(const StarJoinQuery& query,
   return plan;
 }
 
-void ChunkCacheManager::RecordRecompute(
-    std::chrono::steady_clock::time_point start, size_t chunks) {
-  if (chunks == 0) return;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  recompute_ns_->Record(static_cast<uint64_t>(ns) / chunks);
-}
-
 uint64_t ChunkCacheManager::RunPrefetch(
     const PrefetchPlan& plan, const std::vector<NonGroupByPredicate>& preds,
     uint64_t filter_hash, WorkCounters* work) {
@@ -970,7 +951,6 @@ uint64_t ChunkCacheManager::RunPrefetch(
   if (to_fetch.empty()) return 0;
 
   // Serial inside the worker (nested fan-out would tie up the pool).
-  const auto rt0 = std::chrono::steady_clock::now();
   auto computed = engine_->ComputeChunks(plan.drill, to_fetch, preds, work);
   if (!computed.ok()) {
     // Dropped, not reported: the claimed slots fail (waking any waiter
@@ -981,7 +961,6 @@ uint64_t ChunkCacheManager::RunPrefetch(
     }
     return 0;
   }
-  RecordRecompute(rt0, computed->size());
   for (size_t i = 0; i < computed->size(); ++i) {
     ChunkData& data = (*computed)[i];
     auto entry = std::make_shared<cache::CachedChunk>();

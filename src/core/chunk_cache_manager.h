@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,16 +27,10 @@ namespace chunkcache::core {
 struct ChunkManagerOptions {
   uint64_t cache_bytes = 30ull << 20;   ///< Paper: 30 MB cache.
   /// Replacement policy: any cache::KnownPolicyNames() name (lru, clock,
-  /// benefit-clock, arc, slru, 2q, lfu-aging, benefit-lfu-aging). Unknown
-  /// names abort with a message listing the valid set.
+  /// benefit-clock). Unknown names abort with a message listing the
+  /// valid set.
   std::string policy = "benefit-clock";
   CostModel cost_model;
-
-  /// Ghost-cache shadow policies: for each name listed here the chunk
-  /// cache runs an online simulator (keys + sizes only) against the real
-  /// access stream and exports would-be-hit counters as
-  /// "cache.ghost.<policy>.*". Empty = no shadow simulation (no overhead).
-  std::vector<std::string> ghost_policies;
 
   /// Worker threads for the parallel miss pipeline. With <= 1 the manager
   /// runs the exact serial paper path (no pool is created); with more, a
@@ -226,8 +219,8 @@ class ChunkCacheManager final : public MiddleTier {
   /// in the cache; returns the columnar rows (canonical order) or nullopt.
   /// The first plan source whose whole source box is cached wins. Boxes
   /// are probed with the statistics-free Contains and pinned only once
-  /// complete, so a failed attempt leaves no trace in hit counters,
-  /// replacement state or ghost simulators. The roll-up runs through the
+  /// complete, so a failed attempt leaves no trace in hit counters or
+  /// replacement state. The roll-up runs through the
   /// same per-chunk kernel dispatch as the backend (dense grid when the
   /// chunk's cell box allows), recorded in the engine's kernel counters.
   std::optional<storage::AggColumns> TryInCacheAggregation(
@@ -278,11 +271,6 @@ class ChunkCacheManager final : public MiddleTier {
       const PrefetchPlan& plan,
       const std::vector<backend::NonGroupByPredicate>& preds,
       uint64_t filter_hash, WorkCounters* work);
-
-  /// Records one backend recompute (`chunks` chunks produced since
-  /// `start`) as per-chunk ns on "benefit.recompute_ns".
-  void RecordRecompute(std::chrono::steady_clock::time_point start,
-                       size_t chunks);
 
   /// Cache entry -> durable form: compressed entries persist their codec
   /// blob verbatim; raw entries encode here (the blob self-checksums).
@@ -351,7 +339,6 @@ class ChunkCacheManager final : public MiddleTier {
   std::array<Counter*, storage::codec::kNumCodecs> codec_col_columns_{};
   Histogram* encode_ns_ = nullptr;  // codec.encode_ns
   Histogram* decode_ns_ = nullptr;  // codec.decode_ns
-  Histogram* recompute_ns_ = nullptr;  // benefit.recompute_ns
 
   // Crash-safe persistence (persist_dir option). The sink is detached from
   // the cache before persist_ is destroyed (see the destructor), so no

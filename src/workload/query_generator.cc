@@ -42,16 +42,6 @@ WorkloadOptions ZipfianStream(uint64_t seed) {
   return o;
 }
 
-WorkloadOptions ScanHeavyStream(uint64_t seed) {
-  WorkloadOptions o;
-  o.hot_access_prob = 0.1;   // almost everything roams the full space
-  o.proximity_prob = 0.0;
-  o.min_range_fraction = 0.5;
-  o.max_range_fraction = 0.9;
-  o.seed = seed;
-  return o;
-}
-
 QueryGenerator::QueryGenerator(const schema::StarSchema* schema,
                                WorkloadOptions options)
     : schema_(schema), options_(options), rng_(options.seed) {

@@ -55,13 +55,10 @@ WorkloadOptions RandomStream(uint64_t seed);
 WorkloadOptions EqprStream(uint64_t seed);
 WorkloadOptions ProximityStream(uint64_t seed);
 
-/// Replacement-lab mixes (bench_replacement). Zipfian: 16 fixed regions
-/// with Zipf(0.9) popularity and moderate proximity — skewed reuse where
-/// recency/frequency policies separate. Scan-heavy: wide selections
-/// (50–90 % of each level) with almost no locality — the flood that
-/// punishes policies without scan resistance.
+/// The zipf-compressed workload's stream (bench/e2e): 16 fixed regions
+/// with Zipf(0.9) popularity and moderate proximity — skewed reuse, where
+/// replacement quality decides the cost saving ratio.
 WorkloadOptions ZipfianStream(uint64_t seed);
-WorkloadOptions ScanHeavyStream(uint64_t seed);
 
 /// Generates a stream of star-join queries over `schema` with tunable
 /// locality. Deterministic for a fixed seed.

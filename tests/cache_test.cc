@@ -114,13 +114,6 @@ TEST(BenefitClockPolicyTest, ZeroIncomingBenefitStillTerminates) {
   EXPECT_TRUE(p.PickVictim(0.0).has_value());
 }
 
-TEST(MakePolicyTest, Factory) {
-  EXPECT_EQ(MakePolicy("lru")->name(), "lru");
-  EXPECT_EQ(MakePolicy("clock")->name(), "clock");
-  EXPECT_EQ(MakePolicy("benefit-clock")->name(), "benefit-clock");
-  EXPECT_EQ(MakePolicy("nonsense"), nullptr);
-}
-
 // -------------------------------- ChunkCache --------------------------------
 
 CachedChunk MakeChunk(uint32_t gb, uint64_t num, uint64_t filter,
@@ -139,7 +132,7 @@ CachedChunk MakeChunk(uint32_t gb, uint64_t num, uint64_t filter,
 }
 
 TEST(ChunkCacheTest, InsertLookupMiss) {
-  ChunkCache cache(1 << 20, MakePolicy("lru"));
+  ChunkCache cache(1 << 20, "lru");
   EXPECT_EQ(cache.Lookup(1, 5, 0), nullptr);
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 10));
   const ChunkHandle hit = cache.Lookup(1, 5, 0);
@@ -153,7 +146,7 @@ TEST(ChunkCacheTest, InsertLookupMiss) {
 }
 
 TEST(ChunkCacheTest, FilterHashIsolatesEntries) {
-  ChunkCache cache(1 << 20, MakePolicy("lru"));
+  ChunkCache cache(1 << 20, "lru");
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 5, 777, 1.0, 9));
   const ChunkHandle unfiltered = cache.Lookup(1, 5, 0);
@@ -166,7 +159,7 @@ TEST(ChunkCacheTest, FilterHashIsolatesEntries) {
 }
 
 TEST(ChunkCacheTest, ReinsertReplaces) {
-  ChunkCache cache(1 << 20, MakePolicy("lru"));
+  ChunkCache cache(1 << 20, "lru");
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 8));
   EXPECT_EQ(cache.num_chunks(), 1u);
@@ -176,7 +169,7 @@ TEST(ChunkCacheTest, ReinsertReplaces) {
 TEST(ChunkCacheTest, EvictsWhenOverBudget) {
   // Every 10-row chunk from MakeChunk has the same columnar byte size.
   const uint64_t entry_bytes = MakeChunk(1, 0, 0, 1.0, 10).ByteSize();
-  ChunkCache cache(entry_bytes * 3, MakePolicy("lru"));
+  ChunkCache cache(entry_bytes * 3, "lru");
   for (uint64_t i = 0; i < 5; ++i) {
     cache.Insert(MakeChunk(1, i, 0, 1.0, 10));
   }
@@ -190,7 +183,7 @@ TEST(ChunkCacheTest, EvictsWhenOverBudget) {
 }
 
 TEST(ChunkCacheTest, RejectsChunkLargerThanCache) {
-  ChunkCache cache(256, MakePolicy("lru"));
+  ChunkCache cache(256, "lru");
   cache.Insert(MakeChunk(1, 0, 0, 1.0, 1000));
   EXPECT_EQ(cache.num_chunks(), 0u);
   EXPECT_EQ(cache.stats().rejected, 1u);
@@ -198,7 +191,7 @@ TEST(ChunkCacheTest, RejectsChunkLargerThanCache) {
 
 TEST(ChunkCacheTest, BenefitPolicyKeepsExpensiveChunks) {
   const uint64_t entry_bytes = MakeChunk(1, 0, 0, 1.0, 10).ByteSize();
-  ChunkCache cache(entry_bytes * 4, MakePolicy("benefit-clock"));
+  ChunkCache cache(entry_bytes * 4, "benefit-clock");
   cache.Insert(MakeChunk(9, 0, 0, 1000.0, 10));  // highly aggregated chunk
   for (uint64_t i = 0; i < 50; ++i) {
     cache.Insert(MakeChunk(1, i, 0, 1.0, 10));  // stream of cheap chunks
@@ -208,7 +201,7 @@ TEST(ChunkCacheTest, BenefitPolicyKeepsExpensiveChunks) {
 }
 
 TEST(ChunkCacheTest, GroupByCountsTrackContents) {
-  ChunkCache cache(1 << 20, MakePolicy("lru"));
+  ChunkCache cache(1 << 20, "lru");
   cache.Insert(MakeChunk(1, 0, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 1, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 1, 7, 1.0, 4));  // same chunk, other filter
@@ -222,7 +215,7 @@ TEST(ChunkCacheTest, GroupByCountsTrackContents) {
 }
 
 TEST(ChunkCacheTest, ContainsDoesNotTouchStats) {
-  ChunkCache cache(1 << 20, MakePolicy("lru"));
+  ChunkCache cache(1 << 20, "lru");
   cache.Insert(MakeChunk(1, 0, 0, 1.0, 4));
   const auto before = cache.stats();
   EXPECT_TRUE(cache.Contains(1, 0, 0));

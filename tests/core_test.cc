@@ -375,8 +375,8 @@ class RollupFixture : public CoreFixture {
 // candidate is one chunk short in every source box the query needs (its
 // other boxes are complete, so the count filter lets the attempt probe),
 // so a tier with the extension on must end in exactly the state of a twin
-// with it off: same shard lookup/hit counters, same ghost standings, same
-// victim order. LRU makes any stray OnAccess show in the victim order.
+// with it off: same shard lookup/hit counters, same victim order. LRU
+// makes any stray OnAccess show in the victim order.
 TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
   const GroupBySpec target{{1, 1, 1, 1}, 4};
   const GroupBySpec fine{{3, 2, 1, 1}, 4};
@@ -388,7 +388,6 @@ TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
   ChunkManagerOptions opts;
   opts.cache_bytes = 8ull << 20;
   opts.policy = "lru";
-  opts.ghost_policies = {"lru", "benefit-clock"};
   ChunkManagerOptions with_opts = opts;
   with_opts.enable_in_cache_aggregation = true;
   ChunkCacheManager with(engine_.get(), with_opts);
@@ -419,13 +418,12 @@ TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
   const auto b = without.metrics().TakeSnapshot();
   size_t compared = 0;
   for (const auto& [name, value] : b.counters) {
-    if (name.rfind("cache.shard", 0) == 0 ||
-        name.rfind("cache.ghost.", 0) == 0) {
+    if (name.rfind("cache.shard", 0) == 0) {
       EXPECT_EQ(a.counter(name), value) << name;
       ++compared;
     }
   }
-  EXPECT_EQ(compared, 2u + 2u * 3u);  // shard0 lookups/hits + 2 ghosts x 3
+  EXPECT_EQ(compared, 2u);  // shard0 lookups/hits
 
   // Victim order: an entry as large as the whole cache evicts every
   // resident, in the order the policy nominates them.

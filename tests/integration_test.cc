@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend/chunked_file.h"
@@ -20,6 +23,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
+#include "workload/session_generator.h"
 
 namespace chunkcache {
 namespace {
@@ -81,11 +85,61 @@ void ExpectSameRows(const std::vector<AggTuple>& a,
   }
 }
 
-// Differential test: under a long mixed-locality stream with heavy cache
-// pressure (tiny caches force constant eviction), every tier must return
-// identical result rows for every query.
-class TierEquivalenceTest : public ::testing::TestWithParam<
-                                std::tuple<const char*, uint64_t>> {};
+// Bit-for-bit row equality: coords, count and the bit patterns of sum,
+// min and max.
+void ExpectIdenticalRows(const std::vector<AggTuple>& a,
+                         const std::vector<AggTuple>& b, uint32_t num_dims,
+                         const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (uint32_t d = 0; d < num_dims; ++d) {
+      ASSERT_EQ(a[i].coords[d], b[i].coords[d]) << context << " row " << i;
+    }
+    ASSERT_EQ(a[i].count, b[i].count) << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].sum),
+              std::bit_cast<uint64_t>(b[i].sum))
+        << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].min_v),
+              std::bit_cast<uint64_t>(b[i].min_v))
+        << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].max_v),
+              std::bit_cast<uint64_t>(b[i].max_v))
+        << context << " row " << i;
+  }
+}
+
+/// A deterministic query source by name: "eqpr", "zipfian", or "session"
+/// (drill-down and roll-up session generators, swapping every two
+/// queries).
+std::function<StarJoinQuery()> MakeStream(const std::string& name,
+                                          const schema::StarSchema* schema) {
+  if (name == "eqpr" || name == "zipfian") {
+    auto gen = std::make_shared<workload::QueryGenerator>(
+        schema, name == "eqpr" ? workload::EqprStream(77)
+                               : workload::ZipfianStream(1998));
+    return [gen] { return gen->Next(); };
+  }
+  CHUNKCACHE_CHECK(name == "session");
+  workload::SessionOptions drill;
+  drill.drill_down = true;
+  drill.seed = 1998;
+  workload::SessionOptions roll;
+  roll.drill_down = false;
+  roll.seed = 2042;
+  auto d = std::make_shared<workload::SessionGenerator>(schema, drill);
+  auto r = std::make_shared<workload::SessionGenerator>(schema, roll);
+  auto n = std::make_shared<uint64_t>(0);
+  return [d, r, n] { return ((*n)++ / 2) % 2 == 0 ? d->Next() : r->Next(); };
+}
+
+// Differential test: under a long stream with heavy cache pressure (tiny
+// caches force constant eviction), every tier must return identical
+// result rows for every query. Replacement decides only which chunks stay
+// cached, never answers, so the pressured chunk tier must also match a
+// roomy twin of the same policy bit for bit.
+class TierEquivalenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<const char*, uint64_t, const char*>> {};
 
 TEST_P(TierEquivalenceTest, AllTiersAgreeUnderPressure) {
   const char* policy = std::get<0>(GetParam());
@@ -96,24 +150,30 @@ TEST_P(TierEquivalenceTest, AllTiersAgreeUnderPressure) {
   copts.cache_bytes = cache_bytes;
   copts.policy = policy;
   core::ChunkCacheManager chunk_tier(sys.engine.get(), copts);
+  core::ChunkManagerOptions roomy_opts = copts;
+  roomy_opts.cache_bytes = 1ull << 30;
+  core::ChunkCacheManager roomy(sys.engine.get(), roomy_opts);
   core::QueryManagerOptions qopts;
   qopts.cache_bytes = cache_bytes;
   qopts.policy = policy;
   core::QueryCacheManager query_tier(sys.engine.get(), qopts);
   core::NoCacheManager none(sys.engine.get());
 
-  workload::QueryGenerator gen(sys.schema.get(), workload::EqprStream(77));
+  const auto next = MakeStream(std::get<2>(GetParam()), sys.schema.get());
   for (int i = 0; i < 120; ++i) {
-    const StarJoinQuery q = gen.Next();
-    core::QueryStats s1, s2, s3;
+    const StarJoinQuery q = next();
+    core::QueryStats s1, s2, s3, s4;
     auto a = chunk_tier.Execute(q, &s1);
     auto b = query_tier.Execute(q, &s2);
     auto c = none.Execute(q, &s3);
+    auto d = roomy.Execute(q, &s4);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ASSERT_TRUE(c.ok()) << c.status().ToString();
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
     ExpectSameRows(*a, *c, 4, "chunk vs none @" + std::to_string(i));
     ExpectSameRows(*b, *c, 4, "query vs none @" + std::to_string(i));
+    ExpectIdenticalRows(*a, *d, 4, "pressured vs roomy @" + std::to_string(i));
     // Sanity on stats invariants.
     EXPECT_EQ(s1.chunks_from_cache + s1.chunks_from_aggregation +
                   s1.chunks_from_backend,
@@ -121,16 +181,54 @@ TEST_P(TierEquivalenceTest, AllTiersAgreeUnderPressure) {
     EXPECT_LE(s1.saved_fraction, 1.0);
     EXPECT_GE(s1.saved_fraction, 0.0);
   }
-  // Caches stayed within budget throughout.
+  // Caches stayed within budget throughout, and only the pressured one
+  // evicted.
   EXPECT_LE(chunk_tier.chunk_cache().bytes_used(), cache_bytes);
   EXPECT_LE(query_tier.query_cache().bytes_used(), cache_bytes);
+  EXPECT_GT(chunk_tier.chunk_cache().stats().evictions, 0u);
+  EXPECT_EQ(roomy.chunk_cache().stats().evictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndSizes, TierEquivalenceTest,
+    PoliciesSizesAndStreams, TierEquivalenceTest,
     ::testing::Combine(::testing::Values("lru", "clock", "benefit-clock"),
                        ::testing::Values(uint64_t{64} << 10,
-                                         uint64_t{1} << 20)));
+                                         uint64_t{1} << 20),
+                       ::testing::Values("eqpr", "zipfian", "session")));
+
+// Figure 13's shape: benefit-weighted CLOCK saves more than LRU at every
+// cache size. The paper's 500k-tuple setup and 2/5/10/30 MB caches are
+// scaled by 30k/500k to 30k tuples and 120/300/600/1800 KB. Single
+// streams can tie within noise, so each budget sums the CSR of five EQPR
+// streams.
+TEST(IntegrationTest, BenefitClockBeatsLruAtEveryCacheSize) {
+  FullSystem sys = FullSystem::Make(30000, 2048, 0.1, 42);
+  for (uint64_t kb : {120, 300, 600, 1800}) {
+    std::map<std::string, double> csr_sum;
+    for (const char* policy : {"lru", "benefit-clock"}) {
+      for (uint64_t seed : {606, 1, 2, 3, 4}) {
+        core::ChunkManagerOptions opts;
+        opts.cache_bytes = kb << 10;
+        opts.policy = policy;
+        core::ChunkCacheManager tier(sys.engine.get(), opts);
+        workload::QueryGenerator gen(sys.schema.get(),
+                                     workload::EqprStream(seed));
+        core::CsrAccumulator csr;
+        for (int i = 0; i < 300; ++i) {
+          core::QueryStats s;
+          ASSERT_TRUE(tier.Execute(gen.Next(), &s).ok());
+          csr.Record(s);
+        }
+        csr_sum[policy] += csr.Csr();
+      }
+    }
+    std::printf("%4llu KB: CSR summed over 5 streams: lru %.3f, "
+                "benefit-clock %.3f\n",
+                static_cast<unsigned long long>(kb), csr_sum["lru"],
+                csr_sum["benefit-clock"]);
+    EXPECT_GT(csr_sum["benefit-clock"], csr_sum["lru"]) << kb << " KB";
+  }
+}
 
 // Extensions must not change answers either.
 TEST(IntegrationTest, ExtensionsPreserveAnswers) {

@@ -158,9 +158,8 @@ assert d.get('bench') == 'persistence', 'bench tag missing'
 assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0
 for key in ('queries', 'first_n', 'cache_mb',
             'cold_first_n_hit_ratio', 'warm_first_n_hit_ratio',
-            'warm_recovery_ms', 'crash_recovery_ms',
-            'warm_recovered_entries', 'crash_replayed_records',
-            'wal_records', 'wal_bytes', 'snapshots',
+            'crash_first_n_hit_ratio', 'warm_recovery_ms',
+            'crash_recovery_ms', 'warm_recovered_entries', 'snapshots',
             'snapshot_bytes', 'overhead_ms_per_query',
             'quarantined', 'identical', 'crash_identical'):
     assert key in d, f'{key} missing'
@@ -168,13 +167,15 @@ assert d['identical'], 'warm/cold restart results diverged'
 assert d['crash_identical'], 'post-crash results diverged'
 assert d['quarantined'] == 0, 'healthy run quarantined entries'
 assert d['warm_recovered_entries'] > 0, 'nothing recovered'
-assert d['wal_records'] > 0 and d['snapshots'] > 0
+assert d['snapshots'] > 0
 assert d['warm_first_n_hit_ratio'] > d['cold_first_n_hit_ratio'], \
     'warm restart did not beat cold start'
-print('BENCH_persistence.json schema OK; warm first-N %.3f vs '
+assert d['crash_first_n_hit_ratio'] > d['cold_first_n_hit_ratio'], \
+    'restart after a crash did not beat cold start'
+print('BENCH_persistence.json schema OK; first-N warm %.3f, crash %.3f, '
       'cold %.3f, recovery %.1f ms'
-      % (d['warm_first_n_hit_ratio'], d['cold_first_n_hit_ratio'],
-         d['warm_recovery_ms']))
+      % (d['warm_first_n_hit_ratio'], d['crash_first_n_hit_ratio'],
+         d['cold_first_n_hit_ratio'], d['warm_recovery_ms']))
 d = json.load(open('BENCH_serving.json'))
 assert d.get('bench') == 'serving', 'bench tag missing'
 assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0

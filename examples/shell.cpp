@@ -9,14 +9,19 @@
 //   chunkcache> .cache
 //   chunkcache> .quit
 //
+// --persist-dir keeps the cache across restarts, snapshot-only: a
+// background thread writes a snapshot every --snapshot-every cache admits
+// and evicts (0 = only at exit), and a clean exit writes a final one.
+//
 // Server mode (DESIGN.md §15) — instead of the REPL, expose the same tier
 // over the binary-framed TCP protocol until stdin reaches EOF:
 //
 //   $ ./shell --serve            # ephemeral port, printed on startup
 //   $ ./shell --serve=7437 --rate-qps=200 --max-deadline-ms=500
 //
-// An unknown argument, a numeric flag whose value is not a number, or an
-// unknown --policy= name prints the usage line and exits with status 2.
+// An unknown argument, a numeric flag whose value is not a number, an
+// unknown --policy= name or an empty --persist-dir= prints the usage line
+// and exits with status 2.
 
 #include <algorithm>
 #include <cctype>
@@ -154,10 +159,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--persist-dir=", 0) == 0) {
       persist_dir = arg.substr(14);
-      if (persist_dir.empty()) {
-        std::fprintf(stderr, "--persist-dir needs a path\n");
-        return 1;
-      }
+      if (persist_dir.empty()) return BadArgument(arg);
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
       if (!ParseU64(arg.substr(17), &snapshot_every)) return BadArgument(arg);
     } else if (!ParseU64(arg, &tuples)) {
@@ -193,10 +195,10 @@ int main(int argc, char** argv) {
   mopts.trace_capacity = 64;  // per-query span trees for .trace
   mopts.enable_compression = compress;  // --compress: encoded cache tier
   mopts.policy = policy;
-  // --persist-dir: the cache survives restarts (snapshot + WAL). Note the
-  // shell regenerates its synthetic facts per run, so recovered entries
-  // are only meaningful when num_tuples (and the seed) match the run that
-  // wrote them — which they do for repeated invocations of this binary.
+  // --persist-dir: the cache survives restarts. Note the shell regenerates
+  // its synthetic facts per run, so recovered entries are only meaningful
+  // when num_tuples (and the seed) match the run that wrote them — which
+  // they do for repeated invocations of this binary.
   mopts.persist_dir = persist_dir;
   mopts.persist_snapshot_every = snapshot_every;
   core::ChunkCacheManager tier(&engine, mopts);
@@ -375,19 +377,13 @@ int main(int argc, char** argv) {
       }
       if (tier.persistence() != nullptr) {
         const auto& rec = tier.recovery_stats();
-        std::printf("persist: wal records=%llu bytes=%llu errors=%llu "
-                    "snapshots=%llu bytes=%llu errors=%llu\n",
-                    (unsigned long long)cs.persist_wal_records,
-                    (unsigned long long)cs.persist_wal_bytes,
-                    (unsigned long long)cs.persist_wal_errors,
+        std::printf("persist: snapshots=%llu bytes=%llu errors=%llu\n",
                     (unsigned long long)cs.persist_snapshots,
                     (unsigned long long)cs.persist_snapshot_bytes,
                     (unsigned long long)cs.persist_snapshot_errors);
-        std::printf("  recovery: entries=%llu replayed=%llu truncated "
-                    "bytes=%llu quarantined=%llu in %.2fms (generation %llu)\n",
+        std::printf("  recovery: entries=%llu quarantined=%llu in %.2fms "
+                    "(generation %llu)\n",
                     (unsigned long long)cs.persist_recovered_entries,
-                    (unsigned long long)cs.persist_replayed_records,
-                    (unsigned long long)cs.persist_truncated_bytes,
                     (unsigned long long)cs.persist_quarantined,
                     rec.recovery_ns / 1e6,
                     (unsigned long long)tier.persistence()->generation());

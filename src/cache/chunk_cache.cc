@@ -119,8 +119,8 @@ void ChunkCache::Insert(std::shared_ptr<CachedChunk> chunk) {
   const uint64_t bytes = chunk->ByteSize();
   const double benefit = chunk->benefit;
   // Event-sink bookkeeping: victim keys are collected under the shard lock
-  // but delivered only after it is dropped, so the WAL writer never
-  // extends shard hold times.
+  // but delivered only after it is dropped, so a sink never extends shard
+  // hold times.
   std::vector<Key> evicted;
   std::shared_ptr<const CachedChunk> admitted;
   {

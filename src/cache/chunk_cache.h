@@ -172,27 +172,21 @@ struct ChunkCacheStats {
 
   // Persistence counters, filled by ChunkCacheManager::StatsSnapshot when
   // persist_dir is configured; zero otherwise. (DESIGN.md §14.)
-  uint64_t persist_wal_records = 0;    ///< WAL records appended.
-  uint64_t persist_wal_bytes = 0;      ///< WAL bytes appended.
-  uint64_t persist_wal_errors = 0;     ///< Failed appends/fsyncs (dropped).
   uint64_t persist_snapshots = 0;      ///< Snapshot generations completed.
   uint64_t persist_snapshot_bytes = 0;
   uint64_t persist_snapshot_errors = 0;
   uint64_t persist_recovered_entries = 0;  ///< Entries served warm at boot.
-  uint64_t persist_replayed_records = 0;   ///< WAL records replayed at boot.
-  uint64_t persist_truncated_bytes = 0;    ///< Torn-tail bytes dropped.
   uint64_t persist_quarantined = 0;        ///< Corrupt entries dropped.
   uint64_t persist_recovery_ns = 0;        ///< Wall time of last recovery.
   uint64_t disk_write_errors = 0;  ///< DiskManager short writes / fsyncs.
 };
 
-/// Observer of cache admission state changes, used by the persistence WAL.
-/// Both callbacks run OUTSIDE every shard lock, so implementations may
-/// block on I/O or call back into the cache without holding up other
-/// shards. Because they run after the lock is dropped, callbacks from
-/// concurrent inserts may interleave in an order different from the cache
-/// mutations; consumers must treat the stream as idempotent hints (the WAL
-/// replay does).
+/// Observer of cache admission state changes; the persistence layer counts
+/// them to trigger background snapshots. Both callbacks run OUTSIDE every
+/// shard lock, so implementations may call back into the cache without
+/// holding up other shards. Because they run after the lock is dropped,
+/// callbacks from concurrent inserts may interleave in an order different
+/// from the cache mutations; consumers must treat the stream as hints.
 class CacheEventSink {
  public:
   virtual ~CacheEventSink() = default;

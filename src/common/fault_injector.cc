@@ -48,10 +48,6 @@ const char* FaultSiteName(FaultSite site) {
       return "scan-admit";
     case FaultSite::kCacheInsert:
       return "cache-insert";
-    case FaultSite::kWalAppend:
-      return "wal-append";
-    case FaultSite::kWalFsync:
-      return "wal-fsync";
     case FaultSite::kSnapshotWrite:
       return "snapshot-write";
     case FaultSite::kSnapshotRename:

@@ -22,13 +22,11 @@ enum class FaultSite : uint8_t {
   kAggScan,        ///< AggFile range scans -> IoError
   kScanAdmit,      ///< ScanScheduler::Compute admission -> ResourceExhausted
   kCacheInsert,    ///< ChunkCache::Insert silently dropped (admission loss)
-  kWalAppend,      ///< CachePersistence WAL record append -> IoError
-  kWalFsync,       ///< CachePersistence WAL fsync -> IoError
   kSnapshotWrite,  ///< Cache snapshot shadow-file write -> IoError
   kSnapshotRename, ///< Cache snapshot atomic rename -> IoError
-  kRecoveryRead,   ///< Snapshot/WAL read during recovery -> IoError
+  kRecoveryRead,   ///< Snapshot read during recovery -> IoError
 };
-inline constexpr uint32_t kNumFaultSites = 13;
+inline constexpr uint32_t kNumFaultSites = 11;
 
 /// Stable human-readable site name ("disk-read", "cache-insert", ...).
 const char* FaultSiteName(FaultSite site);

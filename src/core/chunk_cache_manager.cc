@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "backend/aggregator.h"
 #include "common/fault_injector.h"
@@ -20,28 +23,69 @@ using chunks::ChunkCoords;
 using chunks::GroupBySpec;
 using storage::AggTuple;
 
-/// WAL event sink: translates cache admissions/evictions into persistence
-/// records. The cache invokes it outside every shard lock (CacheEventSink
-/// contract), so WAL appends — and the occasional inline auto-snapshot —
-/// never extend shard hold times.
+/// Background snapshot trigger: counts cache admit and evict events (the
+/// cache delivers them outside every shard lock) and wakes one persister
+/// thread once persist_snapshot_every of them have accumulated. A query
+/// thread pays one atomic increment per event; encoding, writing and
+/// fsync all happen on the persister, one snapshot at a time.
 class ChunkCacheManager::PersistSink final : public cache::CacheEventSink {
  public:
-  explicit PersistSink(ChunkCacheManager* mgr) : mgr_(mgr) {}
+  PersistSink(ChunkCacheManager* mgr, uint64_t every)
+      : mgr_(mgr), every_(every), thread_([this] { Run(); }) {}
 
-  void OnAdmit(
-      const std::shared_ptr<const cache::CachedChunk>& entry) override {
-    mgr_->persist_->LogAdmit(mgr_->ToPersisted(*entry));
-    mgr_->MaybeAutoSnapshot();
+  /// Stops the persister after the snapshot it may be writing (which
+  /// SimulateCrash() abandons).
+  ~PersistSink() override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
   }
 
-  void OnEvict(const cache::ChunkKey& key) override {
-    mgr_->persist_->LogEvict(key.group_by_id, key.chunk_num,
-                             key.filter_hash);
-    mgr_->MaybeAutoSnapshot();
+  PersistSink(const PersistSink&) = delete;
+  PersistSink& operator=(const PersistSink&) = delete;
+
+  void OnAdmit(const std::shared_ptr<const cache::CachedChunk>&) override {
+    Count();
   }
+  void OnEvict(const cache::ChunkKey&) override { Count(); }
 
  private:
-  ChunkCacheManager* mgr_;
+  void Count() {
+    if (events_.fetch_add(1, std::memory_order_relaxed) + 1 != every_) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      wake_ = true;
+    }
+    cv_.notify_one();
+  }
+
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] { return wake_ || stop_; });
+      if (stop_) return;
+      wake_ = false;
+      lock.unlock();
+      // Events from here on count toward the next snapshot. A failed
+      // snapshot is counted on persist.snapshot_errors; the previous one
+      // stays authoritative.
+      events_.store(0, std::memory_order_relaxed);
+      (void)mgr_->PersistSnapshot();
+      lock.lock();
+    }
+  }
+
+  ChunkCacheManager* const mgr_;
+  const uint64_t every_;
+  std::atomic<uint64_t> events_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool wake_ = false;  // guarded by mu_
+  bool stop_ = false;  // guarded by mu_
+  std::thread thread_;  // declared last: starts once the above exist
 };
 
 ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
@@ -108,11 +152,12 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
 ChunkCacheManager::~ChunkCacheManager() {
   DrainPrefetch();
   if (persist_ != nullptr) {
-    // Detach the sink first so no straggler event reaches a dying WAL
-    // writer, then leave a final snapshot (skipped after SimulateCrash —
-    // a killed process writes nothing on the way down).
+    // Detach the sink and join the persister, then leave a final snapshot
+    // (skipped after SimulateCrash — a killed process writes nothing on
+    // the way down).
     cache_.SetEventSink(nullptr);
-    if (!persist_->crashed()) (void)SnapshotNow(/*only_if_idle=*/false);
+    persist_sink_.reset();
+    (void)PersistSnapshot();
     persist_.reset();
   }
   engine_->pool().UnbindMetrics(metrics_);
@@ -122,7 +167,6 @@ void ChunkCacheManager::RecoverPersistedCache() {
   if (options_.persist_dir.empty()) return;
   storage::PersistOptions popts;
   popts.dir = options_.persist_dir;
-  popts.wal_fsync_every = options_.persist_wal_fsync_every;
   auto opened = storage::CachePersistence::Open(std::move(popts), metrics_);
   CHUNKCACHE_CHECK_MSG(opened.ok(), "persist_dir is unusable");
   persist_ = std::move(*opened);
@@ -159,52 +203,40 @@ void ChunkCacheManager::RecoverPersistedCache() {
   }
   rec.entries.clear();
   recovery_info_ = std::move(rec);
-  // Only now start logging: the recovered admissions above are already
-  // durable, re-logging them would just bloat the fresh WAL generation.
-  persist_sink_ = std::make_unique<PersistSink>(this);
-  cache_.SetEventSink(persist_sink_.get());
-}
-
-storage::PersistedChunk ChunkCacheManager::ToPersisted(
-    const cache::CachedChunk& entry) const {
-  storage::PersistedChunk out;
-  out.group_by_id = entry.group_by_id;
-  out.chunk_num = entry.chunk_num;
-  out.filter_hash = entry.filter_hash;
-  out.benefit = entry.benefit;
-  out.rows = static_cast<uint32_t>(entry.rows());
-  if (entry.compressed()) {
-    out.blob = entry.encoded;
-    out.raw_bytes = entry.raw_bytes;
-  } else {
-    out.raw_bytes = storage::codec::RawPayloadBytes(entry.cols);
-    storage::codec::EncodeAggColumns(entry.cols, &out.blob);
+  // Only now start counting: the recovered entries are already durable.
+  if (options_.persist_snapshot_every > 0) {
+    persist_sink_ =
+        std::make_unique<PersistSink>(this, options_.persist_snapshot_every);
+    cache_.SetEventSink(persist_sink_.get());
   }
-  return out;
 }
 
 Status ChunkCacheManager::PersistSnapshot() {
-  return SnapshotNow(/*only_if_idle=*/false);
-}
-
-void ChunkCacheManager::MaybeAutoSnapshot() {
-  if (persist_ == nullptr || options_.persist_snapshot_every == 0) return;
-  if (persist_->wal_records_since_snapshot() <
-      options_.persist_snapshot_every) {
-    return;
-  }
-  (void)SnapshotNow(/*only_if_idle=*/true);
-}
-
-Status ChunkCacheManager::SnapshotNow(bool only_if_idle) {
   if (persist_ == nullptr) return Status::OK();
-  return persist_->WriteSnapshot(
-      [this](std::vector<storage::PersistedChunk>* out) {
-        cache_.ForEachEntry([this, out](const cache::ChunkHandle& h) {
-          out->push_back(ToPersisted(*h));
+  // Streams shard by shard: ForEachEntry pins one shard's entries at a
+  // time, and each entry is encoded straight into the writer's reused
+  // frame buffer (a compressed entry's blob is copied there verbatim).
+  return persist_->WriteSnapshot([this](storage::SnapshotWriter* w) {
+    cache_.ForEachEntry([w](const cache::ChunkHandle& h) {
+      storage::PersistedChunk head;
+      head.group_by_id = h->group_by_id;
+      head.chunk_num = h->chunk_num;
+      head.filter_hash = h->filter_hash;
+      head.benefit = h->benefit;
+      head.rows = static_cast<uint32_t>(h->rows());
+      if (h->compressed()) {
+        head.raw_bytes = h->raw_bytes;
+        w->Add(head, [&h](std::vector<uint8_t>* out) {
+          out->insert(out->end(), h->encoded.begin(), h->encoded.end());
         });
-      },
-      only_if_idle);
+      } else {
+        head.raw_bytes = storage::codec::RawPayloadBytes(h->cols);
+        w->Add(head, [&h](std::vector<uint8_t>* out) {
+          storage::codec::EncodeAggColumns(h->cols, out);
+        });
+      }
+    });
+  });
 }
 
 void ChunkCacheManager::DrainPrefetch() { prefetch_wg_.Wait(); }
@@ -300,15 +332,10 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.decoded_lru_hits = snap.counter("cache.decoded_lru_hits");
   s.decoded_lru_evictions = snap.counter("cache.decoded_lru_evictions");
   s.simd_level = static_cast<uint64_t>(snap.gauge("simd.level"));
-  s.persist_wal_records = snap.counter("persist.wal_records");
-  s.persist_wal_bytes = snap.counter("persist.wal_bytes");
-  s.persist_wal_errors = snap.counter("persist.wal_errors");
   s.persist_snapshots = snap.counter("persist.snapshots");
   s.persist_snapshot_bytes = snap.counter("persist.snapshot_bytes");
   s.persist_snapshot_errors = snap.counter("persist.snapshot_errors");
   s.persist_recovered_entries = snap.counter("persist.recovered_entries");
-  s.persist_replayed_records = snap.counter("persist.replayed_records");
-  s.persist_truncated_bytes = snap.counter("persist.truncated_bytes");
   s.persist_quarantined = snap.counter("persist.quarantined");
   s.persist_recovery_ns =
       static_cast<uint64_t>(snap.gauge("persist.recovery_ns"));

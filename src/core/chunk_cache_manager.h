@@ -78,23 +78,20 @@ struct ChunkManagerOptions {
 
   /// Crash-safe persistent cache (DESIGN.md §14). When non-empty, the
   /// cache's contents (each entry with its benefit) live in this
-  /// directory as generation-numbered snapshots plus a CRC32C-framed WAL
-  /// of admissions/evictions. Construction recovers: newest
-  /// readable snapshot + WAL replay, torn tails truncated, corrupt
-  /// entries quarantined (dropped + counted, never served), then traffic
-  /// is served warm — bit-identical to a cold run, since cache warmth
-  /// never changes answers. Empty = no persistence (today's behavior).
+  /// directory as generation-numbered snapshots, written by one
+  /// background thread so no query thread encodes, writes or fsyncs for
+  /// persistence. Construction recovers the newest readable snapshot
+  /// (corrupt entries quarantined: dropped + counted, never served), then
+  /// traffic is served warm — bit-identical to a cold run, since cache
+  /// warmth never changes answers. A crash loses only the admissions
+  /// since the last completed snapshot. Empty = no persistence.
   std::string persist_dir;
 
-  /// WAL records between automatic snapshots (0 = snapshot only on
-  /// explicit PersistSnapshot() calls and at clean shutdown). The
-  /// destructor always writes a final snapshot unless SimulateCrash()
-  /// fired, so a clean shutdown restarts without a long WAL replay.
+  /// Cache admit and evict events between background snapshots (0 =
+  /// snapshot only on explicit PersistSnapshot() calls and at clean
+  /// shutdown). The destructor always writes a final snapshot unless
+  /// SimulateCrash() fired.
   uint64_t persist_snapshot_every = 4096;
-
-  /// WAL records per fsync (1 = every record — full durability; 0 =
-  /// never fsync; N amortizes, risking the last < N records on a crash).
-  uint64_t persist_wal_fsync_every = 1;
 
   /// Per-query trace spans retained in a ring buffer (0 = tracing off).
   /// When off, every trace hook in Execute is a disarmed branch-and-return
@@ -171,9 +168,10 @@ class ChunkCacheManager final : public MiddleTier {
   /// Shared-scan scheduler every owned miss batch goes through.
   backend::ScanScheduler* scan_scheduler() { return scheduler_.get(); }
 
-  /// Writes a cache snapshot generation now (rotate WAL, shadow file,
-  /// atomic rename, GC). No-op without persist_dir. Exposed so operators
-  /// (shell) and tests can force a generation boundary.
+  /// Writes a cache snapshot generation now (shadow file, atomic rename,
+  /// GC) on the calling thread, after any snapshot already running. No-op
+  /// without persist_dir. Exposed so operators (shell) and tests can force
+  /// a generation boundary.
   Status PersistSnapshot();
 
   /// Persistence subsystem; null when persist_dir is empty.
@@ -272,26 +270,12 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<backend::NonGroupByPredicate>& preds,
       uint64_t filter_hash, WorkCounters* work);
 
-  /// Cache entry -> durable form: compressed entries persist their codec
-  /// blob verbatim; raw entries encode here (the blob self-checksums).
-  storage::PersistedChunk ToPersisted(const cache::CachedChunk& entry) const;
-
   /// Recovery half of the warm-restart path: opens the persistence
   /// subsystem, re-admits every recovered entry through the normal Insert
   /// path (decode-verifying each blob; failures are quarantined), and
-  /// only then installs the WAL event sink so recovered state isn't
-  /// re-logged.
+  /// only then installs the event sink that starts the background
+  /// persister, so recovered inserts do not count toward a snapshot.
   void RecoverPersistedCache();
-
-  /// Auto-snapshot trigger, called by the event sink after each logged
-  /// event; snapshots inline (try-lock, so concurrent triggers skip) once
-  /// persist_snapshot_every records accumulate.
-  void MaybeAutoSnapshot();
-
-  /// Shared body of PersistSnapshot / MaybeAutoSnapshot: gathers entries
-  /// via ForEachEntry (one shard lock at a time) inside the persistence
-  /// rotate-then-gather protocol.
-  Status SnapshotNow(bool only_if_idle);
 
   backend::BackendEngine* engine_;
   ChunkManagerOptions options_;
@@ -340,9 +324,9 @@ class ChunkCacheManager final : public MiddleTier {
   Histogram* encode_ns_ = nullptr;  // codec.encode_ns
   Histogram* decode_ns_ = nullptr;  // codec.decode_ns
 
-  // Crash-safe persistence (persist_dir option). The sink is detached from
-  // the cache before persist_ is destroyed (see the destructor), so no
-  // event can reach a dead WAL writer.
+  // Crash-safe persistence (persist_dir option). The sink owns the
+  // background persister; the destructor detaches and joins it before
+  // the shutdown snapshot and before persist_ is destroyed.
   class PersistSink;
   std::unique_ptr<storage::CachePersistence> persist_;
   std::unique_ptr<PersistSink> persist_sink_;

@@ -30,10 +30,7 @@ struct PersistedChunk {
 };
 
 struct PersistOptions {
-  std::string dir;  ///< Created if missing; holds snapshot-G / wal-G files.
-  /// WAL records per fsync (1 = every record, 0 = never fsync). Records
-  /// not yet synced can be lost to a crash; replay absorbs the gap.
-  uint64_t wal_fsync_every = 1;
+  std::string dir;  ///< Created if missing; holds snapshot-G files.
 };
 
 /// What recovery found. Entries are handed to the manager exactly once
@@ -41,34 +38,61 @@ struct PersistOptions {
 struct RecoveryStats {
   uint64_t generation = 0;          ///< Snapshot generation recovered from.
   uint64_t snapshot_entries = 0;    ///< Entries read from the snapshot.
-  uint64_t wal_records = 0;         ///< WAL records replayed on top.
-  uint64_t wal_truncated_bytes = 0; ///< Torn-tail bytes dropped.
   uint64_t quarantined = 0;         ///< Corrupt entries dropped, not served.
   uint64_t recovery_ns = 0;
   std::vector<PersistedChunk> entries;  ///< Surviving state, stable order.
 };
 
-/// Crash-safe persistence for the chunk cache (DESIGN.md §14): an
-/// append-only WAL of admissions / evictions in CRC32C-framed records, plus generation-numbered snapshots written
-/// shadow-file-then-atomic-rename. Recovery = newest readable snapshot +
-/// replay of every WAL at or above its generation, truncating torn tails
-/// and quarantining (dropping + counting) corrupt entries — it never
-/// fails on corrupt *content*; the worst case is a cold start. Only an
-/// unusable directory makes Open() return an error.
+/// Streams one snapshot's admit records into its shadow file through one
+/// reused frame buffer, so no snapshot ever holds more than one encoded
+/// entry. Handed to the producer of CachePersistence::WriteSnapshot.
+class SnapshotWriter {
+ public:
+  /// Frames one admit record: `chunk`'s key, benefit, raw_bytes and rows,
+  /// then the codec blob `append_blob` appends to the frame buffer (so a
+  /// payload is encoded straight into the record). `chunk.blob` is not
+  /// read. After a failed write, or once SimulateCrash() fires, every
+  /// later call is a no-op and the snapshot is abandoned.
+  void Add(const PersistedChunk& chunk,
+           const std::function<void(std::vector<uint8_t>*)>& append_blob);
+
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+ private:
+  friend class CachePersistence;
+  SnapshotWriter(int fd, const std::atomic<bool>* crashed)
+      : fd_(fd), crashed_(crashed) {}
+
+  /// Writes the frame buffer out (the snapshot-write fault site).
+  void Flush();
+
+  int fd_;
+  const std::atomic<bool>* crashed_;
+  std::vector<uint8_t> frame_;
+  bool ok_ = true;
+  uint64_t entries_ = 0;
+  uint64_t bytes_ = 0;
+};
+
+/// Crash-safe persistence for the chunk cache (DESIGN.md §14):
+/// generation-numbered snapshots of CRC32C-framed records, each written
+/// to a shadow file, fsynced and atomically renamed. Recovery = newest
+/// readable snapshot, else the next older, else cold, quarantining
+/// (dropping + counting) corrupt entries — it never fails on corrupt
+/// *content*. Only an unusable directory makes Open() return an error.
+/// The cache needs no log: any subset of valid entries is a correct
+/// cache, so a crash costs the admissions since the last snapshot, and
+/// only warmth.
 ///
-/// Thread safety: LogAdmit/LogEvict are safe from any thread.
-/// WriteSnapshot serializes internally; `only_if_idle` turns a contended
-/// call into a no-op so the auto-trigger never piles up behind a running
-/// snapshot.
+/// Thread safety: WriteSnapshot may be called from any thread; calls
+/// serialize, so at most one snapshot runs at a time.
 class CachePersistence {
  public:
-  /// Opens `opts.dir` (creating it), recovers, truncates any torn WAL
-  /// tail, and opens a fresh WAL generation for appending. `metrics` may
-  /// be null (counters then live on a private registry).
+  /// Opens `opts.dir` (creating it) and recovers. `metrics` may be null
+  /// (counters then live on a private registry).
   static Result<std::unique_ptr<CachePersistence>> Open(
       PersistOptions opts, MetricsRegistry* metrics = nullptr);
-
-  ~CachePersistence();
 
   CachePersistence(const CachePersistence&) = delete;
   CachePersistence& operator=(const CachePersistence&) = delete;
@@ -76,31 +100,14 @@ class CachePersistence {
   /// Moves the recovered state out (entries are large; call once).
   RecoveryStats TakeRecovery();
 
-  // -- WAL appends (thread-safe, best-effort: an append that fails —
-  // injected or real — is counted on persist.wal_errors and dropped;
-  // losing a WAL record costs warmth, never correctness) ----------------
-  void LogAdmit(const PersistedChunk& chunk);
-  void LogEvict(uint32_t group_by_id, uint64_t chunk_num,
-                uint64_t filter_hash);
+  /// Writes the next snapshot generation: `produce` streams every entry
+  /// through the SnapshotWriter into snapshot-<G>.tmp, which is fsynced,
+  /// atomically renamed to snapshot-<G> and the directory fsynced; only
+  /// then are older generations GCed. On any failure the previous
+  /// snapshot remains authoritative.
+  Status WriteSnapshot(const std::function<void(SnapshotWriter*)>& produce);
 
-  /// Writes the next snapshot generation. The protocol rotates the WAL
-  /// *first*, then calls `gather_entries` (so any event
-  /// racing the snapshot lands in the new WAL, where idempotent replay
-  /// absorbs the duplicate), writes snapshot-<G>.tmp, fsyncs, atomically
-  /// renames to snapshot-<G>, fsyncs the directory, and only then GCs
-  /// older generations. On any failure the previous snapshot remains
-  /// authoritative and no event has been lost.
-  Status WriteSnapshot(
-      const std::function<void(std::vector<PersistedChunk>*)>& gather_entries,
-      bool only_if_idle = false);
-
-  /// WAL records appended since the last completed snapshot (the
-  /// auto-snapshot trigger input).
-  uint64_t wal_records_since_snapshot() const {
-    return records_since_snapshot_.load(std::memory_order_relaxed);
-  }
-
-  /// Current (open-for-append) WAL generation.
+  /// Generation of the newest snapshot recovered or written.
   uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
@@ -109,40 +116,34 @@ class CachePersistence {
   /// blob failed decode) on the shared persist.quarantined counter.
   void CountQuarantined() { quarantined_->Increment(); }
 
-  /// Test hook simulating a process kill: every later append, fsync and
-  /// snapshot (including the manager's shutdown snapshot) becomes a
-  /// no-op, so a subsequent Open() sees exactly what a crash at this
-  /// point would have left on disk.
-  void SimulateCrash() { crashed_.store(true, std::memory_order_release); }
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
+  /// Test hook simulating a process kill: a snapshot in flight is
+  /// abandoned before its rename and every later one (the manager's
+  /// shutdown snapshot included) is a no-op, so a subsequent Open() sees
+  /// exactly what a crash at this point would have left on disk.
+  void SimulateCrash();
 
-  // -- WAL/snapshot frame layout, shared with tests ---------------------
+  // -- Snapshot frame layout, shared with tests ----------------------------
   // File = 16-byte header (magic u64 | generation u64) then records:
   //   u32 crc32c(type|payload) | u32 len(type|payload) | u8 type | payload
-  static constexpr uint64_t kWalMagic = 0x314C4157'43434843ull;   // CHCCWAL1
   static constexpr uint64_t kSnapMagic = 0x50414E53'43434843ull;  // CHCCSNAP
   static constexpr size_t kFileHeaderBytes = 16;
   static constexpr size_t kRecordHeaderBytes = 8;
-  // Type 3 is retired and never reused. Recovery treats it like any
-  // unknown type: a snapshot skips it, a WAL stops replay there.
+  // Types 2 and 3 are retired and never reused. Recovery skips them like
+  // any unknown type.
   enum RecordType : uint8_t {
     kAdmit = 1,   ///< key, benefit, raw_bytes, rows, blob
-    kEvict = 2,   ///< key
-    kFooter = 4,  ///< snapshot only: entry count (validity marker)
+    kFooter = 4,  ///< entry count (validity marker)
   };
 
  private:
   CachePersistence(PersistOptions opts, MetricsRegistry* metrics);
 
-  Status OpenWal(uint64_t generation);
-  void AppendRecord(uint8_t type, const std::vector<uint8_t>& payload);
-  void MaybeFsyncWal();
+  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
-  /// Recovery pipeline (constructor only; no locks needed).
+  /// Recovery pipeline (Open only; no locks needed).
   void Recover();
   bool ReadSnapshot(uint64_t generation,
                     std::vector<PersistedChunk>* entries);
-  void ReplayWal(uint64_t generation);
 
   PersistOptions opts_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
@@ -150,30 +151,20 @@ class CachePersistence {
 
   // Recovered state, moved out by TakeRecovery().
   RecoveryStats recovery_;
-  // Replay working state, alive only inside Recover() (stack-owned there;
-  // this pointer just lets ReplayWal reach it).
-  struct ReplayState;
-  ReplayState* replay_ = nullptr;
 
-  mutable std::mutex wal_mu_;   ///< Guards wal_fd_ + append counters.
-  std::mutex snapshot_mu_;      ///< Serializes WriteSnapshot.
-  int wal_fd_ = -1;
-  uint64_t wal_unsynced_ = 0;   ///< Records appended since last fsync.
+  std::mutex snapshot_mu_;  ///< Serializes WriteSnapshot.
+  uint64_t next_generation_ = 1;  ///< Guarded by snapshot_mu_.
   std::atomic<uint64_t> generation_{0};
-  std::atomic<uint64_t> records_since_snapshot_{0};
+  /// Guards the rename-and-GC commit against SimulateCrash, so no
+  /// snapshot commits after the simulated kill.
+  std::mutex commit_mu_;
   std::atomic<bool> crashed_{false};
 
   // persist.* instruments (stable pointers from the registry).
-  Counter* wal_records_;
-  Counter* wal_bytes_;
-  Counter* wal_fsyncs_;
-  Counter* wal_errors_;
   Counter* snapshots_;
   Counter* snapshot_bytes_;
   Counter* snapshot_errors_;
   Counter* recovered_entries_;
-  Counter* replayed_records_;
-  Counter* truncated_bytes_;
   Counter* quarantined_;
   Histogram* snapshot_ns_;
   Histogram* recovery_ns_;

@@ -259,7 +259,7 @@ TEST(CodecBlob, WrongFormatTagRejected) {
   EncodeAggColumns(cols, &blob);
   // Change the format tag and re-seal the blob with a valid CRC32C. The
   // checksum then passes, so only the tag check keeps a blob of another
-  // format, read back from a snapshot or WAL, away from the column decoders.
+  // format, read back from a snapshot, away from the column decoders.
   blob[0] ^= 0xFF;
   const size_t body = blob.size() - 4;
   const uint32_t crc = Crc32c(blob.data(), body);

@@ -1,12 +1,15 @@
 // Crash-safe persistent cache tests (DESIGN.md §14), three layers deep:
 //
-//  1. CachePersistence unit tests on raw temp directories — WAL round
-//     trip, torn-tail truncation at EVERY byte offset of the final
-//     record, snapshot rotation/GC, skip-and-quarantine of corrupt
-//     snapshot records, and the retired record type 3.
+//  1. CachePersistence unit tests on raw temp directories — snapshot
+//     rotation/GC, skip-and-quarantine of corrupt snapshot records, the
+//     retired record type 3, and a simulated kill in the middle of a
+//     snapshot.
 //  2. End-to-end warm restart through ChunkCacheManager — a restarted
 //     manager must answer bit-identically to a cold one (compression on
-//     and off) while doing strictly less backend work.
+//     and off) while doing strictly less backend work, whether it
+//     restarts from the shutdown snapshot, from a background snapshot
+//     after a crash, or from a directory in the older snapshot + log
+//     format.
 //  3. Crash-point fuzz — arm each persistence fault site in turn, kill
 //     the process mid-traffic (SimulateCrash), restart, and require a
 //     recovered cache that still answers bit-identically. CrashStorm is
@@ -15,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -37,6 +41,7 @@
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
 #include "storage/cache_persist.h"
+#include "storage/codec.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
 
@@ -54,6 +59,7 @@ using storage::CachePersistence;
 using storage::PersistedChunk;
 using storage::PersistOptions;
 using storage::RecoveryStats;
+using storage::SnapshotWriter;
 using storage::Tuple;
 
 // ------------------------------ helpers -------------------------------------
@@ -87,8 +93,8 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// The only file in `dir` whose name starts with `prefix` ("wal-",
-/// "snapshot-"); fails the test if there is not exactly one.
+/// The only file in `dir` whose name starts with `prefix` ("snapshot-");
+/// fails the test if there is not exactly one.
 std::string OnlyFileWithPrefix(const std::string& dir,
                                const std::string& prefix) {
   std::string found;
@@ -110,7 +116,7 @@ struct Frame {
   uint8_t type;
 };
 
-/// Walks the record stream of a WAL/snapshot image using the public frame
+/// Walks the record stream of a snapshot image using the public frame
 /// layout (u32 crc | u32 len | u8 type | payload).
 std::vector<Frame> ParseFrames(const std::vector<uint8_t>& bytes) {
   std::vector<Frame> out;
@@ -126,21 +132,58 @@ std::vector<Frame> ParseFrames(const std::vector<uint8_t>& bytes) {
   return out;
 }
 
-/// A valid-CRC frame of record type 3, retired from the format. It carried
-/// a per-group-by benefit value: u32 group_by_id | f64 value.
-std::vector<uint8_t> RetiredType3Frame() {
-  const uint32_t len = 1 + 4 + 8;
+template <typename T>
+void Put(std::vector<uint8_t>* b, T v) {
+  const size_t n = b->size();
+  b->resize(n + sizeof(T));
+  std::memcpy(b->data() + n, &v, sizeof(T));
+}
+
+/// A valid-CRC frame of record `type` around `payload`, framed by hand
+/// from the public layout.
+std::vector<uint8_t> HandFrame(uint8_t type,
+                               const std::vector<uint8_t>& payload) {
+  const uint32_t len = static_cast<uint32_t>(1 + payload.size());
   std::vector<uint8_t> frame(CachePersistence::kRecordHeaderBytes + len);
   uint8_t* body = frame.data() + CachePersistence::kRecordHeaderBytes;
-  body[0] = 3;
-  const uint32_t group_by_id = 2;
-  const double value = 0.625;
-  std::memcpy(body + 1, &group_by_id, 4);
-  std::memcpy(body + 5, &value, 8);
+  body[0] = type;
+  if (!payload.empty()) std::memcpy(body + 1, payload.data(), payload.size());
   const uint32_t crc = Crc32c(body, len);
   std::memcpy(frame.data(), &crc, 4);
   std::memcpy(frame.data() + 4, &len, 4);
   return frame;
+}
+
+/// 16-byte file header: magic u64 | generation u64.
+std::vector<uint8_t> FileHeader(uint64_t magic, uint64_t generation) {
+  std::vector<uint8_t> b;
+  Put(&b, magic);
+  Put(&b, generation);
+  return b;
+}
+
+/// Payload of an admit record (type 1): key, benefit, raw_bytes, rows,
+/// blob length, blob.
+std::vector<uint8_t> AdmitPayload(const PersistedChunk& c) {
+  std::vector<uint8_t> b;
+  Put(&b, c.group_by_id);
+  Put(&b, c.chunk_num);
+  Put(&b, c.filter_hash);
+  Put(&b, c.benefit);
+  Put(&b, c.raw_bytes);
+  Put(&b, c.rows);
+  Put(&b, static_cast<uint32_t>(c.blob.size()));
+  b.insert(b.end(), c.blob.begin(), c.blob.end());
+  return b;
+}
+
+/// A valid-CRC frame of record type 3, retired from the format. It carried
+/// a per-group-by benefit value: u32 group_by_id | f64 value.
+std::vector<uint8_t> RetiredType3Frame() {
+  std::vector<uint8_t> payload;
+  Put(&payload, uint32_t{2});
+  Put(&payload, 0.625);
+  return HandFrame(3, payload);
 }
 
 /// Rewrites `path` with `frame` inserted at byte offset `at`.
@@ -152,14 +195,24 @@ void SpliceFrame(const std::string& path, size_t at,
   WriteFileBytes(path, image);
 }
 
-std::unique_ptr<CachePersistence> OpenOrDie(const std::string& dir,
-                                            uint64_t fsync_every = 1) {
+std::unique_ptr<CachePersistence> OpenOrDie(const std::string& dir) {
   PersistOptions opts;
   opts.dir = dir;
-  opts.wal_fsync_every = fsync_every;
   auto r = CachePersistence::Open(opts);
   EXPECT_TRUE(r.ok()) << r.status().message();
   return std::move(r).value();
+}
+
+/// Streams `chunks` through the SnapshotWriter as one snapshot.
+Status WriteChunks(CachePersistence* p,
+                   const std::vector<PersistedChunk>& chunks) {
+  return p->WriteSnapshot([&chunks](SnapshotWriter* w) {
+    for (const PersistedChunk& c : chunks) {
+      w->Add(c, [&c](std::vector<uint8_t>* out) {
+        out->insert(out->end(), c.blob.begin(), c.blob.end());
+      });
+    }
+  });
 }
 
 PersistedChunk MakeChunk(uint32_t gb, uint64_t num, uint8_t fill) {
@@ -187,130 +240,6 @@ int StormIters(int fallback) {
   return n > 0 ? n : fallback;
 }
 
-// ----------------------------- WAL round trip -------------------------------
-
-TEST(PersistWal, AdmitEvictBenefitRoundTrip) {
-  ScratchDir dir;
-  const PersistedChunk a = MakeChunk(1, 10, 3);
-  const PersistedChunk b = MakeChunk(1, 11, 4);
-  const PersistedChunk c = MakeChunk(2, 12, 5);
-  {
-    auto p = OpenOrDie(dir.path);
-    p->LogAdmit(a);
-    p->LogAdmit(b);
-    p->LogAdmit(c);
-    p->LogEvict(b.group_by_id, b.chunk_num, b.filter_hash);
-    EXPECT_EQ(p->wal_records_since_snapshot(), 4u);
-  }
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.wal_records, 4u);
-  EXPECT_EQ(rec.wal_truncated_bytes, 0u);
-  EXPECT_EQ(rec.quarantined, 0u);
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
-  EXPECT_TRUE(SameChunk(rec.entries[1], c));
-}
-
-TEST(PersistWal, ReAdmitSameKeyUpserts) {
-  ScratchDir dir;
-  PersistedChunk a = MakeChunk(3, 7, 1);
-  {
-    auto p = OpenOrDie(dir.path);
-    p->LogAdmit(a);
-    a.benefit = 9.0;
-    a.blob.assign(6, 0xEE);
-    p->LogAdmit(a);  // replacement: replay must keep the newer payload
-  }
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  ASSERT_EQ(rec.entries.size(), 1u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
-}
-
-TEST(PersistWal, CrashDropsSubsequentAppends) {
-  ScratchDir dir;
-  {
-    auto p = OpenOrDie(dir.path);
-    p->LogAdmit(MakeChunk(1, 1, 1));
-    p->SimulateCrash();
-    p->LogAdmit(MakeChunk(1, 2, 2));  // after the "kill": must not land
-  }
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  ASSERT_EQ(rec.entries.size(), 1u);
-  EXPECT_EQ(rec.entries[0].chunk_num, 1u);
-}
-
-// Torn tail: truncate the WAL at every byte offset inside the final
-// record. Every cut must recover cleanly to exactly the prefix records,
-// counting the torn bytes.
-TEST(PersistWal, TornTailTruncatedAtEveryByteOffset) {
-  ScratchDir master;
-  std::vector<PersistedChunk> chunks;
-  for (uint8_t i = 0; i < 4; ++i) chunks.push_back(MakeChunk(1, i, i));
-  {
-    auto p = OpenOrDie(master.path);
-    for (const auto& c : chunks) p->LogAdmit(c);
-  }
-  const std::string wal = OnlyFileWithPrefix(master.path, "wal-");
-  const std::vector<uint8_t> image = ReadFileBytes(wal);
-  const std::vector<Frame> frames = ParseFrames(image);
-  ASSERT_EQ(frames.size(), 4u);
-  const size_t last_start = frames.back().offset;
-  ASSERT_EQ(last_start + CachePersistence::kRecordHeaderBytes +
-                frames.back().len,
-            image.size());
-
-  for (size_t cut = last_start; cut < image.size(); ++cut) {
-    ScratchDir torn;
-    std::vector<uint8_t> img(image.begin(), image.begin() + cut);
-    WriteFileBytes(torn.path + "/" + fs::path(wal).filename().string(), img);
-    auto p = OpenOrDie(torn.path);
-    RecoveryStats rec = p->TakeRecovery();
-    ASSERT_EQ(rec.entries.size(), 3u) << "cut at byte " << cut;
-    for (size_t i = 0; i < 3; ++i) {
-      EXPECT_TRUE(SameChunk(rec.entries[i], chunks[i])) << "cut " << cut;
-    }
-    EXPECT_EQ(rec.wal_records, 3u) << "cut " << cut;
-    EXPECT_EQ(rec.wal_truncated_bytes, cut - last_start) << "cut " << cut;
-    EXPECT_EQ(rec.quarantined, 0u);
-    // The torn tail was truncated away: appends to the recovered WAL line
-    // up on a record boundary again.
-    p->LogAdmit(chunks[3]);
-    p.reset();
-    auto p2 = OpenOrDie(torn.path);
-    RecoveryStats rec2 = p2->TakeRecovery();
-    ASSERT_EQ(rec2.entries.size(), 4u) << "cut " << cut;
-    EXPECT_TRUE(SameChunk(rec2.entries[3], chunks[3]));
-  }
-}
-
-// A corrupted (bit-flipped) record in the middle of the WAL ends replay at
-// that point: the suffix cannot be trusted once framing is broken.
-TEST(PersistWal, CorruptMiddleRecordStopsReplayAtTear) {
-  ScratchDir dir;
-  std::vector<PersistedChunk> chunks;
-  for (uint8_t i = 0; i < 3; ++i) chunks.push_back(MakeChunk(2, i, i));
-  {
-    auto p = OpenOrDie(dir.path);
-    for (const auto& c : chunks) p->LogAdmit(c);
-  }
-  const std::string wal = OnlyFileWithPrefix(dir.path, "wal-");
-  std::vector<uint8_t> image = ReadFileBytes(wal);
-  const std::vector<Frame> frames = ParseFrames(image);
-  ASSERT_EQ(frames.size(), 3u);
-  // Flip one payload byte of the middle record.
-  image[frames[1].offset + CachePersistence::kRecordHeaderBytes + 9] ^= 0x40;
-  WriteFileBytes(wal, image);
-
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  ASSERT_EQ(rec.entries.size(), 1u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], chunks[0]));
-  EXPECT_GT(rec.wal_truncated_bytes, 0u);
-}
-
 // ------------------------------- snapshots ----------------------------------
 
 TEST(PersistSnapshot, RotateRecoverAndGc) {
@@ -320,31 +249,29 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
   const PersistedChunk c = MakeChunk(2, 102, 3);
   {
     auto p = OpenOrDie(dir.path);
-    p->LogAdmit(a);
-    p->LogAdmit(b);
-    Status s = p->WriteSnapshot([&](std::vector<PersistedChunk>* out) {
-      out->push_back(a);
-      out->push_back(b);
-    });
+    ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
+    EXPECT_EQ(p->generation(), 1u);
+    Status s = WriteChunks(p.get(), {a, b, c});
     ASSERT_TRUE(s.ok()) << s.message();
-    EXPECT_EQ(p->wal_records_since_snapshot(), 0u);
-    p->LogAdmit(c);  // lands in the rotated WAL, replayed over the snapshot
+    EXPECT_EQ(p->generation(), 2u);
   }
-  // A fresh directory opens at generation 1; the snapshot bumped it to 2
-  // and garbage collected the generation-1 WAL once durable.
-  EXPECT_FALSE(fs::exists(dir.path + "/wal-1"));
+  // A fresh directory's first snapshot is generation 1; the second one
+  // garbage collected it once durable.
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-1"));
   EXPECT_TRUE(fs::exists(dir.path + "/snapshot-2"));
-  EXPECT_TRUE(fs::exists(dir.path + "/wal-2"));
 
   auto p = OpenOrDie(dir.path);
+  EXPECT_EQ(p->generation(), 2u);
   RecoveryStats rec = p->TakeRecovery();
   EXPECT_EQ(rec.generation, 2u);
-  EXPECT_EQ(rec.snapshot_entries, 2u);
-  EXPECT_EQ(rec.wal_records, 1u);
+  EXPECT_EQ(rec.snapshot_entries, 3u);
   ASSERT_EQ(rec.entries.size(), 3u);
   EXPECT_TRUE(SameChunk(rec.entries[0], a));
   EXPECT_TRUE(SameChunk(rec.entries[1], b));
   EXPECT_TRUE(SameChunk(rec.entries[2], c));
+  // The next snapshot continues above every generation on disk.
+  ASSERT_TRUE(WriteChunks(p.get(), {c}).ok());
+  EXPECT_EQ(p->generation(), 3u);
 }
 
 // Corrupt snapshot record: skipped and quarantined; neighbors survive.
@@ -354,10 +281,8 @@ TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   for (uint8_t i = 0; i < 3; ++i) chunks.push_back(MakeChunk(4, i, i));
   {
     auto p = OpenOrDie(dir.path);
-    Status s = p->WriteSnapshot(
-        [&](std::vector<PersistedChunk>* out) { *out = chunks; });
+    Status s = WriteChunks(p.get(), chunks);
     ASSERT_TRUE(s.ok()) << s.message();
-    p->SimulateCrash();  // keep the shutdown path from appending anything
   }
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   std::vector<uint8_t> image = ReadFileBytes(snap);
@@ -381,11 +306,7 @@ TEST(PersistSnapshot, BadMagicFallsBackCold) {
   ScratchDir dir;
   {
     auto p = OpenOrDie(dir.path);
-    Status s = p->WriteSnapshot([&](std::vector<PersistedChunk>* out) {
-      out->push_back(MakeChunk(1, 1, 1));
-    });
-    ASSERT_TRUE(s.ok());
-    p->SimulateCrash();
+    ASSERT_TRUE(WriteChunks(p.get(), {MakeChunk(1, 1, 1)}).ok());
   }
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   std::vector<uint8_t> image = ReadFileBytes(snap);
@@ -405,7 +326,7 @@ TEST(PersistSnapshot, StrayTmpIgnoredAndUnlinked) {
   const PersistedChunk a = MakeChunk(9, 5, 2);
   {
     auto p = OpenOrDie(dir.path);
-    p->LogAdmit(a);
+    ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
   }
   WriteFileBytes(dir.path + "/snapshot-7.tmp", {1, 2, 3, 4});
   auto p = OpenOrDie(dir.path);
@@ -413,6 +334,41 @@ TEST(PersistSnapshot, StrayTmpIgnoredAndUnlinked) {
   ASSERT_EQ(rec.entries.size(), 1u);
   EXPECT_TRUE(SameChunk(rec.entries[0], a));
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-7.tmp"));
+}
+
+// A kill in the middle of a snapshot abandons it before its rename: the
+// previous generation stays authoritative, and no later snapshot (the
+// shutdown one included) commits.
+TEST(PersistSnapshot, CrashMidSnapshotKeepsPreviousGeneration) {
+  ScratchDir dir;
+  const PersistedChunk a = MakeChunk(1, 1, 1);
+  const PersistedChunk b = MakeChunk(1, 2, 2);
+  {
+    auto p = OpenOrDie(dir.path);
+    ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
+    Status s = p->WriteSnapshot([&](SnapshotWriter* w) {
+      w->Add(b, [&b](std::vector<uint8_t>* out) {
+        out->insert(out->end(), b.blob.begin(), b.blob.end());
+      });
+      p->SimulateCrash();
+      w->Add(a, [&a](std::vector<uint8_t>* out) {
+        out->insert(out->end(), a.blob.begin(), a.blob.end());
+      });
+    });
+    EXPECT_TRUE(s.ok()) << s.message();
+    EXPECT_EQ(p->generation(), 1u);
+    ASSERT_TRUE(WriteChunks(p.get(), {b}).ok());
+    EXPECT_EQ(p->generation(), 1u);
+  }
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2"));
+  EXPECT_TRUE(fs::exists(dir.path + "/snapshot-2.tmp"));
+
+  auto p = OpenOrDie(dir.path);
+  RecoveryStats rec = p->TakeRecovery();
+  EXPECT_EQ(rec.generation, 1u);
+  ASSERT_EQ(rec.entries.size(), 1u);
+  EXPECT_TRUE(SameChunk(rec.entries[0], a));
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2.tmp"));
 }
 
 // --------------------------- end-to-end fixture -----------------------------
@@ -493,7 +449,6 @@ class PersistenceFixture : public ::testing::Test {
     ChunkManagerOptions opts;
     opts.persist_dir = dir;
     opts.persist_snapshot_every = 64;
-    opts.persist_wal_fsync_every = 8;
     opts.enable_compression = compression;
     return opts;
   }
@@ -526,7 +481,7 @@ void RunWarmRestart(backend::BackendEngine* engine,
 
   ChunkCacheManager warm(engine, opts);
   const auto& rec = warm.recovery_stats();
-  EXPECT_GT(rec.snapshot_entries + rec.wal_records, 0u);
+  EXPECT_GT(rec.snapshot_entries, 0u);
   EXPECT_EQ(rec.quarantined, 0u);
   const auto warm_stats = warm.StatsSnapshot();
   EXPECT_GT(warm_stats.persist_recovered_entries, 0u);
@@ -593,70 +548,187 @@ TEST_F(PersistenceFixture, CrossTierRestartBitIdentical) {
 // ------------------------- retired record type 3 ---------------------------
 
 // Directories written while record type 3 existed may still hold one. A
-// WAL stops replay at it and counts the rest as torn; a snapshot skips it
-// and keeps its neighbours. Either way the warm cache answers exactly
-// like a cold one: a retired record costs warmth, never correctness.
+// snapshot skips it and keeps its neighbours, and the warm cache answers
+// exactly like a cold one: a retired record costs warmth, never
+// correctness.
 TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
   const auto queries = MakeQueries(12, 59);
   const auto reference = ReferenceRows(queries);
-  ScratchDir wal_dir, snap_dir;
-  for (const std::string* dir : {&wal_dir.path, &snap_dir.path}) {
+  ScratchDir dir;
+  {
     ChunkManagerOptions opts;
-    opts.persist_dir = *dir;
+    opts.persist_dir = dir.path;
     opts.persist_snapshot_every = 0;
     ChunkCacheManager mgr(engine_.get(), opts);
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
-    if (dir == &snap_dir.path) {
-      ASSERT_TRUE(mgr.PersistSnapshot().ok());
-    }
+    ASSERT_TRUE(mgr.PersistSnapshot().ok());
     mgr.persistence()->SimulateCrash();  // no shutdown snapshot
   }
 
-  // WAL: admit, type 3, admit, ... recovers only the first admit.
-  const std::string wal = OnlyFileWithPrefix(wal_dir.path, "wal-");
-  const std::vector<Frame> wal_frames = ParseFrames(ReadFileBytes(wal));
-  ASSERT_GE(wal_frames.size(), 2u);
-  ASSERT_EQ(wal_frames[0].type, CachePersistence::kAdmit);
-  SpliceFrame(wal, wal_frames[1].offset, RetiredType3Frame());
-  {
-    auto p = OpenOrDie(wal_dir.path);
-    RecoveryStats rec = p->TakeRecovery();
-    EXPECT_EQ(rec.wal_records, 1u);
-    EXPECT_EQ(rec.entries.size(), 1u);
-    EXPECT_EQ(rec.wal_truncated_bytes,
-              ReadFileBytes(wal).size() - wal_frames[1].offset);
-    EXPECT_EQ(rec.quarantined, 0u);
-  }
-
   // Snapshot: admit, type 3, admit, ..., footer keeps every admit.
-  const std::string snap = OnlyFileWithPrefix(snap_dir.path, "snapshot-");
+  const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   const std::vector<Frame> snap_frames = ParseFrames(ReadFileBytes(snap));
   ASSERT_GE(snap_frames.size(), 3u);
   ASSERT_EQ(snap_frames.back().type, CachePersistence::kFooter);
   const size_t admits = snap_frames.size() - 1;
   SpliceFrame(snap, snap_frames[1].offset, RetiredType3Frame());
   {
-    auto p = OpenOrDie(snap_dir.path);
+    auto p = OpenOrDie(dir.path);
     RecoveryStats rec = p->TakeRecovery();
     EXPECT_EQ(rec.snapshot_entries, admits);
     EXPECT_EQ(rec.entries.size(), admits);
     EXPECT_EQ(rec.quarantined, 0u);
   }
 
-  for (const std::string* dir : {&wal_dir.path, &snap_dir.path}) {
-    ChunkManagerOptions opts;
-    opts.persist_dir = *dir;
-    ChunkCacheManager warm(engine_.get(), opts);
-    EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  ChunkManagerOptions opts;
+  opts.persist_dir = dir.path;
+  ChunkCacheManager warm(engine_.get(), opts);
+  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryStats st;
+    auto r = warm.Execute(queries[i], &st);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
+  }
+}
+
+// ------------------------- background persister ----------------------------
+
+// No explicit snapshot call: the background persister alone must leave a
+// snapshot that warms a restart after a kill.
+TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
+  const auto queries = MakeQueries(30, 23);
+  const auto reference = ReferenceRows(queries);
+  ScratchDir dir;
+  ChunkManagerOptions opts;
+  opts.persist_dir = dir.path;
+  opts.persist_snapshot_every = 16;
+  uint64_t cold_backend = 0;
+  {
+    ChunkCacheManager cold(engine_.get(), opts);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
-      auto r = warm.Execute(queries[i], &st);
-      ASSERT_TRUE(r.ok()) << *dir;
-      EXPECT_TRUE(RowsEqual(*r, reference[i])) << *dir << " query " << i;
+      auto r = cold.Execute(queries[i], &st);
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      EXPECT_TRUE(RowsEqual(*r, reference[i])) << "cold query " << i;
+      cold_backend += st.chunks_from_backend;
     }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (cold.StatsSnapshot().persist_snapshots < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(cold.StatsSnapshot().persist_snapshots, 1u);
+    cold.persistence()->SimulateCrash();  // no shutdown snapshot
+  }
+
+  ChunkCacheManager warm(engine_.get(), opts);
+  EXPECT_GT(warm.recovery_stats().snapshot_entries, 0u);
+  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 0u);
+  uint64_t warm_backend = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryStats st;
+    auto r = warm.Execute(queries[i], &st);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "warm query " << i;
+    warm_backend += st.chunks_from_backend;
+  }
+  EXPECT_LT(warm_backend, cold_backend);
+}
+
+// ----------------------- older directory format ----------------------------
+
+// A directory written in the older format holds a snapshot plus write-ahead
+// logs (wal-<G>) of admit and evict records. Recovery takes exactly the
+// snapshot's entries and unlinks the log unread: its admissions are lost
+// warmth, its evictions never apply, and the answers stay bit-identical.
+TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversFromSnapshot) {
+  const auto queries = MakeQueries(12, 61);
+  const auto reference = ReferenceRows(queries);
+  // Real chunks, so every blob decode-verifies at recovery.
+  std::vector<PersistedChunk> chunks;
+  {
+    ChunkCacheManager mgr(engine_.get(), ChunkManagerOptions{});
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+    mgr.chunk_cache().ForEachEntry([&chunks](const cache::ChunkHandle& h) {
+      PersistedChunk c;
+      c.group_by_id = h->group_by_id;
+      c.chunk_num = h->chunk_num;
+      c.filter_hash = h->filter_hash;
+      c.benefit = h->benefit;
+      c.rows = static_cast<uint32_t>(h->rows());
+      c.raw_bytes = storage::codec::RawPayloadBytes(h->cols);
+      storage::codec::EncodeAggColumns(h->cols, &c.blob);
+      chunks.push_back(std::move(c));
+    });
+  }
+  ASSERT_GE(chunks.size(), 4u);
+  const size_t half = chunks.size() / 2;
+  const std::vector<PersistedChunk> in_snapshot(chunks.begin(),
+                                                chunks.begin() + half);
+  const std::vector<PersistedChunk> log_only(chunks.begin() + half,
+                                             chunks.end());
+
+  ScratchDir dir;
+  std::vector<uint8_t> snap = FileHeader(CachePersistence::kSnapMagic, 2);
+  for (const PersistedChunk& c : in_snapshot) {
+    const auto f = HandFrame(CachePersistence::kAdmit, AdmitPayload(c));
+    snap.insert(snap.end(), f.begin(), f.end());
+  }
+  std::vector<uint8_t> footer;
+  Put(&footer, static_cast<uint64_t>(in_snapshot.size()));
+  const auto ff = HandFrame(CachePersistence::kFooter, footer);
+  snap.insert(snap.end(), ff.begin(), ff.end());
+  WriteFileBytes(dir.path + "/snapshot-2", snap);
+
+  // The log: admits of the other chunks, then an evict (type 2: key
+  // only) of the first snapshot entry.
+  constexpr uint64_t kOldLogMagic = 0x314C4157'43434843ull;
+  std::vector<uint8_t> log = FileHeader(kOldLogMagic, 2);
+  for (const PersistedChunk& c : log_only) {
+    const auto f = HandFrame(CachePersistence::kAdmit, AdmitPayload(c));
+    log.insert(log.end(), f.begin(), f.end());
+  }
+  std::vector<uint8_t> evict;
+  Put(&evict, in_snapshot[0].group_by_id);
+  Put(&evict, in_snapshot[0].chunk_num);
+  Put(&evict, in_snapshot[0].filter_hash);
+  const auto ef = HandFrame(2, evict);
+  log.insert(log.end(), ef.begin(), ef.end());
+  const std::string log_path = dir.path + "/wal-2";
+  WriteFileBytes(log_path, log);
+
+  ChunkManagerOptions opts;
+  opts.persist_dir = dir.path;
+  ChunkCacheManager warm(engine_.get(), opts);
+  EXPECT_FALSE(fs::exists(log_path));
+  EXPECT_EQ(warm.recovery_stats().generation, 2u);
+  EXPECT_EQ(warm.recovery_stats().snapshot_entries, in_snapshot.size());
+  const auto stats = warm.StatsSnapshot();
+  EXPECT_EQ(stats.persist_recovered_entries, in_snapshot.size());
+  EXPECT_EQ(stats.persist_quarantined, 0u);
+  EXPECT_EQ(warm.chunk_cache().num_chunks(), in_snapshot.size());
+  for (const PersistedChunk& c : in_snapshot) {
+    EXPECT_TRUE(warm.chunk_cache().Contains(c.group_by_id, c.chunk_num,
+                                            c.filter_hash));
+  }
+  for (const PersistedChunk& c : log_only) {
+    EXPECT_FALSE(warm.chunk_cache().Contains(c.group_by_id, c.chunk_num,
+                                             c.filter_hash));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryStats st;
+    auto r = warm.Execute(queries[i], &st);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
   }
 }
 
@@ -708,8 +780,7 @@ void CrashCycle(backend::BackendEngine* engine,
 TEST_F(PersistenceFixture, CrashPointFuzzEveryFaultSite) {
   const auto queries = MakeQueries(12, 29);
   const auto reference = ReferenceRows(queries);
-  const FaultSite sites[] = {FaultSite::kWalAppend, FaultSite::kWalFsync,
-                             FaultSite::kSnapshotWrite,
+  const FaultSite sites[] = {FaultSite::kSnapshotWrite,
                              FaultSite::kSnapshotRename};
   for (FaultSite site : sites) {
     for (uint64_t skip : {0ull, 2ull, 9ull}) {
@@ -719,7 +790,7 @@ TEST_F(PersistenceFixture, CrashPointFuzzEveryFaultSite) {
   }
 }
 
-// Recovery-side faults: every snapshot/WAL read can fail and construction
+// Recovery-side faults: every snapshot read can fail and construction
 // must still succeed (worst case a cold cache) with correct answers.
 TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
   const auto queries = MakeQueries(12, 37);
@@ -756,10 +827,11 @@ TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
   }
 }
 
-// Concurrent traffic while the WAL sink and explicit snapshots run: the
-// event sink fires outside shard locks from many workers while the main
-// thread forces full snapshot rotations (this is the interleaving TSAN
-// needs to see). The restarted cache must still answer bit-identically.
+// Concurrent traffic while background and explicit snapshots run: the
+// event sink fires outside shard locks from many workers and wakes the
+// persister every 16 events, while the main thread forces snapshots of
+// its own (this is the interleaving TSAN needs to see). The restarted
+// cache must still answer bit-identically.
 TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
   const auto reference_queries = MakeQueries(10, 53);
   const auto reference = ReferenceRows(reference_queries);
@@ -768,7 +840,7 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
     ChunkManagerOptions opts = PersistOpts(dir.path);
     opts.num_workers = 4;
     opts.cache_shards = 4;
-    opts.persist_snapshot_every = 0;  // only the explicit + shutdown ones
+    opts.persist_snapshot_every = 16;  // background persister live too
     ChunkCacheManager mgr(engine_.get(), opts);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -801,7 +873,7 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
 // ------------------------------ tier2 storm ---------------------------------
 
 /// Randomized kill/restart storm reusing ONE persistence directory: every
-/// cycle arms all five persistence sites at low probability, runs traffic,
+/// cycle arms all three persistence sites at low probability, runs traffic,
 /// flips a coin between clean shutdown and SIGKILL, then the next cycle
 /// recovers on top of whatever survived. Answers must stay bit-identical
 /// throughout. Iterations scale with CHUNKCACHE_STORM_ITERS (tier2 CI
@@ -810,8 +882,7 @@ TEST_F(PersistenceFixture, CrashStormKillRestartCycles) {
   const int iters = StormIters(2);
   const auto queries = MakeQueries(10, 41);
   const auto reference = ReferenceRows(queries);
-  const FaultSite sites[] = {FaultSite::kWalAppend, FaultSite::kWalFsync,
-                             FaultSite::kSnapshotWrite,
+  const FaultSite sites[] = {FaultSite::kSnapshotWrite,
                              FaultSite::kSnapshotRename,
                              FaultSite::kRecoveryRead};
   ScratchDir dir;

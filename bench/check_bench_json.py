@@ -30,22 +30,6 @@ for row in rows:
         assert key in row, f'end_to_end.{key} missing'
 print('BENCH_agg.json schema OK; kernel speedup %.2fx'
       % k['speedup'])
-d = json.load(open('BENCH_coalesce.json'))
-assert d.get('bench') == 'coalesce', 'bench tag missing'
-assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0
-assert d['threads'] > 1 and d['waves'] > 0
-for shape in ('identical', 'overlapping'):
-    s = d[shape]
-    for key in ('qps', 'distinct_chunks', 'backend_chunks',
-                'coalesced_waits', 'dedup_saved_chunks',
-                'shared_scan_batches', 'shared_scan_requests',
-                'queue_depth_hwm', 'inflight_peak', 'errors'):
-        assert key in s, f'{shape}.{key} missing'
-    assert s['errors'] == 0, f'{shape} had query errors'
-    assert s['backend_chunks'] == s['distinct_chunks'], \
-        f'{shape}: a distinct chunk was computed more than once'
-print('BENCH_coalesce.json schema OK; identical storm %.0f q/s'
-      % d['identical']['qps'])
 d = json.load(open('BENCH_faults.json'))
 assert d.get('bench') == 'faults', 'bench tag missing'
 assert isinstance(d['num_tuples'], int) and d['num_tuples'] > 0

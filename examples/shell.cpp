@@ -320,11 +320,8 @@ int main(int argc, char** argv) {
                   (unsigned long long)cs.dedup_saved_chunks,
                   (unsigned long long)cs.prefetch_dropped_inflight,
                   (unsigned long long)cs.inflight_peak);
-      std::printf("shared scans: batches=%llu requests=%llu queue hwm=%llu "
-                  "deadline sheds=%llu\n",
-                  (unsigned long long)cs.shared_scan_batches,
+      std::printf("scan slots: requests=%llu deadline sheds=%llu\n",
                   (unsigned long long)cs.shared_scan_requests,
-                  (unsigned long long)cs.scan_queue_depth_hwm,
                   (unsigned long long)cs.scan_deadline_sheds);
       std::printf("faults: injected=%llu retries=%llu degraded=%llu "
                   "deadline expired=%llu checksum failures=%llu\n",

@@ -26,8 +26,8 @@ struct RowRun {
 /// Sorts `runs` by starting row and merges back-to-back neighbours
 /// (next.first == cur.first + cur.count) into single reads. `max_rows`
 /// caps one merged read's row count (0 = unlimited): readers materialize a
-/// whole run as one columnar batch, so shared scans spanning many chunks
-/// need the cap to bound per-read memory. A split lands on a run boundary,
+/// whole run as one columnar batch, so reads spanning many chunks need
+/// the cap to bound per-read memory. A split lands on a run boundary,
 /// so row order — and therefore fold order — is unchanged.
 std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
                                     uint64_t max_rows = 0);

@@ -118,8 +118,7 @@ std::optional<size_t> BackendEngine::PickSource(
 Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
     const GroupBySpec& target, const std::vector<uint64_t>& chunk_nums,
     const std::vector<NonGroupByPredicate>& non_group_by,
-    WorkCounters* work, ThreadPool* executor, const ExecControl* ctrl) {
-  if (ctrl != nullptr) CHUNKCACHE_RETURN_IF_ERROR(ctrl->Check());
+    WorkCounters* work, ThreadPool* executor) {
   const auto disk_before = pool_->disk()->stats();
   // Non-group-by predicates reference base-level detail, so they force
   // computation from the base table.
@@ -177,7 +176,6 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
     for (uint64_t chunk_num : chunk_nums) {
       ChunkData data;
       data.chunk_num = chunk_num;
-      data.source_rows = per_chunk.at(chunk_num).rows_consumed();
       data.cols = per_chunk.at(chunk_num).TakeColumns();
       out.push_back(std::move(data));
     }
@@ -208,16 +206,6 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
   Status first_error = Status::OK();
   ParallelFor(executor, chunk_nums.size(), [&](uint64_t i) {
     const uint64_t chunk_num = chunk_nums[i];
-    // Per-chunk control check: remaining chunks shed once the query's
-    // deadline passes or it is cancelled, instead of scanning to the end.
-    if (ctrl != nullptr) {
-      Status ctrl_status = ctrl->Check();
-      if (!ctrl_status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = std::move(ctrl_status);
-        return;
-      }
-    }
     auto box_or = scheme_->SourceBox(target, chunk_num, source_spec);
     Status status = box_or.status();
     if (status.ok()) {
@@ -268,7 +256,6 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
                                  std::memory_order_relaxed);
         ChunkData data;
         data.chunk_num = chunk_num;
-        data.source_rows = agg.rows_consumed();
         data.cols = agg.TakeColumns();
         out[i] = std::move(data);
       }

@@ -12,7 +12,6 @@
 #include "backend/star_join_query.h"
 #include "chunks/chunking_scheme.h"
 #include "common/cost_model.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "index/bitmap_index.h"
@@ -24,11 +23,6 @@ namespace chunkcache::backend {
 struct ChunkData {
   uint64_t chunk_num = 0;
   storage::AggColumns cols;
-
-  /// Source rows folded to produce this chunk. Lets the shared-scan
-  /// scheduler attribute one merged scan's work back to the individual
-  /// requesters chunk by chunk.
-  uint64_t source_rows = 0;
 
   /// In-memory footprint, charged against the cache budget. Uses
   /// capacity(), matching what the allocator actually holds.
@@ -84,11 +78,11 @@ struct BackendOptions {
   /// Largest merged read, in source rows (0 = unlimited). Computing chunks
   /// from a clustered source merges the runs of adjacent source chunks
   /// into single sequential reads; each read is bulk-decoded into one
-  /// columnar batch, so this bounds the batch's memory even when a shared
-  /// scan unions the source runs of many requested chunks. Splits land on
-  /// run boundaries, preserving fold order, so every cap gives bit-identical
-  /// results — down to 1, one read per source chunk. 1M rows ~= 32 MB of
-  /// fact columns per in-flight read.
+  /// columnar batch, so this bounds the batch's memory even when one call
+  /// requests many adjacent chunks. Splits land on run boundaries,
+  /// preserving fold order, so every cap gives bit-identical results —
+  /// down to 1, one read per source chunk. 1M rows ~= 32 MB of fact
+  /// columns per in-flight read.
   uint64_t max_merged_run_rows = 1ull << 20;
 };
 
@@ -132,15 +126,13 @@ class BackendEngine {
   /// is chunk_nums[i] with canonically sorted rows, identical to the
   /// serial path. Passing nullptr keeps the exact serial code path.
   ///
-  /// `ctrl` (optional) is checked at entry and before each chunk's scan,
-  /// so an expired deadline or a cancelled query sheds remaining work
-  /// mid-computation instead of finishing a doomed scan.
+  /// A call takes no deadline: once started it runs to completion.
+  /// Callers bound the wait *before* it (ScanScheduler's slot admission).
   Result<std::vector<ChunkData>> ComputeChunks(
       const chunks::GroupBySpec& target,
       const std::vector<uint64_t>& chunk_nums,
       const std::vector<NonGroupByPredicate>& non_group_by,
-      WorkCounters* work, ThreadPool* executor = nullptr,
-      const ExecControl* ctrl = nullptr);
+      WorkCounters* work, ThreadPool* executor = nullptr);
 
   /// Evaluates a full star-join query (the no-cache path and the
   /// query-cache miss path): bitmap selection when available and selective

@@ -2,112 +2,29 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "common/fault_injector.h"
 #include "common/logging.h"
 
 namespace chunkcache::backend {
 
-ScanScheduler::ScanScheduler(BackendEngine* engine, ScanSchedulerOptions options,
+ScanScheduler::ScanScheduler(BackendEngine* engine,
+                             uint32_t max_outstanding_scans,
                              MetricsRegistry* metrics)
-    : engine_(engine), options_(options), metrics_(metrics) {
+    : engine_(engine),
+      max_outstanding_(std::max<uint32_t>(1, max_outstanding_scans)),
+      metrics_(metrics) {
   CHUNKCACHE_CHECK(engine_ != nullptr);
-  options_.max_outstanding_scans =
-      std::max<uint32_t>(1, options_.max_outstanding_scans);
-  options_.max_queue_depth = std::max<uint32_t>(1, options_.max_queue_depth);
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
   requests_ = metrics_->GetCounter("scheduler.requests");
-  merged_requests_ = metrics_->GetCounter("scheduler.merged_requests");
-  batches_ = metrics_->GetCounter("scheduler.batches");
   completions_ = metrics_->GetCounter("scheduler.completions");
   deadline_sheds_ = metrics_->GetCounter("scheduler.deadline_sheds");
   request_errors_ = metrics_->GetCounter("scheduler.request_errors");
-  queue_depth_hwm_ = metrics_->GetGauge("scheduler.queue_depth_hwm");
   outstanding_hwm_ = metrics_->GetGauge("scheduler.outstanding_hwm");
   scan_ns_ = metrics_->GetHistogram("scheduler.scan_ns");
-}
-
-std::shared_ptr<ScanScheduler::Batch> ScanScheduler::FindJoinableLocked(
-    const chunks::GroupBySpec& target,
-    const std::vector<NonGroupByPredicate>& preds) {
-  for (const auto& b : open_) {
-    if (!b->closed && b->target == target && b->preds == preds) return b;
-  }
-  return nullptr;
-}
-
-void ScanScheduler::DistributeLocked(Batch* batch,
-                                     const std::vector<uint64_t>& union_nums,
-                                     std::vector<ChunkData>* out,
-                                     const WorkCounters& batch_work) {
-  std::unordered_map<uint64_t, size_t> slot;
-  slot.reserve(union_nums.size());
-  for (size_t i = 0; i < union_nums.size(); ++i) slot[union_nums[i]] = i;
-
-  // How many requests reference each chunk (with the coalescing layer in
-  // front of the scheduler the sets are disjoint, but standalone callers
-  // may overlap), and each request's exact tuple share — computed before
-  // any ChunkData is moved out.
-  std::unordered_map<uint64_t, uint32_t> refs;
-  refs.reserve(union_nums.size());
-  uint64_t total_rows = 0;
-  for (const ChunkData& d : *out) total_rows += d.source_rows;
-  std::vector<uint64_t> req_rows(batch->requests.size(), 0);
-  for (size_t r = 0; r < batch->requests.size(); ++r) {
-    for (uint64_t c : *batch->requests[r]->chunks) {
-      ++refs[c];
-      req_rows[r] += (*out)[slot.at(c)].source_rows;
-    }
-  }
-
-  uint64_t pages_read_left = batch_work.pages_read;
-  uint64_t pages_written_left = batch_work.pages_written;
-  for (size_t r = 0; r < batch->requests.size(); ++r) {
-    Request* req = batch->requests[r];
-    req->result.reserve(req->chunks->size());
-    for (uint64_t c : *req->chunks) {
-      ChunkData& src = (*out)[slot.at(c)];
-      if (--refs.at(c) == 0) {
-        req->result.push_back(std::move(src));
-      } else {
-        ChunkData copy;
-        copy.chunk_num = src.chunk_num;
-        copy.source_rows = src.source_rows;
-        copy.cols = src.cols;
-        req->result.push_back(std::move(copy));
-      }
-    }
-    req->work.tuples_processed = req_rows[r];
-    // Physical pages were read once for the whole merged scan; charge each
-    // requester its row-proportional share, remainder to the leader
-    // (request 0) so the totals stay exact. A single-request batch gets
-    // everything — identical to a direct engine call.
-    uint64_t pr;
-    uint64_t pw;
-    if (total_rows == 0) {
-      pr = r == 0 ? batch_work.pages_read : 0;
-      pw = r == 0 ? batch_work.pages_written : 0;
-    } else if (r + 1 == batch->requests.size()) {
-      pr = pages_read_left;
-      pw = pages_written_left;
-    } else {
-      pr = batch_work.pages_read * req_rows[r] / total_rows;
-      pw = batch_work.pages_written * req_rows[r] / total_rows;
-    }
-    pr = std::min(pr, pages_read_left);
-    pw = std::min(pw, pages_written_left);
-    pages_read_left -= pr;
-    pages_written_left -= pw;
-    req->work.pages_read = pr;
-    req->work.pages_written = pw;
-  }
-  // Any remainder (rounding) goes to the leader.
-  batch->requests[0]->work.pages_read += pages_read_left;
-  batch->requests[0]->work.pages_written += pages_written_left;
 }
 
 Result<std::vector<ChunkData>> ScanScheduler::Compute(
@@ -120,166 +37,46 @@ Result<std::vector<ChunkData>> ScanScheduler::Compute(
   CHUNKCACHE_FAULT_POINT(FaultSite::kScanAdmit);
   if (ctrl != nullptr) CHUNKCACHE_RETURN_IF_ERROR(ctrl->Check());
   const Deadline deadline = ctrl != nullptr ? ctrl->deadline : Deadline();
-  // Timed wait honoring an infinite deadline; returns false on timeout.
-  auto wait = [&](std::unique_lock<std::mutex>& lock, auto pred) {
-    if (deadline.infinite()) {
-      cv_.wait(lock, pred);
-      return true;
-    }
-    return cv_.wait_until(lock, deadline.time_point(), pred);
-  };
-
-  Request req;
-  req.chunks = &chunk_nums;
-  std::shared_ptr<Batch> batch;
-  std::vector<uint64_t> union_nums;
-  bool leader = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     requests_->Increment();
-    batch = FindJoinableLocked(target, non_group_by);
-    if (batch == nullptr) {
-      // Back-pressure: creating a new batch needs room in the open queue.
-      // A joinable batch may appear while we wait, so re-probe after.
-      if (!wait(lock, [&] {
-            return open_.size() < options_.max_queue_depth;
-          })) {
-        // Nothing joined yet — this request simply never got in the door.
-        deadline_sheds_->Increment();
-        return Status::DeadlineExceeded("scan admission queue full");
-      }
-      batch = FindJoinableLocked(target, non_group_by);
-    }
-    if (batch != nullptr) {
-      batch->requests.push_back(&req);
-      merged_requests_->Increment();
-    } else {
-      batch = std::make_shared<Batch>();
-      batch->target = target;
-      batch->preds = non_group_by;
-      batch->requests.push_back(&req);
-      open_.push_back(batch);
-      queue_depth_hwm_->SetMax(static_cast<int64_t>(open_.size()));
-      leader = true;
-
-      // Admission: the batch stays open (joinable) until a scan slot
-      // frees up — this is where a storm turns into batching.
-      if (!wait(lock, [&] {
-            return outstanding_ < options_.max_outstanding_scans;
-          })) {
-        // Leader timed out queued for a slot: shed the whole batch. The
-        // followers joined *this* batch precisely to share its scan, so
-        // they share its deadline fate; each can retry or degrade.
-        batch->closed = true;
-        batch->finished = true;
-        batch->status = Status::DeadlineExceeded("scan slot wait timed out");
-        open_.remove(batch);
-        deadline_sheds_->Increment();
-        lock.unlock();
-        cv_.notify_all();
-        return batch->status;
-      }
-      ++outstanding_;
-      outstanding_hwm_->SetMax(static_cast<int64_t>(outstanding_));
-      batch->closed = true;
-      open_.remove(batch);
-      batches_->Increment();
-      // Union of every requester's chunks, deduped and ascending — the
-      // order that maximizes run merging in the engine.
-      for (const Request* r : batch->requests) {
-        union_nums.insert(union_nums.end(), r->chunks->begin(),
-                          r->chunks->end());
-      }
-      std::sort(union_nums.begin(), union_nums.end());
-      union_nums.erase(std::unique(union_nums.begin(), union_nums.end()),
-                       union_nums.end());
-    }
-  }
-
-  if (leader) {
-    // Wake queue-depth waiters (the batch left the open queue) before the
-    // potentially long scan.
-    cv_.notify_all();
-    WorkCounters batch_work;
-    const auto scan_t0 = std::chrono::steady_clock::now();
-    auto out = engine_->ComputeChunks(batch->target, union_nums, batch->preds,
-                                      &batch_work, executor);
-    scan_ns_->Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - scan_t0)
-            .count()));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-      if (out.ok()) {
-        DistributeLocked(batch.get(), union_nums, &*out, batch_work);
-      } else {
-        batch->status = out.status();
-      }
-      batch->finished = true;
-    }
-    cv_.notify_all();
-  } else {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!wait(lock, [&] { return batch->finished; })) {
-      if (!batch->closed) {
-        // Still open: withdraw this request before the leader snapshots
-        // the batch (req lives on this stack frame).
-        auto& reqs = batch->requests;
-        reqs.erase(std::remove(reqs.begin(), reqs.end(), &req), reqs.end());
-        deadline_sheds_->Increment();
-        return Status::DeadlineExceeded("scan batch wait timed out");
-      }
-      // Closed: the merged scan is already running with this request
-      // registered, so the pointer must stay valid — wait it out (bounded
-      // by one engine call).
-      cv_.wait(lock, [&] { return batch->finished; });
-    }
-  }
-
-  // The single exit every batch participant funnels through: classify the
-  // request's terminal outcome so requests == completions + sheds + errors.
-  // (A shed leader and withdrawn/never-admitted requesters returned above,
-  // counting their shed at the return site.)
-  if (!batch->status.ok()) {
-    if (batch->status.code() == StatusCode::kDeadlineExceeded) {
+    const auto slot_free = [&] { return outstanding_ < max_outstanding_; };
+    if (deadline.infinite()) {
+      cv_.wait(lock, slot_free);
+    } else if (!cv_.wait_until(lock, deadline.time_point(), slot_free)) {
       deadline_sheds_->Increment();
-    } else {
-      request_errors_->Increment();
+      return Status::DeadlineExceeded("scan slot wait timed out");
     }
-    return batch->status;
+    ++outstanding_;
+    outstanding_hwm_->SetMax(static_cast<int64_t>(outstanding_));
   }
-  completions_->Increment();
-  *work += req.work;
-  return std::move(req.result);
+
+  const auto scan_t0 = std::chrono::steady_clock::now();
+  auto out =
+      engine_->ComputeChunks(target, chunk_nums, non_group_by, work, executor);
+  scan_ns_->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - scan_t0)
+          .count()));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --outstanding_;
+  }
+  cv_.notify_one();
+  (out.ok() ? completions_ : request_errors_)->Increment();
+  return out;
 }
 
 ScanSchedulerStats ScanScheduler::stats() const {
   ScanSchedulerStats s;
   s.requests = requests_->Value();
-  s.merged_requests = merged_requests_->Value();
-  s.batches = batches_->Value();
   s.completions = completions_->Value();
   s.deadline_sheds = deadline_sheds_->Value();
   s.request_errors = request_errors_->Value();
-  s.queue_depth_hwm = static_cast<uint64_t>(queue_depth_hwm_->Value());
   s.outstanding_hwm = static_cast<uint64_t>(outstanding_hwm_->Value());
   std::lock_guard<std::mutex> lock(mu_);
   s.outstanding_scans = outstanding_;
-  s.queue_depth = open_.size();
   return s;
-}
-
-void ScanScheduler::ResetStats() {
-  requests_->Reset();
-  merged_requests_->Reset();
-  batches_->Reset();
-  completions_->Reset();
-  deadline_sheds_->Reset();
-  request_errors_->Reset();
-  queue_depth_hwm_->Reset();
-  outstanding_hwm_->Reset();
-  scan_ns_->Reset();
 }
 
 }  // namespace chunkcache::backend

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -19,86 +18,48 @@
 
 namespace chunkcache::backend {
 
-/// Tuning knobs for the shared-scan scheduler.
-struct ScanSchedulerOptions {
-  /// Concurrent ComputeChunks invocations the scheduler lets through.
-  /// Further batches queue; their requesters keep joining the open batch,
-  /// so a storm degrades to bigger batches instead of more disk traffic.
-  uint32_t max_outstanding_scans = 2;
-
-  /// Open batches (leaders waiting for a scan slot) allowed at once.
-  /// Creating a new batch past this bound blocks until a leader drains —
-  /// back-pressure, not rejection.
-  uint32_t max_queue_depth = 16;
-};
-
-/// Scheduler counters. `outstanding_scans` and `queue_depth` are the
-/// current values (for polling in tests); the rest are cumulative.
+/// Scheduler counters. `outstanding_scans` is the current value (for
+/// polling in tests); the rest are cumulative.
 ///
 /// Every admitted request ends in exactly one of three terminal outcomes,
 /// so once the scheduler quiesces
 ///   requests == completions + deadline_sheds + request_errors
 /// holds exactly (stats_invariant_test checks it, faults included).
 struct ScanSchedulerStats {
-  uint64_t requests = 0;         ///< Compute calls routed through.
-  uint64_t merged_requests = 0;  ///< Calls that joined an existing batch.
-  uint64_t batches = 0;          ///< Backend scans actually issued.
-  uint64_t completions = 0;      ///< Requests that returned chunk data.
-  uint64_t deadline_sheds = 0;   ///< Requests given up at a deadline.
-  uint64_t request_errors = 0;   ///< Requests failed by a batch error.
-  uint64_t queue_depth_hwm = 0;
+  uint64_t requests = 0;        ///< Compute calls routed through.
+  uint64_t completions = 0;     ///< Requests that returned chunk data.
+  uint64_t deadline_sheds = 0;  ///< Requests given up waiting for a slot.
+  uint64_t request_errors = 0;  ///< Requests whose scan failed.
   uint64_t outstanding_hwm = 0;
   uint64_t outstanding_scans = 0;
-  uint64_t queue_depth = 0;
 };
 
-/// Merges concurrent miss batches that target the same (group-by,
-/// predicates) into one backend scan whose coalesced runs span every
-/// requester's chunks, with bounded admission.
+/// Bounded admission in front of the backend: at most
+/// `max_outstanding_scans` BackendEngine::ComputeChunks calls run at once,
+/// and further requests wait for a scan slot. Cross-query deduplication is
+/// not done here — the manager's in-flight table already hands each
+/// missing chunk to exactly one owner.
 ///
-/// Protocol: the first requester of a (group-by, predicate) key opens a
-/// *batch* and becomes its leader; while the leader waits for one of
-/// `max_outstanding_scans` scan slots, concurrent same-key requesters join
-/// the open batch. Once admitted, the leader closes the batch, unions the
-/// chunk lists (deduped, ascending — maximizing run coalescing in the
-/// engine), runs one ComputeChunks over the union, and distributes results
-/// and work back to each requester. Followers block until their batch
-/// finishes; a batch error propagates to every requester.
-///
-/// Work attribution: each requester is charged the source rows its own
-/// chunks folded (exact — ChunkData::source_rows partitions the scan) and
-/// a proportional share of the batch's physical pages; single-request
-/// batches therefore see exactly the counters a direct engine call would
-/// produce.
-///
-/// Deadlock safety: leaders block only on scan slots, which are held only
-/// for the duration of an engine call that always completes (ParallelFor
-/// keeps the calling thread participating); followers block only on their
-/// leader. No thread waits while holding a slot it isn't using.
+/// Deadlock safety: a slot is held only for the duration of one engine
+/// call, which always completes (ParallelFor keeps the calling thread
+/// participating), and no thread waits for a slot while holding one.
 class ScanScheduler {
  public:
   /// Cumulative statistics live on `metrics` (under "scheduler." names);
   /// passing nullptr gives the scheduler a private registry.
-  ScanScheduler(BackendEngine* engine, ScanSchedulerOptions options,
+  ScanScheduler(BackendEngine* engine, uint32_t max_outstanding_scans,
                 MetricsRegistry* metrics = nullptr);
 
   ScanScheduler(const ScanScheduler&) = delete;
   ScanScheduler& operator=(const ScanScheduler&) = delete;
 
-  /// Computes `chunk_nums` of `target` under `non_group_by`, possibly as
-  /// part of a merged batch. Blocking. Element i of the result is
-  /// chunk_nums[i], bit-identical to a direct ComputeChunks call. This
-  /// request's work share is added to `*work`. `executor` is used only if
-  /// this call ends up leading its batch.
+  /// Computes `chunk_nums` of `target` under `non_group_by` once a scan
+  /// slot is free. Blocking. The result is exactly a direct ComputeChunks
+  /// call's, and its work is added to `*work`.
   ///
-  /// `ctrl` (optional) bounds *admission*: a request whose deadline expires
-  /// while queued for a scan slot sheds instead of wedging — a timed-out
-  /// leader fails its whole batch with DeadlineExceeded (every requester of
-  /// that batch shares the leader's fate, as they share its scan), a
-  /// timed-out follower of a still-open batch withdraws alone. Once a
-  /// batch's scan is running the deadline is no longer consulted: a batch
-  /// may merge requesters with different deadlines, so mid-scan
-  /// cancellation on behalf of one of them would be wrong.
+  /// `ctrl` (optional) bounds *admission*: a request whose deadline
+  /// expires while it waits for a slot sheds with DeadlineExceeded
+  /// instead of wedging. A scan that has started runs to completion.
   Result<std::vector<ChunkData>> Compute(
       const chunks::GroupBySpec& target,
       const std::vector<uint64_t>& chunk_nums,
@@ -107,61 +68,24 @@ class ScanScheduler {
       const ExecControl* ctrl = nullptr);
 
   ScanSchedulerStats stats() const;
-  void ResetStats();
-
-  const ScanSchedulerOptions& options() const { return options_; }
 
  private:
-  /// One requester's slice of a batch. Lives on the caller's stack — the
-  /// caller blocks until its batch finishes, so the pointer stays valid.
-  struct Request {
-    const std::vector<uint64_t>* chunks = nullptr;
-    std::vector<ChunkData> result;
-    WorkCounters work;
-  };
-
-  struct Batch {
-    chunks::GroupBySpec target;
-    std::vector<NonGroupByPredicate> preds;
-    std::vector<Request*> requests;
-    bool closed = false;    ///< Leader admitted; no more joins.
-    bool finished = false;  ///< Results/error distributed.
-    Status status = Status::OK();
-  };
-
-  /// Caller holds mu_. Finds an open (joinable) batch for the key.
-  std::shared_ptr<Batch> FindJoinableLocked(
-      const chunks::GroupBySpec& target,
-      const std::vector<NonGroupByPredicate>& preds);
-
-  /// Caller holds mu_. Splits the batch's union results back into each
-  /// request's result vector (moving on the last reference) and attributes
-  /// the batch's work counters.
-  static void DistributeLocked(Batch* batch,
-                               const std::vector<uint64_t>& union_nums,
-                               std::vector<ChunkData>* out,
-                               const WorkCounters& batch_work);
-
   BackendEngine* engine_;
-  ScanSchedulerOptions options_;
+  const uint32_t max_outstanding_;
 
   // Registry-backed cumulative counters ("scheduler.*"); mu_ guards only
-  // the batching state, never the statistics.
+  // the slot count, never the statistics.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   Counter* requests_ = nullptr;
-  Counter* merged_requests_ = nullptr;
-  Counter* batches_ = nullptr;
   Counter* completions_ = nullptr;
   Counter* deadline_sheds_ = nullptr;
   Counter* request_errors_ = nullptr;
-  Gauge* queue_depth_hwm_ = nullptr;
   Gauge* outstanding_hwm_ = nullptr;
   Histogram* scan_ns_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::list<std::shared_ptr<Batch>> open_;
   uint32_t outstanding_ = 0;
 };
 

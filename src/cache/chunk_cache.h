@@ -136,15 +136,13 @@ struct ChunkCacheStats {
   uint64_t runs_merged = 0;
 
   // Miss-coalescing counters, filled by ChunkCacheManager::StatsSnapshot
-  // from the in-flight table and the shared-scan scheduler; zero when read
+  // from the in-flight table and the scan scheduler; zero when read
   // straight off a ChunkCache.
   uint64_t coalesced_waits = 0;       ///< Misses that waited on an owner.
   uint64_t dedup_saved_chunks = 0;    ///< Computations avoided (waits+drops).
   uint64_t prefetch_dropped_inflight = 0;  ///< Prefetch chunks already pending.
   uint64_t inflight_peak = 0;         ///< In-flight table high-water mark.
-  uint64_t shared_scan_batches = 0;   ///< Backend scans issued by the scheduler.
-  uint64_t shared_scan_requests = 0;  ///< Miss batches routed through it.
-  uint64_t scan_queue_depth_hwm = 0;  ///< Open-batch queue high-water mark.
+  uint64_t shared_scan_requests = 0;  ///< Miss batches through the scheduler.
 
   // Robustness counters, filled by ChunkCacheManager::StatsSnapshot from
   // the fault injector, retry plumbing, disk manager and scheduler; zero

@@ -102,10 +102,8 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
   if (options_.num_workers > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   }
-  backend::ScanSchedulerOptions sopts;
-  sopts.max_outstanding_scans = std::max<uint32_t>(2, options_.num_workers);
-  scheduler_ =
-      std::make_unique<backend::ScanScheduler>(engine_, sopts, metrics_);
+  scheduler_ = std::make_unique<backend::ScanScheduler>(
+      engine_, std::max<uint32_t>(2, options_.num_workers), metrics_);
   if (options_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
   }
@@ -313,10 +311,7 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.prefetch_dropped_inflight = snap.counter("prefetch.dropped_inflight");
   s.dedup_saved_chunks = s.coalesced_waits + s.prefetch_dropped_inflight;
   s.inflight_peak = static_cast<uint64_t>(snap.gauge("inflight.peak"));
-  s.shared_scan_batches = snap.counter("scheduler.batches");
   s.shared_scan_requests = snap.counter("scheduler.requests");
-  s.scan_queue_depth_hwm =
-      static_cast<uint64_t>(snap.gauge("scheduler.queue_depth_hwm"));
   s.scan_deadline_sheds = snap.counter("scheduler.deadline_sheds");
   s.faults_injected = static_cast<uint64_t>(snap.gauge("faults.injected"));
   s.retries = snap.counter("backend.retries");
@@ -412,6 +407,61 @@ std::shared_ptr<const storage::AggColumns> ChunkCacheManager::ResolveCols(
   auto dec = std::make_shared<storage::AggColumns>(std::move(*res));
   if (decoded_ != nullptr) decoded_->Put(key, dec);
   return dec;
+}
+
+cache::ChunkHandle ChunkCacheManager::AdmitChunk(
+    const ChunkKey& key, double benefit, storage::AggColumns cols,
+    std::vector<AggTuple>* rows, const Inflight::SlotPtr& slot) {
+  auto entry = std::make_shared<cache::CachedChunk>();
+  entry->group_by_id = key.group_by_id;
+  entry->chunk_num = key.chunk_num;
+  entry->filter_hash = key.filter_hash;
+  entry->benefit = benefit;
+  entry->cols = std::move(cols);
+  if (rows != nullptr) entry->cols.AppendToRows(rows);
+  MaybeCompressEntry(entry.get());
+  cache::ChunkHandle handle = entry;
+  cache_.Insert(std::move(entry));
+  // Insert before Publish: a claimant that re-probes after the entry
+  // retires must find the chunk in the cache.
+  if (slot != nullptr) inflight_.Publish(key, slot, handle);
+  return handle;
+}
+
+Result<std::vector<ChunkData>> ChunkCacheManager::ComputeFromBackend(
+    const StarJoinQuery& query, const std::vector<uint64_t>& chunk_nums,
+    const ExecControl& ctrl, QueryStats* stats) {
+  // Bounded retries with backoff: transient backend faults (injected or
+  // real) re-attempt instead of failing the query and its waiters.
+  return RunWithRetry(options_.retry, ctrl, &stats->retries, [&] {
+    return scheduler_->Compute(query.group_by, chunk_nums, query.non_group_by,
+                               &stats->backend_work, pool_.get(), &ctrl);
+  });
+}
+
+Result<cache::ChunkHandle> ChunkCacheManager::ComputeReclaimed(
+    const StarJoinQuery& query, const ChunkKey& key,
+    const Inflight::SlotPtr& slot, double benefit, const ExecControl& ctrl,
+    QueryStats* stats) {
+  // A query that claimed the key since the previous owner failed may have
+  // published it already.
+  if (cache_.Contains(key.group_by_id, key.chunk_num, key.filter_hash)) {
+    cache::ChunkHandle hit =
+        cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash);
+    if (hit != nullptr) {
+      inflight_.Publish(key, slot, hit);
+      ++stats->chunks_from_cache;
+      return hit;
+    }
+  }
+  auto computed = ComputeFromBackend(query, {key.chunk_num}, ctrl, stats);
+  if (!computed.ok()) {
+    inflight_.Fail(key, slot, computed.status());
+    return computed.status();
+  }
+  ++stats->chunks_from_backend;
+  return AdmitChunk(key, benefit, std::move(computed->front().cols),
+                    /*rows=*/nullptr, slot);
 }
 
 uint64_t ChunkCacheManager::FilterHash(
@@ -585,21 +635,11 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     for (Miss& om : owned) {
       auto aggregated = roll_up(om.chunk_num);
       if (aggregated) {
-        auto entry = std::make_shared<cache::CachedChunk>();
-        entry->group_by_id = gb_id;
-        entry->chunk_num = om.chunk_num;
-        entry->filter_hash = filter_hash;
-        entry->benefit = benefit;
-        entry->cols = std::move(*aggregated);
-        entry->cols.AppendToRows(&rows);
-        MaybeCompressEntry(entry.get());
-        ++stats->chunks_from_aggregation;
         // Admit the derived chunk so the next query gets a direct hit;
         // publish the same allocation to any waiters.
-        cache::ChunkHandle handle = entry;
-        cache_.Insert(std::move(entry));
-        inflight_.Publish(ChunkKey{gb_id, om.chunk_num, filter_hash}, om.slot,
-                          std::move(handle));
+        AdmitChunk(ChunkKey{gb_id, om.chunk_num, filter_hash}, benefit,
+                   std::move(*aggregated), &rows, om.slot);
+        ++stats->chunks_from_aggregation;
       } else {
         still_owned.push_back(std::move(om));
       }
@@ -608,12 +648,12 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     trace->Tag(agg_span.id(), "chunks", stats->chunks_from_aggregation);
   }
 
-  // 4. Compute the owned misses — through the shared-scan scheduler, so
-  // concurrent same-group-by miss batches merge into one scan —
-  // overlapping cache-hit assembly with the backend work: a pool task
-  // copies the pinned hit rows while this thread drives the computation
-  // (which itself fans out across the same pool). Worker tasks never
-  // block on other tasks, so the overlap cannot deadlock.
+  // 4. Compute the owned misses — one backend call through the scan
+  // scheduler's slot gate — overlapping cache-hit assembly with the
+  // backend work: a pool task copies the pinned hit rows while this thread
+  // drives the computation (which itself fans out across the same pool).
+  // Worker tasks never block on other tasks, so the overlap cannot
+  // deadlock.
   std::vector<uint64_t> owned_nums;
   owned_nums.reserve(owned.size());
   for (const Miss& om : owned) owned_nums.push_back(om.chunk_num);
@@ -631,16 +671,11 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     hit_rows.reserve(total);
     for (const auto& h : cached) ResolveCols(h)->AppendToRows(&hit_rows);
   };
-  const auto compute_once = [&] {
-    return scheduler_->Compute(query.group_by, owned_nums, query.non_group_by,
-                               &stats->backend_work, pool_.get(), &ctrl);
-  };
-  // Bounded retries with backoff: transient backend faults (injected or
-  // real) re-attempt instead of failing the query and its waiters. Runs on
-  // the calling thread in both branches below, so the span is safe.
-  const auto compute_owned = [&]() -> Result<std::vector<ChunkData>> {
+  // Runs on the calling thread in both branches below, so the span is
+  // safe.
+  const auto compute_owned = [&] {
     ScopedSpan scan_span(trace, "scan_aggregate", miss_span);
-    return RunWithRetry(options_.retry, ctrl, &stats->retries, compute_once);
+    return ComputeFromBackend(query, owned_nums, ctrl, stats);
   };
   Result<std::vector<ChunkData>> computed = std::vector<ChunkData>{};
   const bool overlap = pool_ != nullptr && !owned_nums.empty() &&
@@ -712,20 +747,8 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
           : TraceBuilder::kNoSpan;
   for (size_t i = 0; i < computed->size(); ++i) {
     ChunkData& data = (*computed)[i];
-    auto entry = std::make_shared<cache::CachedChunk>();
-    entry->group_by_id = gb_id;
-    entry->chunk_num = data.chunk_num;
-    entry->filter_hash = filter_hash;
-    entry->benefit = benefit;
-    entry->cols = std::move(data.cols);
-    entry->cols.AppendToRows(&rows);
-    MaybeCompressEntry(entry.get());
-    cache::ChunkHandle handle = entry;
-    cache_.Insert(std::move(entry));
-    // Insert before Publish: a claimant that re-probes after the entry
-    // retires must find the chunk in the cache.
-    inflight_.Publish(ChunkKey{gb_id, data.chunk_num, filter_hash},
-                      owned[i].slot, std::move(handle));
+    AdmitChunk(ChunkKey{gb_id, data.chunk_num, filter_hash}, benefit,
+               std::move(data.cols), &rows, owned[i].slot);
   }
   if (encode_span != TraceBuilder::kNoSpan) {
     trace->Tag(encode_span, "chunks", static_cast<uint64_t>(computed->size()));
@@ -742,19 +765,35 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
 
   // 4b. Collect the chunks other in-flight queries computed for us. Every
   // chunk this query owned is already published, so blocking here cannot
-  // deadlock even when two queries wait on each other's chunks. A wait
-  // that fails — owner error, or this query's own deadline — falls back:
-  // first re-probe the cache (a racing retry of the owner may have
-  // published), then closure-property assembly, then give up.
+  // deadlock even when two queries wait on each other's chunks. An owner
+  // that gave up for its own reasons — its deadline or cancellation,
+  // never a backend error — does not decide this query's fate: while this
+  // query is still live it claims the chunk again, computing it as the
+  // new owner or waiting on whoever claimed first. Any other failed wait —
+  // owner error, or this query's own deadline — falls back: first
+  // re-probe the cache (a racing retry of the owner may have published),
+  // then closure-property assembly, then give up.
   const uint32_t wait_span =
       waits.empty() ? TraceBuilder::kNoSpan
                     : trace->BeginSpan("wait_coalesced", trace->root());
   trace->Tag(wait_span, "chunks", static_cast<uint64_t>(waits.size()));
   for (const Miss& wm : waits) {
+    const ChunkKey key{gb_id, wm.chunk_num, filter_hash};
     Result<cache::ChunkHandle> res = wm.slot->WaitUntil(ctrl.deadline);
+    bool reclaimed = false;
+    while (!res.ok() &&
+           (res.status().code() == StatusCode::kDeadlineExceeded ||
+            res.status().code() == StatusCode::kCancelled) &&
+           ctrl.Check().ok()) {
+      Inflight::Claim claim = inflight_.Acquire(key);
+      reclaimed = claim.owner;
+      res = claim.owner ? ComputeReclaimed(query, key, claim.slot, benefit,
+                                           ctrl, stats)
+                        : claim.slot->WaitUntil(ctrl.deadline);
+    }
     if (res.ok()) {
       ResolveCols(*res)->AppendToRows(&rows);
-      ++stats->coalesced_waits;
+      if (!reclaimed) ++stats->coalesced_waits;
       continue;
     }
     if (res.status().code() == StatusCode::kDeadlineExceeded) {
@@ -770,16 +809,8 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     if (!cols) return res.status();
     // Not the owner of this key, so no slot to publish — just admit the
     // assembled chunk for future queries and use its rows.
-    auto entry = std::make_shared<cache::CachedChunk>();
-    entry->group_by_id = gb_id;
-    entry->chunk_num = wm.chunk_num;
-    entry->filter_hash = filter_hash;
-    entry->benefit = benefit;
-    entry->cols = std::move(*cols);
-    entry->cols.AppendToRows(&rows);
-    MaybeCompressEntry(entry.get());
+    AdmitChunk(key, benefit, std::move(*cols), &rows, /*slot=*/nullptr);
     ++stats->degraded_answers;
-    cache_.Insert(std::move(entry));
   }
   trace->EndSpan(wait_span);
 
@@ -990,17 +1021,8 @@ uint64_t ChunkCacheManager::RunPrefetch(
   }
   for (size_t i = 0; i < computed->size(); ++i) {
     ChunkData& data = (*computed)[i];
-    auto entry = std::make_shared<cache::CachedChunk>();
-    entry->group_by_id = plan.drill_id;
-    entry->chunk_num = data.chunk_num;
-    entry->filter_hash = filter_hash;
-    entry->benefit = plan.benefit;
-    entry->cols = std::move(data.cols);
-    MaybeCompressEntry(entry.get());
-    cache::ChunkHandle handle = entry;
-    cache_.Insert(std::move(entry));
-    inflight_.Publish(ChunkKey{plan.drill_id, data.chunk_num, filter_hash},
-                      slots[i], std::move(handle));
+    AdmitChunk(ChunkKey{plan.drill_id, data.chunk_num, filter_hash},
+               plan.benefit, std::move(data.cols), /*rows=*/nullptr, slots[i]);
   }
   return computed->size();
 }

@@ -113,18 +113,20 @@ struct ChunkManagerOptions {
 ///
 /// Misses are coalesced across queries: the first query to miss a
 /// (group-by, chunk, filter) owns it through the in-flight table and
-/// publishes the result, concurrent missers wait on it instead of
-/// duplicating backend work, and concurrent same-group-by miss batches
-/// merge into one scan in the shared-scan scheduler. A chunk the backend
-/// cannot deliver (retries exhausted, deadline expired) is assembled from
-/// cached chunks of a strictly finer group-by when the closure property
-/// allows; QueryStats::degraded_answers records that provenance.
+/// publishes the result, and concurrent missers wait on it instead of
+/// duplicating backend work. Each query's owned misses go to the backend
+/// as one call through the scan scheduler, which bounds how many run at
+/// once. A chunk the backend cannot deliver (retries exhausted, deadline
+/// expired) is assembled from cached chunks of a strictly finer group-by
+/// when the closure property allows; QueryStats::degraded_answers records
+/// that provenance.
 ///
-/// The ExecControl passed to Execute is honored at claim time, in backend
-/// computation (entry + per chunk), at scan-scheduler admission, and while
-/// waiting on chunks owned by other queries. An expired/cancelled query
-/// fails fast with DeadlineExceeded/Cancelled without claiming in-flight
-/// slots.
+/// The ExecControl passed to Execute is honored at claim time, at
+/// scan-scheduler admission and while waiting on chunks owned by other
+/// queries; a backend scan that has started runs to completion. An
+/// expired/cancelled query fails fast with DeadlineExceeded/Cancelled
+/// without claiming in-flight slots, and a waiter whose owner gave up for
+/// the owner's own deadline or cancellation claims the chunk again.
 ///
 /// Thread safety: Execute may be called concurrently from many client
 /// threads once num_workers/cache_shards are configured — the chunk cache
@@ -165,7 +167,7 @@ class ChunkCacheManager final : public MiddleTier {
   /// Trace ring; null when options.trace_capacity == 0.
   TraceRecorder* trace_recorder() { return trace_.get(); }
 
-  /// Shared-scan scheduler every owned miss batch goes through.
+  /// Slot gate every owned miss batch goes through.
   backend::ScanScheduler* scan_scheduler() { return scheduler_.get(); }
 
   /// Writes a cache snapshot generation now (shadow file, atomic rename,
@@ -246,6 +248,32 @@ class ChunkCacheManager final : public MiddleTier {
   Result<std::vector<backend::ResultRow>> ExecuteTraced(
       const backend::StarJoinQuery& query, QueryStats* stats,
       const ExecControl& ctrl, TraceBuilder* trace);
+
+  /// Builds the cache entry for a fresh chunk of `key` (appending its rows
+  /// to `rows` when non-null), compresses it when the tier is on, inserts
+  /// it, and publishes the same allocation to `slot` when non-null.
+  /// Returns the entry's handle.
+  cache::ChunkHandle AdmitChunk(const cache::ChunkKey& key, double benefit,
+                                storage::AggColumns cols,
+                                std::vector<storage::AggTuple>* rows,
+                                const Inflight::SlotPtr& slot);
+
+  /// Computes `chunk_nums` of `query`'s group-by through the scan
+  /// scheduler, retrying transient failures under `ctrl`, and charges the
+  /// work and retries to `stats`.
+  Result<std::vector<backend::ChunkData>> ComputeFromBackend(
+      const backend::StarJoinQuery& query,
+      const std::vector<uint64_t>& chunk_nums, const ExecControl& ctrl,
+      QueryStats* stats);
+
+  /// Resolves `slot`, which this query claimed after the chunk's previous
+  /// owner gave up: publishes a cached copy if one appeared meanwhile
+  /// (chunks_from_cache), otherwise computes the chunk and admits it
+  /// (chunks_from_backend). On a backend error the slot is failed.
+  Result<cache::ChunkHandle> ComputeReclaimed(
+      const backend::StarJoinQuery& query, const cache::ChunkKey& key,
+      const Inflight::SlotPtr& slot, double benefit, const ExecControl& ctrl,
+      QueryStats* stats);
 
   /// Encodes `entry->cols` into `entry->encoded` when compression is on
   /// and the encoding actually saves bytes (otherwise the entry stays raw

@@ -591,7 +591,7 @@ class GateDiskManager final : public DiskManager {
   int blocked_ = 0;
 };
 
-TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
+TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
   InjectorReset guard;
   auto s = schema::BuildPaperSchema();
   ASSERT_TRUE(s.ok());
@@ -614,9 +614,7 @@ TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
   backend::BackendEngine engine(&pool, &*file, &*scheme);
   ASSERT_TRUE(engine.BuildBitmapIndexes().ok());
 
-  backend::ScanSchedulerOptions sopts;
-  sopts.max_outstanding_scans = 1;
-  backend::ScanScheduler sched(&engine, sopts);
+  backend::ScanScheduler sched(&engine, /*max_outstanding_scans=*/1);
 
   // An already-expired control is refused at admission without queueing.
   {
@@ -632,7 +630,7 @@ TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
     EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded);
   }
 
-  // Drop every pooled page so the gated leader is guaranteed to reach the
+  // Drop every pooled page so the gated scan is guaranteed to reach the
   // disk layer (the sanity scan above may have pooled the hot pages).
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(pool.EvictAll().ok());
@@ -641,7 +639,7 @@ TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
   WorkCounters work_a;
   Result<std::vector<backend::ChunkData>> res_a =
       Status::Internal("not yet run");
-  std::thread leader([&] {
+  std::thread holder([&] {
     res_a = sched.Compute(chunks::GroupBySpec{{1, 1, 1, 1}, 4}, {0}, {},
                           &work_a);
   });
@@ -652,12 +650,12 @@ TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
   }
   if (!reached_gate) {
     gate.OpenGate();
-    leader.join();
-    FAIL() << "leader never reached the gated disk";
+    holder.join();
+    FAIL() << "slot holder never reached the gated disk";
   }
 
-  // The second batch (different group-by, so it cannot merge) never gets
-  // the single scan slot; its deadline sheds it instead of wedging.
+  // The second request never gets the single scan slot; its deadline
+  // sheds it instead of wedging.
   ExecControl ctrl;
   ctrl.deadline = Deadline::AfterMs(100);
   WorkCounters work_b;
@@ -668,7 +666,7 @@ TEST(SchedulerDeadlineTest, QueuedLeaderShedsWhenDeadlineExpires) {
   EXPECT_GE(sched.stats().deadline_sheds, 1u);
 
   gate.OpenGate();
-  leader.join();
+  holder.join();
   ASSERT_TRUE(res_a.ok()) << res_a.status().ToString();
   ASSERT_EQ(res_a->size(), 1u);
 }

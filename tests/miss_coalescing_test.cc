@@ -1,6 +1,6 @@
 // Tests for cross-query miss coalescing: the in-flight (singleflight)
-// table, the shared-scan scheduler, failure propagation to waiters, and
-// the exactly-one-computation-per-distinct-chunk guarantee under query
+// table, the scan scheduler's slot gate, failure propagation to waiters,
+// and the exactly-one-computation-per-distinct-chunk guarantee under query
 // storms. Runs under ThreadSanitizer in CI (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
@@ -52,6 +52,17 @@ bool RowsEqual(const std::vector<backend::ResultRow>& a,
 uint64_t TotalKernels(const backend::BackendEngine& engine) {
   const backend::AggKernelStats ks = engine.kernel_stats();
   return ks.dense_kernels + ks.hash_kernels;
+}
+
+/// The answer of a cold, serial, default-options manager: with nothing
+/// cached and no concurrent query, every chunk comes from the backend.
+std::vector<backend::ResultRow> ReferenceRows(backend::BackendEngine* engine,
+                                              const StarJoinQuery& q) {
+  ChunkCacheManager ref(engine, ChunkManagerOptions());
+  QueryStats st;
+  auto rows = ref.Execute(q, &st);
+  EXPECT_TRUE(rows.ok());
+  return std::move(*rows);
 }
 
 // ------------------------------ InflightTable -------------------------------
@@ -191,16 +202,6 @@ class MissCoalescingFixture : public ::testing::Test {
     return StarJoinQuery{};
   }
 
-  /// The answer of a cold, serial, default-options manager: with nothing
-  /// cached and no concurrent query, every chunk comes from the backend.
-  std::vector<backend::ResultRow> ReferenceRows(const StarJoinQuery& q) {
-    ChunkCacheManager ref(engine_.get(), ChunkManagerOptions());
-    QueryStats st;
-    auto rows = ref.Execute(q, &st);
-    EXPECT_TRUE(rows.ok());
-    return std::move(*rows);
-  }
-
   storage::InMemoryDiskManager disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<schema::StarSchema> schema_;
@@ -214,7 +215,8 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
   const StarJoinQuery query = PickQuery(/*min_chunks=*/6);
   const uint64_t distinct =
       scheme_->BoxForSelection(query.group_by, query.selection).NumChunks();
-  const std::vector<backend::ResultRow> want = ReferenceRows(query);
+  const std::vector<backend::ResultRow> want =
+      ReferenceRows(engine_.get(), query);
 
   ChunkManagerOptions opts;
   opts.num_workers = 4;
@@ -255,7 +257,6 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
   EXPECT_EQ(cs.dedup_saved_chunks, cs.coalesced_waits);
   EXPECT_GE(cs.inflight_peak, 1u);
   EXPECT_GE(cs.shared_scan_requests, 1u);
-  EXPECT_GE(cs.shared_scan_batches, 1u);
 }
 
 TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
@@ -280,7 +281,9 @@ TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
       scheme_->BoxForSelection(base.group_by, base.selection).NumChunks();
   std::vector<std::vector<backend::ResultRow>> want;
   want.reserve(variants.size());
-  for (const auto& q : variants) want.push_back(ReferenceRows(q));
+  for (const auto& q : variants) {
+    want.push_back(ReferenceRows(engine_.get(), q));
+  }
 
   ChunkManagerOptions opts;
   opts.num_workers = 4;
@@ -372,8 +375,8 @@ TEST_F(MissCoalescingFixture, StormWithPrefetchDeduplicatesChildFetches) {
 // --------------------------- fault / gate fixture ---------------------------
 
 /// DiskManager decorator with (a) an injectable read fault and (b) a gate
-/// that blocks ReadPage while closed — used to hold a scheduler leader
-/// mid-scan so concurrent requests pile up deterministically.
+/// that blocks ReadPage while closed — used to hold a scan mid-flight so
+/// concurrent requests pile up deterministically.
 class GateDiskManager final : public storage::DiskManager {
  public:
   explicit GateDiskManager(storage::DiskManager* inner) : inner_(inner) {}
@@ -463,6 +466,17 @@ class GatedBackendFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
+  /// Polls `cond` for up to 30 s; returns its final value.
+  template <typename Cond>
+  static bool WaitFor(Cond cond) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!cond() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return cond();
+  }
+
   storage::InMemoryDiskManager disk_;
   std::unique_ptr<GateDiskManager> gate_;
   std::unique_ptr<storage::BufferPool> pool_;
@@ -524,7 +538,7 @@ TEST_F(GatedBackendFixture, FailureReachesAllWaitersAndRetrySucceeds) {
   EXPECT_GT(st.chunks_from_backend, 0u);
 }
 
-TEST_F(GatedBackendFixture, SchedulerMergesRequestsWhileScanSlotIsBusy) {
+TEST_F(GatedBackendFixture, SchedulerQueuesSameTargetRequestsWithoutMerging) {
   const GroupBySpec target{{1, 1, 1, 1}, 4};
   const uint64_t total = scheme_->GridFor(target).num_chunks();
   ASSERT_GE(total, 6u);
@@ -532,37 +546,31 @@ TEST_F(GatedBackendFixture, SchedulerMergesRequestsWhileScanSlotIsBusy) {
   const std::vector<uint64_t> req2 = {2, 3};
   const std::vector<uint64_t> req3 = {3, 4, 5};  // overlaps req2 on 3
 
-  backend::ScanSchedulerOptions sopts;
-  sopts.max_outstanding_scans = 1;  // a single scan slot forces queueing
-  backend::ScanScheduler sched(engine_.get(), sopts);
+  // A single scan slot forces queueing.
+  backend::ScanScheduler sched(engine_.get(), /*max_outstanding_scans=*/1);
 
-  // The first request leads a batch, takes the only slot, and stalls in
-  // ReadPage behind the closed gate.
+  // The first request takes the only slot and stalls in ReadPage behind
+  // the closed gate (an empty pool guarantees it reaches the disk).
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  ASSERT_TRUE(pool_->EvictAll().ok());
   gate_->CloseGate();
   WorkCounters w1;
   Result<std::vector<ChunkData>> r1 = std::vector<ChunkData>{};
   std::thread t1([&] { r1 = sched.Compute(target, req1, {}, &w1); });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (gate_->blocked_readers() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(gate_->blocked_readers(), 0) << "leader never reached the disk";
+  ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
+      << "first request never reached the disk";
 
-  // Two more same-target requests arrive: one opens the second batch and
-  // waits for the slot; the other joins that open batch.
+  // Two more same-target requests arrive while the slot is busy. Each
+  // queues for the slot and later runs its own scan.
   WorkCounters w2;
   WorkCounters w3;
   Result<std::vector<ChunkData>> r2 = std::vector<ChunkData>{};
   Result<std::vector<ChunkData>> r3 = std::vector<ChunkData>{};
   std::thread t2([&] { r2 = sched.Compute(target, req2, {}, &w2); });
   std::thread t3([&] { r3 = sched.Compute(target, req3, {}, &w3); });
-  while ((sched.stats().requests < 3 || sched.stats().merged_requests < 1) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(sched.stats().merged_requests, 1u) << "requests never merged";
+  ASSERT_TRUE(WaitFor([&] { return sched.stats().requests == 3; }));
+  EXPECT_EQ(sched.stats().completions, 0u);
+  EXPECT_EQ(sched.stats().outstanding_scans, 1u);
 
   gate_->OpenGate();
   t1.join();
@@ -574,19 +582,20 @@ TEST_F(GatedBackendFixture, SchedulerMergesRequestsWhileScanSlotIsBusy) {
 
   const backend::ScanSchedulerStats ss = sched.stats();
   EXPECT_EQ(ss.requests, 3u);
-  EXPECT_EQ(ss.batches, 2u);  // storm of 3 requests -> 2 physical scans
-  EXPECT_EQ(ss.merged_requests, 1u);
+  EXPECT_EQ(ss.completions, 3u);
+  EXPECT_EQ(ss.outstanding_hwm, 1u);
   EXPECT_EQ(ss.outstanding_scans, 0u);
-  EXPECT_EQ(ss.queue_depth, 0u);
 
-  // Every requester got exactly its chunks, bit-identical to a direct
-  // engine computation, and the merged batch's work adds up exactly.
+  // Every request got exactly its chunks and its own work, bit-identical
+  // to a direct engine computation.
   const auto check = [&](const std::vector<uint64_t>& want_nums,
-                         const std::vector<ChunkData>& got) {
+                         const std::vector<ChunkData>& got,
+                         const WorkCounters& got_work) {
     ASSERT_EQ(got.size(), want_nums.size());
     WorkCounters direct_work;
     auto direct = engine_->ComputeChunks(target, want_nums, {}, &direct_work);
     ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(got_work.tuples_processed, direct_work.tuples_processed);
     for (size_t i = 0; i < want_nums.size(); ++i) {
       EXPECT_EQ(got[i].chunk_num, want_nums[i]);
       ASSERT_EQ(got[i].cols.size(), (*direct)[i].cols.size());
@@ -599,11 +608,72 @@ TEST_F(GatedBackendFixture, SchedulerMergesRequestsWhileScanSlotIsBusy) {
       }
     }
   };
-  check(req1, *r1);
-  check(req2, *r2);
-  check(req3, *r3);
-  EXPECT_GT(w1.tuples_processed + w2.tuples_processed + w3.tuples_processed,
-            0u);
+  check(req1, *r1, w1);
+  check(req2, *r2, w2);
+  check(req3, *r3, w3);
+}
+
+TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
+  workload::WorkloadOptions wopts;
+  wopts.seed = 5;
+  workload::QueryGenerator gen(schema_.get(), wopts);
+  const StarJoinQuery query = gen.Next();
+  const std::vector<backend::ResultRow> want =
+      ReferenceRows(engine_.get(), query);
+
+  ChunkManagerOptions opts;
+  opts.num_workers = 1;  // max(2, 1) = 2 scan slots
+  ChunkCacheManager mgr(engine_.get(), opts);
+  backend::ScanScheduler* sched = mgr.scan_scheduler();
+
+  // Two holders take both scan slots and stall behind the closed gate
+  // (one in ReadPage, the other on the buffer pool it holds).
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  ASSERT_TRUE(pool_->EvictAll().ok());
+  gate_->CloseGate();
+  std::vector<std::thread> holders;
+  for (uint64_t chunk : {0, 1}) {
+    holders.emplace_back([&, chunk] {
+      WorkCounters work;
+      EXPECT_TRUE(
+          sched->Compute(GroupBySpec{{1, 1, 1, 1}, 4}, {chunk}, {}, &work)
+              .ok());
+    });
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return sched->stats().outstanding_scans == 2 &&
+           gate_->blocked_readers() > 0;
+  })) << "holders never filled both slots";
+
+  // Owner A claims every chunk of the query, then queues for a slot under
+  // a 1 s deadline.
+  ExecControl ctrl_a;
+  ctrl_a.deadline = Deadline::AfterMs(1000);
+  QueryStats st_a;
+  Result<std::vector<backend::ResultRow>> res_a = Status::Internal("not run");
+  std::thread a([&] { res_a = mgr.Execute(query, &st_a, ctrl_a); });
+  ASSERT_TRUE(WaitFor([&] { return sched->stats().requests == 3; }));
+
+  // Waiter B, with no deadline, finds every chunk owned by A.
+  QueryStats st_b;
+  Result<std::vector<backend::ResultRow>> res_b = Status::Internal("not run");
+  std::thread b([&] { res_b = mgr.Execute(query, &st_b); });
+
+  a.join();
+  ASSERT_FALSE(res_a.ok());
+  EXPECT_EQ(res_a.status().code(), StatusCode::kDeadlineExceeded);
+  gate_->OpenGate();
+  for (auto& h : holders) h.join();
+  b.join();
+
+  // A's deadline was A's alone: B claimed the chunks again and computed
+  // them itself.
+  ASSERT_TRUE(res_b.ok()) << res_b.status().ToString();
+  EXPECT_TRUE(RowsEqual(*res_b, want));
+  EXPECT_EQ(st_b.deadline_expired, 0u);
+  EXPECT_EQ(st_b.chunks_from_backend + st_b.chunks_from_cache +
+                st_b.coalesced_waits,
+            st_b.chunks_needed);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Multi-client scaling of the chunk-cache middle tier (the parallel
-// miss-chunk pipeline). M client threads drain a shared, pre-generated
-// query stream through one ChunkCacheManager configured with M worker
-// threads and a sharded cache; we report aggregate throughput and the
-// merged per-query latency distribution versus the thread count.
+// Multi-client scaling of the chunk-cache middle tier. M client threads
+// drain a shared, pre-generated query stream through one ChunkCacheManager
+// with a sharded cache and max(2, M) scan slots; each query runs serially
+// on its client's thread. We report aggregate throughput and the merged
+// per-query latency distribution versus the client count.
 //
-// The first row (1 client, num_workers = 1, 1 shard) is the exact serial
-// paper path — no pool is even constructed — so it doubles as the
-// no-regression baseline for the serial reproductions.
+// The first row (1 client, 1 shard) is the serial paper path, so it
+// doubles as the no-regression baseline for the serial reproductions.
 
 #include <algorithm>
 #include <atomic>
@@ -44,13 +43,13 @@ double Percentile(std::vector<double>* sorted_ms, double p) {
 
 ConfigResult RunConfig(System* sys,
                        const std::vector<backend::StarJoinQuery>& queries,
-                       uint32_t clients, uint32_t workers, uint32_t shards) {
+                       uint32_t clients, uint32_t shards) {
   // Cold start: fresh manager, cold buffer pool — every config does the
   // same total work from the same starting state.
   if (!sys->ResetBackend().ok()) return {};
 
   ChunkManagerOptions opts;
-  opts.num_workers = workers;
+  opts.num_workers = clients;  // max(2, clients) scan slots
   opts.cache_shards = shards;
   ChunkCacheManager mgr(&sys->engine(), opts);
 
@@ -92,16 +91,14 @@ ConfigResult RunConfig(System* sys,
   r.p50_ms = Percentile(&merged, 0.50);
   r.p95_ms = Percentile(&merged, 0.95);
   r.errors = errors.load();
-  // Background prefetch tasks also touch the cache; drain them so the
-  // contention snapshot covers the whole configuration's work.
-  mgr.DrainPrefetch();
   r.contention_ns = mgr.StatsSnapshot().contention_ns;
   return r;
 }
 
 int Run() {
   ExperimentConfig config = ExperimentConfig::FromEnv();
-  PrintSetup(config, "Concurrency scaling: M clients, M workers, 16 shards");
+  PrintSetup(config,
+             "Concurrency scaling: M clients, max(2, M) scan slots, 16 shards");
 
   auto sys = System::Build(config);
   if (!sys.ok()) {
@@ -121,20 +118,19 @@ int Run() {
   }
 
   std::printf("%-8s %-8s %-8s %12s %10s %10s %10s %12s\n", "clients",
-              "workers", "shards", "qps", "p50(ms)", "p95(ms)", "speedup",
+              "slots", "shards", "qps", "p50(ms)", "p95(ms)", "speedup",
               "lock-wait(ms)");
 
   double base_qps = 0;
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   for (uint32_t m : {1u, 2u, 4u, 8u}) {
-    // The m = 1 row uses the serial configuration (no pool, one shard);
-    // parallel rows get one worker per client and a 16-way sharded cache.
-    const uint32_t workers = m;
+    // The m = 1 row uses the serial configuration (one shard); the
+    // concurrent rows get a 16-way sharded cache.
     const uint32_t shards = m == 1 ? 1 : 16;
-    ConfigResult r = RunConfig(sys->get(), queries, m, workers, shards);
+    ConfigResult r = RunConfig(sys->get(), queries, m, shards);
     if (m == 1) base_qps = r.qps;
     std::printf("%-8u %-8u %-8u %12.1f %10.3f %10.3f %9.2fx %12.2f\n",
-                r.clients, workers, r.shards, r.qps, r.p50_ms, r.p95_ms,
+                r.clients, std::max(2u, m), r.shards, r.qps, r.p50_ms, r.p95_ms,
                 base_qps > 0 ? r.qps / base_qps : 0,
                 static_cast<double>(r.contention_ns) / 1e6);
     if (r.errors != 0) {

@@ -139,7 +139,6 @@ Result<InstrumentedStream> RunColdStream(System* sys, uint64_t num_queries,
   CHUNKCACHE_ASSIGN_OR_RETURN(
       out.stream,
       RunStream(&tier, &gen, num_queries, sys->config().cost_model));
-  tier.DrainPrefetch();
 
   // Observed volume: every counter add and histogram record of the run is
   // in the registry (counter folds over-count multi-unit Adds as one

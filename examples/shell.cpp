@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   if (!engine.BuildBitmapIndexes().ok()) return 1;
   core::ChunkManagerOptions mopts;
   mopts.enable_in_cache_aggregation = true;
-  mopts.num_workers = 4;     // parallel miss pipeline
+  mopts.num_workers = 4;     // four scan slots
   mopts.cache_shards = 8;    // sharded, thread-safe chunk cache
   mopts.trace_capacity = 64;  // per-query span trees for .trace
   mopts.enable_compression = compress;  // --compress: encoded cache tier
@@ -292,12 +292,6 @@ int main(int argc, char** argv) {
                     (unsigned long long)sh.lookups,
                     sh.lookups ? 100.0 * sh.hits / sh.lookups : 0.0);
       }
-      std::printf("executor: tasks submitted=%llu run=%llu queue peak=%llu "
-                  "async prefetched=%llu\n",
-                  (unsigned long long)cs.exec_tasks_submitted,
-                  (unsigned long long)cs.exec_tasks_run,
-                  (unsigned long long)cs.exec_queue_peak,
-                  (unsigned long long)cs.async_prefetched_chunks);
       std::printf("simd: level=%s detected=%s override=%s\n",
                   simd::IsaLevelName(
                       static_cast<simd::IsaLevel>(cs.simd_level)),

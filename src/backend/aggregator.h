@@ -26,8 +26,8 @@ struct AggKernelStats {
   uint64_t runs_merged = 0;        ///< Source runs folded into merged reads.
 };
 
-/// Thread-safe counters behind AggKernelStats; chunk workers record into
-/// these concurrently, so every field is a relaxed atomic.
+/// Thread-safe counters behind AggKernelStats; concurrent queries record
+/// into these, so every field is a relaxed atomic.
 struct AggKernelCounters {
   std::atomic<uint64_t> dense_kernels{0};
   std::atomic<uint64_t> hash_kernels{0};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 
 #include "common/logging.h"
 
@@ -118,7 +117,7 @@ std::optional<size_t> BackendEngine::PickSource(
 Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
     const GroupBySpec& target, const std::vector<uint64_t>& chunk_nums,
     const std::vector<NonGroupByPredicate>& non_group_by,
-    WorkCounters* work, ThreadPool* executor) {
+    WorkCounters* work) {
   const auto disk_before = pool_->disk()->stats();
   // Non-group-by predicates reference base-level detail, so they force
   // computation from the base table.
@@ -186,13 +185,10 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
   }
 
   // Each requested chunk maps to a disjoint set of source chunks (the
-  // closure property), so chunks are independent units of work: workers
-  // scan their own source chunks into a private aggregator and the loop
-  // below fans out across `executor` when one is supplied. Tuples counts
-  // accumulate per worker and merge at the end; the result slot for index
-  // i is fixed up front, so parallel output is bit-identical to serial.
+  // closure property), so each chunk folds its own source chunks into a
+  // private aggregator.
   //
-  // A worker first resolves its source chunks to runs and merges the
+  // A chunk first resolves its source chunks to runs and merges the
   // back-to-back ones into maximal sequential reads (at most
   // max_merged_run_rows rows each), then bulk-decodes each read into a
   // columnar batch for the chunk's kernel. Runs are read in ascending row
@@ -200,73 +196,58 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
   // so the fold order — and the result, bit for bit — does not depend on
   // how runs were merged.
   const bool* filt = non_group_by.empty() ? nullptr : has_filter.data();
-  std::vector<ChunkData> out(chunk_nums.size());
-  std::atomic<uint64_t> tuples_scanned{0};
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  ParallelFor(executor, chunk_nums.size(), [&](uint64_t i) {
-    const uint64_t chunk_num = chunk_nums[i];
-    auto box_or = scheme_->SourceBox(target, chunk_num, source_spec);
-    Status status = box_or.status();
-    if (status.ok()) {
-      ChunkAggregator agg(scheme_, target, chunk_num,
-                          options_.dense_cell_limit, &kernel_counters_);
-      std::vector<uint64_t> src_chunks;
-      box_or->ForEach(scheme_->GridFor(source_spec),
-                      [&](uint64_t src_chunk, const ChunkCoords&) {
-                        src_chunks.push_back(src_chunk);
-                      });
-      auto runs_or =
-          source ? materialized_[*source].CoalescedRuns(
-                       src_chunks, options_.max_merged_run_rows)
-                 : file_->CoalescedRuns(src_chunks,
-                                        options_.max_merged_run_rows);
-      status = runs_or.status();
-      if (status.ok()) {
-        storage::AggColumns agg_batch(scheme_->num_dims());
-        storage::TupleColumns base_batch;
-        base_batch.num_dims = scheme_->num_dims();
-        for (const RowRun& run : *runs_or) {
-          if (run.chunks > 1) {
-            kernel_counters_.coalesced_reads.fetch_add(
-                1, std::memory_order_relaxed);
-            kernel_counters_.runs_merged.fetch_add(
-                run.chunks, std::memory_order_relaxed);
-          } else {
-            kernel_counters_.single_run_reads.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          if (source) {
-            agg_batch.Clear();
-            status = materialized_[*source].file().ScanRangeColumns(
-                run.first, run.count, &agg_batch);
-            if (!status.ok()) break;
-            agg.AddAggColumns(agg_batch, source_spec);
-          } else {
-            base_batch.Clear();
-            status = file_->fact_file().ScanRangeColumns(
-                run.first, run.count, &base_batch);
-            if (!status.ok()) break;
-            agg.AddBaseColumns(base_batch, filt, pre_filter.data());
-          }
-        }
+  MaterializedAggregate* mat = source ? &materialized_[*source] : nullptr;
+  std::vector<ChunkData> out;
+  out.reserve(chunk_nums.size());
+  uint64_t tuples_scanned = 0;
+  for (uint64_t chunk_num : chunk_nums) {
+    CHUNKCACHE_ASSIGN_OR_RETURN(
+        const chunks::ChunkBox box,
+        scheme_->SourceBox(target, chunk_num, source_spec));
+    ChunkAggregator agg(scheme_, target, chunk_num, options_.dense_cell_limit,
+                        &kernel_counters_);
+    std::vector<uint64_t> src_chunks;
+    box.ForEach(scheme_->GridFor(source_spec),
+                [&](uint64_t src_chunk, const ChunkCoords&) {
+                  src_chunks.push_back(src_chunk);
+                });
+    CHUNKCACHE_ASSIGN_OR_RETURN(
+        const std::vector<RowRun> runs,
+        mat != nullptr
+            ? mat->CoalescedRuns(src_chunks, options_.max_merged_run_rows)
+            : file_->CoalescedRuns(src_chunks, options_.max_merged_run_rows));
+    storage::AggColumns agg_batch(scheme_->num_dims());
+    storage::TupleColumns base_batch;
+    base_batch.num_dims = scheme_->num_dims();
+    for (const RowRun& run : runs) {
+      if (run.chunks > 1) {
+        kernel_counters_.coalesced_reads.fetch_add(1,
+                                                   std::memory_order_relaxed);
+        kernel_counters_.runs_merged.fetch_add(run.chunks,
+                                               std::memory_order_relaxed);
+      } else {
+        kernel_counters_.single_run_reads.fetch_add(1,
+                                                    std::memory_order_relaxed);
       }
-      if (status.ok()) {
-        tuples_scanned.fetch_add(agg.rows_consumed(),
-                                 std::memory_order_relaxed);
-        ChunkData data;
-        data.chunk_num = chunk_num;
-        data.cols = agg.TakeColumns();
-        out[i] = std::move(data);
+      if (mat != nullptr) {
+        agg_batch.Clear();
+        CHUNKCACHE_RETURN_IF_ERROR(
+            mat->file().ScanRangeColumns(run.first, run.count, &agg_batch));
+        agg.AddAggColumns(agg_batch, source_spec);
+      } else {
+        base_batch.Clear();
+        CHUNKCACHE_RETURN_IF_ERROR(file_->fact_file().ScanRangeColumns(
+            run.first, run.count, &base_batch));
+        agg.AddBaseColumns(base_batch, filt, pre_filter.data());
       }
     }
-    if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = status;
-    }
-  });
-  CHUNKCACHE_RETURN_IF_ERROR(first_error);
-  work->tuples_processed += tuples_scanned.load(std::memory_order_relaxed);
+    tuples_scanned += agg.rows_consumed();
+    ChunkData data;
+    data.chunk_num = chunk_num;
+    data.cols = agg.TakeColumns();
+    out.push_back(std::move(data));
+  }
+  work->tuples_processed += tuples_scanned;
   const auto disk_after = pool_->disk()->stats();
   work->pages_read += disk_after.reads - disk_before.reads;
   work->pages_written += disk_after.writes - disk_before.writes;

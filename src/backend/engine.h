@@ -13,7 +13,6 @@
 #include "chunks/chunking_scheme.h"
 #include "common/cost_model.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "index/bitmap_index.h"
 
 namespace chunkcache::backend {
@@ -118,13 +117,8 @@ class BackendEngine {
   /// or the base chunked file). `non_group_by` predicates force computation
   /// from base. Work done (physical pages, tuples) is added to `*work`.
   ///
-  /// When `executor` is non-null (and the file is clustered), the chunks
-  /// fan out across the pool's workers: each requested chunk maps to a
-  /// disjoint set of source chunks (the closure property), so workers scan
-  /// independently into private aggregators, and per-worker counters are
-  /// merged at the end. Output is deterministic — element i of the result
-  /// is chunk_nums[i] with canonically sorted rows, identical to the
-  /// serial path. Passing nullptr keeps the exact serial code path.
+  /// Element i of the result is chunk_nums[i], its rows in canonical
+  /// order.
   ///
   /// A call takes no deadline: once started it runs to completion.
   /// Callers bound the wait *before* it (ScanScheduler's slot admission).
@@ -132,7 +126,7 @@ class BackendEngine {
       const chunks::GroupBySpec& target,
       const std::vector<uint64_t>& chunk_nums,
       const std::vector<NonGroupByPredicate>& non_group_by,
-      WorkCounters* work, ThreadPool* executor = nullptr);
+      WorkCounters* work);
 
   /// Evaluates a full star-join query (the no-cache path and the
   /// query-cache miss path): bitmap selection when available and selective

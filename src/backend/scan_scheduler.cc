@@ -31,7 +31,7 @@ Result<std::vector<ChunkData>> ScanScheduler::Compute(
     const chunks::GroupBySpec& target,
     const std::vector<uint64_t>& chunk_nums,
     const std::vector<NonGroupByPredicate>& non_group_by, WorkCounters* work,
-    ThreadPool* executor, const ExecControl* ctrl) {
+    const ExecControl* ctrl) {
   if (chunk_nums.empty()) return std::vector<ChunkData>{};
   CHUNKCACHE_CHECK(work != nullptr);
   CHUNKCACHE_FAULT_POINT(FaultSite::kScanAdmit);
@@ -52,8 +52,7 @@ Result<std::vector<ChunkData>> ScanScheduler::Compute(
   }
 
   const auto scan_t0 = std::chrono::steady_clock::now();
-  auto out =
-      engine_->ComputeChunks(target, chunk_nums, non_group_by, work, executor);
+  auto out = engine_->ComputeChunks(target, chunk_nums, non_group_by, work);
   scan_ns_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - scan_t0)

@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace chunkcache::backend {
 
@@ -41,8 +40,8 @@ struct ScanSchedulerStats {
 /// missing chunk to exactly one owner.
 ///
 /// Deadlock safety: a slot is held only for the duration of one engine
-/// call, which always completes (ParallelFor keeps the calling thread
-/// participating), and no thread waits for a slot while holding one.
+/// call, which runs serially on the caller's thread and always completes,
+/// and no thread waits for a slot while holding one.
 class ScanScheduler {
  public:
   /// Cumulative statistics live on `metrics` (under "scheduler." names);
@@ -64,8 +63,7 @@ class ScanScheduler {
       const chunks::GroupBySpec& target,
       const std::vector<uint64_t>& chunk_nums,
       const std::vector<NonGroupByPredicate>& non_group_by,
-      WorkCounters* work, ThreadPool* executor = nullptr,
-      const ExecControl* ctrl = nullptr);
+      WorkCounters* work, const ExecControl* ctrl = nullptr);
 
   ScanSchedulerStats stats() const;
 

@@ -117,13 +117,6 @@ struct ChunkCacheStats {
   /// Per-shard breakdown (empty until stats() fills it).
   std::vector<ChunkShardStats> shards;
 
-  // Executor counters, filled by ChunkCacheManager::StatsSnapshot when a
-  // worker pool is attached; zero otherwise.
-  uint64_t exec_tasks_submitted = 0;
-  uint64_t exec_tasks_run = 0;
-  uint64_t exec_queue_peak = 0;
-  uint64_t async_prefetched_chunks = 0;
-
   // Aggregation-kernel and run-I/O counters, filled by
   // ChunkCacheManager::StatsSnapshot from the backend engine; zero when
   // read straight off a ChunkCache.

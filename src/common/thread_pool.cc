@@ -1,14 +1,8 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-
 #include "common/logging.h"
 
 namespace chunkcache {
-
-namespace {
-thread_local bool t_in_worker = false;
-}  // namespace
 
 // ----------------------------------------------------------------------------
 // WaitGroup
@@ -67,15 +61,12 @@ void ThreadPool::Submit(std::function<void()> fn) {
   cv_.notify_one();
 }
 
-bool ThreadPool::InWorkerThread() { return t_in_worker; }
-
 ThreadPoolStats ThreadPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_worker = true;
   while (true) {
     std::function<void()> task;
     {
@@ -89,36 +80,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-// ----------------------------------------------------------------------------
-// ParallelFor
-// ----------------------------------------------------------------------------
-
-void ParallelFor(ThreadPool* pool, uint64_t n,
-                 const std::function<void(uint64_t)>& fn) {
-  if (pool == nullptr || n < 2 || ThreadPool::InWorkerThread()) {
-    for (uint64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Shared cursor: workers and the caller claim indexes until exhausted.
-  auto cursor = std::make_shared<std::atomic<uint64_t>>(0);
-  auto wg = std::make_shared<WaitGroup>();
-  const uint64_t helpers =
-      std::min<uint64_t>(pool->num_threads(), n > 1 ? n - 1 : 0);
-  wg->Add(helpers);
-  for (uint64_t h = 0; h < helpers; ++h) {
-    pool->Submit([cursor, wg, &fn, n] {
-      for (uint64_t i = cursor->fetch_add(1); i < n; i = cursor->fetch_add(1)) {
-        fn(i);
-      }
-      wg->Done();
-    });
-  }
-  for (uint64_t i = cursor->fetch_add(1); i < n; i = cursor->fetch_add(1)) {
-    fn(i);
-  }
-  wg->Wait();
 }
 
 }  // namespace chunkcache

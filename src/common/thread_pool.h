@@ -58,14 +58,6 @@ class ThreadPool {
   /// Enqueues `fn` for execution on some worker.
   void Submit(std::function<void()> fn);
 
-  uint32_t num_threads() const { return static_cast<uint32_t>(workers_.size()); }
-
-  /// True when called from one of *any* ThreadPool's worker threads. Used
-  /// to keep nested parallelism from deadlocking: a task running on the
-  /// pool must not submit subtasks and block on them, so parallel
-  /// fan-out helpers fall back to serial execution inside workers.
-  static bool InWorkerThread();
-
   ThreadPoolStats stats() const;
 
  private:
@@ -78,14 +70,6 @@ class ThreadPool {
   ThreadPoolStats stats_;
   std::vector<std::thread> workers_;
 };
-
-/// Runs fn(0..n-1) across the pool, with the calling thread participating;
-/// returns when every index has been processed. Indexes are claimed from a
-/// shared cursor, so long and short items balance without stealing. When
-/// `pool` is null, n < 2, or the caller is itself a pool worker (nested
-/// fan-out would risk deadlock), runs serially on the calling thread.
-void ParallelFor(ThreadPool* pool, uint64_t n,
-                 const std::function<void(uint64_t)>& fn);
 
 }  // namespace chunkcache
 

@@ -99,9 +99,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
                                            : owned_metrics_.get()),
       cache_(options_.cache_bytes, options_.policy,
              std::max<uint32_t>(1, options_.cache_shards), metrics_) {
-  if (options_.num_workers > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  }
   scheduler_ = std::make_unique<backend::ScanScheduler>(
       engine_, std::max<uint32_t>(2, options_.num_workers), metrics_);
   if (options_.trace_capacity > 0) {
@@ -114,14 +111,13 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
   queries_ = metrics_->GetCounter("query.executions");
   query_errors_ = metrics_->GetCounter("query.errors");
   chunks_requested_ = metrics_->GetCounter("chunks.requested");
-  from_cache_ = metrics_->GetCounter("chunks.from_cache");
-  from_aggregation_ = metrics_->GetCounter("chunks.from_aggregation");
-  from_backend_ = metrics_->GetCounter("chunks.from_backend");
-  coalesced_waits_ = metrics_->GetCounter("chunks.coalesced_waits");
-  degraded_answers_ = metrics_->GetCounter("chunks.degraded_answers");
+  provenance_ = {metrics_->GetCounter("chunks.from_cache"),
+                 metrics_->GetCounter("chunks.from_aggregation"),
+                 metrics_->GetCounter("chunks.from_backend"),
+                 metrics_->GetCounter("chunks.coalesced_waits"),
+                 metrics_->GetCounter("chunks.degraded_answers")};
   retries_ = metrics_->GetCounter("backend.retries");
   deadline_expired_ = metrics_->GetCounter("query.deadline_expired");
-  async_prefetched_ = metrics_->GetCounter("prefetch.async_chunks");
   prefetch_dropped_ = metrics_->GetCounter("prefetch.dropped_inflight");
   query_latency_ns_ = metrics_->GetHistogram("query.latency_ns");
   compressed_chunks_ = metrics_->GetCounter("cache.compressed_chunks");
@@ -148,7 +144,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
 }
 
 ChunkCacheManager::~ChunkCacheManager() {
-  DrainPrefetch();
   if (persist_ != nullptr) {
     // Detach the sink and join the persister, then leave a final snapshot
     // (skipped after SimulateCrash — a killed process writes nothing on
@@ -237,22 +232,11 @@ Status ChunkCacheManager::PersistSnapshot() {
   });
 }
 
-void ChunkCacheManager::DrainPrefetch() { prefetch_wg_.Wait(); }
-
 cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
-  // Fold natively-atomic subsystem stores (executor, kernels, in-flight
-  // table, fault injector, disk CRC) into registry gauges, then build the
-  // whole struct from one registry snapshot — a single source of truth for
-  // `.stats`, `.metrics` and this accessor.
-  if (pool_ != nullptr) {
-    const ThreadPoolStats es = pool_->stats();
-    metrics_->GetGauge("exec.tasks_submitted")
-        ->Set(static_cast<int64_t>(es.tasks_submitted));
-    metrics_->GetGauge("exec.tasks_run")
-        ->Set(static_cast<int64_t>(es.tasks_run));
-    metrics_->GetGauge("exec.queue_peak")
-        ->Set(static_cast<int64_t>(es.queue_peak));
-  }
+  // Fold natively-atomic subsystem stores (kernels, in-flight table, fault
+  // injector, disk CRC) into registry gauges, then build the whole struct
+  // from one registry snapshot — a single source of truth for `.stats`,
+  // `.metrics` and this accessor.
   const backend::AggKernelStats ks = engine_->kernel_stats();
   metrics_->GetGauge("kernels.dense")
       ->Set(static_cast<int64_t>(ks.dense_kernels));
@@ -291,11 +275,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
 
   cache::ChunkCacheStats s = cache_.stats();  // registry-backed already
   const MetricsRegistry::Snapshot snap = metrics_->TakeSnapshot();
-  s.exec_tasks_submitted =
-      static_cast<uint64_t>(snap.gauge("exec.tasks_submitted"));
-  s.exec_tasks_run = static_cast<uint64_t>(snap.gauge("exec.tasks_run"));
-  s.exec_queue_peak = static_cast<uint64_t>(snap.gauge("exec.queue_peak"));
-  s.async_prefetched_chunks = snap.counter("prefetch.async_chunks");
   s.dense_kernels = static_cast<uint64_t>(snap.gauge("kernels.dense"));
   s.hash_kernels = static_cast<uint64_t>(snap.gauge("kernels.hash"));
   s.rows_folded_dense =
@@ -338,9 +317,10 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   return s;
 }
 
-void ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
+std::shared_ptr<const storage::AggColumns>
+ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
   namespace codec = storage::codec;
-  if (!options_.enable_compression || entry->cols.empty()) return;
+  if (!options_.enable_compression || entry->cols.empty()) return nullptr;
   const uint64_t raw = codec::RawPayloadBytes(entry->cols);
   std::vector<uint8_t> blob;
   codec::CodecStats cs;
@@ -362,25 +342,25 @@ void ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
     // Encoding lost (already-random data): keep the raw columns, a decode
     // per hit would buy nothing.
     compression_skipped_->Increment();
-    return;
+    return nullptr;
   }
   blob.shrink_to_fit();
-  const ChunkKey key{entry->group_by_id, entry->chunk_num,
-                     entry->filter_hash};
   const uint32_t num_dims = entry->cols.num_dims();
   entry->encoded_rows = static_cast<uint32_t>(entry->cols.size());
   entry->raw_bytes = raw;
   entry->encoded = std::move(blob);
-  if (decoded_ != nullptr) {
-    // Seed the decoded front with the columns we already have: the query
-    // that computed this chunk (and its coalesced waiters) re-reads them
-    // without paying the first decode.
-    auto dec =
-        std::make_shared<storage::AggColumns>(std::move(entry->cols));
-    decoded_->Put(key, std::move(dec));
-  }
+  auto dec =
+      std::make_shared<const storage::AggColumns>(std::move(entry->cols));
   entry->cols = storage::AggColumns(num_dims);  // release the raw columns
+  if (decoded_ != nullptr) {
+    // Seed the decoded front with the columns we already have: coalesced
+    // waiters and the next hits read them without paying the first decode.
+    decoded_->Put(
+        ChunkKey{entry->group_by_id, entry->chunk_num, entry->filter_hash},
+        dec);
+  }
   compressed_chunks_->Increment();
+  return dec;
 }
 
 std::shared_ptr<const storage::AggColumns> ChunkCacheManager::ResolveCols(
@@ -409,23 +389,27 @@ std::shared_ptr<const storage::AggColumns> ChunkCacheManager::ResolveCols(
   return dec;
 }
 
-cache::ChunkHandle ChunkCacheManager::AdmitChunk(
+std::shared_ptr<const storage::AggColumns> ChunkCacheManager::AdmitChunk(
     const ChunkKey& key, double benefit, storage::AggColumns cols,
-    std::vector<AggTuple>* rows, const Inflight::SlotPtr& slot) {
+    const Inflight::SlotPtr& slot) {
   auto entry = std::make_shared<cache::CachedChunk>();
   entry->group_by_id = key.group_by_id;
   entry->chunk_num = key.chunk_num;
   entry->filter_hash = key.filter_hash;
   entry->benefit = benefit;
   entry->cols = std::move(cols);
-  if (rows != nullptr) entry->cols.AppendToRows(rows);
-  MaybeCompressEntry(entry.get());
+  std::shared_ptr<const storage::AggColumns> out =
+      MaybeCompressEntry(entry.get());
   cache::ChunkHandle handle = entry;
+  if (out == nullptr) {
+    // Raw entry: alias its columns, the handle keeps them alive.
+    out = std::shared_ptr<const storage::AggColumns>(handle, &handle->cols);
+  }
   cache_.Insert(std::move(entry));
   // Insert before Publish: a claimant that re-probes after the entry
   // retires must find the chunk in the cache.
-  if (slot != nullptr) inflight_.Publish(key, slot, handle);
-  return handle;
+  if (slot != nullptr) inflight_.Publish(key, slot, std::move(handle));
+  return out;
 }
 
 Result<std::vector<ChunkData>> ChunkCacheManager::ComputeFromBackend(
@@ -435,33 +419,25 @@ Result<std::vector<ChunkData>> ChunkCacheManager::ComputeFromBackend(
   // real) re-attempt instead of failing the query and its waiters.
   return RunWithRetry(options_.retry, ctrl, &stats->retries, [&] {
     return scheduler_->Compute(query.group_by, chunk_nums, query.non_group_by,
-                               &stats->backend_work, pool_.get(), &ctrl);
+                               &stats->backend_work, &ctrl);
   });
 }
 
-Result<cache::ChunkHandle> ChunkCacheManager::ComputeReclaimed(
-    const StarJoinQuery& query, const ChunkKey& key,
-    const Inflight::SlotPtr& slot, double benefit, const ExecControl& ctrl,
-    QueryStats* stats) {
-  // A query that claimed the key since the previous owner failed may have
-  // published it already.
+ChunkCacheManager::ClaimKind ChunkCacheManager::Claim(
+    const ChunkKey& key, cache::ChunkHandle* hit, Inflight::SlotPtr* slot) {
+  Inflight::Claim claim = inflight_.Acquire(key);
+  *slot = std::move(claim.slot);
+  if (!claim.owner) return ClaimKind::kWait;
+  // Contains first: the common no-race case stays a statistics-free probe.
   if (cache_.Contains(key.group_by_id, key.chunk_num, key.filter_hash)) {
-    cache::ChunkHandle hit =
-        cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash);
-    if (hit != nullptr) {
-      inflight_.Publish(key, slot, hit);
-      ++stats->chunks_from_cache;
-      return hit;
+    *hit = cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash);
+    if (*hit != nullptr) {
+      inflight_.Publish(key, *slot, *hit);
+      slot->reset();
+      return ClaimKind::kHit;
     }
   }
-  auto computed = ComputeFromBackend(query, {key.chunk_num}, ctrl, stats);
-  if (!computed.ok()) {
-    inflight_.Fail(key, slot, computed.status());
-    return computed.status();
-  }
-  ++stats->chunks_from_backend;
-  return AdmitChunk(key, benefit, std::move(computed->front().cols),
-                    /*rows=*/nullptr, slot);
+  return ClaimKind::kOwned;
 }
 
 uint64_t ChunkCacheManager::FilterHash(
@@ -486,40 +462,29 @@ Result<std::vector<ResultRow>> ChunkCacheManager::Run(
     const StarJoinQuery& query, QueryStats* stats, const ExecControl& ctrl) {
   TraceBuilder trace(trace_.get(), "execute");
   const auto t0 = std::chrono::steady_clock::now();
-  Result<std::vector<ResultRow>> out =
-      ExecuteTraced(query, stats, ctrl, &trace);
+  Result<std::vector<ResultRow>> out = [&]() -> Result<std::vector<ResultRow>> {
+    // Fail fast before claiming any in-flight slot: an already expired or
+    // cancelled query must not become an owner other queries wait on.
+    CHUNKCACHE_RETURN_IF_ERROR(ctrl.Check());
+    QueryPlan plan = Plan(query, stats, &trace);
+    CHUNKCACHE_RETURN_IF_ERROR(Resolve(&plan, ctrl, stats, &trace));
+    std::vector<ResultRow> rows = Assemble(plan, &trace);
+    Account(plan, stats);
+    if (options_.enable_drill_down_prefetch) Prefetch(plan, stats, &trace);
+    return rows;
+  }();
   query_latency_ns_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
   queries_->Increment();
-  // Robustness counters flush on every path out; chunk-provenance counters
-  // only for successful queries, so chunks.requested always equals the sum
-  // of the provenance counters once the tier quiesces.
+  // Robustness counters flush on every path out; Account flushed the
+  // chunk-provenance counters of a successful query.
   if (stats->retries != 0) retries_->Add(stats->retries);
   if (stats->deadline_expired != 0) {
     deadline_expired_->Add(stats->deadline_expired);
   }
-  if (out.ok()) {
-    chunks_requested_->Add(stats->chunks_needed);
-    if (stats->chunks_from_cache != 0) {
-      from_cache_->Add(stats->chunks_from_cache);
-    }
-    if (stats->chunks_from_aggregation != 0) {
-      from_aggregation_->Add(stats->chunks_from_aggregation);
-    }
-    if (stats->chunks_from_backend != 0) {
-      from_backend_->Add(stats->chunks_from_backend);
-    }
-    if (stats->coalesced_waits != 0) {
-      coalesced_waits_->Add(stats->coalesced_waits);
-    }
-    if (stats->degraded_answers != 0) {
-      degraded_answers_->Add(stats->degraded_answers);
-    }
-  } else {
-    query_errors_->Increment();
-  }
+  if (!out.ok()) query_errors_->Increment();
   if (trace.armed()) {
     const uint32_t root = trace.root();
     trace.Tag(root, "group_by", query.group_by.ToString());
@@ -538,173 +503,113 @@ Result<std::vector<ResultRow>> ChunkCacheManager::Run(
   return out;
 }
 
-Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
-    const StarJoinQuery& query, QueryStats* stats, const ExecControl& ctrl,
-    TraceBuilder* trace) {
-  // Fail fast before claiming any in-flight slot: an already expired or
-  // cancelled query must not become an owner other queries wait on.
-  CHUNKCACHE_RETURN_IF_ERROR(ctrl.Check());
+ChunkCacheManager::QueryPlan ChunkCacheManager::Plan(
+    const StarJoinQuery& query, QueryStats* stats, TraceBuilder* trace) {
   const chunks::ChunkingScheme& scheme = engine_->scheme();
-  const uint32_t gb_id = scheme.GroupById(query.group_by);
-  const uint64_t filter_hash = FilterHash(query.non_group_by);
-  // Benefit carried by this query's inserts: the paper's |base|/#chunks.
-  const double benefit = scheme.ChunkBenefit(query.group_by);
+  QueryPlan plan;
+  plan.query = &query;
+  plan.gb_id = scheme.GroupById(query.group_by);
+  plan.filter_hash = FilterHash(query.non_group_by);
+  plan.benefit = scheme.ChunkBenefit(query.group_by);
 
-  // 1. Query analysis: chunk numbers needed (Section 5.2.2).
+  // Query analysis: the chunk numbers needed (Section 5.2.2).
   const uint32_t decompose_span = trace->BeginSpan("decompose", trace->root());
   const ChunkBox box = scheme.BoxForSelection(query.group_by, query.selection);
-  const chunks::ChunkGrid grid = scheme.GridFor(query.group_by);
-  std::vector<uint64_t> needed;
-  needed.reserve(box.NumChunks());
-  box.ForEach(grid, [&](uint64_t num, const ChunkCoords&) {
-    needed.push_back(num);
-  });
-  stats->chunks_needed = needed.size();
-  stats->cost_estimate = static_cast<double>(needed.size()) * benefit;
-  trace->Tag(decompose_span, "chunks", static_cast<uint64_t>(needed.size()));
+  plan.chunks.reserve(box.NumChunks());
+  box.ForEach(scheme.GridFor(query.group_by),
+              [&](uint64_t num, const ChunkCoords&) {
+                plan.chunks.emplace_back().chunk_num = num;
+              });
+  stats->chunks_needed = plan.chunks.size();
+  stats->cost_estimate = static_cast<double>(plan.chunks.size()) * plan.benefit;
+  trace->Tag(decompose_span, "chunks", stats->chunks_needed);
   trace->EndSpan(decompose_span);
 
-  // 2. Query splitting: CNumsPresent / CNumsMissing (Section 5.2.3). Hits
-  // come back as pinned handles, so concurrent inserts or evictions by
-  // other clients cannot invalidate them before assembly. Each miss is
-  // then claimed through the in-flight table: this query either *owns* the
-  // chunk (it computes and publishes it) or *waits* on whichever in-flight
-  // query already owns it.
-  struct Miss {
-    uint64_t chunk_num = 0;
-    Inflight::SlotPtr slot;
-  };
+  // Query splitting: CNumsPresent / CNumsMissing (Section 5.2.3). Hits come
+  // back as pinned handles, so concurrent inserts or evictions by other
+  // clients cannot invalidate them before assembly; every miss is claimed.
   const uint32_t probe_span = trace->BeginSpan("cache_probe", trace->root());
-  std::vector<AggTuple> rows;
-  std::vector<cache::ChunkHandle> cached;
-  std::vector<Miss> owned;
-  std::vector<Miss> waits;
-  for (uint64_t num : needed) {
-    cache::ChunkHandle hit = cache_.Lookup(gb_id, num, filter_hash);
-    if (hit != nullptr) {
-      cached.push_back(std::move(hit));
-      ++stats->chunks_from_cache;
-      continue;
+  std::array<uint64_t, 3> claims{};
+  for (PlannedChunk& c : plan.chunks) {
+    c.hit = cache_.Lookup(plan.gb_id, c.chunk_num, plan.filter_hash);
+    if (c.hit == nullptr) {
+      c.claim = Claim(plan.Key(c.chunk_num), &c.hit, &c.slot);
     }
-    const ChunkKey key{gb_id, num, filter_hash};
-    Inflight::Claim claim = inflight_.Acquire(key);
-    if (!claim.owner) {
-      waits.push_back(Miss{num, std::move(claim.slot)});
-      continue;
-    }
-    // The previous owner may have published (insert + retire) between our
-    // lookup miss and the claim; re-probe so an already cached chunk is
-    // never recomputed. Contains first — the common no-race case stays a
-    // statistics-free probe.
-    cache::ChunkHandle raced;
-    if (cache_.Contains(gb_id, num, filter_hash)) {
-      raced = cache_.Lookup(gb_id, num, filter_hash);
-    }
-    if (raced != nullptr) {
-      inflight_.Publish(key, claim.slot, raced);
-      cached.push_back(std::move(raced));
-      ++stats->chunks_from_cache;
-    } else {
-      owned.push_back(Miss{num, std::move(claim.slot)});
-    }
+    ++claims[static_cast<size_t>(c.claim)];
   }
-  trace->Tag(probe_span, "hits", stats->chunks_from_cache);
-  trace->Tag(probe_span, "owned", static_cast<uint64_t>(owned.size()));
-  trace->Tag(probe_span, "waits", static_cast<uint64_t>(waits.size()));
-  trace->EndSpan(probe_span);
-
-  // From here on, every owned slot is resolved exactly once on every path
-  // out of this function: published with its chunk, or failed.
-
-  // Closure-property roll-up of one missing chunk from finer cached
-  // chunks, shared by in-cache aggregation and degraded answering. The
-  // candidate sources are planned once per query, on first use.
-  std::optional<RollupPlan> rollup_plan;
-  const auto roll_up = [&](uint64_t chunk_num) {
-    if (!rollup_plan) rollup_plan = PlanRollup(gb_id);
-    return TryInCacheAggregation(*rollup_plan, query.group_by, chunk_num,
-                                 filter_hash);
+  const auto count = [&](ClaimKind k) {
+    return claims[static_cast<size_t>(k)];
   };
+  trace->Tag(probe_span, "hits", count(ClaimKind::kHit));
+  trace->Tag(probe_span, "owned", count(ClaimKind::kOwned));
+  trace->Tag(probe_span, "waits", count(ClaimKind::kWait));
+  trace->EndSpan(probe_span);
+  return plan;
+}
 
-  // 3. Optional middle-tier aggregation of finer cached chunks (paper §7).
-  // Runs only for chunks this query owns, so it can never duplicate a
-  // computation already in flight elsewhere.
+Status ChunkCacheManager::Resolve(QueryPlan* plan, const ExecControl& ctrl,
+                                  QueryStats* stats, TraceBuilder* trace) {
+  std::vector<PlannedChunk*> owned;
+  std::vector<PlannedChunk*> waits;
+  for (PlannedChunk& c : plan->chunks) {
+    if (c.claim == ClaimKind::kOwned) owned.push_back(&c);
+    if (c.claim == ClaimKind::kWait) waits.push_back(&c);
+  }
+  CHUNKCACHE_RETURN_IF_ERROR(
+      ResolveOwned(plan, std::move(owned), ctrl, stats, trace));
+  if (waits.empty()) return Status::OK();
+
+  // Every chunk this query owned is published by now, so blocking on other
+  // queries' chunks cannot deadlock, even when two queries wait on each
+  // other's.
+  ScopedSpan wait_span(trace, "wait_coalesced", trace->root());
+  trace->Tag(wait_span.id(), "chunks", static_cast<uint64_t>(waits.size()));
+  for (PlannedChunk* c : waits) {
+    CHUNKCACHE_RETURN_IF_ERROR(CollectWait(plan, c, ctrl, stats));
+  }
+  return Status::OK();
+}
+
+Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
+                                       std::vector<PlannedChunk*> owned,
+                                       const ExecControl& ctrl,
+                                       QueryStats* stats, TraceBuilder* trace) {
+  // Middle-tier aggregation of finer cached chunks (paper §7) first. It
+  // runs only for chunks this query owns, so it never duplicates a
+  // computation in flight elsewhere.
   if (options_.enable_in_cache_aggregation && !owned.empty()) {
     ScopedSpan agg_span(trace, "aggregate_in_cache", trace->root());
-    std::vector<Miss> still_owned;
-    for (Miss& om : owned) {
-      auto aggregated = roll_up(om.chunk_num);
-      if (aggregated) {
-        // Admit the derived chunk so the next query gets a direct hit;
-        // publish the same allocation to any waiters.
-        AdmitChunk(ChunkKey{gb_id, om.chunk_num, filter_hash}, benefit,
-                   std::move(*aggregated), &rows, om.slot);
-        ++stats->chunks_from_aggregation;
-      } else {
-        still_owned.push_back(std::move(om));
+    std::vector<PlannedChunk*> rest;
+    for (PlannedChunk* c : owned) {
+      auto cols = TryInCacheAggregation(plan, c->chunk_num);
+      if (!cols) {
+        rest.push_back(c);
+        continue;
       }
+      // Admitted, so the next query gets a direct hit and any waiter the
+      // same allocation.
+      c->cols = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
+                           std::move(*cols), c->slot);
+      c->source = Provenance::kAggregation;
     }
-    owned = std::move(still_owned);
-    trace->Tag(agg_span.id(), "chunks", stats->chunks_from_aggregation);
+    trace->Tag(agg_span.id(), "chunks",
+               static_cast<uint64_t>(owned.size() - rest.size()));
+    owned = std::move(rest);
   }
-
-  // 4. Compute the owned misses — one backend call through the scan
-  // scheduler's slot gate — overlapping cache-hit assembly with the
-  // backend work: a pool task copies the pinned hit rows while this thread
-  // drives the computation (which itself fans out across the same pool).
-  // Worker tasks never block on other tasks, so the overlap cannot
-  // deadlock.
-  std::vector<uint64_t> owned_nums;
-  owned_nums.reserve(owned.size());
-  for (const Miss& om : owned) owned_nums.push_back(om.chunk_num);
-
   // A full cache hit has no miss pipeline — and no span for it.
-  const uint32_t miss_span =
-      owned_nums.empty() ? TraceBuilder::kNoSpan
-                         : trace->BeginSpan("miss_pipeline", trace->root());
-  trace->Tag(miss_span, "chunks", static_cast<uint64_t>(owned_nums.size()));
+  if (owned.empty()) return Status::OK();
 
-  std::vector<AggTuple> hit_rows;
-  const auto assemble_hits = [&] {
-    size_t total = 0;
-    for (const auto& h : cached) total += h->rows();
-    hit_rows.reserve(total);
-    for (const auto& h : cached) ResolveCols(h)->AppendToRows(&hit_rows);
-  };
-  // Runs on the calling thread in both branches below, so the span is
-  // safe.
-  const auto compute_owned = [&] {
+  // The rest: one backend call through the scan scheduler's slot gate.
+  const uint32_t miss_span = trace->BeginSpan("miss_pipeline", trace->root());
+  trace->Tag(miss_span, "chunks", static_cast<uint64_t>(owned.size()));
+  std::vector<uint64_t> nums;
+  nums.reserve(owned.size());
+  for (const PlannedChunk* c : owned) nums.push_back(c->chunk_num);
+  Result<std::vector<ChunkData>> computed = [&] {
     ScopedSpan scan_span(trace, "scan_aggregate", miss_span);
-    return ComputeFromBackend(query, owned_nums, ctrl, stats);
-  };
-  Result<std::vector<ChunkData>> computed = std::vector<ChunkData>{};
-  const bool overlap = pool_ != nullptr && !owned_nums.empty() &&
-                       !cached.empty() && !ThreadPool::InWorkerThread();
-  if (overlap) {
-    WaitGroup wg;
-    wg.Add(1);
-    pool_->Submit([&] {
-      assemble_hits();
-      wg.Done();
-    });
-    computed = compute_owned();
-    wg.Wait();
-  } else {
-    // Hit assembly on the query thread gets a decode span (compression
-    // only; never in the overlap branch, where it runs on a pool worker —
-    // spans stay on the query's own thread by design).
-    const uint32_t decode_span =
-        options_.enable_compression && !cached.empty()
-            ? trace->BeginSpan("decode", trace->root())
-            : TraceBuilder::kNoSpan;
-    assemble_hits();
-    if (decode_span != TraceBuilder::kNoSpan) {
-      trace->Tag(decode_span, "chunks", static_cast<uint64_t>(cached.size()));
-      trace->EndSpan(decode_span);
-    }
-    if (!owned_nums.empty()) computed = compute_owned();
-  }
-  bool answered_degraded = false;
+    return ComputeFromBackend(*plan->query, nums, ctrl, stats);
+  }();
+  Provenance source = Provenance::kBackend;
   if (!computed.ok()) {
     if (computed.status().code() == StatusCode::kDeadlineExceeded) {
       stats->deadline_expired += owned.size();
@@ -712,169 +617,170 @@ Result<std::vector<ResultRow>> ChunkCacheManager::ExecuteTraced(
     // Degraded-mode answering (closure property): every chunk the backend
     // failed to deliver may still be assembled from cached chunks of a
     // strictly finer group-by. All-or-nothing — a partial assembly would
-    // leave some owned slots unresolved with nothing to publish.
+    // leave some owned slots with nothing to publish.
     ScopedSpan degraded_span(trace, "degraded_rollup", miss_span);
     std::vector<ChunkData> assembled;
     assembled.reserve(owned.size());
-    for (const Miss& om : owned) {
-      auto cols = roll_up(om.chunk_num);
+    for (const PlannedChunk* c : owned) {
+      auto cols = TryInCacheAggregation(plan, c->chunk_num);
       if (!cols) break;
-      ChunkData data;
-      data.chunk_num = om.chunk_num;
-      data.cols = std::move(*cols);
-      assembled.push_back(std::move(data));
+      assembled.push_back(ChunkData{c->chunk_num, std::move(*cols)});
     }
     trace->Tag(degraded_span.id(), "chunks",
                static_cast<uint64_t>(assembled.size()));
-    if (assembled.size() == owned.size()) {
-      stats->degraded_answers += owned.size();
-      answered_degraded = true;
-      computed = std::move(assembled);
-    } else {
+    if (assembled.size() != owned.size()) {
       // Waiters wake with the error and the entries retire, so a retry
       // recomputes.
-      for (const Miss& om : owned) {
-        inflight_.Fail(ChunkKey{gb_id, om.chunk_num, filter_hash}, om.slot,
-                       computed.status());
+      for (const PlannedChunk* c : owned) {
+        inflight_.Fail(plan->Key(c->chunk_num), c->slot, computed.status());
       }
       return computed.status();
     }
+    computed = std::move(assembled);
+    source = Provenance::kDegraded;
   }
-  if (!answered_degraded) stats->chunks_from_backend = computed->size();
-  const uint32_t encode_span =
-      options_.enable_compression && !computed->empty()
-          ? trace->BeginSpan("encode", miss_span)
+  const uint32_t encode_span = options_.enable_compression
+                                   ? trace->BeginSpan("encode", miss_span)
+                                   : TraceBuilder::kNoSpan;
+  for (size_t i = 0; i < owned.size(); ++i) {
+    PlannedChunk* c = owned[i];
+    c->cols = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
+                         std::move((*computed)[i].cols), c->slot);
+    c->source = source;
+  }
+  trace->Tag(encode_span, "chunks", static_cast<uint64_t>(owned.size()));
+  trace->EndSpan(encode_span);
+  trace->Tag(miss_span, "provenance",
+             source == Provenance::kDegraded ? "degraded" : "backend");
+  if (stats->retries != 0) trace->Tag(miss_span, "retries", stats->retries);
+  trace->EndSpan(miss_span);
+  return Status::OK();
+}
+
+Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
+                                      const ExecControl& ctrl,
+                                      QueryStats* stats) {
+  const ChunkKey key = plan->Key(c->chunk_num);
+  Result<cache::ChunkHandle> res = c->slot->WaitUntil(ctrl.deadline);
+  // An owner that gave up for its own reasons — its deadline or
+  // cancellation, never a backend error — does not decide this query's
+  // fate: while this query is live it claims the chunk again.
+  while (!res.ok() &&
+         (res.status().code() == StatusCode::kDeadlineExceeded ||
+          res.status().code() == StatusCode::kCancelled) &&
+         ctrl.Check().ok()) {
+    switch (Claim(key, &c->hit, &c->slot)) {
+      case ClaimKind::kHit:
+        c->cols = ResolveCols(c->hit);
+        c->source = Provenance::kCache;
+        return Status::OK();
+      case ClaimKind::kOwned: {
+        // Built as a set of one; the wait_coalesced span times it, so its
+        // stages emit no spans of their own.
+        TraceBuilder untraced(nullptr, "reclaim");
+        return ResolveOwned(plan, {c}, ctrl, stats, &untraced);
+      }
+      case ClaimKind::kWait:
+        res = c->slot->WaitUntil(ctrl.deadline);
+        break;
+    }
+  }
+  if (res.ok()) {
+    c->cols = ResolveCols(*res);
+    c->source = Provenance::kCoalesced;
+    return Status::OK();
+  }
+  // Any other failed wait — owner error, or this query's own deadline —
+  // falls back: first re-probe the cache (a racing retry of the owner may
+  // have published), then closure-property assembly, then give up.
+  if (res.status().code() == StatusCode::kDeadlineExceeded) {
+    ++stats->deadline_expired;
+  }
+  if (cache::ChunkHandle raced =
+          cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash)) {
+    c->cols = ResolveCols(raced);
+    c->source = Provenance::kCache;
+    return Status::OK();
+  }
+  auto cols = TryInCacheAggregation(plan, c->chunk_num);
+  if (!cols) return res.status();
+  // Not the owner of this key, so no slot to publish — just admit the
+  // assembled chunk for future queries and use its rows.
+  c->cols = AdmitChunk(key, plan->benefit, std::move(*cols), /*slot=*/nullptr);
+  c->source = Provenance::kDegraded;
+  return Status::OK();
+}
+
+std::vector<ResultRow> ChunkCacheManager::Assemble(const QueryPlan& plan,
+                                                   TraceBuilder* trace) {
+  // Hits resolve their columns here, decoding compressed entries; every
+  // other chunk was resolved with its columns in hand.
+  size_t total = 0;
+  uint64_t hits = 0;
+  for (const PlannedChunk& c : plan.chunks) {
+    total += c.cols != nullptr ? c.cols->size() : c.hit->rows();
+    hits += c.claim == ClaimKind::kHit;
+  }
+  const uint32_t decode_span =
+      options_.enable_compression && hits != 0
+          ? trace->BeginSpan("decode", trace->root())
           : TraceBuilder::kNoSpan;
-  for (size_t i = 0; i < computed->size(); ++i) {
-    ChunkData& data = (*computed)[i];
-    AdmitChunk(ChunkKey{gb_id, data.chunk_num, filter_hash}, benefit,
-               std::move(data.cols), &rows, owned[i].slot);
+  std::vector<AggTuple> rows;
+  rows.reserve(total);
+  for (const PlannedChunk& c : plan.chunks) {
+    (c.cols != nullptr ? c.cols : ResolveCols(c.hit))->AppendToRows(&rows);
   }
-  if (encode_span != TraceBuilder::kNoSpan) {
-    trace->Tag(encode_span, "chunks", static_cast<uint64_t>(computed->size()));
-    trace->EndSpan(encode_span);
-  }
-  if (miss_span != TraceBuilder::kNoSpan) {
-    trace->Tag(miss_span, "provenance",
-               answered_degraded ? "degraded" : "backend");
-    if (stats->retries != 0) trace->Tag(miss_span, "retries", stats->retries);
-    trace->EndSpan(miss_span);
-  }
-  rows.insert(rows.end(), std::make_move_iterator(hit_rows.begin()),
-              std::make_move_iterator(hit_rows.end()));
+  trace->Tag(decode_span, "chunks", hits);
+  trace->EndSpan(decode_span);
 
-  // 4b. Collect the chunks other in-flight queries computed for us. Every
-  // chunk this query owned is already published, so blocking here cannot
-  // deadlock even when two queries wait on each other's chunks. An owner
-  // that gave up for its own reasons — its deadline or cancellation,
-  // never a backend error — does not decide this query's fate: while this
-  // query is still live it claims the chunk again, computing it as the
-  // new owner or waiting on whoever claimed first. Any other failed wait —
-  // owner error, or this query's own deadline — falls back: first
-  // re-probe the cache (a racing retry of the owner may have published),
-  // then closure-property assembly, then give up.
-  const uint32_t wait_span =
-      waits.empty() ? TraceBuilder::kNoSpan
-                    : trace->BeginSpan("wait_coalesced", trace->root());
-  trace->Tag(wait_span, "chunks", static_cast<uint64_t>(waits.size()));
-  for (const Miss& wm : waits) {
-    const ChunkKey key{gb_id, wm.chunk_num, filter_hash};
-    Result<cache::ChunkHandle> res = wm.slot->WaitUntil(ctrl.deadline);
-    bool reclaimed = false;
-    while (!res.ok() &&
-           (res.status().code() == StatusCode::kDeadlineExceeded ||
-            res.status().code() == StatusCode::kCancelled) &&
-           ctrl.Check().ok()) {
-      Inflight::Claim claim = inflight_.Acquire(key);
-      reclaimed = claim.owner;
-      res = claim.owner ? ComputeReclaimed(query, key, claim.slot, benefit,
-                                           ctrl, stats)
-                        : claim.slot->WaitUntil(ctrl.deadline);
-    }
-    if (res.ok()) {
-      ResolveCols(*res)->AppendToRows(&rows);
-      if (!reclaimed) ++stats->coalesced_waits;
-      continue;
-    }
-    if (res.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats->deadline_expired;
-    }
-    cache::ChunkHandle raced = cache_.Lookup(gb_id, wm.chunk_num, filter_hash);
-    if (raced != nullptr) {
-      ResolveCols(raced)->AppendToRows(&rows);
-      ++stats->chunks_from_cache;
-      continue;
-    }
-    auto cols = roll_up(wm.chunk_num);
-    if (!cols) return res.status();
-    // Not the owner of this key, so no slot to publish — just admit the
-    // assembled chunk for future queries and use its rows.
-    AdmitChunk(key, benefit, std::move(*cols), &rows, /*slot=*/nullptr);
-    ++stats->degraded_answers;
-  }
-  trace->EndSpan(wait_span);
-
-  // 5. Post-processing: trim boundary extras, canonical order.
+  // Post-processing: trim boundary extras, canonical order.
+  const StarJoinQuery& query = *plan.query;
   const uint32_t rollup_span = trace->BeginSpan("rollup", trace->root());
   rows = backend::FilterRows(std::move(rows), query.group_by.num_dims,
                              query.selection);
   backend::SortRows(&rows, query.group_by.num_dims);
   trace->Tag(rollup_span, "rows", static_cast<uint64_t>(rows.size()));
   trace->EndSpan(rollup_span);
+  return rows;
+}
 
-  stats->full_cache_hit = owned_nums.empty() && waits.empty() &&
-                          stats->chunks_from_backend == 0;
-  // Degraded answers count as saved: they were served entirely from
-  // cached (finer) content, the backend contributed nothing.
+void ChunkCacheManager::Account(const QueryPlan& plan, QueryStats* stats) {
+  std::array<uint64_t, kNumProvenances> by_source{};
+  // A full cache hit touched neither the backend nor another query's
+  // work: every chunk was a hit or rolled up from cached chunks here.
+  bool full_hit = true;
+  for (const PlannedChunk& c : plan.chunks) {
+    ++by_source[static_cast<size_t>(c.source)];
+    full_hit = full_hit && c.claim != ClaimKind::kWait &&
+               (c.source == Provenance::kCache ||
+                c.source == Provenance::kAggregation);
+  }
+  const auto count = [&](Provenance p) {
+    return by_source[static_cast<size_t>(p)];
+  };
+  stats->chunks_from_cache = count(Provenance::kCache);
+  stats->chunks_from_aggregation = count(Provenance::kAggregation);
+  stats->chunks_from_backend = count(Provenance::kBackend);
+  stats->coalesced_waits = count(Provenance::kCoalesced);
+  stats->degraded_answers = count(Provenance::kDegraded);
+  stats->full_cache_hit = full_hit;
+  // Every chunk the backend did not compute for this query counts as
+  // saved; degraded answers too, served entirely from cached finer chunks.
   stats->saved_fraction =
       stats->chunks_needed == 0
           ? 0.0
-          : static_cast<double>(stats->chunks_from_cache +
-                                stats->chunks_from_aggregation +
-                                stats->coalesced_waits +
-                                stats->degraded_answers) /
+          : static_cast<double>(stats->chunks_needed -
+                                stats->chunks_from_backend) /
                 static_cast<double>(stats->chunks_needed);
   stats->modeled_ms = options_.cost_model.Cost(
       stats->backend_work.pages_read, stats->backend_work.pages_written,
       stats->backend_work.tuples_processed);
-
-  // 6. Optional drill-down prefetch (paper §7). With an executor, fire and
-  // forget: the task computes and admits the child chunks in the
-  // background and is only observable through DrainPrefetch and the
-  // async_prefetched_chunks counter. Serially, run inline and charge
-  // stats->prefetch_work. Either way the fetches go through the in-flight
-  // table, so background work never duplicates foreground work, and a
-  // failed fetch never fails the query it follows (RunPrefetch is
-  // best-effort).
-  if (options_.enable_drill_down_prefetch) {
-    ScopedSpan prefetch_span(trace, "prefetch", trace->root());
-    std::optional<PrefetchPlan> plan =
-        PlanDrillDown(query, needed, filter_hash);
-    if (plan) {
-      if (pool_ != nullptr && !ThreadPool::InWorkerThread()) {
-        // Fire-and-forget: only the plan is attributed to this query's
-        // trace; the fetch itself runs on the pool (spans stay on the
-        // query's own thread by design).
-        trace->Tag(prefetch_span.id(), "mode", "async");
-        trace->Tag(prefetch_span.id(), "planned",
-                   static_cast<uint64_t>(plan->to_fetch.size()));
-        prefetch_wg_.Add(1);
-        pool_->Submit([this, plan = std::move(*plan),
-                       preds = query.non_group_by, filter_hash] {
-          WorkCounters work;
-          async_prefetched_->Add(RunPrefetch(plan, preds, filter_hash, &work));
-          prefetch_wg_.Done();
-        });
-      } else {
-        trace->Tag(prefetch_span.id(), "mode", "inline");
-        const uint64_t fetched = RunPrefetch(*plan, query.non_group_by,
-                                             filter_hash, &stats->prefetch_work);
-        stats->prefetched_chunks += fetched;
-        trace->Tag(prefetch_span.id(), "chunks", fetched);
-      }
-    }
+  // Flushed only for queries that succeed, so chunks.requested equals the
+  // sum of the provenance counters once the tier quiesces.
+  chunks_requested_->Add(stats->chunks_needed);
+  for (size_t s = 0; s < kNumProvenances; ++s) {
+    if (by_source[s] != 0) provenance_[s]->Add(by_source[s]);
   }
-  return rows;
 }
 
 ChunkCacheManager::RollupPlan ChunkCacheManager::PlanRollup(
@@ -892,12 +798,14 @@ ChunkCacheManager::RollupPlan ChunkCacheManager::PlanRollup(
 }
 
 std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
-    const RollupPlan& plan, const GroupBySpec& target, uint64_t chunk_num,
-    uint64_t filter_hash) {
+    QueryPlan* plan, uint64_t chunk_num) {
   const chunks::ChunkingScheme& scheme = engine_->scheme();
+  if (!plan->rollup) plan->rollup = PlanRollup(plan->gb_id);
+  const GroupBySpec& target = plan->query->group_by;
+  const uint64_t filter_hash = plan->filter_hash;
   std::vector<uint64_t> nums;
   std::vector<cache::ChunkHandle> sources;
-  for (const RollupPlan::Source& src : plan.sources) {
+  for (const RollupPlan::Source& src : plan->rollup->sources) {
     auto box = scheme.SourceBox(target, chunk_num, src.spec);
     if (!box.ok() || src.cached < box->NumChunks()) continue;
     // Probe the whole box before pinning anything: Contains touches no
@@ -935,96 +843,91 @@ std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
 }
 
 std::optional<ChunkCacheManager::PrefetchPlan>
-ChunkCacheManager::PlanDrillDown(const StarJoinQuery& query,
-                                 const std::vector<uint64_t>& chunk_nums,
-                                 uint64_t filter_hash) {
+ChunkCacheManager::PlanDrillDown(const QueryPlan& plan) {
   const chunks::ChunkingScheme& scheme = engine_->scheme();
+  const GroupBySpec& group_by = plan.query->group_by;
   // Drill-down target: every grouped dimension one level finer.
-  PrefetchPlan plan;
-  plan.drill = query.group_by;
+  PrefetchPlan drill;
+  drill.drill = group_by;
   bool changed = false;
-  for (uint32_t d = 0; d < plan.drill.num_dims; ++d) {
+  for (uint32_t d = 0; d < drill.drill.num_dims; ++d) {
     const auto& h = scheme.schema().dimension(d).hierarchy;
-    if (plan.drill.levels[d] < h.depth()) {
-      plan.drill.levels[d]++;
+    if (drill.drill.levels[d] < h.depth()) {
+      drill.drill.levels[d]++;
       changed = true;
     }
   }
   if (!changed) return std::nullopt;  // at base everywhere
-  plan.drill_id = scheme.GroupById(plan.drill);
-  plan.benefit = scheme.ChunkBenefit(plan.drill);
-  const chunks::ChunkGrid drill_grid = scheme.GridFor(plan.drill);
+  drill.drill_id = scheme.GroupById(drill.drill);
+  drill.benefit = scheme.ChunkBenefit(drill.drill);
+  const chunks::ChunkGrid drill_grid = scheme.GridFor(drill.drill);
 
-  for (uint64_t num : chunk_nums) {
-    if (plan.to_fetch.size() >= options_.prefetch_budget_chunks) break;
-    // The drill spec is one level finer and `num` comes from the query's
-    // own grid, so the source box always exists.
-    auto box = scheme.SourceBox(query.group_by, num, plan.drill);
+  for (const PlannedChunk& c : plan.chunks) {
+    if (drill.to_fetch.size() >= options_.prefetch_budget_chunks) break;
+    // The drill spec is one level finer and the chunk comes from the
+    // query's own grid, so the source box always exists.
+    auto box = scheme.SourceBox(group_by, c.chunk_num, drill.drill);
     CHUNKCACHE_CHECK(box.ok());
     box->ForEach(drill_grid, [&](uint64_t child, const ChunkCoords&) {
-      if (plan.to_fetch.size() >= options_.prefetch_budget_chunks) return;
-      if (cache_.Contains(plan.drill_id, child, filter_hash)) return;
+      if (drill.to_fetch.size() >= options_.prefetch_budget_chunks) return;
+      if (cache_.Contains(drill.drill_id, child, plan.filter_hash)) return;
       // A chunk some in-flight query is already computing would be a
       // duplicate by the time we fetched it — drop it now.
-      if (inflight_.Pending(ChunkKey{plan.drill_id, child, filter_hash})) {
+      const ChunkKey key{drill.drill_id, child, plan.filter_hash};
+      if (inflight_.Pending(key)) {
         prefetch_dropped_->Increment();
         return;
       }
-      plan.to_fetch.push_back(child);
+      drill.to_fetch.push_back(child);
     });
   }
-  if (plan.to_fetch.empty()) return std::nullopt;
-  return plan;
+  if (drill.to_fetch.empty()) return std::nullopt;
+  return drill;
 }
 
-uint64_t ChunkCacheManager::RunPrefetch(
-    const PrefetchPlan& plan, const std::vector<NonGroupByPredicate>& preds,
-    uint64_t filter_hash, WorkCounters* work) {
-  // Claim each chunk; whatever is already owned elsewhere is dropped —
-  // prefetch is best-effort, so it never blocks on foreground work.
+void ChunkCacheManager::Prefetch(const QueryPlan& plan, QueryStats* stats,
+                                 TraceBuilder* trace) {
+  ScopedSpan prefetch_span(trace, "prefetch", trace->root());
+  std::optional<PrefetchPlan> drill = PlanDrillDown(plan);
+  if (!drill) return;
+  trace->Tag(prefetch_span.id(), "mode", "inline");
+  // Claim each chunk; whatever is already owned elsewhere (or cached since
+  // the plan was made) is dropped — prefetch is best-effort, so it never
+  // blocks on foreground work.
   std::vector<uint64_t> to_fetch;
   std::vector<Inflight::SlotPtr> slots;
-  to_fetch.reserve(plan.to_fetch.size());
-  slots.reserve(plan.to_fetch.size());
-  for (uint64_t num : plan.to_fetch) {
-    const ChunkKey key{plan.drill_id, num, filter_hash};
-    Inflight::Claim claim = inflight_.Acquire(key);
-    if (!claim.owner) {
+  to_fetch.reserve(drill->to_fetch.size());
+  slots.reserve(drill->to_fetch.size());
+  for (uint64_t num : drill->to_fetch) {
+    cache::ChunkHandle hit;
+    Inflight::SlotPtr slot;
+    if (Claim(ChunkKey{drill->drill_id, num, plan.filter_hash}, &hit, &slot) !=
+        ClaimKind::kOwned) {
       prefetch_dropped_->Increment();
       continue;
     }
-    // Published-and-retired since the plan was made? Hand waiters the
-    // cached handle instead of recomputing.
-    if (cache_.Contains(plan.drill_id, num, filter_hash)) {
-      cache::ChunkHandle hit = cache_.Lookup(plan.drill_id, num, filter_hash);
-      if (hit != nullptr) {
-        inflight_.Publish(key, claim.slot, std::move(hit));
-        prefetch_dropped_->Increment();
-        continue;
-      }
-    }
     to_fetch.push_back(num);
-    slots.push_back(std::move(claim.slot));
+    slots.push_back(std::move(slot));
   }
-  if (to_fetch.empty()) return 0;
-
-  // Serial inside the worker (nested fan-out would tie up the pool).
-  auto computed = engine_->ComputeChunks(plan.drill, to_fetch, preds, work);
-  if (!computed.ok()) {
-    // Dropped, not reported: the claimed slots fail (waking any waiter
-    // with the error and retiring the entries) and nothing was fetched.
-    for (size_t i = 0; i < to_fetch.size(); ++i) {
-      inflight_.Fail(ChunkKey{plan.drill_id, to_fetch[i], filter_hash},
-                     slots[i], computed.status());
+  // The query holds no scan slot by now, so queueing at the gate is safe.
+  auto computed =
+      scheduler_->Compute(drill->drill, to_fetch, plan.query->non_group_by,
+                          &stats->prefetch_work);
+  uint64_t fetched = 0;
+  for (size_t i = 0; i < to_fetch.size(); ++i) {
+    const ChunkKey key{drill->drill_id, to_fetch[i], plan.filter_hash};
+    if (computed.ok()) {
+      AdmitChunk(key, drill->benefit, std::move((*computed)[i].cols),
+                 slots[i]);
+      ++fetched;
+    } else {
+      // Dropped, not reported: the slot fails (waking any waiter with the
+      // error and retiring the entry) and nothing was fetched.
+      inflight_.Fail(key, slots[i], computed.status());
     }
-    return 0;
   }
-  for (size_t i = 0; i < computed->size(); ++i) {
-    ChunkData& data = (*computed)[i];
-    AdmitChunk(ChunkKey{plan.drill_id, data.chunk_num, filter_hash},
-               plan.benefit, std::move(data.cols), /*rows=*/nullptr, slots[i]);
-  }
-  return computed->size();
+  stats->prefetched_chunks += fetched;
+  trace->Tag(prefetch_span.id(), "chunks", fetched);
 }
 
 }  // namespace chunkcache::core

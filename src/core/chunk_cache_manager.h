@@ -15,7 +15,6 @@
 #include "common/inflight_table.h"
 #include "common/metrics.h"
 #include "common/retry.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/middle_tier.h"
 #include "storage/cache_persist.h"
@@ -32,11 +31,11 @@ struct ChunkManagerOptions {
   std::string policy = "benefit-clock";
   CostModel cost_model;
 
-  /// Worker threads for the parallel miss pipeline. With <= 1 the manager
-  /// runs the exact serial paper path (no pool is created); with more, a
-  /// fixed-size executor (a) fans missing-chunk computation across
-  /// workers, (b) overlaps cache-hit assembly with backend work, and
-  /// (c) makes drill-down prefetch asynchronous.
+  /// Sizes the scan scheduler's slot gate: at most max(2, num_workers)
+  /// backend scans run at once, across every caller. Each query still runs
+  /// serially on the thread that calls Execute (the server's workers, or
+  /// a direct caller's own threads); the tier starts no threads of its own
+  /// for queries.
   uint32_t num_workers = 1;
 
   /// Shards of the chunk cache (rounded up to a power of two). 1 keeps
@@ -51,9 +50,11 @@ struct ChunkManagerOptions {
 
   /// Paper §7 future work: after answering a query, prefetch the
   /// corresponding chunks one hierarchy level finer (anticipating drill
-  /// down), up to prefetch_budget_chunks per query. With num_workers > 1
-  /// the prefetch runs as a fire-and-forget background task (drain with
-  /// DrainPrefetch); serially it runs inline as before.
+  /// down), up to prefetch_budget_chunks per query. The prefetch runs on
+  /// the query's own thread once its answer is assembled, claims through
+  /// the in-flight table and scans through the slot gate; its work is
+  /// charged to QueryStats::prefetch_work and a failure never fails the
+  /// query.
   bool enable_drill_down_prefetch = false;
   uint32_t prefetch_budget_chunks = 32;
 
@@ -111,6 +112,12 @@ struct ChunkManagerOptions {
 /// extras, and admits the fresh chunks into the cache under the
 /// benefit-weighted replacement policy.
 ///
+/// Each query runs the four steps of §5.2 as stages over one QueryPlan
+/// value, serially on the caller's thread: Plan (chunk numbers, then a
+/// probe that claims every miss), Resolve (the chunks this query owns,
+/// then the ones other queries compute), Assemble (rows, filter, sort)
+/// and Account (statistics, derived from the plan once).
+///
 /// Misses are coalesced across queries: the first query to miss a
 /// (group-by, chunk, filter) owns it through the in-flight table and
 /// publishes the result, and concurrent missers wait on it instead of
@@ -128,11 +135,10 @@ struct ChunkManagerOptions {
 /// without claiming in-flight slots, and a waiter whose owner gave up for
 /// the owner's own deadline or cancellation claims the chunk again.
 ///
-/// Thread safety: Execute may be called concurrently from many client
-/// threads once num_workers/cache_shards are configured — the chunk cache
-/// is sharded, lookups return pinned handles, and the backend's chunk
-/// computation only touches thread-safe storage layers. Each caller passes
-/// its own QueryStats.
+/// Thread safety: Execute may be called concurrently from many threads —
+/// the chunk cache is sharded and lookups return pinned handles, the
+/// in-flight table hands each missing chunk to one owner, and the slot
+/// gate bounds concurrent scans. Each caller passes its own QueryStats.
 class ChunkCacheManager final : public MiddleTier {
  public:
   ChunkCacheManager(backend::BackendEngine* engine,
@@ -144,20 +150,12 @@ class ChunkCacheManager final : public MiddleTier {
   cache::ChunkCache& chunk_cache() { return cache_; }
   const ChunkManagerOptions& options() const { return options_; }
 
-  /// Executor driving the parallel pipeline; null in serial configuration.
-  ThreadPool* executor() { return pool_.get(); }
-
-  /// Blocks until every fire-and-forget prefetch task issued so far has
-  /// completed (the drain point for asynchronous drill-down prefetch).
-  void DrainPrefetch();
-
-  /// Cache stats plus executor counters (tasks submitted/run, queue peak),
-  /// the async-prefetch count, and the miss-coalescing counters; what
-  /// `examples/shell.cpp`'s `stats` command prints. Every cumulative value
-  /// is served from the metrics registry (the single store);
-  /// natively-atomic subsystem counters (executor, kernels, fault injector,
-  /// disk) are folded into registry gauges here so the registry export and
-  /// this struct always agree.
+  /// Cache stats plus the miss-coalescing, robustness, codec and
+  /// persistence counters; what `examples/shell.cpp`'s `stats` command
+  /// prints. Every cumulative value is served from the metrics registry
+  /// (the single store); natively-atomic subsystem counters (kernels,
+  /// fault injector, disk) are folded into registry gauges here so the
+  /// registry export and this struct always agree.
   cache::ChunkCacheStats StatsSnapshot() const;
 
   /// The registry every middle-tier statistic lives on (the one passed in
@@ -211,52 +209,137 @@ class ChunkCacheManager final : public MiddleTier {
     std::vector<Source> sources;
   };
 
-  /// Builds the plan for target group-by `target_id` from one snapshot of
-  /// the cache's per-group-by counts.
-  RollupPlan PlanRollup(uint32_t target_id) const;
-
-  /// Tries to build the missing chunk by aggregating finer chunks already
-  /// in the cache; returns the columnar rows (canonical order) or nullopt.
-  /// The first plan source whose whole source box is cached wins. Boxes
-  /// are probed with the statistics-free Contains and pinned only once
-  /// complete, so a failed attempt leaves no trace in hit counters or
-  /// replacement state. The roll-up runs through the
-  /// same per-chunk kernel dispatch as the backend (dense grid when the
-  /// chunk's cell box allows), recorded in the engine's kernel counters.
-  std::optional<storage::AggColumns> TryInCacheAggregation(
-      const RollupPlan& plan, const chunks::GroupBySpec& target,
-      uint64_t chunk_num, uint64_t filter_hash);
-
-  /// Computes the drill-down spec (every grouped dimension one level
-  /// finer, capped at base) and the missing child chunks of `chunk_nums`;
-  /// nullopt when already at base or nothing is missing.
-  std::optional<PrefetchPlan> PlanDrillDown(
-      const backend::StarJoinQuery& query,
-      const std::vector<uint64_t>& chunk_nums, uint64_t filter_hash);
-
   /// Singleflight table over the cache's own key triple.
   using Inflight =
       InflightTable<cache::ChunkKey, cache::ChunkHandle, cache::ChunkKeyHash>;
 
-  /// Wraps ExecuteTraced with the per-query bookkeeping: latency
-  /// histogram, registry counter flush, root-span tags and trace Finish.
+  /// How the probe found a needed chunk: cached, claimed by this query
+  /// (which must publish or fail it), or being computed by another query.
+  enum class ClaimKind : uint8_t { kHit, kOwned, kWait };
+
+  /// Where a resolved chunk's rows came from; indexes provenance_.
+  enum class Provenance : uint8_t {
+    kCache,
+    kAggregation,
+    kBackend,
+    kCoalesced,
+    kDegraded,
+  };
+  static constexpr size_t kNumProvenances = 5;
+
+  /// One chunk a query needs.
+  struct PlannedChunk {
+    uint64_t chunk_num = 0;
+    cache::ChunkHandle hit;  // the pinned entry of a kHit claim
+    Inflight::SlotPtr slot;  // the in-flight slot of a kOwned/kWait claim
+    // The chunk's rows once resolved; null for a hit, whose rows Assemble
+    // reads from `hit`.
+    std::shared_ptr<const storage::AggColumns> cols;
+    ClaimKind claim = ClaimKind::kHit;
+    Provenance source = Provenance::kCache;  // final, once resolved
+  };
+
+  /// A query's plan: what it needs, how each chunk was claimed and, once
+  /// resolved, where each came from. Every QueryStats provenance field is
+  /// derived from it (Account).
+  struct QueryPlan {
+    const backend::StarJoinQuery* query = nullptr;
+    uint32_t gb_id = 0;
+    uint64_t filter_hash = 0;
+    double benefit = 0;  // of each insert: the paper's |base| / #chunks
+    std::vector<PlannedChunk> chunks;  // in decomposition order
+    std::optional<RollupPlan> rollup;  // planned on first roll-up
+
+    cache::ChunkKey Key(uint64_t chunk_num) const {
+      return cache::ChunkKey{gb_id, chunk_num, filter_hash};
+    }
+  };
+
+  /// Runs the stages, then the optional prefetch, and does the per-query
+  /// bookkeeping: latency histogram, robustness counters, root-span tags
+  /// and trace Finish.
   Result<std::vector<backend::ResultRow>> Run(
       const backend::StarJoinQuery& query, QueryStats* stats,
       const ExecControl& ctrl) override;
 
-  /// The execution pipeline proper, instrumented with `trace` spans.
-  Result<std::vector<backend::ResultRow>> ExecuteTraced(
-      const backend::StarJoinQuery& query, QueryStats* stats,
-      const ExecControl& ctrl, TraceBuilder* trace);
+  /// Query analysis and splitting (§5.2): decomposes `query` into the
+  /// chunks it needs, probes the cache and claims every miss.
+  QueryPlan Plan(const backend::StarJoinQuery& query, QueryStats* stats,
+                 TraceBuilder* trace);
 
-  /// Builds the cache entry for a fresh chunk of `key` (appending its rows
-  /// to `rows` when non-null), compresses it when the tier is on, inserts
-  /// it, and publishes the same allocation to `slot` when non-null.
-  /// Returns the entry's handle.
-  cache::ChunkHandle AdmitChunk(const cache::ChunkKey& key, double benefit,
-                                storage::AggColumns cols,
-                                std::vector<storage::AggTuple>* rows,
-                                const Inflight::SlotPtr& slot);
+  /// Builds the chunks `plan` owns, then collects the ones other queries
+  /// own. On success every chunk has its source and rows; on error every
+  /// slot this query owned is already resolved.
+  Status Resolve(QueryPlan* plan, const ExecControl& ctrl, QueryStats* stats,
+                 TraceBuilder* trace);
+
+  /// Builds `owned` (chunks whose slots this query holds): by in-cache
+  /// roll-up when enabled, the rest with one backend call through the
+  /// slot gate; if that call fails, the rest by degraded roll-up, all of
+  /// them or none. Publishes every chunk, or fails every slot still held
+  /// and returns the backend's error.
+  Status ResolveOwned(QueryPlan* plan, std::vector<PlannedChunk*> owned,
+                      const ExecControl& ctrl, QueryStats* stats,
+                      TraceBuilder* trace);
+
+  /// Waits for `c`, which another query owns. A chunk whose owner gave up
+  /// for its own deadline or cancellation is claimed again while this
+  /// query is live (owned: built at once through ResolveOwned as a set of
+  /// one). Any other failed wait falls back to a cache re-probe, then a
+  /// degraded roll-up.
+  Status CollectWait(QueryPlan* plan, PlannedChunk* c, const ExecControl& ctrl,
+                     QueryStats* stats);
+
+  /// Post-processing: appends every chunk's rows (decoding compressed
+  /// hits), trims boundary extras and sorts canonically.
+  std::vector<backend::ResultRow> Assemble(const QueryPlan& plan,
+                                           TraceBuilder* trace);
+
+  /// Derives the provenance fields, full_cache_hit, saved_fraction and
+  /// modeled_ms of `stats` from the resolved plan, and adds them to the
+  /// chunks.* counters.
+  void Account(const QueryPlan& plan, QueryStats* stats);
+
+  /// Claims `key` through the in-flight table. An owner re-probes the
+  /// cache without touching statistics: the previous owner may have
+  /// published between this query's miss and its claim, in which case
+  /// the cached entry is published to the slot and returned as a hit.
+  ClaimKind Claim(const cache::ChunkKey& key, cache::ChunkHandle* hit,
+                  Inflight::SlotPtr* slot);
+
+  /// Builds the roll-up plan for target group-by `target_id` from one
+  /// snapshot of the cache's per-group-by counts.
+  RollupPlan PlanRollup(uint32_t target_id) const;
+
+  /// Tries to build chunk `chunk_num` of `plan`'s group-by by aggregating
+  /// finer chunks already in the cache; returns the columnar rows
+  /// (canonical order) or nullopt. The roll-up sources are planned on
+  /// first use, and the first one whose whole source box is cached wins.
+  /// Boxes are probed with the statistics-free Contains and pinned only
+  /// once complete, so a failed attempt leaves no trace in hit counters or
+  /// replacement state. The roll-up runs through the same per-chunk kernel
+  /// dispatch as the backend (dense grid when the chunk's cell box
+  /// allows), recorded in the engine's kernel counters.
+  std::optional<storage::AggColumns> TryInCacheAggregation(QueryPlan* plan,
+                                                           uint64_t chunk_num);
+
+  /// Computes the drill-down spec (every grouped dimension one level
+  /// finer, capped at base) and the missing child chunks of `plan`'s
+  /// chunks; nullopt when already at base or nothing is missing.
+  std::optional<PrefetchPlan> PlanDrillDown(const QueryPlan& plan);
+
+  /// Drill-down prefetch (paper §7): claims the planned children (dropping
+  /// any another query holds), computes them through the slot gate and
+  /// admits them. Best-effort: a backend failure fails the claimed slots
+  /// and fetches nothing.
+  void Prefetch(const QueryPlan& plan, QueryStats* stats, TraceBuilder* trace);
+
+  /// Builds the cache entry for a fresh chunk of `key`, compresses it when
+  /// the tier is on, inserts it, and publishes it to `slot` when non-null.
+  /// Returns the chunk's columns.
+  std::shared_ptr<const storage::AggColumns> AdmitChunk(
+      const cache::ChunkKey& key, double benefit, storage::AggColumns cols,
+      const Inflight::SlotPtr& slot);
 
   /// Computes `chunk_nums` of `query`'s group-by through the scan
   /// scheduler, retrying transient failures under `ctrl`, and charges the
@@ -266,37 +349,20 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<uint64_t>& chunk_nums, const ExecControl& ctrl,
       QueryStats* stats);
 
-  /// Resolves `slot`, which this query claimed after the chunk's previous
-  /// owner gave up: publishes a cached copy if one appeared meanwhile
-  /// (chunks_from_cache), otherwise computes the chunk and admits it
-  /// (chunks_from_backend). On a backend error the slot is failed.
-  Result<cache::ChunkHandle> ComputeReclaimed(
-      const backend::StarJoinQuery& query, const cache::ChunkKey& key,
-      const Inflight::SlotPtr& slot, double benefit, const ExecControl& ctrl,
-      QueryStats* stats);
-
   /// Encodes `entry->cols` into `entry->encoded` when compression is on
   /// and the encoding actually saves bytes (otherwise the entry stays raw
-  /// and compression_skipped counts it). On success the decoded columns
-  /// move into the decoded-LRU front, so the query that computed the chunk
-  /// — and its coalesced waiters — read them back without a decode.
-  void MaybeCompressEntry(cache::CachedChunk* entry);
+  /// and compression_skipped counts it). On success returns the decoded
+  /// columns, which also go into the decoded-LRU front so coalesced
+  /// waiters read them without a decode; returns null for an entry left
+  /// raw.
+  std::shared_ptr<const storage::AggColumns> MaybeCompressEntry(
+      cache::CachedChunk* entry);
 
   /// The columns of a cache hit: raw entries alias the handle's own cols
   /// (no copy, the handle keeps them alive); compressed entries come from
   /// the decoded-LRU front or a fresh timed decode.
   std::shared_ptr<const storage::AggColumns> ResolveCols(
       const cache::ChunkHandle& h);
-
-  /// Runs `plan`'s fetches (dropping chunks another query is already
-  /// computing, claiming the rest through the in-flight table), admits and
-  /// publishes each computed chunk, and returns how many were fetched.
-  /// Best-effort: a backend failure fails the claimed slots and returns 0.
-  /// Shared by the inline and the fire-and-forget prefetch paths.
-  uint64_t RunPrefetch(
-      const PrefetchPlan& plan,
-      const std::vector<backend::NonGroupByPredicate>& preds,
-      uint64_t filter_hash, WorkCounters* work);
 
   /// Recovery half of the warm-restart path: opens the persistence
   /// subsystem, re-admits every recovered entry through the normal Insert
@@ -327,14 +393,11 @@ class ChunkCacheManager final : public MiddleTier {
   Counter* queries_ = nullptr;            // query.executions
   Counter* query_errors_ = nullptr;       // query.errors
   Counter* chunks_requested_ = nullptr;   // chunks.requested
-  Counter* from_cache_ = nullptr;         // chunks.from_cache
-  Counter* from_aggregation_ = nullptr;   // chunks.from_aggregation
-  Counter* from_backend_ = nullptr;       // chunks.from_backend
-  Counter* coalesced_waits_ = nullptr;    // chunks.coalesced_waits
-  Counter* degraded_answers_ = nullptr;   // chunks.degraded_answers
+  // chunks.from_cache, .from_aggregation, .from_backend, .coalesced_waits
+  // and .degraded_answers, indexed by Provenance.
+  std::array<Counter*, kNumProvenances> provenance_{};
   Counter* retries_ = nullptr;            // backend.retries
   Counter* deadline_expired_ = nullptr;   // query.deadline_expired
-  Counter* async_prefetched_ = nullptr;   // prefetch.async_chunks
   Counter* prefetch_dropped_ = nullptr;   // prefetch.dropped_inflight
   Histogram* query_latency_ns_ = nullptr;  // query.latency_ns
 
@@ -359,11 +422,6 @@ class ChunkCacheManager final : public MiddleTier {
   std::unique_ptr<storage::CachePersistence> persist_;
   std::unique_ptr<PersistSink> persist_sink_;
   storage::RecoveryStats recovery_info_;
-
-  WaitGroup prefetch_wg_;
-  // Declared last: destroyed first, so in-flight tasks that capture `this`
-  // finish while cache_ and engine_ are still alive.
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace chunkcache::core

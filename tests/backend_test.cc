@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "reference_oracle.h"
 
 namespace chunkcache::backend {
 namespace {
@@ -21,6 +21,7 @@ using chunks::ChunkCoords;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
 using chunks::GroupBySpec;
+using oracle::ExpectRowsEqual;
 using schema::OrdinalRange;
 using storage::AggTuple;
 using storage::BufferPool;
@@ -57,46 +58,9 @@ class BackendFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
-  /// Brute-force evaluation of a star-join query over the in-memory tuples.
+  /// The shared reference oracle over this fixture's tuples.
   std::vector<AggTuple> Naive(const StarJoinQuery& q) const {
-    std::map<std::vector<uint32_t>, AggTuple> cells;
-    for (const Tuple& t : tuples_) {
-      bool pass = true;
-      std::vector<uint32_t> coords(schema_->num_dims());
-      for (uint32_t d = 0; d < schema_->num_dims(); ++d) {
-        const auto& h = schema_->dimension(d).hierarchy;
-        coords[d] = h.AncestorAt(h.depth(), t.keys[d], q.group_by.levels[d]);
-        if (!q.selection[d].Contains(coords[d])) pass = false;
-      }
-      for (const auto& p : q.non_group_by) {
-        const auto& h = schema_->dimension(p.dim).hierarchy;
-        const uint32_t v = h.AncestorAt(h.depth(), t.keys[p.dim], p.level);
-        if (!p.range.Contains(v)) pass = false;
-      }
-      if (!pass) continue;
-      AggTuple& cell = cells[coords];
-      for (uint32_t d = 0; d < schema_->num_dims(); ++d) {
-        cell.coords[d] = coords[d];
-      }
-      cell.sum += t.measure;
-      cell.count += 1;
-    }
-    std::vector<AggTuple> rows;
-    for (auto& [k, v] : cells) rows.push_back(v);
-    return rows;
-  }
-
-  static void ExpectRowsEqual(const std::vector<AggTuple>& got,
-                              const std::vector<AggTuple>& want,
-                              uint32_t num_dims) {
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      for (uint32_t d = 0; d < num_dims; ++d) {
-        ASSERT_EQ(got[i].coords[d], want[i].coords[d]) << "row " << i;
-      }
-      EXPECT_NEAR(got[i].sum, want[i].sum, 1e-6) << "row " << i;
-      EXPECT_EQ(got[i].count, want[i].count) << "row " << i;
-    }
+    return oracle::NaiveStarJoin(*schema_, tuples_, q);
   }
 
   /// Full selection on every dimension at the given group-by.
@@ -221,27 +185,8 @@ TEST_F(BackendFixture, MinMaxAggregatesMatchNaive) {
   for (const Tuple& t : tuples_) agg.AddBase(t);
   auto rows = agg.TakeRows();
   SortRows(&rows, 4);
-  // Naive min/max per cell.
-  std::map<std::pair<uint32_t, uint32_t>, std::pair<double, double>> ref;
-  for (const Tuple& t : tuples_) {
-    const auto& h0 = schema_->dimension(0).hierarchy;
-    const auto& h2 = schema_->dimension(2).hierarchy;
-    const auto key = std::make_pair(h0.AncestorAt(3, t.keys[0], 1),
-                                    h2.AncestorAt(3, t.keys[2], 1));
-    auto it = ref.find(key);
-    if (it == ref.end()) {
-      ref[key] = {t.measure, t.measure};
-    } else {
-      it->second.first = std::min(it->second.first, t.measure);
-      it->second.second = std::max(it->second.second, t.measure);
-    }
-  }
-  ASSERT_EQ(rows.size(), ref.size());
+  ExpectRowsEqual(rows, Naive(FullQuery(gb)), 4);
   for (const auto& r : rows) {
-    const auto& [want_min, want_max] =
-        ref.at(std::make_pair(r.coords[0], r.coords[2]));
-    EXPECT_DOUBLE_EQ(r.min_v, want_min);
-    EXPECT_DOUBLE_EQ(r.max_v, want_max);
     EXPECT_NEAR(r.Avg(), r.sum / r.count, 1e-12);
   }
 }

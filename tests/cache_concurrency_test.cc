@@ -1,5 +1,5 @@
 // Multi-threaded tests for the sharded chunk cache, the pinned-handle
-// lifetime guarantees, and the parallel miss-chunk pipeline. Run under
+// lifetime guarantees, and concurrent clients of one manager. Run under
 // ThreadSanitizer in CI (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
 #include "cache/chunk_cache.h"
-#include "common/thread_pool.h"
 #include "core/chunk_cache_manager.h"
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
@@ -264,24 +263,6 @@ class PipelineFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
-  static void ExpectIdentical(const std::vector<backend::ChunkData>& a,
-                              const std::vector<backend::ChunkData>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].chunk_num, b[i].chunk_num) << "chunk slot " << i;
-      ASSERT_EQ(a[i].cols.size(), b[i].cols.size()) << "chunk " << i;
-      for (size_t r = 0; r < a[i].cols.size(); ++r) {
-        const AggTuple x = a[i].cols.RowAt(r);
-        const AggTuple y = b[i].cols.RowAt(r);
-        ASSERT_EQ(x.coords, y.coords) << "chunk " << i << " row " << r;
-        ASSERT_DOUBLE_EQ(x.sum, y.sum) << "chunk " << i << " row " << r;
-        ASSERT_EQ(x.count, y.count) << "chunk " << i << " row " << r;
-        ASSERT_DOUBLE_EQ(x.min_v, y.min_v) << "chunk " << i << " row " << r;
-        ASSERT_DOUBLE_EQ(x.max_v, y.max_v) << "chunk " << i << " row " << r;
-      }
-    }
-  }
-
   storage::InMemoryDiskManager disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<schema::StarSchema> schema_;
@@ -291,33 +272,11 @@ class PipelineFixture : public ::testing::Test {
   std::unique_ptr<backend::BackendEngine> engine_;
 };
 
-TEST_F(PipelineFixture, ParallelComputeChunksMatchesSerialRowForRow) {
-  const GroupBySpec target{{2, 1, 2, 1}, 4};
-  const uint64_t total = scheme_->GridFor(target).num_chunks();
-  std::vector<uint64_t> chunk_nums;
-  for (uint64_t c = 0; c < total; ++c) chunk_nums.push_back(c);
-
-  WorkCounters serial_work;
-  auto serial = engine_->ComputeChunks(target, chunk_nums, {}, &serial_work,
-                                       /*executor=*/nullptr);
-  ASSERT_TRUE(serial.ok());
-
-  ThreadPool pool(4);
-  WorkCounters parallel_work;
-  auto parallel =
-      engine_->ComputeChunks(target, chunk_nums, {}, &parallel_work, &pool);
-  ASSERT_TRUE(parallel.ok());
-
-  // Rows are canonically sorted inside each chunk, and output slot i is
-  // chunk_nums[i] in both modes, so the comparison is bit-for-bit.
-  ExpectIdentical(*parallel, *serial);
-  EXPECT_EQ(parallel_work.tuples_processed, serial_work.tuples_processed);
-}
-
 TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   // A serial reference manager answers a deterministic query stream; then
-  // 4 client threads replay the same stream against a parallel manager
-  // (worker pool, sharded cache, async prefetch). Every answer must match.
+  // 4 client threads replay the same stream against a concurrent manager
+  // (sharded cache, four scan slots, drill-down prefetch). Every answer
+  // must match.
   workload::WorkloadOptions wopts;
   wopts.seed = 99;
   constexpr int kQueries = 48;
@@ -341,9 +300,8 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   ChunkManagerOptions par_opts = serial_opts;
   par_opts.num_workers = 4;
   par_opts.cache_shards = 8;
-  par_opts.enable_drill_down_prefetch = true;  // exercise async prefetch
+  par_opts.enable_drill_down_prefetch = true;
   core::ChunkCacheManager par_mgr(engine_.get(), par_opts);
-  ASSERT_NE(par_mgr.executor(), nullptr);
 
   constexpr int kClients = 4;
   std::atomic<size_t> next{0};
@@ -360,12 +318,10 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
     });
   }
   for (auto& th : clients) th.join();
-  par_mgr.DrainPrefetch();
 
   EXPECT_EQ(mismatches.load(), 0);
   cache::ChunkCacheStats s = par_mgr.StatsSnapshot();
   EXPECT_EQ(s.shards.size(), 8u);
-  EXPECT_GT(s.exec_tasks_run, 0u);
 }
 
 }  // namespace

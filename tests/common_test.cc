@@ -219,21 +219,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
-TEST(ThreadPoolTest, InWorkerThreadDistinguishesCallers) {
-  EXPECT_FALSE(ThreadPool::InWorkerThread());
-  ThreadPool pool(1);
-  bool inside = false;
-  WaitGroup wg;
-  wg.Add(1);
-  pool.Submit([&inside, &wg] {
-    inside = ThreadPool::InWorkerThread();
-    wg.Done();
-  });
-  wg.Wait();
-  EXPECT_TRUE(inside);
-  EXPECT_FALSE(ThreadPool::InWorkerThread());
-}
-
 TEST(ThreadPoolTest, SubmitFromWorkerDoesNotDeadlock) {
   ThreadPool pool(1);  // one worker: nested blocking would deadlock
   std::atomic<uint32_t> ran{0};
@@ -267,40 +252,6 @@ TEST(WaitGroupTest, IsReusableAcrossRounds) {
     EXPECT_EQ(ran.load(), 8u);
     EXPECT_EQ(wg.pending(), 0u);
   }
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr uint64_t kN = 1000;
-  std::vector<std::atomic<uint32_t>> hits(kN);
-  ParallelFor(&pool, kN, [&hits](uint64_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, NullPoolRunsSerially) {
-  std::vector<uint64_t> order;
-  ParallelFor(nullptr, 5, [&order](uint64_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, FallsBackToSerialInsideWorker) {
-  ThreadPool pool(2);
-  WaitGroup wg;
-  std::atomic<uint64_t> total{0};
-  wg.Add(1);
-  pool.Submit([&] {
-    // Nested fan-out from a worker must not block on the pool.
-    ParallelFor(&pool, 100, [&total](uint64_t i) {
-      total.fetch_add(i, std::memory_order_relaxed);
-    });
-    wg.Done();
-  });
-  wg.Wait();
-  EXPECT_EQ(total.load(), 99ull * 100 / 2);
 }
 
 TEST(CostModelTest, WorkCountersCompose) {

@@ -18,6 +18,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
+#include "reference_oracle.h"
 
 namespace chunkcache::core {
 namespace {
@@ -28,6 +29,7 @@ using backend::StarJoinQuery;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
 using chunks::GroupBySpec;
+using oracle::ExpectRowsEqual;
 using schema::OrdinalRange;
 using storage::AggTuple;
 using storage::Tuple;
@@ -60,45 +62,9 @@ class CoreFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
+  /// The shared reference oracle over this fixture's tuples.
   std::vector<AggTuple> Naive(const StarJoinQuery& q) const {
-    std::map<std::vector<uint32_t>, AggTuple> cells;
-    for (const Tuple& t : tuples_) {
-      bool pass = true;
-      std::vector<uint32_t> coords(schema_->num_dims());
-      for (uint32_t d = 0; d < schema_->num_dims(); ++d) {
-        const auto& h = schema_->dimension(d).hierarchy;
-        coords[d] = h.AncestorAt(h.depth(), t.keys[d], q.group_by.levels[d]);
-        if (!q.selection[d].Contains(coords[d])) pass = false;
-      }
-      for (const auto& p : q.non_group_by) {
-        const auto& h = schema_->dimension(p.dim).hierarchy;
-        const uint32_t v = h.AncestorAt(h.depth(), t.keys[p.dim], p.level);
-        if (!p.range.Contains(v)) pass = false;
-      }
-      if (!pass) continue;
-      AggTuple& cell = cells[coords];
-      for (uint32_t d = 0; d < schema_->num_dims(); ++d) {
-        cell.coords[d] = coords[d];
-      }
-      cell.sum += t.measure;
-      cell.count += 1;
-    }
-    std::vector<AggTuple> rows;
-    for (auto& [k, v] : cells) rows.push_back(v);
-    return rows;
-  }
-
-  static void ExpectRowsEqual(const std::vector<AggTuple>& got,
-                              const std::vector<AggTuple>& want,
-                              uint32_t num_dims) {
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      for (uint32_t d = 0; d < num_dims; ++d) {
-        ASSERT_EQ(got[i].coords[d], want[i].coords[d]) << "row " << i;
-      }
-      EXPECT_NEAR(got[i].sum, want[i].sum, 1e-6) << "row " << i;
-      EXPECT_EQ(got[i].count, want[i].count) << "row " << i;
-    }
+    return oracle::NaiveStarJoin(*schema_, tuples_, q);
   }
 
   /// A query whose selection is deliberately misaligned with chunk

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/chunked_file.h"
@@ -24,6 +25,7 @@
 #include "backend/scan_scheduler.h"
 #include "common/fault_injector.h"
 #include "common/retry.h"
+#include "common/trace.h"
 #include "core/chunk_cache_manager.h"
 #include "index/bitmap_index.h"
 #include "index/btree.h"
@@ -31,6 +33,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/fact_file.h"
+#include "reference_oracle.h"
 
 namespace chunkcache {
 namespace {
@@ -502,6 +505,64 @@ TEST_F(RobustTierFixture, DegradedModeAnswersFromFinerChunks) {
   EXPECT_TRUE(RowsEqual(*healthy, *ref));
 }
 
+TEST_F(RobustTierFixture, GoldenDegradedTrace) {
+  auto opts = FastRetryOptions();
+  opts.trace_capacity = 4;
+  core::ChunkCacheManager tier(engine_.get(), opts);
+  core::QueryStats warm_stats;
+  ASSERT_TRUE(
+      tier.Execute(FullDomainQuery(chunks::GroupBySpec{{3, 2, 3, 2}, 4}),
+                   &warm_stats)
+          .ok());
+
+  FaultInjector& fi = FaultInjector::Global();
+  fi.Arm(FaultSite::kFactScan, 1.0);
+  fi.Arm(FaultSite::kAggScan, 1.0);
+  const auto coarse = CoarseQuery();
+  core::QueryStats stats;
+  auto rows = tier.Execute(coarse, &stats);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(stats.degraded_answers, stats.chunks_needed);
+  ASSERT_GT(stats.retries, 0u);
+
+  // The failed scan stays under the miss pipeline, the roll-up that
+  // replaced it is its sibling, and the root says how many chunks were
+  // answered degraded.
+  using Tags = std::vector<std::pair<std::string, std::string>>;
+  struct WantSpan {
+    std::string name;
+    uint32_t parent;
+    Tags tags;
+  };
+  const std::string n = std::to_string(stats.chunks_needed);
+  const std::vector<WantSpan> want = {
+      {"execute",
+       kNoParentSpan,
+       {{"group_by", coarse.group_by.ToString()},
+        {"chunks_needed", n},
+        {"status", "Ok"},
+        {"degraded_chunks", n}}},
+      {"decompose", 0, {{"chunks", n}}},
+      {"cache_probe", 0, {{"hits", "0"}, {"owned", n}, {"waits", "0"}}},
+      {"miss_pipeline",
+       0,
+       {{"chunks", n},
+        {"provenance", "degraded"},
+        {"retries", std::to_string(stats.retries)}}},
+      {"scan_aggregate", 3, {}},
+      {"degraded_rollup", 3, {{"chunks", n}}},
+      {"rollup", 0, {{"rows", std::to_string(rows->size())}}}};
+  const auto latest = tier.trace_recorder()->Latest(1);
+  ASSERT_EQ(latest.size(), 1u);
+  const std::vector<TraceSpan>& spans = latest[0].spans;
+  ASSERT_EQ(spans.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(spans[i].name, want[i].name) << "span " << i;
+    EXPECT_EQ(spans[i].parent, want[i].parent) << "span " << i;
+    EXPECT_EQ(spans[i].tags, want[i].tags) << "span " << i;
+  }
+}
+
 TEST_F(RobustTierFixture, ExpiredControlFailsFastWithoutPoisoningInflight) {
   core::ChunkCacheManager mgr(engine_.get(), FastRetryOptions());
   // Through the interface the serving layer uses: the control must reach
@@ -625,7 +686,7 @@ TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
                              &work);
     ASSERT_TRUE(res.ok());  // sanity: the scan itself works when ungated
     auto refused = sched.Compute(chunks::GroupBySpec{{2, 1, 1, 1}, 4}, {0},
-                                 {}, &work, nullptr, &dead);
+                                 {}, &work, &dead);
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded);
   }
@@ -660,7 +721,7 @@ TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
   ctrl.deadline = Deadline::AfterMs(100);
   WorkCounters work_b;
   auto res_b = sched.Compute(chunks::GroupBySpec{{3, 1, 1, 1}, 4}, {0}, {},
-                             &work_b, nullptr, &ctrl);
+                             &work_b, &ctrl);
   ASSERT_FALSE(res_b.ok());
   EXPECT_EQ(res_b.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(sched.stats().deadline_sheds, 1u);
@@ -741,6 +802,11 @@ TEST_F(FaultStorm, SeededStormNeverCorruptsAndRecoversBitIdentical) {
               std::lock_guard<std::mutex> lock(err_mu);
               violations.push_back("wrong rows for query " +
                                    std::to_string(qi));
+            }
+            const std::string bad = oracle::ProvenanceViolation(s);
+            if (!bad.empty()) {
+              std::lock_guard<std::mutex> lock(err_mu);
+              violations.push_back(bad + " for query " + std::to_string(qi));
             }
           } else {
             const StatusCode code = rows.status().code();

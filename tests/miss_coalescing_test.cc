@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/chunked_file.h"
@@ -363,7 +365,6 @@ TEST_F(MissCoalescingFixture, StormWithPrefetchDeduplicatesChildFetches) {
     });
   }
   for (auto& th : threads) th.join();
-  mgr.DrainPrefetch();
 
   EXPECT_EQ(failures.load(), 0);
   // Foreground chunks and prefetched children were each computed exactly
@@ -674,6 +675,76 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   EXPECT_EQ(st_b.chunks_from_backend + st_b.chunks_from_cache +
                 st_b.coalesced_waits,
             st_b.chunks_needed);
+}
+
+TEST_F(GatedBackendFixture, WaiterTraceShowsWaitCoalesced) {
+  workload::WorkloadOptions wopts;
+  wopts.seed = 5;
+  workload::QueryGenerator gen(schema_.get(), wopts);
+  const StarJoinQuery query = gen.Next();
+
+  ChunkManagerOptions opts;
+  opts.trace_capacity = 4;
+  ChunkCacheManager mgr(engine_.get(), opts);
+
+  // Owner A claims every chunk of the query and stalls in its scan behind
+  // the closed gate.
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  ASSERT_TRUE(pool_->EvictAll().ok());
+  gate_->CloseGate();
+  QueryStats st_a;
+  Result<std::vector<backend::ResultRow>> res_a = Status::Internal("not run");
+  std::thread a([&] { res_a = mgr.Execute(query, &st_a); });
+  ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
+      << "owner never reached the disk";
+  const uint64_t owner_lookups = mgr.chunk_cache().stats().lookups;
+
+  // Traced waiter B probes every chunk, finds each owned by A and waits.
+  // Its last probe is followed at once by its last claim; the pause before
+  // the gate opens lets that claim land while A still owns the chunk.
+  QueryStats st_b;
+  Result<std::vector<backend::ResultRow>> res_b = Status::Internal("not run");
+  std::thread b([&] { res_b = mgr.Execute(query, &st_b); });
+  ASSERT_TRUE(WaitFor([&] {
+    return mgr.chunk_cache().stats().lookups == 2 * owner_lookups;
+  })) << "waiter never probed";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate_->OpenGate();
+  a.join();
+  b.join();
+  ASSERT_TRUE(res_a.ok()) << res_a.status().ToString();
+  ASSERT_TRUE(res_b.ok()) << res_b.status().ToString();
+  ASSERT_EQ(st_b.coalesced_waits, st_b.chunks_needed);
+
+  // B's tree: nothing hit or owned, every chunk collected from A.
+  const std::string n = std::to_string(st_b.chunks_needed);
+  using Tags = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<std::pair<std::string, Tags>> want = {
+      {"execute",
+       {{"group_by", query.group_by.ToString()},
+        {"chunks_needed", n},
+        {"status", "Ok"},
+        {"coalesced_waits", n}}},
+      {"decompose", {{"chunks", n}}},
+      {"cache_probe", {{"hits", "0"}, {"owned", "0"}, {"waits", n}}},
+      {"wait_coalesced", {{"chunks", n}}},
+      {"rollup", {{"rows", std::to_string(res_b->size())}}}};
+  const QueryTrace* waiter = nullptr;
+  const std::vector<QueryTrace> traces = mgr.trace_recorder()->Latest(2);
+  for (const QueryTrace& t : traces) {
+    if (t.spans.size() > 2 && t.spans[2].name == "cache_probe" &&
+        t.spans[2].tags == want[2].second) {
+      waiter = &t;
+    }
+  }
+  ASSERT_NE(waiter, nullptr) << "no trace with an all-waits probe";
+  ASSERT_EQ(waiter->spans.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(waiter->spans[i].name, want[i].first) << "span " << i;
+    EXPECT_EQ(waiter->spans[i].parent, i == 0 ? kNoParentSpan : 0u)
+        << "span " << i;
+    EXPECT_EQ(waiter->spans[i].tags, want[i].second) << "span " << i;
+  }
 }
 
 }  // namespace

@@ -271,6 +271,84 @@ TEST_F(TraceFixture, InCacheAggregationEmitsItsSpan) {
   EXPECT_NE(*TagValue(*agg, "chunks"), "0");
 }
 
+/// Root span of a successful query: the three tags every Run sets.
+SpanShape RootShape(const StarJoinQuery& q, uint64_t chunks_needed) {
+  return SpanShape{"execute",
+                   kNoParentSpan,
+                   {{"group_by", q.group_by.ToString()},
+                    {"chunks_needed", std::to_string(chunks_needed)},
+                    {"status", "Ok"}}};
+}
+
+TEST_F(TraceFixture, GoldenCompressedColdThenWarm) {
+  ChunkManagerOptions opts = TracedOptions();
+  opts.enable_compression = true;
+  ChunkCacheManager mgr(engine_.get(), opts);
+  const StarJoinQuery q = CannedWorkload().front();
+  QueryStats cold_stats;
+  auto cold_rows = mgr.Execute(q, &cold_stats);
+  ASSERT_TRUE(cold_rows.ok());
+  QueryStats warm_stats;
+  auto warm_rows = mgr.Execute(q, &warm_stats);
+  ASSERT_TRUE(warm_rows.ok());
+  ASSERT_EQ(warm_stats.chunks_from_cache, warm_stats.chunks_needed);
+
+  const std::vector<TraceShape> shapes = ShapesOf(mgr.trace_recorder(), 2);
+  ASSERT_EQ(shapes.size(), 2u);
+  const std::string chunks = std::to_string(cold_stats.chunks_needed);
+
+  // Cold: every computed chunk is encoded on admit, under the miss
+  // pipeline and after the scan.
+  const TraceShape want_cold = {
+      RootShape(q, cold_stats.chunks_needed),
+      {"decompose", 0, {{"chunks", chunks}}},
+      {"cache_probe", 0, {{"hits", "0"}, {"owned", chunks}, {"waits", "0"}}},
+      {"miss_pipeline", 0, {{"chunks", chunks}, {"provenance", "backend"}}},
+      {"scan_aggregate", 3, {}},
+      {"encode", 3, {{"chunks", chunks}}},
+      {"rollup", 0, {{"rows", std::to_string(cold_rows->size())}}}};
+  EXPECT_EQ(shapes[0], want_cold) << Describe(shapes[0]);
+
+  // Warm: every hit is decoded under the root, before post-processing.
+  const TraceShape want_warm = {
+      RootShape(q, warm_stats.chunks_needed),
+      {"decompose", 0, {{"chunks", chunks}}},
+      {"cache_probe", 0, {{"hits", chunks}, {"owned", "0"}, {"waits", "0"}}},
+      {"decode", 0, {{"chunks", chunks}}},
+      {"rollup", 0, {{"rows", std::to_string(warm_rows->size())}}}};
+  EXPECT_EQ(shapes[1], want_warm) << Describe(shapes[1]);
+}
+
+TEST_F(TraceFixture, GoldenSerialDrillDownPrefetch) {
+  ChunkManagerOptions opts = TracedOptions();
+  opts.enable_drill_down_prefetch = true;
+  opts.prefetch_budget_chunks = 8;
+  ChunkCacheManager mgr(engine_.get(), opts);
+  const StarJoinQuery q = CannedWorkload().front();
+  QueryStats stats;
+  auto rows = mgr.Execute(q, &stats);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_GT(stats.prefetched_chunks, 0u);
+
+  const std::vector<TraceShape> shapes = ShapesOf(mgr.trace_recorder(), 1);
+  ASSERT_EQ(shapes.size(), 1u);
+  const std::string chunks = std::to_string(stats.chunks_needed);
+  // The prefetch runs on the query's thread after post-processing and
+  // tags how many child chunks it fetched.
+  const TraceShape want = {
+      RootShape(q, stats.chunks_needed),
+      {"decompose", 0, {{"chunks", chunks}}},
+      {"cache_probe", 0, {{"hits", "0"}, {"owned", chunks}, {"waits", "0"}}},
+      {"miss_pipeline", 0, {{"chunks", chunks}, {"provenance", "backend"}}},
+      {"scan_aggregate", 3, {}},
+      {"rollup", 0, {{"rows", std::to_string(rows->size())}}},
+      {"prefetch",
+       0,
+       {{"mode", "inline"},
+        {"chunks", std::to_string(stats.prefetched_chunks)}}}};
+  EXPECT_EQ(shapes[0], want) << Describe(shapes[0]);
+}
+
 TEST_F(TraceFixture, RingRetentionDropsOldestAndKeepsIds) {
   ChunkManagerOptions opts = TracedOptions();
   opts.trace_capacity = 2;

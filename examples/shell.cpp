@@ -391,9 +391,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == ".metrics") {
-      // The snapshot folds the natively-atomic subsystem counters into
-      // registry gauges, so the export below is complete.
-      (void)tier.StatsSnapshot();
+      tier.RefreshMetrics();
       std::fputs(tier.metrics().ExportPrometheus().c_str(), stdout);
       continue;
     }

@@ -33,7 +33,7 @@ const char* FaultSiteName(FaultSite site);
 
 /// Process-wide probabilistic fault injection, designed so the *disarmed*
 /// hook is essentially free: CHUNKCACHE_FAULT_POINT is one relaxed atomic
-/// load and a never-taken branch (bench_faults measures it at ~1 ns).
+/// load and a never-taken branch (bench_micro measures it at ~1 ns).
 /// Compiling with -DCHUNKCACHE_NO_FAULT_POINTS removes the hooks entirely.
 ///
 /// Each site is configured independently with

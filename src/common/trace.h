@@ -75,7 +75,7 @@ class TraceRecorder {
 ///
 /// Disarmed (null recorder) every method is an immediate branch-and-return
 /// — no clock reads, no allocation — so the hooks can stay compiled into
-/// the hot path (bench_observability measures both modes).
+/// the hot path (bench_micro measures both modes).
 class TraceBuilder {
  public:
   static constexpr uint32_t kNoSpan = ~uint32_t{0};

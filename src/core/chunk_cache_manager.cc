@@ -232,11 +232,7 @@ Status ChunkCacheManager::PersistSnapshot() {
   });
 }
 
-cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
-  // Fold natively-atomic subsystem stores (kernels, in-flight table, fault
-  // injector, disk CRC) into registry gauges, then build the whole struct
-  // from one registry snapshot — a single source of truth for `.stats`,
-  // `.metrics` and this accessor.
+void ChunkCacheManager::RefreshMetrics() const {
   const backend::AggKernelStats ks = engine_->kernel_stats();
   metrics_->GetGauge("kernels.dense")
       ->Set(static_cast<int64_t>(ks.dense_kernels));
@@ -264,15 +260,16 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   metrics_->GetGauge("disk.write_errors")
       ->Set(static_cast<int64_t>(
           engine_->pool().disk()->stats().write_errors));
-  if (persist_ != nullptr) {
-    metrics_->GetGauge("persist.recovery_ns")
-        ->Set(static_cast<int64_t>(recovery_info_.recovery_ns));
-  }
   // Active SIMD dispatch level (0 = scalar, 1 = avx2), so exported metrics
   // record which kernel family produced this process's numbers.
   metrics_->GetGauge("simd.level")
       ->Set(static_cast<int64_t>(simd::ActiveLevel()));
+}
 
+cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
+  // Build the whole struct from one registry snapshot — a single source
+  // of truth for `.stats`, `.metrics` and this accessor.
+  RefreshMetrics();
   cache::ChunkCacheStats s = cache_.stats();  // registry-backed already
   const MetricsRegistry::Snapshot snap = metrics_->TakeSnapshot();
   s.dense_kernels = static_cast<uint64_t>(snap.gauge("kernels.dense"));
@@ -311,8 +308,7 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.persist_snapshot_errors = snap.counter("persist.snapshot_errors");
   s.persist_recovered_entries = snap.counter("persist.recovered_entries");
   s.persist_quarantined = snap.counter("persist.quarantined");
-  s.persist_recovery_ns =
-      static_cast<uint64_t>(snap.gauge("persist.recovery_ns"));
+  s.persist_recovery_ns = recovery_info_.recovery_ns;
   s.disk_write_errors = static_cast<uint64_t>(snap.gauge("disk.write_errors"));
   return s;
 }

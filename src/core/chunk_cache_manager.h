@@ -96,7 +96,7 @@ struct ChunkManagerOptions {
 
   /// Per-query trace spans retained in a ring buffer (0 = tracing off).
   /// When off, every trace hook in Execute is a disarmed branch-and-return
-  /// (bench_observability measures both modes).
+  /// (bench_micro measures both modes).
   uint32_t trace_capacity = 0;
 
   /// Registry all middle-tier statistics are homed on — the cache's,
@@ -153,10 +153,13 @@ class ChunkCacheManager final : public MiddleTier {
   /// Cache stats plus the miss-coalescing, robustness, codec and
   /// persistence counters; what `examples/shell.cpp`'s `stats` command
   /// prints. Every cumulative value is served from the metrics registry
-  /// (the single store); natively-atomic subsystem counters (kernels,
-  /// fault injector, disk) are folded into registry gauges here so the
-  /// registry export and this struct always agree.
+  /// (the single store), after RefreshMetrics, so the registry export and
+  /// this struct always agree.
   cache::ChunkCacheStats StatsSnapshot() const;
+
+  /// Folds the natively-atomic subsystem counters (kernels, in-flight
+  /// peak, fault injector, disk, SIMD level) into registry gauges.
+  void RefreshMetrics() const override;
 
   /// The registry every middle-tier statistic lives on (the one passed in
   /// options, or the manager's own private one).

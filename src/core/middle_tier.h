@@ -108,6 +108,11 @@ class MiddleTier {
 
   virtual std::string name() const = 0;
 
+  /// Folds statistics the tier keeps outside its metrics registry into
+  /// registry gauges. Every path that exports the registry the tier
+  /// records on calls this first, so the export is complete.
+  virtual void RefreshMetrics() const {}
+
  private:
   /// The tier's execution proper; `*stats` arrives freshly reset.
   virtual Result<std::vector<backend::ResultRow>> Run(

@@ -246,6 +246,7 @@ void ChunkServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case FrameType::kMetricsRequest: {
+      tier_->RefreshMetrics();
       const std::string json = metrics_->ExportJson();
       FrameHeader dump = h;
       dump.type = FrameType::kMetricsDump;

@@ -37,7 +37,7 @@ Status DecodeRowBatch(const uint8_t* data, size_t len,
 
 /// Order-sensitive FNV-1a over the wire serialization of every row: the
 /// bit-identity signature compared between served and in-process execution
-/// (the closure tests and bench_serving both hash with this).
+/// (the client's kDone check and the server tests hash with this).
 uint64_t HashRows(const std::vector<backend::ResultRow>& rows);
 
 /// End-of-response payload (FrameType::kDone): the row-stream signature

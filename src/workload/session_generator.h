@@ -65,8 +65,8 @@ uint64_t HashQuery(const backend::StarJoinQuery& q, uint64_t seed);
 /// Hash of the first `n` queries a fresh SessionGenerator(schema, options)
 /// emits. Two runs (any machine, any consumer thread count) agree on this
 /// value iff they saw the identical query stream — the regression tests
-/// compare it against a golden constant, and bench_serving records it so a
-/// latency difference can never be explained away by workload drift.
+/// compare it against a golden constant, so a latency difference can
+/// never be explained away by workload drift.
 uint64_t SessionStreamHash(const schema::StarSchema& schema,
                            const SessionOptions& options, size_t n);
 

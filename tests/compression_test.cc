@@ -1,7 +1,8 @@
 // Compression subsystem tests that cut across layers: the FilterToSelection
 // capacity fix, AggColumns::Deserialize hardening against corrupt input,
 // and the end-to-end ablation — enable_compression on == off must be
-// bit-identical while the compressed tier holds more chunks per byte.
+// bit-identical while the compressed tier holds more chunks per byte —
+// plus scalar == AVX2 dispatch through the whole tier.
 
 #include <cstring>
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
+#include "common/simd.h"
 #include "core/chunk_cache_manager.h"
 #include "gtest/gtest.h"
 #include "schema/synthetic.h"
@@ -222,6 +224,70 @@ TEST_F(CompressionTierFixture, OnEqualsOffBitIdentical) {
             off_mgr.chunk_cache().num_chunks());
   EXPECT_LT(on_mgr.chunk_cache().bytes_used(),
             off_mgr.chunk_cache().bytes_used());
+}
+
+// The capacity half of the compression trade: at one cache_bytes below
+// the working set, the compressed tier ends holding strictly more chunks
+// and answers at least as many of them from the cache.
+TEST_F(CompressionTierFixture, CompressedTierHoldsMoreChunksAtFixedBytes) {
+  struct Outcome {
+    uint64_t chunks = 0;
+    uint64_t hits = 0;
+  };
+  auto run = [&](bool compression) {
+    ChunkManagerOptions opts;
+    opts.cache_bytes = 128u << 10;
+    opts.enable_compression = compression;
+    ChunkCacheManager mgr(engine_.get(), opts);
+    workload::WorkloadOptions wopts;
+    wopts.seed = 19;
+    workload::QueryGenerator gen(schema_.get(), wopts);
+    Outcome out;
+    for (int i = 0; i < 300; ++i) {
+      QueryStats st;
+      EXPECT_TRUE(mgr.Execute(gen.Next(), &st).ok());
+      out.hits += st.chunks_from_cache;
+    }
+    out.chunks = mgr.chunk_cache().num_chunks();
+    return out;
+  };
+  const Outcome on = run(true);
+  const Outcome off = run(false);
+  EXPECT_GT(on.chunks, off.chunks);
+  EXPECT_GE(on.hits, off.hits);
+}
+
+// Scalar and AVX2 dispatch answer a whole stream bit for bit, SUM
+// included, through the tier's SIMD users: the dense fold on a miss,
+// codec decode on a compressed hit, and in-cache aggregation.
+TEST_F(CompressionTierFixture, ScalarEqualsAvx2ThroughTheTier) {
+  if (simd::DetectedLevel() != simd::IsaLevel::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this host";
+  }
+  auto run = [&](simd::IsaLevel level) {
+    simd::ScopedLevel pin(level);
+    ChunkManagerOptions opts;
+    opts.enable_compression = true;
+    opts.decoded_cache_bytes = 0;  // every compressed hit decodes
+    opts.enable_in_cache_aggregation = true;
+    ChunkCacheManager mgr(engine_.get(), opts);
+    workload::WorkloadOptions wopts;
+    wopts.seed = 23;
+    workload::QueryGenerator gen(schema_.get(), wopts);
+    std::vector<std::vector<ResultRow>> rows;
+    for (int i = 0; i < 300; ++i) {
+      QueryStats st;
+      auto r = mgr.Execute(gen.Next(), &st);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      rows.push_back(r.ok() ? std::move(r).value() : std::vector<ResultRow>{});
+    }
+    return rows;
+  };
+  const auto scalar = run(simd::IsaLevel::kScalar);
+  const auto avx2 = run(simd::IsaLevel::kAvx2);
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(scalar[i], avx2[i])) << "query " << i;
+  }
 }
 
 TEST_F(CompressionTierFixture, DecodedFrontServesRepeatHits) {

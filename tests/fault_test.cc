@@ -825,6 +825,7 @@ TEST_F(FaultStorm, SeededStormNeverCorruptsAndRecoversBitIdentical) {
     for (auto& th : threads) th.join();
     ASSERT_TRUE(violations.empty()) << violations.front();
     EXPECT_GT(fi.checks(), 0u);
+    EXPECT_GT(fi.faults_injected(), 0u) << "iteration " << iter;
 
     // Faults off: every answer must come back, bit-identical to healthy.
     fi.DisarmAll();

@@ -25,8 +25,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -542,6 +545,40 @@ TEST_F(PersistenceFixture, CrossTierRestartBitIdentical) {
     auto r = warm.Execute(queries[i], &st);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
+  }
+}
+
+// One kind per metric name: an exposition that declares a name under two
+// kinds is rejected by a Prometheus scraper. A warm restart registers the
+// persistence metrics, and StatsSnapshot folds in every gauge.
+TEST_F(PersistenceFixture, WarmRestartMetricsHaveOneKindPerName) {
+  const auto queries = MakeQueries(12, 23);
+  ScratchDir dir;
+  {
+    ChunkCacheManager cold(engine_.get(), PersistOpts(dir.path));
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(cold.Execute(q, &st).ok());
+    }
+  }
+  ChunkCacheManager warm(engine_.get(), PersistOpts(dir.path));
+  const auto stats = warm.StatsSnapshot();
+  ASSERT_GT(stats.persist_recovered_entries, 0u);
+  EXPECT_EQ(stats.persist_recovery_ns, warm.recovery_stats().recovery_ns);
+
+  const auto snap = warm.metrics().TakeSnapshot();
+  std::map<std::string, int> kinds;
+  for (const auto& [name, v] : snap.counters) ++kinds[name];
+  for (const auto& [name, v] : snap.gauges) ++kinds[name];
+  for (const auto& [name, h] : snap.histograms) ++kinds[name];
+  for (const auto& [name, n] : kinds) EXPECT_EQ(n, 1) << name;
+
+  std::set<std::string> declared;  // "# TYPE <name>", kind stripped
+  std::istringstream prom(warm.metrics().ExportPrometheus());
+  for (std::string line; std::getline(prom, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    EXPECT_TRUE(declared.insert(line.substr(0, line.rfind(' '))).second)
+        << line;
   }
 }
 

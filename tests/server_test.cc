@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -704,6 +705,40 @@ TEST_F(BitIdentityFixture, ServedEqualsDirectUncompressed) {
 
 TEST_F(BitIdentityFixture, ServedEqualsDirectCompressed) {
   RunServedVsDirect(/*compression=*/true);
+}
+
+// A metrics dump fetched over the wire folds the tier's natively-atomic
+// counters into the registry first, so the kernels the served queries ran
+// and the SIMD level show up in it.
+TEST_F(BitIdentityFixture, ServedMetricsDumpCarriesTierGauges) {
+  ChunkCacheManager mgr(engine_.get(), ChunkManagerOptions{});
+  ServerOptions sopts;
+  sopts.metrics = &mgr.metrics();
+  ChunkServer server(&mgr, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  ClientOptions copts;
+  copts.port = server.port();
+  auto client = ChunkClient::Connect(copts);
+  ASSERT_TRUE(client.ok());
+
+  workload::SessionOptions wopts;
+  wopts.seed = 5;
+  workload::SessionGenerator gen(schema_.get(), wopts);
+  for (int i = 0; i < 8; ++i) {
+    auto resp = (*client)->Execute(gen.Next());
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
+  }
+  auto dump = (*client)->FetchMetrics();
+  ASSERT_TRUE(dump.ok());
+  const std::string dense_key = "\"kernels.dense\": ";
+  const size_t dense_at = dump->find(dense_key);
+  ASSERT_NE(dense_at, std::string::npos) << *dump;
+  EXPECT_GT(std::strtoll(dump->c_str() + dense_at + dense_key.size(),
+                         nullptr, 10),
+            0);
+  EXPECT_NE(dump->find("\"simd.level\": "), std::string::npos) << *dump;
+  server.Stop();
 }
 
 }  // namespace

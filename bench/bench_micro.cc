@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrates: B+Tree point
-// operations, bitmap combination, chunk-number computation
+// lookups, bitmap combination, chunk-number computation
 // (ComputeChunkNums), hash aggregation throughput, and single-chunk
 // computation at the backend.
 //
@@ -51,28 +51,16 @@ namespace {
 
 // ---------------------------------- BTree -----------------------------------
 
-void BM_BTreeInsert(benchmark::State& state) {
-  storage::InMemoryDiskManager disk;
-  storage::BufferPool pool(&disk, 4096);
-  auto tree = index::BTree::Create(&pool);
-  uint64_t key = 0;
-  for (auto _ : state) {
-    if (!tree->Insert(key++, index::BTreePayload{key, key}).ok()) {
-      state.SkipWithError("insert failed");
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BTreeInsert);
-
 void BM_BTreeGet(benchmark::State& state) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 4096);
   auto tree = index::BTree::Create(&pool);
   const uint64_t n = 100000;
+  std::vector<std::pair<uint64_t, index::BTreePayload>> input;
   for (uint64_t k = 0; k < n; ++k) {
-    (void)tree->Insert(k, index::BTreePayload{k, 0});
+    input.emplace_back(k, index::BTreePayload{k, 0});
   }
+  if (!tree->BulkLoad(input).ok()) state.SkipWithError("bulk load failed");
   Random rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree->Get(rng.Uniform(n)));
@@ -80,28 +68,6 @@ void BM_BTreeGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BTreeGet);
-
-void BM_BTreeRangeScan(benchmark::State& state) {
-  storage::InMemoryDiskManager disk;
-  storage::BufferPool pool(&disk, 4096);
-  auto tree = index::BTree::Create(&pool);
-  std::vector<std::pair<uint64_t, index::BTreePayload>> input;
-  for (uint64_t k = 0; k < 100000; ++k) {
-    input.emplace_back(k, index::BTreePayload{k, 0});
-  }
-  (void)tree->BulkLoad(input);
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    (void)tree->ScanRange(1000, 1000 + state.range(0),
-                          [&](uint64_t, const index::BTreePayload& p) {
-                            sum += p.v1;
-                            return true;
-                          });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BTreeRangeScan)->Arg(100)->Arg(10000);
 
 // ---------------------------------- Bitmap ----------------------------------
 

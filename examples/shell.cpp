@@ -37,7 +37,6 @@
 #include "backend/engine.h"
 #include "common/simd.h"
 #include "core/chunk_cache_manager.h"
-#include "core/multi_range.h"
 #include "schema/synthetic.h"
 #include "server/server.h"
 #include "sql/parser.h"
@@ -412,13 +411,13 @@ int main(int argc, char** argv) {
       std::printf("cache cleared\n");
       continue;
     }
-    auto query = parser.ParseMulti(line);
+    auto query = parser.Parse(line);
     if (!query.ok()) {
       std::printf("error: %s\n", query.status().ToString().c_str());
       continue;
     }
     core::QueryStats stats;
-    auto rows = core::ExecuteMultiRange(&tier, *query, &stats);
+    auto rows = tier.Execute(*query, &stats);
     if (!rows.ok()) {
       std::printf("error: %s\n", rows.status().ToString().c_str());
       continue;
@@ -434,8 +433,9 @@ int main(int argc, char** argv) {
         if (!key.empty()) key += ", ";
         key += schema->dimension(d).hierarchy.MemberName(level, r.coords[d]);
       }
-      std::printf("  %-50s  sum=%12.2f  count=%llu\n", key.c_str(), r.sum,
-                  (unsigned long long)r.count);
+      std::printf("  %-50s  sum=%12.2f  count=%llu  min=%.2f  max=%.2f\n",
+                  key.c_str(), r.sum, (unsigned long long)r.count, r.min_v,
+                  r.max_v);
     }
     if (rows->size() > limit) {
       std::printf("  ... (%zu rows total)\n", rows->size());

@@ -104,20 +104,4 @@ Result<std::vector<RowRun>> ChunkedFile::CoalescedRuns(
   return CoalesceRowRuns(std::move(runs), max_rows);
 }
 
-Status ChunkedFile::ScanChunk(
-    uint64_t chunk_num, const std::function<bool(const Tuple&)>& fn) {
-  if (!clustered_) {
-    return Status::Unsupported("ScanChunk on an unclustered file");
-  }
-  CHUNKCACHE_FAULT_POINT(FaultSite::kFactScan);
-  auto run = ChunkRun(chunk_num);
-  if (!run.ok()) {
-    // An empty chunk simply has no run; treat as zero tuples.
-    if (run.status().code() == StatusCode::kNotFound) return Status::OK();
-    return run.status();
-  }
-  return fact_.ScanRange(run->first, run->second,
-                         [&fn](RowId, const Tuple& t) { return fn(t); });
-}
-
 }  // namespace chunkcache::backend

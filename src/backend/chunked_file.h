@@ -37,13 +37,14 @@ std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
 /// with a B-tree chunk index mapping chunk number -> {first RowId, tuple
 /// count}. It offers both interfaces the paper requires:
 ///  - relational: Scan() over all tuples, like any table;
-///  - chunked: ScanChunk()/ChunkRun() giving direct access to one chunk in
-///    time proportional to the chunk, not the table.
+///  - chunked: ChunkRun()/CoalescedRuns() locating chunks' runs, which
+///    fact_file().ScanRangeColumns() reads in time proportional to the
+///    chunks, not the table.
 ///
 /// `clustered = false` produces the *randomly ordered* baseline file used by
 /// the Figure 14 bitmap experiment: identical tuples and indexes, but load
-/// order is kept, so a chunk's tuples are scattered (ScanChunk is then
-/// unsupported).
+/// order is kept, so a chunk's tuples are scattered (the chunk interface is
+/// then unsupported).
 class ChunkedFile {
  public:
   /// Bulk-loads `tuples` (consumed) into a new file inside `pool`'s disk.
@@ -66,11 +67,6 @@ class ChunkedFile {
   /// {first RowId, count} of base chunk `chunk_num`'s run; NotFound when the
   /// chunk is empty (sparse cubes leave many chunks without tuples).
   Result<std::pair<storage::RowId, uint64_t>> ChunkRun(uint64_t chunk_num);
-
-  /// Chunk interface: visits the tuples of base chunk `chunk_num`. A miss
-  /// on an empty chunk is not an error (zero visits).
-  Status ScanChunk(uint64_t chunk_num,
-                   const std::function<bool(const storage::Tuple&)>& fn);
 
   /// Looks up the runs of every chunk in `chunk_nums` (empty chunks are
   /// skipped) and coalesces adjacent ones into maximal sequential reads of

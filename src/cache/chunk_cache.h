@@ -169,7 +169,6 @@ struct ChunkCacheStats {
   uint64_t persist_recovered_entries = 0;  ///< Entries served warm at boot.
   uint64_t persist_quarantined = 0;        ///< Corrupt entries dropped.
   uint64_t persist_recovery_ns = 0;        ///< Wall time of last recovery.
-  uint64_t disk_write_errors = 0;  ///< DiskManager short writes / fsyncs.
 };
 
 /// Observer of cache admission state changes; the persistence layer counts

@@ -257,9 +257,6 @@ void ChunkCacheManager::RefreshMetrics() const {
   metrics_->GetGauge("disk.checksum_failures")
       ->Set(static_cast<int64_t>(
           engine_->pool().disk()->stats().checksum_failures));
-  metrics_->GetGauge("disk.write_errors")
-      ->Set(static_cast<int64_t>(
-          engine_->pool().disk()->stats().write_errors));
   // Active SIMD dispatch level (0 = scalar, 1 = avx2), so exported metrics
   // record which kernel family produced this process's numbers.
   metrics_->GetGauge("simd.level")
@@ -309,7 +306,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.persist_recovered_entries = snap.counter("persist.recovered_entries");
   s.persist_quarantined = snap.counter("persist.quarantined");
   s.persist_recovery_ns = recovery_info_.recovery_ns;
-  s.disk_write_errors = static_cast<uint64_t>(snap.gauge("disk.write_errors"));
   return s;
 }
 

@@ -2,7 +2,6 @@
 #define CHUNKCACHE_INDEX_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -26,12 +25,11 @@ struct BTreePayload {
 /// Disk-resident B+Tree mapping uint64 keys to BTreePayload, layered on the
 /// buffer pool. This is the *chunk index* of the chunked file organization
 /// (Section 5.3 of the paper: "The BTree holds one entry for each chunk and
-/// points to the start of the chunk in the fact file"), and is also usable
-/// as a general key index.
+/// points to the start of the chunk in the fact file"), built for the fact
+/// file and for each materialized aggregate.
 ///
-/// Supports point insert/get/delete (with node merging), inclusive range
-/// scans via leaf chaining, and bottom-up bulk load from sorted input.
-/// Keys are unique. Not thread-safe.
+/// A tree is bulk-loaded bottom-up from sorted input once and then answers
+/// point lookups. Keys are unique. Not thread-safe.
 class BTree {
  public:
   /// Creates a new empty tree in a fresh DiskManager file.
@@ -43,23 +41,8 @@ class BTree {
   BTree(BTree&&) = default;
   BTree& operator=(BTree&&) = default;
 
-  /// Inserts `key`; fails with AlreadyExists on duplicates.
-  Status Insert(uint64_t key, BTreePayload value);
-
-  /// Inserts or overwrites `key`.
-  Status Upsert(uint64_t key, BTreePayload value);
-
   /// Point lookup; NotFound if absent.
   Result<BTreePayload> Get(uint64_t key);
-
-  /// Removes `key`; NotFound if absent. Underfull nodes are repaired by
-  /// borrowing from or merging with a sibling.
-  Status Delete(uint64_t key);
-
-  /// Visits entries with lo <= key <= hi in key order. `fn` returning false
-  /// stops the scan.
-  Status ScanRange(uint64_t lo, uint64_t hi,
-                   const std::function<bool(uint64_t, const BTreePayload&)>& fn);
 
   /// Builds the tree bottom-up from strictly-ascending (key, payload)
   /// pairs. The tree must be empty.
@@ -76,8 +59,8 @@ class BTree {
   /// Persists the meta page (root pointer, size). Call after bulk changes.
   Status SyncMeta();
 
-  /// Verifies structural invariants (ordering, fill factors, leaf chain);
-  /// used by tests. O(n).
+  /// Verifies structural invariants (key order, subtree bounds, minimum
+  /// fill, equal leaf depth, entry count); used by tests. O(n).
   Status CheckInvariants();
 
  private:
@@ -95,12 +78,12 @@ class BTree {
   struct NodeHeader {
     uint8_t is_leaf;
     uint8_t pad[3];
-    uint32_t count;        // number of keys
-    uint32_t right_sibling;  // leaf chain; 0 = none
-    uint32_t pad2;
+    uint32_t count;  // number of keys
+    uint64_t pad2;
   };
   static constexpr uint64_t kMagic = 0x4254524545763031ULL;  // "BTREEv01"
   static constexpr uint32_t kHeaderSize = 16;
+  static_assert(sizeof(NodeHeader) == kHeaderSize);
   // Leaf entry: 8B key + 16B payload.
   static constexpr uint32_t kLeafCapacity =
       (storage::kPageSize - kHeaderSize) / 24;
@@ -116,22 +99,6 @@ class BTree {
 
   Result<uint32_t> NewNode(bool leaf);
   storage::PageId Pid(uint32_t page_no) const { return {file_id_, page_no}; }
-
-  /// Descends from the root to the leaf that should hold `key`, recording
-  /// the path (page numbers) and the child index taken at each internal
-  /// node.
-  Status FindLeaf(uint64_t key, std::vector<uint32_t>* path,
-                  std::vector<uint32_t>* child_idx);
-
-  Status InsertInternal(uint64_t key, BTreePayload value, bool allow_replace);
-
-  /// Splits the full node `child_no` (child `idx` of `parent_no`); the
-  /// parent must have room for the promoted separator.
-  Status SplitChild(uint32_t parent_no, uint32_t idx, uint32_t child_no);
-
-  /// Repairs underfull nodes from the leaf at the end of `path` upward.
-  Status RebalanceUp(std::vector<uint32_t>& path,
-                     std::vector<uint32_t>& child_idx);
 
   storage::BufferPool* pool_;
   uint32_t file_id_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace chunkcache::sql {
 
@@ -104,11 +104,12 @@ struct Attr {
   uint32_t level;
 };
 
-/// Accumulated constraint on one attribute: the intersection of the run
-/// lists contributed by each predicate ( =, BETWEEN, comparisons, IN ).
-struct RunConstraint {
-  std::vector<OrdinalRange> runs;
-  bool constrained = false;
+/// Accumulated constraint on one attribute: the intersection of the
+/// ranges its predicates select ( =, BETWEEN, comparisons ). An empty
+/// intersection has begin > end, and stays so under further predicates.
+struct RangeConstraint {
+  Attr attr;
+  OrdinalRange range;
 };
 
 class ParserImpl {
@@ -116,7 +117,7 @@ class ParserImpl {
   ParserImpl(const schema::StarSchema* schema, std::vector<Token> tokens)
       : schema_(schema), tokens_(std::move(tokens)) {}
 
-  Result<backend::MultiRangeQuery> Run() {
+  Result<StarJoinQuery> Run() {
     CHUNKCACHE_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
     CHUNKCACHE_RETURN_IF_ERROR(ParseSelectList());
     CHUNKCACHE_RETURN_IF_ERROR(ExpectKeyword("FROM"));
@@ -274,9 +275,7 @@ class ParserImpl {
       CHUNKCACHE_ASSIGN_OR_RETURN(Attr attr, ParseAttr());
       const uint32_t card =
           schema_->dimension(attr.dim).hierarchy.LevelCardinality(attr.level);
-      const uint32_t key = attr.dim * 64 + attr.level;
-      attrs_[key] = attr;
-      std::vector<OrdinalRange> pred_runs;
+      OrdinalRange pred;
       if (PeekKeyword("BETWEEN")) {
         Advance();
         CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t lo,
@@ -288,45 +287,29 @@ class ParserImpl {
           return Status::InvalidArgument(
               "SQL: BETWEEN bounds select an empty range");
         }
-        pred_runs.push_back(OrdinalRange{lo, hi});
-      } else if (PeekKeyword("IN")) {
-        Advance();
-        CHUNKCACHE_RETURN_IF_ERROR(ExpectSymbol("("));
-        std::vector<OrdinalRange> members;
-        while (true) {
-          CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t v,
-                                      ResolveMember(attr, Advance()));
-          members.push_back(OrdinalRange{v, v});
-          if (Peek().type == TokenType::kSymbol && Peek().text == ",") {
-            Advance();
-            continue;
-          }
-          break;
-        }
-        CHUNKCACHE_RETURN_IF_ERROR(ExpectSymbol(")"));
-        pred_runs = backend::NormalizeRuns(std::move(members));
+        pred = OrdinalRange{lo, hi};
       } else if (Peek().type == TokenType::kSymbol) {
         const std::string op = Advance().text;
         CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t v,
                                     ResolveMember(attr, Advance()));
         if (op == "=") {
-          pred_runs.push_back(OrdinalRange{v, v});
+          pred = OrdinalRange{v, v};
         } else if (op == ">=") {
-          pred_runs.push_back(OrdinalRange{v, card - 1});
+          pred = OrdinalRange{v, card - 1};
         } else if (op == "<=") {
-          pred_runs.push_back(OrdinalRange{0, v});
+          pred = OrdinalRange{0, v};
         } else if (op == ">") {
           if (v + 1 >= card) {
             return Status::InvalidArgument(
                 "SQL: '> last-member' selects nothing");
           }
-          pred_runs.push_back(OrdinalRange{v + 1, card - 1});
+          pred = OrdinalRange{v + 1, card - 1};
         } else if (op == "<") {
           if (v == 0) {
             return Status::InvalidArgument(
                 "SQL: '< first-member' selects nothing");
           }
-          pred_runs.push_back(OrdinalRange{0, v - 1});
+          pred = OrdinalRange{0, v - 1};
         } else {
           return Status::InvalidArgument("SQL: unsupported operator '" + op +
                                          "'");
@@ -335,13 +318,12 @@ class ParserImpl {
         return Status::InvalidArgument("SQL: expected operator at offset " +
                                        std::to_string(Peek().pos));
       }
-      RunConstraint& constraint = constraints_[key];
-      if (!constraint.constrained) {
-        constraint.runs = std::move(pred_runs);
-        constraint.constrained = true;
-      } else {
-        constraint.runs =
-            backend::IntersectRuns(constraint.runs, pred_runs);
+      auto [it, first] = constraints_.try_emplace(
+          attr.dim * 64 + attr.level, RangeConstraint{attr, pred});
+      if (!first) {
+        OrdinalRange& r = it->second.range;
+        r = OrdinalRange{std::max(r.begin, pred.begin),
+                         std::min(r.end, pred.end)};
       }
       if (PeekKeyword("AND")) {
         Advance();
@@ -365,8 +347,8 @@ class ParserImpl {
     return Status::OK();
   }
 
-  Result<backend::MultiRangeQuery> Bind() {
-    backend::MultiRangeQuery q;
+  Result<StarJoinQuery> Bind() {
+    StarJoinQuery q;
     q.group_by.num_dims = schema_->num_dims();
     for (const Attr& g : group_by_) {
       if (q.group_by.levels[g.dim] != 0 &&
@@ -383,32 +365,25 @@ class ParserImpl {
             "SQL: select item not in GROUP BY");
       }
     }
-    // Default selections: the full level range as a single run.
+    // Default selections: the full level.
     for (uint32_t d = 0; d < schema_->num_dims(); ++d) {
       const auto& h = schema_->dimension(d).hierarchy;
       const uint32_t level = q.group_by.levels[d];
-      q.runs[d] = {OrdinalRange{
-          0, level == 0 ? 0 : h.LevelCardinality(level) - 1}};
+      q.selection[d] =
+          OrdinalRange{0, level == 0 ? 0 : h.LevelCardinality(level) - 1};
     }
-    // Distribute predicates: group-by level -> selection runs; otherwise
-    // -> non-group-by predicate (which must stay a single range, matching
-    // the paper's pre-aggregation filter model).
-    for (const auto& [key, constraint] : constraints_) {
-      const Attr attr = attrs_.at(key);
-      if (constraint.runs.empty()) {
+    // Distribute predicates: group-by level -> selection; otherwise ->
+    // non-group-by predicate (the paper's pre-aggregation filter).
+    for (const auto& [key, c] : constraints_) {
+      if (c.range.begin > c.range.end) {
         return Status::InvalidArgument(
             "SQL: predicate selects an empty range");
       }
-      if (attr.level == q.group_by.levels[attr.dim]) {
-        q.runs[attr.dim] = constraint.runs;
+      if (c.attr.level == q.group_by.levels[c.attr.dim]) {
+        q.selection[c.attr.dim] = c.range;
       } else {
-        if (constraint.runs.size() != 1) {
-          return Status::Unsupported(
-              "SQL: IN / disjoint ranges on a non-group-by attribute are "
-              "not supported");
-        }
-        q.non_group_by.push_back(NonGroupByPredicate{attr.dim, attr.level,
-                                                     constraint.runs[0]});
+        q.non_group_by.push_back(
+            NonGroupByPredicate{c.attr.dim, c.attr.level, c.range});
       }
     }
     // Canonical order for deterministic filter hashing and comparison.
@@ -425,28 +400,16 @@ class ParserImpl {
   bool has_aggregate_ = false;
   std::vector<Attr> select_attrs_;
   std::vector<Attr> group_by_;
-  // dim*64+level -> accumulated run constraint.
-  std::unordered_map<uint32_t, RunConstraint> constraints_;
-  std::unordered_map<uint32_t, Attr> attrs_;
+  // dim*64+level -> accumulated range constraint.
+  std::unordered_map<uint32_t, RangeConstraint> constraints_;
 };
 
 }  // namespace
 
-Result<backend::MultiRangeQuery> SqlParser::ParseMulti(
-    const std::string& text) const {
+Result<StarJoinQuery> SqlParser::Parse(const std::string& text) const {
   CHUNKCACHE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
   ParserImpl impl(schema_, std::move(tokens));
   return impl.Run();
-}
-
-Result<StarJoinQuery> SqlParser::Parse(const std::string& text) const {
-  CHUNKCACHE_ASSIGN_OR_RETURN(backend::MultiRangeQuery q, ParseMulti(text));
-  if (!q.IsSingleBox()) {
-    return Status::Unsupported(
-        "SQL: query selects disjoint ranges (IN-list spanning gaps); use "
-        "ParseMulti + core::ExecuteMultiRange");
-  }
-  return q.AsSingleBox();
 }
 
 std::string ToSql(const schema::StarSchema& schema,

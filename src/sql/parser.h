@@ -2,9 +2,7 @@
 #define CHUNKCACHE_SQL_PARSER_H_
 
 #include <string>
-#include <vector>
 
-#include "backend/multi_range_query.h"
 #include "backend/star_join_query.h"
 #include "common/status.h"
 #include "schema/star_schema.h"
@@ -30,24 +28,21 @@ namespace chunkcache::sql {
 ///    (which restricts cache reuse to exact matches);
 ///  - grouped dimensions without predicates select their full level;
 ///  - every non-aggregate SELECT item must appear in GROUP BY, and the
-///    aggregate must be SUM(<measure>) and/or COUNT(*).
+///    select list needs at least one aggregate: SUM, MIN, MAX or AVG of
+///    the measure, or COUNT(*). Which ones it names does not change the
+///    query: every result row carries its cell's sum, count, min and max,
+///    and AVG is sum / count.
 ///
-/// Supported predicate forms: `=`, `BETWEEN x AND y`, `>=`, `<=`, `>`,
-/// `<`, and `IN ('a','b',...)`; multiple predicates on one attribute are
-/// intersected. IN-lists whose members do not form one contiguous run
-/// yield a multi-range query (ParseMulti) — execute those with
-/// core::ExecuteMultiRange.
+/// Supported predicate forms: `=`, `BETWEEN x AND y`, `>=`, `<=`, `>` and
+/// `<`. Each selects one range, and the predicates on one attribute
+/// intersect to one range: the paper's range and point selections
+/// (Section 5.2.2).
 class SqlParser {
  public:
   explicit SqlParser(const schema::StarSchema* schema) : schema_(schema) {}
 
-  /// Parses `text` into a single-box StarJoinQuery; fails with Unsupported
-  /// when the predicates select disjoint ranges (use ParseMulti then).
+  /// Parses `text` into a StarJoinQuery.
   Result<backend::StarJoinQuery> Parse(const std::string& text) const;
-
-  /// Parses `text` into a MultiRangeQuery (single-box queries come back
-  /// with one run per dimension).
-  Result<backend::MultiRangeQuery> ParseMulti(const std::string& text) const;
 
  private:
   const schema::StarSchema* schema_;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,20 +20,15 @@ struct DiskStats {
   uint64_t writes = 0;
   uint64_t allocations = 0;
   uint64_t checksum_failures = 0;
-  /// Short writes and failed fsyncs, surfaced as Status::IoError (never
-  /// swallowed) and counted here -> "disk.write_errors" on the registry.
-  uint64_t write_errors = 0;
 };
 
 /// Abstraction over the physical page store. One DiskManager hosts many
 /// numbered files (fact file, indexes, ...), each a dense array of pages.
 ///
-/// Implementations:
-///  - InMemoryDiskManager: pages live in RAM with exact I/O accounting; this
-///    emulates the paper's raw device (no hidden OS caching) and is what the
-///    experiments use.
-///  - FileDiskManager: pages live in one real file on disk; useful for
-///    persistence demos and for validating that the format round-trips.
+/// InMemoryDiskManager is the implementation: pages live in RAM with exact
+/// I/O accounting, which emulates the paper's raw device (no hidden OS
+/// caching). The interface stays virtual so tests can wrap a disk in one
+/// that fails or blocks on demand.
 class DiskManager {
  public:
   virtual ~DiskManager() = default;
@@ -79,18 +73,12 @@ class DiskManager {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.allocations;
   }
-  void CountWriteError() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.write_errors;
-  }
 
   /// End-to-end page integrity: WritePage records a CRC32C of the payload
   /// in a side table keyed by PageId, ReadPage verifies against it and
   /// fails with Status::Corruption instead of serving bad bytes. Keeping
   /// the checksum out of the page keeps the on-page capacity math and the
-  /// file format unchanged; the cost is that checksums do not persist
-  /// across a FileDiskManager re-open (the first write re-establishes
-  /// coverage — VerifyPageChecksum treats an absent entry as OK).
+  /// page format unchanged. A page with no recorded checksum reads as OK.
   void RecordPageChecksum(PageId id, const Page& page);
   Status VerifyPageChecksum(PageId id, const Page& page);
 
@@ -118,44 +106,6 @@ class InMemoryDiskManager final : public DiskManager {
  private:
   // files_[file_id - 1] is the page vector of that file.
   std::vector<std::vector<std::unique_ptr<Page>>> files_;
-};
-
-/// DiskManager backed by one OS file. Pages of all logical files are
-/// interleaved in allocation order; a small in-memory directory maps
-/// (file_id, page_no) to the physical slot. The directory is rebuilt on
-/// open from a trailer, making the format self-describing.
-class FileDiskManager final : public DiskManager {
- public:
-  /// Opens (creating if necessary) the backing file at `path`.
-  static Result<std::unique_ptr<FileDiskManager>> Open(
-      const std::string& path);
-
-  ~FileDiskManager() override;
-
-  FileDiskManager(const FileDiskManager&) = delete;
-  FileDiskManager& operator=(const FileDiskManager&) = delete;
-
-  uint32_t CreateFile() override;
-  Result<PageId> AllocatePage(uint32_t file_id) override;
-  Status ReadPage(PageId id, Page* out) override;
-  Status WritePage(PageId id, const Page& page) override;
-  uint32_t FilePageCount(uint32_t file_id) const override;
-
-  /// Flushes the page directory and fsyncs the backing file so a re-open
-  /// sees all logical files. Short writes and a failed fsync both surface
-  /// as Status::IoError (and count in DiskStats::write_errors).
-  Status Sync();
-
- private:
-  explicit FileDiskManager(int fd) : fd_(fd) {}
-
-  Status LoadDirectory();
-  Status SaveDirectory();
-
-  int fd_;
-  // directory_[file_id - 1][page_no] = physical page slot in the OS file.
-  std::vector<std::vector<uint64_t>> directory_;
-  uint64_t next_slot_ = 0;
 };
 
 }  // namespace chunkcache::storage

@@ -10,6 +10,7 @@
 #include "backend/engine.h"
 #include "backend/star_join_query.h"
 #include "schema/synthetic.h"
+#include "storage/agg_columns.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "reference_oracle.h"
@@ -63,6 +64,22 @@ class BackendFixture : public ::testing::Test {
     return oracle::NaiveStarJoin(*schema_, tuples_, q);
   }
 
+  /// Reads base chunks `chunk_nums` the way the miss path does: their
+  /// coalesced runs from the chunk index, then each run's columns.
+  storage::TupleColumns ReadChunks(const std::vector<uint64_t>& chunk_nums) {
+    storage::TupleColumns cols;
+    cols.num_dims = scheme_->num_dims();
+    auto runs = file_->CoalescedRuns(chunk_nums);
+    EXPECT_TRUE(runs.ok()) << runs.status().ToString();
+    if (!runs.ok()) return cols;
+    for (const RowRun& run : *runs) {
+      EXPECT_TRUE(file_->fact_file()
+                      .ScanRangeColumns(run.first, run.count, &cols)
+                      .ok());
+    }
+    return cols;
+  }
+
   /// Full selection on every dimension at the given group-by.
   StarJoinQuery FullQuery(const GroupBySpec& gb) const {
     StarJoinQuery q;
@@ -105,26 +122,23 @@ TEST_F(BackendFixture, ChunkRunsCoverAllTuplesDisjointly) {
   EXPECT_EQ(total, kTuples);
 }
 
-TEST_F(BackendFixture, ScanChunkYieldsOnlyThatChunksTuples) {
+TEST_F(BackendFixture, ChunkRunYieldsOnlyThatChunksTuples) {
   const GroupBySpec base = scheme_->BaseSpec();
   const auto& grid = scheme_->GridFor(base);
   // Pick a handful of chunks spread over the grid.
   for (uint64_t c = 0; c < grid.num_chunks(); c += grid.num_chunks() / 7) {
     auto extent = scheme_->ChunkExtent(base, c);
-    uint64_t visited = 0;
-    ASSERT_TRUE(file_->ScanChunk(c, [&](const Tuple& t) {
-                      for (uint32_t d = 0; d < 4; ++d) {
-                        EXPECT_TRUE(extent[d].Contains(t.keys[d]));
-                      }
-                      ++visited;
-                      return true;
-                    })
-                    .ok());
+    const storage::TupleColumns cols = ReadChunks({c});
+    for (size_t i = 0; i < cols.size(); ++i) {
+      for (uint32_t d = 0; d < 4; ++d) {
+        EXPECT_TRUE(extent[d].Contains(cols.keys[d][i]));
+      }
+    }
     auto run = file_->ChunkRun(c);
     if (run.ok()) {
-      EXPECT_EQ(visited, run->second);
+      EXPECT_EQ(cols.size(), run->second);
     } else {
-      EXPECT_EQ(visited, 0u);
+      EXPECT_EQ(cols.size(), 0u);
     }
   }
 }
@@ -133,7 +147,7 @@ TEST_F(BackendFixture, ChunkScanCostProportionalToChunk) {
   // Reading one chunk must touch far fewer pages than the whole file.
   ASSERT_TRUE(pool_->EvictAll().ok());
   const auto before = disk_.stats();
-  ASSERT_TRUE(file_->ScanChunk(0, [](const Tuple&) { return true; }).ok());
+  EXPECT_GT(ReadChunks({0}).size(), 0u);
   const uint64_t chunk_pages = disk_.stats().reads - before.reads;
   EXPECT_LT(chunk_pages, file_->fact_file().num_data_pages() / 4);
 }
@@ -154,9 +168,8 @@ TEST(ChunkedFileUnclustered, ChunkInterfaceUnsupported) {
   ASSERT_TRUE(file.ok());
   EXPECT_FALSE(file->clustered());
   EXPECT_EQ(file->ChunkRun(0).status().code(), StatusCode::kUnsupported);
-  EXPECT_EQ(
-      file->ScanChunk(0, [](const Tuple&) { return true; }).code(),
-      StatusCode::kUnsupported);
+  EXPECT_EQ(file->CoalescedRuns({0}).status().code(),
+            StatusCode::kUnsupported);
   // The relational interface still works.
   uint64_t n = 0;
   ASSERT_TRUE(file->Scan([&](storage::RowId, const Tuple&) {

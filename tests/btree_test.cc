@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -22,6 +22,23 @@ struct TreeFixture {
   BufferPool pool{&dm, 256};
 };
 
+/// Sorted bulk-load input holding `keys` (ascending), each with payload
+/// {key * 10, key}.
+std::vector<std::pair<uint64_t, BTreePayload>> Entries(
+    const std::vector<uint64_t>& keys) {
+  std::vector<std::pair<uint64_t, BTreePayload>> input;
+  input.reserve(keys.size());
+  for (uint64_t k : keys) input.emplace_back(k, P(k * 10, k));
+  return input;
+}
+
+/// Up to `n` distinct random keys below `range`, ascending.
+std::set<uint64_t> RandomKeySet(Random& rng, size_t n, uint64_t range) {
+  std::set<uint64_t> keys;
+  for (size_t i = 0; i < n; ++i) keys.insert(rng.Uniform(range));
+  return keys;
+}
+
 TEST(BTreeTest, EmptyTreeGetIsNotFound) {
   TreeFixture f;
   auto t = BTree::Create(&f.pool);
@@ -32,177 +49,85 @@ TEST(BTreeTest, EmptyTreeGetIsNotFound) {
   EXPECT_TRUE(t->CheckInvariants().ok());
 }
 
-TEST(BTreeTest, InsertAndGetSingle) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(t->Insert(5, P(50, 51)).ok());
-  auto v = t->Get(5);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->v1, 50u);
-  EXPECT_EQ(v->v2, 51u);
-  EXPECT_EQ(t->size(), 1u);
-}
+// Sizes 171, 341 and 28,731 leave one entry for the last leaf
+// (n = 1 mod 170); 57,810 and 57,970 leave one leaf for the last internal
+// node (341 leaves) and 58,140 leaves two (342 leaves). Filled left to
+// right, each of those trees has an underfull last node.
+class BTreeBulkLoadTest : public ::testing::TestWithParam<int> {};
 
-TEST(BTreeTest, DuplicateInsertFailsButUpsertReplaces) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(t->Insert(5, P(1)).ok());
-  EXPECT_EQ(t->Insert(5, P(2)).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(t->Get(5)->v1, 1u);
-  ASSERT_TRUE(t->Upsert(5, P(2)).ok());
-  EXPECT_EQ(t->Get(5)->v1, 2u);
-  EXPECT_EQ(t->size(), 1u);
-}
-
-// Insertion orders exercised by the parameterized suite.
-enum class Order { kAscending, kDescending, kRandom };
-
-class BTreeInsertTest
-    : public ::testing::TestWithParam<std::tuple<int, Order>> {};
-
-TEST_P(BTreeInsertTest, InsertGetScanInvariants) {
-  const int n = std::get<0>(GetParam());
-  const Order order = std::get<1>(GetParam());
+TEST_P(BTreeBulkLoadTest, BulkLoadGetInvariants) {
+  const int n = GetParam();
   TreeFixture f;
   auto t = BTree::Create(&f.pool);
   ASSERT_TRUE(t.ok());
 
   std::vector<uint64_t> keys(n);
   for (int i = 0; i < n; ++i) keys[i] = static_cast<uint64_t>(i) * 3 + 1;
-  if (order == Order::kDescending) {
-    std::reverse(keys.begin(), keys.end());
-  } else if (order == Order::kRandom) {
-    Random rng(n);
-    for (int i = n - 1; i > 0; --i) {
-      std::swap(keys[i], keys[rng.Uniform(i + 1)]);
-    }
-  }
-  for (uint64_t k : keys) ASSERT_TRUE(t->Insert(k, P(k * 10)).ok());
+  ASSERT_TRUE(t->BulkLoad(Entries(keys)).ok());
   EXPECT_EQ(t->size(), static_cast<uint64_t>(n));
-  ASSERT_TRUE(t->CheckInvariants().ok());
+  const Status inv = t->CheckInvariants();
+  ASSERT_TRUE(inv.ok()) << inv.ToString();
 
   // Point lookups.
   for (uint64_t k : keys) {
     auto v = t->Get(k);
     ASSERT_TRUE(v.ok()) << "key " << k;
     EXPECT_EQ(v->v1, k * 10);
+    EXPECT_EQ(v->v2, k);
   }
-  // Misses between keys.
+  // Misses between keys, before the first and after the last.
+  for (uint64_t k : keys) {
+    EXPECT_EQ(t->Get(k + 1).status().code(), StatusCode::kNotFound);
+  }
   EXPECT_FALSE(t->Get(0).ok());
-  EXPECT_FALSE(t->Get(2).ok());
-
-  // Full scan is sorted and complete.
-  std::vector<uint64_t> scanned;
-  ASSERT_TRUE(t->ScanRange(0, UINT64_MAX,
-                           [&](uint64_t k, const BTreePayload& p) {
-                             EXPECT_EQ(p.v1, k * 10);
-                             scanned.push_back(k);
-                             return true;
-                           })
-                  .ok());
-  ASSERT_EQ(scanned.size(), static_cast<size_t>(n));
-  EXPECT_TRUE(std::is_sorted(scanned.begin(), scanned.end()));
-
-  // Sub-range scan.
-  scanned.clear();
-  ASSERT_TRUE(t->ScanRange(10, 40,
-                           [&](uint64_t k, const BTreePayload&) {
-                             scanned.push_back(k);
-                             return true;
-                           })
-                  .ok());
-  for (uint64_t k : scanned) {
-    EXPECT_GE(k, 10u);
-    EXPECT_LE(k, 40u);
-  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, BTreeInsertTest,
-    ::testing::Combine(::testing::Values(1, 10, 200, 2000, 20000),
-                       ::testing::Values(Order::kAscending, Order::kDescending,
-                                         Order::kRandom)));
+INSTANTIATE_TEST_SUITE_P(Sizes, BTreeBulkLoadTest,
+                         ::testing::Values(1, 10, 200, 2000, 20000, 171, 341,
+                                           28731, 57810, 57970, 58140));
 
 TEST(BTreeTest, GrowsBeyondOneLevel) {
   TreeFixture f;
   auto t = BTree::Create(&f.pool);
   ASSERT_TRUE(t.ok());
-  for (uint64_t k = 0; k < 5000; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
+  Random rng(5);
+  const std::set<uint64_t> keys = RandomKeySet(rng, 5000, 1u << 30);
+  ASSERT_TRUE(t->BulkLoad(Entries({keys.begin(), keys.end()})).ok());
   EXPECT_GE(t->height(), 2u);
   ASSERT_TRUE(t->CheckInvariants().ok());
-}
-
-TEST(BTreeTest, DeleteFromLeafNoUnderflow) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  ASSERT_TRUE(t->Delete(25).ok());
-  EXPECT_EQ(t->size(), 49u);
-  EXPECT_FALSE(t->Get(25).ok());
-  EXPECT_TRUE(t->Get(24).ok());
-  EXPECT_TRUE(t->Get(26).ok());
-  EXPECT_EQ(t->Delete(25).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(t->CheckInvariants().ok());
-}
-
-TEST(BTreeTest, DeleteEverythingForwards) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  const uint64_t n = 3000;
-  for (uint64_t k = 0; k < n; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  for (uint64_t k = 0; k < n; ++k) {
-    ASSERT_TRUE(t->Delete(k).ok()) << "key " << k;
+  for (uint64_t k : keys) {
+    auto v = t->Get(k);
+    ASSERT_TRUE(v.ok()) << "key " << k;
+    EXPECT_EQ(v->v1, k * 10);
   }
-  EXPECT_EQ(t->size(), 0u);
-  ASSERT_TRUE(t->CheckInvariants().ok());
-  for (uint64_t k = 0; k < n; k += 37) EXPECT_FALSE(t->Get(k).ok());
-}
-
-TEST(BTreeTest, DeleteEverythingBackwards) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  const uint64_t n = 3000;
-  for (uint64_t k = 0; k < n; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  for (uint64_t k = n; k-- > 0;) {
-    ASSERT_TRUE(t->Delete(k).ok()) << "key " << k;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t probe = rng.Uniform(1u << 30);
+    EXPECT_EQ(t->Get(probe).ok(), keys.count(probe) == 1) << "key " << probe;
   }
-  EXPECT_EQ(t->size(), 0u);
-  ASSERT_TRUE(t->CheckInvariants().ok());
 }
 
-TEST(BTreeTest, RandomInsertDeleteAgainstReferenceMap) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  std::map<uint64_t, uint64_t> reference;
+TEST(BTreeTest, RandomKeySetsAgainstReferenceSet) {
   Random rng(77);
-  for (int step = 0; step < 20000; ++step) {
-    const uint64_t key = rng.Uniform(500);
-    if (rng.Bernoulli(0.6)) {
-      const uint64_t val = rng.Next64();
-      ASSERT_TRUE(t->Upsert(key, P(val)).ok());
-      reference[key] = val;
-    } else {
-      Status s = t->Delete(key);
-      if (reference.erase(key) > 0) {
-        ASSERT_TRUE(s.ok());
+  for (int round = 0; round < 20; ++round) {
+    TreeFixture f;
+    auto t = BTree::Create(&f.pool);
+    ASSERT_TRUE(t.ok());
+    const uint64_t range = 500 + rng.Uniform(20000);
+    const std::set<uint64_t> keys =
+        RandomKeySet(rng, rng.Uniform(range), range);
+    ASSERT_TRUE(t->BulkLoad(Entries({keys.begin(), keys.end()})).ok());
+    ASSERT_TRUE(t->CheckInvariants().ok()) << "round " << round;
+    EXPECT_EQ(t->size(), keys.size());
+    for (uint64_t k = 0; k < range + 2; ++k) {
+      auto got = t->Get(k);
+      if (keys.count(k) == 1) {
+        ASSERT_TRUE(got.ok()) << "round " << round << " key " << k;
+        EXPECT_EQ(got->v1, k * 10);
       } else {
-        ASSERT_EQ(s.code(), StatusCode::kNotFound);
+        ASSERT_EQ(got.status().code(), StatusCode::kNotFound)
+            << "round " << round << " key " << k;
       }
     }
-    if (step % 2500 == 0) ASSERT_TRUE(t->CheckInvariants().ok());
-  }
-  ASSERT_TRUE(t->CheckInvariants().ok());
-  EXPECT_EQ(t->size(), reference.size());
-  for (const auto& [k, v] : reference) {
-    auto got = t->Get(k);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->v1, v);
   }
 }
 
@@ -231,21 +156,9 @@ TEST(BTreeTest, BulkLoadRejectsUnsortedAndNonEmpty) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(t->BulkLoad({{3, P(0)}, {3, P(0)}}).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(t->Insert(1, P(0)).ok());
+  ASSERT_TRUE(t->BulkLoad({{1, P(0)}}).ok());
   EXPECT_EQ(t->BulkLoad({{2, P(0)}}).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BTreeTest, BulkLoadedTreeAcceptsFurtherInsertsAndDeletes) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  std::vector<std::pair<uint64_t, BTreePayload>> input;
-  for (uint64_t k = 0; k < 5000; ++k) input.emplace_back(k * 2, P(k));
-  ASSERT_TRUE(t->BulkLoad(input).ok());
-  for (uint64_t k = 1; k < 2000; k += 2) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  for (uint64_t k = 0; k < 1000; k += 2) ASSERT_TRUE(t->Delete(k).ok());
-  ASSERT_TRUE(t->CheckInvariants().ok());
-  EXPECT_EQ(t->size(), 5000u + 1000u - 500u);
+  EXPECT_EQ(t->size(), 1u);
 }
 
 TEST(BTreeTest, PersistsAcrossReopen) {
@@ -256,7 +169,9 @@ TEST(BTreeTest, PersistsAcrossReopen) {
     auto t = BTree::Create(&pool);
     ASSERT_TRUE(t.ok());
     file_id = t->file_id();
-    for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
+    std::vector<uint64_t> keys(1000);
+    for (uint64_t k = 0; k < 1000; ++k) keys[k] = k;
+    ASSERT_TRUE(t->BulkLoad(Entries(keys)).ok());
     ASSERT_TRUE(t->SyncMeta().ok());
   }
   ASSERT_TRUE(pool.FlushAll().ok());
@@ -266,46 +181,9 @@ TEST(BTreeTest, PersistsAcrossReopen) {
   for (uint64_t k = 0; k < 1000; k += 97) {
     auto v = t->Get(k);
     ASSERT_TRUE(v.ok());
-    EXPECT_EQ(v->v1, k);
+    EXPECT_EQ(v->v1, k * 10);
   }
   ASSERT_TRUE(t->CheckInvariants().ok());
-}
-
-TEST(BTreeTest, ScanEarlyStop) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  int visited = 0;
-  ASSERT_TRUE(t->ScanRange(0, UINT64_MAX,
-                           [&](uint64_t, const BTreePayload&) {
-                             return ++visited < 10;
-                           })
-                  .ok());
-  EXPECT_EQ(visited, 10);
-}
-
-TEST(BTreeTest, ScanEmptyRange) {
-  TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  for (uint64_t k = 100; k < 200; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
-  int visited = 0;
-  ASSERT_TRUE(t->ScanRange(300, 400,
-                           [&](uint64_t, const BTreePayload&) {
-                             ++visited;
-                             return true;
-                           })
-                  .ok());
-  EXPECT_EQ(visited, 0);
-  // lo > hi is a no-op, not an error.
-  ASSERT_TRUE(t->ScanRange(50, 10,
-                           [&](uint64_t, const BTreePayload&) {
-                             ++visited;
-                             return true;
-                           })
-                  .ok());
-  EXPECT_EQ(visited, 0);
 }
 
 }  // namespace

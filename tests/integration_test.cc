@@ -1,7 +1,7 @@
 // Whole-system integration tests: differential testing of the three middle
 // tiers against each other under sustained random workloads with cache
-// pressure, persistence round trips through the real-file disk manager,
-// and stress on the cache under a pathologically small backend pool.
+// pressure, and stress on the cache under a pathologically small backend
+// pool.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "backend/engine.h"
 #include "core/chunk_cache_manager.h"
 #include "core/query_cache_manager.h"
-#include "index/btree.h"
 #include "schema/synthetic.h"
 #include "sql/parser.h"
 #include "storage/buffer_pool.h"
@@ -33,7 +32,6 @@ using backend::StarJoinQuery;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
 using storage::AggTuple;
-using storage::Tuple;
 
 struct FullSystem {
   std::unique_ptr<storage::InMemoryDiskManager> disk;
@@ -296,91 +294,6 @@ TEST(IntegrationTest, TinyBufferPool) {
     ASSERT_TRUE(rows.ok()) << rows.status().ToString() << " @" << i;
   }
   EXPECT_GT(sys.pool->stats().evictions, 0u);
-}
-
-// Full persistence round trip through the real-file disk manager: bulk
-// load + index a small system into one file, reopen it, and query again.
-TEST(IntegrationTest, FileBackedPersistenceRoundTrip) {
-  const std::string path =
-      testing::TempDir() + "/chunkcache_integration.db";
-  std::remove(path.c_str());
-
-  auto s = schema::BuildPaperSchema();
-  ASSERT_TRUE(s.ok());
-  auto schema = std::make_unique<schema::StarSchema>(std::move(s).value());
-  ChunkingOptions copts;
-  copts.range_fraction = 0.2;
-  auto scheme_or = ChunkingScheme::Build(schema.get(), copts, 5000);
-  ASSERT_TRUE(scheme_or.ok());
-  auto scheme = std::make_unique<ChunkingScheme>(std::move(scheme_or).value());
-
-  uint32_t fact_file_id = 0;
-  uint32_t btree_file_id = 0;
-  std::vector<AggTuple> expected;
-  const StarJoinQuery probe = [&] {
-    StarJoinQuery q;
-    q.group_by = chunks::GroupBySpec{{1, 1, 1, 1}, 4};
-    q.selection[0] = {2, 20};
-    q.selection[1] = {0, 24};
-    q.selection[2] = {1, 3};
-    q.selection[3] = {0, 9};
-    return q;
-  }();
-
-  {
-    auto disk_or = storage::FileDiskManager::Open(path);
-    ASSERT_TRUE(disk_or.ok());
-    storage::BufferPool pool(disk_or->get(), 512);
-    schema::FactGenOptions gen;
-    gen.num_tuples = 5000;
-    auto file = backend::ChunkedFile::BulkLoad(
-        &pool, scheme.get(), schema::GenerateFactTuples(*schema, gen));
-    ASSERT_TRUE(file.ok());
-    fact_file_id = file->fact_file().file_id();
-    btree_file_id = file->chunk_index().file_id();
-    ASSERT_TRUE(file->chunk_index().SyncMeta().ok());
-    backend::BackendEngine engine(&pool, &*file, scheme.get());
-    WorkCounters work;
-    auto rows = engine.ExecuteStarJoin(probe, &work);
-    ASSERT_TRUE(rows.ok());
-    expected = std::move(rows).value();
-    ASSERT_TRUE(pool.FlushAll().ok());
-    ASSERT_TRUE((*disk_or)->Sync().ok());
-  }
-
-  // Reopen the database file and re-run the probe via the chunk interface.
-  {
-    auto disk_or = storage::FileDiskManager::Open(path);
-    ASSERT_TRUE(disk_or.ok());
-    storage::BufferPool pool(disk_or->get(), 512);
-    auto fact = storage::FactFile::Open(&pool, fact_file_id);
-    ASSERT_TRUE(fact.ok());
-    EXPECT_EQ(fact->num_tuples(), 5000u);
-    auto tree = index::BTree::Open(&pool, btree_file_id);
-    ASSERT_TRUE(tree.ok());
-    ASSERT_TRUE(tree->CheckInvariants().ok());
-
-    // Recompute the probe by scanning chunk runs out of the reopened file.
-    backend::HashAggregator agg(scheme.get(), probe.group_by);
-    Status status = Status::OK();
-    ASSERT_TRUE(tree->ScanRange(0, UINT64_MAX,
-                                [&](uint64_t, const index::BTreePayload& p) {
-                                  status = fact->ScanRange(
-                                      p.v1, p.v2,
-                                      [&](storage::RowId,
-                                          const Tuple& t) {
-                                        agg.AddBase(t);
-                                        return true;
-                                      });
-                                  return status.ok();
-                                })
-                    .ok());
-    ASSERT_TRUE(status.ok());
-    auto rows = backend::FilterRows(agg.TakeRows(), 4, probe.selection);
-    backend::SortRows(&rows, 4);
-    ExpectSameRows(rows, expected, 4, "reopened file");
-  }
-  std::remove(path.c_str());
 }
 
 // SQL round trip at system level: text -> query -> execute -> ToSql ->

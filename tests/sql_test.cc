@@ -154,6 +154,10 @@ TEST_F(SqlFixture, ErrorsAreDescriptive) {
       // Trailing garbage.
       {"SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 GROUP BY D0.L1 xyz .",
        StatusCode::kInvalidArgument},
+      // IN-list: the template selects one range per attribute.
+      {"SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 "
+       "WHERE D0.L1 IN ('D0.1.1', 'D0.1.3') GROUP BY D0.L1",
+       StatusCode::kInvalidArgument},
   };
   for (const Case& c : cases) {
     auto q = parser_->Parse(c.sql);

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -77,108 +75,6 @@ TEST(InMemoryDiskManagerTest, MultipleFilesAreIndependent) {
   EXPECT_EQ(out.data[7], 2);
   EXPECT_EQ(dm.FilePageCount(f1), 1u);
   EXPECT_EQ(dm.FilePageCount(f2), 1u);
-}
-
-TEST(FileDiskManagerTest, RoundTripsAcrossReopen) {
-  const std::string path = testing::TempDir() + "/chunkcache_fdm_test.db";
-  std::remove(path.c_str());
-  uint32_t f1, f2;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    f1 = (*dm)->CreateFile();
-    f2 = (*dm)->CreateFile();
-    Page p;
-    p.Zero();
-    for (int i = 0; i < 5; ++i) {
-      auto pid = (*dm)->AllocatePage(f1);
-      ASSERT_TRUE(pid.ok());
-      p.data[0] = static_cast<uint8_t>(i);
-      ASSERT_TRUE((*dm)->WritePage(*pid, p).ok());
-    }
-    auto pid2 = (*dm)->AllocatePage(f2);
-    ASSERT_TRUE(pid2.ok());
-    p.data[0] = 99;
-    ASSERT_TRUE((*dm)->WritePage(*pid2, p).ok());
-    ASSERT_TRUE((*dm)->Sync().ok());
-  }
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    EXPECT_EQ((*dm)->FilePageCount(f1), 5u);
-    EXPECT_EQ((*dm)->FilePageCount(f2), 1u);
-    Page p;
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(
-          (*dm)->ReadPage(PageId{f1, static_cast<uint32_t>(i)}, &p).ok());
-      EXPECT_EQ(p.data[0], static_cast<uint8_t>(i));
-    }
-    ASSERT_TRUE((*dm)->ReadPage(PageId{f2, 0}, &p).ok());
-    EXPECT_EQ(p.data[0], 99);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, LargeDirectorySpansMultiplePages) {
-  // 3000 pages across several files make the serialized directory larger
-  // than one 4 KiB page, exercising the multi-page directory path.
-  const std::string path = testing::TempDir() + "/chunkcache_fdm_large.db";
-  std::remove(path.c_str());
-  std::vector<uint32_t> files;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    Page p;
-    p.Zero();
-    for (int f = 0; f < 3; ++f) {
-      files.push_back((*dm)->CreateFile());
-      for (int i = 0; i < 1000; ++i) {
-        auto pid = (*dm)->AllocatePage(files.back());
-        ASSERT_TRUE(pid.ok());
-        *p.As<uint32_t>() = static_cast<uint32_t>(f * 1000 + i);
-        ASSERT_TRUE((*dm)->WritePage(*pid, p).ok());
-      }
-    }
-    ASSERT_TRUE((*dm)->Sync().ok());
-  }
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    Page p;
-    for (int f = 0; f < 3; ++f) {
-      ASSERT_EQ((*dm)->FilePageCount(files[f]), 1000u);
-      for (uint32_t i = 0; i < 1000; i += 331) {
-        ASSERT_TRUE((*dm)->ReadPage(PageId{files[f], i}, &p).ok());
-        EXPECT_EQ(*p.As<uint32_t>(), static_cast<uint32_t>(f * 1000 + i));
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, DestructorPersistsWithoutExplicitSync) {
-  const std::string path = testing::TempDir() + "/chunkcache_fdm_dtor.db";
-  std::remove(path.c_str());
-  uint32_t file_id;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    file_id = (*dm)->CreateFile();
-    auto pid = (*dm)->AllocatePage(file_id);
-    ASSERT_TRUE(pid.ok());
-    Page p;
-    p.Zero();
-    p.data[17] = 99;
-    ASSERT_TRUE((*dm)->WritePage(*pid, p).ok());
-    // No Sync(): the destructor must save the directory.
-  }
-  auto dm = FileDiskManager::Open(path);
-  ASSERT_TRUE(dm.ok());
-  EXPECT_EQ((*dm)->FilePageCount(file_id), 1u);
-  Page p;
-  ASSERT_TRUE((*dm)->ReadPage(PageId{file_id, 0}, &p).ok());
-  EXPECT_EQ(p.data[17], 99);
-  std::remove(path.c_str());
 }
 
 // ------------------------------ BufferPool ----------------------------------

@@ -2,13 +2,15 @@
 // paper's own figures:
 //   1. in-cache aggregation (paper §7 future work) on/off, on a roll-up
 //      heavy session stream;
-//   2. drill-down prefetch (paper §7 future work) on/off, on a drill-down
-//      session stream;
-//   3. materialized chunked aggregate tables at the backend on/off
+//   2. materialized chunked aggregate tables at the backend on/off
 //      (Section 3.1's "even statically precomputed aggregate tables can be
 //      organized on a chunk basis");
-//   4. chunked vs unordered backend file for the chunk-cache miss path —
+//   3. chunked vs unordered backend file for the chunk-cache miss path —
 //      isolating how much of the win comes from the file organization.
+//
+// Drill-down prefetch, the paper's other §7 idea, has no row: counting its
+// own backend work, it raised the cost of every drill-down stream it ran
+// on (EXPERIMENTS.md, "Delete drill-down prefetch").
 
 #include <cstdio>
 #include <memory>
@@ -22,15 +24,11 @@
 namespace chunkcache::bench {
 namespace {
 
-using backend::StarJoinQuery;
-using chunks::GroupBySpec;
-using schema::OrdinalRange;
-
 using workload::SessionGenerator;
 using workload::SessionOptions;
 
 Result<StreamResult> RunSession(core::MiddleTier* tier, SessionGenerator* gen,
-                                uint64_t n, const CostModel& cm) {
+                                uint64_t n) {
   StreamResult r;
   r.tier = tier->name();
   r.queries = n;
@@ -40,9 +38,7 @@ Result<StreamResult> RunSession(core::MiddleTier* tier, SessionGenerator* gen,
     core::QueryStats stats;
     auto rows = tier->Execute(gen->Next(), &stats);
     if (!rows.ok()) return rows.status();
-    total += cm.Cost(stats.backend_work.pages_read,
-                     stats.backend_work.pages_written,
-                     stats.backend_work.tuples_processed);
+    total += stats.modeled_ms;
     csr.Record(stats);
     r.backend_pages += stats.backend_work.pages_read;
     r.backend_tuples += stats.backend_work.tuples_processed;
@@ -66,48 +62,26 @@ int Run() {
     if (!(*system)->ResetBackend().ok()) return 1;
     core::ChunkManagerOptions opts;
     opts.enable_in_cache_aggregation = enabled;
-    opts.cost_model = config.cost_model;
     core::ChunkCacheManager tier(&(*system)->engine(), opts);
     SessionOptions sopts;
     sopts.drill_down = false;  // fine first, then roll up
     sopts.seed = 707;
     SessionGenerator gen(&(*system)->schema(), sopts);
-    auto result = RunSession(&tier, &gen, n, config.cost_model);
+    auto result = RunSession(&tier, &gen, n);
     if (!result.ok()) return 1;
     result->stream = enabled ? "rollup/agg=on" : "rollup/agg=off";
     PrintResult(*result, header);
     header = false;
   }
 
-  // --- 2. Drill-down prefetch on a drill-down session. --------------------
-  for (bool enabled : {false, true}) {
-    if (!(*system)->ResetBackend().ok()) return 1;
-    core::ChunkManagerOptions opts;
-    opts.enable_drill_down_prefetch = enabled;
-    opts.prefetch_budget_chunks = 512;
-    opts.cost_model = config.cost_model;
-    core::ChunkCacheManager tier(&(*system)->engine(), opts);
-    SessionOptions sopts;
-    sopts.drill_down = true;
-    sopts.seed = 808;
-    SessionGenerator gen(&(*system)->schema(), sopts);
-    auto result = RunSession(&tier, &gen, n, config.cost_model);
-    if (!result.ok()) return 1;
-    result->stream = enabled ? "drill/pref=on" : "drill/pref=off";
-    PrintResult(*result, false);
-    std::printf("  (foreground cost only; prefetch I/O charged separately)\n");
-  }
-
-  // --- 3. Materialized chunked aggregates serving chunk computation. ------
+  // --- 2. Materialized chunked aggregates serving chunk computation. ------
   {
     if (!(*system)->ResetBackend().ok()) return 1;
-    core::ChunkManagerOptions opts;
-    opts.cost_model = config.cost_model;
     {
-      core::ChunkCacheManager tier(&(*system)->engine(), opts);
+      core::ChunkCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(),
                                    workload::EqprStream(909));
-      auto result = RunStream(&tier, &gen, n, config.cost_model);
+      auto result = RunStream(&tier, &gen, n);
       if (!result.ok()) return 1;
       result->stream = "eqpr/mat=off";
       PrintResult(*result, false);
@@ -125,17 +99,17 @@ int Run() {
     }
     if (!(*system)->ResetBackend().ok()) return 1;
     {
-      core::ChunkCacheManager tier(&(*system)->engine(), opts);
+      core::ChunkCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(),
                                    workload::EqprStream(909));
-      auto result = RunStream(&tier, &gen, n, config.cost_model);
+      auto result = RunStream(&tier, &gen, n);
       if (!result.ok()) return 1;
       result->stream = "eqpr/mat=on";
       PrintResult(*result, false);
     }
   }
 
-  // --- 4. Chunked vs unordered backend file for the miss path. ------------
+  // --- 3. Chunked vs unordered backend file for the miss path. ------------
   // With an unordered file the backend computes a missing chunk by scanning
   // the whole table (cost ~ table); the chunked file reads just the chunk.
   {
@@ -159,23 +133,21 @@ int Run() {
     // Shorter stream: every miss is a full scan, two orders of magnitude
     // slower — exactly the effect being demonstrated.
     const uint64_t short_n = std::min<uint64_t>(n, 150);
-    core::ChunkManagerOptions opts;
-    opts.cost_model = config.cost_model;
     {
-      core::ChunkCacheManager tier(&engine2, opts);
+      core::ChunkCacheManager tier(&engine2, {});
       workload::QueryGenerator gen(&(*system)->schema(),
                                    workload::EqprStream(1010));
-      auto result = RunStream(&tier, &gen, short_n, config.cost_model);
+      auto result = RunStream(&tier, &gen, short_n);
       if (!result.ok()) return 1;
       result->stream = "eqpr/unordered";
       PrintResult(*result, false);
     }
     if (!(*system)->ResetBackend().ok()) return 1;
     {
-      core::ChunkCacheManager tier(&(*system)->engine(), opts);
+      core::ChunkCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(),
                                    workload::EqprStream(1010));
-      auto result = RunStream(&tier, &gen, short_n, config.cost_model);
+      auto result = RunStream(&tier, &gen, short_n);
       if (!result.ok()) return 1;
       result->stream = "eqpr/chunked";
       PrintResult(*result, false);

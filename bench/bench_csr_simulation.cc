@@ -47,11 +47,9 @@ int Run() {
     if (!(*system)->ResetBackend().ok()) return 1;
     core::ChunkManagerOptions opts;
     opts.cache_bytes = cache_bytes;
-    opts.cost_model = config.cost_model;
     core::ChunkCacheManager tier(&(*system)->engine(), opts);
     workload::QueryGenerator gen(&(*system)->schema(), wopts);
-    auto result =
-        RunStream(&tier, &gen, config.stream_queries, config.cost_model);
+    auto result = RunStream(&tier, &gen, config.stream_queries);
     if (!result.ok()) return 1;
     result->stream = "Q100";
     PrintResult(*result, header);
@@ -65,11 +63,9 @@ int Run() {
     if (!(*system)->ResetBackend().ok()) return 1;
     core::QueryManagerOptions opts;
     opts.cache_bytes = cache_bytes;
-    opts.cost_model = config.cost_model;
     core::QueryCacheManager tier(&(*system)->engine(), opts);
     workload::QueryGenerator gen(&(*system)->schema(), wopts);
-    auto result =
-        RunStream(&tier, &gen, config.stream_queries, config.cost_model);
+    auto result = RunStream(&tier, &gen, config.stream_queries);
     if (!result.ok()) return 1;
     result->stream = "Q100";
     PrintResult(*result, false);

@@ -41,12 +41,9 @@ int Run() {
     // Chunk-based caching.
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::ChunkManagerOptions opts;
-      opts.cost_model = config.cost_model;
-      core::ChunkCacheManager tier(&(*system)->engine(), opts);
+      core::ChunkCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(), stream.opts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) {
         std::fprintf(stderr, "stream failed: %s\n",
                      result.status().ToString().c_str());
@@ -59,12 +56,9 @@ int Run() {
     // Query-level caching.
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::QueryManagerOptions opts;
-      opts.cost_model = config.cost_model;
-      core::QueryCacheManager tier(&(*system)->engine(), opts);
+      core::QueryCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(), stream.opts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       result->stream = stream.name;
       PrintResult(*result, false);
@@ -72,12 +66,9 @@ int Run() {
     // Semantic-region caching (the Section 2.4 [DFJST] comparison point).
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::SemanticManagerOptions opts;
-      opts.cost_model = config.cost_model;
-      core::SemanticCacheManager tier(&(*system)->engine(), opts);
+      core::SemanticCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(), stream.opts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       result->stream = stream.name;
       PrintResult(*result, false);
@@ -85,10 +76,9 @@ int Run() {
     // No cache (floor).
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::NoCacheManager tier(&(*system)->engine(), config.cost_model);
+      core::NoCacheManager tier(&(*system)->engine());
       workload::QueryGenerator gen(&(*system)->schema(), stream.opts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       result->stream = stream.name;
       PrintResult(*result, false);

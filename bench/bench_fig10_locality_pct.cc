@@ -32,12 +32,9 @@ int Run() {
 
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::ChunkManagerOptions opts;
-      opts.cost_model = config.cost_model;
-      core::ChunkCacheManager tier(&(*system)->engine(), opts);
+      core::ChunkCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(), wopts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       result->stream = label;
       PrintResult(*result, header);
@@ -45,12 +42,9 @@ int Run() {
     }
     {
       if (!(*system)->ResetBackend().ok()) return 1;
-      core::QueryManagerOptions opts;
-      opts.cost_model = config.cost_model;
-      core::QueryCacheManager tier(&(*system)->engine(), opts);
+      core::QueryCacheManager tier(&(*system)->engine(), {});
       workload::QueryGenerator gen(&(*system)->schema(), wopts);
-      auto result = RunStream(&tier, &gen, config.stream_queries,
-                              config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       result->stream = label;
       PrintResult(*result, false);

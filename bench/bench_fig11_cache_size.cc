@@ -26,12 +26,10 @@ int Run() {
     if (!(*system)->ResetBackend().ok()) return 1;
     core::ChunkManagerOptions opts;
     opts.cache_bytes = mb << 20;
-    opts.cost_model = config.cost_model;
     core::ChunkCacheManager tier(&(*system)->engine(), opts);
     workload::QueryGenerator gen(&(*system)->schema(),
                                  workload::EqprStream(404));
-    auto result =
-        RunStream(&tier, &gen, config.stream_queries, config.cost_model);
+    auto result = RunStream(&tier, &gen, config.stream_queries);
     if (!result.ok()) return 1;
     char label[16];
     std::snprintf(label, sizeof(label), "%lluMB",

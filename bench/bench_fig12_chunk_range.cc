@@ -28,13 +28,10 @@ int Run() {
                    system.status().ToString().c_str());
       return 1;
     }
-    core::ChunkManagerOptions opts;
-    opts.cost_model = config.cost_model;
-    core::ChunkCacheManager tier(&(*system)->engine(), opts);
+    core::ChunkCacheManager tier(&(*system)->engine(), {});
     workload::QueryGenerator gen(&(*system)->schema(),
                                  workload::EqprStream(505));
-    auto result =
-        RunStream(&tier, &gen, config.stream_queries, config.cost_model);
+    auto result = RunStream(&tier, &gen, config.stream_queries);
     if (!result.ok()) return 1;
     char label[24];
     std::snprintf(label, sizeof(label), "ratio=%.2f", ratio);

@@ -33,12 +33,10 @@ int Run() {
       core::ChunkManagerOptions opts;
       opts.policy = policy;
       opts.cache_bytes = mb << 20;
-      opts.cost_model = config.cost_model;
       core::ChunkCacheManager tier(&(*system)->engine(), opts);
       workload::QueryGenerator gen(&(*system)->schema(),
                                    workload::EqprStream(606));
-      auto result =
-          RunStream(&tier, &gen, config.stream_queries, config.cost_model);
+      auto result = RunStream(&tier, &gen, config.stream_queries);
       if (!result.ok()) return 1;
       char label[32];
       std::snprintf(label, sizeof(label), "%s/%lluMB", policy.c_str(),

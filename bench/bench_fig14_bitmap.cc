@@ -110,8 +110,8 @@ int Run() {
       // minus the bitmap reads is dominated by tuple fetches; both
       // variants pay identical bitmap costs, so totals remain comparable.
       pages[idx] = static_cast<double>(work.pages_read);
-      ms[idx] = config.cost_model.Cost(work.pages_read, work.pages_written,
-                                       work.tuples_processed);
+      ms[idx] = CostModel().Cost(work.pages_read, work.pages_written,
+                                  work.tuples_processed);
       ++idx;
     }
     const double selectivity =

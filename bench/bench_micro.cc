@@ -274,7 +274,7 @@ Result<StreamVolume> RunColdStream(bench::System* sys, bool counting) {
   fi.ResetCounters();
   if (counting) fi.ArmAll(0.0);
   const Result<bench::StreamResult> stream =
-      bench::RunStream(&tier, &gen, n, sys->config().cost_model);
+      bench::RunStream(&tier, &gen, n);
   fi.DisarmAll();
   CHUNKCACHE_RETURN_IF_ERROR(stream.status());
   if (fi.faults_injected() != 0) {

@@ -69,8 +69,7 @@ Status System::ResetBackend() {
 
 Result<StreamResult> RunStream(core::MiddleTier* tier,
                                workload::QueryGenerator* gen,
-                               uint64_t num_queries,
-                               const CostModel& cost_model) {
+                               uint64_t num_queries) {
   StreamResult result;
   result.tier = tier->name();
   result.queries = num_queries;
@@ -83,9 +82,7 @@ Result<StreamResult> RunStream(core::MiddleTier* tier,
     core::QueryStats stats;
     auto rows = tier->Execute(q, &stats);
     if (!rows.ok()) return rows.status();
-    const double ms = cost_model.Cost(stats.backend_work.pages_read,
-                                      stats.backend_work.pages_written,
-                                      stats.backend_work.tuples_processed);
+    const double ms = stats.modeled_ms;
     total_ms += ms;
     last100.push_back(ms);
     if (last100.size() > 100) last100.pop_front();
@@ -127,8 +124,8 @@ void PrintSetup(const ExperimentConfig& config, const std::string& title) {
       "D2 5/25/50, D3 10/50), pool %u pages, range fraction %.2f, "
       "cost model %.0fms/page + %.3fms/tuple\n",
       static_cast<unsigned long long>(config.num_tuples), config.pool_frames,
-      config.range_fraction, config.cost_model.page_read_ms,
-      config.cost_model.tuple_cpu_ms);
+      config.range_fraction, CostModel().page_read_ms,
+      CostModel().tuple_cpu_ms);
 }
 
 }  // namespace chunkcache::bench

@@ -20,15 +20,15 @@ namespace chunkcache::bench {
 
 /// Experiment-wide configuration, defaulting to the paper's Section 6.1.1
 /// setup: 500,000 base tuples over the Table 1 schema, an 8 MB backend
-/// buffer pool, chunk ranges at 10 % of each level, and a 10 ms page / 1 us
-/// tuple cost model standing in for the 1997 raw device.
+/// buffer pool and chunk ranges at 10 % of each level. Every tier charges
+/// its backend work under the default CostModel (10 ms per page, 1 us per
+/// tuple), standing in for the 1997 raw device.
 struct ExperimentConfig {
   uint64_t num_tuples = 500000;
   uint64_t data_seed = 42;
   double range_fraction = 0.1;
   uint32_t pool_frames = 2048;  ///< 8 MiB at 4 KiB pages.
   uint64_t stream_queries = 1500;  ///< Paper: 1500-query streams.
-  CostModel cost_model;
 
   /// Reads overrides from the environment: CHUNKCACHE_BENCH_SCALE (0..1]
   /// scales the tuple count, CHUNKCACHE_BENCH_QUERIES sets the stream
@@ -80,11 +80,10 @@ struct StreamResult {
 };
 
 /// Runs `num_queries` from `gen` through `tier`, accumulating the paper's
-/// metrics under `cost_model`.
+/// metrics from each query's modeled_ms.
 Result<StreamResult> RunStream(core::MiddleTier* tier,
                                workload::QueryGenerator* gen,
-                               uint64_t num_queries,
-                               const CostModel& cost_model);
+                               uint64_t num_queries);
 
 /// Prints one table row; header printed when `header` is true.
 void PrintResult(const StreamResult& r, bool header);

@@ -125,14 +125,15 @@ void PrintHelp() {
 
 int main(int argc, char** argv) {
   uint64_t tuples = 100000;
-  bool compress = false;
-  std::string policy = "benefit-clock";
-  std::string persist_dir;
-  uint64_t snapshot_every = 4096;
+  // Flags write straight into the tier's and the server's options, so a
+  // flag left out keeps the option's own default.
+  core::ChunkManagerOptions mopts;
+  mopts.enable_in_cache_aggregation = true;
+  mopts.num_workers = 4;      // four scan slots
+  mopts.cache_shards = 8;     // sharded, thread-safe chunk cache
+  mopts.trace_capacity = 64;  // per-query span trees for .trace
+  server::ServerOptions sopts;
   bool serve = false;
-  uint16_t serve_port = 0;
-  double rate_qps = 0;
-  uint64_t max_deadline_ms = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--serve") {
@@ -143,24 +144,33 @@ int main(int argc, char** argv) {
         return BadArgument(arg);
       }
       serve = true;
-      serve_port = static_cast<uint16_t>(port);
+      sopts.port = static_cast<uint16_t>(port);
     } else if (arg.rfind("--rate-qps=", 0) == 0) {
-      if (!ParseRate(arg.substr(11), &rate_qps)) return BadArgument(arg);
+      if (!ParseRate(arg.substr(11), &sopts.admission.default_quota.rate_qps)) {
+        return BadArgument(arg);
+      }
     } else if (arg.rfind("--max-deadline-ms=", 0) == 0) {
-      if (!ParseU64(arg.substr(18), &max_deadline_ms)) return BadArgument(arg);
+      if (!ParseU64(arg.substr(18), &sopts.max_deadline_ms)) {
+        return BadArgument(arg);
+      }
     } else if (arg == "--compress") {
-      compress = true;
+      mopts.enable_compression = true;  // encoded cache tier
     } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = arg.substr(9);
+      mopts.policy = arg.substr(9);
       const auto& known = cache::KnownPolicyNames();
-      if (std::find(known.begin(), known.end(), policy) == known.end()) {
+      if (std::find(known.begin(), known.end(), mopts.policy) == known.end()) {
         return BadArgument(arg);
       }
     } else if (arg.rfind("--persist-dir=", 0) == 0) {
-      persist_dir = arg.substr(14);
-      if (persist_dir.empty()) return BadArgument(arg);
+      // The shell regenerates its synthetic facts per run, so recovered
+      // entries are only meaningful when num_tuples (and the seed) match
+      // the run that wrote them, as they do for repeated invocations.
+      mopts.persist_dir = arg.substr(14);
+      if (mopts.persist_dir.empty()) return BadArgument(arg);
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
-      if (!ParseU64(arg.substr(17), &snapshot_every)) return BadArgument(arg);
+      if (!ParseU64(arg.substr(17), &mopts.persist_snapshot_every)) {
+        return BadArgument(arg);
+      }
     } else if (!ParseU64(arg, &tuples)) {
       return BadArgument(arg);
     }
@@ -187,27 +197,19 @@ int main(int argc, char** argv) {
       std::move(file_or).value());
   backend::BackendEngine engine(&pool, file.get(), scheme.get());
   if (!engine.BuildBitmapIndexes().ok()) return 1;
-  core::ChunkManagerOptions mopts;
-  mopts.enable_in_cache_aggregation = true;
-  mopts.num_workers = 4;     // four scan slots
-  mopts.cache_shards = 8;    // sharded, thread-safe chunk cache
-  mopts.trace_capacity = 64;  // per-query span trees for .trace
-  mopts.enable_compression = compress;  // --compress: encoded cache tier
-  mopts.policy = policy;
-  // --persist-dir: the cache survives restarts. Note the shell regenerates
-  // its synthetic facts per run, so recovered entries are only meaningful
-  // when num_tuples (and the seed) match the run that wrote them — which
-  // they do for repeated invocations of this binary.
-  mopts.persist_dir = persist_dir;
-  mopts.persist_snapshot_every = snapshot_every;
+  // Drops every cached page and zeroes the I/O statistics, so the next
+  // query reads from disk as on a cold start.
+  const auto cold_backend = [&] {
+    if (!pool.FlushAll().ok() || !pool.EvictAll().ok()) return false;
+    pool.ResetStats();
+    disk.ResetStats();
+    return true;
+  };
+  if (!cold_backend()) return 1;
   core::ChunkCacheManager tier(&engine, mopts);
   sql::SqlParser parser(schema.get());
 
   if (serve) {
-    server::ServerOptions sopts;
-    sopts.port = serve_port;
-    sopts.admission.default_quota.rate_qps = rate_qps;
-    sopts.max_deadline_ms = max_deadline_ms;
     // Home the server's counters on the tier's registry so one .metrics-
     // style dump (the kMetricsRequest frame) covers cache + serving.
     sopts.metrics = &tier.metrics();
@@ -217,14 +219,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "serve failed: %s\n", st.ToString().c_str());
       return 1;
     }
+    const double rate_qps = sopts.admission.default_quota.rate_qps;
     std::printf("chunkcache serving %llu synthetic sales facts on "
                 "%s:%u (tenant rate %s, deadline cap %s) — EOF stops.\n",
                 (unsigned long long)tuples, sopts.bind_address.c_str(),
                 srv.port(),
                 rate_qps > 0 ? (std::to_string(rate_qps) + " qps").c_str()
                              : "unlimited",
-                max_deadline_ms > 0
-                    ? (std::to_string(max_deadline_ms) + " ms").c_str()
+                sopts.max_deadline_ms > 0
+                    ? (std::to_string(sopts.max_deadline_ms) + " ms").c_str()
                     : "none");
     std::fflush(stdout);
     std::string l;
@@ -307,11 +310,8 @@ int main(int argc, char** argv) {
                   (unsigned long long)cs.coalesced_reads,
                   (unsigned long long)cs.single_run_reads,
                   (unsigned long long)cs.runs_merged);
-      std::printf("coalescing: waits=%llu dedup saved=%llu prefetch "
-                  "dropped=%llu inflight peak=%llu\n",
+      std::printf("coalescing: waits=%llu inflight peak=%llu\n",
                   (unsigned long long)cs.coalesced_waits,
-                  (unsigned long long)cs.dedup_saved_chunks,
-                  (unsigned long long)cs.prefetch_dropped_inflight,
                   (unsigned long long)cs.inflight_peak);
       std::printf("scan slots: requests=%llu deadline sheds=%llu\n",
                   (unsigned long long)cs.shared_scan_requests,
@@ -408,7 +408,11 @@ int main(int argc, char** argv) {
     }
     if (line == ".reset") {
       tier.chunk_cache().Clear();
-      std::printf("cache cleared\n");
+      if (!cold_backend()) {
+        std::printf("error: buffer pool reset failed\n");
+        continue;
+      }
+      std::printf("cache and buffer pool cleared\n");
       continue;
     }
     auto query = parser.Parse(line);

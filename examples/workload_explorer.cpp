@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   std::printf("%-14s %10s %10s %14s %14s\n", "tier", "CSR", "hits",
               "pages_read", "tuples_scanned");
 
-  const CostModel cost_model;
   auto report = [&](core::MiddleTier* tier) {
     if (!pool.FlushAll().ok() || !pool.EvictAll().ok()) return 1;
     workload::QueryGenerator qgen(schema.get(), wopts);

@@ -45,19 +45,6 @@ struct StarJoinQuery {
   std::array<schema::OrdinalRange, storage::kMaxDims> selection{};
   std::vector<NonGroupByPredicate> non_group_by;
 
-  /// True when the selection on every dimension covers the full level (no
-  /// restriction).
-  bool SelectsEverything(
-      const std::array<uint32_t, storage::kMaxDims>& level_cards) const {
-    for (uint32_t d = 0; d < group_by.num_dims; ++d) {
-      if (selection[d].begin != 0 ||
-          selection[d].end + 1 != level_cards[d]) {
-        return false;
-      }
-    }
-    return non_group_by.empty();
-  }
-
   friend bool operator==(const StarJoinQuery& a, const StarJoinQuery& b) {
     if (!(a.group_by == b.group_by)) return false;
     for (uint32_t d = 0; d < a.group_by.num_dims; ++d) {

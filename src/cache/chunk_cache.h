@@ -132,8 +132,6 @@ struct ChunkCacheStats {
   // from the in-flight table and the scan scheduler; zero when read
   // straight off a ChunkCache.
   uint64_t coalesced_waits = 0;       ///< Misses that waited on an owner.
-  uint64_t dedup_saved_chunks = 0;    ///< Computations avoided (waits+drops).
-  uint64_t prefetch_dropped_inflight = 0;  ///< Prefetch chunks already pending.
   uint64_t inflight_peak = 0;         ///< In-flight table high-water mark.
   uint64_t shared_scan_requests = 0;  ///< Miss batches through the scheduler.
 

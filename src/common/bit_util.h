@@ -1,7 +1,6 @@
 #ifndef CHUNKCACHE_COMMON_BIT_UTIL_H_
 #define CHUNKCACHE_COMMON_BIT_UTIL_H_
 
-#include <bit>
 #include <cstdint>
 
 namespace chunkcache::bit_util {
@@ -23,9 +22,6 @@ inline void SetBit(uint64_t* words, uint64_t i) {
 inline void ClearBit(uint64_t* words, uint64_t i) {
   words[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
-
-/// Population count of one word.
-inline int PopCount(uint64_t w) { return std::popcount(w); }
 
 /// Rounds `v` up to the next multiple of `align` (align must be a power of
 /// two).

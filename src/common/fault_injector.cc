@@ -84,13 +84,6 @@ void FaultInjector::ArmAll(double probability, uint64_t max_faults) {
   }
 }
 
-void FaultInjector::Disarm(FaultSite site) {
-  armed_sites_.fetch_and(~(1u << static_cast<uint32_t>(site)),
-                         std::memory_order_release);
-  sites_[static_cast<size_t>(site)].prob_bits.store(0,
-                                                    std::memory_order_relaxed);
-}
-
 void FaultInjector::DisarmAll() {
   armed_sites_.store(0, std::memory_order_release);
   for (Site& s : sites_) s.prob_bits.store(0, std::memory_order_relaxed);

@@ -64,7 +64,6 @@ class FaultInjector {
   /// Storm helper: arms every site at `probability` with its natural code.
   void ArmAll(double probability, uint64_t max_faults = kUnlimited);
 
-  void Disarm(FaultSite site);
   void DisarmAll();
 
   /// Reseeds the per-thread probability generators (takes effect on each

@@ -99,14 +99,6 @@ class InflightTable {
     return Claim{it->second, inserted};
   }
 
-  /// True when a computation for `key` is currently in flight. Purely
-  /// advisory (the answer can change immediately after); used to drop
-  /// optional work like prefetch without blocking on it.
-  bool Pending(const Key& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return slots_.find(key) != slots_.end();
-  }
-
   /// Owner publishes the computed value: wakes every waiter with `value`
   /// and retires the entry.
   void Publish(const Key& key, const SlotPtr& slot, Value value) {

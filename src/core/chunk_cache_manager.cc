@@ -118,7 +118,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
                  metrics_->GetCounter("chunks.degraded_answers")};
   retries_ = metrics_->GetCounter("backend.retries");
   deadline_expired_ = metrics_->GetCounter("query.deadline_expired");
-  prefetch_dropped_ = metrics_->GetCounter("prefetch.dropped_inflight");
   query_latency_ns_ = metrics_->GetHistogram("query.latency_ns");
   compressed_chunks_ = metrics_->GetCounter("cache.compressed_chunks");
   compression_skipped_ = metrics_->GetCounter("cache.compression_skipped");
@@ -281,8 +280,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
       static_cast<uint64_t>(snap.gauge("kernels.single_run_reads"));
   s.runs_merged = static_cast<uint64_t>(snap.gauge("kernels.runs_merged"));
   s.coalesced_waits = snap.counter("chunks.coalesced_waits");
-  s.prefetch_dropped_inflight = snap.counter("prefetch.dropped_inflight");
-  s.dedup_saved_chunks = s.coalesced_waits + s.prefetch_dropped_inflight;
   s.inflight_peak = static_cast<uint64_t>(snap.gauge("inflight.peak"));
   s.shared_scan_requests = snap.counter("scheduler.requests");
   s.scan_deadline_sheds = snap.counter("scheduler.deadline_sheds");
@@ -462,7 +459,6 @@ Result<std::vector<ResultRow>> ChunkCacheManager::Run(
     CHUNKCACHE_RETURN_IF_ERROR(Resolve(&plan, ctrl, stats, &trace));
     std::vector<ResultRow> rows = Assemble(plan, &trace);
     Account(plan, stats);
-    if (options_.enable_drill_down_prefetch) Prefetch(plan, stats, &trace);
     return rows;
   }();
   query_latency_ns_->Record(static_cast<uint64_t>(
@@ -764,7 +760,7 @@ void ChunkCacheManager::Account(const QueryPlan& plan, QueryStats* stats) {
           : static_cast<double>(stats->chunks_needed -
                                 stats->chunks_from_backend) /
                 static_cast<double>(stats->chunks_needed);
-  stats->modeled_ms = options_.cost_model.Cost(
+  stats->modeled_ms = CostModel().Cost(
       stats->backend_work.pages_read, stats->backend_work.pages_written,
       stats->backend_work.tuples_processed);
   // Flushed only for queries that succeed, so chunks.requested equals the
@@ -832,94 +828,6 @@ std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
     return agg.TakeColumns();  // already canonical order
   }
   return std::nullopt;
-}
-
-std::optional<ChunkCacheManager::PrefetchPlan>
-ChunkCacheManager::PlanDrillDown(const QueryPlan& plan) {
-  const chunks::ChunkingScheme& scheme = engine_->scheme();
-  const GroupBySpec& group_by = plan.query->group_by;
-  // Drill-down target: every grouped dimension one level finer.
-  PrefetchPlan drill;
-  drill.drill = group_by;
-  bool changed = false;
-  for (uint32_t d = 0; d < drill.drill.num_dims; ++d) {
-    const auto& h = scheme.schema().dimension(d).hierarchy;
-    if (drill.drill.levels[d] < h.depth()) {
-      drill.drill.levels[d]++;
-      changed = true;
-    }
-  }
-  if (!changed) return std::nullopt;  // at base everywhere
-  drill.drill_id = scheme.GroupById(drill.drill);
-  drill.benefit = scheme.ChunkBenefit(drill.drill);
-  const chunks::ChunkGrid drill_grid = scheme.GridFor(drill.drill);
-
-  for (const PlannedChunk& c : plan.chunks) {
-    if (drill.to_fetch.size() >= options_.prefetch_budget_chunks) break;
-    // The drill spec is one level finer and the chunk comes from the
-    // query's own grid, so the source box always exists.
-    auto box = scheme.SourceBox(group_by, c.chunk_num, drill.drill);
-    CHUNKCACHE_CHECK(box.ok());
-    box->ForEach(drill_grid, [&](uint64_t child, const ChunkCoords&) {
-      if (drill.to_fetch.size() >= options_.prefetch_budget_chunks) return;
-      if (cache_.Contains(drill.drill_id, child, plan.filter_hash)) return;
-      // A chunk some in-flight query is already computing would be a
-      // duplicate by the time we fetched it — drop it now.
-      const ChunkKey key{drill.drill_id, child, plan.filter_hash};
-      if (inflight_.Pending(key)) {
-        prefetch_dropped_->Increment();
-        return;
-      }
-      drill.to_fetch.push_back(child);
-    });
-  }
-  if (drill.to_fetch.empty()) return std::nullopt;
-  return drill;
-}
-
-void ChunkCacheManager::Prefetch(const QueryPlan& plan, QueryStats* stats,
-                                 TraceBuilder* trace) {
-  ScopedSpan prefetch_span(trace, "prefetch", trace->root());
-  std::optional<PrefetchPlan> drill = PlanDrillDown(plan);
-  if (!drill) return;
-  trace->Tag(prefetch_span.id(), "mode", "inline");
-  // Claim each chunk; whatever is already owned elsewhere (or cached since
-  // the plan was made) is dropped — prefetch is best-effort, so it never
-  // blocks on foreground work.
-  std::vector<uint64_t> to_fetch;
-  std::vector<Inflight::SlotPtr> slots;
-  to_fetch.reserve(drill->to_fetch.size());
-  slots.reserve(drill->to_fetch.size());
-  for (uint64_t num : drill->to_fetch) {
-    cache::ChunkHandle hit;
-    Inflight::SlotPtr slot;
-    if (Claim(ChunkKey{drill->drill_id, num, plan.filter_hash}, &hit, &slot) !=
-        ClaimKind::kOwned) {
-      prefetch_dropped_->Increment();
-      continue;
-    }
-    to_fetch.push_back(num);
-    slots.push_back(std::move(slot));
-  }
-  // The query holds no scan slot by now, so queueing at the gate is safe.
-  auto computed =
-      scheduler_->Compute(drill->drill, to_fetch, plan.query->non_group_by,
-                          &stats->prefetch_work);
-  uint64_t fetched = 0;
-  for (size_t i = 0; i < to_fetch.size(); ++i) {
-    const ChunkKey key{drill->drill_id, to_fetch[i], plan.filter_hash};
-    if (computed.ok()) {
-      AdmitChunk(key, drill->benefit, std::move((*computed)[i].cols),
-                 slots[i]);
-      ++fetched;
-    } else {
-      // Dropped, not reported: the slot fails (waking any waiter with the
-      // error and retiring the entry) and nothing was fetched.
-      inflight_.Fail(key, slots[i], computed.status());
-    }
-  }
-  stats->prefetched_chunks += fetched;
-  trace->Tag(prefetch_span.id(), "chunks", fetched);
 }
 
 }  // namespace chunkcache::core

@@ -29,7 +29,6 @@ struct ChunkManagerOptions {
   /// benefit-clock). Unknown names abort with a message listing the
   /// valid set.
   std::string policy = "benefit-clock";
-  CostModel cost_model;
 
   /// Sizes the scan scheduler's slot gate: at most max(2, num_workers)
   /// backend scans run at once, across every caller. Each query still runs
@@ -47,16 +46,6 @@ struct ChunkManagerOptions {
   /// Paper §7 future work: answer a missing chunk by aggregating *finer*
   /// chunks already in the cache instead of going to the backend.
   bool enable_in_cache_aggregation = false;
-
-  /// Paper §7 future work: after answering a query, prefetch the
-  /// corresponding chunks one hierarchy level finer (anticipating drill
-  /// down), up to prefetch_budget_chunks per query. The prefetch runs on
-  /// the query's own thread once its answer is assembled, claims through
-  /// the in-flight table and scans through the slot gate; its work is
-  /// charged to QueryStats::prefetch_work and a failure never fails the
-  /// query.
-  bool enable_drill_down_prefetch = false;
-  uint32_t prefetch_budget_chunks = 32;
 
   /// Retry policy for backend chunk computation: a retryable failure
   /// (I/O error, corruption, resource exhaustion) re-attempts the compute
@@ -192,14 +181,6 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<backend::NonGroupByPredicate>& preds);
 
  private:
-  /// Drill-down prefetch target and the missing child chunks to fetch.
-  struct PrefetchPlan {
-    chunks::GroupBySpec drill;
-    uint32_t drill_id = 0;
-    double benefit = 0;
-    std::vector<uint64_t> to_fetch;
-  };
-
   /// One query's candidate sources for in-cache aggregation: the target's
   /// strictly finer group-bys that held any cached chunk when the plan was
   /// made, in ascending id order, each with that chunk count (any filter).
@@ -258,9 +239,8 @@ class ChunkCacheManager final : public MiddleTier {
     }
   };
 
-  /// Runs the stages, then the optional prefetch, and does the per-query
-  /// bookkeeping: latency histogram, robustness counters, root-span tags
-  /// and trace Finish.
+  /// Runs the stages and does the per-query bookkeeping: latency
+  /// histogram, robustness counters, root-span tags and trace Finish.
   Result<std::vector<backend::ResultRow>> Run(
       const backend::StarJoinQuery& query, QueryStats* stats,
       const ExecControl& ctrl) override;
@@ -326,17 +306,6 @@ class ChunkCacheManager final : public MiddleTier {
   std::optional<storage::AggColumns> TryInCacheAggregation(QueryPlan* plan,
                                                            uint64_t chunk_num);
 
-  /// Computes the drill-down spec (every grouped dimension one level
-  /// finer, capped at base) and the missing child chunks of `plan`'s
-  /// chunks; nullopt when already at base or nothing is missing.
-  std::optional<PrefetchPlan> PlanDrillDown(const QueryPlan& plan);
-
-  /// Drill-down prefetch (paper §7): claims the planned children (dropping
-  /// any another query holds), computes them through the slot gate and
-  /// admits them. Best-effort: a backend failure fails the claimed slots
-  /// and fetches nothing.
-  void Prefetch(const QueryPlan& plan, QueryStats* stats, TraceBuilder* trace);
-
   /// Builds the cache entry for a fresh chunk of `key`, compresses it when
   /// the tier is on, inserts it, and publishes it to `slot` when non-null.
   /// Returns the chunk's columns.
@@ -401,7 +370,6 @@ class ChunkCacheManager final : public MiddleTier {
   std::array<Counter*, kNumProvenances> provenance_{};
   Counter* retries_ = nullptr;            // backend.retries
   Counter* deadline_expired_ = nullptr;   // query.deadline_expired
-  Counter* prefetch_dropped_ = nullptr;   // prefetch.dropped_inflight
   Histogram* query_latency_ns_ = nullptr;  // query.latency_ns
 
   // Compressed-tier counters (all zero with compression off).

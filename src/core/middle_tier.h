@@ -18,11 +18,7 @@ struct QueryStats {
   /// Physical backend work this query triggered (pages, tuples).
   WorkCounters backend_work;
 
-  /// Extra backend work done speculatively (drill-down prefetch); kept
-  /// separate from backend_work so foreground latency stays comparable.
-  WorkCounters prefetch_work;
-
-  /// Modeled execution time of the backend work under the experiment's
+  /// Modeled execution time of the backend work under the paper's
   /// CostModel (the number the figures plot).
   double modeled_ms = 0;
 
@@ -30,7 +26,6 @@ struct QueryStats {
   uint64_t chunks_from_cache = 0;
   uint64_t chunks_from_aggregation = 0;  ///< In-cache aggregation extension.
   uint64_t chunks_from_backend = 0;
-  uint64_t prefetched_chunks = 0;
 
   /// Missing chunks this query did not compute itself because another
   /// in-flight query was already computing them (miss coalescing): the

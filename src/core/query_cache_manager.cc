@@ -44,7 +44,7 @@ Result<std::vector<ResultRow>> QueryCacheManager::Run(
   CHUNKCACHE_ASSIGN_OR_RETURN(
       std::vector<ResultRow> rows,
       engine_->ExecuteStarJoin(query, &stats->backend_work));
-  stats->modeled_ms = options_.cost_model.Cost(
+  stats->modeled_ms = CostModel().Cost(
       stats->backend_work.pages_read, stats->backend_work.pages_written,
       stats->backend_work.tuples_processed);
   stats->chunks_from_backend = stats->chunks_needed;
@@ -64,7 +64,7 @@ Result<std::vector<ResultRow>> NoCacheManager::Run(
   CHUNKCACHE_ASSIGN_OR_RETURN(
       std::vector<ResultRow> rows,
       engine_->ExecuteStarJoin(query, &stats->backend_work));
-  stats->modeled_ms = cost_model_.Cost(stats->backend_work.pages_read,
+  stats->modeled_ms = CostModel().Cost(stats->backend_work.pages_read,
                                        stats->backend_work.pages_written,
                                        stats->backend_work.tuples_processed);
   stats->chunks_from_backend = stats->chunks_needed;

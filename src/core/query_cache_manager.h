@@ -14,7 +14,6 @@ namespace chunkcache::core {
 struct QueryManagerOptions {
   uint64_t cache_bytes = 30ull << 20;
   std::string policy = "benefit-clock";
-  CostModel cost_model;
 };
 
 /// The query-level caching baseline (Section 6.1.4): caches whole query
@@ -44,9 +43,7 @@ class QueryCacheManager final : public MiddleTier {
 /// floor every caching scheme is measured against.
 class NoCacheManager final : public MiddleTier {
  public:
-  explicit NoCacheManager(backend::BackendEngine* engine,
-                          CostModel cost_model = CostModel())
-      : engine_(engine), cost_model_(cost_model) {}
+  explicit NoCacheManager(backend::BackendEngine* engine) : engine_(engine) {}
 
   std::string name() const override { return "no-cache"; }
 
@@ -56,7 +53,6 @@ class NoCacheManager final : public MiddleTier {
       const ExecControl& ctrl) override;
 
   backend::BackendEngine* engine_;
-  CostModel cost_model_;
 };
 
 /// Shared cost normalization: the expected number of base tuples a cold

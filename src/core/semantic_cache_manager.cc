@@ -53,7 +53,7 @@ Result<std::vector<ResultRow>> SemanticCacheManager::Run(
   backend::SortRows(&rows, query.group_by.num_dims);
   stats->full_cache_hit = probe.remainder.empty();
   stats->saved_fraction = probe.covered_fraction;
-  stats->modeled_ms = options_.cost_model.Cost(
+  stats->modeled_ms = CostModel().Cost(
       stats->backend_work.pages_read, stats->backend_work.pages_written,
       stats->backend_work.tuples_processed);
   return rows;

@@ -13,7 +13,6 @@ namespace chunkcache::core {
 struct SemanticManagerOptions {
   uint64_t cache_bytes = 30ull << 20;
   std::string policy = "benefit-clock";
-  CostModel cost_model;
 };
 
 /// Middle tier implementing semantic-region caching (Dar et al. [DFJST96]),

@@ -36,14 +36,6 @@ struct CodecStats {
   std::array<uint64_t, kNumCodecs> raw_bytes{};
   std::array<uint64_t, kNumCodecs> encoded_bytes{};
   std::array<uint64_t, kNumCodecs> columns{};
-
-  void MergeFrom(const CodecStats& other) {
-    for (size_t i = 0; i < kNumCodecs; ++i) {
-      raw_bytes[i] += other.raw_bytes[i];
-      encoded_bytes[i] += other.encoded_bytes[i];
-      columns[i] += other.columns[i];
-    }
-  }
 };
 
 /// Decoder selection: kFast is the production bulk decoder (word-wise

@@ -13,10 +13,10 @@ namespace chunkcache::workload {
 /// Models the analyst sessions of the paper's Section 2.2 (hierarchical
 /// locality): the stream alternates coarse and fine views of one randomly
 /// chosen region — either coarse-then-drill-down or fine-then-roll-up —
-/// then moves to a sibling region. This is the workload shape that
-/// motivates the §7 extensions (drill-down prefetch, in-cache
-/// aggregation); the plain hot-region/proximity streams of
-/// QueryGenerator model Table 2 instead.
+/// then moves to a sibling region. Drill-down sessions drive the served
+/// benchmark's hot-session and session-persist workloads; roll-up sessions
+/// are the shape that motivates in-cache aggregation (§7). The plain
+/// hot-region/proximity streams of QueryGenerator model Table 2 instead.
 struct SessionOptions {
   /// Coarse query first (drill-down session) or fine first (roll-up).
   bool drill_down = true;

@@ -167,6 +167,12 @@ TEST_F(CoreFixture, ChunkManagerAnswersCorrectly) {
   EXPECT_EQ(stats.chunks_from_backend, stats.chunks_needed);
   EXPECT_FALSE(stats.full_cache_hit);
   EXPECT_DOUBLE_EQ(stats.saved_fraction, 0.0);
+  // modeled_ms is the paper's cost model over this query's backend work.
+  EXPECT_GT(stats.backend_work.tuples_processed, 0u);
+  EXPECT_DOUBLE_EQ(stats.modeled_ms,
+                   CostModel().Cost(stats.backend_work.pages_read,
+                                    stats.backend_work.pages_written,
+                                    stats.backend_work.tuples_processed));
 }
 
 TEST_F(CoreFixture, RepeatQueryIsFullCacheHit) {
@@ -543,108 +549,9 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(i.param) ? "_degraded" : "_in_cache");
     });
 
-TEST_F(CoreFixture, DrillDownPrefetchWarmsFinerLevel) {
-  ChunkManagerOptions opts;
-  opts.enable_drill_down_prefetch = true;
-  opts.prefetch_budget_chunks = 1000;
-  ChunkCacheManager mgr = MakeChunkManager(opts);
-
-  StarJoinQuery coarse;
-  coarse.group_by = GroupBySpec{{1, 1, 1, 1}, 4};
-  coarse.selection[0] = OrdinalRange{0, 4};
-  coarse.selection[1] = OrdinalRange{0, 4};
-  coarse.selection[2] = OrdinalRange{0, 1};
-  coarse.selection[3] = OrdinalRange{0, 1};
-  QueryStats s1;
-  ASSERT_TRUE(mgr.Execute(coarse, &s1).ok());
-  EXPECT_GT(s1.prefetched_chunks, 0u);
-  EXPECT_GT(s1.prefetch_work.tuples_processed, 0u);
-
-  // Drill down: same region one level finer on every dimension.
-  StarJoinQuery drill;
-  drill.group_by = GroupBySpec{{2, 2, 2, 2}, 4};
-  for (uint32_t d = 0; d < 4; ++d) {
-    const auto& h = schema_->dimension(d).hierarchy;
-    drill.selection[d] =
-        OrdinalRange{h.ChildRange(1, coarse.selection[d].begin).begin,
-                     h.ChildRange(1, coarse.selection[d].end).end};
-  }
-  QueryStats s2;
-  auto rows = mgr.Execute(drill, &s2);
-  ASSERT_TRUE(rows.ok());
-  ExpectRowsEqual(*rows, Naive(drill), 4);
-  EXPECT_GT(s2.chunks_from_cache, 0u);  // prefetch paid off
-}
-
-TEST_F(CoreFixture, FailedInlinePrefetchKeepsTheAnsweredQuery) {
-  StarJoinQuery q;
-  q.group_by = GroupBySpec{{1, 1, 1, 1}, 4};
-  q.selection[0] = OrdinalRange{0, 4};
-  q.selection[1] = OrdinalRange{0, 4};
-  q.selection[2] = OrdinalRange{0, 1};
-  q.selection[3] = OrdinalRange{0, 1};
-  QueryStats ref_stats;
-  auto want = MakeChunkManager().Execute(q, &ref_stats);
-  ASSERT_TRUE(want.ok());
-
-  // Serial manager whose foreground chunks are all cached, so only the
-  // drill-down prefetch touches the backend — and the backend is dead.
-  ChunkManagerOptions opts;
-  opts.enable_drill_down_prefetch = true;
-  opts.prefetch_budget_chunks = 4;
-  ChunkCacheManager mgr = MakeChunkManager(opts);
-  SeedChunks(&mgr.chunk_cache(), q.group_by, NeededChunks(q), {});
-  FaultInjector& fi = FaultInjector::Global();
-  fi.Arm(FaultSite::kFactScan, 1.0);
-  QueryStats s;
-  auto rows = mgr.Execute(q, &s);
-  fi.DisarmAll();
-
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_TRUE(s.full_cache_hit);
-  EXPECT_EQ(s.prefetched_chunks, 0u);
-  ASSERT_EQ(rows->size(), want->size());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    const ResultRow& a = (*rows)[i];
-    const ResultRow& b = (*want)[i];
-    EXPECT_TRUE(a.coords == b.coords && a.sum == b.sum &&
-                a.count == b.count && a.min_v == b.min_v &&
-                a.max_v == b.max_v)
-        << "row " << i;
-  }
-  EXPECT_EQ(mgr.metrics().TakeSnapshot().counter("query.errors"), 0u);
-}
-
-TEST_F(CoreFixture, ModeledMsReflectsForegroundWorkOnly) {
-  ChunkManagerOptions opts;
-  opts.enable_drill_down_prefetch = true;
-  opts.prefetch_budget_chunks = 256;
-  CostModel cm;
-  cm.page_read_ms = 7.0;
-  cm.tuple_cpu_ms = 0.002;
-  opts.cost_model = cm;
-  ChunkCacheManager mgr = MakeChunkManager(opts);
-  StarJoinQuery q;
-  q.group_by = GroupBySpec{{1, 1, 1, 1}, 4};
-  q.selection[0] = OrdinalRange{0, 9};
-  q.selection[1] = OrdinalRange{0, 9};
-  q.selection[2] = OrdinalRange{0, 2};
-  q.selection[3] = OrdinalRange{0, 3};
-  QueryStats s;
-  ASSERT_TRUE(mgr.Execute(q, &s).ok());
-  EXPECT_DOUBLE_EQ(s.modeled_ms,
-                   cm.Cost(s.backend_work.pages_read,
-                           s.backend_work.pages_written,
-                           s.backend_work.tuples_processed));
-  // Prefetch work happened but is tracked separately.
-  EXPECT_GT(s.prefetched_chunks, 0u);
-  EXPECT_GT(s.prefetch_work.tuples_processed, 0u);
-}
-
-TEST_F(CoreFixture, StatsAccountingInvariantsUnderBothExtensions) {
+TEST_F(CoreFixture, StatsAccountingInvariantsUnderInCacheAggregation) {
   ChunkManagerOptions opts;
   opts.enable_in_cache_aggregation = true;
-  opts.enable_drill_down_prefetch = true;
   ChunkCacheManager mgr = MakeChunkManager(opts);
   workload::QueryGenerator gen(schema_.get(),
                                workload::ProximityStream(321));

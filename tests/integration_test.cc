@@ -234,8 +234,6 @@ TEST(IntegrationTest, ExtensionsPreserveAnswers) {
   core::ChunkManagerOptions plain_opts;
   core::ChunkManagerOptions ext_opts;
   ext_opts.enable_in_cache_aggregation = true;
-  ext_opts.enable_drill_down_prefetch = true;
-  ext_opts.prefetch_budget_chunks = 64;
   core::ChunkCacheManager plain(sys.engine.get(), plain_opts);
   core::ChunkCacheManager extended(sys.engine.get(), ext_opts);
   workload::QueryGenerator gen(sys.schema.get(),

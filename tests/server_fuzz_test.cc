@@ -256,7 +256,9 @@ TEST_F(LiveFuzzFixture, TruncatedFrameAtEveryOffsetThenDisconnect) {
   const std::vector<uint8_t> bytes = ValidQueryFrame();
   for (size_t len = 0; len < bytes.size(); ++len) {
     auto client = NewClient();
-    if (len > 0) ASSERT_TRUE(client->SendRaw(bytes.data(), len).ok());
+    if (len > 0) {
+      ASSERT_TRUE(client->SendRaw(bytes.data(), len).ok());
+    }
     if (len % 2 == 0) {
       client->CloseAbruptly();  // RST with a half-frame buffered
     }

@@ -261,8 +261,6 @@ TEST_F(StatsInvariantFixture, StatsSnapshotAgreesWithRegistry) {
   EXPECT_EQ(s.deadline_expired, m.counter("query.deadline_expired"));
   EXPECT_EQ(s.shared_scan_requests, m.counter("scheduler.requests"));
   EXPECT_EQ(s.scan_deadline_sheds, m.counter("scheduler.deadline_sheds"));
-  EXPECT_EQ(s.prefetch_dropped_inflight,
-            m.counter("prefetch.dropped_inflight"));
   EXPECT_EQ(s.faults_injected,
             FaultInjector::Global().faults_injected());
   EXPECT_EQ(s.contention_ns,

@@ -319,36 +319,6 @@ TEST_F(TraceFixture, GoldenCompressedColdThenWarm) {
   EXPECT_EQ(shapes[1], want_warm) << Describe(shapes[1]);
 }
 
-TEST_F(TraceFixture, GoldenSerialDrillDownPrefetch) {
-  ChunkManagerOptions opts = TracedOptions();
-  opts.enable_drill_down_prefetch = true;
-  opts.prefetch_budget_chunks = 8;
-  ChunkCacheManager mgr(engine_.get(), opts);
-  const StarJoinQuery q = CannedWorkload().front();
-  QueryStats stats;
-  auto rows = mgr.Execute(q, &stats);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_GT(stats.prefetched_chunks, 0u);
-
-  const std::vector<TraceShape> shapes = ShapesOf(mgr.trace_recorder(), 1);
-  ASSERT_EQ(shapes.size(), 1u);
-  const std::string chunks = std::to_string(stats.chunks_needed);
-  // The prefetch runs on the query's thread after post-processing and
-  // tags how many child chunks it fetched.
-  const TraceShape want = {
-      RootShape(q, stats.chunks_needed),
-      {"decompose", 0, {{"chunks", chunks}}},
-      {"cache_probe", 0, {{"hits", "0"}, {"owned", chunks}, {"waits", "0"}}},
-      {"miss_pipeline", 0, {{"chunks", chunks}, {"provenance", "backend"}}},
-      {"scan_aggregate", 3, {}},
-      {"rollup", 0, {{"rows", std::to_string(rows->size())}}},
-      {"prefetch",
-       0,
-       {{"mode", "inline"},
-        {"chunks", std::to_string(stats.prefetched_chunks)}}}};
-  EXPECT_EQ(shapes[0], want) << Describe(shapes[0]);
-}
-
 TEST_F(TraceFixture, RingRetentionDropsOldestAndKeepsIds) {
   ChunkManagerOptions opts = TracedOptions();
   opts.trace_capacity = 2;

@@ -43,11 +43,12 @@ int Run() {
       c.group_by_id = 7;
       c.chunk_num = i;
       c.benefit = 1.0;
-      c.cols = storage::AggColumns(4);
+      storage::AggColumns cols(4);
       for (uint32_t row = 0; row < 4; ++row) {
         const uint32_t coords[4] = {row, 0, 0, 0};
-        c.cols.PushCell(coords, 0.0, 1, 0.0, 0.0);
+        cols.PushCell(coords, 0.0, 1, 0.0, 0.0);
       }
+      c.payload = storage::ChunkPayload(cols);
       chunk_cache.Insert(std::move(c));
     }
     // Semantic cache with n small disjoint regions of the same group-by.

@@ -541,6 +541,38 @@ void DenseChunkAggregator::AddAggColumns(const AggColumns& batch,
   }
 }
 
+void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
+                                      const GroupBySpec& src) {
+  CHUNKCACHE_DCHECK(target_.CoarserOrEqual(src));
+  if (payload.empty()) return;
+  const uint32_t nd = target_.num_dims;
+  CHUNKCACHE_DCHECK(payload.num_dims() == nd);
+  const schema::Hierarchy* hier[storage::kMaxDims];
+  uint32_t begin[storage::kMaxDims];
+  for (uint32_t d = 0; d < nd; ++d) {
+    hier[d] = &scheme_->schema().dimension(d).hierarchy;
+    begin[d] = payload.box_begin(d);
+  }
+  const storage::ChunkPayload::Measures m = payload.measures();
+  payload.ForEachRow([&](size_t i, const uint32_t* rel) {
+    uint64_t off = 0;
+    for (uint32_t d = 0; d < nd; ++d) {
+      const uint32_t c = hier[d]->AncestorAt(src.levels[d], begin[d] + rel[d],
+                                             target_.levels[d]);
+      off += static_cast<uint64_t>(c - base_[d]) * mult_[d];
+    }
+    CHUNKCACHE_DCHECK(off < num_cells_);
+    Cell& c = cells_[off];
+    c.sum += m.sum(i);
+    c.count += m.count(i);
+    const double lo = m.min(i);
+    const double hi = m.max(i);
+    if (lo < c.min) c.min = lo;
+    if (hi > c.max) c.max = hi;
+  });
+  rows_consumed_ += payload.size();
+}
+
 AggColumns DenseChunkAggregator::TakeColumns() {
   size_t occupied = 0;
   for (uint64_t off = 0; off < num_cells_; ++off) {
@@ -645,6 +677,17 @@ void ChunkAggregator::AddAggColumns(const AggColumns& batch,
   }
   const size_t n = batch.size();
   for (size_t i = 0; i < n; ++i) hash_->AddAgg(batch.RowAt(i), src);
+}
+
+void ChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
+                                 const GroupBySpec& src) {
+  if (dense_) {
+    dense_->AddPayload(payload, src);
+    return;
+  }
+  payload.ForEachRow([&](size_t i, const uint32_t* rel) {
+    hash_->AddAgg(payload.Row(i, rel), src);
+  });
 }
 
 AggColumns ChunkAggregator::TakeColumns() {

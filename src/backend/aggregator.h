@@ -11,6 +11,7 @@
 #include "common/simd.h"
 #include "common/status.h"
 #include "storage/agg_columns.h"
+#include "storage/chunk_payload.h"
 #include "storage/tuple.h"
 
 namespace chunkcache::backend {
@@ -113,6 +114,10 @@ class DenseChunkAggregator {
                       const schema::OrdinalRange* pre_filter);
   void AddAggColumns(const storage::AggColumns& batch,
                      const chunks::GroupBySpec& src);
+  /// Folds a cached chunk's payload at group-by `src`, row for row and
+  /// bit for bit as AddAggColumns folds the same rows as columns.
+  void AddPayload(const storage::ChunkPayload& payload,
+                  const chunks::GroupBySpec& src);
 
   /// Extracts non-empty cells in row-major coordinate order (already the
   /// canonical sorted order). Resets the accumulators.
@@ -250,6 +255,9 @@ class ChunkAggregator {
                       const schema::OrdinalRange* pre_filter);
   void AddAggColumns(const storage::AggColumns& batch,
                      const chunks::GroupBySpec& src);
+  /// The roll-up fold over cached chunks (in-cache and degraded).
+  void AddPayload(const storage::ChunkPayload& payload,
+                  const chunks::GroupBySpec& src);
 
   storage::AggColumns TakeColumns();
 

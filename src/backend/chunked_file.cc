@@ -1,6 +1,8 @@
 #include "backend/chunked_file.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "common/fault_injector.h"
 
@@ -34,38 +36,50 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
                                           std::vector<Tuple> tuples,
                                           bool clustered) {
   const chunks::GroupBySpec base = scheme->BaseSpec();
-  // Pair each tuple with its base chunk number; cluster if requested.
-  std::vector<std::pair<uint64_t, uint32_t>> order(tuples.size());
-  for (uint32_t i = 0; i < tuples.size(); ++i) {
+  const uint64_t num_chunks = scheme->GridFor(base).num_chunks();
+  CHUNKCACHE_CHECK(tuples.size() <= std::numeric_limits<uint32_t>::max());
+  CHUNKCACHE_CHECK(num_chunks <= std::numeric_limits<uint32_t>::max());
+  // Each tuple's base chunk number, then the load order: input order, or
+  // when clustering, a counting sort by chunk number (stable, so tuples of
+  // one chunk keep their input order).
+  std::vector<uint32_t> chunk_of(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
     chunks::ChunkCoords cell{};
     for (uint32_t d = 0; d < scheme->num_dims(); ++d) {
       cell[d] = tuples[i].keys[d];
     }
-    order[i] = {scheme->ChunkOfCell(base, cell), i};
+    chunk_of[i] = static_cast<uint32_t>(scheme->ChunkOfCell(base, cell));
   }
+  std::vector<uint32_t> order(tuples.size());
   if (clustered) {
-    std::stable_sort(order.begin(), order.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    std::vector<uint32_t> start(num_chunks + 1, 0);
+    for (uint32_t c : chunk_of) ++start[c + 1];
+    for (uint64_t c = 0; c < num_chunks; ++c) start[c + 1] += start[c];
+    for (uint32_t i = 0; i < tuples.size(); ++i) {
+      order[start[chunk_of[i]]++] = i;
+    }
+  } else {
+    std::iota(order.begin(), order.end(), 0);
   }
 
   CHUNKCACHE_ASSIGN_OR_RETURN(
       storage::FactFile fact,
       storage::FactFile::Create(pool, scheme->schema().tuple_desc()));
-  // Append in (possibly clustered) order, recording chunk runs.
+  CHUNKCACHE_ASSIGN_OR_RETURN(const RowId first,
+                              fact.AppendInOrder(tuples, order));
+  CHUNKCACHE_RETURN_IF_ERROR(fact.SyncHeader());
+  // Chunk runs in the appended order.
   std::vector<std::pair<uint64_t, index::BTreePayload>> runs;
-  for (const auto& [chunk, idx] : order) {
-    CHUNKCACHE_ASSIGN_OR_RETURN(RowId rid, fact.Append(tuples[idx]));
-    if (clustered) {
+  if (clustered) {
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      const uint32_t chunk = chunk_of[order[pos]];
       if (runs.empty() || runs.back().first != chunk) {
-        runs.push_back({chunk, index::BTreePayload{rid, 1}});
+        runs.push_back({chunk, index::BTreePayload{first + pos, 1}});
       } else {
         runs.back().second.v2++;
       }
     }
   }
-  CHUNKCACHE_RETURN_IF_ERROR(fact.SyncHeader());
 
   ChunkedFile file(std::move(fact), scheme, clustered);
   if (clustered) {

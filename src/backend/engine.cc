@@ -37,14 +37,14 @@ BackendEngine::BackendEngine(storage::BufferPool* pool, ChunkedFile* file,
 
 Status BackendEngine::BuildBitmapIndexes() {
   bitmap_indexes_.clear();
+  std::vector<index::BitmapIndex::Column> columns;
   for (uint32_t d = 0; d < scheme_->num_dims(); ++d) {
     const auto& h = scheme_->schema().dimension(d).hierarchy;
-    CHUNKCACHE_ASSIGN_OR_RETURN(
-        index::BitmapIndex idx,
-        index::BitmapIndex::Build(pool_, &file_->fact_file(), d,
-                                  h.LevelCardinality(h.depth())));
-    bitmap_indexes_.push_back(std::move(idx));
+    columns.push_back({d, h.LevelCardinality(h.depth())});
   }
+  CHUNKCACHE_ASSIGN_OR_RETURN(
+      bitmap_indexes_,
+      index::BitmapIndex::BuildMany(pool_, &file_->fact_file(), columns));
   return Status::OK();
 }
 

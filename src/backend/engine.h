@@ -22,12 +22,6 @@ namespace chunkcache::backend {
 struct ChunkData {
   uint64_t chunk_num = 0;
   storage::AggColumns cols;
-
-  /// In-memory footprint, charged against the cache budget. Uses
-  /// capacity(), matching what the allocator actually holds.
-  uint64_t ByteSize() const {
-    return sizeof(ChunkData) - sizeof(storage::AggColumns) + cols.ByteSize();
-  }
 };
 
 /// A precomputed aggregate table stored in chunked form (Section 3.1): the

@@ -14,7 +14,7 @@
 #include "chunks/group_by_spec.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "storage/agg_columns.h"
+#include "storage/chunk_payload.h"
 #include "storage/tuple.h"
 
 namespace chunkcache::cache {
@@ -29,33 +29,20 @@ struct CachedChunk {
   uint64_t chunk_num = 0;
   uint64_t filter_hash = 0;
   double benefit = 0;
-  /// Columnar rows in canonical row-major order. Only the group-by's
-  /// active dimensions have coordinate columns, so the cache no longer
-  /// charges for kMaxDims padding per row. Empty when the entry is held
-  /// in encoded form instead.
-  storage::AggColumns cols;
+  /// The entry's one allocation: the rows in canonical row-major order as
+  /// a box payload (storage::ChunkPayload), or, when the manager's
+  /// compressed tier holds the entry, in the payload's blob form around a
+  /// storage/codec blob that hits decode on demand
+  /// (ChunkCacheManager::ResolvePayload).
+  storage::ChunkPayload payload;
 
-  /// Codec-encoded payload (storage/codec blob) when the manager's
-  /// compressed in-memory tier holds this entry; empty otherwise. Exactly
-  /// one of `cols` / `encoded` is populated for a non-empty chunk. Hits
-  /// decode on demand (ChunkCacheManager::ResolveCols), so the budget
-  /// charges encoded bytes and effective capacity rises.
-  std::vector<uint8_t> encoded;
-  /// Raw (decoded) payload bytes of `encoded`, for ratio accounting.
-  uint64_t raw_bytes = 0;
-  /// Rows in the payload regardless of representation.
-  uint32_t encoded_rows = 0;
+  bool compressed() const { return payload.blob(); }
+  size_t rows() const { return payload.size(); }
 
-  bool compressed() const { return !encoded.empty(); }
-  size_t rows() const { return compressed() ? encoded_rows : cols.size(); }
-
-  /// Heap footprint charged against the cache budget. Charges column
-  /// capacity(), not size(): the allocator really holds capacity() slots,
-  /// and budgeting by size() would let slack capacity silently exceed the
-  /// configured cache size. A compressed entry charges its encoded bytes.
+  /// Footprint charged against the cache budget: the struct plus the
+  /// payload allocation's full capacity.
   uint64_t ByteSize() const {
-    return sizeof(CachedChunk) - sizeof(storage::AggColumns) +
-           cols.ByteSize() + encoded.capacity();
+    return sizeof(CachedChunk) + payload.capacity_bytes();
   }
 };
 

@@ -13,7 +13,7 @@ DecodedCache::DecodedCache(uint64_t capacity_bytes, MetricsRegistry* metrics)
   bytes_gauge_ = metrics->GetGauge("cache.decoded_lru_bytes");
 }
 
-std::shared_ptr<const storage::AggColumns> DecodedCache::Get(
+std::shared_ptr<const storage::ChunkPayload> DecodedCache::Get(
     const ChunkKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -24,19 +24,19 @@ std::shared_ptr<const storage::AggColumns> DecodedCache::Get(
 }
 
 void DecodedCache::Put(const ChunkKey& key,
-                       std::shared_ptr<const storage::AggColumns> cols) {
-  if (cols == nullptr) return;
-  const uint64_t bytes = cols->ByteSize();
+                       std::shared_ptr<const storage::ChunkPayload> payload) {
+  if (payload == nullptr) return;
+  const uint64_t bytes = Charge(*payload);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    bytes_used_ -= it->second->second->ByteSize();
-    it->second->second = std::move(cols);
+    bytes_used_ -= Charge(*it->second->second);
+    it->second->second = std::move(payload);
     bytes_used_ += bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
     if (bytes > capacity_bytes_) return;  // would evict everything for one
-    lru_.emplace_front(key, std::move(cols));
+    lru_.emplace_front(key, std::move(payload));
     index_[key] = lru_.begin();
     bytes_used_ += bytes;
   }
@@ -47,7 +47,7 @@ void DecodedCache::Put(const ChunkKey& key,
 void DecodedCache::EvictOverBudgetLocked() {
   while (bytes_used_ > capacity_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
-    bytes_used_ -= victim.second->ByteSize();
+    bytes_used_ -= Charge(*victim.second);
     index_.erase(victim.first);
     lru_.pop_back();
     evictions_->Increment();

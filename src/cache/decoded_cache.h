@@ -9,14 +9,14 @@
 
 #include "cache/chunk_cache.h"
 #include "common/metrics.h"
-#include "storage/agg_columns.h"
+#include "storage/chunk_payload.h"
 
 namespace chunkcache::cache {
 
 /// Small LRU front for the compressed in-memory tier: maps a ChunkKey to
-/// recently decoded AggColumns so back-to-back hits on the same chunk
-/// (row-major box enumeration, proximity streams) decode once instead of
-/// per hit. Deliberately tiny relative to the chunk cache — it trades a
+/// the box payload of a recently decoded blob so back-to-back hits on the
+/// same chunk (row-major box enumeration, proximity streams) decode once
+/// instead of per hit. Deliberately tiny relative to the chunk cache — it trades a
 /// bounded slice of memory for the common re-hit, while the main budget
 /// stays charged at encoded bytes.
 ///
@@ -26,8 +26,9 @@ namespace chunkcache::cache {
 /// itself — no shadow fields to fold at snapshot time. Passing a null
 /// registry gives the cache a private one.
 ///
-/// Thread-safe; values are shared_ptr<const AggColumns>, so a returned
-/// decode stays valid however the LRU churns.
+/// Thread-safe; values are shared_ptr<const ChunkPayload>, so a returned
+/// decode stays valid however the LRU churns. Each is charged its struct
+/// plus its allocation's capacity.
 class DecodedCache {
  public:
   explicit DecodedCache(uint64_t capacity_bytes,
@@ -36,18 +37,23 @@ class DecodedCache {
   DecodedCache(const DecodedCache&) = delete;
   DecodedCache& operator=(const DecodedCache&) = delete;
 
-  /// The decoded columns for `key`, refreshing its recency; null if absent.
-  /// A hit bumps "cache.decoded_lru_hits".
-  std::shared_ptr<const storage::AggColumns> Get(const ChunkKey& key);
+  /// The decoded payload for `key`, refreshing its recency; null if
+  /// absent. A hit bumps "cache.decoded_lru_hits".
+  std::shared_ptr<const storage::ChunkPayload> Get(const ChunkKey& key);
 
   /// Remembers a decode, evicting least-recently-used entries over budget.
   /// A payload larger than the whole budget is simply not admitted.
   void Put(const ChunkKey& key,
-           std::shared_ptr<const storage::AggColumns> cols);
+           std::shared_ptr<const storage::ChunkPayload> payload);
+
+  /// What one decoded payload is charged.
+  static uint64_t Charge(const storage::ChunkPayload& payload) {
+    return sizeof(storage::ChunkPayload) + payload.capacity_bytes();
+  }
 
  private:
   using Entry =
-      std::pair<ChunkKey, std::shared_ptr<const storage::AggColumns>>;
+      std::pair<ChunkKey, std::shared_ptr<const storage::ChunkPayload>>;
 
   void EvictOverBudgetLocked();
 

@@ -181,15 +181,16 @@ void ChunkCacheManager::RecoverPersistedCache() {
     entry->chunk_num = pc.chunk_num;
     entry->filter_hash = pc.filter_hash;
     entry->benefit = pc.benefit;
-    if (options_.enable_compression && pc.blob.size() < pc.raw_bytes) {
-      // Compressed tier: keep the codec blob verbatim (same bytes PR 6
-      // admitted), charging encoded size as usual.
-      entry->encoded_rows = static_cast<uint32_t>(decoded->size());
-      entry->raw_bytes = pc.raw_bytes;
-      entry->cols = storage::AggColumns(decoded->num_dims());
-      entry->encoded = std::move(pc.blob);
-    } else {
-      entry->cols = std::move(*decoded);
+    entry->payload = storage::ChunkPayload(*decoded);
+    if (options_.enable_compression) {
+      // Compressed tier: keep the codec blob verbatim where admission
+      // would have.
+      storage::ChunkPayload encoded = storage::ChunkPayload::Blob(
+          decoded->num_dims(), decoded->size(), pc.blob.data(),
+          pc.blob.size());
+      if (encoded.capacity_bytes() < entry->payload.capacity_bytes()) {
+        entry->payload = std::move(encoded);
+      }
     }
     cache_.Insert(std::move(entry));
   }
@@ -207,7 +208,8 @@ Status ChunkCacheManager::PersistSnapshot() {
   if (persist_ == nullptr) return Status::OK();
   // Streams shard by shard: ForEachEntry pins one shard's entries at a
   // time, and each entry is encoded straight into the writer's reused
-  // frame buffer (a compressed entry's blob is copied there verbatim).
+  // frame buffer: a payload through its columns, so the blob format is the
+  // one every snapshot has used, and a compressed entry's blob verbatim.
   return persist_->WriteSnapshot([this](storage::SnapshotWriter* w) {
     cache_.ForEachEntry([w](const cache::ChunkHandle& h) {
       storage::PersistedChunk head;
@@ -216,15 +218,17 @@ Status ChunkCacheManager::PersistSnapshot() {
       head.filter_hash = h->filter_hash;
       head.benefit = h->benefit;
       head.rows = static_cast<uint32_t>(h->rows());
+      const storage::ChunkPayload& p = h->payload;
+      head.raw_bytes =
+          storage::codec::RawPayloadBytes(p.num_dims(), p.size());
       if (h->compressed()) {
-        head.raw_bytes = h->raw_bytes;
-        w->Add(head, [&h](std::vector<uint8_t>* out) {
-          out->insert(out->end(), h->encoded.begin(), h->encoded.end());
+        w->Add(head, [&p](std::vector<uint8_t>* out) {
+          out->insert(out->end(), p.blob_data(),
+                      p.blob_data() + p.blob_size());
         });
       } else {
-        head.raw_bytes = storage::codec::RawPayloadBytes(h->cols);
-        w->Add(head, [&h](std::vector<uint8_t>* out) {
-          storage::codec::EncodeAggColumns(h->cols, out);
+        w->Add(head, [&p](std::vector<uint8_t>* out) {
+          storage::codec::EncodeAggColumns(p.ToColumns(), out);
         });
       }
     });
@@ -306,20 +310,20 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   return s;
 }
 
-std::shared_ptr<const storage::AggColumns>
-ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
+std::shared_ptr<const storage::ChunkPayload>
+ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry,
+                                      const storage::AggColumns& cols) {
   namespace codec = storage::codec;
-  if (!options_.enable_compression || entry->cols.empty()) return nullptr;
-  const uint64_t raw = codec::RawPayloadBytes(entry->cols);
+  if (!options_.enable_compression || cols.empty()) return nullptr;
   std::vector<uint8_t> blob;
   codec::CodecStats cs;
   const auto t0 = std::chrono::steady_clock::now();
-  codec::EncodeAggColumns(entry->cols, &blob, &cs);
+  codec::EncodeAggColumns(cols, &blob, &cs);
   encode_ns_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
-  codec_raw_bytes_->Add(raw);
+  codec_raw_bytes_->Add(codec::RawPayloadBytes(cols));
   codec_encoded_bytes_->Add(blob.size());
   for (size_t c = 0; c < codec::kNumCodecs; ++c) {
     if (cs.columns[c] == 0) continue;
@@ -327,23 +331,20 @@ ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
     codec_col_encoded_[c]->Add(cs.encoded_bytes[c]);
     codec_col_columns_[c]->Add(cs.columns[c]);
   }
-  if (blob.size() >= raw) {
-    // Encoding lost (already-random data): keep the raw columns, a decode
-    // per hit would buy nothing.
+  storage::ChunkPayload encoded = storage::ChunkPayload::Blob(
+      cols.num_dims(), cols.size(), blob.data(), blob.size());
+  if (encoded.capacity_bytes() >= entry->payload.capacity_bytes()) {
+    // The payload is already as small: keep it, a decode per hit would
+    // buy nothing.
     compression_skipped_->Increment();
     return nullptr;
   }
-  blob.shrink_to_fit();
-  const uint32_t num_dims = entry->cols.num_dims();
-  entry->encoded_rows = static_cast<uint32_t>(entry->cols.size());
-  entry->raw_bytes = raw;
-  entry->encoded = std::move(blob);
-  auto dec =
-      std::make_shared<const storage::AggColumns>(std::move(entry->cols));
-  entry->cols = storage::AggColumns(num_dims);  // release the raw columns
+  auto dec = std::make_shared<const storage::ChunkPayload>(
+      std::move(entry->payload));
+  entry->payload = std::move(encoded);
   if (decoded_ != nullptr) {
-    // Seed the decoded front with the columns we already have: coalesced
-    // waiters and the next hits read them without paying the first decode.
+    // Seed the decoded front with the payload we already have: coalesced
+    // waiters and the next hits read it without paying the first decode.
     decoded_->Put(
         ChunkKey{entry->group_by_id, entry->chunk_num, entry->filter_hash},
         dec);
@@ -352,47 +353,48 @@ ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry) {
   return dec;
 }
 
-std::shared_ptr<const storage::AggColumns> ChunkCacheManager::ResolveCols(
-    const cache::ChunkHandle& h) {
+std::shared_ptr<const storage::ChunkPayload>
+ChunkCacheManager::ResolvePayload(const cache::ChunkHandle& h) {
   if (!h->compressed()) {
-    // Aliasing share: the pinned handle keeps the columns alive, no copy.
-    return std::shared_ptr<const storage::AggColumns>(h, &h->cols);
+    // Aliasing share: the pinned handle keeps the payload alive, no copy.
+    return std::shared_ptr<const storage::ChunkPayload>(h, &h->payload);
   }
   const ChunkKey key{h->group_by_id, h->chunk_num, h->filter_hash};
   if (decoded_ != nullptr) {
     if (auto hit = decoded_->Get(key)) return hit;  // counted by the cache
   }
   const auto t0 = std::chrono::steady_clock::now();
-  auto res =
-      storage::codec::DecodeAggColumns(h->encoded.data(), h->encoded.size());
+  auto res = storage::codec::DecodeAggColumns(h->payload.blob_data(),
+                                              h->payload.blob_size());
+  // The blob was encoded by this process and CRC-validated on decode; a
+  // failure here means in-memory corruption, not recoverable input.
+  CHUNKCACHE_CHECK(res.ok());
+  auto dec = std::make_shared<const storage::ChunkPayload>(*res);
   decode_ns_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
   decode_calls_->Increment();
-  // The blob was encoded by this process and CRC-validated on decode; a
-  // failure here means in-memory corruption, not recoverable input.
-  CHUNKCACHE_CHECK(res.ok());
-  auto dec = std::make_shared<storage::AggColumns>(std::move(*res));
   if (decoded_ != nullptr) decoded_->Put(key, dec);
   return dec;
 }
 
-std::shared_ptr<const storage::AggColumns> ChunkCacheManager::AdmitChunk(
-    const ChunkKey& key, double benefit, storage::AggColumns cols,
+std::shared_ptr<const storage::ChunkPayload> ChunkCacheManager::AdmitChunk(
+    const ChunkKey& key, double benefit, const storage::AggColumns& cols,
     const Inflight::SlotPtr& slot) {
   auto entry = std::make_shared<cache::CachedChunk>();
   entry->group_by_id = key.group_by_id;
   entry->chunk_num = key.chunk_num;
   entry->filter_hash = key.filter_hash;
   entry->benefit = benefit;
-  entry->cols = std::move(cols);
-  std::shared_ptr<const storage::AggColumns> out =
-      MaybeCompressEntry(entry.get());
+  entry->payload = storage::ChunkPayload(cols);
+  std::shared_ptr<const storage::ChunkPayload> out =
+      MaybeCompressEntry(entry.get(), cols);
   cache::ChunkHandle handle = entry;
   if (out == nullptr) {
-    // Raw entry: alias its columns, the handle keeps them alive.
-    out = std::shared_ptr<const storage::AggColumns>(handle, &handle->cols);
+    // Payload entry: alias it, the handle keeps it alive.
+    out = std::shared_ptr<const storage::ChunkPayload>(handle,
+                                                       &handle->payload);
   }
   cache_.Insert(std::move(entry));
   // Insert before Publish: a claimant that re-probes after the entry
@@ -576,8 +578,8 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
       }
       // Admitted, so the next query gets a direct hit and any waiter the
       // same allocation.
-      c->cols = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
-                           std::move(*cols), c->slot);
+      c->payload =
+          AdmitChunk(plan->Key(c->chunk_num), plan->benefit, *cols, c->slot);
       c->source = Provenance::kAggregation;
     }
     trace->Tag(agg_span.id(), "chunks",
@@ -632,8 +634,8 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
                                    : TraceBuilder::kNoSpan;
   for (size_t i = 0; i < owned.size(); ++i) {
     PlannedChunk* c = owned[i];
-    c->cols = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
-                         std::move((*computed)[i].cols), c->slot);
+    c->payload = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
+                            (*computed)[i].cols, c->slot);
     c->source = source;
   }
   trace->Tag(encode_span, "chunks", static_cast<uint64_t>(owned.size()));
@@ -659,7 +661,7 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
          ctrl.Check().ok()) {
     switch (Claim(key, &c->hit, &c->slot)) {
       case ClaimKind::kHit:
-        c->cols = ResolveCols(c->hit);
+        c->payload = ResolvePayload(c->hit);
         c->source = Provenance::kCache;
         return Status::OK();
       case ClaimKind::kOwned: {
@@ -674,7 +676,7 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
     }
   }
   if (res.ok()) {
-    c->cols = ResolveCols(*res);
+    c->payload = ResolvePayload(*res);
     c->source = Provenance::kCoalesced;
     return Status::OK();
   }
@@ -686,7 +688,7 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
   }
   if (cache::ChunkHandle raced =
           cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash)) {
-    c->cols = ResolveCols(raced);
+    c->payload = ResolvePayload(raced);
     c->source = Provenance::kCache;
     return Status::OK();
   }
@@ -694,19 +696,21 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
   if (!cols) return res.status();
   // Not the owner of this key, so no slot to publish — just admit the
   // assembled chunk for future queries and use its rows.
-  c->cols = AdmitChunk(key, plan->benefit, std::move(*cols), /*slot=*/nullptr);
+  c->payload = AdmitChunk(key, plan->benefit, *cols, /*slot=*/nullptr);
   c->source = Provenance::kDegraded;
   return Status::OK();
 }
 
 std::vector<ResultRow> ChunkCacheManager::Assemble(const QueryPlan& plan,
                                                    TraceBuilder* trace) {
-  // Hits resolve their columns here, decoding compressed entries; every
-  // other chunk was resolved with its columns in hand.
+  // Hits resolve their payloads here, decoding compressed entries; every
+  // other chunk was resolved with its payload in hand. Each chunk appends
+  // only its rows inside the selection (the §5.2.3 boundary filter).
+  const StarJoinQuery& query = *plan.query;
   size_t total = 0;
   uint64_t hits = 0;
   for (const PlannedChunk& c : plan.chunks) {
-    total += c.cols != nullptr ? c.cols->size() : c.hit->rows();
+    total += c.payload != nullptr ? c.payload->size() : c.hit->rows();
     hits += c.claim == ClaimKind::kHit;
   }
   const uint32_t decode_span =
@@ -716,16 +720,14 @@ std::vector<ResultRow> ChunkCacheManager::Assemble(const QueryPlan& plan,
   std::vector<AggTuple> rows;
   rows.reserve(total);
   for (const PlannedChunk& c : plan.chunks) {
-    (c.cols != nullptr ? c.cols : ResolveCols(c.hit))->AppendToRows(&rows);
+    (c.payload != nullptr ? c.payload : ResolvePayload(c.hit))
+        ->AppendRowsInside(query.selection, &rows);
   }
   trace->Tag(decode_span, "chunks", hits);
   trace->EndSpan(decode_span);
 
-  // Post-processing: trim boundary extras, canonical order.
-  const StarJoinQuery& query = *plan.query;
+  // Post-processing: canonical order.
   const uint32_t rollup_span = trace->BeginSpan("rollup", trace->root());
-  rows = backend::FilterRows(std::move(rows), query.group_by.num_dims,
-                             query.selection);
   backend::SortRows(&rows, query.group_by.num_dims);
   trace->Tag(rollup_span, "rows", static_cast<uint64_t>(rows.size()));
   trace->EndSpan(rollup_span);
@@ -823,7 +825,7 @@ std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
                                  engine_->options().dense_cell_limit,
                                  engine_->kernel_counters());
     for (const cache::ChunkHandle& chunk : sources) {
-      agg.AddAggColumns(*ResolveCols(chunk), src.spec);
+      agg.AddPayload(*ResolvePayload(chunk), src.spec);
     }
     return agg.TakeColumns();  // already canonical order
   }

@@ -52,11 +52,11 @@ struct ChunkManagerOptions {
   /// with jittered exponential backoff instead of failing the query.
   RetryPolicy retry;
 
-  /// Compressed in-memory cache tier: admitted chunks are stored
-  /// codec-encoded (the budget charges encoded bytes, so effective
-  /// capacity rises at fixed cache_bytes) and hits decode on demand
-  /// through a small decoded-LRU front. Entries whose encoding doesn't
-  /// save bytes stay raw. Off == today's raw entries; query results are
+  /// Compressed in-memory cache tier: an admitted chunk is stored
+  /// codec-encoded when its blob is smaller than its payload (the budget
+  /// charges encoded bytes, so effective capacity rises at fixed
+  /// cache_bytes) and hits decode on demand through a small decoded-LRU
+  /// front. Other entries keep their payload. Query results are
   /// bit-identical either way (the codecs are lossless), which
   /// compression_test checks end to end.
   bool enable_compression = false;
@@ -218,7 +218,7 @@ class ChunkCacheManager final : public MiddleTier {
     Inflight::SlotPtr slot;  // the in-flight slot of a kOwned/kWait claim
     // The chunk's rows once resolved; null for a hit, whose rows Assemble
     // reads from `hit`.
-    std::shared_ptr<const storage::AggColumns> cols;
+    std::shared_ptr<const storage::ChunkPayload> payload;
     ClaimKind claim = ClaimKind::kHit;
     Provenance source = Provenance::kCache;  // final, once resolved
   };
@@ -273,8 +273,8 @@ class ChunkCacheManager final : public MiddleTier {
   Status CollectWait(QueryPlan* plan, PlannedChunk* c, const ExecControl& ctrl,
                      QueryStats* stats);
 
-  /// Post-processing: appends every chunk's rows (decoding compressed
-  /// hits), trims boundary extras and sorts canonically.
+  /// Post-processing: appends every chunk's rows inside the selection
+  /// (decoding compressed hits) and sorts them canonically.
   std::vector<backend::ResultRow> Assemble(const QueryPlan& plan,
                                            TraceBuilder* trace);
 
@@ -306,12 +306,12 @@ class ChunkCacheManager final : public MiddleTier {
   std::optional<storage::AggColumns> TryInCacheAggregation(QueryPlan* plan,
                                                            uint64_t chunk_num);
 
-  /// Builds the cache entry for a fresh chunk of `key`, compresses it when
-  /// the tier is on, inserts it, and publishes it to `slot` when non-null.
-  /// Returns the chunk's columns.
-  std::shared_ptr<const storage::AggColumns> AdmitChunk(
-      const cache::ChunkKey& key, double benefit, storage::AggColumns cols,
-      const Inflight::SlotPtr& slot);
+  /// Builds the cache entry for a fresh chunk of `key` from its columns
+  /// (canonical order), compresses it when the tier is on, inserts it, and
+  /// publishes it to `slot` when non-null. Returns the chunk's payload.
+  std::shared_ptr<const storage::ChunkPayload> AdmitChunk(
+      const cache::ChunkKey& key, double benefit,
+      const storage::AggColumns& cols, const Inflight::SlotPtr& slot);
 
   /// Computes `chunk_nums` of `query`'s group-by through the scan
   /// scheduler, retrying transient failures under `ctrl`, and charges the
@@ -321,19 +321,19 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<uint64_t>& chunk_nums, const ExecControl& ctrl,
       QueryStats* stats);
 
-  /// Encodes `entry->cols` into `entry->encoded` when compression is on
-  /// and the encoding actually saves bytes (otherwise the entry stays raw
-  /// and compression_skipped counts it). On success returns the decoded
-  /// columns, which also go into the decoded-LRU front so coalesced
-  /// waiters read them without a decode; returns null for an entry left
-  /// raw.
-  std::shared_ptr<const storage::AggColumns> MaybeCompressEntry(
-      cache::CachedChunk* entry);
+  /// Encodes `cols`, the rows of `entry->payload`, when compression is on
+  /// and swaps the payload for its codec blob when the blob is smaller
+  /// (otherwise the entry keeps its payload and compression_skipped
+  /// counts it). On a swap returns the payload, which also goes into the
+  /// decoded-LRU front so coalesced waiters read it without a decode;
+  /// returns null for an entry left as a payload.
+  std::shared_ptr<const storage::ChunkPayload> MaybeCompressEntry(
+      cache::CachedChunk* entry, const storage::AggColumns& cols);
 
-  /// The columns of a cache hit: raw entries alias the handle's own cols
-  /// (no copy, the handle keeps them alive); compressed entries come from
+  /// The payload of a cache hit: payload entries alias the handle's own
+  /// (no copy, the handle keeps it alive); compressed entries come from
   /// the decoded-LRU front or a fresh timed decode.
-  std::shared_ptr<const storage::AggColumns> ResolveCols(
+  std::shared_ptr<const storage::ChunkPayload> ResolvePayload(
       const cache::ChunkHandle& h);
 
   /// Recovery half of the warm-restart path: opens the persistence

@@ -21,8 +21,20 @@ namespace chunkcache::index {
 /// whole number of pages so one value's bitmap occupies a contiguous run.
 class BitmapIndex {
  public:
-  /// Builds an index over `fact` for dimension column `dim`, whose ordinals
-  /// are dense in [0, num_values). Scans the fact file once.
+  /// One column to index: dimension `dim`, whose ordinals are dense in
+  /// [0, num_values).
+  struct Column {
+    uint32_t dim = 0;
+    uint32_t num_values = 0;
+  };
+
+  /// Builds one index per entry of `columns` in one columnar scan of
+  /// `fact`, then writes them out in order, one file each.
+  static Result<std::vector<BitmapIndex>> BuildMany(
+      storage::BufferPool* pool, storage::FactFile* fact,
+      const std::vector<Column>& columns);
+
+  /// Builds the index of one column (BuildMany of one).
   static Result<BitmapIndex> Build(storage::BufferPool* pool,
                                    storage::FactFile* fact, uint32_t dim,
                                    uint32_t num_values);

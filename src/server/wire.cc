@@ -1,10 +1,16 @@
 #include "server/wire.h"
 
+#include <bit>
 #include <cstring>
 
 #include "server/frame.h"
 
 namespace chunkcache::server::wire {
+
+// Rows cross the wire as little-endian fields copied straight from and into
+// ResultRow with memcpy, so the host must be little-endian too.
+static_assert(std::endian::native == std::endian::little,
+              "row batches copy host-order fields as the little-endian wire");
 
 namespace {
 
@@ -115,14 +121,18 @@ Result<backend::StarJoinQuery> DecodeQuery(const uint8_t* data, size_t len) {
 void EncodeRowBatch(const std::vector<backend::ResultRow>& rows, size_t first,
                     size_t count, std::vector<uint8_t>* out) {
   PutU32(out, static_cast<uint32_t>(count));
-  out->reserve(out->size() + count * kRowBytes);
+  const size_t at = out->size();
+  out->resize(at + count * kRowBytes);
+  uint8_t* p = out->data() + at;
   for (size_t i = first; i < first + count; ++i) {
     const backend::ResultRow& r = rows[i];
-    for (uint32_t d = 0; d < storage::kMaxDims; ++d) PutU32(out, r.coords[d]);
-    PutF64(out, r.sum);
-    PutU64(out, r.count);
-    PutF64(out, r.min_v);
-    PutF64(out, r.max_v);
+    std::memcpy(p, r.coords.data(), 4 * storage::kMaxDims);
+    p += 4 * storage::kMaxDims;
+    std::memcpy(p, &r.sum, 8);
+    std::memcpy(p + 8, &r.count, 8);
+    std::memcpy(p + 16, &r.min_v, 8);
+    std::memcpy(p + 24, &r.max_v, 8);
+    p += 32;
   }
 }
 
@@ -131,20 +141,22 @@ Status DecodeRowBatch(const uint8_t* data, size_t len,
   Cursor c(data, len);
   uint32_t count = 0;
   if (!c.GetU32(&count)) return Truncated("row batch header");
+  // Every row is present once the count matches the bytes left.
   if (static_cast<uint64_t>(count) * kRowBytes != c.left()) {
     return Status::Corruption("wire: row count does not match payload size");
   }
-  rows->reserve(rows->size() + count);
+  const uint8_t* p = data + 4;
+  const size_t base = rows->size();
+  rows->resize(base + count);
   for (uint32_t i = 0; i < count; ++i) {
-    backend::ResultRow r;
-    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
-      if (!c.GetU32(&r.coords[d])) return Truncated("row coords");
-    }
-    if (!c.GetF64(&r.sum) || !c.GetU64(&r.count) || !c.GetF64(&r.min_v) ||
-        !c.GetF64(&r.max_v)) {
-      return Truncated("row aggregates");
-    }
-    rows->push_back(r);
+    backend::ResultRow& r = (*rows)[base + i];
+    std::memcpy(r.coords.data(), p, 4 * storage::kMaxDims);
+    p += 4 * storage::kMaxDims;
+    std::memcpy(&r.sum, p, 8);
+    std::memcpy(&r.count, p + 8, 8);
+    std::memcpy(&r.min_v, p + 16, 8);
+    std::memcpy(&r.max_v, p + 24, 8);
+    p += 32;
   }
   return Status::OK();
 }

@@ -4,40 +4,7 @@
 #include <cstring>
 #include <numeric>
 
-#include "common/simd.h"
-
-#if CHUNKCACHE_SIMD_X86_64
-#include <immintrin.h>
-#endif
-
 namespace chunkcache::storage {
-
-#if CHUNKCACHE_SIMD_X86_64
-
-namespace {
-
-/// 8-row in-selection mask: bit r is set iff row i+r lies inside every
-/// dimension's ordinal range. Unsigned range checks via max/min-compare
-/// (x >= lo  <=>  max(x, lo) == x), AND-combined across dimensions.
-__attribute__((target("avx2"))) inline uint32_t KeepMask8Avx2(
-    const uint32_t* const* cols, const schema::OrdinalRange* sel, uint32_t nd,
-    size_t i) {
-  __m256i keep = _mm256_set1_epi32(-1);
-  for (uint32_t d = 0; d < nd; ++d) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols[d] + i));
-    const __m256i lo = _mm256_set1_epi32(static_cast<int>(sel[d].begin));
-    const __m256i hi = _mm256_set1_epi32(static_cast<int>(sel[d].end));
-    const __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(x, lo), x);
-    const __m256i le = _mm256_cmpeq_epi32(_mm256_min_epu32(x, hi), x);
-    keep = _mm256_and_si256(keep, _mm256_and_si256(ge, le));
-  }
-  return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(keep)));
-}
-
-}  // namespace
-
-#endif  // CHUNKCACHE_SIMD_X86_64
 
 void AggColumns::Reserve(size_t n) {
   for (uint32_t d = 0; d < num_dims_; ++d) coords_[d].reserve(n);
@@ -85,23 +52,10 @@ AggTuple AggColumns::RowAt(size_t i) const {
   return row;
 }
 
-void AggColumns::AppendToRows(std::vector<AggTuple>* out) const {
-  const size_t base = out->size();
-  out->resize(base + size());
-  for (size_t i = 0; i < size(); ++i) {
-    AggTuple& row = (*out)[base + i];
-    for (uint32_t d = 0; d < num_dims_; ++d) row.coords[d] = coords_[d][i];
-    row.sum = sum_[i];
-    row.count = count_[i];
-    row.min_v = min_[i];
-    row.max_v = max_[i];
-  }
-}
-
 std::vector<AggTuple> AggColumns::ToRows() const {
   std::vector<AggTuple> rows;
   rows.reserve(size());
-  AppendToRows(&rows);
+  for (size_t i = 0; i < size(); ++i) rows.push_back(RowAt(i));
   return rows;
 }
 
@@ -111,26 +65,6 @@ AggColumns AggColumns::FromRows(const std::vector<AggTuple>& rows,
   cols.Reserve(rows.size());
   for (const AggTuple& row : rows) cols.PushRow(row);
   return cols;
-}
-
-uint64_t AggColumns::ByteSize() const {
-  uint64_t bytes = sizeof(AggColumns);
-  for (uint32_t d = 0; d < num_dims_; ++d) {
-    bytes += coords_[d].capacity() * sizeof(uint32_t);
-  }
-  bytes += sum_.capacity() * sizeof(double);
-  bytes += count_.capacity() * sizeof(uint64_t);
-  bytes += min_.capacity() * sizeof(double);
-  bytes += max_.capacity() * sizeof(double);
-  return bytes;
-}
-
-void AggColumns::ShrinkToFit() {
-  for (uint32_t d = 0; d < num_dims_; ++d) coords_[d].shrink_to_fit();
-  sum_.shrink_to_fit();
-  count_.shrink_to_fit();
-  min_.shrink_to_fit();
-  max_.shrink_to_fit();
 }
 
 void AggColumns::SortRowMajor() {
@@ -157,85 +91,6 @@ void AggColumns::SortRowMajor() {
   apply(count_);
   apply(min_);
   apply(max_);
-}
-
-void AggColumns::FilterToSelection(
-    const std::array<schema::OrdinalRange, kMaxDims>& sel) {
-  size_t kept = 0;
-  const size_t n = size();
-  size_t i = 0;
-#if CHUNKCACHE_SIMD_X86_64
-  // Vectorized mask-and-compact: the kept set and its order are exactly
-  // the scalar loop's, so the result is bit-identical either way. The
-  // all-keep (boundary chunks mostly inside the selection) and none-keep
-  // masks skip per-row work entirely.
-  if (simd::ActiveLevel() == simd::IsaLevel::kAvx2) {
-    const uint32_t* cols[kMaxDims];
-    for (uint32_t d = 0; d < num_dims_; ++d) cols[d] = coords_[d].data();
-    for (; i + 8 <= n; i += 8) {
-      const uint32_t m = KeepMask8Avx2(cols, sel.data(), num_dims_, i);
-      if (m == 0xFFu) {
-        if (kept != i) {
-          for (uint32_t d = 0; d < num_dims_; ++d) {
-            std::memmove(&coords_[d][kept], &coords_[d][i], 8 * 4);
-          }
-          std::memmove(&sum_[kept], &sum_[i], 8 * 8);
-          std::memmove(&count_[kept], &count_[i], 8 * 8);
-          std::memmove(&min_[kept], &min_[i], 8 * 8);
-          std::memmove(&max_[kept], &max_[i], 8 * 8);
-        }
-        kept += 8;
-      } else if (m != 0) {
-        for (uint32_t r = 0; r < 8; ++r) {
-          if (((m >> r) & 1) == 0) continue;
-          const size_t j = i + r;
-          if (kept != j) {
-            for (uint32_t d = 0; d < num_dims_; ++d) {
-              coords_[d][kept] = coords_[d][j];
-            }
-            sum_[kept] = sum_[j];
-            count_[kept] = count_[j];
-            min_[kept] = min_[j];
-            max_[kept] = max_[j];
-          }
-          ++kept;
-        }
-      }
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    bool in = true;
-    for (uint32_t d = 0; d < num_dims_; ++d) {
-      if (!sel[d].Contains(coords_[d][i])) {
-        in = false;
-        break;
-      }
-    }
-    if (!in) continue;
-    if (kept != i) {
-      for (uint32_t d = 0; d < num_dims_; ++d) {
-        coords_[d][kept] = coords_[d][i];
-      }
-      sum_[kept] = sum_[i];
-      count_[kept] = count_[i];
-      min_[kept] = min_[i];
-      max_[kept] = max_[i];
-    }
-    ++kept;
-  }
-  for (uint32_t d = 0; d < num_dims_; ++d) coords_[d].resize(kept);
-  sum_.resize(kept);
-  count_.resize(kept);
-  min_.resize(kept);
-  max_.resize(kept);
-  // A boundary filter can drop most of a chunk's rows, but resize() keeps
-  // the old allocations, so ByteSize() would keep billing the cache for
-  // the pre-filter footprint. Reallocate when at least a third of the
-  // slots (and a non-trivial number of bytes) would otherwise be dead.
-  const size_t row_bytes = num_dims_ * sizeof(uint32_t) + 32;
-  const size_t wasted = sum_.capacity() - kept;
-  if (wasted > kept / 2 && wasted * row_bytes >= 1024) ShrinkToFit();
 }
 
 namespace {

@@ -6,18 +6,17 @@
 #include <vector>
 
 #include "common/status.h"
-#include "schema/hierarchy.h"
 #include "storage/tuple.h"
 
 namespace chunkcache::storage {
 
 /// Columnar (structure-of-arrays) container for aggregate rows — the
-/// memory layout of chunk payloads. Where a std::vector<AggTuple> pads
-/// every row to kMaxDims coordinates, AggColumns keeps one contiguous
+/// layout chunks are computed and scanned in. Where a std::vector<AggTuple>
+/// pads every row to kMaxDims coordinates, AggColumns keeps one contiguous
 /// uint32_t column per *active* dimension plus contiguous SUM / COUNT /
-/// MIN / MAX measure columns, so per-chunk aggregation kernels and the
-/// boundary filter stream over flat arrays and the cache stops charging
-/// for unused coordinate slots.
+/// MIN / MAX measure columns, so per-chunk aggregation kernels stream over
+/// flat arrays. The cache keeps a chunk as a storage::ChunkPayload built
+/// from its columns.
 ///
 /// Row i is the tuple (coords(0)[i], ..., coords(n-1)[i], sum[i],
 /// count[i], min[i], max[i]). Rows have no inherent order; SortRowMajor
@@ -45,9 +44,6 @@ class AggColumns {
   /// Materializes row `i` (SoA -> AoS).
   AggTuple RowAt(size_t i) const;
 
-  /// Appends every row to `*out` (the cache-hit assembly path).
-  void AppendToRows(std::vector<AggTuple>* out) const;
-
   std::vector<AggTuple> ToRows() const;
   static AggColumns FromRows(const std::vector<AggTuple>& rows,
                              uint32_t num_dims);
@@ -66,24 +62,9 @@ class AggColumns {
   std::vector<double>* mutable_mins() { return &min_; }
   std::vector<double>* mutable_maxs() { return &max_; }
 
-  /// Heap footprint charged against cache budgets. Uses capacity(): the
-  /// allocator really holds capacity() slots per column.
-  uint64_t ByteSize() const;
-
-  /// Reallocates every column down to exactly size() slots. Called after
-  /// operations that shrink the row count (boundary filtering) so the
-  /// cache charge reflects what is kept, not what was scanned.
-  void ShrinkToFit();
-
   /// Sorts rows into row-major coordinate order (dimension 0 outermost) —
   /// the canonical order SortRows defines for row vectors.
   void SortRowMajor();
-
-  /// Keeps only rows whose coordinates fall inside `sel` on every active
-  /// dimension (the Section 5.2.3 boundary post-filter), compacting in
-  /// place.
-  void FilterToSelection(
-      const std::array<schema::OrdinalRange, kMaxDims>& sel);
 
   /// Flat little-endian serialization: header (num_dims, num_rows) then
   /// each coordinate column, then sum/count/min/max columns back to back.

@@ -1,0 +1,214 @@
+#ifndef CHUNKCACHE_STORAGE_CHUNK_PAYLOAD_H_
+#define CHUNKCACHE_STORAGE_CHUNK_PAYLOAD_H_
+
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "common/logging.h"
+#include "schema/hierarchy.h"
+#include "storage/agg_columns.h"
+#include "storage/tuple.h"
+
+namespace chunkcache::storage {
+
+/// A cached chunk's rows in one immutable allocation. In order, it holds
+///   - an 8-byte header: the form, num_dims and the row count;
+///   - the rows' bounding box: each dimension's first coordinate, then
+///     each dimension's width;
+///   - the coordinates, as a presence bitmap over the box whose set bits,
+///     in order, are the rows in canonical row-major order. A box with
+///     more than kMaxBitmapCellsPerRow cells per row (or rows out of
+///     canonical order) stores box-relative u32 coordinates, row by row,
+///     instead;
+///   - the SUM, COUNT, MIN and MAX columns. COUNT is 32-bit when every
+///     count fits, else 64-bit.
+/// Every section starts 8-byte aligned, and each section's size follows
+/// from the header and the box. A 4-dimension row costs 28 bytes plus its
+/// share of the bitmap, against AggColumns' 48 bytes and twelve vector
+/// headers per chunk; no step encodes or decodes it.
+///
+/// The blob form holds opaque bytes after its length in place of the box
+/// layout (the compressed tier's codec blob), with the num_dims and row
+/// count of the rows they encode. Rows are read only from the box forms.
+class ChunkPayload {
+ public:
+  enum class Form : uint8_t { kBitmap = 0, kSparse = 1, kBlob = 2 };
+
+  /// Boxes with more cells per row than this store sparse coordinates.
+  static constexpr uint64_t kMaxBitmapCellsPerRow = 32;
+
+  /// No allocation: zero dimensions and rows.
+  ChunkPayload() = default;
+
+  /// The payload of `cols`, row for row and bit for bit; ToColumns()
+  /// returns `cols` again.
+  explicit ChunkPayload(const AggColumns& cols);
+
+  /// The blob form: `len` opaque bytes standing for `rows` rows of
+  /// `num_dims` dimensions.
+  static ChunkPayload Blob(uint32_t num_dims, size_t rows,
+                           const uint8_t* data, size_t len);
+
+  Form form() const { return static_cast<Form>(header().form); }
+  bool blob() const { return form() == Form::kBlob; }
+  uint32_t num_dims() const { return header().num_dims; }
+  size_t size() const { return header().rows; }
+  bool empty() const { return size() == 0; }
+
+  /// Bytes of the one allocation (0 for a default-constructed payload).
+  uint64_t capacity_bytes() const;
+
+  /// The rows' bounding box on dimension `d` (box forms only): the first
+  /// coordinate and the number of coordinates it spans.
+  uint32_t box_begin(uint32_t d) const { return U32At(kHeaderBytes + 4 * d); }
+  uint32_t box_width(uint32_t d) const {
+    return U32At(kHeaderBytes + 4 * (num_dims() + d));
+  }
+
+  /// The measure columns of a box form, resolved once for a row loop.
+  struct Measures {
+    const unsigned char* sums = nullptr;
+    const unsigned char* counts = nullptr;
+    const unsigned char* mins = nullptr;
+    const unsigned char* maxs = nullptr;
+    bool wide_counts = false;
+
+    double sum(size_t i) const { return DoubleAt(sums, i); }
+    double min(size_t i) const { return DoubleAt(mins, i); }
+    double max(size_t i) const { return DoubleAt(maxs, i); }
+    uint64_t count(size_t i) const {
+      if (wide_counts) {
+        uint64_t v;
+        std::memcpy(&v, counts + 8 * i, 8);
+        return v;
+      }
+      uint32_t v;
+      std::memcpy(&v, counts + 4 * i, 4);
+      return v;
+    }
+
+   private:
+    static double DoubleAt(const unsigned char* column, size_t i) {
+      double v;
+      std::memcpy(&v, column + 8 * i, 8);
+      return v;
+    }
+  };
+  Measures measures() const;
+
+  /// The blob form's bytes.
+  const uint8_t* blob_data() const {
+    return data_.get() + kHeaderBytes + kBlobLenBytes;
+  }
+  size_t blob_size() const { return U32At(kHeaderBytes); }
+
+  /// Calls `fn(i, rel)` for every row i in order, where `rel` holds the
+  /// row's num_dims() box-relative coordinates (coordinate d is
+  /// box_begin(d) + rel[d]). Box forms only.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const;
+
+  /// Row `i`, given the box-relative coordinates ForEachRow passed for it.
+  AggTuple Row(size_t i, const uint32_t* rel) const;
+
+  /// Appends the rows whose coordinates fall inside `sel` on every
+  /// dimension (the boundary post-filter of §5.2.3). A box wholly inside
+  /// or outside the selection skips the per-row test.
+  void AppendRowsInside(
+      const std::array<schema::OrdinalRange, kMaxDims>& sel,
+      std::vector<AggTuple>* out) const;
+
+  /// The rows as columns, in stored order. Box forms only.
+  AggColumns ToColumns() const;
+
+ private:
+  /// The allocation's first 8 bytes.
+  struct Header {
+    uint8_t form = 0;
+    uint8_t num_dims = 0;
+    uint8_t wide_counts = 0;
+    uint8_t unused = 0;
+    uint32_t rows = 0;
+  };
+  static constexpr size_t kHeaderBytes = sizeof(Header);
+  static_assert(kHeaderBytes == 8);
+  static constexpr size_t kBlobLenBytes = 4;
+
+  static size_t RoundUp8(size_t n) { return (n + 7) / 8 * 8; }
+
+  Header header() const {
+    Header h;
+    if (data_ != nullptr) std::memcpy(&h, data_.get(), kHeaderBytes);
+    return h;
+  }
+  uint32_t U32At(size_t offset) const {
+    uint32_t v;
+    std::memcpy(&v, data_.get() + offset, 4);
+    return v;
+  }
+  /// Bytes of a box form's coordinate section.
+  size_t CoordBytes(const Header& h) const;
+  /// Offset of a box form's SUM column.
+  size_t SumsOffset(const Header& h) const {
+    return kHeaderBytes + 8 * size_t{h.num_dims} + CoordBytes(h);
+  }
+  static size_t CountBytes(const Header& h) {
+    return h.wide_counts != 0 ? 8 * size_t{h.rows}
+                              : RoundUp8(4 * size_t{h.rows});
+  }
+
+  std::unique_ptr<unsigned char[]> data_;
+};
+
+template <typename Fn>
+void ChunkPayload::ForEachRow(Fn&& fn) const {
+  const Header h = header();
+  CHUNKCACHE_DCHECK(static_cast<Form>(h.form) != Form::kBlob);
+  if (h.rows == 0) return;
+  const uint32_t nd = h.num_dims;
+  const unsigned char* coords = data_.get() + kHeaderBytes + 8 * size_t{nd};
+  if (static_cast<Form>(h.form) == Form::kSparse) {
+    uint32_t rel[kMaxDims];
+    for (size_t i = 0; i < h.rows; ++i) {
+      std::memcpy(rel, coords + 4 * nd * i, 4 * nd);
+      fn(i, static_cast<const uint32_t*>(rel));
+    }
+    return;
+  }
+  uint32_t width[kMaxDims];
+  for (uint32_t d = 0; d < nd; ++d) width[d] = box_width(d);
+  // An odometer over the box: moving to the next set bit adds the cell
+  // distance to the innermost coordinate and carries outwards, so a row
+  // costs a division only where it wraps a dimension.
+  uint32_t rel[kMaxDims] = {};
+  uint64_t at = 0;
+  size_t row = 0;
+  for (size_t w = 0; row < h.rows; ++w) {
+    uint64_t bits;
+    std::memcpy(&bits, coords + 8 * w, 8);
+    while (bits != 0) {
+      const uint64_t cell =
+          64 * w + static_cast<uint64_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      uint64_t carry = cell - at;
+      at = cell;
+      for (uint32_t d = nd; d-- > 0 && carry != 0;) {
+        const uint64_t v = rel[d] + carry;
+        if (v < width[d]) {
+          rel[d] = static_cast<uint32_t>(v);
+          break;
+        }
+        rel[d] = static_cast<uint32_t>(v % width[d]);
+        carry = v / width[d];
+      }
+      fn(row++, static_cast<const uint32_t*>(rel));
+    }
+  }
+}
+
+}  // namespace chunkcache::storage
+
+#endif  // CHUNKCACHE_STORAGE_CHUNK_PAYLOAD_H_

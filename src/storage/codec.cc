@@ -1016,7 +1016,11 @@ Status OpenBlob(const uint8_t* data, size_t len, const uint8_t** p,
 }  // namespace
 
 uint64_t RawPayloadBytes(const AggColumns& cols) {
-  return cols.size() * (cols.num_dims() * 4ull + 32ull);
+  return RawPayloadBytes(cols.num_dims(), cols.size());
+}
+
+uint64_t RawPayloadBytes(uint32_t num_dims, uint64_t rows) {
+  return rows * (num_dims * 4ull + 32ull);
 }
 
 void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,

@@ -92,6 +92,8 @@ Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
 /// Raw (uncompressed) byte size of the payload the blob encodes — the
 /// denominator of a compression ratio.
 uint64_t RawPayloadBytes(const AggColumns& cols);
+/// The same for `rows` rows of `num_dims` dimensions.
+uint64_t RawPayloadBytes(uint32_t num_dims, uint64_t rows);
 
 }  // namespace chunkcache::storage::codec
 

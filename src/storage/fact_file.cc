@@ -40,24 +40,48 @@ Result<FactFile> FactFile::Open(BufferPool* pool, uint32_t file_id) {
   return f;
 }
 
+Result<PageGuard> FactFile::PinAppendPage() {
+  const uint32_t page_no = PageOfRow(num_tuples_);
+  if (num_tuples_ % tuples_per_page_ != 0) {
+    return pool_->Fetch(PageId{file_id_, page_no});
+  }
+  // New data page needed.
+  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, pool_->Allocate(file_id_));
+  if (guard.id().page_no != page_no) {
+    return Status::Internal("FactFile: non-contiguous allocation");
+  }
+  return guard;
+}
+
 Result<RowId> FactFile::Append(const Tuple& t) {
   const RowId rid = num_tuples_;
-  const uint32_t page_no = PageOfRow(rid);
   const uint32_t slot = static_cast<uint32_t>(rid % tuples_per_page_);
-  PageGuard guard;
-  if (slot == 0) {
-    // New data page needed.
-    CHUNKCACHE_ASSIGN_OR_RETURN(guard, pool_->Allocate(file_id_));
-    if (guard.id().page_no != page_no) {
-      return Status::Internal("FactFile: non-contiguous allocation");
-    }
-  } else {
-    CHUNKCACHE_ASSIGN_OR_RETURN(guard, pool_->Fetch(PageId{file_id_, page_no}));
-  }
+  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, PinAppendPage());
   t.Serialize(desc_, guard.page()->data.data() + slot * desc_.RecordSize());
   guard.MarkDirty();
   ++num_tuples_;
   return rid;
+}
+
+Result<RowId> FactFile::AppendInOrder(const std::vector<Tuple>& tuples,
+                                      const std::vector<uint32_t>& order) {
+  const RowId first = num_tuples_;
+  const uint32_t record_size = desc_.RecordSize();
+  for (size_t i = 0; i < order.size();) {
+    const uint32_t slot =
+        static_cast<uint32_t>(num_tuples_ % tuples_per_page_);
+    CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, PinAppendPage());
+    const size_t n = std::min<size_t>(tuples_per_page_ - slot,
+                                      order.size() - i);
+    uint8_t* dst = guard.page()->data.data() + slot * record_size;
+    for (size_t k = 0; k < n; ++k, dst += record_size) {
+      tuples[order[i + k]].Serialize(desc_, dst);
+    }
+    guard.MarkDirty();
+    num_tuples_ += n;
+    i += n;
+  }
+  return first;
 }
 
 Status FactFile::Get(RowId rid, Tuple* out) {

@@ -39,6 +39,12 @@ class FactFile {
   /// pool, so bulk loads stay within the pool budget.
   Result<RowId> Append(const Tuple& t);
 
+  /// Appends `tuples[order[0]]`, `tuples[order[1]]`, ... in that order,
+  /// filling each page under one pin (the bulk-load path); returns the
+  /// RowId of the first.
+  Result<RowId> AppendInOrder(const std::vector<Tuple>& tuples,
+                              const std::vector<uint32_t>& order);
+
   /// Reads the tuple at `rid`.
   Status Get(RowId rid, Tuple* out);
 
@@ -85,6 +91,10 @@ class FactFile {
   FactFile(BufferPool* pool, uint32_t file_id, TupleDesc desc)
       : pool_(pool), file_id_(file_id), desc_(desc),
         tuples_per_page_(kPageSize / desc.RecordSize()) {}
+
+  /// Pins the page that row num_tuples_ goes to, allocating it when the
+  /// row starts a page.
+  Result<PageGuard> PinAppendPage();
 
   struct Header {
     uint64_t magic;

@@ -74,10 +74,6 @@ TEST(AggColumnsTest, RowConversionRoundTrip) {
     EXPECT_EQ(back[i].min_v, rows[i].min_v);
     EXPECT_EQ(back[i].max_v, rows[i].max_v);
   }
-  std::vector<AggTuple> appended;
-  cols.AppendToRows(&appended);
-  cols.AppendToRows(&appended);
-  EXPECT_EQ(appended.size(), 2 * rows.size());
 }
 
 TEST(AggColumnsTest, SerializationRoundTripAndCorruption) {
@@ -103,30 +99,13 @@ TEST(AggColumnsTest, SerializationRoundTripAndCorruption) {
   EXPECT_TRUE(*restored_empty == empty);
 }
 
-TEST(AggColumnsTest, SortAndFilterMatchRowHelpers) {
+TEST(AggColumnsTest, SortRowMajorMatchesSortRows) {
   std::vector<AggTuple> rows = SampleRows();
   AggColumns cols = AggColumns::FromRows(rows, 3);
 
   cols.SortRowMajor();
   SortRows(&rows, 3);
   EXPECT_TRUE(cols == AggColumns::FromRows(rows, 3));
-
-  std::array<OrdinalRange, storage::kMaxDims> sel{};
-  sel[0] = OrdinalRange{0, 4};
-  sel[1] = OrdinalRange{0, 5};
-  sel[2] = OrdinalRange{0, 7};
-  cols.FilterToSelection(sel);
-  const std::vector<AggTuple> kept = FilterRows(rows, 3, sel);
-  EXPECT_TRUE(cols == AggColumns::FromRows(kept, 3));
-}
-
-TEST(AggColumnsTest, ByteSizeTracksCapacity) {
-  AggColumns cols(2);
-  const uint64_t empty_size = cols.ByteSize();
-  cols.Reserve(128);
-  EXPECT_GE(cols.ByteSize(),
-            empty_size + 128 * (2 * sizeof(uint32_t) + 3 * sizeof(double) +
-                                sizeof(uint64_t)));
 }
 
 // ---------------------- dense == hash property testing ----------------------
@@ -458,42 +437,6 @@ TEST(SimdDispatchProperty, EmptyCellBoxAndSingleRow) {
   };
   ExpectColsBitIdentical(fold(simd::IsaLevel::kScalar),
                          fold(simd::IsaLevel::kAvx2));
-}
-
-TEST(SimdDispatchProperty, FilterToSelectionBitIdenticalScalarVsAvx2) {
-  if (simd::DetectedLevel() != simd::IsaLevel::kAvx2) {
-    GTEST_SKIP() << "no AVX2 on this host";
-  }
-  Random rng(77);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                   size_t{100}, size_t{1000}}) {
-    const uint32_t nd = 1 + static_cast<uint32_t>(rng.Uniform(4));
-    AggColumns cols(nd);
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t coords[storage::kMaxDims] = {};
-      for (uint32_t d = 0; d < nd; ++d) {
-        coords[d] = static_cast<uint32_t>(rng.Uniform(50));
-      }
-      cols.PushCell(coords, EdgeMeasure(&rng), rng.Uniform(100),
-                    EdgeMeasure(&rng), EdgeMeasure(&rng));
-    }
-    std::array<OrdinalRange, storage::kMaxDims> sel{};
-    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
-      const uint32_t lo = static_cast<uint32_t>(rng.Uniform(40));
-      sel[d] = OrdinalRange{lo, lo + static_cast<uint32_t>(rng.Uniform(20))};
-    }
-    AggColumns scalar_cols = cols;
-    AggColumns avx2_cols = cols;
-    {
-      simd::ScopedLevel pin(simd::IsaLevel::kScalar);
-      scalar_cols.FilterToSelection(sel);
-    }
-    {
-      simd::ScopedLevel pin(simd::IsaLevel::kAvx2);
-      avx2_cols.FilterToSelection(sel);
-    }
-    ExpectColsBitIdentical(scalar_cols, avx2_cols);
-  }
 }
 
 // --------------------------- columnar file layout ---------------------------

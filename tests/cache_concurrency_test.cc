@@ -41,12 +41,13 @@ CachedChunk MakeChunk(uint32_t gb, uint64_t chunk_num, size_t num_rows,
   c.group_by_id = gb;
   c.chunk_num = chunk_num;
   c.benefit = benefit;
-  c.cols = storage::AggColumns(2);
+  storage::AggColumns cols(2);
   for (size_t i = 0; i < num_rows; ++i) {
     const uint32_t coords[2] = {gb, static_cast<uint32_t>(chunk_num)};
-    c.cols.PushCell(coords, static_cast<double>(gb) * 1000 + chunk_num,
-                    i + 1, 0.0, 0.0);
+    cols.PushCell(coords, static_cast<double>(gb) * 1000 + chunk_num, i + 1,
+                  0.0, 0.0);
   }
+  c.payload = storage::ChunkPayload(cols);
   return c;
 }
 
@@ -67,8 +68,9 @@ bool RowsEqual(const std::vector<backend::ResultRow>& a,
 
 void ExpectChunkConsistent(const ChunkHandle& h) {
   ASSERT_NE(h, nullptr);
-  for (size_t i = 0; i < h->cols.size(); ++i) {
-    const AggTuple row = h->cols.RowAt(i);
+  const storage::AggColumns cols = h->payload.ToColumns();
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const AggTuple row = cols.RowAt(i);
     ASSERT_EQ(row.coords[0], h->group_by_id);
     ASSERT_EQ(row.coords[1], static_cast<uint32_t>(h->chunk_num));
     ASSERT_DOUBLE_EQ(row.sum,
@@ -188,15 +190,15 @@ TEST(CacheConcurrencyTest, HandleSurvivesEvictionUnderLookup) {
 
   // The pinned handle still reads the original data.
   ExpectChunkConsistent(pinned);
-  EXPECT_EQ(pinned->cols.size(), 8u);
+  EXPECT_EQ(pinned->rows(), 8u);
 
   // Replacing the same key mints a fresh object; the old pin is untouched.
   cache.Insert(MakeChunk(1, 7, 3));
   ChunkHandle fresh = cache.Lookup(1, 7, 0);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh.get(), pinned.get());
-  EXPECT_EQ(pinned->cols.size(), 8u);
-  EXPECT_EQ(fresh->cols.size(), 3u);
+  EXPECT_EQ(pinned->rows(), 8u);
+  EXPECT_EQ(fresh->rows(), 3u);
 }
 
 TEST(CacheConcurrencyTest, ReadersValidateWhileWriterEvicts) {

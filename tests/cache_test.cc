@@ -123,11 +123,12 @@ CachedChunk MakeChunk(uint32_t gb, uint64_t num, uint64_t filter,
   c.chunk_num = num;
   c.filter_hash = filter;
   c.benefit = benefit;
-  c.cols = storage::AggColumns(1);
+  storage::AggColumns cols(1);
   for (size_t i = 0; i < rows; ++i) {
     const uint32_t coord = static_cast<uint32_t>(i);
-    c.cols.PushCell(&coord, static_cast<double>(num), 1, 0.0, 0.0);
+    cols.PushCell(&coord, static_cast<double>(num), 1, 0.0, 0.0);
   }
+  c.payload = storage::ChunkPayload(cols);
   return c;
 }
 
@@ -137,8 +138,8 @@ TEST(ChunkCacheTest, InsertLookupMiss) {
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 10));
   const ChunkHandle hit = cache.Lookup(1, 5, 0);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cols.size(), 10u);
-  EXPECT_DOUBLE_EQ(hit->cols.sums()[0], 5.0);
+  EXPECT_EQ(hit->rows(), 10u);
+  EXPECT_DOUBLE_EQ(hit->payload.measures().sum(0), 5.0);
   EXPECT_EQ(cache.Lookup(1, 6, 0), nullptr);
   EXPECT_EQ(cache.Lookup(2, 5, 0), nullptr);
   EXPECT_EQ(cache.stats().lookups, 4u);
@@ -153,8 +154,8 @@ TEST(ChunkCacheTest, FilterHashIsolatesEntries) {
   const ChunkHandle filtered = cache.Lookup(1, 5, 777);
   ASSERT_NE(unfiltered, nullptr);
   ASSERT_NE(filtered, nullptr);
-  EXPECT_EQ(unfiltered->cols.size(), 4u);
-  EXPECT_EQ(filtered->cols.size(), 9u);
+  EXPECT_EQ(unfiltered->rows(), 4u);
+  EXPECT_EQ(filtered->rows(), 9u);
   EXPECT_EQ(cache.num_chunks(), 2u);
 }
 
@@ -163,7 +164,32 @@ TEST(ChunkCacheTest, ReinsertReplaces) {
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 4));
   cache.Insert(MakeChunk(1, 5, 0, 1.0, 8));
   EXPECT_EQ(cache.num_chunks(), 1u);
-  EXPECT_EQ(cache.Lookup(1, 5, 0)->cols.size(), 8u);
+  EXPECT_EQ(cache.Lookup(1, 5, 0)->rows(), 8u);
+}
+
+// A typical random-cold entry, 25 rows of a 4-dimension chunk in a
+// 100-cell box, is charged the struct plus its one allocation: at most
+// 900 B.
+TEST(ChunkCacheTest, PayloadEntryChargeIsStructPlusAllocation) {
+  storage::AggColumns cols(4);
+  for (uint32_t i = 0; i < 25; ++i) {
+    const uint32_t coords[4] = {10 + i / 5, 20 + i % 5, 30 + i % 2,
+                                40 + i / 2 % 2};
+    cols.PushCell(coords, i * 1.5, 1 + i, -1.0 * i, 2.0 * i);
+  }
+  ASSERT_EQ(cols.size(), 25u);
+  CachedChunk c;
+  c.payload = storage::ChunkPayload(cols);
+  ASSERT_EQ(c.payload.form(), storage::ChunkPayload::Form::kBitmap);
+  uint64_t box_cells = 1;
+  for (uint32_t d = 0; d < 4; ++d) box_cells *= c.payload.box_width(d);
+  EXPECT_EQ(box_cells, 100u);
+  EXPECT_EQ(c.ByteSize(), sizeof(CachedChunk) + c.payload.capacity_bytes());
+  EXPECT_LE(c.ByteSize(), 900u);
+  const uint64_t charge = c.ByteSize();
+  ChunkCache cache(1 << 20, "lru");
+  cache.Insert(std::move(c));
+  EXPECT_EQ(cache.bytes_used(), charge);
 }
 
 TEST(ChunkCacheTest, EvictsWhenOverBudget) {
@@ -226,24 +252,26 @@ TEST(ChunkCacheTest, ContainsDoesNotTouchStats) {
 
 // ------------------------------- DecodedCache -------------------------------
 
-/// A one-dimension payload of `rows` rows whose sums all equal `tag`, with
-/// capacity == size so ByteSize() is exact.
-std::shared_ptr<const storage::AggColumns> MakeDecoded(size_t rows,
-                                                       double tag) {
-  auto cols = std::make_shared<storage::AggColumns>(1);
-  cols->Reserve(rows);
+/// A one-dimension payload of `rows` rows whose sums all equal `tag`.
+std::shared_ptr<const storage::ChunkPayload> MakeDecoded(size_t rows,
+                                                         double tag) {
+  storage::AggColumns cols(1);
   for (size_t i = 0; i < rows; ++i) {
     const uint32_t coord = static_cast<uint32_t>(i);
-    cols->PushCell(&coord, tag, 1, tag, tag);
+    cols.PushCell(&coord, tag, 1, tag, tag);
   }
-  return cols;
+  return std::make_shared<const storage::ChunkPayload>(cols);
+}
+
+uint64_t Charge(const std::shared_ptr<const storage::ChunkPayload>& p) {
+  return DecodedCache::Charge(*p);
 }
 
 ChunkKey Key(uint64_t chunk_num) { return ChunkKey{1, chunk_num, 0}; }
 
 TEST(DecodedCacheTest, EvictsLeastRecentlyUsedWithinByteBudget) {
   MetricsRegistry registry;
-  const uint64_t entry_bytes = MakeDecoded(10, 0)->ByteSize();
+  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
   DecodedCache cache(3 * entry_bytes, &registry);
   for (uint64_t k = 0; k < 3; ++k) cache.Put(Key(k), MakeDecoded(10, k));
   ASSERT_NE(cache.Get(Key(0)), nullptr);  // recency now 0, 2, 1
@@ -254,7 +282,7 @@ TEST(DecodedCacheTest, EvictsLeastRecentlyUsedWithinByteBudget) {
   for (uint64_t k : {0, 3, 4}) {
     const auto hit = cache.Get(Key(k));
     ASSERT_NE(hit, nullptr) << "chunk " << k;
-    EXPECT_EQ(hit->sums()[0], static_cast<double>(k));
+    EXPECT_EQ(hit->measures().sum(0), static_cast<double>(k));
   }
   const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.counter("cache.decoded_lru_hits"), 4u);
@@ -265,7 +293,7 @@ TEST(DecodedCacheTest, EvictsLeastRecentlyUsedWithinByteBudget) {
 
 TEST(DecodedCacheTest, RePutRefreshesRecencyAndReplacesTheValue) {
   MetricsRegistry registry;
-  const uint64_t entry_bytes = MakeDecoded(10, 0)->ByteSize();
+  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
   DecodedCache cache(3 * entry_bytes, &registry);
   for (uint64_t k = 0; k < 3; ++k) cache.Put(Key(k), MakeDecoded(10, k));
   const auto fresh = MakeDecoded(10, 100);
@@ -281,11 +309,11 @@ TEST(DecodedCacheTest, RePutRefreshesRecencyAndReplacesTheValue) {
 
 TEST(DecodedCacheTest, PayloadLargerThanBudgetIsNotAdmitted) {
   MetricsRegistry registry;
-  const uint64_t entry_bytes = MakeDecoded(10, 0)->ByteSize();
+  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
   DecodedCache cache(2 * entry_bytes, &registry);
   cache.Put(Key(0), MakeDecoded(10, 0));
   const auto big = MakeDecoded(1000, 1);
-  ASSERT_GT(big->ByteSize(), 2 * entry_bytes);
+  ASSERT_GT(Charge(big), 2 * entry_bytes);
   cache.Put(Key(1), big);
   EXPECT_EQ(cache.Get(Key(1)), nullptr);
   EXPECT_NE(cache.Get(Key(0)), nullptr);  // nothing was evicted for it
@@ -299,7 +327,7 @@ TEST(DecodedCacheTest, ConcurrentGetPutKeepsEntriesAndCounters) {
   // Tier and server workers share the front; run under TSAN in CI.
   MetricsRegistry registry;
   constexpr uint64_t kKeys = 16;
-  const uint64_t budget = 4 * MakeDecoded(kKeys, 0)->ByteSize();
+  const uint64_t budget = 4 * Charge(MakeDecoded(kKeys, 0));
   DecodedCache cache(budget, &registry);
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
@@ -317,7 +345,7 @@ TEST(DecodedCacheTest, ConcurrentGetPutKeepsEntriesAndCounters) {
           hits.fetch_add(1);
           // Each key only ever holds its own payload.
           const double tag = static_cast<double>(k);
-          if (hit->size() != k + 1 || hit->sums()[0] != tag) wrong.fetch_add(1);
+          if (hit->size() != k + 1 || hit->measures().sum(0) != tag) wrong.fetch_add(1);
         }
       }
     });

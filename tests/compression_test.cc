@@ -1,6 +1,5 @@
-// Compression subsystem tests that cut across layers: the FilterToSelection
-// capacity fix, AggColumns::Deserialize hardening against corrupt input,
-// and the end-to-end ablation — enable_compression on == off must be
+// Compression subsystem tests that cut across layers: AggColumns::
+// Deserialize hardening against corrupt input, and the end-to-end ablation — enable_compression on == off must be
 // bit-identical while the compressed tier holds more chunks per byte —
 // plus scalar == AVX2 dispatch through the whole tier.
 
@@ -28,7 +27,6 @@ using backend::StarJoinQuery;
 using core::ChunkCacheManager;
 using core::ChunkManagerOptions;
 using core::QueryStats;
-using schema::OrdinalRange;
 using storage::AggColumns;
 using storage::Tuple;
 
@@ -43,36 +41,6 @@ AggColumns MakeAgg(uint32_t num_dims, size_t rows, uint32_t seed = 11) {
     cols.PushCell(c.data(), sum, 1 + rng() % 8, sum - 1, sum + 1);
   }
   return cols;
-}
-
-// ------------------------- FilterToSelection charge -------------------------
-
-TEST(FilterToSelectionCharge, SharplyFilteredColumnsShrink) {
-  // A big chunk filtered down to a sliver used to keep its full capacity —
-  // the cache then charged ~N slots for ~N/100 rows. The filter must
-  // release the dead capacity so ByteSize reflects what is kept.
-  AggColumns cols = MakeAgg(/*num_dims=*/4, /*rows=*/50000);
-  const uint64_t before = cols.ByteSize();
-  std::array<OrdinalRange, storage::kMaxDims> sel{};
-  for (auto& r : sel) r = OrdinalRange{0, 7};  // keeps ~ (8/32)^4 of rows
-  cols.FilterToSelection(sel);
-  ASSERT_GT(cols.size(), 0u) << "selection kept nothing; widen the range";
-  ASSERT_LT(cols.size(), 5000u);
-  const uint64_t after = cols.ByteSize();
-  EXPECT_LT(after, before / 4)
-      << "charged bytes did not drop with the row count";
-}
-
-TEST(FilterToSelectionCharge, MildFilterSkipsRealloc) {
-  // A filter that keeps nearly everything must not pay a reallocation:
-  // capacity (and thus the charge) may stay where it was.
-  AggColumns cols = MakeAgg(/*num_dims=*/2, /*rows=*/10000);
-  std::array<OrdinalRange, storage::kMaxDims> sel{};
-  for (auto& r : sel) r = OrdinalRange{0, 31};  // keeps everything
-  const uint64_t before = cols.ByteSize();
-  cols.FilterToSelection(sel);
-  EXPECT_EQ(cols.size(), 10000u);
-  EXPECT_EQ(cols.ByteSize(), before);
 }
 
 // ------------------------- Deserialize hardening ----------------------------

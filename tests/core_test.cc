@@ -60,6 +60,11 @@ class CoreFixture : public ::testing::Test {
                                                        file_.get(),
                                                        scheme_.get());
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
+    // Start cold, as System::ResetBackend does: the 4,096 frames would
+    // otherwise still hold the whole table from the load, and no query
+    // would read a page.
+    ASSERT_TRUE(pool_->FlushAll().ok());
+    ASSERT_TRUE(pool_->EvictAll().ok());
   }
 
   /// The shared reference oracle over this fixture's tuples.
@@ -136,7 +141,7 @@ class CoreFixture : public ::testing::Test {
       c.chunk_num = data.chunk_num;
       c.filter_hash = ChunkCacheManager::FilterHash(preds);
       c.benefit = scheme_->ChunkBenefit(spec);
-      c.cols = data.cols;
+      c.payload = storage::ChunkPayload(data.cols);
       cache->Insert(std::move(c));
       out.emplace(data.chunk_num, std::move(data.cols));
     }
@@ -167,8 +172,10 @@ TEST_F(CoreFixture, ChunkManagerAnswersCorrectly) {
   EXPECT_EQ(stats.chunks_from_backend, stats.chunks_needed);
   EXPECT_FALSE(stats.full_cache_hit);
   EXPECT_DOUBLE_EQ(stats.saved_fraction, 0.0);
-  // modeled_ms is the paper's cost model over this query's backend work.
+  // modeled_ms is the paper's cost model over this query's backend work,
+  // and a cold pool makes that work read pages.
   EXPECT_GT(stats.backend_work.tuples_processed, 0u);
+  EXPECT_GT(stats.backend_work.pages_read, 0u);
   EXPECT_DOUBLE_EQ(stats.modeled_ms,
                    CostModel().Cost(stats.backend_work.pages_read,
                                     stats.backend_work.pages_written,
@@ -411,8 +418,12 @@ TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
     mgr.chunk_cache().SetEventSink(&log);
     cache::CachedChunk big;
     big.filter_hash = 99;
-    big.encoded = std::vector<uint8_t>(mgr.chunk_cache().capacity_bytes() -
-                                       big.ByteSize());
+    // A blob of what is left of the budget once the struct and the blob
+    // form's header and length (16 bytes with padding) are paid.
+    const std::vector<uint8_t> fill(
+        (mgr.chunk_cache().capacity_bytes() - big.ByteSize() - 16) / 8 * 8);
+    big.payload = storage::ChunkPayload::Blob(4, 0, fill.data(), fill.size());
+    EXPECT_LE(big.ByteSize(), mgr.chunk_cache().capacity_bytes());
     mgr.chunk_cache().Insert(std::move(big));
     mgr.chunk_cache().SetEventSink(nullptr);
     return log.evicted;
@@ -536,7 +547,8 @@ TEST_P(RollupReferenceTest, RolledUpChunksMatchReferenceBitForBit) {
       cache::ChunkHandle h =
           mgr.chunk_cache().Lookup(target_id, t, filter_hash);
       ASSERT_NE(h, nullptr) << "seed " << seed << " chunk " << t;
-      EXPECT_TRUE(h->cols == cols) << "seed " << seed << " chunk " << t;
+      EXPECT_TRUE(h->payload.ToColumns() == cols)
+          << "seed " << seed << " chunk " << t;
     }
   }
 }

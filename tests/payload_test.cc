@@ -1,0 +1,303 @@
+// storage::ChunkPayload, the cache's one-allocation chunk layout: random
+// canonical AggColumns round-trip through it bit for bit in both
+// coordinate forms, the boundary filter keeps what FilterRows keeps, and
+// the roll-up fold over a payload equals the fold over its columns.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <vector>
+
+#include "backend/aggregator.h"
+#include "chunks/chunking_scheme.h"
+#include "common/random.h"
+#include "schema/synthetic.h"
+#include "storage/agg_columns.h"
+#include "storage/chunk_payload.h"
+
+namespace chunkcache::storage {
+namespace {
+
+using schema::OrdinalRange;
+
+/// Doubles that exercise every bit a copy could disturb: NaNs with
+/// payloads (quiet and signalling), signed zeros, infinities, subnormals.
+double EdgeDouble(Random* rng) {
+  const auto bits = [](uint64_t b) {
+    double d;
+    std::memcpy(&d, &b, 8);
+    return d;
+  };
+  switch (rng->Uniform(12)) {
+    case 0:
+      return bits(0x7FF8000000000000ULL | rng->Uniform(1ULL << 51));
+    case 1:
+      return bits(0xFFF0000000000001ULL + rng->Uniform(1ULL << 50));
+    case 2:
+      return std::numeric_limits<double>::infinity();
+    case 3:
+      return -std::numeric_limits<double>::infinity();
+    case 4:
+      return 0.0;
+    case 5:
+      return -0.0;
+    case 6:
+      return std::numeric_limits<double>::denorm_min();
+    case 7:
+      return bits(0x800FFFFFFFFFFFFFULL);  // largest negative subnormal
+    default:
+      return rng->NextDouble() * 2000.0 - 1000.0;
+  }
+}
+
+uint64_t EdgeCount(Random* rng, bool wide) {
+  if (wide && rng->Uniform(4) == 0) {
+    return rng->Uniform(2) == 0 ? (1ULL << 32)
+                                : std::numeric_limits<uint64_t>::max();
+  }
+  return rng->Uniform(3) == 0 ? std::numeric_limits<uint32_t>::max()
+                              : 1 + rng->Uniform(1000);
+}
+
+/// `n` distinct cells of a box with `widths` starting at `begins`, in
+/// canonical row-major order. The box's product must not overflow.
+AggColumns RandomCanonical(Random* rng, uint32_t nd, size_t n,
+                           const std::array<uint32_t, kMaxDims>& begins,
+                           const std::array<uint32_t, kMaxDims>& widths,
+                           bool wide_counts) {
+  uint64_t cells = 1;
+  for (uint32_t d = 0; d < nd; ++d) cells *= widths[d];
+  std::set<uint64_t> picked;
+  while (picked.size() < n) picked.insert(rng->Uniform(cells));
+  AggColumns cols(nd);
+  for (uint64_t cell : picked) {
+    uint32_t coords[kMaxDims];
+    for (uint32_t d = nd; d-- > 0;) {
+      coords[d] = begins[d] + static_cast<uint32_t>(cell % widths[d]);
+      cell /= widths[d];
+    }
+    cols.PushCell(coords, EdgeDouble(rng), EdgeCount(rng, wide_counts),
+                  EdgeDouble(rng), EdgeDouble(rng));
+  }
+  return cols;
+}
+
+bool BitsEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), 8 * a.size()) == 0);
+}
+
+void ExpectBitIdentical(const AggColumns& want, const AggColumns& got) {
+  ASSERT_EQ(got.num_dims(), want.num_dims());
+  ASSERT_EQ(got.size(), want.size());
+  for (uint32_t d = 0; d < want.num_dims(); ++d) {
+    EXPECT_EQ(got.coords(d), want.coords(d)) << "dim " << d;
+  }
+  EXPECT_TRUE(BitsEqual(got.sums(), want.sums()));
+  EXPECT_EQ(got.counts(), want.counts());
+  EXPECT_TRUE(BitsEqual(got.mins(), want.mins()));
+  EXPECT_TRUE(BitsEqual(got.maxs(), want.maxs()));
+}
+
+uint64_t Cells(const ChunkPayload& p) {
+  uint64_t cells = 1;
+  for (uint32_t d = 0; d < p.num_dims(); ++d) cells *= p.box_width(d);
+  return cells;
+}
+
+TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
+  Random rng(2024);
+  size_t forms[2] = {0, 0};
+  for (int iter = 0; iter < 600; ++iter) {
+    const uint32_t nd = 1 + static_cast<uint32_t>(rng.Uniform(kMaxDims));
+    const size_t n = iter % 10 == 0 ? 0
+                     : iter % 10 == 1 ? 1
+                                      : 2 + rng.Uniform(60);
+    // Dense boxes (a few cells per row) and sparse ones (far more than
+    // kMaxBitmapCellsPerRow per row) in turn.
+    const bool sparse = rng.Uniform(2) == 0;
+    std::array<uint32_t, kMaxDims> begins{};
+    std::array<uint32_t, kMaxDims> widths{};
+    uint64_t cells = 1;
+    for (uint32_t d = 0; d < nd; ++d) {
+      begins[d] = static_cast<uint32_t>(
+          rng.Uniform(2) == 0 ? rng.Uniform(1000)
+                              : std::numeric_limits<uint32_t>::max() -
+                                    rng.Uniform(1u << 20));
+      const uint64_t room = std::numeric_limits<uint32_t>::max() -
+                            uint64_t{begins[d]} + 1;
+      uint64_t w = sparse ? 1 + rng.Uniform(4000) : 1 + rng.Uniform(4);
+      w = std::min(w, room);
+      if (cells * w > (1ULL << 40)) w = 1;
+      widths[d] = static_cast<uint32_t>(w);
+      cells *= w;
+    }
+    const size_t rows = static_cast<size_t>(std::min<uint64_t>(n, cells));
+    const AggColumns cols = RandomCanonical(&rng, nd, rows, begins, widths,
+                                            /*wide_counts=*/iter % 3 == 0);
+    const ChunkPayload p(cols);
+    ASSERT_EQ(p.num_dims(), nd);
+    ASSERT_EQ(p.size(), rows);
+    EXPECT_FALSE(p.blob());
+    if (rows != 0) {
+      const bool bitmap =
+          Cells(p) <= ChunkPayload::kMaxBitmapCellsPerRow * rows;
+      EXPECT_EQ(p.form(), bitmap ? ChunkPayload::Form::kBitmap
+                                 : ChunkPayload::Form::kSparse);
+      ++forms[bitmap ? 0 : 1];
+    }
+    const bool wide = std::any_of(
+        cols.counts().begin(), cols.counts().end(),
+        [](uint64_t c) { return c > std::numeric_limits<uint32_t>::max(); });
+    EXPECT_EQ(p.measures().wide_counts, wide);
+    ExpectBitIdentical(cols, p.ToColumns());
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ(p.measures().count(i), cols.counts()[i]);
+    }
+  }
+  EXPECT_GT(forms[0], 100u);
+  EXPECT_GT(forms[1], 100u);
+}
+
+TEST(ChunkPayloadProperty, CountsPastU32AreWide) {
+  AggColumns cols(2);
+  const uint32_t a[2] = {3, 4};
+  const uint32_t b[2] = {3, 5};
+  cols.PushCell(a, 1.0, std::numeric_limits<uint32_t>::max(), 1.0, 1.0);
+  EXPECT_FALSE(ChunkPayload(cols).measures().wide_counts);
+  cols.PushCell(b, 2.0, 1ULL << 32, 2.0, 2.0);
+  const ChunkPayload p(cols);
+  EXPECT_TRUE(p.measures().wide_counts);
+  EXPECT_EQ(p.measures().count(1), 1ULL << 32);
+  ExpectBitIdentical(cols, p.ToColumns());
+}
+
+TEST(ChunkPayloadProperty, RowsOutOfOrderKeepTheirOrderInSparseForm) {
+  // Duplicate and descending coordinates cannot be a bitmap.
+  AggColumns cols(2);
+  const uint32_t hi[2] = {9, 9};
+  const uint32_t lo[2] = {8, 8};
+  cols.PushCell(hi, 1.0, 1, 1.0, 1.0);
+  cols.PushCell(lo, 2.0, 2, 2.0, 2.0);
+  cols.PushCell(lo, 3.0, 3, 3.0, 3.0);
+  const ChunkPayload p(cols);
+  EXPECT_EQ(p.form(), ChunkPayload::Form::kSparse);
+  ExpectBitIdentical(cols, p.ToColumns());
+}
+
+TEST(ChunkPayloadProperty, BlobFormKeepsItsBytes) {
+  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const ChunkPayload p =
+      ChunkPayload::Blob(4, 37, bytes.data(), bytes.size());
+  EXPECT_TRUE(p.blob());
+  EXPECT_EQ(p.num_dims(), 4u);
+  EXPECT_EQ(p.size(), 37u);
+  ASSERT_EQ(p.blob_size(), bytes.size());
+  EXPECT_EQ(std::memcmp(p.blob_data(), bytes.data(), bytes.size()), 0);
+  // An 8-byte header, the 4-byte length and 11 bytes, padded to words.
+  EXPECT_EQ(p.capacity_bytes(), 24u);
+}
+
+TEST(ChunkPayloadProperty, AppendRowsInsideMatchesFilterRows) {
+  Random rng(77);
+  for (int iter = 0; iter < 300; ++iter) {
+    const uint32_t nd = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    std::array<uint32_t, kMaxDims> begins{};
+    std::array<uint32_t, kMaxDims> widths{};
+    uint64_t cells = 1;
+    for (uint32_t d = 0; d < nd; ++d) {
+      begins[d] = static_cast<uint32_t>(rng.Uniform(50));
+      widths[d] = 1 + static_cast<uint32_t>(rng.Uniform(iter % 2 ? 6 : 80));
+      cells *= widths[d];
+    }
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(rng.Uniform(40), cells));
+    const AggColumns cols =
+        RandomCanonical(&rng, nd, n, begins, widths, /*wide_counts=*/false);
+    std::array<OrdinalRange, kMaxDims> sel{};
+    for (uint32_t d = 0; d < kMaxDims; ++d) {
+      const uint32_t lo = static_cast<uint32_t>(rng.Uniform(120));
+      sel[d] = OrdinalRange{lo, lo + static_cast<uint32_t>(rng.Uniform(80))};
+      if (rng.Uniform(4) == 0) sel[d] = OrdinalRange{0, 1000};
+    }
+    std::vector<AggTuple> got;
+    ChunkPayload(cols).AppendRowsInside(sel, &got);
+    const std::vector<AggTuple> want =
+        backend::FilterRows(cols.ToRows(), nd, sel);
+    ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].coords, want[i].coords);
+      EXPECT_EQ(std::memcmp(&got[i].sum, &want[i].sum, 8), 0);
+      EXPECT_EQ(got[i].count, want[i].count);
+      EXPECT_EQ(std::memcmp(&got[i].min_v, &want[i].min_v, 8), 0);
+      EXPECT_EQ(std::memcmp(&got[i].max_v, &want[i].max_v, 8), 0);
+    }
+  }
+}
+
+// The roll-up fold reads payloads; it must equal the columnar fold of the
+// same rows bit for bit, dense and hash kernels alike.
+TEST(ChunkPayloadProperty, PayloadFoldEqualsColumnFold) {
+  auto s = schema::BuildPaperSchema();
+  ASSERT_TRUE(s.ok());
+  const schema::StarSchema schema = std::move(s).value();
+  chunks::ChunkingOptions copts;
+  copts.range_fraction = 0.2;
+  auto built = chunks::ChunkingScheme::Build(&schema, copts, 20000);
+  ASSERT_TRUE(built.ok());
+  const chunks::ChunkingScheme scheme = std::move(built).value();
+  Random rng(5);
+  chunks::GroupBySpec finest{};
+  finest.num_dims = schema.num_dims();
+  for (uint32_t d = 0; d < finest.num_dims; ++d) {
+    finest.levels[d] = schema.dimension(d).hierarchy.depth();
+  }
+  chunks::GroupBySpec coarse = finest;
+  for (uint32_t d = 0; d < coarse.num_dims; ++d) coarse.levels[d] = 1;
+  uint64_t folded[2] = {0, 0};
+  for (uint64_t dense_limit : {uint64_t{1} << 30, uint64_t{0}}) {
+    for (int iter = 0; iter < 100; ++iter) {
+      const uint64_t target_chunk =
+          rng.Uniform(scheme.GridFor(coarse).num_chunks());
+      auto box = scheme.SourceBox(coarse, target_chunk, finest);
+      ASSERT_TRUE(box.ok());
+      std::vector<AggColumns> sources;
+      box->ForEach(scheme.GridFor(finest),
+                   [&](uint64_t num, const chunks::ChunkCoords&) {
+                     const auto extent = scheme.ChunkExtent(finest, num);
+                     std::array<uint32_t, kMaxDims> begins{};
+                     std::array<uint32_t, kMaxDims> widths{};
+                     uint64_t cells = 1;
+                     for (uint32_t d = 0; d < finest.num_dims; ++d) {
+                       begins[d] = extent[d].begin;
+                       widths[d] = extent[d].size();
+                       cells *= widths[d];
+                     }
+                     const size_t n = static_cast<size_t>(
+                         std::min<uint64_t>(rng.Uniform(60), cells));
+                     sources.push_back(RandomCanonical(
+                         &rng, finest.num_dims, n, begins, widths, false));
+                   });
+      backend::ChunkAggregator by_cols(&scheme, coarse, target_chunk,
+                                       dense_limit);
+      backend::ChunkAggregator by_payload(&scheme, coarse, target_chunk,
+                                          dense_limit);
+      for (const AggColumns& c : sources) {
+        by_cols.AddAggColumns(c, finest);
+        by_payload.AddPayload(ChunkPayload(c), finest);
+      }
+      EXPECT_EQ(by_cols.rows_consumed(), by_payload.rows_consumed());
+      folded[by_payload.dense() ? 0 : 1] += by_payload.rows_consumed();
+      ExpectBitIdentical(by_cols.TakeColumns(), by_payload.TakeColumns());
+    }
+  }
+  EXPECT_GT(folded[0], 1000u);  // dense kernel
+  EXPECT_GT(folded[1], 1000u);  // hash fallback
+}
+
+}  // namespace
+}  // namespace chunkcache::storage

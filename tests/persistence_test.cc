@@ -32,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -521,6 +522,56 @@ TEST_F(PersistenceFixture, WarmRestartBitIdenticalCompressed) {
                  PersistOpts(dir.path, /*compression=*/true));
 }
 
+// The cache holds payloads, but a snapshot keeps the blob format every
+// snapshot has used: each entry's blob is EncodeAggColumns of the very
+// columns the backend computed and the cache admitted.
+TEST_F(PersistenceFixture, SnapshotBlobIsEncodeOfAdmittedColumns) {
+  const auto queries = MakeQueries(16, 37);
+  // The columns each chunk was admitted from, recomputed by the backend
+  // (deterministic), keyed like the cache.
+  std::map<std::tuple<uint32_t, uint64_t, uint64_t>, storage::AggColumns>
+      admitted;
+  for (const StarJoinQuery& q : queries) {
+    std::vector<uint64_t> nums;
+    scheme_->BoxForSelection(q.group_by, q.selection)
+        .ForEach(scheme_->GridFor(q.group_by),
+                 [&](uint64_t n, const chunks::ChunkCoords&) {
+                   nums.push_back(n);
+                 });
+    WorkCounters work;
+    auto data =
+        engine_->ComputeChunks(q.group_by, nums, q.non_group_by, &work);
+    ASSERT_TRUE(data.ok());
+    for (backend::ChunkData& c : *data) {
+      admitted[{scheme_->GroupById(q.group_by), c.chunk_num,
+                ChunkCacheManager::FilterHash(q.non_group_by)}] =
+          std::move(c.cols);
+    }
+  }
+  ScratchDir dir;
+  {
+    ChunkCacheManager mgr(engine_.get(), PersistOpts(dir.path));
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+    EXPECT_EQ(mgr.chunk_cache().num_chunks(), admitted.size());
+  }  // clean shutdown: final snapshot written
+  auto p = OpenOrDie(dir.path);
+  RecoveryStats rec = p->TakeRecovery();
+  ASSERT_EQ(rec.entries.size(), admitted.size());
+  for (const PersistedChunk& e : rec.entries) {
+    const auto it =
+        admitted.find({e.group_by_id, e.chunk_num, e.filter_hash});
+    ASSERT_NE(it, admitted.end()) << "chunk " << e.chunk_num;
+    std::vector<uint8_t> want;
+    storage::codec::EncodeAggColumns(it->second, &want);
+    EXPECT_EQ(e.blob, want) << "chunk " << e.chunk_num;
+    EXPECT_EQ(e.rows, it->second.size());
+    EXPECT_EQ(e.raw_bytes, storage::codec::RawPayloadBytes(it->second));
+  }
+}
+
 // A compressed-tier run can be recovered by a raw-tier manager and vice
 // versa: the durable blob is the self-contained codec format either way.
 TEST_F(PersistenceFixture, CrossTierRestartBitIdentical) {
@@ -702,8 +753,9 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversFromSnapshot) {
       c.filter_hash = h->filter_hash;
       c.benefit = h->benefit;
       c.rows = static_cast<uint32_t>(h->rows());
-      c.raw_bytes = storage::codec::RawPayloadBytes(h->cols);
-      storage::codec::EncodeAggColumns(h->cols, &c.blob);
+      const storage::AggColumns cols = h->payload.ToColumns();
+      c.raw_bytes = storage::codec::RawPayloadBytes(cols);
+      storage::codec::EncodeAggColumns(cols, &c.blob);
       chunks.push_back(std::move(c));
     });
   }

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -219,6 +221,41 @@ TEST(WireTest, RowBatchAndHashRoundTrip) {
   std::vector<backend::ResultRow> sink;
   EXPECT_FALSE(
       wire::DecodeRowBatch(bytes.data(), bytes.size() - 1, &sink).ok());
+}
+
+// The row-batch bytes are the documented layout: a u32 count, then per
+// row eight u32 coordinates and SUM, COUNT, MIN, MAX as little-endian
+// 8-byte fields, whatever way the codec copies them.
+TEST(WireTest, RowBatchBytesAreLittleEndianFields) {
+  std::vector<backend::ResultRow> rows(3);
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
+      rows[i].coords[d] = 0x01020304u * (i + 1) + d;
+    }
+    rows[i].sum = -1.25e300 * (i + 1);
+    rows[i].count = 0x0102030405060708ULL + i;
+    rows[i].min_v = -0.0;
+    rows[i].max_v = std::numeric_limits<double>::denorm_min() * (i + 1);
+  }
+  std::vector<uint8_t> want;
+  PutU32(&want, 2);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
+      PutU32(&want, rows[i].coords[d]);
+    }
+    PutF64(&want, rows[i].sum);
+    PutU64(&want, rows[i].count);
+    PutF64(&want, rows[i].min_v);
+    PutF64(&want, rows[i].max_v);
+  }
+  std::vector<uint8_t> got = {0xAB};  // the batch appends after this byte
+  wire::EncodeRowBatch(rows, 1, 2, &got);
+  ASSERT_EQ(got.size(), 1 + want.size());
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1));
+  std::vector<backend::ResultRow> back = {rows[0]};
+  ASSERT_TRUE(wire::DecodeRowBatch(want.data(), want.size(), &back).ok());
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(wire::HashRows(back), wire::HashRows(rows));
 }
 
 TEST(WireTest, ErrorRoundTripsStatusCode) {

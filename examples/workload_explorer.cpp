@@ -1,7 +1,9 @@
 // Workload explorer: runs a configurable synthetic query stream against
 // the three middle tiers (chunk cache / query cache / no cache) and prints
 // a comparison — a command-line version of the paper's Section 6
-// experiments for trying out parameters.
+// experiments for trying out parameters. After the chunk tier's run it
+// prints a census of what its cache holds: entries, the bytes charged per
+// entry against cache_mb, rows per entry and the heap grown per entry.
 //
 //   $ ./workload_explorer [stream] [queries] [cache_mb] [policy] [tuples]
 //     stream  : random | eqpr | proximity   (default eqpr)
@@ -15,6 +17,10 @@
 #include <cstring>
 #include <memory>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
 #include "core/chunk_cache_manager.h"
@@ -26,6 +32,36 @@
 #include "workload/query_generator.h"
 
 using namespace chunkcache;
+
+namespace {
+
+/// Heap bytes in use, where the allocator reports them (0 elsewhere).
+uint64_t HeapInUse() {
+#if defined(__GLIBC__)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+/// One line on what `cache` holds; `heap_grown` is the heap growth since
+/// the cache was empty.
+void PrintCensus(const cache::ChunkCache& cache, uint64_t heap_grown) {
+  uint64_t entries = 0, charged = 0, rows = 0;
+  cache.ForEachEntry([&](const cache::ChunkHandle& h) {
+    ++entries;
+    charged += h->ByteSize();
+    rows += h->rows();
+  });
+  const double n = entries == 0 ? 1.0 : static_cast<double>(entries);
+  std::printf(
+      "chunk cache: %llu entries, %.1f B/entry charged, %.1f rows/entry, "
+      "%.1f B/entry heap\n\n",
+      (unsigned long long)entries, static_cast<double>(charged) / n,
+      static_cast<double>(rows) / n, static_cast<double>(heap_grown) / n);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const char* stream = argc > 1 ? argv[1] : "eqpr";
@@ -104,7 +140,11 @@ int main(int argc, char** argv) {
     opts.cache_bytes = cache_mb << 20;
     opts.policy = policy;
     core::ChunkCacheManager tier(&engine, opts);
+    const uint64_t heap_before = HeapInUse();
     if (report(&tier) != 0) return 1;
+    const uint64_t heap_after = HeapInUse();
+    PrintCensus(tier.chunk_cache(),
+                heap_after > heap_before ? heap_after - heap_before : 0);
   }
   {
     core::QueryManagerOptions opts;

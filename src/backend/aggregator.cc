@@ -553,8 +553,8 @@ void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
     hier[d] = &scheme_->schema().dimension(d).hierarchy;
     begin[d] = payload.box_begin(d);
   }
-  const storage::ChunkPayload::Measures m = payload.measures();
-  payload.ForEachRow([&](size_t i, const uint32_t* rel) {
+  payload.ForEachRow([&](const uint32_t* rel,
+                         const storage::ChunkPayload::Measures& m) {
     uint64_t off = 0;
     for (uint32_t d = 0; d < nd; ++d) {
       const uint32_t c = hier[d]->AncestorAt(src.levels[d], begin[d] + rel[d],
@@ -563,10 +563,10 @@ void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
     }
     CHUNKCACHE_DCHECK(off < num_cells_);
     Cell& c = cells_[off];
-    c.sum += m.sum(i);
-    c.count += m.count(i);
-    const double lo = m.min(i);
-    const double hi = m.max(i);
+    c.sum += m.sum();
+    c.count += m.count;
+    const double lo = m.min();
+    const double hi = m.max();
     if (lo < c.min) c.min = lo;
     if (hi > c.max) c.max = hi;
   });
@@ -685,9 +685,10 @@ void ChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
     dense_->AddPayload(payload, src);
     return;
   }
-  payload.ForEachRow([&](size_t i, const uint32_t* rel) {
-    hash_->AddAgg(payload.Row(i, rel), src);
-  });
+  payload.ForEachRow(
+      [&](const uint32_t* rel, const storage::ChunkPayload::Measures& m) {
+        hash_->AddAgg(payload.Row(rel, m), src);
+      });
 }
 
 AggColumns ChunkAggregator::TakeColumns() {

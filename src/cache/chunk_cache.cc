@@ -1,5 +1,6 @@
 #include "cache/chunk_cache.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/fault_injector.h"
@@ -57,11 +58,11 @@ ChunkHandle ChunkCache::Lookup(uint32_t group_by_id, uint64_t chunk_num,
   Shard& s = ShardFor(key);
   auto lock = LockShard(s);
   s.lookups->Increment();
-  auto it = s.by_key.find(key);
-  if (it == s.by_key.end()) return nullptr;
+  auto it = s.entries.find(key);
+  if (it == s.entries.end()) return nullptr;
   s.hits->Increment();
-  s.policy->OnAccess(it->second);
-  return s.by_handle.at(it->second);
+  s.policy->OnAccess(&it->second);
+  return it->second.chunk;
 }
 
 bool ChunkCache::Contains(uint32_t group_by_id, uint64_t chunk_num,
@@ -69,7 +70,7 @@ bool ChunkCache::Contains(uint32_t group_by_id, uint64_t chunk_num,
   const Key key{group_by_id, chunk_num, filter_hash};
   Shard& s = ShardFor(key);
   auto lock = LockShard(s);
-  return s.by_key.find(key) != s.by_key.end();
+  return s.entries.find(key) != s.entries.end();
 }
 
 std::vector<uint64_t> ChunkCache::GroupByCounts(
@@ -77,27 +78,21 @@ std::vector<uint64_t> ChunkCache::GroupByCounts(
   std::vector<uint64_t> counts(num_group_by_ids, 0);
   for (const auto& shard : shards_) {
     auto lock = LockShard(*shard);
-    for (const auto& [gb, n] : shard->per_group_by) {
-      if (gb < num_group_by_ids) counts[gb] += n;
-    }
+    const size_t n = std::min<size_t>(num_group_by_ids,
+                                      shard->per_group_by.size());
+    for (size_t gb = 0; gb < n; ++gb) counts[gb] += shard->per_group_by[gb];
   }
   return counts;
 }
 
-void ChunkCache::EraseLocked(Shard& s, uint64_t handle) {
-  auto it = s.by_handle.find(handle);
-  CHUNKCACHE_DCHECK(it != s.by_handle.end());
-  const CachedChunk& chunk = *it->second;
+void ChunkCache::EraseLocked(Shard& s, Map::iterator it) {
+  const CachedChunk& chunk = *it->second.chunk;
   s.bytes_used -= chunk.ByteSize();
-  auto pg = s.per_group_by.find(chunk.group_by_id);
-  if (pg != s.per_group_by.end() && --pg->second == 0) {
-    s.per_group_by.erase(pg);
-  }
-  s.by_key.erase(Key{chunk.group_by_id, chunk.chunk_num, chunk.filter_hash});
-  s.policy->OnErase(handle);
+  --s.per_group_by[chunk.group_by_id];
+  s.policy->OnErase(&it->second);
   // Outstanding ChunkHandles keep the data alive; this only drops the
   // cache's own reference.
-  s.by_handle.erase(it);
+  s.entries.erase(it);
 }
 
 void ChunkCache::Insert(CachedChunk chunk) {
@@ -131,28 +126,31 @@ void ChunkCache::Insert(std::shared_ptr<CachedChunk> chunk) {
     }
     // Replace an existing entry for the same key. Not reported as an
     // eviction to the sink: the admit event that follows overwrites it.
-    auto existing = s.by_key.find(key);
-    if (existing != s.by_key.end()) EraseLocked(s, existing->second);
+    auto existing = s.entries.find(key);
+    if (existing != s.entries.end()) EraseLocked(s, existing);
 
     // Evict until the newcomer fits.
     while (s.bytes_used + bytes > s.capacity_bytes) {
-      auto victim = s.policy->PickVictim(benefit);
-      if (!victim) break;  // empty shard; nothing to evict
-      const CachedChunk& v = *s.by_handle.at(*victim);
-      evicted.push_back(Key{v.group_by_id, v.chunk_num, v.filter_hash});
-      EraseLocked(s, *victim);
+      ReplacementNode* victim = s.policy->PickVictim(benefit);
+      if (victim == nullptr) break;  // empty shard; nothing to evict
+      const CachedChunk& v = *static_cast<ChunkCacheEntry*>(victim)->chunk;
+      const Key victim_key{v.group_by_id, v.chunk_num, v.filter_hash};
+      evicted.push_back(victim_key);
+      EraseLocked(s, s.entries.find(victim_key));
       evictions_->Increment();
     }
     if (s.bytes_used + bytes > s.capacity_bytes) {
       rejected_->Increment();
     } else {
-      const uint64_t handle = s.next_handle++;
-      s.policy->OnInsert(handle, benefit);
-      s.per_group_by[chunk->group_by_id]++;
-      s.by_key[key] = handle;
+      ChunkCacheEntry& entry = s.entries[key];
+      s.policy->OnInsert(&entry, benefit);
+      if (chunk->group_by_id >= s.per_group_by.size()) {
+        s.per_group_by.resize(chunk->group_by_id + 1, 0);
+      }
+      ++s.per_group_by[chunk->group_by_id];
       s.bytes_used += bytes;
       admitted = chunk;
-      s.by_handle.emplace(handle, std::move(chunk));
+      entry.chunk = std::move(chunk);
       insertions_->Increment();
     }
   }
@@ -168,15 +166,11 @@ void ChunkCache::Clear() {
   for (const auto& shard : shards_) {
     {
       auto lock = LockShard(*shard);
-      for (const auto& [handle, chunk] : shard->by_handle) {
-        shard->policy->OnErase(handle);
-        if (sink != nullptr) {
-          evicted.push_back(
-              Key{chunk->group_by_id, chunk->chunk_num, chunk->filter_hash});
-        }
+      for (auto& [key, entry] : shard->entries) {
+        shard->policy->OnErase(&entry);
+        if (sink != nullptr) evicted.push_back(key);
       }
-      shard->by_handle.clear();
-      shard->by_key.clear();
+      shard->entries.clear();
       shard->per_group_by.clear();
       shard->bytes_used = 0;
     }
@@ -193,9 +187,9 @@ void ChunkCache::ForEachEntry(
     pinned.clear();
     {
       auto lock = LockShard(*shard);
-      pinned.reserve(shard->by_handle.size());
-      for (const auto& [handle, chunk] : shard->by_handle) {
-        pinned.push_back(chunk);
+      pinned.reserve(shard->entries.size());
+      for (const auto& [key, entry] : shard->entries) {
+        pinned.push_back(entry.chunk);
       }
     }
     for (const ChunkHandle& h : pinned) fn(h);
@@ -215,7 +209,7 @@ size_t ChunkCache::num_chunks() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     auto lock = LockShard(*shard);
-    total += shard->by_key.size();
+    total += shard->entries.size();
   }
   return total;
 }
@@ -233,7 +227,7 @@ ChunkCacheStats ChunkCache::stats() const {
     per.hits = shard->hits->Value();
     {
       auto lock = LockShard(*shard);
-      per.chunks = shard->by_key.size();
+      per.chunks = shard->entries.size();
       per.bytes_used = shard->bytes_used;
     }
     out.lookups += per.lookups;

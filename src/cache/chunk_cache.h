@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/replacement.h"
@@ -39,11 +40,9 @@ struct CachedChunk {
   bool compressed() const { return payload.blob(); }
   size_t rows() const { return payload.size(); }
 
-  /// Footprint charged against the cache budget: the struct plus the
-  /// payload allocation's full capacity.
-  uint64_t ByteSize() const {
-    return sizeof(CachedChunk) + payload.capacity_bytes();
-  }
+  /// Footprint charged against the cache budget: kChunkEntryBytes plus
+  /// the payload allocation's full capacity.
+  uint64_t ByteSize() const;
 };
 
 /// An owning, pinned reference to a cached chunk. The referenced data stays
@@ -63,6 +62,26 @@ struct ChunkKey {
            a.filter_hash == b.filter_hash;
   }
 };
+
+/// A shard's map value for one cached chunk: the replacement policy's
+/// node, embedded so the policy keeps no index of its own, and the cache's
+/// reference to the chunk.
+struct ChunkCacheEntry : ReplacementNode {
+  std::shared_ptr<CachedChunk> chunk;
+};
+
+/// What the cache spends on an entry beside its payload: the make_shared
+/// block (a 16-byte control block and the CachedChunk) and the shard
+/// map's node (its next link, the key and ChunkCacheEntry, the cached
+/// hash) with one bucket slot.
+inline constexpr uint64_t kChunkEntryBytes =
+    16 + sizeof(CachedChunk) + sizeof(void*) +
+    sizeof(std::pair<const ChunkKey, ChunkCacheEntry>) + sizeof(size_t) +
+    sizeof(void*);
+
+inline uint64_t CachedChunk::ByteSize() const {
+  return kChunkEntryBytes + payload.capacity_bytes();
+}
 
 struct ChunkKeyHash {
   // Full-avalanche finalizer (murmur3 fmix64): consecutive chunk numbers
@@ -136,8 +155,8 @@ struct ChunkCacheStats {
   // when enable_compression is on; zero otherwise.
   uint64_t compressed_chunks = 0;   ///< Entries admitted in encoded form.
   uint64_t compression_skipped = 0;  ///< Entries where encoding didn't pay.
-  uint64_t codec_raw_bytes = 0;      ///< Raw payload bytes before encoding.
-  uint64_t codec_encoded_bytes = 0;  ///< Encoded payload bytes produced.
+  uint64_t codec_raw_bytes = 0;      ///< Payload bytes blobs replaced.
+  uint64_t codec_encoded_bytes = 0;  ///< Bytes of the blobs kept.
   uint64_t decode_calls = 0;         ///< Hits that had to decode.
   uint64_t decoded_lru_hits = 0;     ///< Hits served by the decoded front.
   uint64_t decoded_lru_evictions = 0;
@@ -241,9 +260,9 @@ class ChunkCache {
   MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Cached-chunk count (any filter) of every group-by id below
-  /// `num_group_by_ids`, indexed by id, taking each shard lock once. The
-  /// in-cache aggregation planner reads it once per query to skip source
-  /// group-bys that cannot cover a source box.
+  /// `num_group_by_ids`, indexed by id, taking each shard lock once to add
+  /// its flat per-id counts. The in-cache aggregation planner reads it once
+  /// per query to skip source group-bys that cannot cover a source box.
   std::vector<uint64_t> GroupByCounts(uint32_t num_group_by_ids) const;
 
   /// Attaches (or with nullptr detaches) an admission/eviction observer.
@@ -265,15 +284,14 @@ class ChunkCache {
  private:
   using Key = ChunkKey;
   using KeyHash = ChunkKeyHash;
+  using Map = std::unordered_map<Key, ChunkCacheEntry, KeyHash>;
 
   struct Shard {
     mutable std::mutex mu;
     std::unique_ptr<ReplacementPolicy> policy;
     uint64_t capacity_bytes = 0;
-    uint64_t next_handle = 1;
-    std::unordered_map<Key, uint64_t, KeyHash> by_key;  // key -> handle
-    std::unordered_map<uint64_t, std::shared_ptr<CachedChunk>> by_handle;
-    std::unordered_map<uint32_t, uint64_t> per_group_by;  // gb -> count
+    Map entries;
+    std::vector<uint64_t> per_group_by;  // group-by id -> cached chunks
     uint64_t bytes_used = 0;
     // Registry-backed counters ("cache.shard<i>.*"), cached at
     // construction so the hot path never touches the registry lock.
@@ -292,8 +310,8 @@ class ChunkCache {
   /// "cache.lock_wait_ns" histogram.
   std::unique_lock<std::mutex> LockShard(const Shard& s) const;
 
-  /// Removes `handle` from `s`. Caller holds s.mu.
-  void EraseLocked(Shard& s, uint64_t handle);
+  /// Removes the entry `it` points at from `s`. Caller holds s.mu.
+  void EraseLocked(Shard& s, Map::iterator it);
 
   uint64_t capacity_bytes_;
   std::vector<std::unique_ptr<Shard>> shards_;

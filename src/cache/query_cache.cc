@@ -51,11 +51,11 @@ const CachedQuery* QueryCache::FindContaining(const StarJoinQuery& q) {
   if (bucket == by_group_by_.end()) return nullptr;
   for (uint64_t handle : bucket->second) {
     ++stats_.containment_checks;
-    const CachedQuery& cached = by_handle_.at(handle);
-    if (QueryContains(cached.query, q)) {
+    Entry& e = by_handle_.at(handle);
+    if (QueryContains(e.cached.query, q)) {
       ++stats_.hits;
-      policy_->OnAccess(handle);
-      return &cached;
+      policy_->OnAccess(&e);
+      return &e.cached;
     }
   }
   return nullptr;
@@ -64,14 +64,14 @@ const CachedQuery* QueryCache::FindContaining(const StarJoinQuery& q) {
 void QueryCache::Erase(uint64_t handle) {
   auto it = by_handle_.find(handle);
   CHUNKCACHE_DCHECK(it != by_handle_.end());
-  bytes_used_ -= it->second.ByteSize();
-  auto bucket = by_group_by_.find(GroupByHash(it->second.query));
+  bytes_used_ -= it->second.cached.ByteSize();
+  auto bucket = by_group_by_.find(GroupByHash(it->second.cached.query));
   if (bucket != by_group_by_.end()) {
     auto& v = bucket->second;
     v.erase(std::remove(v.begin(), v.end(), handle), v.end());
     if (v.empty()) by_group_by_.erase(bucket);
   }
-  policy_->OnErase(handle);
+  policy_->OnErase(&it->second);
   by_handle_.erase(it);
 }
 
@@ -85,16 +85,16 @@ void QueryCache::Insert(CachedQuery entry) {
   auto bucket = by_group_by_.find(GroupByHash(entry.query));
   if (bucket != by_group_by_.end()) {
     for (uint64_t handle : bucket->second) {
-      if (by_handle_.at(handle).query == entry.query) {
+      if (by_handle_.at(handle).cached.query == entry.query) {
         Erase(handle);
         break;
       }
     }
   }
   while (bytes_used_ + bytes > capacity_bytes_) {
-    auto victim = policy_->PickVictim(entry.benefit);
-    if (!victim) break;
-    Erase(*victim);
+    ReplacementNode* victim = policy_->PickVictim(entry.benefit);
+    if (victim == nullptr) break;
+    Erase(static_cast<Entry*>(victim)->handle);
     ++stats_.evictions;
   }
   if (bytes_used_ + bytes > capacity_bytes_) {
@@ -102,15 +102,17 @@ void QueryCache::Insert(CachedQuery entry) {
     return;
   }
   const uint64_t handle = next_handle_++;
-  policy_->OnInsert(handle, entry.benefit);
   by_group_by_[GroupByHash(entry.query)].push_back(handle);
   bytes_used_ += bytes;
-  by_handle_.emplace(handle, std::move(entry));
+  Entry& e = by_handle_[handle];
+  e.handle = handle;
+  policy_->OnInsert(&e, entry.benefit);
+  e.cached = std::move(entry);
   ++stats_.insertions;
 }
 
 void QueryCache::Clear() {
-  for (const auto& [handle, entry] : by_handle_) policy_->OnErase(handle);
+  for (auto& [handle, entry] : by_handle_) policy_->OnErase(&entry);
   by_handle_.clear();
   by_group_by_.clear();
   bytes_used_ = 0;

@@ -69,12 +69,19 @@ class QueryCache {
   void ResetStats() { stats_ = QueryCacheStats(); }
 
  private:
+  /// A cached query with its replacement node; ByteSize() charges only
+  /// the CachedQuery.
+  struct Entry : ReplacementNode {
+    uint64_t handle = 0;
+    CachedQuery cached;
+  };
+
   void Erase(uint64_t handle);
 
   uint64_t capacity_bytes_;
   std::unique_ptr<ReplacementPolicy> policy_;
   uint64_t next_handle_ = 1;
-  std::unordered_map<uint64_t, CachedQuery> by_handle_;
+  std::unordered_map<uint64_t, Entry> by_handle_;
   // group-by id is not interned here (the cache is schema-agnostic), so we
   // bucket candidates by a hash of the group-by levels.
   std::unordered_map<uint64_t, std::vector<uint64_t>> by_group_by_;

@@ -7,118 +7,123 @@
 
 namespace chunkcache::cache {
 
+// ------------------------------- The list ----------------------------------
+
+void ReplacementPolicy::LinkBeforeHead(ReplacementNode* node) {
+  if (head_ == nullptr) {
+    node->prev = node;
+    node->next = node;
+    head_ = node;
+  } else {
+    node->prev = head_->prev;
+    node->next = head_;
+    head_->prev->next = node;
+    head_->prev = node;
+  }
+  ++size_;
+}
+
+void ReplacementPolicy::Unlink(ReplacementNode* node) {
+  CHUNKCACHE_DCHECK(size_ != 0 && node->next != nullptr);
+  if (node->next == node) {
+    head_ = nullptr;
+  } else {
+    node->prev->next = node->next;
+    node->next->prev = node->prev;
+    if (head_ == node) head_ = node->next;
+  }
+  node->prev = nullptr;
+  node->next = nullptr;
+  --size_;
+}
+
 // ----------------------------------- LRU ------------------------------------
 
-void LruPolicy::OnInsert(uint64_t handle, double /*benefit*/) {
-  CHUNKCACHE_DCHECK(map_.find(handle) == map_.end());
-  order_.push_front(handle);
-  map_[handle] = order_.begin();
+void LruPolicy::OnInsert(ReplacementNode* node, double /*benefit*/) {
+  LinkBeforeHead(node);
+  head_ = node;
 }
 
-void LruPolicy::OnAccess(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  order_.splice(order_.begin(), order_, it->second);
+void LruPolicy::OnAccess(ReplacementNode* node) {
+  if (node == head_) return;
+  Unlink(node);
+  LinkBeforeHead(node);
+  head_ = node;
 }
 
-void LruPolicy::OnErase(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  order_.erase(it->second);
-  map_.erase(it);
-}
-
-std::optional<uint64_t> LruPolicy::PickVictim(double /*incoming_benefit*/) {
-  if (order_.empty()) return std::nullopt;
-  return order_.back();
+ReplacementNode* LruPolicy::PickVictim(double /*incoming_benefit*/) {
+  return head_ == nullptr ? nullptr : head_->prev;
 }
 
 // --------------------------------- ClockBase --------------------------------
 
-void ClockBase::OnInsert(uint64_t handle, double benefit) {
-  CHUNKCACHE_DCHECK(map_.find(handle) == map_.end());
+void ClockBase::OnInsert(ReplacementNode* node, double benefit) {
   // Just behind the arm, so the new entry is examined last in the current
-  // sweep. With the arm at end() (= begin()) that is the back of the list.
-  map_[handle] = ring_.insert(arm_, Slot{handle, benefit, benefit});
+  // sweep.
+  node->weight = benefit;
+  node->benefit = benefit;
+  LinkBeforeHead(node);
 }
 
-void ClockBase::OnErase(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  if (arm_ == it->second) ++arm_;
-  ring_.erase(it->second);
-  map_.erase(it);
-}
-
-ClockBase::Slot* ClockBase::Advance() {
-  if (ring_.empty()) return nullptr;
-  if (arm_ == ring_.end()) arm_ = ring_.begin();
-  Slot* slot = &*arm_;
-  ++arm_;
-  return slot;
+ReplacementNode* ClockBase::Advance() {
+  ReplacementNode* node = head_;
+  if (node != nullptr) head_ = node->next;
+  return node;
 }
 
 // ----------------------------------- CLOCK ----------------------------------
 
-void ClockPolicy::OnInsert(uint64_t handle, double /*benefit*/) {
-  ClockBase::OnInsert(handle, /*benefit=*/1.0);  // reference bit set
+void ClockPolicy::OnInsert(ReplacementNode* node, double /*benefit*/) {
+  ClockBase::OnInsert(node, /*benefit=*/1.0);  // reference bit set
 }
 
-void ClockPolicy::OnAccess(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  it->second->weight = 1.0;
-}
+void ClockPolicy::OnAccess(ReplacementNode* node) { node->weight = 1.0; }
 
-std::optional<uint64_t> ClockPolicy::PickVictim(double /*incoming*/) {
+ReplacementNode* ClockPolicy::PickVictim(double /*incoming*/) {
   // Classic second chance: clear reference bits until an unreferenced
   // entry comes under the arm. Bounded by live entries (never reached in
   // practice: one full sweep clears every bit).
-  for (size_t steps = 0; steps < 2 * map_.size() + 1; ++steps) {
-    Slot* s = Advance();
-    if (s == nullptr) return std::nullopt;
-    if (s->weight > 0) {
-      s->weight = 0;
+  for (size_t steps = 0; steps < 2 * size_ + 1; ++steps) {
+    ReplacementNode* n = Advance();
+    if (n == nullptr) return nullptr;
+    if (n->weight > 0) {
+      n->weight = 0;
     } else {
-      return s->handle;
+      return n;
     }
   }
-  return std::nullopt;  // unreachable with live entries
+  return nullptr;  // unreachable with live entries
 }
 
 // ------------------------------- Benefit CLOCK -------------------------------
 
-void BenefitClockPolicy::OnAccess(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
+void BenefitClockPolicy::OnAccess(ReplacementNode* node) {
   // "The weight is reset to its initial benefit value whenever the chunk is
   // reaccessed."
-  it->second->weight = it->second->benefit;
+  node->weight = node->benefit;
 }
 
-std::optional<uint64_t> BenefitClockPolicy::PickVictim(
-    double incoming_benefit) {
-  if (map_.empty()) return std::nullopt;
+ReplacementNode* BenefitClockPolicy::PickVictim(double incoming_benefit) {
+  if (size_ == 0) return nullptr;
   if (incoming_benefit <= 0) incoming_benefit = 1.0;
   // Sweep, decrementing weights by the incoming chunk's benefit; an entry
   // whose weight was already exhausted is the victim. The sweep is bounded:
   // if no weight drains within a few cycles (a stream of tiny chunks
   // hitting a cache of expensive ones), evict the minimum-weight entry seen
   // rather than spinning.
-  const size_t max_steps = 4 * map_.size() + 4;
-  std::optional<uint64_t> min_handle;
+  const size_t max_steps = 4 * size_ + 4;
+  ReplacementNode* min_node = nullptr;
   double min_weight = 0;
   for (size_t steps = 0; steps < max_steps; ++steps) {
-    Slot* s = Advance();
-    if (s == nullptr) return std::nullopt;
-    if (s->weight <= 0) return s->handle;
-    if (!min_handle || s->weight < min_weight) {
-      min_handle = s->handle;
-      min_weight = s->weight;
+    ReplacementNode* n = Advance();
+    if (n->weight <= 0) return n;
+    if (min_node == nullptr || n->weight < min_weight) {
+      min_node = n;
+      min_weight = n->weight;
     }
-    s->weight -= incoming_benefit;
+    n->weight -= incoming_benefit;
   }
-  return min_handle;
+  return min_node;
 }
 
 // ---------------------------------- Factory ---------------------------------

@@ -78,7 +78,8 @@ SemanticRegionCache::Probe SemanticRegionCache::Decompose(
   if (bucket != by_group_.end()) {
     for (uint64_t handle : bucket->second) {
       if (remainder.empty()) break;
-      const SemanticRegion& region = by_handle_.at(handle);
+      Entry& e = by_handle_.at(handle);
+      const SemanticRegion& region = e.region;
       ++stats_.intersection_tests;
       if (!(region.group_by == query.group_by)) continue;
       if (region.non_group_by != query.non_group_by) continue;
@@ -98,7 +99,7 @@ SemanticRegionCache::Probe SemanticRegionCache::Decompose(
         }
       }
       if (used) {
-        policy_->OnAccess(handle);
+        policy_->OnAccess(&e);
         ++stats_.regions_used;
       }
       remainder = std::move(next);
@@ -117,14 +118,14 @@ SemanticRegionCache::Probe SemanticRegionCache::Decompose(
 void SemanticRegionCache::Erase(uint64_t handle) {
   auto it = by_handle_.find(handle);
   CHUNKCACHE_DCHECK(it != by_handle_.end());
-  bytes_used_ -= it->second.ByteSize();
-  auto bucket = by_group_.find(GroupKey(it->second.group_by));
+  bytes_used_ -= it->second.region.ByteSize();
+  auto bucket = by_group_.find(GroupKey(it->second.region.group_by));
   if (bucket != by_group_.end()) {
     auto& v = bucket->second;
     v.erase(std::remove(v.begin(), v.end(), handle), v.end());
     if (v.empty()) by_group_.erase(bucket);
   }
-  policy_->OnErase(handle);
+  policy_->OnErase(&it->second);
   by_handle_.erase(it);
 }
 
@@ -135,9 +136,9 @@ void SemanticRegionCache::Insert(SemanticRegion region) {
     return;
   }
   while (bytes_used_ + bytes > capacity_bytes_) {
-    auto victim = policy_->PickVictim(region.benefit);
-    if (!victim) break;
-    Erase(*victim);
+    ReplacementNode* victim = policy_->PickVictim(region.benefit);
+    if (victim == nullptr) break;
+    Erase(static_cast<Entry*>(victim)->handle);
     ++stats_.evictions;
   }
   if (bytes_used_ + bytes > capacity_bytes_) {
@@ -145,15 +146,17 @@ void SemanticRegionCache::Insert(SemanticRegion region) {
     return;
   }
   const uint64_t handle = next_handle_++;
-  policy_->OnInsert(handle, region.benefit);
   by_group_[GroupKey(region.group_by)].push_back(handle);
   bytes_used_ += bytes;
-  by_handle_.emplace(handle, std::move(region));
+  Entry& e = by_handle_[handle];
+  e.handle = handle;
+  policy_->OnInsert(&e, region.benefit);
+  e.region = std::move(region);
   ++stats_.insertions;
 }
 
 void SemanticRegionCache::Clear() {
-  for (const auto& [handle, region] : by_handle_) policy_->OnErase(handle);
+  for (auto& [handle, entry] : by_handle_) policy_->OnErase(&entry);
   by_handle_.clear();
   by_group_.clear();
   bytes_used_ = 0;

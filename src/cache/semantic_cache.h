@@ -108,13 +108,20 @@ class SemanticRegionCache {
   const SemanticCacheStats& stats() const { return stats_; }
 
  private:
+  /// A cached region with its replacement node; ByteSize() charges only
+  /// the SemanticRegion.
+  struct Entry : ReplacementNode {
+    uint64_t handle = 0;
+    SemanticRegion region;
+  };
+
   static uint64_t GroupKey(const chunks::GroupBySpec& spec);
   void Erase(uint64_t handle);
 
   uint64_t capacity_bytes_;
   std::unique_ptr<ReplacementPolicy> policy_;
   uint64_t next_handle_ = 1;
-  std::unordered_map<uint64_t, SemanticRegion> by_handle_;
+  std::unordered_map<uint64_t, Entry> by_handle_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> by_group_;
   uint64_t bytes_used_ = 0;
   SemanticCacheStats stats_;

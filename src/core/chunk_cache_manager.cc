@@ -264,6 +264,11 @@ void ChunkCacheManager::RefreshMetrics() const {
   // record which kernel family produced this process's numbers.
   metrics_->GetGauge("simd.level")
       ->Set(static_cast<int64_t>(simd::ActiveLevel()));
+  // The chunk tier's memory: entries and the bytes charged for them.
+  metrics_->GetGauge("cache.entries")
+      ->Set(static_cast<int64_t>(cache_.num_chunks()));
+  metrics_->GetGauge("cache.bytes_used")
+      ->Set(static_cast<int64_t>(cache_.bytes_used()));
 }
 
 cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
@@ -323,8 +328,6 @@ ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
-  codec_raw_bytes_->Add(codec::RawPayloadBytes(cols));
-  codec_encoded_bytes_->Add(blob.size());
   for (size_t c = 0; c < codec::kNumCodecs; ++c) {
     if (cs.columns[c] == 0) continue;
     codec_col_raw_[c]->Add(cs.raw_bytes[c]);
@@ -339,6 +342,9 @@ ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry,
     compression_skipped_->Increment();
     return nullptr;
   }
+  // The ratio reads against what the cache would otherwise hold.
+  codec_raw_bytes_->Add(entry->payload.capacity_bytes());
+  codec_encoded_bytes_->Add(encoded.capacity_bytes());
   auto dec = std::make_shared<const storage::ChunkPayload>(
       std::move(entry->payload));
   entry->payload = std::move(encoded);

@@ -1,9 +1,14 @@
 #include "storage/chunk_payload.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace chunkcache::storage {
+
+// A COUNT is stored as its low count_bytes() bytes.
+static_assert(std::endian::native == std::endian::little,
+              "ChunkPayload stores narrowed counts little-endian");
 
 namespace {
 
@@ -24,6 +29,24 @@ bool StrictlyRowMajor(const AggColumns& cols) {
     if (!after) return false;
   }
   return true;
+}
+
+/// True when a row keeps one value: a COUNT of 1 and SUM, MIN and MAX of
+/// one bit pattern (so +0 against -0, or two NaN payloads, stay general).
+bool Singleton(double sum, uint64_t count, double min, double max) {
+  uint64_t s, lo, hi;
+  std::memcpy(&s, &sum, 8);
+  std::memcpy(&lo, &min, 8);
+  std::memcpy(&hi, &max, 8);
+  return count == 1 && s == lo && s == hi;
+}
+
+/// The narrowest of 1, 2, 4 and 8 bytes that holds `c`.
+uint8_t CountWidth(uint64_t c) {
+  if (c <= std::numeric_limits<uint8_t>::max()) return 1;
+  if (c <= std::numeric_limits<uint16_t>::max()) return 2;
+  if (c <= std::numeric_limits<uint32_t>::max()) return 4;
+  return 8;
 }
 
 }  // namespace
@@ -50,23 +73,34 @@ ChunkPayload::ChunkPayload(const AggColumns& cols) {
   }
   const bool bitmap =
       cells <= kMaxBitmapCellsPerRow * n && StrictlyRowMajor(cols);
-  const bool wide = std::any_of(
-      cols.counts().begin(), cols.counts().end(),
-      [](uint64_t c) { return c > std::numeric_limits<uint32_t>::max(); });
+
+  // Row classes, and the COUNT width of the general rows.
+  const auto singleton = [&cols](size_t i) {
+    return Singleton(cols.sums()[i], cols.counts()[i], cols.mins()[i],
+                     cols.maxs()[i]);
+  };
+  size_t singletons = 0;
+  uint64_t max_count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (singleton(i)) {
+      ++singletons;
+    } else {
+      max_count = std::max(max_count, cols.counts()[i]);
+    }
+  }
 
   Header h;
   h.form = static_cast<uint8_t>(bitmap ? Form::kBitmap : Form::kSparse);
   h.num_dims = static_cast<uint8_t>(nd);
-  h.wide_counts = wide ? 1 : 0;
+  h.count_bytes = CountWidth(max_count);
   h.rows = static_cast<uint32_t>(n);
   const size_t coord_bytes =
       bitmap ? (cells + 63) / 64 * 8 : RoundUp8(size_t{4} * nd * n);
-  const size_t sums_at = kHeaderBytes + 8 * size_t{nd} + coord_bytes;
-  const size_t total = sums_at + 24 * n + CountBytes(h);
+  const Layout l = BoxLayout(h, coord_bytes, singletons);
 
-  data_.reset(new unsigned char[total]);
+  data_.reset(new unsigned char[l.total]);
   unsigned char* p = data_.get();
-  std::memset(p, 0, total);  // bitmap words and section padding
+  std::memset(p, 0, l.total);  // bitmap words, class bits and padding
   std::memcpy(p, &h, kHeaderBytes);
   std::memcpy(p + kHeaderBytes, begin.data(), 4 * nd);
   std::memcpy(p + kHeaderBytes + 4 * nd, width.data(), 4 * nd);
@@ -99,22 +133,20 @@ ChunkPayload::ChunkPayload(const AggColumns& cols) {
     }
   }
 
-  unsigned char* sums = p + sums_at;
-  unsigned char* counts = sums + 8 * n;
-  unsigned char* mins = counts + CountBytes(h);
-  unsigned char* maxs = mins + 8 * n;
-  if (n != 0) {
-    std::memcpy(sums, cols.sums().data(), 8 * n);
-    std::memcpy(mins, cols.mins().data(), 8 * n);
-    std::memcpy(maxs, cols.maxs().data(), 8 * n);
-    if (wide) {
-      std::memcpy(counts, cols.counts().data(), 8 * n);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t c = static_cast<uint32_t>(cols.counts()[i]);
-        std::memcpy(counts + 4 * i, &c, 4);
-      }
+  size_t single = 0;
+  size_t g = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (singleton(i)) {
+      p[l.classes + i / 8] |= static_cast<unsigned char>(1u << (i % 8));
+      std::memcpy(p + l.values + 8 * single++, &cols.sums()[i], 8);
+      continue;
     }
+    const uint64_t c = cols.counts()[i];
+    std::memcpy(p + l.counts + h.count_bytes * g, &c, h.count_bytes);
+    std::memcpy(p + l.sums + 8 * g, &cols.sums()[i], 8);
+    std::memcpy(p + l.sums + 8 * (l.general + g), &cols.mins()[i], 8);
+    std::memcpy(p + l.sums + 8 * (2 * l.general + g), &cols.maxs()[i], 8);
+    ++g;
   }
 }
 
@@ -149,36 +181,60 @@ size_t ChunkPayload::CoordBytes(const Header& h) const {
   return (cells + 63) / 64 * 8;
 }
 
+ChunkPayload::Layout ChunkPayload::BoxLayout(const Header& h,
+                                             size_t coord_bytes,
+                                             size_t singletons) {
+  Layout l;
+  l.general = h.rows - singletons;
+  l.classes = kHeaderBytes + 8 * size_t{h.num_dims} + coord_bytes;
+  l.counts = l.classes + (size_t{h.rows} + 7) / 8;
+  l.values = RoundUp8(l.counts + h.count_bytes * l.general);
+  l.sums = l.values + 8 * singletons;
+  l.total = l.sums + 24 * l.general;
+  return l;
+}
+
+ChunkPayload::Layout ChunkPayload::layout(const Header& h) const {
+  const size_t coord_bytes = CoordBytes(h);
+  const unsigned char* bits =
+      data_.get() + kHeaderBytes + 8 * size_t{h.num_dims} + coord_bytes;
+  const size_t bytes = (size_t{h.rows} + 7) / 8;
+  size_t singletons = 0;
+  size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bits + i, 8);
+    singletons += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  for (; i < bytes; ++i) {
+    singletons += static_cast<size_t>(__builtin_popcount(bits[i]));
+  }
+  return BoxLayout(h, coord_bytes, singletons);
+}
+
+size_t ChunkPayload::singleton_rows() const {
+  const Header h = header();
+  if (data_ == nullptr || static_cast<Form>(h.form) == Form::kBlob) return 0;
+  return h.rows - layout(h).general;
+}
+
 uint64_t ChunkPayload::capacity_bytes() const {
   if (data_ == nullptr) return 0;
   const Header h = header();
   if (static_cast<Form>(h.form) == Form::kBlob) {
     return RoundUp8(kHeaderBytes + kBlobLenBytes + blob_size());
   }
-  return SumsOffset(h) + 24 * size_t{h.rows} + CountBytes(h);
+  return layout(h).total;
 }
 
-ChunkPayload::Measures ChunkPayload::measures() const {
-  Measures m;
-  const Header h = header();
-  if (data_ == nullptr || static_cast<Form>(h.form) == Form::kBlob) return m;
-  m.sums = data_.get() + SumsOffset(h);
-  m.counts = m.sums + 8 * size_t{h.rows};
-  m.mins = m.counts + CountBytes(h);
-  m.maxs = m.mins + 8 * size_t{h.rows};
-  m.wide_counts = h.wide_counts != 0;
-  return m;
-}
-
-AggTuple ChunkPayload::Row(size_t i, const uint32_t* rel) const {
+AggTuple ChunkPayload::Row(const uint32_t* rel, const Measures& m) const {
   AggTuple row;
   const uint32_t nd = num_dims();
   for (uint32_t d = 0; d < nd; ++d) row.coords[d] = box_begin(d) + rel[d];
-  const Measures m = measures();
-  row.sum = m.sum(i);
-  row.count = m.count(i);
-  row.min_v = m.min(i);
-  row.max_v = m.max(i);
+  row.sum = m.sum();
+  row.count = m.count;
+  row.min_v = m.min();
+  row.max_v = m.max();
   return row;
 }
 
@@ -203,31 +259,31 @@ void ChunkPayload::AppendRowsInside(
     hi[d] = std::min(sel[d].end, e) - begin[d];
     if (lo[d] != 0 || hi[d] != e - begin[d]) checked[num_checked++] = d;
   }
-  const Measures m = measures();
-  ForEachRow([&](size_t i, const uint32_t* rel) {
+  ForEachRow([&](const uint32_t* rel, const Measures& m) {
     for (uint32_t k = 0; k < num_checked; ++k) {
       const uint32_t d = checked[k];
       if (rel[d] < lo[d] || rel[d] > hi[d]) return;
     }
     AggTuple& row = out->emplace_back();
     for (uint32_t d = 0; d < nd; ++d) row.coords[d] = begin[d] + rel[d];
-    row.sum = m.sum(i);
-    row.count = m.count(i);
-    row.min_v = m.min(i);
-    row.max_v = m.max(i);
+    row.sum = m.sum();
+    row.count = m.count;
+    row.min_v = m.min();
+    row.max_v = m.max();
   });
 }
 
 AggColumns ChunkPayload::ToColumns() const {
   CHUNKCACHE_CHECK(!blob());
   const uint32_t nd = num_dims();
+  uint32_t begin[kMaxDims];
+  for (uint32_t d = 0; d < nd; ++d) begin[d] = box_begin(d);
   AggColumns cols(nd);
   cols.Reserve(size());
-  const Measures m = measures();
-  ForEachRow([&](size_t i, const uint32_t* rel) {
+  ForEachRow([&](const uint32_t* rel, const Measures& m) {
     uint32_t coords[kMaxDims];
-    for (uint32_t d = 0; d < nd; ++d) coords[d] = box_begin(d) + rel[d];
-    cols.PushCell(coords, m.sum(i), m.count(i), m.min(i), m.max(i));
+    for (uint32_t d = 0; d < nd; ++d) coords[d] = begin[d] + rel[d];
+    cols.PushCell(coords, m.sum(), m.count, m.min(), m.max());
   });
   return cols;
 }

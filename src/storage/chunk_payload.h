@@ -15,7 +15,8 @@
 namespace chunkcache::storage {
 
 /// A cached chunk's rows in one immutable allocation. In order, it holds
-///   - an 8-byte header: the form, num_dims and the row count;
+///   - an 8-byte header: the form, num_dims, the COUNT width and the row
+///     count;
 ///   - the rows' bounding box: each dimension's first coordinate, then
 ///     each dimension's width;
 ///   - the coordinates, as a presence bitmap over the box whose set bits,
@@ -23,12 +24,20 @@ namespace chunkcache::storage {
 ///     more than kMaxBitmapCellsPerRow cells per row (or rows out of
 ///     canonical order) stores box-relative u32 coordinates, row by row,
 ///     instead;
-///   - the SUM, COUNT, MIN and MAX columns. COUNT is 32-bit when every
-///     count fits, else 64-bit.
-/// Every section starts 8-byte aligned, and each section's size follows
-/// from the header and the box. A 4-dimension row costs 28 bytes plus its
-/// share of the bitmap, against AggColumns' 48 bytes and twelve vector
-/// headers per chunk; no step encodes or decodes it.
+///   - one class bit per row: set for a *singleton row*, whose COUNT is 1
+///     and whose SUM, MIN and MAX are one bit pattern, clear for a
+///     general row;
+///   - the general rows' COUNTs, each count_bytes() wide (1, 2, 4 or 8:
+///     the narrowest that holds the largest), padded to 8 bytes;
+///   - the singleton rows' values, then the general rows' SUM, MIN and
+///     MAX columns.
+/// The box, the coordinates and the 8-byte-padded class bits and counts
+/// start 8-byte aligned, and each section's size follows from the header,
+/// the box and the number of set class bits. A 4-dimension singleton row
+/// costs 8 bytes and a general row 25 to 32, each plus its share of the
+/// bitmap and its class bit; no step encodes or decodes them. Readers walk
+/// the rows in one pass, keeping a running index into each class's
+/// columns.
 ///
 /// The blob form holds opaque bytes after its length in place of the box
 /// layout (the compressed tier's codec blob), with the num_dims and row
@@ -68,36 +77,10 @@ class ChunkPayload {
     return U32At(kHeaderBytes + 4 * (num_dims() + d));
   }
 
-  /// The measure columns of a box form, resolved once for a row loop.
-  struct Measures {
-    const unsigned char* sums = nullptr;
-    const unsigned char* counts = nullptr;
-    const unsigned char* mins = nullptr;
-    const unsigned char* maxs = nullptr;
-    bool wide_counts = false;
-
-    double sum(size_t i) const { return DoubleAt(sums, i); }
-    double min(size_t i) const { return DoubleAt(mins, i); }
-    double max(size_t i) const { return DoubleAt(maxs, i); }
-    uint64_t count(size_t i) const {
-      if (wide_counts) {
-        uint64_t v;
-        std::memcpy(&v, counts + 8 * i, 8);
-        return v;
-      }
-      uint32_t v;
-      std::memcpy(&v, counts + 4 * i, 4);
-      return v;
-    }
-
-   private:
-    static double DoubleAt(const unsigned char* column, size_t i) {
-      double v;
-      std::memcpy(&v, column + 8 * i, 8);
-      return v;
-    }
-  };
-  Measures measures() const;
+  /// Bytes of each general row's stored COUNT (box forms only).
+  uint32_t count_bytes() const { return header().count_bytes; }
+  /// Rows kept as one value (box forms only).
+  size_t singleton_rows() const;
 
   /// The blob form's bytes.
   const uint8_t* blob_data() const {
@@ -105,14 +88,27 @@ class ChunkPayload {
   }
   size_t blob_size() const { return U32At(kHeaderBytes); }
 
-  /// Calls `fn(i, rel)` for every row i in order, where `rel` holds the
+  /// One row's measures, read in place: a singleton row's SUM, MIN and
+  /// MAX are its one stored value.
+  struct Measures {
+    const unsigned char* sum_at = nullptr;
+    const unsigned char* min_at = nullptr;
+    const unsigned char* max_at = nullptr;
+    uint64_t count = 0;
+
+    double sum() const { return DoubleAt(sum_at, 0); }
+    double min() const { return DoubleAt(min_at, 0); }
+    double max() const { return DoubleAt(max_at, 0); }
+  };
+
+  /// Calls `fn(rel, m)` for every row in order, where `rel` holds the
   /// row's num_dims() box-relative coordinates (coordinate d is
-  /// box_begin(d) + rel[d]). Box forms only.
+  /// box_begin(d) + rel[d]) and `m` its measures. Box forms only.
   template <typename Fn>
   void ForEachRow(Fn&& fn) const;
 
-  /// Row `i`, given the box-relative coordinates ForEachRow passed for it.
-  AggTuple Row(size_t i, const uint32_t* rel) const;
+  /// The row ForEachRow passed as `rel` and `m`.
+  AggTuple Row(const uint32_t* rel, const Measures& m) const;
 
   /// Appends the rows whose coordinates fall inside `sel` on every
   /// dimension (the boundary post-filter of §5.2.3). A box wholly inside
@@ -129,7 +125,7 @@ class ChunkPayload {
   struct Header {
     uint8_t form = 0;
     uint8_t num_dims = 0;
-    uint8_t wide_counts = 0;
+    uint8_t count_bytes = 0;
     uint8_t unused = 0;
     uint32_t rows = 0;
   };
@@ -137,7 +133,48 @@ class ChunkPayload {
   static_assert(kHeaderBytes == 8);
   static constexpr size_t kBlobLenBytes = 4;
 
+  /// Offsets of a box form's sections.
+  struct Layout {
+    size_t classes = 0;  ///< One bit per row, set for a singleton.
+    size_t counts = 0;   ///< General rows' COUNTs, count_bytes wide.
+    size_t values = 0;   ///< Singleton rows' values.
+    size_t sums = 0;     ///< General rows' SUMs; MIN and MAX follow.
+    size_t general = 0;  ///< General rows.
+    size_t total = 0;    ///< Bytes of the allocation.
+  };
+  static Layout BoxLayout(const Header& h, size_t coord_bytes,
+                          size_t singletons);
+  /// The layout of this box form, counting its set class bits.
+  Layout layout(const Header& h) const;
+
   static size_t RoundUp8(size_t n) { return (n + 7) / 8 * 8; }
+  static double DoubleAt(const unsigned char* column, size_t i) {
+    double v;
+    std::memcpy(&v, column + 8 * i, 8);
+    return v;
+  }
+  static uint64_t CountAt(const unsigned char* column, uint32_t width,
+                          size_t i) {
+    switch (width) {
+      case 1:
+        return column[i];
+      case 2: {
+        uint16_t v;
+        std::memcpy(&v, column + 2 * i, 2);
+        return v;
+      }
+      case 4: {
+        uint32_t v;
+        std::memcpy(&v, column + 4 * i, 4);
+        return v;
+      }
+      default: {
+        uint64_t v;
+        std::memcpy(&v, column + 8 * i, 8);
+        return v;
+      }
+    }
+  }
 
   Header header() const {
     Header h;
@@ -151,14 +188,6 @@ class ChunkPayload {
   }
   /// Bytes of a box form's coordinate section.
   size_t CoordBytes(const Header& h) const;
-  /// Offset of a box form's SUM column.
-  size_t SumsOffset(const Header& h) const {
-    return kHeaderBytes + 8 * size_t{h.num_dims} + CoordBytes(h);
-  }
-  static size_t CountBytes(const Header& h) {
-    return h.wide_counts != 0 ? 8 * size_t{h.rows}
-                              : RoundUp8(4 * size_t{h.rows});
-  }
 
   std::unique_ptr<unsigned char[]> data_;
 };
@@ -169,12 +198,32 @@ void ChunkPayload::ForEachRow(Fn&& fn) const {
   CHUNKCACHE_DCHECK(static_cast<Form>(h.form) != Form::kBlob);
   if (h.rows == 0) return;
   const uint32_t nd = h.num_dims;
-  const unsigned char* coords = data_.get() + kHeaderBytes + 8 * size_t{nd};
+  const unsigned char* base = data_.get();
+  const Layout l = layout(h);
+  // Running indexes into the singleton and general columns.
+  size_t single = 0;
+  size_t general = 0;
+  const auto measures = [&](size_t i) {
+    Measures m;
+    if ((base[l.classes + i / 8] >> (i % 8)) & 1) {
+      m.sum_at = base + l.values + 8 * single++;
+      m.min_at = m.sum_at;
+      m.max_at = m.sum_at;
+      m.count = 1;
+    } else {
+      m.sum_at = base + l.sums + 8 * general;
+      m.min_at = m.sum_at + 8 * l.general;
+      m.max_at = m.min_at + 8 * l.general;
+      m.count = CountAt(base + l.counts, h.count_bytes, general++);
+    }
+    return m;
+  };
+  const unsigned char* coords = base + kHeaderBytes + 8 * size_t{nd};
   if (static_cast<Form>(h.form) == Form::kSparse) {
     uint32_t rel[kMaxDims];
     for (size_t i = 0; i < h.rows; ++i) {
       std::memcpy(rel, coords + 4 * nd * i, 4 * nd);
-      fn(i, static_cast<const uint32_t*>(rel));
+      fn(static_cast<const uint32_t*>(rel), measures(i));
     }
     return;
   }
@@ -204,7 +253,7 @@ void ChunkPayload::ForEachRow(Fn&& fn) const {
         rel[d] = static_cast<uint32_t>(v % width[d]);
         carry = v / width[d];
       }
-      fn(row++, static_cast<const uint32_t*>(rel));
+      fn(static_cast<const uint32_t*>(rel), measures(row++));
     }
   }
 }

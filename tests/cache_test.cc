@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <random>
@@ -11,6 +12,7 @@
 #include "cache/query_cache.h"
 #include "cache/replacement.h"
 #include "common/metrics.h"
+#include "handle_policy.h"
 
 namespace chunkcache::cache {
 namespace {
@@ -24,7 +26,7 @@ using storage::AggTuple;
 // ------------------------------- LruPolicy ----------------------------------
 
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
-  LruPolicy p;
+  HandlePolicy p(std::make_unique<LruPolicy>());
   p.OnInsert(1, 1.0);
   p.OnInsert(2, 1.0);
   p.OnInsert(3, 1.0);
@@ -37,7 +39,7 @@ TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruPolicyTest, EmptyReturnsNothing) {
-  LruPolicy p;
+  HandlePolicy p(std::make_unique<LruPolicy>());
   EXPECT_FALSE(p.PickVictim(1.0).has_value());
   p.OnInsert(1, 1.0);
   p.OnErase(1);
@@ -47,7 +49,7 @@ TEST(LruPolicyTest, EmptyReturnsNothing) {
 // ------------------------------ ClockPolicy ---------------------------------
 
 TEST(ClockPolicyTest, SecondChance) {
-  ClockPolicy p;
+  HandlePolicy p(std::make_unique<ClockPolicy>());
   p.OnInsert(1, 1.0);
   p.OnInsert(2, 1.0);
   p.OnInsert(3, 1.0);
@@ -61,7 +63,7 @@ TEST(ClockPolicyTest, SecondChance) {
 }
 
 TEST(ClockPolicyTest, SurvivesManyErasures) {
-  ClockPolicy p;
+  HandlePolicy p(std::make_unique<ClockPolicy>());
   for (uint64_t i = 0; i < 100; ++i) p.OnInsert(i, 1.0);
   for (uint64_t i = 0; i < 99; ++i) p.OnErase(i);
   EXPECT_EQ(p.size(), 1u);
@@ -71,7 +73,7 @@ TEST(ClockPolicyTest, SurvivesManyErasures) {
 // --------------------------- BenefitClockPolicy -----------------------------
 
 TEST(BenefitClockPolicyTest, LowBenefitEvictedBeforeHigh) {
-  BenefitClockPolicy p;
+  HandlePolicy p(std::make_unique<BenefitClockPolicy>());
   p.OnInsert(1, 100.0);  // expensive chunk
   p.OnInsert(2, 1.0);    // cheap chunk
   p.OnInsert(3, 1.0);
@@ -83,7 +85,7 @@ TEST(BenefitClockPolicyTest, LowBenefitEvictedBeforeHigh) {
 }
 
 TEST(BenefitClockPolicyTest, ReaccessResetsWeight) {
-  BenefitClockPolicy p;
+  HandlePolicy p(std::make_unique<BenefitClockPolicy>());
   p.OnInsert(1, 3.0);
   p.OnInsert(2, 3.0);
   // First probe drains both weights to zero and nominates 1.
@@ -98,7 +100,7 @@ TEST(BenefitClockPolicyTest, ReaccessResetsWeight) {
 }
 
 TEST(BenefitClockPolicyTest, BoundedSweepFallsBackToMinWeight) {
-  BenefitClockPolicy p;
+  HandlePolicy p(std::make_unique<BenefitClockPolicy>());
   p.OnInsert(1, 1e9);
   p.OnInsert(2, 2e9);
   // Tiny incoming benefit would take forever to drain; the bounded sweep
@@ -109,7 +111,7 @@ TEST(BenefitClockPolicyTest, BoundedSweepFallsBackToMinWeight) {
 }
 
 TEST(BenefitClockPolicyTest, ZeroIncomingBenefitStillTerminates) {
-  BenefitClockPolicy p;
+  HandlePolicy p(std::make_unique<BenefitClockPolicy>());
   p.OnInsert(1, 5.0);
   EXPECT_TRUE(p.PickVictim(0.0).has_value());
 }
@@ -139,7 +141,7 @@ TEST(ChunkCacheTest, InsertLookupMiss) {
   const ChunkHandle hit = cache.Lookup(1, 5, 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows(), 10u);
-  EXPECT_DOUBLE_EQ(hit->payload.measures().sum(0), 5.0);
+  EXPECT_DOUBLE_EQ(hit->payload.ToColumns().sums()[0], 5.0);
   EXPECT_EQ(cache.Lookup(1, 6, 0), nullptr);
   EXPECT_EQ(cache.Lookup(2, 5, 0), nullptr);
   EXPECT_EQ(cache.stats().lookups, 4u);
@@ -167,10 +169,10 @@ TEST(ChunkCacheTest, ReinsertReplaces) {
   EXPECT_EQ(cache.Lookup(1, 5, 0)->rows(), 8u);
 }
 
-// A typical random-cold entry, 25 rows of a 4-dimension chunk in a
-// 100-cell box, is charged the struct plus its one allocation: at most
-// 900 B.
-TEST(ChunkCacheTest, PayloadEntryChargeIsStructPlusAllocation) {
+// A typical random-cold entry, 25 general rows of a 4-dimension chunk in
+// a 100-cell box, is charged its index (kChunkEntryBytes: the make_shared
+// block and the map node) plus its one allocation: at most 900 B.
+TEST(ChunkCacheTest, PayloadEntryChargeCoversIndexAndAllocation) {
   storage::AggColumns cols(4);
   for (uint32_t i = 0; i < 25; ++i) {
     const uint32_t coords[4] = {10 + i / 5, 20 + i % 5, 30 + i % 2,
@@ -181,10 +183,12 @@ TEST(ChunkCacheTest, PayloadEntryChargeIsStructPlusAllocation) {
   CachedChunk c;
   c.payload = storage::ChunkPayload(cols);
   ASSERT_EQ(c.payload.form(), storage::ChunkPayload::Form::kBitmap);
+  ASSERT_EQ(c.payload.singleton_rows(), 0u);
   uint64_t box_cells = 1;
   for (uint32_t d = 0; d < 4; ++d) box_cells *= c.payload.box_width(d);
   EXPECT_EQ(box_cells, 100u);
-  EXPECT_EQ(c.ByteSize(), sizeof(CachedChunk) + c.payload.capacity_bytes());
+  EXPECT_EQ(c.ByteSize(), kChunkEntryBytes + c.payload.capacity_bytes());
+  EXPECT_GT(kChunkEntryBytes, sizeof(CachedChunk) + sizeof(ChunkCacheEntry));
   EXPECT_LE(c.ByteSize(), 900u);
   const uint64_t charge = c.ByteSize();
   ChunkCache cache(1 << 20, "lru");
@@ -192,9 +196,44 @@ TEST(ChunkCacheTest, PayloadEntryChargeIsStructPlusAllocation) {
   EXPECT_EQ(cache.bytes_used(), charge);
 }
 
+// bytes_used() is the sum of the resident entries' charges after every
+// kind of change: insert, same-key replace, eviction and Clear.
+TEST(ChunkCacheTest, BytesUsedIsSumOfEntryCharges) {
+  const auto charged = [](const ChunkCache& cache) {
+    uint64_t sum = 0;
+    cache.ForEachEntry([&sum](const ChunkHandle& h) { sum += h->ByteSize(); });
+    return sum;
+  };
+  const uint64_t big = MakeChunk(1, 1, 0, 1.0, 40).ByteSize();
+  ChunkCache cache(big * 5, "clock", /*num_shards=*/2);
+  for (uint64_t i = 0; i < 4; ++i) {
+    cache.Insert(MakeChunk(1, i, 0, 1.0, 5 + 10 * i));
+    EXPECT_EQ(cache.bytes_used(), charged(cache)) << "insert " << i;
+  }
+  cache.Insert(MakeChunk(1, 2, 0, 1.0, 3));  // same key, fewer rows
+  EXPECT_EQ(cache.bytes_used(), charged(cache));
+  EXPECT_EQ(cache.Lookup(1, 2, 0)->rows(), 3u);
+  for (uint64_t i = 10; i < 40; ++i) {
+    cache.Insert(MakeChunk(2, i, 0, 1.0, 40));
+    EXPECT_EQ(cache.bytes_used(), charged(cache)) << "insert " << i;
+    EXPECT_LE(cache.bytes_used(), cache.capacity_bytes());
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  cache.Clear();
+  EXPECT_EQ(cache.bytes_used(), 0u);
+  EXPECT_EQ(charged(cache), 0u);
+  EXPECT_EQ(cache.num_chunks(), 0u);
+}
+
 TEST(ChunkCacheTest, EvictsWhenOverBudget) {
-  // Every 10-row chunk from MakeChunk has the same columnar byte size.
-  const uint64_t entry_bytes = MakeChunk(1, 0, 0, 1.0, 10).ByteSize();
+  // Chunk 0's rows are singletons (SUM = MIN = MAX = 0, COUNT 1), so it
+  // is smaller than chunks 1-4, which all have the same size: the budget
+  // holds three of the largest.
+  uint64_t entry_bytes = 0;
+  for (uint64_t i = 0; i < 5; ++i) {
+    entry_bytes = std::max(entry_bytes, MakeChunk(1, i, 0, 1.0, 10).ByteSize());
+  }
+  ASSERT_LT(MakeChunk(1, 0, 0, 1.0, 10).ByteSize(), entry_bytes);
   ChunkCache cache(entry_bytes * 3, "lru");
   for (uint64_t i = 0; i < 5; ++i) {
     cache.Insert(MakeChunk(1, i, 0, 1.0, 10));
@@ -282,7 +321,7 @@ TEST(DecodedCacheTest, EvictsLeastRecentlyUsedWithinByteBudget) {
   for (uint64_t k : {0, 3, 4}) {
     const auto hit = cache.Get(Key(k));
     ASSERT_NE(hit, nullptr) << "chunk " << k;
-    EXPECT_EQ(hit->measures().sum(0), static_cast<double>(k));
+    EXPECT_EQ(hit->ToColumns().sums()[0], static_cast<double>(k));
   }
   const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.counter("cache.decoded_lru_hits"), 4u);
@@ -345,7 +384,9 @@ TEST(DecodedCacheTest, ConcurrentGetPutKeepsEntriesAndCounters) {
           hits.fetch_add(1);
           // Each key only ever holds its own payload.
           const double tag = static_cast<double>(k);
-          if (hit->size() != k + 1 || hit->measures().sum(0) != tag) wrong.fetch_add(1);
+          if (hit->size() != k + 1 || hit->ToColumns().sums()[0] != tag) {
+            wrong.fetch_add(1);
+          }
         }
       }
     });

@@ -1,7 +1,8 @@
 // Compression subsystem tests that cut across layers: AggColumns::
-// Deserialize hardening against corrupt input, and the end-to-end ablation — enable_compression on == off must be
-// bit-identical while the compressed tier holds more chunks per byte —
-// plus scalar == AVX2 dispatch through the whole tier.
+// Deserialize hardening against corrupt input, and the end-to-end ablation
+// — enable_compression on == off must be bit-identical while every entry
+// kept as a blob is charged less than its payload would be — plus scalar
+// == AVX2 dispatch through the whole tier.
 
 #include <cstring>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "schema/synthetic.h"
 #include "storage/agg_columns.h"
 #include "storage/buffer_pool.h"
+#include "storage/codec.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
 
@@ -157,6 +159,16 @@ class CompressionTierFixture : public ::testing::Test {
   std::unique_ptr<backend::BackendEngine> engine_;
 };
 
+// The blob form of an entry, decoded back into its payload form.
+storage::ChunkPayload PayloadOf(const storage::ChunkPayload& blob) {
+  auto cols =
+      storage::codec::DecodeAggColumns(blob.blob_data(), blob.blob_size());
+  EXPECT_TRUE(cols.ok());
+  return cols.ok() ? storage::ChunkPayload(*cols) : storage::ChunkPayload();
+}
+
+// Against payloads with singleton rows the blob wins on a few entries of
+// this small table, so the stream runs until some have been kept.
 TEST_F(CompressionTierFixture, OnEqualsOffBitIdentical) {
   workload::WorkloadOptions wopts;
   wopts.seed = 19;
@@ -168,7 +180,7 @@ TEST_F(CompressionTierFixture, OnEqualsOffBitIdentical) {
   ChunkCacheManager on_mgr(engine_.get(), on_opts);
   ChunkCacheManager off_mgr(engine_.get(), off_opts);
 
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 120; ++i) {
     const StarJoinQuery q = gen.Next();
     QueryStats on_st, off_st;
     auto on_rows = on_mgr.Execute(q, &on_st);
@@ -182,10 +194,28 @@ TEST_F(CompressionTierFixture, OnEqualsOffBitIdentical) {
   }
   const auto on_stats = on_mgr.StatsSnapshot();
   const auto off_stats = off_mgr.StatsSnapshot();
-  EXPECT_GT(on_stats.compressed_chunks, 0u);
+  ASSERT_GT(on_stats.compressed_chunks, 0u);
+  EXPECT_GT(on_stats.compression_skipped, 0u);
   EXPECT_GT(on_stats.codec_raw_bytes, on_stats.codec_encoded_bytes);
   EXPECT_EQ(off_stats.compressed_chunks, 0u);
   EXPECT_EQ(off_stats.decode_calls, 0u);
+  // Nothing was evicted, so the codec counters sum exactly the blobs the
+  // tier kept and the payloads they replaced: the twin's entries.
+  uint64_t blobs = 0;
+  uint64_t blob_bytes = 0;
+  uint64_t replaced_bytes = 0;
+  on_mgr.chunk_cache().ForEachEntry([&](const cache::ChunkHandle& h) {
+    if (!h->compressed()) return;
+    ++blobs;
+    blob_bytes += h->payload.capacity_bytes();
+    const cache::ChunkHandle twin = off_mgr.chunk_cache().Lookup(
+        h->group_by_id, h->chunk_num, h->filter_hash);
+    ASSERT_NE(twin, nullptr);
+    replaced_bytes += twin->payload.capacity_bytes();
+  });
+  EXPECT_EQ(blobs, on_stats.compressed_chunks);
+  EXPECT_EQ(on_stats.codec_raw_bytes, replaced_bytes);
+  EXPECT_EQ(on_stats.codec_encoded_bytes, blob_bytes);
   // Same chunk population, charged at encoded bytes: the compressed tier
   // must sit well under the raw tier's footprint.
   ASSERT_EQ(on_mgr.chunk_cache().num_chunks(),
@@ -194,15 +224,13 @@ TEST_F(CompressionTierFixture, OnEqualsOffBitIdentical) {
             off_mgr.chunk_cache().bytes_used());
 }
 
-// The capacity half of the compression trade: at one cache_bytes below
-// the working set, the compressed tier ends holding strictly more chunks
-// and answers at least as many of them from the cache.
-TEST_F(CompressionTierFixture, CompressedTierHoldsMoreChunksAtFixedBytes) {
-  struct Outcome {
-    uint64_t chunks = 0;
-    uint64_t hits = 0;
-  };
-  auto run = [&](bool compression) {
+// The capacity half of the compression trade, per entry: at a budget
+// below the working set, every entry the tier keeps as a blob is charged
+// less than its payload form would be, and the answers are bit-identical
+// with compression on and off.
+TEST_F(CompressionTierFixture, BlobEntriesAreChargedLessThanTheirPayload) {
+  auto run = [&](bool compression, std::vector<std::vector<ResultRow>>* rows,
+                 uint64_t* blobs) {
     ChunkManagerOptions opts;
     opts.cache_bytes = 128u << 10;
     opts.enable_compression = compression;
@@ -210,19 +238,35 @@ TEST_F(CompressionTierFixture, CompressedTierHoldsMoreChunksAtFixedBytes) {
     workload::WorkloadOptions wopts;
     wopts.seed = 19;
     workload::QueryGenerator gen(schema_.get(), wopts);
-    Outcome out;
     for (int i = 0; i < 300; ++i) {
       QueryStats st;
-      EXPECT_TRUE(mgr.Execute(gen.Next(), &st).ok());
-      out.hits += st.chunks_from_cache;
+      auto r = mgr.Execute(gen.Next(), &st);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      rows->push_back(std::move(r).value());
     }
-    out.chunks = mgr.chunk_cache().num_chunks();
-    return out;
+    EXPECT_GT(mgr.chunk_cache().stats().evictions, 0u);
+    mgr.chunk_cache().ForEachEntry([&](const cache::ChunkHandle& h) {
+      if (!h->compressed()) return;
+      ++*blobs;
+      const storage::ChunkPayload payload = PayloadOf(h->payload);
+      EXPECT_EQ(payload.size(), h->rows());
+      EXPECT_LT(h->payload.capacity_bytes(), payload.capacity_bytes());
+      EXPECT_LT(h->ByteSize(), cache::kChunkEntryBytes +
+                                   payload.capacity_bytes());
+    });
   };
-  const Outcome on = run(true);
-  const Outcome off = run(false);
-  EXPECT_GT(on.chunks, off.chunks);
-  EXPECT_GE(on.hits, off.hits);
+  std::vector<std::vector<ResultRow>> on_rows;
+  std::vector<std::vector<ResultRow>> off_rows;
+  uint64_t on_blobs = 0;
+  uint64_t off_blobs = 0;
+  run(true, &on_rows, &on_blobs);
+  run(false, &off_rows, &off_blobs);
+  EXPECT_GT(on_blobs, 0u);
+  EXPECT_EQ(off_blobs, 0u);
+  ASSERT_EQ(on_rows.size(), off_rows.size());
+  for (size_t i = 0; i < on_rows.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(on_rows[i], off_rows[i])) << "query " << i;
+  }
 }
 
 // Scalar and AVX2 dispatch answer a whole stream bit for bit, SUM
@@ -265,10 +309,16 @@ TEST_F(CompressionTierFixture, DecodedFrontServesRepeatHits) {
   ChunkManagerOptions opts;
   opts.enable_compression = true;
   ChunkCacheManager mgr(engine_.get(), opts);
-  const StarJoinQuery q = gen.Next();
+  // The first query of the stream that leaves a blob in the cache.
+  StarJoinQuery q;
   QueryStats st;
-  ASSERT_TRUE(mgr.Execute(q, &st).ok());
+  for (int i = 0; i < 100 && mgr.StatsSnapshot().compressed_chunks == 0;
+       ++i) {
+    q = gen.Next();
+    ASSERT_TRUE(mgr.Execute(q, &st).ok());
+  }
   const auto first = mgr.StatsSnapshot();
+  ASSERT_GT(first.compressed_chunks, 0u);
   // Re-running the same query hits compressed entries; the decoded front
   // (seeded at encode time) serves them without fresh decode work.
   ASSERT_TRUE(mgr.Execute(q, &st).ok());
@@ -285,15 +335,19 @@ TEST_F(CompressionTierFixture, TinyDecodedFrontFallsBackToDecode) {
   opts.enable_compression = true;
   opts.decoded_cache_bytes = 0;  // no front: every compressed hit decodes
   ChunkCacheManager mgr(engine_.get(), opts);
-  const StarJoinQuery q = gen.Next();
+  // The first query of the stream that leaves a blob in the cache.
+  StarJoinQuery q;
   QueryStats st;
-  ASSERT_TRUE(mgr.Execute(q, &st).ok());
+  for (int i = 0; i < 100 && mgr.StatsSnapshot().compressed_chunks == 0;
+       ++i) {
+    q = gen.Next();
+    ASSERT_TRUE(mgr.Execute(q, &st).ok());
+  }
+  ASSERT_GT(mgr.StatsSnapshot().compressed_chunks, 0u);
   ASSERT_TRUE(mgr.Execute(q, &st).ok());
   const auto stats = mgr.StatsSnapshot();
-  if (stats.compressed_chunks > 0) {
-    EXPECT_GT(stats.decode_calls, 0u);
-    EXPECT_EQ(stats.decoded_lru_hits, 0u);
-  }
+  EXPECT_GT(stats.decode_calls, 0u);
+  EXPECT_EQ(stats.decoded_lru_hits, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // storage::ChunkPayload, the cache's one-allocation chunk layout: random
-// canonical AggColumns round-trip through it bit for bit in both
-// coordinate forms, the boundary filter keeps what FilterRows keeps, and
-// the roll-up fold over a payload equals the fold over its columns.
+// canonical AggColumns with singleton and general rows round-trip through
+// it bit for bit in both coordinate forms and every COUNT width, the
+// boundary filter keeps what FilterRows keeps, and the roll-up fold over a
+// payload equals the fold over its columns.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "backend/aggregator.h"
@@ -54,21 +57,37 @@ double EdgeDouble(Random* rng) {
   }
 }
 
-uint64_t EdgeCount(Random* rng, bool wide) {
-  if (wide && rng->Uniform(4) == 0) {
-    return rng->Uniform(2) == 0 ? (1ULL << 32)
-                                : std::numeric_limits<uint64_t>::max();
-  }
-  return rng->Uniform(3) == 0 ? std::numeric_limits<uint32_t>::max()
-                              : 1 + rng->Uniform(1000);
+/// A count no larger than `cap`, favouring 1 and the COUNT width
+/// boundaries below it.
+uint64_t EdgeCount(Random* rng, uint64_t cap) {
+  static constexpr uint64_t kEdges[] = {
+      1, 2, 255, 256, 65535, 65536, (1ULL << 32) - 1, 1ULL << 32, ~0ULL};
+  const uint64_t pick = kEdges[rng->Uniform(std::size(kEdges))];
+  if (pick <= cap && rng->Uniform(2) == 0) return pick;
+  return 1 + rng->Uniform(std::min<uint64_t>(cap, 1000));
+}
+
+/// The bytes of the narrowest COUNT width holding `c`.
+uint32_t WidthOf(uint64_t c) {
+  return c <= 0xFF ? 1 : c <= 0xFFFF ? 2 : c <= 0xFFFFFFFFULL ? 4 : 8;
+}
+
+/// True when the payload keeps row `i` of `cols` as one value.
+bool IsSingleton(const AggColumns& cols, size_t i) {
+  const double s = cols.sums()[i];
+  return cols.counts()[i] == 1 && std::memcmp(&s, &cols.mins()[i], 8) == 0 &&
+         std::memcmp(&s, &cols.maxs()[i], 8) == 0;
 }
 
 /// `n` distinct cells of a box with `widths` starting at `begins`, in
-/// canonical row-major order. The box's product must not overflow.
+/// canonical row-major order, with counts up to `count_cap`. The rows mix
+/// singletons (COUNT 1, one value), near misses (COUNT 1 with a MIN or MAX
+/// of other bits, or one value under a larger COUNT) and random rows. The
+/// box's product must not overflow.
 AggColumns RandomCanonical(Random* rng, uint32_t nd, size_t n,
                            const std::array<uint32_t, kMaxDims>& begins,
                            const std::array<uint32_t, kMaxDims>& widths,
-                           bool wide_counts) {
+                           uint64_t count_cap) {
   uint64_t cells = 1;
   for (uint32_t d = 0; d < nd; ++d) cells *= widths[d];
   std::set<uint64_t> picked;
@@ -80,8 +99,26 @@ AggColumns RandomCanonical(Random* rng, uint32_t nd, size_t n,
       coords[d] = begins[d] + static_cast<uint32_t>(cell % widths[d]);
       cell /= widths[d];
     }
-    cols.PushCell(coords, EdgeDouble(rng), EdgeCount(rng, wide_counts),
-                  EdgeDouble(rng), EdgeDouble(rng));
+    const double v = EdgeDouble(rng);
+    switch (rng->Uniform(4)) {
+      case 0:
+        cols.PushCell(coords, v, 1, v, v);
+        break;
+      case 1:
+        if (rng->Uniform(2) == 0) {
+          cols.PushCell(coords, v, 1, v, EdgeDouble(rng));
+        } else {
+          cols.PushCell(coords, 0.0, 1, -0.0, 0.0);
+        }
+        break;
+      case 2:
+        cols.PushCell(coords, v,
+                      std::max<uint64_t>(2, EdgeCount(rng, count_cap)), v, v);
+        break;
+      default:
+        cols.PushCell(coords, v, EdgeCount(rng, count_cap), EdgeDouble(rng),
+                      EdgeDouble(rng));
+    }
   }
   return cols;
 }
@@ -112,6 +149,9 @@ uint64_t Cells(const ChunkPayload& p) {
 TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
   Random rng(2024);
   size_t forms[2] = {0, 0};
+  size_t widths_seen[9] = {};
+  size_t all_singletons = 0;
+  size_t all_rows = 0;
   for (int iter = 0; iter < 600; ++iter) {
     const uint32_t nd = 1 + static_cast<uint32_t>(rng.Uniform(kMaxDims));
     const size_t n = iter % 10 == 0 ? 0
@@ -137,8 +177,9 @@ TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
       cells *= w;
     }
     const size_t rows = static_cast<size_t>(std::min<uint64_t>(n, cells));
-    const AggColumns cols = RandomCanonical(&rng, nd, rows, begins, widths,
-                                            /*wide_counts=*/iter % 3 == 0);
+    static constexpr uint64_t kCaps[] = {0xFF, 0xFFFF, 0xFFFFFFFFULL, ~0ULL};
+    const AggColumns cols =
+        RandomCanonical(&rng, nd, rows, begins, widths, kCaps[iter % 4]);
     const ChunkPayload p(cols);
     ASSERT_EQ(p.num_dims(), nd);
     ASSERT_EQ(p.size(), rows);
@@ -150,29 +191,106 @@ TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
                                  : ChunkPayload::Form::kSparse);
       ++forms[bitmap ? 0 : 1];
     }
-    const bool wide = std::any_of(
-        cols.counts().begin(), cols.counts().end(),
-        [](uint64_t c) { return c > std::numeric_limits<uint32_t>::max(); });
-    EXPECT_EQ(p.measures().wide_counts, wide);
-    ExpectBitIdentical(cols, p.ToColumns());
+    size_t singletons = 0;
+    uint64_t max_count = 0;
     for (size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(p.measures().count(i), cols.counts()[i]);
+      if (IsSingleton(cols, i)) {
+        ++singletons;
+      } else {
+        max_count = std::max(max_count, cols.counts()[i]);
+      }
     }
+    EXPECT_EQ(p.singleton_rows(), singletons);
+    EXPECT_EQ(p.count_bytes(), WidthOf(max_count));
+    ++widths_seen[p.count_bytes()];
+    all_singletons += singletons;
+    all_rows += rows;
+    ExpectBitIdentical(cols, p.ToColumns());
   }
   EXPECT_GT(forms[0], 100u);
   EXPECT_GT(forms[1], 100u);
+  for (uint32_t w : {1u, 2u, 4u, 8u}) {
+    EXPECT_GT(widths_seen[w], 50u) << "width " << w;
+  }
+  // Singletons are about a quarter of the rows: both classes are common.
+  EXPECT_GT(all_singletons, all_rows / 8);
+  EXPECT_LT(all_singletons, all_rows / 2);
 }
 
-TEST(ChunkPayloadProperty, CountsPastU32AreWide) {
-  AggColumns cols(2);
-  const uint32_t a[2] = {3, 4};
-  const uint32_t b[2] = {3, 5};
-  cols.PushCell(a, 1.0, std::numeric_limits<uint32_t>::max(), 1.0, 1.0);
-  EXPECT_FALSE(ChunkPayload(cols).measures().wide_counts);
-  cols.PushCell(b, 2.0, 1ULL << 32, 2.0, 2.0);
+// Each COUNT width holds exactly its range: the largest general count
+// on either side of a boundary picks the narrower or the wider width, and
+// a singleton row's COUNT of 1 never widens anything.
+TEST(ChunkPayloadProperty, CountWidthBoundaries) {
+  const std::pair<uint64_t, uint32_t> cases[] = {
+      {255, 1},   {256, 2},        {65535, 2},
+      {65536, 4}, {(1ULL << 32) - 1, 4}, {1ULL << 32, 8},
+      {~0ULL, 8}};
+  for (const auto& [count, width] : cases) {
+    AggColumns cols(2);
+    const uint32_t a[2] = {3, 4};
+    const uint32_t b[2] = {3, 5};
+    const uint32_t c[2] = {4, 4};
+    cols.PushCell(a, 1.5, 1, 1.5, 1.5);       // singleton
+    cols.PushCell(b, 2.0, count, -1.0, 3.0);  // general, the largest count
+    cols.PushCell(c, 7.0, 3, 7.0, 7.0);       // general: COUNT 3
+    const ChunkPayload p(cols);
+    EXPECT_EQ(p.count_bytes(), width) << count;
+    EXPECT_EQ(p.singleton_rows(), 1u);
+    ExpectBitIdentical(cols, p.ToColumns());
+  }
+}
+
+// A row keeps one value only when all three doubles are one bit pattern:
+// +0 against -0 stays general, and NaNs keep their payload bits.
+TEST(ChunkPayloadProperty, RowClassesKeepEveryBit) {
+  const auto bits = [](uint64_t b) {
+    double d;
+    std::memcpy(&d, &b, 8);
+    return d;
+  };
+  const double qnan = bits(0x7FF8000000000123ULL);
+  const double snan = bits(0xFFF0000000000456ULL);
+  AggColumns cols(1);
+  const auto push = [&cols](uint32_t x, double s, uint64_t n, double lo,
+                            double hi) { cols.PushCell(&x, s, n, lo, hi); };
+  push(0, 0.0, 1, -0.0, 0.0);    // general: +0 SUM, -0 MIN
+  push(1, -0.0, 1, -0.0, -0.0);  // singleton -0
+  push(2, qnan, 1, qnan, qnan);  // singleton quiet NaN with payload
+  push(3, snan, 1, snan, snan);  // singleton signalling NaN with payload
+  push(4, qnan, 1, bits(0x7FF8000000000124ULL), qnan);  // other payload
+  push(5, 4.0, 2, 4.0, 4.0);     // general: one value under COUNT 2
+  push(6, 5.0, 1, 5.0, 5.0);     // singleton
   const ChunkPayload p(cols);
-  EXPECT_TRUE(p.measures().wide_counts);
-  EXPECT_EQ(p.measures().count(1), 1ULL << 32);
+  EXPECT_EQ(p.singleton_rows(), 4u);
+  EXPECT_EQ(p.count_bytes(), 1u);
+  ExpectBitIdentical(cols, p.ToColumns());
+  std::vector<AggTuple> rows;
+  std::array<OrdinalRange, kMaxDims> all{};
+  all.fill(OrdinalRange{0, 100});
+  p.AppendRowsInside(all, &rows);
+  ASSERT_EQ(rows.size(), 7u);
+  EXPECT_EQ(std::memcmp(&rows[2].max_v, &qnan, 8), 0);
+  EXPECT_EQ(std::memcmp(&rows[3].min_v, &snan, 8), 0);
+}
+
+// Singleton rows cost their value and a class bit; general rows their
+// three doubles and a COUNT of the entry's width.
+TEST(ChunkPayloadProperty, SingletonRowsKeepOneValue) {
+  AggColumns cols(1);
+  for (uint32_t x = 0; x < 10; ++x) {
+    const double v = x;
+    if (x % 5 < 3) {
+      cols.PushCell(&x, v, 1, v, v);
+    } else {
+      cols.PushCell(&x, v, 2, v, v);
+    }
+  }
+  const ChunkPayload p(cols);
+  ASSERT_EQ(p.form(), ChunkPayload::Form::kBitmap);
+  EXPECT_EQ(p.singleton_rows(), 6u);
+  // Header 8, box 8, one bitmap word 8, 2 class bytes and 4 one-byte
+  // counts padded to 8, 6 values and 4 general rows of three doubles.
+  EXPECT_EQ(p.capacity_bytes(), 8u + 8 + 8 + 8 + 6 * 8 + 4 * 24);
   ExpectBitIdentical(cols, p.ToColumns());
 }
 
@@ -216,8 +334,8 @@ TEST(ChunkPayloadProperty, AppendRowsInsideMatchesFilterRows) {
     }
     const size_t n =
         static_cast<size_t>(std::min<uint64_t>(rng.Uniform(40), cells));
-    const AggColumns cols =
-        RandomCanonical(&rng, nd, n, begins, widths, /*wide_counts=*/false);
+    const AggColumns cols = RandomCanonical(&rng, nd, n, begins, widths,
+                                            /*count_cap=*/~0ULL);
     std::array<OrdinalRange, kMaxDims> sel{};
     for (uint32_t d = 0; d < kMaxDims; ++d) {
       const uint32_t lo = static_cast<uint32_t>(rng.Uniform(120));
@@ -280,7 +398,8 @@ TEST(ChunkPayloadProperty, PayloadFoldEqualsColumnFold) {
                      const size_t n = static_cast<size_t>(
                          std::min<uint64_t>(rng.Uniform(60), cells));
                      sources.push_back(RandomCanonical(
-                         &rng, finest.num_dims, n, begins, widths, false));
+                         &rng, finest.num_dims, n, begins, widths,
+                         /*count_cap=*/1u << 20));
                    });
       backend::ChunkAggregator by_cols(&scheme, coarse, target_chunk,
                                        dense_limit);

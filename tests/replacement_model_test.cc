@@ -1,8 +1,10 @@
 // Model-based randomized testing of the replacement policies: each policy
-// is driven with a random insert/access/erase/evict trace and checked
-// against policy-specific invariants (LRU against an exact reference
+// is driven through embedded nodes (HandlePolicy, as a cache drives it)
+// with a random insert/access/erase/evict trace and checked against
+// policy-specific invariants (LRU against an exact reference
 // implementation; the CLOCK variants against structural guarantees that
-// must hold for any correct implementation).
+// must hold for any correct implementation, and against a vector ring's
+// victim sequence).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 
 #include "cache/replacement.h"
 #include "common/random.h"
+#include "handle_policy.h"
 
 namespace chunkcache::cache {
 namespace {
@@ -51,7 +54,7 @@ class ReferenceLru {
 TEST(ReplacementModelTest, LruMatchesReferenceExactly) {
   for (uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
     Random rng(seed);
-    LruPolicy policy;
+    HandlePolicy policy(std::make_unique<LruPolicy>());
     ReferenceLru reference;
     std::set<uint64_t> live;
     uint64_t next = 0;
@@ -97,8 +100,7 @@ TEST(ReplacementModelTest, LruMatchesReferenceExactly) {
 class AnyPolicyModelTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AnyPolicyModelTest, VictimsAreAlwaysLiveAndSizeIsExact) {
-  auto policy = MakePolicy(GetParam());
-  ASSERT_NE(policy, nullptr);
+  auto policy = std::make_unique<HandlePolicy>(MakePolicy(GetParam()));
   Random rng(99);
   std::set<uint64_t> live;
   uint64_t next = 0;
@@ -245,7 +247,7 @@ class ClockReferenceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ClockReferenceTest, VictimSequenceMatchesVectorRing) {
   for (uint64_t seed : {11, 22, 33}) {
-    auto policy = MakePolicy(GetParam());
+    auto policy = std::make_unique<HandlePolicy>(MakePolicy(GetParam()));
     ReferenceClock reference(GetParam() == "benefit-clock");
     Random rng(seed);
     std::set<uint64_t> live;
@@ -303,7 +305,7 @@ INSTANTIATE_TEST_SUITE_P(Clocks, ClockReferenceTest,
 // LRU does.
 TEST(ReplacementModelTest, BenefitClockShieldsExpensiveEntries) {
   auto run = [](const char* name) {
-    auto policy = MakePolicy(name);
+    auto policy = std::make_unique<HandlePolicy>(MakePolicy(name));
     // Two expensive entries among a stream of cheap ones; cache holds 10.
     std::set<uint64_t> live;
     uint64_t next = 0;

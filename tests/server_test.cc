@@ -775,6 +775,14 @@ TEST_F(BitIdentityFixture, ServedMetricsDumpCarriesTierGauges) {
                          nullptr, 10),
             0);
   EXPECT_NE(dump->find("\"simd.level\": "), std::string::npos) << *dump;
+  // The chunk tier's memory gauges: the cache holds the queries' chunks.
+  for (const std::string key :
+       {"\"cache.entries\": ", "\"cache.bytes_used\": "}) {
+    const size_t at = dump->find(key);
+    ASSERT_NE(at, std::string::npos) << key << " missing from " << *dump;
+    EXPECT_GT(std::strtoll(dump->c_str() + at + key.size(), nullptr, 10), 0)
+        << key;
+  }
   server.Stop();
 }
 

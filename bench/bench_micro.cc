@@ -10,8 +10,7 @@
 //   - observability hooks cost <= 2% of a query:
 //       (metric updates/query x counter ns + histogram records/query x
 //        histogram ns + spans/query x span ns) / query ns;
-//   - on AVX2 hosts, the leaf dense fold and the codec decode each run
-//     >= 1.2x their scalar speed.
+//   - on AVX2 hosts, the leaf dense fold runs >= 1.2x its scalar speed.
 // A hook's ns is a noinline op calling it minus the same op without it.
 // Volume times micro-cost is steadier than the difference of two noisy
 // stream wall times. The query stream is the seeded Table-1 mix, cold,
@@ -25,7 +24,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <random>
 #include <utility>
 #include <vector>
 
@@ -43,7 +41,6 @@
 #include "index/btree.h"
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
-#include "storage/codec.h"
 #include "storage/disk_manager.h"
 
 namespace chunkcache {
@@ -379,33 +376,6 @@ double LeafFoldSpeedup(bench::System* sys) {
   });
 }
 
-/// Fast-mode decode of a representative sorted chunk payload (200k rows,
-/// low-cardinality coordinates, clustered measures), so dictionary
-/// unpack, delta prefix sums and XOR-double reconstruction all run.
-double CodecDecodeSpeedup() {
-  std::mt19937 rng(7);
-  storage::AggColumns cols(4);
-  constexpr size_t kRows = 200000;
-  cols.Reserve(kRows);
-  std::array<uint32_t, storage::kMaxDims> c{};
-  for (size_t i = 0; i < kRows; ++i) {
-    for (uint32_t d = 0; d < 4; ++d) c[d] = rng() % 40;
-    const double sum = static_cast<double>(rng() % 1000000) / 16.0;
-    cols.PushCell(c.data(), sum, 1 + rng() % 6, sum - 2, sum + 2);
-  }
-  cols.SortRowMajor();
-  std::vector<uint8_t> blob;
-  storage::codec::EncodeAggColumns(cols, &blob);
-  return SimdSpeedup(7, [&] {
-    const double t0 = NowNs();
-    auto back = storage::codec::DecodeAggColumns(
-        blob.data(), blob.size(), storage::codec::DecodeMode::kFast);
-    const double ns = NowNs() - t0;
-    if (!back.ok() || back->size() != kRows) std::abort();
-    return ns;
-  });
-}
-
 /// Prints `value` beside its bound and returns whether it holds.
 bool Holds(const char* what, double value, const char* unit, double bound,
            bool at_most) {
@@ -469,12 +439,10 @@ bool CheckFloors() {
   ok &= Holds("observability hooks", observability_pct, "%",
               kMaxObservabilityOverheadPct, true);
   if (simd::DetectedLevel() != simd::IsaLevel::kAvx2) {
-    std::printf("no AVX2 on this host: SIMD floors skipped\n");
+    std::printf("no AVX2 on this host: SIMD floor skipped\n");
     return ok;
   }
   ok &= Holds("leaf fold avx2/scalar", LeafFoldSpeedup(sys->get()), "x",
-              kMinSimdSpeedup, false);
-  ok &= Holds("codec decode avx2/scalar", CodecDecodeSpeedup(), "x",
               kMinSimdSpeedup, false);
   return ok;
 }

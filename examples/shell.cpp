@@ -2,8 +2,8 @@
 // Type the paper's star-join template against the Table 1 schema and watch
 // the chunk cache work; dot-commands inspect the system.
 //
-//   $ ./shell [num_tuples] [--compress] [--policy=<name>]
-//             [--persist-dir=PATH] [--snapshot-every=N]
+//   $ ./shell [num_tuples] [--policy=<name>] [--persist-dir=PATH]
+//             [--snapshot-every=N]
 //   chunkcache> SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 GROUP BY D0.L1
 //   chunkcache> .schema
 //   chunkcache> .cache
@@ -11,7 +11,9 @@
 //
 // --persist-dir keeps the cache across restarts, snapshot-only: a
 // background thread writes a snapshot every --snapshot-every cache admits
-// and evicts (0 = only at exit), and a clean exit writes a final one.
+// and evicts (0 = only at exit), and a clean exit writes a final one. A
+// run over other facts (another num_tuples) starts cold: each snapshot
+// records the fingerprint of the facts and chunking it was taken against.
 //
 // Server mode (DESIGN.md §15) — instead of the REPL, expose the same tier
 // over the binary-framed TCP protocol until stdin reaches EOF:
@@ -41,7 +43,6 @@
 #include "server/server.h"
 #include "sql/parser.h"
 #include "storage/buffer_pool.h"
-#include "storage/codec.h"
 #include "storage/disk_manager.h"
 
 using namespace chunkcache;
@@ -72,8 +73,8 @@ int BadArgument(const std::string& arg) {
   std::fprintf(
       stderr,
       "shell: bad argument \"%s\"\n"
-      "usage: shell [num_tuples] [--compress] [--policy=<name>]\n"
-      "             [--persist-dir=PATH] [--snapshot-every=N]\n"
+      "usage: shell [num_tuples] [--policy=<name>] [--persist-dir=PATH]\n"
+      "             [--snapshot-every=N]\n"
       "             [--serve[=port]] [--rate-qps=Q] [--max-deadline-ms=N]\n"
       "policies:",
       arg.c_str());
@@ -153,8 +154,6 @@ int main(int argc, char** argv) {
       if (!ParseU64(arg.substr(18), &sopts.max_deadline_ms)) {
         return BadArgument(arg);
       }
-    } else if (arg == "--compress") {
-      mopts.enable_compression = true;  // encoded cache tier
     } else if (arg.rfind("--policy=", 0) == 0) {
       mopts.policy = arg.substr(9);
       const auto& known = cache::KnownPolicyNames();
@@ -162,9 +161,6 @@ int main(int argc, char** argv) {
         return BadArgument(arg);
       }
     } else if (arg.rfind("--persist-dir=", 0) == 0) {
-      // The shell regenerates its synthetic facts per run, so recovered
-      // entries are only meaningful when num_tuples (and the seed) match
-      // the run that wrote them, as they do for repeated invocations.
       mopts.persist_dir = arg.substr(14);
       if (mopts.persist_dir.empty()) return BadArgument(arg);
     } else if (arg.rfind("--snapshot-every=", 0) == 0) {
@@ -324,47 +320,6 @@ int main(int argc, char** argv) {
                   (unsigned long long)cs.deadline_expired,
                   (unsigned long long)cs.checksum_failures);
       const MetricsRegistry::Snapshot ms = tier.metrics().TakeSnapshot();
-      if (tier.options().enable_compression) {
-        std::printf("compression: chunks=%llu skipped=%llu raw bytes=%llu "
-                    "encoded bytes=%llu ratio=%.3f\n",
-                    (unsigned long long)cs.compressed_chunks,
-                    (unsigned long long)cs.compression_skipped,
-                    (unsigned long long)cs.codec_raw_bytes,
-                    (unsigned long long)cs.codec_encoded_bytes,
-                    cs.codec_raw_bytes
-                        ? static_cast<double>(cs.codec_encoded_bytes) /
-                              static_cast<double>(cs.codec_raw_bytes)
-                        : 0.0);
-        std::printf("  decode: calls=%llu decoded-lru hits=%llu "
-                    "evictions=%llu\n",
-                    (unsigned long long)cs.decode_calls,
-                    (unsigned long long)cs.decoded_lru_hits,
-                    (unsigned long long)cs.decoded_lru_evictions);
-        for (size_t c = 0; c < storage::codec::kNumCodecs; ++c) {
-          const char* nm = storage::codec::CodecName(
-              static_cast<storage::codec::ColumnCodec>(c));
-          const std::string base = std::string("cache.codec.") + nm;
-          const uint64_t cols = ms.counter(base + ".columns");
-          if (cols == 0) continue;
-          const uint64_t raw = ms.counter(base + ".raw_bytes");
-          const uint64_t enc = ms.counter(base + ".encoded_bytes");
-          std::printf("  codec %-6s: columns=%llu raw=%llu encoded=%llu "
-                      "ratio=%.3f\n",
-                      nm, (unsigned long long)cols, (unsigned long long)raw,
-                      (unsigned long long)enc,
-                      raw ? static_cast<double>(enc) / static_cast<double>(raw)
-                          : 0.0);
-        }
-        auto dec = ms.histograms.find("codec.decode_ns");
-        if (dec != ms.histograms.end() && dec->second.count > 0) {
-          const HistogramSnapshot& h = dec->second;
-          std::printf("  decode-on-hit: n=%llu mean=%.1fus p50=%.1fus "
-                      "p95=%.1fus p99=%.1fus\n",
-                      (unsigned long long)h.count, h.Mean() / 1e3,
-                      h.Quantile(0.5) / 1e3, h.Quantile(0.95) / 1e3,
-                      h.Quantile(0.99) / 1e3);
-        }
-      }
       if (tier.persistence() != nullptr) {
         const auto& rec = tier.recovery_stats();
         std::printf("persist: snapshots=%llu bytes=%llu errors=%llu\n",

@@ -4,12 +4,35 @@
 #include <limits>
 #include <numeric>
 
+#include "common/crc32c.h"
 #include "common/fault_injector.h"
 
 namespace chunkcache::backend {
 
 using storage::RowId;
 using storage::Tuple;
+
+namespace {
+
+/// CRC32C of every dimension's chunk ranges, level by level.
+uint32_t RangesCrc(const chunks::ChunkingScheme& scheme) {
+  uint32_t crc = 0;
+  for (uint32_t d = 0; d < scheme.num_dims(); ++d) {
+    const chunks::DimensionChunking& dc = scheme.dim_chunking(d);
+    for (uint32_t level = 1; level <= dc.depth(); ++level) {
+      const uint32_t n = dc.NumRanges(level);
+      crc = Crc32c(&n, sizeof(n), crc);
+      for (uint32_t i = 0; i < n; ++i) {
+        const schema::OrdinalRange r = dc.Range(level, i);
+        const uint32_t ends[2] = {r.begin, r.end};
+        crc = Crc32c(ends, sizeof(ends), crc);
+      }
+    }
+  }
+  return crc;
+}
+
+}  // namespace
 
 std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
                                     uint64_t max_rows) {
@@ -41,7 +64,12 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
   CHUNKCACHE_CHECK(num_chunks <= std::numeric_limits<uint32_t>::max());
   // Each tuple's base chunk number, then the load order: input order, or
   // when clustering, a counting sort by chunk number (stable, so tuples of
-  // one chunk keep their input order).
+  // one chunk keep their input order). The same pass folds the tuples'
+  // records into the fingerprint.
+  const storage::TupleDesc desc = scheme->schema().tuple_desc();
+  const uint64_t num_tuples = tuples.size();
+  uint32_t tuples_crc = Crc32c(&num_tuples, sizeof(num_tuples));
+  uint8_t record[storage::kMaxDims * 4 + 8];
   std::vector<uint32_t> chunk_of(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
     chunks::ChunkCoords cell{};
@@ -49,6 +77,8 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
       cell[d] = tuples[i].keys[d];
     }
     chunk_of[i] = static_cast<uint32_t>(scheme->ChunkOfCell(base, cell));
+    tuples[i].Serialize(desc, record);
+    tuples_crc = Crc32c(record, desc.RecordSize(), tuples_crc);
   }
   std::vector<uint32_t> order(tuples.size());
   if (clustered) {
@@ -62,9 +92,8 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
     std::iota(order.begin(), order.end(), 0);
   }
 
-  CHUNKCACHE_ASSIGN_OR_RETURN(
-      storage::FactFile fact,
-      storage::FactFile::Create(pool, scheme->schema().tuple_desc()));
+  CHUNKCACHE_ASSIGN_OR_RETURN(storage::FactFile fact,
+                              storage::FactFile::Create(pool, desc));
   CHUNKCACHE_ASSIGN_OR_RETURN(const RowId first,
                               fact.AppendInOrder(tuples, order));
   CHUNKCACHE_RETURN_IF_ERROR(fact.SyncHeader());
@@ -81,7 +110,8 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
     }
   }
 
-  ChunkedFile file(std::move(fact), scheme, clustered);
+  ChunkedFile file(std::move(fact), scheme, clustered,
+                   uint64_t{RangesCrc(*scheme)} << 32 | tuples_crc);
   if (clustered) {
     CHUNKCACHE_ASSIGN_OR_RETURN(index::BTree tree, index::BTree::Create(pool));
     CHUNKCACHE_RETURN_IF_ERROR(tree.BulkLoad(runs));

@@ -85,14 +85,25 @@ class ChunkedFile {
     return chunk_index_ ? chunk_index_->size() : 0;
   }
 
+  /// Identifies the data chunks are computed from: a CRC32C of every
+  /// dimension's chunk ranges at every level (high half) and one of the
+  /// tuple count and the tuples in input order (low half), both folded by
+  /// BulkLoad from memory. A cache snapshot records it, and is recovered
+  /// only against a file with the same fingerprint.
+  uint64_t fingerprint() const { return fingerprint_; }
+
  private:
   ChunkedFile(storage::FactFile fact, const chunks::ChunkingScheme* scheme,
-              bool clustered)
-      : fact_(std::move(fact)), scheme_(scheme), clustered_(clustered) {}
+              bool clustered, uint64_t fingerprint)
+      : fact_(std::move(fact)),
+        scheme_(scheme),
+        clustered_(clustered),
+        fingerprint_(fingerprint) {}
 
   storage::FactFile fact_;
   const chunks::ChunkingScheme* scheme_;
   bool clustered_;
+  uint64_t fingerprint_;
   std::optional<index::BTree> chunk_index_;
 };
 

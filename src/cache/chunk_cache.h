@@ -31,13 +31,9 @@ struct CachedChunk {
   uint64_t filter_hash = 0;
   double benefit = 0;
   /// The entry's one allocation: the rows in canonical row-major order as
-  /// a box payload (storage::ChunkPayload), or, when the manager's
-  /// compressed tier holds the entry, in the payload's blob form around a
-  /// storage/codec blob that hits decode on demand
-  /// (ChunkCacheManager::ResolvePayload).
+  /// a box payload (storage::ChunkPayload), which hits read in place.
   storage::ChunkPayload payload;
 
-  bool compressed() const { return payload.blob(); }
   size_t rows() const { return payload.size(); }
 
   /// Footprint charged against the cache budget: kChunkEntryBytes plus
@@ -150,16 +146,6 @@ struct ChunkCacheStats {
   uint64_t deadline_expired = 0;   ///< Chunk waits/computes cut by deadline.
   uint64_t checksum_failures = 0;  ///< Page CRC mismatches caught on read.
   uint64_t scan_deadline_sheds = 0;  ///< Scheduler admissions given up.
-
-  // Compressed-tier counters, filled by ChunkCacheManager::StatsSnapshot
-  // when enable_compression is on; zero otherwise.
-  uint64_t compressed_chunks = 0;   ///< Entries admitted in encoded form.
-  uint64_t compression_skipped = 0;  ///< Entries where encoding didn't pay.
-  uint64_t codec_raw_bytes = 0;      ///< Payload bytes blobs replaced.
-  uint64_t codec_encoded_bytes = 0;  ///< Bytes of the blobs kept.
-  uint64_t decode_calls = 0;         ///< Hits that had to decode.
-  uint64_t decoded_lru_hits = 0;     ///< Hits served by the decoded front.
-  uint64_t decoded_lru_evictions = 0;
 
   /// Active SIMD dispatch level (simd::IsaLevel: 0 = scalar, 1 = avx2),
   /// filled by ChunkCacheManager::StatsSnapshot.

@@ -144,12 +144,7 @@ const char* IsaLevelName(IsaLevel level) {
 
 IsaLevel DetectedLevel() {
 #if CHUNKCACHE_SIMD_X86_64
-  // The kAvx2 tier bundles BMI2: the codec's varint parse uses PEXT.
-  // Every CPU that ships AVX2 also ships BMI2 (both arrived with
-  // Haswell/Excavator), so in practice the pair gates together; checking
-  // both keeps the dispatch honest on hypothetical trimmed-down cores.
-  static const IsaLevel detected = __builtin_cpu_supports("avx2") != 0 &&
-                                           __builtin_cpu_supports("bmi2") != 0
+  static const IsaLevel detected = __builtin_cpu_supports("avx2") != 0
                                        ? IsaLevel::kAvx2
                                        : IsaLevel::kScalar;
   return detected;

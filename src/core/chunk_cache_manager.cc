@@ -104,10 +104,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
   if (options_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
   }
-  if (options_.enable_compression && options_.decoded_cache_bytes > 0) {
-    decoded_ = std::make_unique<cache::DecodedCache>(
-        options_.decoded_cache_bytes, metrics_);
-  }
   queries_ = metrics_->GetCounter("query.executions");
   query_errors_ = metrics_->GetCounter("query.errors");
   chunks_requested_ = metrics_->GetCounter("chunks.requested");
@@ -119,21 +115,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
   retries_ = metrics_->GetCounter("backend.retries");
   deadline_expired_ = metrics_->GetCounter("query.deadline_expired");
   query_latency_ns_ = metrics_->GetHistogram("query.latency_ns");
-  compressed_chunks_ = metrics_->GetCounter("cache.compressed_chunks");
-  compression_skipped_ = metrics_->GetCounter("cache.compression_skipped");
-  codec_raw_bytes_ = metrics_->GetCounter("cache.codec_raw_bytes");
-  codec_encoded_bytes_ = metrics_->GetCounter("cache.codec_encoded_bytes");
-  decode_calls_ = metrics_->GetCounter("cache.decode_calls");
-  for (size_t c = 0; c < storage::codec::kNumCodecs; ++c) {
-    const std::string base =
-        std::string("cache.codec.") +
-        storage::codec::CodecName(static_cast<storage::codec::ColumnCodec>(c));
-    codec_col_raw_[c] = metrics_->GetCounter(base + ".raw_bytes");
-    codec_col_encoded_[c] = metrics_->GetCounter(base + ".encoded_bytes");
-    codec_col_columns_[c] = metrics_->GetCounter(base + ".columns");
-  }
-  encode_ns_ = metrics_->GetHistogram("codec.encode_ns");
-  decode_ns_ = metrics_->GetHistogram("codec.decode_ns");
   // The buffer pool times its physical I/O into this registry
   // ("disk.read_ns"/"disk.write_ns"). Latest-binding-wins; the destructor
   // unbinds only its own binding, so stacked tiers sharing one engine
@@ -157,23 +138,27 @@ ChunkCacheManager::~ChunkCacheManager() {
 
 void ChunkCacheManager::RecoverPersistedCache() {
   if (options_.persist_dir.empty()) return;
-  storage::PersistOptions popts;
-  popts.dir = options_.persist_dir;
-  auto opened = storage::CachePersistence::Open(std::move(popts), metrics_);
+  // Snapshots taken against other data (another tuple set or chunking)
+  // are never read: their chunks would be served as this data's.
+  auto opened = storage::CachePersistence::Open(
+      options_.persist_dir, engine_->file().fingerprint(), metrics_);
   CHUNKCACHE_CHECK_MSG(opened.ok(), "persist_dir is unusable");
   persist_ = std::move(*opened);
   storage::RecoveryStats rec = persist_->TakeRecovery();
   // Re-admit every recovered entry through the normal Insert path so the
-  // byte budget, replacement policy and shard accounting all see it. Each
-  // blob is decode-verified (its CRC32C trailer) before anything can be
-  // served from it; a failed decode quarantines the entry — dropped and
-  // counted, recomputed on first use — never a construction failure.
+  // byte budget, replacement policy and shard accounting all see it.
+  // Recovery already dropped and counted every record whose frame CRC or
+  // columns failed to parse. The fingerprint vouches for the data, not
+  // for each record: one that names no chunk of this scheme, or holds
+  // rows of another width, is quarantined the same way.
+  const chunks::ChunkingScheme& scheme = engine_->scheme();
   for (storage::PersistedChunk& pc : rec.entries) {
-    auto decoded =
-        storage::codec::DecodeAggColumns(pc.blob.data(), pc.blob.size());
-    if (!decoded.ok()) {
+    if (pc.group_by_id >= scheme.NumGroupByIds() ||
+        pc.cols.num_dims() != scheme.num_dims() ||
+        pc.chunk_num >=
+            scheme.GridFor(scheme.SpecOfId(pc.group_by_id)).num_chunks()) {
       persist_->CountQuarantined();
-      rec.quarantined++;
+      ++rec.quarantined;
       continue;
     }
     auto entry = std::make_shared<cache::CachedChunk>();
@@ -181,17 +166,7 @@ void ChunkCacheManager::RecoverPersistedCache() {
     entry->chunk_num = pc.chunk_num;
     entry->filter_hash = pc.filter_hash;
     entry->benefit = pc.benefit;
-    entry->payload = storage::ChunkPayload(*decoded);
-    if (options_.enable_compression) {
-      // Compressed tier: keep the codec blob verbatim where admission
-      // would have.
-      storage::ChunkPayload encoded = storage::ChunkPayload::Blob(
-          decoded->num_dims(), decoded->size(), pc.blob.data(),
-          pc.blob.size());
-      if (encoded.capacity_bytes() < entry->payload.capacity_bytes()) {
-        entry->payload = std::move(encoded);
-      }
-    }
+    entry->payload = storage::ChunkPayload(pc.cols);
     cache_.Insert(std::move(entry));
   }
   rec.entries.clear();
@@ -207,30 +182,13 @@ void ChunkCacheManager::RecoverPersistedCache() {
 Status ChunkCacheManager::PersistSnapshot() {
   if (persist_ == nullptr) return Status::OK();
   // Streams shard by shard: ForEachEntry pins one shard's entries at a
-  // time, and each entry is encoded straight into the writer's reused
-  // frame buffer: a payload through its columns, so the blob format is the
-  // one every snapshot has used, and a compressed entry's blob verbatim.
+  // time, and each entry's columns are serialized straight into the
+  // writer's reused frame buffer.
   return persist_->WriteSnapshot([this](storage::SnapshotWriter* w) {
     cache_.ForEachEntry([w](const cache::ChunkHandle& h) {
-      storage::PersistedChunk head;
-      head.group_by_id = h->group_by_id;
-      head.chunk_num = h->chunk_num;
-      head.filter_hash = h->filter_hash;
-      head.benefit = h->benefit;
-      head.rows = static_cast<uint32_t>(h->rows());
-      const storage::ChunkPayload& p = h->payload;
-      head.raw_bytes =
-          storage::codec::RawPayloadBytes(p.num_dims(), p.size());
-      if (h->compressed()) {
-        w->Add(head, [&p](std::vector<uint8_t>* out) {
-          out->insert(out->end(), p.blob_data(),
-                      p.blob_data() + p.blob_size());
-        });
-      } else {
-        w->Add(head, [&p](std::vector<uint8_t>* out) {
-          storage::codec::EncodeAggColumns(p.ToColumns(), out);
-        });
-      }
+      w->Add(storage::PersistedChunk{h->group_by_id, h->chunk_num,
+                                     h->filter_hash, h->benefit,
+                                     h->payload.ToColumns()});
     });
   });
 }
@@ -253,8 +211,6 @@ void ChunkCacheManager::RefreshMetrics() const {
       ->Set(static_cast<int64_t>(ks.runs_merged));
   metrics_->GetGauge("inflight.peak")
       ->Set(static_cast<int64_t>(inflight_.peak()));
-  // Decoded-LRU stats need no folding here: DecodedCache homes its own
-  // hit/eviction counters and byte gauge on this registry directly.
   metrics_->GetGauge("faults.injected")
       ->Set(static_cast<int64_t>(FaultInjector::Global().faults_injected()));
   metrics_->GetGauge("disk.checksum_failures")
@@ -298,13 +254,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.deadline_expired = snap.counter("query.deadline_expired");
   s.checksum_failures =
       static_cast<uint64_t>(snap.gauge("disk.checksum_failures"));
-  s.compressed_chunks = snap.counter("cache.compressed_chunks");
-  s.compression_skipped = snap.counter("cache.compression_skipped");
-  s.codec_raw_bytes = snap.counter("cache.codec_raw_bytes");
-  s.codec_encoded_bytes = snap.counter("cache.codec_encoded_bytes");
-  s.decode_calls = snap.counter("cache.decode_calls");
-  s.decoded_lru_hits = snap.counter("cache.decoded_lru_hits");
-  s.decoded_lru_evictions = snap.counter("cache.decoded_lru_evictions");
   s.simd_level = static_cast<uint64_t>(snap.gauge("simd.level"));
   s.persist_snapshots = snap.counter("persist.snapshots");
   s.persist_snapshot_bytes = snap.counter("persist.snapshot_bytes");
@@ -315,77 +264,7 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   return s;
 }
 
-std::shared_ptr<const storage::ChunkPayload>
-ChunkCacheManager::MaybeCompressEntry(cache::CachedChunk* entry,
-                                      const storage::AggColumns& cols) {
-  namespace codec = storage::codec;
-  if (!options_.enable_compression || cols.empty()) return nullptr;
-  std::vector<uint8_t> blob;
-  codec::CodecStats cs;
-  const auto t0 = std::chrono::steady_clock::now();
-  codec::EncodeAggColumns(cols, &blob, &cs);
-  encode_ns_->Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
-  for (size_t c = 0; c < codec::kNumCodecs; ++c) {
-    if (cs.columns[c] == 0) continue;
-    codec_col_raw_[c]->Add(cs.raw_bytes[c]);
-    codec_col_encoded_[c]->Add(cs.encoded_bytes[c]);
-    codec_col_columns_[c]->Add(cs.columns[c]);
-  }
-  storage::ChunkPayload encoded = storage::ChunkPayload::Blob(
-      cols.num_dims(), cols.size(), blob.data(), blob.size());
-  if (encoded.capacity_bytes() >= entry->payload.capacity_bytes()) {
-    // The payload is already as small: keep it, a decode per hit would
-    // buy nothing.
-    compression_skipped_->Increment();
-    return nullptr;
-  }
-  // The ratio reads against what the cache would otherwise hold.
-  codec_raw_bytes_->Add(entry->payload.capacity_bytes());
-  codec_encoded_bytes_->Add(encoded.capacity_bytes());
-  auto dec = std::make_shared<const storage::ChunkPayload>(
-      std::move(entry->payload));
-  entry->payload = std::move(encoded);
-  if (decoded_ != nullptr) {
-    // Seed the decoded front with the payload we already have: coalesced
-    // waiters and the next hits read it without paying the first decode.
-    decoded_->Put(
-        ChunkKey{entry->group_by_id, entry->chunk_num, entry->filter_hash},
-        dec);
-  }
-  compressed_chunks_->Increment();
-  return dec;
-}
-
-std::shared_ptr<const storage::ChunkPayload>
-ChunkCacheManager::ResolvePayload(const cache::ChunkHandle& h) {
-  if (!h->compressed()) {
-    // Aliasing share: the pinned handle keeps the payload alive, no copy.
-    return std::shared_ptr<const storage::ChunkPayload>(h, &h->payload);
-  }
-  const ChunkKey key{h->group_by_id, h->chunk_num, h->filter_hash};
-  if (decoded_ != nullptr) {
-    if (auto hit = decoded_->Get(key)) return hit;  // counted by the cache
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto res = storage::codec::DecodeAggColumns(h->payload.blob_data(),
-                                              h->payload.blob_size());
-  // The blob was encoded by this process and CRC-validated on decode; a
-  // failure here means in-memory corruption, not recoverable input.
-  CHUNKCACHE_CHECK(res.ok());
-  auto dec = std::make_shared<const storage::ChunkPayload>(*res);
-  decode_ns_->Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
-  decode_calls_->Increment();
-  if (decoded_ != nullptr) decoded_->Put(key, dec);
-  return dec;
-}
-
-std::shared_ptr<const storage::ChunkPayload> ChunkCacheManager::AdmitChunk(
+cache::ChunkHandle ChunkCacheManager::AdmitChunk(
     const ChunkKey& key, double benefit, const storage::AggColumns& cols,
     const Inflight::SlotPtr& slot) {
   auto entry = std::make_shared<cache::CachedChunk>();
@@ -394,19 +273,12 @@ std::shared_ptr<const storage::ChunkPayload> ChunkCacheManager::AdmitChunk(
   entry->filter_hash = key.filter_hash;
   entry->benefit = benefit;
   entry->payload = storage::ChunkPayload(cols);
-  std::shared_ptr<const storage::ChunkPayload> out =
-      MaybeCompressEntry(entry.get(), cols);
   cache::ChunkHandle handle = entry;
-  if (out == nullptr) {
-    // Payload entry: alias it, the handle keeps it alive.
-    out = std::shared_ptr<const storage::ChunkPayload>(handle,
-                                                       &handle->payload);
-  }
   cache_.Insert(std::move(entry));
   // Insert before Publish: a claimant that re-probes after the entry
   // retires must find the chunk in the cache.
-  if (slot != nullptr) inflight_.Publish(key, slot, std::move(handle));
-  return out;
+  if (slot != nullptr) inflight_.Publish(key, slot, handle);
+  return handle;
 }
 
 Result<std::vector<ChunkData>> ChunkCacheManager::ComputeFromBackend(
@@ -527,9 +399,9 @@ ChunkCacheManager::QueryPlan ChunkCacheManager::Plan(
   const uint32_t probe_span = trace->BeginSpan("cache_probe", trace->root());
   std::array<uint64_t, 3> claims{};
   for (PlannedChunk& c : plan.chunks) {
-    c.hit = cache_.Lookup(plan.gb_id, c.chunk_num, plan.filter_hash);
-    if (c.hit == nullptr) {
-      c.claim = Claim(plan.Key(c.chunk_num), &c.hit, &c.slot);
+    c.entry = cache_.Lookup(plan.gb_id, c.chunk_num, plan.filter_hash);
+    if (c.entry == nullptr) {
+      c.claim = Claim(plan.Key(c.chunk_num), &c.entry, &c.slot);
     }
     ++claims[static_cast<size_t>(c.claim)];
   }
@@ -584,7 +456,7 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
       }
       // Admitted, so the next query gets a direct hit and any waiter the
       // same allocation.
-      c->payload =
+      c->entry =
           AdmitChunk(plan->Key(c->chunk_num), plan->benefit, *cols, c->slot);
       c->source = Provenance::kAggregation;
     }
@@ -635,17 +507,12 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
     computed = std::move(assembled);
     source = Provenance::kDegraded;
   }
-  const uint32_t encode_span = options_.enable_compression
-                                   ? trace->BeginSpan("encode", miss_span)
-                                   : TraceBuilder::kNoSpan;
   for (size_t i = 0; i < owned.size(); ++i) {
     PlannedChunk* c = owned[i];
-    c->payload = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
-                            (*computed)[i].cols, c->slot);
+    c->entry = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
+                          (*computed)[i].cols, c->slot);
     c->source = source;
   }
-  trace->Tag(encode_span, "chunks", static_cast<uint64_t>(owned.size()));
-  trace->EndSpan(encode_span);
   trace->Tag(miss_span, "provenance",
              source == Provenance::kDegraded ? "degraded" : "backend");
   if (stats->retries != 0) trace->Tag(miss_span, "retries", stats->retries);
@@ -665,9 +532,8 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
          (res.status().code() == StatusCode::kDeadlineExceeded ||
           res.status().code() == StatusCode::kCancelled) &&
          ctrl.Check().ok()) {
-    switch (Claim(key, &c->hit, &c->slot)) {
+    switch (Claim(key, &c->entry, &c->slot)) {
       case ClaimKind::kHit:
-        c->payload = ResolvePayload(c->hit);
         c->source = Provenance::kCache;
         return Status::OK();
       case ClaimKind::kOwned: {
@@ -682,7 +548,7 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
     }
   }
   if (res.ok()) {
-    c->payload = ResolvePayload(*res);
+    c->entry = std::move(res).value();
     c->source = Provenance::kCoalesced;
     return Status::OK();
   }
@@ -694,7 +560,7 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
   }
   if (cache::ChunkHandle raced =
           cache_.Lookup(key.group_by_id, key.chunk_num, key.filter_hash)) {
-    c->payload = ResolvePayload(raced);
+    c->entry = std::move(raced);
     c->source = Provenance::kCache;
     return Status::OK();
   }
@@ -702,35 +568,24 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
   if (!cols) return res.status();
   // Not the owner of this key, so no slot to publish — just admit the
   // assembled chunk for future queries and use its rows.
-  c->payload = AdmitChunk(key, plan->benefit, *cols, /*slot=*/nullptr);
+  c->entry = AdmitChunk(key, plan->benefit, *cols, /*slot=*/nullptr);
   c->source = Provenance::kDegraded;
   return Status::OK();
 }
 
 std::vector<ResultRow> ChunkCacheManager::Assemble(const QueryPlan& plan,
                                                    TraceBuilder* trace) {
-  // Hits resolve their payloads here, decoding compressed entries; every
-  // other chunk was resolved with its payload in hand. Each chunk appends
-  // only its rows inside the selection (the §5.2.3 boundary filter).
+  // Every chunk's rows are read in place from its pinned entry. Each
+  // chunk appends only its rows inside the selection (the §5.2.3 boundary
+  // filter).
   const StarJoinQuery& query = *plan.query;
   size_t total = 0;
-  uint64_t hits = 0;
-  for (const PlannedChunk& c : plan.chunks) {
-    total += c.payload != nullptr ? c.payload->size() : c.hit->rows();
-    hits += c.claim == ClaimKind::kHit;
-  }
-  const uint32_t decode_span =
-      options_.enable_compression && hits != 0
-          ? trace->BeginSpan("decode", trace->root())
-          : TraceBuilder::kNoSpan;
+  for (const PlannedChunk& c : plan.chunks) total += c.entry->rows();
   std::vector<AggTuple> rows;
   rows.reserve(total);
   for (const PlannedChunk& c : plan.chunks) {
-    (c.payload != nullptr ? c.payload : ResolvePayload(c.hit))
-        ->AppendRowsInside(query.selection, &rows);
+    c.entry->payload.AppendRowsInside(query.selection, &rows);
   }
-  trace->Tag(decode_span, "chunks", hits);
-  trace->EndSpan(decode_span);
 
   // Post-processing: canonical order.
   const uint32_t rollup_span = trace->BeginSpan("rollup", trace->root());
@@ -831,7 +686,7 @@ std::optional<storage::AggColumns> ChunkCacheManager::TryInCacheAggregation(
                                  engine_->options().dense_cell_limit,
                                  engine_->kernel_counters());
     for (const cache::ChunkHandle& chunk : sources) {
-      agg.AddPayload(*ResolvePayload(chunk), src.spec);
+      agg.AddPayload(chunk->payload, src.spec);
     }
     return agg.TakeColumns();  // already canonical order
   }

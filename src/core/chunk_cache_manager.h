@@ -11,14 +11,12 @@
 #include "backend/engine.h"
 #include "backend/scan_scheduler.h"
 #include "cache/chunk_cache.h"
-#include "cache/decoded_cache.h"
 #include "common/inflight_table.h"
 #include "common/metrics.h"
 #include "common/retry.h"
 #include "common/trace.h"
 #include "core/middle_tier.h"
 #include "storage/cache_persist.h"
-#include "storage/codec.h"
 
 namespace chunkcache::core {
 
@@ -52,29 +50,20 @@ struct ChunkManagerOptions {
   /// with jittered exponential backoff instead of failing the query.
   RetryPolicy retry;
 
-  /// Compressed in-memory cache tier: an admitted chunk is stored
-  /// codec-encoded when its blob is smaller than its payload (the budget
-  /// charges encoded bytes, so effective capacity rises at fixed
-  /// cache_bytes) and hits decode on demand through a small decoded-LRU
-  /// front. Other entries keep their payload. Query results are
-  /// bit-identical either way (the codecs are lossless), which
-  /// compression_test checks end to end.
+  /// Read by no code; kept only because bench/e2e/e2e.cc assigns it.
   bool enable_compression = false;
-
-  /// Budget of the decoded-LRU front (used only with enable_compression).
-  /// Holds the most recently decoded chunks so back-to-back hits on the
-  /// same chunk decode once. 0 disables the front (every hit decodes).
-  uint64_t decoded_cache_bytes = 4ull << 20;
 
   /// Crash-safe persistent cache (DESIGN.md §14). When non-empty, the
   /// cache's contents (each entry with its benefit) live in this
   /// directory as generation-numbered snapshots, written by one
   /// background thread so no query thread encodes, writes or fsyncs for
-  /// persistence. Construction recovers the newest readable snapshot
-  /// (corrupt entries quarantined: dropped + counted, never served), then
-  /// traffic is served warm — bit-identical to a cold run, since cache
-  /// warmth never changes answers. A crash loses only the admissions
-  /// since the last completed snapshot. Empty = no persistence.
+  /// persistence. Construction recovers the newest readable snapshot of
+  /// the engine's data (backend::ChunkedFile::fingerprint(); a snapshot
+  /// of other data is never read) with corrupt entries quarantined
+  /// (dropped + counted, never served), then traffic is served warm —
+  /// bit-identical to a cold run, since cache warmth never changes
+  /// answers. A crash loses only the admissions since the last completed
+  /// snapshot. Empty = no persistence.
   std::string persist_dir;
 
   /// Cache admit and evict events between background snapshots (0 =
@@ -139,8 +128,8 @@ class ChunkCacheManager final : public MiddleTier {
   cache::ChunkCache& chunk_cache() { return cache_; }
   const ChunkManagerOptions& options() const { return options_; }
 
-  /// Cache stats plus the miss-coalescing, robustness, codec and
-  /// persistence counters; what `examples/shell.cpp`'s `stats` command
+  /// Cache stats plus the miss-coalescing, robustness and persistence
+  /// counters; what `examples/shell.cpp`'s `stats` command
   /// prints. Every cumulative value is served from the metrics registry
   /// (the single store), after RefreshMetrics, so the registry export and
   /// this struct always agree.
@@ -214,11 +203,10 @@ class ChunkCacheManager final : public MiddleTier {
   /// One chunk a query needs.
   struct PlannedChunk {
     uint64_t chunk_num = 0;
-    cache::ChunkHandle hit;  // the pinned entry of a kHit claim
+    // The pinned cache entry whose payload holds the chunk's rows: set by
+    // the probe for a kHit claim, and by Resolve for every other chunk.
+    cache::ChunkHandle entry;
     Inflight::SlotPtr slot;  // the in-flight slot of a kOwned/kWait claim
-    // The chunk's rows once resolved; null for a hit, whose rows Assemble
-    // reads from `hit`.
-    std::shared_ptr<const storage::ChunkPayload> payload;
     ClaimKind claim = ClaimKind::kHit;
     Provenance source = Provenance::kCache;  // final, once resolved
   };
@@ -273,8 +261,8 @@ class ChunkCacheManager final : public MiddleTier {
   Status CollectWait(QueryPlan* plan, PlannedChunk* c, const ExecControl& ctrl,
                      QueryStats* stats);
 
-  /// Post-processing: appends every chunk's rows inside the selection
-  /// (decoding compressed hits) and sorts them canonically.
+  /// Post-processing: appends every chunk's rows inside the selection and
+  /// sorts them canonically.
   std::vector<backend::ResultRow> Assemble(const QueryPlan& plan,
                                            TraceBuilder* trace);
 
@@ -307,9 +295,9 @@ class ChunkCacheManager final : public MiddleTier {
                                                            uint64_t chunk_num);
 
   /// Builds the cache entry for a fresh chunk of `key` from its columns
-  /// (canonical order), compresses it when the tier is on, inserts it, and
-  /// publishes it to `slot` when non-null. Returns the chunk's payload.
-  std::shared_ptr<const storage::ChunkPayload> AdmitChunk(
+  /// (canonical order), inserts it, and publishes it to `slot` when
+  /// non-null. Returns the entry, pinned.
+  cache::ChunkHandle AdmitChunk(
       const cache::ChunkKey& key, double benefit,
       const storage::AggColumns& cols, const Inflight::SlotPtr& slot);
 
@@ -321,26 +309,11 @@ class ChunkCacheManager final : public MiddleTier {
       const std::vector<uint64_t>& chunk_nums, const ExecControl& ctrl,
       QueryStats* stats);
 
-  /// Encodes `cols`, the rows of `entry->payload`, when compression is on
-  /// and swaps the payload for its codec blob when the blob is smaller
-  /// (otherwise the entry keeps its payload and compression_skipped
-  /// counts it). On a swap returns the payload, which also goes into the
-  /// decoded-LRU front so coalesced waiters read it without a decode;
-  /// returns null for an entry left as a payload.
-  std::shared_ptr<const storage::ChunkPayload> MaybeCompressEntry(
-      cache::CachedChunk* entry, const storage::AggColumns& cols);
-
-  /// The payload of a cache hit: payload entries alias the handle's own
-  /// (no copy, the handle keeps it alive); compressed entries come from
-  /// the decoded-LRU front or a fresh timed decode.
-  std::shared_ptr<const storage::ChunkPayload> ResolvePayload(
-      const cache::ChunkHandle& h);
-
   /// Recovery half of the warm-restart path: opens the persistence
-  /// subsystem, re-admits every recovered entry through the normal Insert
-  /// path (decode-verifying each blob; failures are quarantined), and
-  /// only then installs the event sink that starts the background
-  /// persister, so recovered inserts do not count toward a snapshot.
+  /// subsystem against this engine's data fingerprint, re-admits every
+  /// recovered entry through the normal Insert path, and only then
+  /// installs the event sink that starts the background persister, so
+  /// recovered inserts do not count toward a snapshot.
   void RecoverPersistedCache();
 
   backend::BackendEngine* engine_;
@@ -350,9 +323,6 @@ class ChunkCacheManager final : public MiddleTier {
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   cache::ChunkCache cache_;
-  // Decoded-LRU front of the compressed tier; null unless
-  // enable_compression && decoded_cache_bytes > 0.
-  std::unique_ptr<cache::DecodedCache> decoded_;
   Inflight inflight_;
   std::unique_ptr<backend::ScanScheduler> scheduler_;
   std::unique_ptr<TraceRecorder> trace_;
@@ -371,20 +341,6 @@ class ChunkCacheManager final : public MiddleTier {
   Counter* retries_ = nullptr;            // backend.retries
   Counter* deadline_expired_ = nullptr;   // query.deadline_expired
   Histogram* query_latency_ns_ = nullptr;  // query.latency_ns
-
-  // Compressed-tier counters (all zero with compression off).
-  Counter* compressed_chunks_ = nullptr;    // cache.compressed_chunks
-  Counter* compression_skipped_ = nullptr;  // cache.compression_skipped
-  Counter* codec_raw_bytes_ = nullptr;      // cache.codec_raw_bytes
-  Counter* codec_encoded_bytes_ = nullptr;  // cache.codec_encoded_bytes
-  Counter* decode_calls_ = nullptr;         // cache.decode_calls
-  // Per-codec column traffic: cache.codec.<name>.{raw,encoded}_bytes and
-  // .columns, indexed by storage::codec::ColumnCodec.
-  std::array<Counter*, storage::codec::kNumCodecs> codec_col_raw_{};
-  std::array<Counter*, storage::codec::kNumCodecs> codec_col_encoded_{};
-  std::array<Counter*, storage::codec::kNumCodecs> codec_col_columns_{};
-  Histogram* encode_ns_ = nullptr;  // codec.encode_ns
-  Histogram* decode_ns_ = nullptr;  // codec.decode_ns
 
   // Crash-safe persistence (persist_dir option). The sink owns the
   // background persister; the destructor detaches and joins it before

@@ -159,6 +159,9 @@ Result<AggColumns> AggColumns::Deserialize(const uint8_t* data, size_t len) {
        ReadBytes(p, end, cols.min_.data(), n) &&
        ReadBytes(p, end, cols.max_.data(), n);
   if (!ok) return Status::Corruption("AggColumns: truncated columns");
+  // Snapshot records end where the columns do: anything after them is
+  // damage, not data.
+  if (p != end) return Status::Corruption("AggColumns: bytes past the columns");
   return cols;
 }
 

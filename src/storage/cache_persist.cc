@@ -176,11 +176,11 @@ bool DecodeAdmitPayload(const uint8_t* p, size_t len, PersistedChunk* out) {
   out->chunk_num = c.U64();
   out->filter_hash = c.U64();
   out->benefit = c.F64();
-  out->raw_bytes = c.U64();
-  out->rows = c.U32();
-  const uint32_t blob_len = c.U32();
-  if (!c.ok || static_cast<size_t>(c.end - c.p) != blob_len) return false;
-  out->blob.assign(c.p, c.p + blob_len);
+  if (!c.ok) return false;
+  Result<AggColumns> cols =
+      AggColumns::Deserialize(c.p, static_cast<size_t>(c.end - c.p));
+  if (!cols.ok()) return false;
+  out->cols = std::move(cols).value();
   return true;
 }
 
@@ -204,22 +204,14 @@ void SealFrame(std::vector<uint8_t>* frame) {
 
 // -- SnapshotWriter --------------------------------------------------------
 
-void SnapshotWriter::Add(
-    const PersistedChunk& chunk,
-    const std::function<void(std::vector<uint8_t>*)>& append_blob) {
+void SnapshotWriter::Add(const PersistedChunk& chunk) {
   if (!ok_) return;
   BeginFrame(&frame_, CachePersistence::kAdmit);
   PutU32(&frame_, chunk.group_by_id);
   PutU64(&frame_, chunk.chunk_num);
   PutU64(&frame_, chunk.filter_hash);
   PutF64(&frame_, chunk.benefit);
-  PutU64(&frame_, chunk.raw_bytes);
-  PutU32(&frame_, chunk.rows);
-  PutU32(&frame_, 0);  // blob length, patched once the blob is in
-  const size_t blob_at = frame_.size();
-  append_blob(&frame_);
-  const uint32_t blob_len = static_cast<uint32_t>(frame_.size() - blob_at);
-  std::memcpy(frame_.data() + blob_at - 4, &blob_len, 4);
+  chunk.cols.SerializeTo(&frame_);
   SealFrame(&frame_);
   Flush();
   if (ok_) entries_++;
@@ -239,12 +231,12 @@ void SnapshotWriter::Flush() {
 // -- CachePersistence ------------------------------------------------------
 
 Result<std::unique_ptr<CachePersistence>> CachePersistence::Open(
-    PersistOptions opts, MetricsRegistry* metrics) {
+    std::string dir, uint64_t fingerprint, MetricsRegistry* metrics) {
   std::unique_ptr<CachePersistence> p(
-      new CachePersistence(std::move(opts), metrics));
-  if (!MkDirs(p->opts_.dir)) {
+      new CachePersistence(std::move(dir), fingerprint, metrics));
+  if (!MkDirs(p->dir_)) {
     return Status::IoError("cache persist: cannot create directory " +
-                           p->opts_.dir);
+                           p->dir_);
   }
   const uint64_t start = NowNs();
   p->Recover();
@@ -253,9 +245,9 @@ Result<std::unique_ptr<CachePersistence>> CachePersistence::Open(
   return p;
 }
 
-CachePersistence::CachePersistence(PersistOptions opts,
+CachePersistence::CachePersistence(std::string dir, uint64_t fingerprint,
                                    MetricsRegistry* metrics)
-    : opts_(std::move(opts)) {
+    : dir_(std::move(dir)), fingerprint_(fingerprint) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -289,7 +281,7 @@ void CachePersistence::Recover() {
   // dropping the log costs only the warmth it held.
   std::vector<uint64_t> snapshot_gens;
   uint64_t max_gen = 0;
-  if (DIR* d = ::opendir(opts_.dir.c_str())) {
+  if (DIR* d = ::opendir(dir_.c_str())) {
     while (struct dirent* e = ::readdir(d)) {
       const std::string name = e->d_name;
       uint64_t gen = 0;
@@ -299,16 +291,17 @@ void CachePersistence::Recover() {
         snapshot_gens.push_back(gen);
         if (gen > max_gen) max_gen = gen;
       } else if (tmp || ParseGeneration(name, "wal", &gen)) {
-        ::unlink((opts_.dir + "/" + name).c_str());
+        ::unlink((dir_ + "/" + name).c_str());
       }
     }
     ::closedir(d);
   }
   std::sort(snapshot_gens.rbegin(), snapshot_gens.rend());
 
-  // Newest readable snapshot wins; an unreadable or bad-magic file falls
-  // back to the previous generation (still on disk until a *successful*
-  // newer snapshot GCs it), and with none left the cache starts cold.
+  // Newest readable snapshot wins; an unreadable file, or one of another
+  // format or fingerprint, falls back to the previous generation (still on
+  // disk until a *successful* newer snapshot GCs it), and with none left
+  // the cache starts cold.
   for (uint64_t gen : snapshot_gens) {
     recovery_.entries.clear();
     if (ReadSnapshot(gen, &recovery_.entries)) {
@@ -327,11 +320,14 @@ void CachePersistence::Recover() {
 bool CachePersistence::ReadSnapshot(uint64_t generation,
                                     std::vector<PersistedChunk>* entries) {
   std::vector<uint8_t> data;
-  if (!ReadFileFully(SnapshotPath(opts_.dir, generation), &data)) return false;
+  if (!ReadFileFully(SnapshotPath(dir_, generation), &data)) return false;
   if (data.size() < kFileHeaderBytes) return false;
   uint64_t magic = 0;
+  uint64_t fingerprint = 0;
   std::memcpy(&magic, data.data(), 8);
-  if (magic != kSnapMagic) return false;
+  std::memcpy(&fingerprint, data.data() + 16, 8);
+  // Entries computed from other data would be served as this data's.
+  if (magic != kSnapMagic || fingerprint != fingerprint_) return false;
 
   // Snapshot records are individually CRC-framed, so one rotted entry is
   // quarantined (skipped + counted) without sacrificing its neighbors. A
@@ -376,7 +372,7 @@ Status CachePersistence::WriteSnapshot(
   if (crashed()) return Status::OK();  // simulated kill: nothing runs
   const uint64_t start = NowNs();
   const uint64_t gen = next_generation_++;
-  const std::string final_path = SnapshotPath(opts_.dir, gen);
+  const std::string final_path = SnapshotPath(dir_, gen);
   const std::string tmp_path = final_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) {
@@ -387,6 +383,7 @@ Status CachePersistence::WriteSnapshot(
   SnapshotWriter w(fd, &crashed_);
   PutU64(&w.frame_, kSnapMagic);
   PutU64(&w.frame_, gen);
+  PutU64(&w.frame_, fingerprint_);
   w.Flush();
   produce(&w);
   if (w.ok_) {
@@ -423,15 +420,15 @@ Status CachePersistence::WriteSnapshot(
       snapshot_errors_->Increment();
       return Status::IoError("cache persist: rename failed for " + final_path);
     }
-    if (!FsyncDir(opts_.dir)) snapshot_errors_->Increment();
+    if (!FsyncDir(dir_)) snapshot_errors_->Increment();
 
     // The new generation is durable; superseded snapshots go.
-    if (DIR* d = ::opendir(opts_.dir.c_str())) {
+    if (DIR* d = ::opendir(dir_.c_str())) {
       while (struct dirent* e = ::readdir(d)) {
         const std::string name = e->d_name;
         uint64_t old_gen = 0;
         if (ParseGeneration(name, "snapshot", &old_gen) && old_gen < gen) {
-          ::unlink((opts_.dir + "/" + name).c_str());
+          ::unlink((dir_ + "/" + name).c_str());
         }
       }
       ::closedir(d);

@@ -11,26 +11,20 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "storage/agg_columns.h"
 
 namespace chunkcache::storage {
 
 /// One cache entry in its durable form: the chunk key triple, the
-/// replacement-policy benefit, and the payload as a self-contained
-/// codec::EncodeAggColumns blob (PR 6) — the blob carries its own CRC32C
-/// trailer, so every persisted payload is checksummed twice (record frame
-/// + blob trailer) and verified on recovery.
+/// replacement-policy benefit, and the rows as columns. A snapshot record
+/// holds the columns' AggColumns::SerializeTo bytes under the record
+/// frame's CRC32C, and recovery parses them with AggColumns::Deserialize.
 struct PersistedChunk {
   uint32_t group_by_id = 0;
   uint64_t chunk_num = 0;
   uint64_t filter_hash = 0;
   double benefit = 0.0;
-  uint64_t raw_bytes = 0;  ///< Decoded payload bytes (ratio accounting).
-  uint32_t rows = 0;
-  std::vector<uint8_t> blob;  ///< codec blob; empty only for empty chunks.
-};
-
-struct PersistOptions {
-  std::string dir;  ///< Created if missing; holds snapshot-G files.
+  AggColumns cols;
 };
 
 /// What recovery found. Entries are handed to the manager exactly once
@@ -44,17 +38,14 @@ struct RecoveryStats {
 };
 
 /// Streams one snapshot's admit records into its shadow file through one
-/// reused frame buffer, so no snapshot ever holds more than one encoded
+/// reused frame buffer, so no snapshot ever holds more than one serialized
 /// entry. Handed to the producer of CachePersistence::WriteSnapshot.
 class SnapshotWriter {
  public:
-  /// Frames one admit record: `chunk`'s key, benefit, raw_bytes and rows,
-  /// then the codec blob `append_blob` appends to the frame buffer (so a
-  /// payload is encoded straight into the record). `chunk.blob` is not
-  /// read. After a failed write, or once SimulateCrash() fires, every
-  /// later call is a no-op and the snapshot is abandoned.
-  void Add(const PersistedChunk& chunk,
-           const std::function<void(std::vector<uint8_t>*)>& append_blob);
+  /// Frames one admit record: `chunk`'s key and benefit, then its columns'
+  /// SerializeTo bytes. After a failed write, or once SimulateCrash()
+  /// fires, every later call is a no-op and the snapshot is abandoned.
+  void Add(const PersistedChunk& chunk);
 
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
@@ -77,22 +68,27 @@ class SnapshotWriter {
 
 /// Crash-safe persistence for the chunk cache (DESIGN.md §14):
 /// generation-numbered snapshots of CRC32C-framed records, each written
-/// to a shadow file, fsynced and atomically renamed. Recovery = newest
-/// readable snapshot, else the next older, else cold, quarantining
-/// (dropping + counting) corrupt entries — it never fails on corrupt
-/// *content*. Only an unusable directory makes Open() return an error.
-/// The cache needs no log: any subset of valid entries is a correct
-/// cache, so a crash costs the admissions since the last snapshot, and
-/// only warmth.
+/// to a shadow file, fsynced and atomically renamed. Every snapshot
+/// records the fingerprint of the data it was taken against. Recovery =
+/// newest readable snapshot of this fingerprint, else the next older,
+/// else cold, quarantining (dropping + counting) corrupt entries — it
+/// never fails on corrupt *content*. Only an unusable directory makes
+/// Open() return an error. The cache needs no log: any subset of valid
+/// entries is a correct cache, so a crash costs the admissions since the
+/// last snapshot, and only warmth.
 ///
 /// Thread safety: WriteSnapshot may be called from any thread; calls
 /// serialize, so at most one snapshot runs at a time.
 class CachePersistence {
  public:
-  /// Opens `opts.dir` (creating it) and recovers. `metrics` may be null
+  /// Opens `dir` (creating it) and recovers from the snapshots taken
+  /// against `fingerprint`, which identifies the data the cached chunks
+  /// were computed from (backend::ChunkedFile::fingerprint()); a snapshot
+  /// of any other fingerprint is never read. `metrics` may be null
   /// (counters then live on a private registry).
   static Result<std::unique_ptr<CachePersistence>> Open(
-      PersistOptions opts, MetricsRegistry* metrics = nullptr);
+      std::string dir, uint64_t fingerprint,
+      MetricsRegistry* metrics = nullptr);
 
   CachePersistence(const CachePersistence&) = delete;
   CachePersistence& operator=(const CachePersistence&) = delete;
@@ -112,8 +108,8 @@ class CachePersistence {
     return generation_.load(std::memory_order_relaxed);
   }
 
-  /// Counts one manager-side quarantined entry (recovered record whose
-  /// blob failed decode) on the shared persist.quarantined counter.
+  /// Counts one recovered entry the manager dropped (a record that names
+  /// no chunk of its scheme) on the shared persist.quarantined counter.
   void CountQuarantined() { quarantined_->Increment(); }
 
   /// Test hook simulating a process kill: a snapshot in flight is
@@ -123,20 +119,24 @@ class CachePersistence {
   void SimulateCrash();
 
   // -- Snapshot frame layout, shared with tests ----------------------------
-  // File = 16-byte header (magic u64 | generation u64) then records:
+  // File = 24-byte header (magic u64 | generation u64 | fingerprint u64)
+  // then records:
   //   u32 crc32c(type|payload) | u32 len(type|payload) | u8 type | payload
-  static constexpr uint64_t kSnapMagic = 0x50414E53'43434843ull;  // CHCCSNAP
-  static constexpr size_t kFileHeaderBytes = 16;
+  // The magic names the format: files of the codec-blob format
+  // ("CHCCSNAP") are not read.
+  static constexpr uint64_t kSnapMagic = 0x32504E53'43434843ull;  // CHCCSNP2
+  static constexpr size_t kFileHeaderBytes = 24;
   static constexpr size_t kRecordHeaderBytes = 8;
   // Types 2 and 3 are retired and never reused. Recovery skips them like
   // any unknown type.
   enum RecordType : uint8_t {
-    kAdmit = 1,   ///< key, benefit, raw_bytes, rows, blob
+    kAdmit = 1,   ///< key, benefit, AggColumns::SerializeTo bytes
     kFooter = 4,  ///< entry count (validity marker)
   };
 
  private:
-  CachePersistence(PersistOptions opts, MetricsRegistry* metrics);
+  CachePersistence(std::string dir, uint64_t fingerprint,
+                   MetricsRegistry* metrics);
 
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
@@ -145,7 +145,8 @@ class CachePersistence {
   bool ReadSnapshot(uint64_t generation,
                     std::vector<PersistedChunk>* entries);
 
-  PersistOptions opts_;
+  const std::string dir_;
+  const uint64_t fingerprint_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
 

@@ -150,27 +150,6 @@ ChunkPayload::ChunkPayload(const AggColumns& cols) {
   }
 }
 
-ChunkPayload ChunkPayload::Blob(uint32_t num_dims, size_t rows,
-                                const uint8_t* data, size_t len) {
-  CHUNKCACHE_CHECK(num_dims <= kMaxDims);
-  CHUNKCACHE_CHECK(rows <= std::numeric_limits<uint32_t>::max());
-  CHUNKCACHE_CHECK(len <= std::numeric_limits<uint32_t>::max());
-  const size_t total = RoundUp8(kHeaderBytes + kBlobLenBytes + len);
-  Header h;
-  h.form = static_cast<uint8_t>(Form::kBlob);
-  h.num_dims = static_cast<uint8_t>(num_dims);
-  h.rows = static_cast<uint32_t>(rows);
-  const uint32_t len32 = static_cast<uint32_t>(len);
-  ChunkPayload out;
-  out.data_.reset(new unsigned char[total]);
-  unsigned char* p = out.data_.get();
-  std::memset(p, 0, total);
-  std::memcpy(p, &h, kHeaderBytes);
-  std::memcpy(p + kHeaderBytes, &len32, kBlobLenBytes);
-  if (len != 0) std::memcpy(p + kHeaderBytes + kBlobLenBytes, data, len);
-  return out;
-}
-
 size_t ChunkPayload::CoordBytes(const Header& h) const {
   if (static_cast<Form>(h.form) == Form::kSparse) {
     return RoundUp8(size_t{4} * h.num_dims * h.rows);
@@ -213,18 +192,14 @@ ChunkPayload::Layout ChunkPayload::layout(const Header& h) const {
 }
 
 size_t ChunkPayload::singleton_rows() const {
+  if (data_ == nullptr) return 0;
   const Header h = header();
-  if (data_ == nullptr || static_cast<Form>(h.form) == Form::kBlob) return 0;
   return h.rows - layout(h).general;
 }
 
 uint64_t ChunkPayload::capacity_bytes() const {
   if (data_ == nullptr) return 0;
-  const Header h = header();
-  if (static_cast<Form>(h.form) == Form::kBlob) {
-    return RoundUp8(kHeaderBytes + kBlobLenBytes + blob_size());
-  }
-  return layout(h).total;
+  return layout(header()).total;
 }
 
 AggTuple ChunkPayload::Row(const uint32_t* rel, const Measures& m) const {
@@ -274,7 +249,6 @@ void ChunkPayload::AppendRowsInside(
 }
 
 AggColumns ChunkPayload::ToColumns() const {
-  CHUNKCACHE_CHECK(!blob());
   const uint32_t nd = num_dims();
   uint32_t begin[kMaxDims];
   for (uint32_t d = 0; d < nd; ++d) begin[d] = box_begin(d);

@@ -38,13 +38,9 @@ namespace chunkcache::storage {
 /// bitmap and its class bit; no step encodes or decodes them. Readers walk
 /// the rows in one pass, keeping a running index into each class's
 /// columns.
-///
-/// The blob form holds opaque bytes after its length in place of the box
-/// layout (the compressed tier's codec blob), with the num_dims and row
-/// count of the rows they encode. Rows are read only from the box forms.
 class ChunkPayload {
  public:
-  enum class Form : uint8_t { kBitmap = 0, kSparse = 1, kBlob = 2 };
+  enum class Form : uint8_t { kBitmap = 0, kSparse = 1 };
 
   /// Boxes with more cells per row than this store sparse coordinates.
   static constexpr uint64_t kMaxBitmapCellsPerRow = 32;
@@ -56,13 +52,7 @@ class ChunkPayload {
   /// returns `cols` again.
   explicit ChunkPayload(const AggColumns& cols);
 
-  /// The blob form: `len` opaque bytes standing for `rows` rows of
-  /// `num_dims` dimensions.
-  static ChunkPayload Blob(uint32_t num_dims, size_t rows,
-                           const uint8_t* data, size_t len);
-
   Form form() const { return static_cast<Form>(header().form); }
-  bool blob() const { return form() == Form::kBlob; }
   uint32_t num_dims() const { return header().num_dims; }
   size_t size() const { return header().rows; }
   bool empty() const { return size() == 0; }
@@ -70,23 +60,17 @@ class ChunkPayload {
   /// Bytes of the one allocation (0 for a default-constructed payload).
   uint64_t capacity_bytes() const;
 
-  /// The rows' bounding box on dimension `d` (box forms only): the first
-  /// coordinate and the number of coordinates it spans.
+  /// The rows' bounding box on dimension `d`: the first coordinate and
+  /// the number of coordinates it spans.
   uint32_t box_begin(uint32_t d) const { return U32At(kHeaderBytes + 4 * d); }
   uint32_t box_width(uint32_t d) const {
     return U32At(kHeaderBytes + 4 * (num_dims() + d));
   }
 
-  /// Bytes of each general row's stored COUNT (box forms only).
+  /// Bytes of each general row's stored COUNT.
   uint32_t count_bytes() const { return header().count_bytes; }
-  /// Rows kept as one value (box forms only).
+  /// Rows kept as one value.
   size_t singleton_rows() const;
-
-  /// The blob form's bytes.
-  const uint8_t* blob_data() const {
-    return data_.get() + kHeaderBytes + kBlobLenBytes;
-  }
-  size_t blob_size() const { return U32At(kHeaderBytes); }
 
   /// One row's measures, read in place: a singleton row's SUM, MIN and
   /// MAX are its one stored value.
@@ -103,7 +87,7 @@ class ChunkPayload {
 
   /// Calls `fn(rel, m)` for every row in order, where `rel` holds the
   /// row's num_dims() box-relative coordinates (coordinate d is
-  /// box_begin(d) + rel[d]) and `m` its measures. Box forms only.
+  /// box_begin(d) + rel[d]) and `m` its measures.
   template <typename Fn>
   void ForEachRow(Fn&& fn) const;
 
@@ -117,7 +101,7 @@ class ChunkPayload {
       const std::array<schema::OrdinalRange, kMaxDims>& sel,
       std::vector<AggTuple>* out) const;
 
-  /// The rows as columns, in stored order. Box forms only.
+  /// The rows as columns, in stored order.
   AggColumns ToColumns() const;
 
  private:
@@ -131,9 +115,8 @@ class ChunkPayload {
   };
   static constexpr size_t kHeaderBytes = sizeof(Header);
   static_assert(kHeaderBytes == 8);
-  static constexpr size_t kBlobLenBytes = 4;
 
-  /// Offsets of a box form's sections.
+  /// Offsets of a payload's sections.
   struct Layout {
     size_t classes = 0;  ///< One bit per row, set for a singleton.
     size_t counts = 0;   ///< General rows' COUNTs, count_bytes wide.
@@ -144,7 +127,7 @@ class ChunkPayload {
   };
   static Layout BoxLayout(const Header& h, size_t coord_bytes,
                           size_t singletons);
-  /// The layout of this box form, counting its set class bits.
+  /// The layout of this payload, counting its set class bits.
   Layout layout(const Header& h) const;
 
   static size_t RoundUp8(size_t n) { return (n + 7) / 8 * 8; }
@@ -186,7 +169,7 @@ class ChunkPayload {
     std::memcpy(&v, data_.get() + offset, 4);
     return v;
   }
-  /// Bytes of a box form's coordinate section.
+  /// Bytes of the coordinate section.
   size_t CoordBytes(const Header& h) const;
 
   std::unique_ptr<unsigned char[]> data_;
@@ -195,7 +178,6 @@ class ChunkPayload {
 template <typename Fn>
 void ChunkPayload::ForEachRow(Fn&& fn) const {
   const Header h = header();
-  CHUNKCACHE_DCHECK(static_cast<Form>(h.form) != Form::kBlob);
   if (h.rows == 0) return;
   const uint32_t nd = h.num_dims;
   const unsigned char* base = data_.get();

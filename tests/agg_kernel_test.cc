@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,91 @@ TEST(AggColumnsTest, SortRowMajorMatchesSortRows) {
   cols.SortRowMajor();
   SortRows(&rows, 3);
   EXPECT_TRUE(cols == AggColumns::FromRows(rows, 3));
+}
+
+// ------------------------- Deserialize hardening ----------------------------
+// Snapshot records hold AggColumns::SerializeTo bytes, so Deserialize parses
+// bytes read back from disk.
+
+AggColumns MakeAgg(uint32_t num_dims, size_t rows, uint32_t seed = 11) {
+  std::mt19937 rng(seed);
+  AggColumns cols(num_dims);
+  cols.Reserve(rows);
+  std::array<uint32_t, storage::kMaxDims> c{};
+  for (size_t i = 0; i < rows; ++i) {
+    for (uint32_t d = 0; d < num_dims; ++d) c[d] = rng() % 32;
+    const double sum = static_cast<double>(rng() % 100000) / 4.0;
+    cols.PushCell(c.data(), sum, 1 + rng() % 8, sum - 1, sum + 1);
+  }
+  return cols;
+}
+
+TEST(DeserializeHardening, HugeRowCountRejectedBeforeAllocation) {
+  // A corrupt header claiming ~2^61 rows must be rejected by comparing the
+  // claim against the bytes actually present — not by attempting a
+  // multi-exabyte resize.
+  AggColumns cols = MakeAgg(3, 64);
+  std::vector<uint8_t> buf;
+  cols.SerializeTo(&buf);
+  uint64_t huge = uint64_t(1) << 61;
+  std::memcpy(buf.data() + 8, &huge, 8);  // header[1] = row count
+  auto res = AggColumns::Deserialize(buf.data(), buf.size());
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+}
+
+TEST(DeserializeHardening, TruncatedPrefixesReturnStatus) {
+  AggColumns cols = MakeAgg(5, 200);
+  std::vector<uint8_t> buf;
+  cols.SerializeTo(&buf);
+  for (size_t len = 0; len < buf.size(); ++len) {
+    auto res = AggColumns::Deserialize(buf.data(), len);
+    EXPECT_FALSE(res.ok()) << "prefix of " << len << " bytes decoded";
+  }
+  auto full = AggColumns::Deserialize(buf.data(), buf.size());
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(*full == cols);
+  // Bytes past the declared columns, one byte or a whole row's worth,
+  // are damage too.
+  for (size_t extra : {size_t{1}, size_t{5 * 4 + 32}}) {
+    std::vector<uint8_t> longer = buf;
+    longer.resize(buf.size() + extra, 0);
+    auto res = AggColumns::Deserialize(longer.data(), longer.size());
+    ASSERT_FALSE(res.ok()) << extra << " trailing bytes decoded";
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(DeserializeHardening, RandomBitFlipsNeverCrash) {
+  // The flat format has no checksum, so some flips decode "successfully"
+  // into different values — that is fine; what must never happen is a
+  // crash, an over-read, or a giant allocation (ASAN in CI sees all
+  // three).
+  AggColumns cols = MakeAgg(4, 300);
+  std::vector<uint8_t> buf;
+  cols.SerializeTo(&buf);
+  std::mt19937 rng(77);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<uint8_t> bad = buf;
+    const int flips = 1 + rng() % 8;
+    for (int f = 0; f < flips; ++f) {
+      bad[rng() % bad.size()] ^= uint8_t(1u << (rng() % 8));
+    }
+    auto res = AggColumns::Deserialize(bad.data(), bad.size());
+    if (res.ok()) {
+      // Whatever decoded must at least be self-consistent.
+      EXPECT_LE(res->num_dims(), storage::kMaxDims);
+    }
+  }
+}
+
+TEST(DeserializeHardening, RandomGarbageNeverCrashes) {
+  std::mt19937 rng(88);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<uint8_t> junk(rng() % 256);
+    for (auto& b : junk) b = uint8_t(rng());
+    (void)AggColumns::Deserialize(junk.data(), junk.size());
+  }
 }
 
 // ---------------------- dense == hash property testing ----------------------

@@ -1,17 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <random>
-#include <thread>
 #include <vector>
 
 #include "cache/chunk_cache.h"
-#include "cache/decoded_cache.h"
 #include "cache/query_cache.h"
 #include "cache/replacement.h"
-#include "common/metrics.h"
 #include "handle_policy.h"
 
 namespace chunkcache::cache {
@@ -287,118 +282,6 @@ TEST(ChunkCacheTest, ContainsDoesNotTouchStats) {
   EXPECT_FALSE(cache.Contains(1, 1, 0));
   EXPECT_EQ(cache.stats().lookups, before.lookups);
   EXPECT_EQ(cache.stats().hits, before.hits);
-}
-
-// ------------------------------- DecodedCache -------------------------------
-
-/// A one-dimension payload of `rows` rows whose sums all equal `tag`.
-std::shared_ptr<const storage::ChunkPayload> MakeDecoded(size_t rows,
-                                                         double tag) {
-  storage::AggColumns cols(1);
-  for (size_t i = 0; i < rows; ++i) {
-    const uint32_t coord = static_cast<uint32_t>(i);
-    cols.PushCell(&coord, tag, 1, tag, tag);
-  }
-  return std::make_shared<const storage::ChunkPayload>(cols);
-}
-
-uint64_t Charge(const std::shared_ptr<const storage::ChunkPayload>& p) {
-  return DecodedCache::Charge(*p);
-}
-
-ChunkKey Key(uint64_t chunk_num) { return ChunkKey{1, chunk_num, 0}; }
-
-TEST(DecodedCacheTest, EvictsLeastRecentlyUsedWithinByteBudget) {
-  MetricsRegistry registry;
-  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
-  DecodedCache cache(3 * entry_bytes, &registry);
-  for (uint64_t k = 0; k < 3; ++k) cache.Put(Key(k), MakeDecoded(10, k));
-  ASSERT_NE(cache.Get(Key(0)), nullptr);  // recency now 0, 2, 1
-  cache.Put(Key(3), MakeDecoded(10, 3));  // evicts 1
-  EXPECT_EQ(cache.Get(Key(1)), nullptr);
-  cache.Put(Key(4), MakeDecoded(10, 4));  // evicts 2, not the refreshed 0
-  EXPECT_EQ(cache.Get(Key(2)), nullptr);
-  for (uint64_t k : {0, 3, 4}) {
-    const auto hit = cache.Get(Key(k));
-    ASSERT_NE(hit, nullptr) << "chunk " << k;
-    EXPECT_EQ(hit->ToColumns().sums()[0], static_cast<double>(k));
-  }
-  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.counter("cache.decoded_lru_hits"), 4u);
-  EXPECT_EQ(snap.counter("cache.decoded_lru_evictions"), 2u);
-  EXPECT_EQ(snap.gauge("cache.decoded_lru_bytes"),
-            static_cast<int64_t>(3 * entry_bytes));
-}
-
-TEST(DecodedCacheTest, RePutRefreshesRecencyAndReplacesTheValue) {
-  MetricsRegistry registry;
-  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
-  DecodedCache cache(3 * entry_bytes, &registry);
-  for (uint64_t k = 0; k < 3; ++k) cache.Put(Key(k), MakeDecoded(10, k));
-  const auto fresh = MakeDecoded(10, 100);
-  cache.Put(Key(0), fresh);               // recency now 0, 2, 1
-  cache.Put(Key(3), MakeDecoded(10, 3));  // evicts 1
-  EXPECT_EQ(cache.Get(Key(1)), nullptr);
-  EXPECT_EQ(cache.Get(Key(0)), fresh);
-  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.counter("cache.decoded_lru_evictions"), 1u);
-  EXPECT_EQ(snap.gauge("cache.decoded_lru_bytes"),
-            static_cast<int64_t>(3 * entry_bytes));
-}
-
-TEST(DecodedCacheTest, PayloadLargerThanBudgetIsNotAdmitted) {
-  MetricsRegistry registry;
-  const uint64_t entry_bytes = Charge(MakeDecoded(10, 0));
-  DecodedCache cache(2 * entry_bytes, &registry);
-  cache.Put(Key(0), MakeDecoded(10, 0));
-  const auto big = MakeDecoded(1000, 1);
-  ASSERT_GT(Charge(big), 2 * entry_bytes);
-  cache.Put(Key(1), big);
-  EXPECT_EQ(cache.Get(Key(1)), nullptr);
-  EXPECT_NE(cache.Get(Key(0)), nullptr);  // nothing was evicted for it
-  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.counter("cache.decoded_lru_evictions"), 0u);
-  EXPECT_EQ(snap.gauge("cache.decoded_lru_bytes"),
-            static_cast<int64_t>(entry_bytes));
-}
-
-TEST(DecodedCacheTest, ConcurrentGetPutKeepsEntriesAndCounters) {
-  // Tier and server workers share the front; run under TSAN in CI.
-  MetricsRegistry registry;
-  constexpr uint64_t kKeys = 16;
-  const uint64_t budget = 4 * Charge(MakeDecoded(kKeys, 0));
-  DecodedCache cache(budget, &registry);
-  constexpr int kThreads = 4;
-  constexpr int kOps = 4000;
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(t + 1);
-      for (int i = 0; i < kOps; ++i) {
-        const uint64_t k = rng() % kKeys;
-        if (rng() % 2 == 0) {
-          cache.Put(Key(k), MakeDecoded(k + 1, static_cast<double>(k)));
-        } else if (const auto hit = cache.Get(Key(k))) {
-          hits.fetch_add(1);
-          // Each key only ever holds its own payload.
-          const double tag = static_cast<double>(k);
-          if (hit->size() != k + 1 || hit->ToColumns().sums()[0] != tag) {
-            wrong.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(wrong.load(), 0u);
-  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_GT(hits.load(), 0u);
-  EXPECT_EQ(snap.counter("cache.decoded_lru_hits"), hits.load());
-  EXPECT_GT(snap.counter("cache.decoded_lru_evictions"), 0u);
-  EXPECT_LE(snap.gauge("cache.decoded_lru_bytes"),
-            static_cast<int64_t>(budget));
 }
 
 // -------------------------------- QueryCache --------------------------------

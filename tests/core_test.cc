@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,6 +13,7 @@
 #include "backend/engine.h"
 #include "common/fault_injector.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "core/chunk_cache_manager.h"
 #include "core/query_cache_manager.h"
 #include "schema/synthetic.h"
@@ -418,12 +420,28 @@ TEST_F(RollupFixture, FailedInCacheAggregationLeavesNoTrace) {
     mgr.chunk_cache().SetEventSink(&log);
     cache::CachedChunk big;
     big.filter_hash = 99;
-    // A blob of what is left of the budget once the struct and the blob
-    // form's header and length (16 bytes with padding) are paid.
-    const std::vector<uint8_t> fill(
-        (mgr.chunk_cache().capacity_bytes() - big.ByteSize() - 16) / 8 * 8);
-    big.payload = storage::ChunkPayload::Blob(4, 0, fill.data(), fill.size());
-    EXPECT_LE(big.ByteSize(), mgr.chunk_cache().capacity_bytes());
+    // The most general rows whose entry fits the budget: one row more
+    // (under 48 bytes) would not, so no resident fits beside it.
+    const uint64_t capacity = mgr.chunk_cache().capacity_bytes();
+    const auto payload_of = [](uint32_t rows) {
+      storage::AggColumns cols(1);
+      for (uint32_t r = 0; r < rows; ++r) cols.PushCell(&r, 3.0, 2, 1.0, 2.0);
+      return storage::ChunkPayload(cols);
+    };
+    uint32_t fits = 0;
+    uint32_t too_many = static_cast<uint32_t>(capacity / 24);
+    while (too_many - fits > 1) {
+      const uint32_t mid = fits + (too_many - fits) / 2;
+      big.payload = payload_of(mid);
+      if (big.ByteSize() <= capacity) {
+        fits = mid;
+      } else {
+        too_many = mid;
+      }
+    }
+    big.payload = payload_of(fits);
+    EXPECT_LE(big.ByteSize(), capacity);
+    EXPECT_GT(big.ByteSize() + 48, capacity);
     mgr.chunk_cache().Insert(std::move(big));
     mgr.chunk_cache().SetEventSink(nullptr);
     return log.evicted;
@@ -581,6 +599,50 @@ TEST_F(CoreFixture, StatsAccountingInvariantsUnderInCacheAggregation) {
   }
   EXPECT_LE(mgr.chunk_cache().bytes_used(),
             mgr.chunk_cache().capacity_bytes());
+}
+
+// Scalar and AVX2 dispatch answer a whole stream bit for bit, SUM
+// included, through the tier's SIMD users: the dense fold on a miss and
+// the in-cache roll-up.
+TEST_F(CoreFixture, ScalarEqualsAvx2ThroughTheTier) {
+  if (simd::DetectedLevel() != simd::IsaLevel::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this host";
+  }
+  auto run = [&](simd::IsaLevel level) {
+    simd::ScopedLevel pin(level);
+    ChunkManagerOptions opts;
+    opts.enable_in_cache_aggregation = true;
+    ChunkCacheManager mgr = MakeChunkManager(opts);
+    workload::WorkloadOptions wopts;
+    wopts.seed = 23;
+    workload::QueryGenerator gen(schema_.get(), wopts);
+    std::vector<std::vector<ResultRow>> rows;
+    uint64_t rolled_up = 0;
+    for (int i = 0; i < 300; ++i) {
+      QueryStats st;
+      auto r = mgr.Execute(gen.Next(), &st);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      rows.push_back(r.ok() ? std::move(r).value() : std::vector<ResultRow>{});
+      rolled_up += st.chunks_from_aggregation;
+    }
+    EXPECT_GT(rolled_up, 0u);
+    return rows;
+  };
+  const auto scalar = run(simd::IsaLevel::kScalar);
+  const auto avx2 = run(simd::IsaLevel::kAvx2);
+  ASSERT_EQ(scalar.size(), avx2.size());
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    ASSERT_EQ(scalar[i].size(), avx2[i].size()) << "query " << i;
+    for (size_t j = 0; j < scalar[i].size(); ++j) {
+      const ResultRow& a = scalar[i][j];
+      const ResultRow& b = avx2[i][j];
+      EXPECT_TRUE(a.coords == b.coords && a.count == b.count &&
+                  std::memcmp(&a.sum, &b.sum, sizeof(a.sum)) == 0 &&
+                  std::memcmp(&a.min_v, &b.min_v, sizeof(a.min_v)) == 0 &&
+                  std::memcmp(&a.max_v, &b.max_v, sizeof(a.max_v)) == 0)
+          << "query " << i << " row " << j;
+    }
+  }
 }
 
 // ----------------------------- QueryCacheManager ----------------------------

@@ -183,7 +183,6 @@ TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
     const ChunkPayload p(cols);
     ASSERT_EQ(p.num_dims(), nd);
     ASSERT_EQ(p.size(), rows);
-    EXPECT_FALSE(p.blob());
     if (rows != 0) {
       const bool bitmap =
           Cells(p) <= ChunkPayload::kMaxBitmapCellsPerRow * rows;
@@ -305,19 +304,6 @@ TEST(ChunkPayloadProperty, RowsOutOfOrderKeepTheirOrderInSparseForm) {
   const ChunkPayload p(cols);
   EXPECT_EQ(p.form(), ChunkPayload::Form::kSparse);
   ExpectBitIdentical(cols, p.ToColumns());
-}
-
-TEST(ChunkPayloadProperty, BlobFormKeepsItsBytes) {
-  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  const ChunkPayload p =
-      ChunkPayload::Blob(4, 37, bytes.data(), bytes.size());
-  EXPECT_TRUE(p.blob());
-  EXPECT_EQ(p.num_dims(), 4u);
-  EXPECT_EQ(p.size(), 37u);
-  ASSERT_EQ(p.blob_size(), bytes.size());
-  EXPECT_EQ(std::memcmp(p.blob_data(), bytes.data(), bytes.size()), 0);
-  // An 8-byte header, the 4-byte length and 11 bytes, padded to words.
-  EXPECT_EQ(p.capacity_bytes(), 24u);
 }
 
 TEST(ChunkPayloadProperty, AppendRowsInsideMatchesFilterRows) {

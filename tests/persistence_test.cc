@@ -2,14 +2,14 @@
 //
 //  1. CachePersistence unit tests on raw temp directories — snapshot
 //     rotation/GC, skip-and-quarantine of corrupt snapshot records, the
-//     retired record type 3, and a simulated kill in the middle of a
-//     snapshot.
+//     retired record type 3, snapshots of another data fingerprint, and a
+//     simulated kill in the middle of a snapshot.
 //  2. End-to-end warm restart through ChunkCacheManager — a restarted
-//     manager must answer bit-identically to a cold one (compression on
-//     and off) while doing strictly less backend work, whether it
-//     restarts from the shutdown snapshot, from a background snapshot
-//     after a crash, or from a directory in the older snapshot + log
-//     format.
+//     manager must answer bit-identically to a cold one while doing
+//     strictly less backend work, whether it restarts from the shutdown
+//     snapshot or from a background snapshot after a crash; a directory
+//     in an older format, or one written against other data or another
+//     chunking, restarts cold with the same answers.
 //  3. Crash-point fuzz — arm each persistence fault site in turn, kill
 //     the process mid-traffic (SimulateCrash), restart, and require a
 //     recovered cache that still answers bit-identically. CrashStorm is
@@ -45,7 +45,6 @@
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
 #include "storage/cache_persist.h"
-#include "storage/codec.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
 
@@ -59,12 +58,11 @@ using backend::StarJoinQuery;
 using core::ChunkCacheManager;
 using core::ChunkManagerOptions;
 using core::QueryStats;
+using storage::AggColumns;
 using storage::CachePersistence;
 using storage::PersistedChunk;
-using storage::PersistOptions;
 using storage::RecoveryStats;
 using storage::SnapshotWriter;
-using storage::Tuple;
 
 // ------------------------------ helpers -------------------------------------
 
@@ -158,28 +156,20 @@ std::vector<uint8_t> HandFrame(uint8_t type,
   return frame;
 }
 
-/// 16-byte file header: magic u64 | generation u64.
-std::vector<uint8_t> FileHeader(uint64_t magic, uint64_t generation) {
-  std::vector<uint8_t> b;
-  Put(&b, magic);
-  Put(&b, generation);
-  return b;
-}
-
-/// Payload of an admit record (type 1): key, benefit, raw_bytes, rows,
-/// blob length, blob.
+/// Payload of an admit record (type 1): key and benefit, then the
+/// columns' SerializeTo bytes.
 std::vector<uint8_t> AdmitPayload(const PersistedChunk& c) {
   std::vector<uint8_t> b;
   Put(&b, c.group_by_id);
   Put(&b, c.chunk_num);
   Put(&b, c.filter_hash);
   Put(&b, c.benefit);
-  Put(&b, c.raw_bytes);
-  Put(&b, c.rows);
-  Put(&b, static_cast<uint32_t>(c.blob.size()));
-  b.insert(b.end(), c.blob.begin(), c.blob.end());
+  c.cols.SerializeTo(&b);
   return b;
 }
+
+/// Bytes of an admit record's key and benefit, before its columns.
+constexpr size_t kAdmitKeyBytes = 4 + 8 + 8 + 8;
 
 /// A valid-CRC frame of record type 3, retired from the format. It carried
 /// a per-group-by benefit value: u32 group_by_id | f64 value.
@@ -199,10 +189,12 @@ void SpliceFrame(const std::string& path, size_t at,
   WriteFileBytes(path, image);
 }
 
-std::unique_ptr<CachePersistence> OpenOrDie(const std::string& dir) {
-  PersistOptions opts;
-  opts.dir = dir;
-  auto r = CachePersistence::Open(opts);
+/// The data fingerprint the unit tests' snapshots are taken against.
+constexpr uint64_t kFingerprint = 0x5EED'0000'0000'0001ull;
+
+std::unique_ptr<CachePersistence> OpenOrDie(
+    const std::string& dir, uint64_t fingerprint = kFingerprint) {
+  auto r = CachePersistence::Open(dir, fingerprint);
   EXPECT_TRUE(r.ok()) << r.status().message();
   return std::move(r).value();
 }
@@ -211,11 +203,7 @@ std::unique_ptr<CachePersistence> OpenOrDie(const std::string& dir) {
 Status WriteChunks(CachePersistence* p,
                    const std::vector<PersistedChunk>& chunks) {
   return p->WriteSnapshot([&chunks](SnapshotWriter* w) {
-    for (const PersistedChunk& c : chunks) {
-      w->Add(c, [&c](std::vector<uint8_t>* out) {
-        out->insert(out->end(), c.blob.begin(), c.blob.end());
-      });
-    }
+    for (const PersistedChunk& c : chunks) w->Add(c);
   });
 }
 
@@ -225,16 +213,24 @@ PersistedChunk MakeChunk(uint32_t gb, uint64_t num, uint8_t fill) {
   c.chunk_num = num;
   c.filter_hash = 0x9E3779B97F4A7C15ull * (num + 1);
   c.benefit = 0.5 + static_cast<double>(fill);
-  c.raw_bytes = 64 + fill;
-  c.rows = 4 + gb;
-  c.blob.assign(8 + fill % 5, fill);
+  c.cols = AggColumns(2);
+  for (uint32_t r = 0; r < 4u + gb; ++r) {
+    const uint32_t coords[2] = {r, fill};
+    c.cols.PushCell(coords, 1.5 * r + fill, r + 1, 0.5 * r, 2.0 * r + fill);
+  }
   return c;
+}
+
+std::vector<uint8_t> Serialized(const AggColumns& cols) {
+  std::vector<uint8_t> b;
+  cols.SerializeTo(&b);
+  return b;
 }
 
 bool SameChunk(const PersistedChunk& a, const PersistedChunk& b) {
   return a.group_by_id == b.group_by_id && a.chunk_num == b.chunk_num &&
          a.filter_hash == b.filter_hash && a.benefit == b.benefit &&
-         a.raw_bytes == b.raw_bytes && a.rows == b.rows && a.blob == b.blob;
+         Serialized(a.cols) == Serialized(b.cols);
 }
 
 int StormIters(int fallback) {
@@ -305,6 +301,57 @@ TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   EXPECT_TRUE(SameChunk(rec.entries[1], chunks[2]));
 }
 
+// A record whose frame CRC holds but whose columns do not parse (here,
+// one byte past them) is quarantined like a rotted one.
+TEST(PersistSnapshot, ValidFrameWithBadColumnsQuarantined) {
+  ScratchDir dir;
+  const PersistedChunk a = MakeChunk(1, 1, 1);
+  const PersistedChunk b = MakeChunk(1, 2, 2);
+  {
+    auto p = OpenOrDie(dir.path);
+    ASSERT_TRUE(WriteChunks(p.get(), {a, b}).ok());
+  }
+  const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
+  const std::vector<Frame> frames = ParseFrames(ReadFileBytes(snap));
+  ASSERT_EQ(frames.size(), 3u);
+  std::vector<uint8_t> bad = AdmitPayload(MakeChunk(3, 3, 3));
+  bad.push_back(0);
+  SpliceFrame(snap, frames[1].offset,
+              HandFrame(CachePersistence::kAdmit, bad));
+
+  auto p = OpenOrDie(dir.path);
+  RecoveryStats rec = p->TakeRecovery();
+  EXPECT_EQ(rec.quarantined, 1u);
+  ASSERT_EQ(rec.entries.size(), 2u);
+  EXPECT_TRUE(SameChunk(rec.entries[0], a));
+  EXPECT_TRUE(SameChunk(rec.entries[1], b));
+}
+
+// A snapshot taken against another data fingerprint is never read: the
+// cache starts cold, and the next snapshot supersedes it.
+TEST(PersistSnapshot, OtherFingerprintRecoversCold) {
+  ScratchDir dir;
+  const PersistedChunk a = MakeChunk(1, 1, 1);
+  {
+    auto p = OpenOrDie(dir.path);
+    ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
+  }
+  {
+    auto p = OpenOrDie(dir.path, kFingerprint + 1);
+    RecoveryStats rec = p->TakeRecovery();
+    EXPECT_EQ(rec.generation, 0u);
+    EXPECT_EQ(rec.snapshot_entries, 0u);
+    EXPECT_EQ(rec.quarantined, 0u);
+    EXPECT_TRUE(rec.entries.empty());
+    // Generations continue above every file on disk.
+    ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
+    EXPECT_EQ(p->generation(), 2u);
+  }
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-1"));
+  auto p = OpenOrDie(dir.path);
+  EXPECT_TRUE(p->TakeRecovery().entries.empty());
+}
+
 // An unreadable snapshot (bad magic) falls back to cold, never an error.
 TEST(PersistSnapshot, BadMagicFallsBackCold) {
   ScratchDir dir;
@@ -351,13 +398,9 @@ TEST(PersistSnapshot, CrashMidSnapshotKeepsPreviousGeneration) {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
     Status s = p->WriteSnapshot([&](SnapshotWriter* w) {
-      w->Add(b, [&b](std::vector<uint8_t>* out) {
-        out->insert(out->end(), b.blob.begin(), b.blob.end());
-      });
+      w->Add(b);
       p->SimulateCrash();
-      w->Add(a, [&a](std::vector<uint8_t>* out) {
-        out->insert(out->end(), a.blob.begin(), a.blob.end());
-      });
+      w->Add(a);
     });
     EXPECT_TRUE(s.ok()) << s.message();
     EXPECT_EQ(p->generation(), 1u);
@@ -390,6 +433,15 @@ bool RowsEqual(const std::vector<ResultRow>& a,
   return true;
 }
 
+/// A backend over `num_tuples` facts of the paper schema.
+struct Backend {
+  storage::InMemoryDiskManager disk;
+  std::unique_ptr<chunks::ChunkingScheme> scheme;
+  std::unique_ptr<storage::BufferPool> pool;
+  std::unique_ptr<backend::ChunkedFile> file;
+  std::unique_ptr<backend::BackendEngine> engine;
+};
+
 class PersistenceFixture : public ::testing::Test {
  protected:
   static constexpr uint64_t kTuples = 16000;
@@ -398,28 +450,36 @@ class PersistenceFixture : public ::testing::Test {
     auto s = schema::BuildPaperSchema();
     ASSERT_TRUE(s.ok());
     schema_ = std::make_unique<schema::StarSchema>(std::move(s).value());
-    chunks::ChunkingOptions copts;
-    copts.range_fraction = 0.2;
-    auto scheme = chunks::ChunkingScheme::Build(schema_.get(), copts, kTuples);
-    ASSERT_TRUE(scheme.ok());
-    scheme_ =
-        std::make_unique<chunks::ChunkingScheme>(std::move(scheme).value());
-    schema::FactGenOptions gen;
-    gen.num_tuples = kTuples;
-    gen.seed = 47;
-    tuples_ = schema::GenerateFactTuples(*schema_, gen);
-    pool_ = std::make_unique<storage::BufferPool>(&disk_, 4096);
-    auto file =
-        backend::ChunkedFile::BulkLoad(pool_.get(), scheme_.get(), tuples_);
-    ASSERT_TRUE(file.ok());
-    file_ = std::make_unique<backend::ChunkedFile>(std::move(file).value());
-    engine_ = std::make_unique<backend::BackendEngine>(pool_.get(),
-                                                       file_.get(),
-                                                       scheme_.get());
-    ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
+    main_ = MakeBackend(/*seed=*/47, /*range_fraction=*/0.2);
+    engine_ = main_->engine.get();
+    scheme_ = main_->scheme.get();
   }
 
   void TearDown() override { FaultInjector::Global().DisarmAll(); }
+
+  /// kTuples facts generated with `seed`, chunked at `range_fraction`.
+  std::unique_ptr<Backend> MakeBackend(uint64_t seed, double range_fraction) {
+    auto b = std::make_unique<Backend>();
+    chunks::ChunkingOptions copts;
+    copts.range_fraction = range_fraction;
+    auto scheme = chunks::ChunkingScheme::Build(schema_.get(), copts, kTuples);
+    EXPECT_TRUE(scheme.ok());
+    b->scheme =
+        std::make_unique<chunks::ChunkingScheme>(std::move(scheme).value());
+    schema::FactGenOptions gen;
+    gen.num_tuples = kTuples;
+    gen.seed = seed;
+    b->pool = std::make_unique<storage::BufferPool>(&b->disk, 4096);
+    auto file = backend::ChunkedFile::BulkLoad(
+        b->pool.get(), b->scheme.get(),
+        schema::GenerateFactTuples(*schema_, gen));
+    EXPECT_TRUE(file.ok());
+    b->file = std::make_unique<backend::ChunkedFile>(std::move(file).value());
+    b->engine = std::make_unique<backend::BackendEngine>(
+        b->pool.get(), b->file.get(), b->scheme.get());
+    EXPECT_TRUE(b->engine->BuildBitmapIndexes().ok());
+    return b;
+  }
 
   std::vector<StarJoinQuery> MakeQueries(int n, uint64_t seed) {
     workload::WorkloadOptions wopts;
@@ -431,13 +491,14 @@ class PersistenceFixture : public ::testing::Test {
     return out;
   }
 
-  /// Reference answers from a persistence-free manager (cache warmth never
-  /// changes answers, so this is THE ground truth for every restart mode).
+  /// Reference answers from a persistence-free manager over `engine`
+  /// (the fixture's by default). Cache warmth never changes answers, so
+  /// this is THE ground truth for every restart mode.
   std::vector<std::vector<ResultRow>> ReferenceRows(
-      const std::vector<StarJoinQuery>& queries, bool compression = false) {
-    ChunkManagerOptions opts;
-    opts.enable_compression = compression;
-    ChunkCacheManager mgr(engine_.get(), opts);
+      const std::vector<StarJoinQuery>& queries,
+      backend::BackendEngine* engine = nullptr) {
+    ChunkCacheManager mgr(engine != nullptr ? engine : engine_,
+                          ChunkManagerOptions{});
     std::vector<std::vector<ResultRow>> rows;
     for (const auto& q : queries) {
       QueryStats st;
@@ -448,22 +509,17 @@ class PersistenceFixture : public ::testing::Test {
     return rows;
   }
 
-  ChunkManagerOptions PersistOpts(const std::string& dir,
-                                  bool compression = false) {
+  ChunkManagerOptions PersistOpts(const std::string& dir) {
     ChunkManagerOptions opts;
     opts.persist_dir = dir;
     opts.persist_snapshot_every = 64;
-    opts.enable_compression = compression;
     return opts;
   }
 
-  storage::InMemoryDiskManager disk_;
   std::unique_ptr<schema::StarSchema> schema_;
-  std::unique_ptr<chunks::ChunkingScheme> scheme_;
-  std::vector<Tuple> tuples_;
-  std::unique_ptr<storage::BufferPool> pool_;
-  std::unique_ptr<backend::ChunkedFile> file_;
-  std::unique_ptr<backend::BackendEngine> engine_;
+  std::unique_ptr<Backend> main_;
+  backend::BackendEngine* engine_ = nullptr;
+  const chunks::ChunkingScheme* scheme_ = nullptr;
 };
 
 void RunWarmRestart(backend::BackendEngine* engine,
@@ -510,27 +566,17 @@ TEST_F(PersistenceFixture, WarmRestartBitIdenticalRaw) {
   const auto queries = MakeQueries(30, 23);
   const auto reference = ReferenceRows(queries);
   ScratchDir dir;
-  RunWarmRestart(engine_.get(), queries, reference,
-                 PersistOpts(dir.path, /*compression=*/false));
+  RunWarmRestart(engine_, queries, reference, PersistOpts(dir.path));
 }
 
-TEST_F(PersistenceFixture, WarmRestartBitIdenticalCompressed) {
-  const auto queries = MakeQueries(30, 23);
-  const auto reference = ReferenceRows(queries, /*compression=*/true);
-  ScratchDir dir;
-  RunWarmRestart(engine_.get(), queries, reference,
-                 PersistOpts(dir.path, /*compression=*/true));
-}
-
-// The cache holds payloads, but a snapshot keeps the blob format every
-// snapshot has used: each entry's blob is EncodeAggColumns of the very
-// columns the backend computed and the cache admitted.
-TEST_F(PersistenceFixture, SnapshotBlobIsEncodeOfAdmittedColumns) {
+// A snapshot holds, per entry, the SerializeTo bytes of the very columns
+// the backend computed and the cache admitted, under a header that
+// records this data's fingerprint.
+TEST_F(PersistenceFixture, SnapshotRecordIsSerializeOfAdmittedColumns) {
   const auto queries = MakeQueries(16, 37);
   // The columns each chunk was admitted from, recomputed by the backend
   // (deterministic), keyed like the cache.
-  std::map<std::tuple<uint32_t, uint64_t, uint64_t>, storage::AggColumns>
-      admitted;
+  std::map<std::tuple<uint32_t, uint64_t, uint64_t>, AggColumns> admitted;
   for (const StarJoinQuery& q : queries) {
     std::vector<uint64_t> nums;
     scheme_->BoxForSelection(q.group_by, q.selection)
@@ -550,53 +596,84 @@ TEST_F(PersistenceFixture, SnapshotBlobIsEncodeOfAdmittedColumns) {
   }
   ScratchDir dir;
   {
-    ChunkCacheManager mgr(engine_.get(), PersistOpts(dir.path));
+    ChunkCacheManager mgr(engine_, PersistOpts(dir.path));
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
     EXPECT_EQ(mgr.chunk_cache().num_chunks(), admitted.size());
   }  // clean shutdown: final snapshot written
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  ASSERT_EQ(rec.entries.size(), admitted.size());
-  for (const PersistedChunk& e : rec.entries) {
-    const auto it =
-        admitted.find({e.group_by_id, e.chunk_num, e.filter_hash});
-    ASSERT_NE(it, admitted.end()) << "chunk " << e.chunk_num;
-    std::vector<uint8_t> want;
-    storage::codec::EncodeAggColumns(it->second, &want);
-    EXPECT_EQ(e.blob, want) << "chunk " << e.chunk_num;
-    EXPECT_EQ(e.rows, it->second.size());
-    EXPECT_EQ(e.raw_bytes, storage::codec::RawPayloadBytes(it->second));
+  const std::vector<uint8_t> image =
+      ReadFileBytes(OnlyFileWithPrefix(dir.path, "snapshot-"));
+  ASSERT_GE(image.size(), CachePersistence::kFileHeaderBytes);
+  uint64_t magic = 0;
+  uint64_t fingerprint = 0;
+  std::memcpy(&magic, image.data(), 8);
+  std::memcpy(&fingerprint, image.data() + 16, 8);
+  EXPECT_EQ(magic, CachePersistence::kSnapMagic);
+  EXPECT_EQ(fingerprint, main_->file->fingerprint());
+  size_t records = 0;
+  for (const Frame& f : ParseFrames(image)) {
+    if (f.type != CachePersistence::kAdmit) continue;
+    ++records;
+    const uint8_t* body =
+        image.data() + f.offset + CachePersistence::kRecordHeaderBytes + 1;
+    uint32_t gb = 0;
+    uint64_t num = 0;
+    uint64_t filter = 0;
+    std::memcpy(&gb, body, 4);
+    std::memcpy(&num, body + 4, 8);
+    std::memcpy(&filter, body + 12, 8);
+    const auto it = admitted.find({gb, num, filter});
+    ASSERT_NE(it, admitted.end()) << "chunk " << num;
+    const std::vector<uint8_t> columns(body + kAdmitKeyBytes,
+                                       body + f.len - 1);
+    EXPECT_EQ(columns, Serialized(it->second)) << "chunk " << num;
   }
+  EXPECT_EQ(records, admitted.size());
 }
 
-// A compressed-tier run can be recovered by a raw-tier manager and vice
-// versa: the durable blob is the self-contained codec format either way.
-TEST_F(PersistenceFixture, CrossTierRestartBitIdentical) {
+// A snapshot is never recovered against other data: the same number of
+// facts from another seed, or the same facts chunked at another range
+// fraction, restart cold and answer like a persistence-free manager over
+// that data.
+TEST_F(PersistenceFixture, SnapshotOfOtherDataRecoversCold) {
   const auto queries = MakeQueries(20, 31);
-  const auto reference = ReferenceRows(queries);
   ScratchDir dir;
   {
-    ChunkCacheManager mgr(engine_.get(),
-                          PersistOpts(dir.path, /*compression=*/true));
+    ChunkCacheManager mgr(engine_, PersistOpts(dir.path));
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+  }  // clean shutdown: final snapshot written
+  const std::unique_ptr<Backend> reseeded =
+      MakeBackend(/*seed=*/48, /*range_fraction=*/0.2);
+  const std::unique_ptr<Backend> rechunked =
+      MakeBackend(/*seed=*/47, /*range_fraction=*/0.25);
+  ASSERT_NE(reseeded->file->fingerprint(), main_->file->fingerprint());
+  ASSERT_NE(rechunked->file->fingerprint(), main_->file->fingerprint());
+  for (Backend* other : {reseeded.get(), rechunked.get()}) {
+    const auto reference = ReferenceRows(queries, other->engine.get());
+    ChunkManagerOptions opts = PersistOpts(dir.path);
+    opts.persist_snapshot_every = 0;
+    ChunkCacheManager warm(other->engine.get(), opts);
+    EXPECT_EQ(warm.recovery_stats().snapshot_entries, 0u);
+    EXPECT_EQ(warm.StatsSnapshot().persist_recovered_entries, 0u);
+    EXPECT_EQ(warm.chunk_cache().num_chunks(), 0u);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
-      auto r = mgr.Execute(queries[i], &st);
+      auto r = warm.Execute(queries[i], &st);
       ASSERT_TRUE(r.ok());
-      EXPECT_TRUE(RowsEqual(*r, reference[i]));
+      EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
     }
+    // No snapshot of this data, so the directory still holds the
+    // fixture's for the next one.
+    warm.persistence()->SimulateCrash();
   }
-  ChunkCacheManager warm(engine_.get(),
-                         PersistOpts(dir.path, /*compression=*/false));
+  // The fixture's own data still recovers it.
+  ChunkCacheManager warm(engine_, PersistOpts(dir.path));
   EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryStats st;
-    auto r = warm.Execute(queries[i], &st);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
-  }
 }
 
 // One kind per metric name: an exposition that declares a name under two
@@ -606,13 +683,13 @@ TEST_F(PersistenceFixture, WarmRestartMetricsHaveOneKindPerName) {
   const auto queries = MakeQueries(12, 23);
   ScratchDir dir;
   {
-    ChunkCacheManager cold(engine_.get(), PersistOpts(dir.path));
+    ChunkCacheManager cold(engine_, PersistOpts(dir.path));
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(cold.Execute(q, &st).ok());
     }
   }
-  ChunkCacheManager warm(engine_.get(), PersistOpts(dir.path));
+  ChunkCacheManager warm(engine_, PersistOpts(dir.path));
   const auto stats = warm.StatsSnapshot();
   ASSERT_GT(stats.persist_recovered_entries, 0u);
   EXPECT_EQ(stats.persist_recovery_ns, warm.recovery_stats().recovery_ns);
@@ -647,7 +724,7 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
     ChunkManagerOptions opts;
     opts.persist_dir = dir.path;
     opts.persist_snapshot_every = 0;
-    ChunkCacheManager mgr(engine_.get(), opts);
+    ChunkCacheManager mgr(engine_, opts);
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
@@ -664,7 +741,7 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
   const size_t admits = snap_frames.size() - 1;
   SpliceFrame(snap, snap_frames[1].offset, RetiredType3Frame());
   {
-    auto p = OpenOrDie(dir.path);
+    auto p = OpenOrDie(dir.path, main_->file->fingerprint());
     RecoveryStats rec = p->TakeRecovery();
     EXPECT_EQ(rec.snapshot_entries, admits);
     EXPECT_EQ(rec.entries.size(), admits);
@@ -673,7 +750,7 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
 
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
-  ChunkCacheManager warm(engine_.get(), opts);
+  ChunkCacheManager warm(engine_, opts);
   EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
@@ -681,6 +758,68 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
   }
+}
+
+// ------------------------- records the scheme rejects -----------------------
+
+// A record whose frame and columns are well formed, under this data's
+// fingerprint, must still name a chunk of this scheme and hold rows of
+// its width. One that does not is quarantined: served, a two-dimension
+// record under a real key would answer for that chunk.
+TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
+  const auto queries = MakeQueries(12, 67);
+  const auto reference = ReferenceRows(queries);
+  ScratchDir dir;
+  ChunkManagerOptions opts = PersistOpts(dir.path);
+  opts.persist_snapshot_every = 0;
+  uint64_t entries = 0;
+  PersistedChunk real;
+  {
+    ChunkCacheManager mgr(engine_, opts);
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+    entries = mgr.chunk_cache().num_chunks();
+    mgr.chunk_cache().ForEachEntry([&real](const cache::ChunkHandle& h) {
+      real = PersistedChunk{h->group_by_id, h->chunk_num, h->filter_hash,
+                            h->benefit, h->payload.ToColumns()};
+    });
+  }  // clean shutdown: final snapshot written
+  ASSERT_GT(real.cols.size(), 0u);
+  PersistedChunk no_group_by = real;
+  no_group_by.group_by_id = scheme_->NumGroupByIds();
+  PersistedChunk no_chunk = real;
+  no_chunk.chunk_num =
+      scheme_->GridFor(scheme_->SpecOfId(real.group_by_id)).num_chunks();
+  // The real chunk's key, with its rows cut to two dimensions.
+  PersistedChunk narrow = real;
+  narrow.cols = AggColumns(2);
+  for (size_t i = 0; i < real.cols.size(); ++i) {
+    const uint32_t coords[2] = {real.cols.coords(0)[i],
+                                real.cols.coords(1)[i]};
+    narrow.cols.PushCell(coords, 1.0, 1, 1.0, 1.0);
+  }
+  // Spliced before the footer, so they come after every real record.
+  const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
+  for (const PersistedChunk* bad : {&no_group_by, &no_chunk, &narrow}) {
+    const std::vector<Frame> frames = ParseFrames(ReadFileBytes(snap));
+    ASSERT_EQ(frames.back().type, CachePersistence::kFooter);
+    SpliceFrame(snap, frames.back().offset,
+                HandFrame(CachePersistence::kAdmit, AdmitPayload(*bad)));
+  }
+
+  ChunkCacheManager warm(engine_, opts);
+  EXPECT_EQ(warm.recovery_stats().quarantined, 3u);
+  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 3u);
+  EXPECT_EQ(warm.chunk_cache().num_chunks(), entries);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryStats st;
+    auto r = warm.Execute(queries[i], &st);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
+  }
+  warm.persistence()->SimulateCrash();
 }
 
 // ------------------------- background persister ----------------------------
@@ -696,7 +835,7 @@ TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
   opts.persist_snapshot_every = 16;
   uint64_t cold_backend = 0;
   {
-    ChunkCacheManager cold(engine_.get(), opts);
+    ChunkCacheManager cold(engine_, opts);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
       auto r = cold.Execute(queries[i], &st);
@@ -714,7 +853,7 @@ TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
     cold.persistence()->SimulateCrash();  // no shutdown snapshot
   }
 
-  ChunkCacheManager warm(engine_.get(), opts);
+  ChunkCacheManager warm(engine_, opts);
   EXPECT_GT(warm.recovery_stats().snapshot_entries, 0u);
   EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
   EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 0u);
@@ -729,51 +868,64 @@ TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
   EXPECT_LT(warm_backend, cold_backend);
 }
 
-// ----------------------- older directory format ----------------------------
+// ----------------------- older directory formats ---------------------------
 
-// A directory written in the older format holds a snapshot plus write-ahead
-// logs (wal-<G>) of admit and evict records. Recovery takes exactly the
-// snapshot's entries and unlinks the log unread: its admissions are lost
-// warmth, its evictions never apply, and the answers stay bit-identical.
-TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversFromSnapshot) {
+// A directory in the codec-blob format holds snapshots under the magic
+// "CHCCSNAP": a 16-byte header (magic, generation) and admit records of
+// key, benefit, raw_bytes, rows and a codec blob. Older directories also
+// hold write-ahead logs (wal-<G>) of admit and evict records. Recovery
+// reads neither: it unlinks the log unread and skips the snapshot by its
+// magic before any record, so the blobs here are opaque bytes. The cache
+// starts cold and answers bit-identically, and its first snapshot
+// supersedes the old one.
+TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
   const auto queries = MakeQueries(12, 61);
   const auto reference = ReferenceRows(queries);
-  // Real chunks, so every blob decode-verifies at recovery.
   std::vector<PersistedChunk> chunks;
   {
-    ChunkCacheManager mgr(engine_.get(), ChunkManagerOptions{});
+    ChunkCacheManager mgr(engine_, ChunkManagerOptions{});
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
     mgr.chunk_cache().ForEachEntry([&chunks](const cache::ChunkHandle& h) {
-      PersistedChunk c;
-      c.group_by_id = h->group_by_id;
-      c.chunk_num = h->chunk_num;
-      c.filter_hash = h->filter_hash;
-      c.benefit = h->benefit;
-      c.rows = static_cast<uint32_t>(h->rows());
-      const storage::AggColumns cols = h->payload.ToColumns();
-      c.raw_bytes = storage::codec::RawPayloadBytes(cols);
-      storage::codec::EncodeAggColumns(cols, &c.blob);
-      chunks.push_back(std::move(c));
+      chunks.push_back(PersistedChunk{h->group_by_id, h->chunk_num,
+                                      h->filter_hash, h->benefit,
+                                      h->payload.ToColumns()});
     });
   }
   ASSERT_GE(chunks.size(), 4u);
   const size_t half = chunks.size() / 2;
-  const std::vector<PersistedChunk> in_snapshot(chunks.begin(),
-                                                chunks.begin() + half);
-  const std::vector<PersistedChunk> log_only(chunks.begin() + half,
-                                             chunks.end());
+  // A codec-format admit record: key, benefit, raw_bytes, rows, blob.
+  const auto codec_admit = [](const PersistedChunk& c) {
+    std::vector<uint8_t> b;
+    Put(&b, c.group_by_id);
+    Put(&b, c.chunk_num);
+    Put(&b, c.filter_hash);
+    Put(&b, c.benefit);
+    Put(&b, static_cast<uint64_t>(48 * c.cols.size()));
+    Put(&b, static_cast<uint32_t>(c.cols.size()));
+    const std::vector<uint8_t> blob(16 + c.cols.size(), 0xA5);
+    Put(&b, static_cast<uint32_t>(blob.size()));
+    b.insert(b.end(), blob.begin(), blob.end());
+    return HandFrame(CachePersistence::kAdmit, b);
+  };
+  const auto old_header = [](uint64_t magic) {
+    std::vector<uint8_t> b;
+    Put(&b, magic);
+    Put(&b, uint64_t{2});
+    return b;
+  };
 
   ScratchDir dir;
-  std::vector<uint8_t> snap = FileHeader(CachePersistence::kSnapMagic, 2);
-  for (const PersistedChunk& c : in_snapshot) {
-    const auto f = HandFrame(CachePersistence::kAdmit, AdmitPayload(c));
+  constexpr uint64_t kCodecSnapMagic = 0x50414E53'43434843ull;  // CHCCSNAP
+  std::vector<uint8_t> snap = old_header(kCodecSnapMagic);
+  for (size_t i = 0; i < half; ++i) {
+    const auto f = codec_admit(chunks[i]);
     snap.insert(snap.end(), f.begin(), f.end());
   }
   std::vector<uint8_t> footer;
-  Put(&footer, static_cast<uint64_t>(in_snapshot.size()));
+  Put(&footer, static_cast<uint64_t>(half));
   const auto ff = HandFrame(CachePersistence::kFooter, footer);
   snap.insert(snap.end(), ff.begin(), ff.end());
   WriteFileBytes(dir.path + "/snapshot-2", snap);
@@ -781,44 +933,45 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversFromSnapshot) {
   // The log: admits of the other chunks, then an evict (type 2: key
   // only) of the first snapshot entry.
   constexpr uint64_t kOldLogMagic = 0x314C4157'43434843ull;
-  std::vector<uint8_t> log = FileHeader(kOldLogMagic, 2);
-  for (const PersistedChunk& c : log_only) {
-    const auto f = HandFrame(CachePersistence::kAdmit, AdmitPayload(c));
+  std::vector<uint8_t> log = old_header(kOldLogMagic);
+  for (size_t i = half; i < chunks.size(); ++i) {
+    const auto f = codec_admit(chunks[i]);
     log.insert(log.end(), f.begin(), f.end());
   }
   std::vector<uint8_t> evict;
-  Put(&evict, in_snapshot[0].group_by_id);
-  Put(&evict, in_snapshot[0].chunk_num);
-  Put(&evict, in_snapshot[0].filter_hash);
+  Put(&evict, chunks[0].group_by_id);
+  Put(&evict, chunks[0].chunk_num);
+  Put(&evict, chunks[0].filter_hash);
   const auto ef = HandFrame(2, evict);
   log.insert(log.end(), ef.begin(), ef.end());
   const std::string log_path = dir.path + "/wal-2";
   WriteFileBytes(log_path, log);
 
+  {
+    ChunkManagerOptions opts;
+    opts.persist_dir = dir.path;
+    ChunkCacheManager cold(engine_, opts);
+    EXPECT_FALSE(fs::exists(log_path));
+    EXPECT_EQ(cold.recovery_stats().generation, 0u);
+    EXPECT_EQ(cold.recovery_stats().snapshot_entries, 0u);
+    const auto stats = cold.StatsSnapshot();
+    EXPECT_EQ(stats.persist_recovered_entries, 0u);
+    EXPECT_EQ(stats.persist_quarantined, 0u);
+    EXPECT_EQ(cold.chunk_cache().num_chunks(), 0u);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryStats st;
+      auto r = cold.Execute(queries[i], &st);
+      ASSERT_TRUE(r.ok());
+      EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
+    }
+  }  // clean shutdown: the first snapshot in this format
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2"));
+  EXPECT_TRUE(fs::exists(dir.path + "/snapshot-3"));
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
-  ChunkCacheManager warm(engine_.get(), opts);
-  EXPECT_FALSE(fs::exists(log_path));
-  EXPECT_EQ(warm.recovery_stats().generation, 2u);
-  EXPECT_EQ(warm.recovery_stats().snapshot_entries, in_snapshot.size());
-  const auto stats = warm.StatsSnapshot();
-  EXPECT_EQ(stats.persist_recovered_entries, in_snapshot.size());
-  EXPECT_EQ(stats.persist_quarantined, 0u);
-  EXPECT_EQ(warm.chunk_cache().num_chunks(), in_snapshot.size());
-  for (const PersistedChunk& c : in_snapshot) {
-    EXPECT_TRUE(warm.chunk_cache().Contains(c.group_by_id, c.chunk_num,
-                                            c.filter_hash));
-  }
-  for (const PersistedChunk& c : log_only) {
-    EXPECT_FALSE(warm.chunk_cache().Contains(c.group_by_id, c.chunk_num,
-                                             c.filter_hash));
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryStats st;
-    auto r = warm.Execute(queries[i], &st);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
-  }
+  ChunkCacheManager warm(engine_, opts);
+  EXPECT_EQ(warm.recovery_stats().generation, 3u);
+  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
 }
 
 // ----------------------------- crash-point fuzz -----------------------------
@@ -874,7 +1027,7 @@ TEST_F(PersistenceFixture, CrashPointFuzzEveryFaultSite) {
   for (FaultSite site : sites) {
     for (uint64_t skip : {0ull, 2ull, 9ull}) {
       ScratchDir dir;
-      CrashCycle(engine_.get(), queries, reference, dir.path, site, skip);
+      CrashCycle(engine_, queries, reference, dir.path, site, skip);
     }
   }
 }
@@ -888,7 +1041,7 @@ TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
   {
     ChunkManagerOptions opts;
     opts.persist_dir = dir.path;
-    ChunkCacheManager mgr(engine_.get(), opts);
+    ChunkCacheManager mgr(engine_, opts);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
       auto r = mgr.Execute(queries[i], &st);
@@ -903,7 +1056,7 @@ TEST_F(PersistenceFixture, RecoveryReadFaultFallsBackGracefully) {
            StatusCode::kIoError, FaultInjector::kUnlimited, skip);
     ChunkManagerOptions opts;
     opts.persist_dir = dir.path;
-    ChunkCacheManager warm(engine_.get(), opts);
+    ChunkCacheManager warm(engine_, opts);
     fi.DisarmAll();
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
@@ -930,7 +1083,7 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
     opts.num_workers = 4;
     opts.cache_shards = 4;
     opts.persist_snapshot_every = 16;  // background persister live too
-    ChunkCacheManager mgr(engine_.get(), opts);
+    ChunkCacheManager mgr(engine_, opts);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([this, &mgr, t] {
@@ -949,7 +1102,7 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
     }
     for (auto& th : threads) th.join();
   }
-  ChunkCacheManager warm(engine_.get(), PersistOpts(dir.path));
+  ChunkCacheManager warm(engine_, PersistOpts(dir.path));
   EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
   for (size_t i = 0; i < reference_queries.size(); ++i) {
     QueryStats st;
@@ -987,7 +1140,7 @@ TEST_F(PersistenceFixture, CrashStormKillRestartCycles) {
     ChunkManagerOptions opts;
     opts.persist_dir = dir.path;
     opts.persist_snapshot_every = 16;
-    ChunkCacheManager mgr(engine_.get(), opts);
+    ChunkCacheManager mgr(engine_, opts);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
       auto r = mgr.Execute(queries[i], &st);
@@ -1001,7 +1154,7 @@ TEST_F(PersistenceFixture, CrashStormKillRestartCycles) {
   // Final verification pass, faults off, after the last restart.
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
-  ChunkCacheManager mgr(engine_.get(), opts);
+  ChunkCacheManager mgr(engine_, opts);
   EXPECT_EQ(mgr.recovery_stats().quarantined, 0u);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;

@@ -1,10 +1,10 @@
 // Serving-layer tests: frame and payload codec round trips, deterministic
 // admission decisions against a synthetic clock, and end-to-end protocol
 // behavior over real sockets — bit-identity of served results against
-// in-process execution (compression on and off, forced multi-frame
-// streaming), deadline propagation into ExecControl, shed semantics,
-// metrics dumps, and a tier2 kill/reconnect churn storm. Runs under TSAN
-// and ASAN in CI (see .github/workflows/ci.yml).
+// in-process execution (forced multi-frame streaming), deadline
+// propagation into ExecControl, shed semantics, metrics dumps, and a tier2
+// kill/reconnect churn storm. Runs under TSAN and ASAN in CI (see
+// .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
@@ -681,52 +681,6 @@ class BitIdentityFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
-  void RunServedVsDirect(bool compression) {
-    ChunkManagerOptions mopts;
-    mopts.num_workers = 2;
-    mopts.cache_shards = 4;
-    mopts.enable_compression = compression;
-    ChunkCacheManager direct_mgr(engine_.get(), mopts);
-    ChunkCacheManager served_mgr(engine_.get(), mopts);
-
-    ServerOptions sopts;
-    // Tiny batches force every nontrivial response to stream multi-frame.
-    sopts.result_batch_bytes = 2 * wire::kRowBytes + 4;
-    sopts.num_workers = 2;
-    ChunkServer server(&served_mgr, sopts);
-    ASSERT_TRUE(server.Start().ok());
-
-    ClientOptions copts;
-    copts.port = server.port();
-    copts.tenant_id = 3;
-    auto client = ChunkClient::Connect(copts);
-    ASSERT_TRUE(client.ok());
-
-    // The seeded session stream both sides execute in the same order.
-    workload::SessionOptions wopts;
-    wopts.seed = 5;
-    workload::SessionGenerator gen(schema_.get(), wopts);
-    uint64_t multi_frame_responses = 0;
-    for (int i = 0; i < 24; ++i) {
-      const StarJoinQuery q = gen.Next();
-      QueryStats direct_stats;
-      auto direct = direct_mgr.Execute(q, &direct_stats);
-      ASSERT_TRUE(direct.ok());
-
-      auto resp = (*client)->Execute(q);
-      ASSERT_TRUE(resp.ok());
-      ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
-      // Hash equality is bit-identity over the full row stream (the client
-      // already checked resp->rows against the server's kDone hash).
-      ASSERT_EQ(wire::HashRows(resp->rows), wire::HashRows(*direct))
-          << "query " << i << " diverged (compression=" << compression << ")";
-      ASSERT_EQ(resp->rows.size(), direct->size());
-      if (direct->size() > 2) ++multi_frame_responses;
-    }
-    EXPECT_GT(multi_frame_responses, 0u) << "streaming path never exercised";
-    server.Stop();
-  }
-
   storage::InMemoryDiskManager disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<schema::StarSchema> schema_;
@@ -736,12 +690,49 @@ class BitIdentityFixture : public ::testing::Test {
   std::unique_ptr<backend::BackendEngine> engine_;
 };
 
-TEST_F(BitIdentityFixture, ServedEqualsDirectUncompressed) {
-  RunServedVsDirect(/*compression=*/false);
-}
+TEST_F(BitIdentityFixture, ServedEqualsDirect) {
+  ChunkManagerOptions mopts;
+  mopts.num_workers = 2;
+  mopts.cache_shards = 4;
+  ChunkCacheManager direct_mgr(engine_.get(), mopts);
+  ChunkCacheManager served_mgr(engine_.get(), mopts);
 
-TEST_F(BitIdentityFixture, ServedEqualsDirectCompressed) {
-  RunServedVsDirect(/*compression=*/true);
+  ServerOptions sopts;
+  // Tiny batches force every nontrivial response to stream multi-frame.
+  sopts.result_batch_bytes = 2 * wire::kRowBytes + 4;
+  sopts.num_workers = 2;
+  ChunkServer server(&served_mgr, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientOptions copts;
+  copts.port = server.port();
+  copts.tenant_id = 3;
+  auto client = ChunkClient::Connect(copts);
+  ASSERT_TRUE(client.ok());
+
+  // The seeded session stream both sides execute in the same order.
+  workload::SessionOptions wopts;
+  wopts.seed = 5;
+  workload::SessionGenerator gen(schema_.get(), wopts);
+  uint64_t multi_frame_responses = 0;
+  for (int i = 0; i < 24; ++i) {
+    const StarJoinQuery q = gen.Next();
+    QueryStats direct_stats;
+    auto direct = direct_mgr.Execute(q, &direct_stats);
+    ASSERT_TRUE(direct.ok());
+
+    auto resp = (*client)->Execute(q);
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
+    // Hash equality is bit-identity over the full row stream (the client
+    // already checked resp->rows against the server's kDone hash).
+    ASSERT_EQ(wire::HashRows(resp->rows), wire::HashRows(*direct))
+        << "query " << i << " diverged";
+    ASSERT_EQ(resp->rows.size(), direct->size());
+    if (direct->size() > 2) ++multi_frame_responses;
+  }
+  EXPECT_GT(multi_frame_responses, 0u) << "streaming path never exercised";
+  server.Stop();
 }
 
 // A metrics dump fetched over the wire folds the tier's natively-atomic

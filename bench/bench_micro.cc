@@ -51,13 +51,16 @@ namespace {
 void BM_BTreeGet(benchmark::State& state) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 4096);
-  auto tree = index::BTree::Create(&pool);
   const uint64_t n = 100000;
   std::vector<std::pair<uint64_t, index::BTreePayload>> input;
   for (uint64_t k = 0; k < n; ++k) {
     input.emplace_back(k, index::BTreePayload{k, 0});
   }
-  if (!tree->BulkLoad(input).ok()) state.SkipWithError("bulk load failed");
+  auto tree = index::BTree::BulkLoad(&pool, input);
+  if (!tree.ok()) {
+    state.SkipWithError("bulk load failed");
+    return;
+  }
   Random rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree->Get(rng.Uniform(n)));

@@ -2,7 +2,6 @@
 #define CHUNKCACHE_BACKEND_AGG_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -16,8 +15,9 @@ namespace chunkcache::backend {
 /// page**: a page holds `rows_per_page` slots laid out as one contiguous
 /// block per column — `num_dims` uint32 coordinate blocks, then the SUM /
 /// COUNT / MIN / MAX blocks (8 bytes per entry each). Row ids are dense
-/// append-order indexes (rid -> page, slot), which the B-tree chunk runs
-/// over this file address. The columnar in-page layout lets
+/// append-order indexes (rid -> page, slot) from page 0, which the B-tree
+/// chunk runs over this file address. The file is built once and never
+/// reopened, so no page holds a header. The columnar in-page layout lets
 /// ScanRangeColumns hand whole chunk runs to the dense aggregation kernels
 /// as flat arrays via a handful of memcpys instead of a per-row
 /// field-by-field decode.
@@ -27,28 +27,14 @@ namespace chunkcache::backend {
 /// be organized on a chunk basis").
 class AggFile {
  public:
+  /// Creates a new empty file (no pages) inside `pool`'s disk manager.
   static Result<AggFile> Create(storage::BufferPool* pool, uint32_t num_dims);
-
-  /// Opens an existing file by its DiskManager file id. A header whose
-  /// dimension count is outside [1, kMaxDims] or whose flags word is
-  /// nonzero is Corruption.
-  static Result<AggFile> Open(storage::BufferPool* pool, uint32_t file_id);
 
   AggFile(AggFile&&) = default;
   AggFile& operator=(AggFile&&) = default;
 
+  /// Appends one row; returns its rid.
   Result<uint64_t> Append(const storage::AggTuple& row);
-
-  /// Appends every row of `cols`; returns the rid of the first one.
-  /// Column slices are copied block-wise into each touched page.
-  Result<uint64_t> AppendColumns(const storage::AggColumns& cols);
-
-  Status Get(uint64_t rid, storage::AggTuple* out);
-
-  /// Visits rows with rid in [first, first+count); `fn` returning false
-  /// stops early.
-  Status ScanRange(uint64_t first, uint64_t count,
-                   const std::function<bool(const storage::AggTuple&)>& fn);
 
   /// Bulk-decodes rows with rid in [first, first+count) into `*out`,
   /// *appending* to its columns (callers accumulate several coalesced
@@ -56,17 +42,10 @@ class AggFile {
   Status ScanRangeColumns(uint64_t first, uint64_t count,
                           storage::AggColumns* out);
 
-  Status Scan(const std::function<bool(const storage::AggTuple&)>& fn) {
-    return ScanRange(0, num_rows_, fn);
-  }
-
   uint64_t num_rows() const { return num_rows_; }
   uint32_t file_id() const { return file_id_; }
   uint32_t num_dims() const { return num_dims_; }
   uint32_t rows_per_page() const { return rows_per_page_; }
-
-  /// Persists the header (row count). Call after a bulk load.
-  Status SyncHeader();
 
  private:
   AggFile(storage::BufferPool* pool, uint32_t file_id, uint32_t num_dims)
@@ -85,15 +64,6 @@ class AggFile {
   uint32_t MeasureOffset(uint32_t m, uint32_t slot) const {
     return num_dims_ * 4 * rows_per_page_ + (m * rows_per_page_ + slot) * 8;
   }
-
-  struct Header {
-    uint64_t magic;
-    uint32_t num_dims;
-    uint32_t flags;  // must be 0: nonzero marks a layout Open refuses
-    uint64_t num_rows;
-  };
-  // "AGGFILE2": version 2 is the columnar in-page layout.
-  static constexpr uint64_t kMagic = 0x41474746494C4532ULL;
 
   storage::BufferPool* pool_;
   uint32_t file_id_;

@@ -40,16 +40,6 @@ AggKernelStats AggKernelCounters::Snapshot() const {
   return s;
 }
 
-void AggKernelCounters::Reset() {
-  dense_kernels.store(0, std::memory_order_relaxed);
-  hash_kernels.store(0, std::memory_order_relaxed);
-  rows_folded_dense.store(0, std::memory_order_relaxed);
-  rows_folded_hash.store(0, std::memory_order_relaxed);
-  coalesced_reads.store(0, std::memory_order_relaxed);
-  single_run_reads.store(0, std::memory_order_relaxed);
-  runs_merged.store(0, std::memory_order_relaxed);
-}
-
 // ------------------------------ HashAggregator ------------------------------
 
 HashAggregator::HashAggregator(const chunks::ChunkingScheme* scheme,
@@ -149,25 +139,6 @@ void DenseChunkAggregator::AddBase(const Tuple& t) {
     coords[d] = h.AncestorAt(h.depth(), t.keys[d], target_.levels[d]);
   }
   FoldMeasureAt(FoldOffset(coords), t.measure);
-  ++rows_consumed_;
-}
-
-void DenseChunkAggregator::AddAgg(const AggTuple& row,
-                                  const GroupBySpec& src) {
-  CHUNKCACHE_DCHECK(target_.CoarserOrEqual(src));
-  uint32_t coords[storage::kMaxDims];
-  for (uint32_t d = 0; d < target_.num_dims; ++d) {
-    const auto& h = scheme_->schema().dimension(d).hierarchy;
-    coords[d] =
-        h.AncestorAt(src.levels[d], row.coords[d], target_.levels[d]);
-  }
-  const uint64_t off = FoldOffset(coords);
-  CHUNKCACHE_DCHECK(off < num_cells_);
-  Cell& c = cells_[off];
-  c.sum += row.sum;
-  c.count += row.count;
-  if (row.min_v < c.min) c.min = row.min_v;
-  if (row.max_v > c.max) c.max = row.max_v;
   ++rows_consumed_;
 }
 
@@ -636,14 +607,6 @@ void ChunkAggregator::AddBase(const Tuple& t) {
     dense_->AddBase(t);
   } else {
     hash_->AddBase(t);
-  }
-}
-
-void ChunkAggregator::AddAgg(const AggTuple& row, const GroupBySpec& src) {
-  if (dense_) {
-    dense_->AddAgg(row, src);
-  } else {
-    hash_->AddAgg(row, src);
   }
 }
 

@@ -39,7 +39,6 @@ struct AggKernelCounters {
   std::atomic<uint64_t> runs_merged{0};
 
   AggKernelStats Snapshot() const;
-  void Reset();
 };
 
 /// Hash aggregation of fact or aggregate rows up to a target group-by
@@ -99,12 +98,9 @@ class DenseChunkAggregator {
       const chunks::ChunkingScheme* scheme, chunks::GroupBySpec target,
       const std::array<schema::OrdinalRange, storage::kMaxDims>& extent);
 
-  /// Number of cells in the chunk's box (accumulator array length).
-  uint64_t num_cells() const { return num_cells_; }
   uint64_t rows_consumed() const { return rows_consumed_; }
 
   void AddBase(const storage::Tuple& t);
-  void AddAgg(const storage::AggTuple& row, const chunks::GroupBySpec& src);
 
   /// Bulk kernels over columnar batches (one chunk run at a time).
   /// `pre_filter`/`has_filter` carry base-level non-group-by predicate
@@ -249,7 +245,6 @@ class ChunkAggregator {
   }
 
   void AddBase(const storage::Tuple& t);
-  void AddAgg(const storage::AggTuple& row, const chunks::GroupBySpec& src);
   void AddBaseColumns(const storage::TupleColumns& batch,
                       const bool* has_filter,
                       const schema::OrdinalRange* pre_filter);

@@ -54,6 +54,22 @@ std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
   return merged;
 }
 
+Result<std::vector<RowRun>> CoalescedChunkRuns(
+    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    uint64_t max_rows) {
+  std::vector<RowRun> runs;
+  runs.reserve(chunk_nums.size());
+  for (uint64_t chunk_num : chunk_nums) {
+    auto payload = chunk_index.Get(chunk_num);
+    if (!payload.ok()) {
+      if (payload.status().code() == StatusCode::kNotFound) continue;
+      return payload.status();
+    }
+    runs.push_back(RowRun{payload->v1, payload->v2, 1});
+  }
+  return CoalesceRowRuns(std::move(runs), max_rows);
+}
+
 Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
                                           const chunks::ChunkingScheme* scheme,
                                           std::vector<Tuple> tuples,
@@ -96,7 +112,6 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
                               storage::FactFile::Create(pool, desc));
   CHUNKCACHE_ASSIGN_OR_RETURN(const RowId first,
                               fact.AppendInOrder(tuples, order));
-  CHUNKCACHE_RETURN_IF_ERROR(fact.SyncHeader());
   // Chunk runs in the appended order.
   std::vector<std::pair<uint64_t, index::BTreePayload>> runs;
   if (clustered) {
@@ -113,8 +128,8 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
   ChunkedFile file(std::move(fact), scheme, clustered,
                    uint64_t{RangesCrc(*scheme)} << 32 | tuples_crc);
   if (clustered) {
-    CHUNKCACHE_ASSIGN_OR_RETURN(index::BTree tree, index::BTree::Create(pool));
-    CHUNKCACHE_RETURN_IF_ERROR(tree.BulkLoad(runs));
+    CHUNKCACHE_ASSIGN_OR_RETURN(index::BTree tree,
+                                index::BTree::BulkLoad(pool, runs));
     file.chunk_index_.emplace(std::move(tree));
   }
   return file;
@@ -135,17 +150,7 @@ Result<std::vector<RowRun>> ChunkedFile::CoalescedRuns(
     return Status::Unsupported("CoalescedRuns on an unclustered file");
   }
   CHUNKCACHE_FAULT_POINT(FaultSite::kFactScan);
-  std::vector<RowRun> runs;
-  runs.reserve(chunk_nums.size());
-  for (uint64_t chunk_num : chunk_nums) {
-    auto payload = chunk_index_->Get(chunk_num);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    runs.push_back(RowRun{payload->v1, payload->v2, 1});
-  }
-  return CoalesceRowRuns(std::move(runs), max_rows);
+  return CoalescedChunkRuns(*chunk_index_, chunk_nums, max_rows);
 }
 
 }  // namespace chunkcache::backend

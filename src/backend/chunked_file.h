@@ -32,6 +32,14 @@ struct RowRun {
 std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
                                     uint64_t max_rows = 0);
 
+/// Looks up the run of every chunk in `chunk_nums` in `chunk_index` (a
+/// chunk without an entry is empty and skipped) and coalesces them into
+/// maximal sequential reads of at most `max_rows` rows each (0 =
+/// unlimited). Serves the base file and every materialized aggregate.
+Result<std::vector<RowRun>> CoalescedChunkRuns(
+    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    uint64_t max_rows);
+
 /// The paper's chunked file organization (Section 4): fact tuples stored as
 /// ordinary fixed-length records but *clustered by base-level chunk number*,
 /// with a B-tree chunk index mapping chunk number -> {first RowId, tuple
@@ -68,9 +76,7 @@ class ChunkedFile {
   /// chunk is empty (sparse cubes leave many chunks without tuples).
   Result<std::pair<storage::RowId, uint64_t>> ChunkRun(uint64_t chunk_num);
 
-  /// Looks up the runs of every chunk in `chunk_nums` (empty chunks are
-  /// skipped) and coalesces adjacent ones into maximal sequential reads of
-  /// at most `max_rows` rows each (0 = unlimited).
+  /// CoalescedChunkRuns over this file's chunk index.
   Result<std::vector<RowRun>> CoalescedRuns(
       const std::vector<uint64_t>& chunk_nums, uint64_t max_rows = 0);
 

@@ -15,21 +15,6 @@ using storage::AggTuple;
 using storage::RowId;
 using storage::Tuple;
 
-Result<std::vector<RowRun>> MaterializedAggregate::CoalescedRuns(
-    const std::vector<uint64_t>& chunk_nums, uint64_t max_rows) {
-  std::vector<RowRun> runs;
-  runs.reserve(chunk_nums.size());
-  for (uint64_t chunk_num : chunk_nums) {
-    auto payload = chunk_index_.Get(chunk_num);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    runs.push_back(RowRun{payload->v1, payload->v2, 1});
-  }
-  return CoalesceRowRuns(std::move(runs), max_rows);
-}
-
 BackendEngine::BackendEngine(storage::BufferPool* pool, ChunkedFile* file,
                              const chunks::ChunkingScheme* scheme,
                              BackendOptions options)
@@ -88,9 +73,8 @@ Status BackendEngine::MaterializeAggregate(const GroupBySpec& spec) {
       runs.back().second.v2++;
     }
   }
-  CHUNKCACHE_RETURN_IF_ERROR(file.SyncHeader());
-  CHUNKCACHE_ASSIGN_OR_RETURN(index::BTree tree, index::BTree::Create(pool_));
-  CHUNKCACHE_RETURN_IF_ERROR(tree.BulkLoad(runs));
+  CHUNKCACHE_ASSIGN_OR_RETURN(index::BTree tree,
+                              index::BTree::BulkLoad(pool_, runs));
   materialized_.emplace_back(spec, std::move(file), std::move(tree));
   return Status::OK();
 }
@@ -214,7 +198,8 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
     CHUNKCACHE_ASSIGN_OR_RETURN(
         const std::vector<RowRun> runs,
         mat != nullptr
-            ? mat->CoalescedRuns(src_chunks, options_.max_merged_run_rows)
+            ? CoalescedChunkRuns(mat->chunk_index(), src_chunks,
+                                 options_.max_merged_run_rows)
             : file_->CoalescedRuns(src_chunks, options_.max_merged_run_rows));
     storage::AggColumns agg_batch(scheme_->num_dims());
     storage::TupleColumns base_batch;

@@ -42,13 +42,8 @@ class MaterializedAggregate {
   const chunks::GroupBySpec& spec() const { return spec_; }
   uint64_t num_rows() const { return file_.num_rows(); }
 
-  /// Looks up the runs of every chunk in `chunk_nums` (empty chunks are
-  /// skipped) and coalesces adjacent ones into maximal sequential reads of
-  /// at most `max_rows` rows each (0 = unlimited).
-  Result<std::vector<RowRun>> CoalescedRuns(
-      const std::vector<uint64_t>& chunk_nums, uint64_t max_rows = 0);
-
   AggFile& file() { return file_; }
+  index::BTree& chunk_index() { return chunk_index_; }
 
  private:
   chunks::GroupBySpec spec_;
@@ -139,10 +134,9 @@ class BackendEngine {
   storage::BufferPool& pool() { return *pool_; }
   const BackendOptions& options() const { return options_; }
 
-  /// Aggregation-kernel and run-I/O counters (cumulative since start or
-  /// the last ResetKernelStats). Thread-safe.
+  /// Aggregation-kernel and run-I/O counters, cumulative since start.
+  /// Thread-safe.
   AggKernelStats kernel_stats() const { return kernel_counters_.Snapshot(); }
-  void ResetKernelStats() { kernel_counters_.Reset(); }
 
   /// Shared counter sink, for components (e.g. the in-cache roll-up path)
   /// that run kernels outside the engine.

@@ -66,16 +66,4 @@ Result<std::vector<ChunkData>> ScanScheduler::Compute(
   return out;
 }
 
-ScanSchedulerStats ScanScheduler::stats() const {
-  ScanSchedulerStats s;
-  s.requests = requests_->Value();
-  s.completions = completions_->Value();
-  s.deadline_sheds = deadline_sheds_->Value();
-  s.request_errors = request_errors_->Value();
-  s.outstanding_hwm = static_cast<uint64_t>(outstanding_hwm_->Value());
-  std::lock_guard<std::mutex> lock(mu_);
-  s.outstanding_scans = outstanding_;
-  return s;
-}
-
 }  // namespace chunkcache::backend

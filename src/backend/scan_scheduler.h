@@ -17,22 +17,6 @@
 
 namespace chunkcache::backend {
 
-/// Scheduler counters. `outstanding_scans` is the current value (for
-/// polling in tests); the rest are cumulative.
-///
-/// Every admitted request ends in exactly one of three terminal outcomes,
-/// so once the scheduler quiesces
-///   requests == completions + deadline_sheds + request_errors
-/// holds exactly (stats_invariant_test checks it, faults included).
-struct ScanSchedulerStats {
-  uint64_t requests = 0;        ///< Compute calls routed through.
-  uint64_t completions = 0;     ///< Requests that returned chunk data.
-  uint64_t deadline_sheds = 0;  ///< Requests given up waiting for a slot.
-  uint64_t request_errors = 0;  ///< Requests whose scan failed.
-  uint64_t outstanding_hwm = 0;
-  uint64_t outstanding_scans = 0;
-};
-
 /// Bounded admission in front of the backend: at most
 /// `max_outstanding_scans` BackendEngine::ComputeChunks calls run at once,
 /// and further requests wait for a scan slot. Cross-query deduplication is
@@ -45,7 +29,11 @@ struct ScanSchedulerStats {
 class ScanScheduler {
  public:
   /// Cumulative statistics live on `metrics` (under "scheduler." names);
-  /// passing nullptr gives the scheduler a private registry.
+  /// passing nullptr gives the scheduler a private registry. Every
+  /// admitted request ends in exactly one of three terminal outcomes, so
+  /// once the scheduler quiesces requests == completions + deadline_sheds
+  /// + request_errors holds exactly (stats_invariant_test checks it,
+  /// faults included).
   ScanScheduler(BackendEngine* engine, uint32_t max_outstanding_scans,
                 MetricsRegistry* metrics = nullptr);
 
@@ -65,8 +53,6 @@ class ScanScheduler {
       const std::vector<NonGroupByPredicate>& non_group_by,
       WorkCounters* work, const ExecControl* ctrl = nullptr);
 
-  ScanSchedulerStats stats() const;
-
  private:
   BackendEngine* engine_;
   const uint32_t max_outstanding_;
@@ -82,7 +68,7 @@ class ScanScheduler {
   Gauge* outstanding_hwm_ = nullptr;
   Histogram* scan_ns_ = nullptr;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   uint32_t outstanding_ = 0;
 };

@@ -241,15 +241,4 @@ ChunkCacheStats ChunkCache::stats() const {
   return out;
 }
 
-void ChunkCache::ResetStats() {
-  for (const auto& shard : shards_) {
-    shard->lookups->Reset();
-    shard->hits->Reset();
-  }
-  insertions_->Reset();
-  evictions_->Reset();
-  rejected_->Reset();
-  lock_wait_ns_->Reset();
-}
-
 }  // namespace chunkcache::cache

@@ -239,7 +239,6 @@ class ChunkCache {
   /// never see torn 32/32 values (the old plain-uint64 fields could tear
   /// when read off-shard); map sizes/bytes are read under the shard locks.
   ChunkCacheStats stats() const;
-  void ResetStats();
 
   /// The registry backing every "cache.*" statistic — the one passed at
   /// construction, or the cache's own private one.

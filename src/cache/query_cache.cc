@@ -111,11 +111,4 @@ void QueryCache::Insert(CachedQuery entry) {
   ++stats_.insertions;
 }
 
-void QueryCache::Clear() {
-  for (auto& [handle, entry] : by_handle_) policy_->OnErase(&entry);
-  by_handle_.clear();
-  by_group_by_.clear();
-  bytes_used_ = 0;
-}
-
 }  // namespace chunkcache::cache

@@ -51,7 +51,7 @@ class QueryCache {
   QueryCache& operator=(const QueryCache&) = delete;
 
   /// Finds a cached query containing `q`; refreshes its replacement state
-  /// on a hit. Pointer valid until the next Insert/Clear.
+  /// on a hit. Pointer valid until the next Insert.
   const CachedQuery* FindContaining(const backend::StarJoinQuery& q);
 
   /// Inserts a full query result, evicting per policy until it fits.
@@ -60,13 +60,10 @@ class QueryCache {
   /// documented weakness).
   void Insert(CachedQuery entry);
 
-  void Clear();
-
   uint64_t bytes_used() const { return bytes_used_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   size_t num_queries() const { return by_handle_.size(); }
   const QueryCacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = QueryCacheStats(); }
 
  private:
   /// A cached query with its replacement node; ByteSize() charges only

@@ -155,11 +155,4 @@ void SemanticRegionCache::Insert(SemanticRegion region) {
   ++stats_.insertions;
 }
 
-void SemanticRegionCache::Clear() {
-  for (auto& [handle, entry] : by_handle_) policy_->OnErase(&entry);
-  by_handle_.clear();
-  by_group_.clear();
-  bytes_used_ = 0;
-}
-
 }  // namespace chunkcache::cache

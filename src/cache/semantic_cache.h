@@ -94,13 +94,11 @@ class SemanticRegionCache {
   /// Decomposes `query` into covered parts and remainder boxes, touching
   /// every cached candidate region (and recording the per-probe
   /// intersection-test count in stats). Region pointers stay valid until
-  /// the next Insert/Clear.
+  /// the next Insert.
   Probe Decompose(const backend::StarJoinQuery& query);
 
   /// Caches a region, evicting per policy until it fits.
   void Insert(SemanticRegion region);
-
-  void Clear();
 
   uint64_t bytes_used() const { return bytes_used_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }

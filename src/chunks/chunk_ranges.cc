@@ -83,9 +83,4 @@ OrdinalRange DimensionChunking::SpanAtLevel(uint32_t from_level, uint32_t idx,
   return span;
 }
 
-OrdinalRange DimensionChunking::BaseRangeSpan(uint32_t level,
-                                              uint32_t idx) const {
-  return SpanAtLevel(level, idx, depth());
-}
-
 }  // namespace chunkcache::chunks

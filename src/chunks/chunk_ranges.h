@@ -69,10 +69,6 @@ class DimensionChunking {
   OrdinalRange SpanAtLevel(uint32_t from_level, uint32_t idx,
                            uint32_t to_level) const;
 
-  /// Indices [begin, end] of *base-level* ranges covered by range `idx` at
-  /// `level` (composition of ChildRangeSpan down to the base).
-  OrdinalRange BaseRangeSpan(uint32_t level, uint32_t idx) const;
-
   uint32_t depth() const { return static_cast<uint32_t>(levels_.size()); }
 
  private:

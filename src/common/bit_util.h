@@ -23,12 +23,6 @@ inline void ClearBit(uint64_t* words, uint64_t i) {
   words[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
 
-/// Rounds `v` up to the next multiple of `align` (align must be a power of
-/// two).
-constexpr uint64_t RoundUp(uint64_t v, uint64_t align) {
-  return (v + align - 1) & ~(align - 1);
-}
-
 }  // namespace chunkcache::bit_util
 
 #endif  // CHUNKCACHE_COMMON_BIT_UTIL_H_

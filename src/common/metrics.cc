@@ -22,20 +22,6 @@ uint32_t ThisThreadStripe() {
 // HistogramSnapshot
 // ---------------------------------------------------------------------------
 
-void HistogramSnapshot::Merge(const HistogramSnapshot& o) {
-  if (o.count == 0) return;
-  if (count == 0) {
-    min = o.min;
-    max = o.max;
-  } else {
-    min = std::min(min, o.min);
-    max = std::max(max, o.max);
-  }
-  count += o.count;
-  sum += o.sum;
-  for (size_t b = 0; b < kHistogramBuckets; ++b) buckets[b] += o.buckets[b];
-}
-
 double HistogramSnapshot::Quantile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -105,11 +91,6 @@ void Histogram::Reset() {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -140,13 +121,6 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
     snap.histograms[name] = h->Snapshot();
   }
   return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) c->Reset();
-  for (const auto& [name, g] : gauges_) g->Reset();
-  for (const auto& [name, h] : histograms_) h->Reset();
 }
 
 namespace {

@@ -58,10 +58,6 @@ class Counter {
     return total;
   }
 
-  void Reset() {
-    for (auto& s : stripes_) s.v.store(0, std::memory_order_relaxed);
-  }
-
   const std::string& name() const { return name_; }
 
  private:
@@ -78,7 +74,6 @@ class Gauge {
 
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Sub(int64_t n) { value_.fetch_sub(n, std::memory_order_relaxed); }
 
   /// Raises the gauge to `v` if above the current value (high-water marks).
   void SetMax(int64_t v) {
@@ -89,7 +84,6 @@ class Gauge {
   }
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
   const std::string& name() const { return name_; }
 
  private:
@@ -108,11 +102,6 @@ inline size_t HistogramBucketOf(uint64_t v) {
   return static_cast<size_t>(std::bit_width(v));  // bit_width(0) == 0
 }
 
-/// Inclusive lower bound of bucket `b` (0, 1, 2, 4, 8, ...).
-inline uint64_t HistogramBucketLower(size_t b) {
-  return b == 0 ? 0 : uint64_t{1} << (b - 1);
-}
-
 /// Inclusive upper bound of bucket `b` (0, 1, 3, 7, 15, ...).
 inline uint64_t HistogramBucketUpper(size_t b) {
   if (b == 0) return 0;
@@ -120,9 +109,7 @@ inline uint64_t HistogramBucketUpper(size_t b) {
   return (uint64_t{1} << b) - 1;
 }
 
-/// Folded, immutable view of a histogram. Merging two snapshots is
-/// element-wise and yields exactly the snapshot a single stream recording
-/// both inputs would have produced (the property metrics_test checks).
+/// Folded, immutable view of a histogram.
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum = 0;
@@ -130,7 +117,6 @@ struct HistogramSnapshot {
   uint64_t max = 0;
   std::array<uint64_t, kHistogramBuckets> buckets{};
 
-  void Merge(const HistogramSnapshot& o);
   double Mean() const {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
@@ -185,9 +171,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-wide default registry.
-  static MetricsRegistry& Global();
-
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
@@ -219,9 +202,6 @@ class MetricsRegistry {
   /// One JSON object: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, min, max, mean, p50, p95, p99}}}.
   std::string ExportJson() const;
-
-  /// Zeroes every registered metric (registration survives).
-  void ResetAll();
 
  private:
   mutable std::mutex mu_;

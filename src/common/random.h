@@ -45,13 +45,6 @@ class Random {
     return Next64() % n;
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t UniformInRange(int64_t lo, int64_t hi) {
-    CHUNKCACHE_DCHECK(lo <= hi);
-    return lo + static_cast<int64_t>(
-                    Uniform(static_cast<uint64_t>(hi - lo) + 1));
-  }
-
   /// Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(Next64() >> 11) * 0x1.0p-53;

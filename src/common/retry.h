@@ -51,12 +51,8 @@ class Deadline {
   Deadline() : when_(Clock::time_point::max()) {}
   explicit Deadline(Clock::time_point when) : when_(when) {}
 
-  static Deadline Infinite() { return Deadline(); }
   static Deadline AfterMs(uint64_t ms) {
     return Deadline(Clock::now() + std::chrono::milliseconds(ms));
-  }
-  static Deadline AfterUs(uint64_t us) {
-    return Deadline(Clock::now() + std::chrono::microseconds(us));
   }
 
   bool infinite() const { return when_ == Clock::time_point::max(); }

@@ -24,11 +24,6 @@ void WaitGroup::Wait() {
   cv_.wait(lock, [this] { return count_ == 0; });
 }
 
-uint64_t WaitGroup::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
 // ----------------------------------------------------------------------------
 // ThreadPool
 // ----------------------------------------------------------------------------
@@ -55,15 +50,8 @@ void ThreadPool::Submit(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(mu_);
     CHUNKCACHE_CHECK(!shutdown_);
     queue_.push_back(std::move(fn));
-    ++stats_.tasks_submitted;
-    if (queue_.size() > stats_.queue_peak) stats_.queue_peak = queue_.size();
   }
   cv_.notify_one();
-}
-
-ThreadPoolStats ThreadPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -76,7 +64,6 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++stats_.tasks_run;
     }
     task();
   }

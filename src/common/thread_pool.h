@@ -21,20 +21,10 @@ class WaitGroup {
   void Done();
   void Wait();
 
-  /// Outstanding count right now (racy by nature; for stats display only).
-  uint64_t pending() const;
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   uint64_t count_ = 0;
-};
-
-/// Cumulative executor counters.
-struct ThreadPoolStats {
-  uint64_t tasks_submitted = 0;
-  uint64_t tasks_run = 0;
-  uint64_t queue_peak = 0;  ///< High-water mark of the shared queue.
 };
 
 /// Fixed-size thread-pool executor with a single shared FIFO queue — no
@@ -58,8 +48,6 @@ class ThreadPool {
   /// Enqueues `fn` for execution on some worker.
   void Submit(std::function<void()> fn);
 
-  ThreadPoolStats stats() const;
-
  private:
   void WorkerLoop();
 
@@ -67,7 +55,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
-  ThreadPoolStats stats_;
   std::vector<std::thread> workers_;
 };
 

@@ -30,16 +30,6 @@ class TokenBucket {
     return true;
   }
 
-  /// Banked tokens after refilling to `now_ns` (for tests and stats).
-  double TokensAt(uint64_t now_ns) {
-    if (rate_ <= 0.0) return burst_;
-    Refill(now_ns);
-    return tokens_;
-  }
-
-  double rate_per_sec() const { return rate_; }
-  double burst() const { return burst_; }
-
  private:
   void Refill(uint64_t now_ns) {
     // Out-of-order timestamps (two threads read the clock, then contend on

@@ -16,10 +16,7 @@ TraceRecorder::TraceRecorder(size_t capacity)
 void TraceRecorder::Record(QueryTrace trace) {
   std::lock_guard<std::mutex> lock(mu_);
   trace.id = next_id_++;
-  if (ring_.size() == capacity_) {
-    ring_.pop_front();
-    ++dropped_;
-  }
+  if (ring_.size() == capacity_) ring_.pop_front();
   ring_.push_back(std::move(trace));
 }
 
@@ -33,11 +30,6 @@ std::vector<QueryTrace> TraceRecorder::Latest(size_t n) const {
 uint64_t TraceRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_id_ - 1;
-}
-
-uint64_t TraceRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 namespace {

@@ -37,7 +37,7 @@ struct QueryTrace {
 
 /// Bounded retention of completed traces: a mutex-guarded ring buffer
 /// touched once per query (at Finish), never on the span hot path. When
-/// full, the oldest trace is dropped and counted.
+/// full, the oldest trace is dropped.
 class TraceRecorder {
  public:
   explicit TraceRecorder(size_t capacity);
@@ -59,13 +59,11 @@ class TraceRecorder {
 
   size_t capacity() const { return capacity_; }
   uint64_t recorded() const;
-  uint64_t dropped() const;
 
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
   uint64_t next_id_ = 1;
-  uint64_t dropped_ = 0;
   std::deque<QueryTrace> ring_;
 };
 

@@ -23,6 +23,34 @@ using chunks::ChunkCoords;
 using chunks::GroupBySpec;
 using storage::AggTuple;
 
+namespace {
+
+/// True when `cols` can be the rows of chunk `chunk_num` of `spec`, in one
+/// pass: every row lies inside the chunk's extent, rows are strictly
+/// row-major (so no cell appears twice) and every COUNT is at least 1.
+bool RowsFitChunk(const chunks::ChunkingScheme& scheme,
+                  const GroupBySpec& spec, uint64_t chunk_num,
+                  const storage::AggColumns& cols) {
+  const auto extent = scheme.ChunkExtent(spec, chunk_num);
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols.counts()[i] == 0) return false;
+    bool after_previous = i == 0;
+    for (uint32_t d = 0; d < cols.num_dims(); ++d) {
+      const uint32_t c = cols.coords(d)[i];
+      if (!extent[d].Contains(c)) return false;
+      if (!after_previous) {
+        const uint32_t prev = cols.coords(d)[i - 1];
+        if (c < prev) return false;
+        after_previous = c > prev;
+      }
+    }
+    if (!after_previous) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 /// Background snapshot trigger: counts cache admit and evict events (the
 /// cache delivers them outside every shard lock) and wakes one persister
 /// thread once persist_snapshot_every of them have accumulated. A query
@@ -149,14 +177,18 @@ void ChunkCacheManager::RecoverPersistedCache() {
   // byte budget, replacement policy and shard accounting all see it.
   // Recovery already dropped and counted every record whose frame CRC or
   // columns failed to parse. The fingerprint vouches for the data, not
-  // for each record: one that names no chunk of this scheme, or holds
-  // rows of another width, is quarantined the same way.
+  // for each record: one that names no chunk of this scheme, holds rows
+  // of another width, or holds rows no computation of that chunk yields
+  // (outside it, repeated or out of order, or with COUNT 0) is
+  // quarantined the same way.
   const chunks::ChunkingScheme& scheme = engine_->scheme();
   for (storage::PersistedChunk& pc : rec.entries) {
     if (pc.group_by_id >= scheme.NumGroupByIds() ||
         pc.cols.num_dims() != scheme.num_dims() ||
         pc.chunk_num >=
-            scheme.GridFor(scheme.SpecOfId(pc.group_by_id)).num_chunks()) {
+            scheme.GridFor(scheme.SpecOfId(pc.group_by_id)).num_chunks() ||
+        !RowsFitChunk(scheme, scheme.SpecOfId(pc.group_by_id), pc.chunk_num,
+                      pc.cols)) {
       persist_->CountQuarantined();
       ++rec.quarantined;
       continue;

@@ -71,8 +71,6 @@ class CsrAccumulator {
     saved_ += s.cost_estimate * s.saved_fraction;
   }
   double Csr() const { return total_ == 0 ? 0 : saved_ / total_; }
-  double total_cost() const { return total_; }
-  void Reset() { total_ = saved_ = 0; }
 
  private:
   double total_ = 0;

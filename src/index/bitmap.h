@@ -35,12 +35,6 @@ class Bitmap {
     return bit_util::GetBit(words_.data(), i);
   }
 
-  /// Sets every bit (then clears the tail padding).
-  void SetAll() {
-    for (auto& w : words_) w = ~uint64_t{0};
-    TrimTail();
-  }
-
   /// this &= other. Sizes must match.
   void And(const Bitmap& other) {
     CHUNKCACHE_DCHECK(num_bits_ == other.num_bits_);
@@ -51,12 +45,6 @@ class Bitmap {
   void Or(const Bitmap& other) {
     CHUNKCACHE_DCHECK(num_bits_ == other.num_bits_);
     simd::OrWords(words_.data(), other.words_.data(), words_.size());
-  }
-
-  /// this = ~this (respecting num_bits).
-  void Not() {
-    for (auto& w : words_) w = ~w;
-    TrimTail();
   }
 
   /// Number of set bits.
@@ -104,13 +92,6 @@ class Bitmap {
       const int bit = std::countr_zero(word);
       fn(static_cast<uint64_t>(wi) * 64 + bit);
       word &= word - 1;
-    }
-  }
-
-  void TrimTail() {
-    const uint64_t tail = num_bits_ % 64;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() &= (uint64_t{1} << tail) - 1;
     }
   }
 

@@ -100,15 +100,6 @@ Result<std::vector<BitmapIndex>> BitmapIndex::BuildMany(
     idx.num_values_ = columns[k].num_values;
     idx.pages_per_bitmap_ = pages_per_bitmap;
     idx.num_rows_ = num_rows;
-    {
-      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, pool->Allocate(file_id));
-      auto* h = guard.page()->As<Header>();
-      h->magic = kMagic;
-      h->num_values = idx.num_values_;
-      h->pages_per_bitmap = pages_per_bitmap;
-      h->num_rows = num_rows;
-      guard.MarkDirty();
-    }
     for (uint32_t v = 0; v < idx.num_values_; ++v) {
       const uint8_t* src = reinterpret_cast<const uint8_t*>(
           column_words[k] + v * words_per_bitmap);
@@ -128,27 +119,6 @@ Result<std::vector<BitmapIndex>> BitmapIndex::BuildMany(
   return out;
 }
 
-Result<BitmapIndex> BitmapIndex::Build(storage::BufferPool* pool,
-                                       storage::FactFile* fact, uint32_t dim,
-                                       uint32_t num_values) {
-  CHUNKCACHE_ASSIGN_OR_RETURN(std::vector<BitmapIndex> built,
-                              BuildMany(pool, fact, {{dim, num_values}}));
-  return std::move(built[0]);
-}
-
-Result<BitmapIndex> BitmapIndex::Open(storage::BufferPool* pool,
-                                      uint32_t file_id, uint32_t dim) {
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                              pool->Fetch(PageId{file_id, 0}));
-  const auto* h = guard.page()->As<Header>();
-  if (h->magic != kMagic) return Status::Corruption("BitmapIndex: bad magic");
-  BitmapIndex idx(pool, file_id, dim);
-  idx.num_values_ = h->num_values;
-  idx.pages_per_bitmap_ = h->pages_per_bitmap;
-  idx.num_rows_ = h->num_rows;
-  return idx;
-}
-
 Status BitmapIndex::ReadBitmap(uint32_t value, Bitmap* out) {
   if (value >= num_values_) {
     return Status::OutOfRange("BitmapIndex: value out of range");
@@ -156,7 +126,7 @@ Status BitmapIndex::ReadBitmap(uint32_t value, Bitmap* out) {
   *out = Bitmap(num_rows_);
   uint8_t* dst = reinterpret_cast<uint8_t*>(out->words());
   uint64_t remaining = out->num_words() * 8;
-  const uint32_t first_page = 1 + value * pages_per_bitmap_;
+  const uint32_t first_page = value * pages_per_bitmap_;
   for (uint32_t p = 0; p < pages_per_bitmap_; ++p) {
     CHUNKCACHE_ASSIGN_OR_RETURN(
         PageGuard guard, pool_->Fetch(PageId{file_id_, first_page + p}));

@@ -17,8 +17,10 @@ namespace chunkcache::index {
 /// selections; reading bitmaps goes through the buffer pool, so index I/O is
 /// part of every measured cost.
 ///
-/// File layout: page 0 header, then bitmaps back to back, each padded to a
-/// whole number of pages so one value's bitmap occupies a contiguous run.
+/// File layout: the bitmaps back to back from page 0, value by value, each
+/// padded to a whole number of pages so one value's bitmap occupies a
+/// contiguous run. An index is built once and never reopened, so no page
+/// holds a header.
 class BitmapIndex {
  public:
   /// One column to index: dimension `dim`, whose ordinals are dense in
@@ -33,15 +35,6 @@ class BitmapIndex {
   static Result<std::vector<BitmapIndex>> BuildMany(
       storage::BufferPool* pool, storage::FactFile* fact,
       const std::vector<Column>& columns);
-
-  /// Builds the index of one column (BuildMany of one).
-  static Result<BitmapIndex> Build(storage::BufferPool* pool,
-                                   storage::FactFile* fact, uint32_t dim,
-                                   uint32_t num_values);
-
-  /// Opens an existing index by file id.
-  static Result<BitmapIndex> Open(storage::BufferPool* pool, uint32_t file_id,
-                                  uint32_t dim);
 
   BitmapIndex(BitmapIndex&&) = default;
   BitmapIndex& operator=(BitmapIndex&&) = default;
@@ -62,14 +55,6 @@ class BitmapIndex {
  private:
   BitmapIndex(storage::BufferPool* pool, uint32_t file_id, uint32_t dim)
       : pool_(pool), file_id_(file_id), dim_(dim) {}
-
-  struct Header {
-    uint64_t magic;
-    uint32_t num_values;
-    uint32_t pages_per_bitmap;
-    uint64_t num_rows;
-  };
-  static constexpr uint64_t kMagic = 0x4249544D41504958ULL;  // "BITMAPIX"
 
   storage::BufferPool* pool_;
   uint32_t file_id_;

@@ -48,56 +48,17 @@ size_t NodeTake(size_t left, size_t cap, size_t min) {
 
 }  // namespace
 
-Result<BTree> BTree::Create(storage::BufferPool* pool) {
-  const uint32_t file_id = pool->disk()->CreateFile();
-  BTree t(pool, file_id);
-  // Page 0: meta.
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard meta, pool->Allocate(file_id));
-  // Page 1: empty leaf root.
-  CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t root, t.NewNode(/*leaf=*/true));
-  t.root_page_ = root;
-  t.height_ = 1;
-  auto* m = meta.page()->As<MetaPage>();
-  m->magic = kMagic;
-  m->root_page = t.root_page_;
-  m->height = t.height_;
-  m->size = 0;
-  meta.MarkDirty();
-  return t;
-}
-
-Result<BTree> BTree::Open(storage::BufferPool* pool, uint32_t file_id) {
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard meta,
-                              pool->Fetch(storage::PageId{file_id, 0}));
-  const auto* m = meta.page()->As<MetaPage>();
-  if (m->magic != kMagic) return Status::Corruption("BTree: bad magic");
-  BTree t(pool, file_id);
-  t.root_page_ = m->root_page;
-  t.height_ = m->height;
-  t.size_ = m->size;
-  return t;
-}
-
-Status BTree::SyncMeta() {
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard meta, pool_->Fetch(Pid(0)));
-  auto* m = meta.page()->As<MetaPage>();
-  m->root_page = root_page_;
-  m->height = height_;
-  m->size = size_;
-  meta.MarkDirty();
-  return Status::OK();
-}
-
-Result<uint32_t> BTree::NewNode(bool leaf) {
+Result<PageGuard> BTree::NewNode(bool leaf) {
   CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, pool_->Allocate(file_id_));
   auto* h = Header(guard.page());
   h->is_leaf = leaf ? 1 : 0;
   h->count = 0;
   guard.MarkDirty();
-  return guard.id().page_no;
+  return guard;
 }
 
 Result<BTreePayload> BTree::Get(uint64_t key) {
+  if (height_ == 0) return Status::NotFound("BTree: empty");
   uint32_t cur = root_page_;
   for (uint32_t level = 0;; ++level) {
     CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard node, pool_->Fetch(Pid(cur)));
@@ -118,37 +79,32 @@ Result<BTreePayload> BTree::Get(uint64_t key) {
   }
 }
 
-Status BTree::BulkLoad(
+Result<BTree> BTree::BulkLoad(
+    storage::BufferPool* pool,
     const std::vector<std::pair<uint64_t, BTreePayload>>& sorted) {
-  if (size_ != 0) return Status::InvalidArgument("BulkLoad: tree not empty");
   for (size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i - 1].first >= sorted[i].first) {
       return Status::InvalidArgument("BulkLoad: input not strictly sorted");
     }
   }
-  if (sorted.empty()) return Status::OK();
+  BTree t(pool, pool->disk()->CreateFile());
+  if (sorted.empty()) return t;
 
   // Build the leaf level; remember (first key, page) of every node.
   std::vector<std::pair<uint64_t, uint32_t>> level;
-  {
-    size_t pos = 0;
-    while (pos < sorted.size()) {
-      const uint32_t take = static_cast<uint32_t>(
-          NodeTake(sorted.size() - pos, kLeafCapacity, MinLeafKeys()));
-      CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t leaf_no, NewNode(/*leaf=*/true));
-      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard leaf, pool_->Fetch(Pid(leaf_no)));
-      auto* h = Header(leaf.page());
-      uint64_t* keys = Keys(leaf.page());
-      BTreePayload* pays = Payloads(leaf.page());
-      for (uint32_t j = 0; j < take; ++j) {
-        keys[j] = sorted[pos + j].first;
-        pays[j] = sorted[pos + j].second;
-      }
-      h->count = take;
-      leaf.MarkDirty();
-      level.emplace_back(sorted[pos].first, leaf_no);
-      pos += take;
+  for (size_t pos = 0; pos < sorted.size();) {
+    const uint32_t take = static_cast<uint32_t>(
+        NodeTake(sorted.size() - pos, kLeafCapacity, MinLeafKeys()));
+    CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard leaf, t.NewNode(/*leaf=*/true));
+    uint64_t* keys = Keys(leaf.page());
+    BTreePayload* pays = Payloads(leaf.page());
+    for (uint32_t j = 0; j < take; ++j) {
+      keys[j] = sorted[pos + j].first;
+      pays[j] = sorted[pos + j].second;
     }
+    Header(leaf.page())->count = take;
+    level.emplace_back(sorted[pos].first, leaf.id().page_no);
+    pos += take;
   }
   uint32_t levels = 1;
 
@@ -156,35 +112,32 @@ Status BTree::BulkLoad(
   // (j >= 1) is that child's smallest key, matching the routing convention.
   while (level.size() > 1) {
     std::vector<std::pair<uint64_t, uint32_t>> next;
-    size_t pos = 0;
-    while (pos < level.size()) {
+    for (size_t pos = 0; pos < level.size();) {
       const uint32_t take = static_cast<uint32_t>(NodeTake(
           level.size() - pos, kInternalCapacity + 1, MinInternalKeys() + 1));
-      CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t node_no, NewNode(/*leaf=*/false));
-      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard node, pool_->Fetch(Pid(node_no)));
-      auto* h = Header(node.page());
+      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard node, t.NewNode(/*leaf=*/false));
       uint64_t* keys = Keys(node.page());
       uint32_t* children = Children(node.page());
       for (uint32_t j = 0; j < take; ++j) {
         children[j] = level[pos + j].second;
         if (j > 0) keys[j - 1] = level[pos + j].first;
       }
-      h->count = take - 1;
-      node.MarkDirty();
-      next.emplace_back(level[pos].first, node_no);
+      Header(node.page())->count = take - 1;
+      next.emplace_back(level[pos].first, node.id().page_no);
       pos += take;
     }
     level = std::move(next);
     ++levels;
   }
 
-  root_page_ = level[0].second;
-  height_ = levels;
-  size_ = sorted.size();
-  return SyncMeta();
+  t.root_page_ = level[0].second;
+  t.height_ = levels;
+  t.size_ = sorted.size();
+  return t;
 }
 
 Status BTree::CheckInvariants() {
+  if (height_ == 0) return Status::OK();  // empty: no pages
   struct StackEntry {
     uint32_t page;
     uint64_t lo;

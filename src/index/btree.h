@@ -28,15 +28,18 @@ struct BTreePayload {
 /// points to the start of the chunk in the fact file"), built for the fact
 /// file and for each materialized aggregate.
 ///
-/// A tree is bulk-loaded bottom-up from sorted input once and then answers
-/// point lookups. Keys are unique. Not thread-safe.
+/// A tree is bulk-loaded bottom-up from sorted input once, into a file of
+/// its own that holds only nodes, and then answers point lookups. Keys are
+/// unique. Not thread-safe.
 class BTree {
  public:
-  /// Creates a new empty tree in a fresh DiskManager file.
-  static Result<BTree> Create(storage::BufferPool* pool);
-
-  /// Opens an existing tree by DiskManager file id.
-  static Result<BTree> Open(storage::BufferPool* pool, uint32_t file_id);
+  /// Builds a tree in a fresh DiskManager file from strictly ascending
+  /// (key, payload) pairs: the leaf level left to right, then each
+  /// internal level over the one below. An empty input builds an empty
+  /// tree (no pages) whose Get answers NotFound.
+  static Result<BTree> BulkLoad(
+      storage::BufferPool* pool,
+      const std::vector<std::pair<uint64_t, BTreePayload>>& sorted);
 
   BTree(BTree&&) = default;
   BTree& operator=(BTree&&) = default;
@@ -44,20 +47,13 @@ class BTree {
   /// Point lookup; NotFound if absent.
   Result<BTreePayload> Get(uint64_t key);
 
-  /// Builds the tree bottom-up from strictly-ascending (key, payload)
-  /// pairs. The tree must be empty.
-  Status BulkLoad(const std::vector<std::pair<uint64_t, BTreePayload>>& sorted);
-
   /// Number of entries.
   uint64_t size() const { return size_; }
 
-  /// Height of the tree (1 = root is a leaf).
+  /// Height of the tree (0 = empty, 1 = root is a leaf).
   uint32_t height() const { return height_; }
 
   uint32_t file_id() const { return file_id_; }
-
-  /// Persists the meta page (root pointer, size). Call after bulk changes.
-  Status SyncMeta();
 
   /// Verifies structural invariants (key order, subtree bounds, minimum
   /// fill, equal leaf depth, entry count); used by tests. O(n).
@@ -68,20 +64,14 @@ class BTree {
       : pool_(pool), file_id_(file_id) {}
 
   // --- node layout ---------------------------------------------------------
-  // Page 0 of the file is the meta page; nodes start at page 1.
-  struct MetaPage {
-    uint64_t magic;
-    uint32_t root_page;
-    uint32_t height;
-    uint64_t size;
-  };
+  // Every page of the file is a node: leaves from page 0, then each
+  // internal level, the root last.
   struct NodeHeader {
     uint8_t is_leaf;
     uint8_t pad[3];
     uint32_t count;  // number of keys
     uint64_t pad2;
   };
-  static constexpr uint64_t kMagic = 0x4254524545763031ULL;  // "BTREEv01"
   static constexpr uint32_t kHeaderSize = 16;
   static_assert(sizeof(NodeHeader) == kHeaderSize);
   // Leaf entry: 8B key + 16B payload.
@@ -97,7 +87,8 @@ class BTree {
   static BTreePayload* Payloads(storage::Page* p);  // leaves only
   static uint32_t* Children(storage::Page* p);      // internals only
 
-  Result<uint32_t> NewNode(bool leaf);
+  /// Allocates the file's next page as an empty node, pinned.
+  Result<storage::PageGuard> NewNode(bool leaf);
   storage::PageId Pid(uint32_t page_no) const { return {file_id_, page_no}; }
 
   storage::BufferPool* pool_;

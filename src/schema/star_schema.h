@@ -47,23 +47,6 @@ class StarSchema {
     return storage::TupleDesc{num_dims()};
   }
 
-  /// Number of distinct group-by combinations: every dimension can be
-  /// grouped at any of its levels or aggregated away (level 0).
-  uint64_t NumGroupBys() const {
-    uint64_t n = 1;
-    for (const auto& d : dimensions_) n *= d.hierarchy.depth() + 1;
-    return n;
-  }
-
-  /// Number of cells at the base level (product of base cardinalities).
-  uint64_t BaseCells() const {
-    uint64_t n = 1;
-    for (const auto& d : dimensions_) {
-      n *= d.hierarchy.LevelCardinality(d.hierarchy.depth());
-    }
-    return n;
-  }
-
  private:
   std::string fact_name_;
   std::vector<Dimension> dimensions_;

@@ -79,9 +79,4 @@ void AdmissionController::Release(uint32_t tenant_id) {
   inflight_gauge_->Set(global_inflight_);
 }
 
-uint32_t AdmissionController::global_inflight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return global_inflight_;
-}
-
 }  // namespace chunkcache::server

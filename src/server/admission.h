@@ -63,8 +63,6 @@ class AdmissionController {
   /// Releases one admitted query's slot (tenant + global inflight).
   void Release(uint32_t tenant_id);
 
-  uint32_t global_inflight() const;
-
   const AdmissionOptions& options() const { return options_; }
 
  private:

@@ -124,9 +124,6 @@ class FrameReader {
 
   Result<std::optional<Frame>> Next();
 
-  /// Bytes buffered but not yet consumed by Next().
-  size_t buffered() const { return buf_.size() - pos_; }
-
  private:
   uint32_t max_payload_;
   std::vector<uint8_t> buf_;

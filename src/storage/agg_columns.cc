@@ -52,21 +52,6 @@ AggTuple AggColumns::RowAt(size_t i) const {
   return row;
 }
 
-std::vector<AggTuple> AggColumns::ToRows() const {
-  std::vector<AggTuple> rows;
-  rows.reserve(size());
-  for (size_t i = 0; i < size(); ++i) rows.push_back(RowAt(i));
-  return rows;
-}
-
-AggColumns AggColumns::FromRows(const std::vector<AggTuple>& rows,
-                                uint32_t num_dims) {
-  AggColumns cols(num_dims);
-  cols.Reserve(rows.size());
-  for (const AggTuple& row : rows) cols.PushRow(row);
-  return cols;
-}
-
 void AggColumns::SortRowMajor() {
   const size_t n = size();
   if (n < 2) return;

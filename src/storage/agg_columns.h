@@ -44,10 +44,6 @@ class AggColumns {
   /// Materializes row `i` (SoA -> AoS).
   AggTuple RowAt(size_t i) const;
 
-  std::vector<AggTuple> ToRows() const;
-  static AggColumns FromRows(const std::vector<AggTuple>& rows,
-                             uint32_t num_dims);
-
   const std::vector<uint32_t>& coords(uint32_t d) const { return coords_[d]; }
   const std::vector<double>& sums() const { return sum_; }
   const std::vector<uint64_t>& counts() const { return count_; }

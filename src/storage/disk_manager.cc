@@ -95,9 +95,4 @@ Status InMemoryDiskManager::WritePage(PageId id, const Page& page) {
   return Status::OK();
 }
 
-uint32_t InMemoryDiskManager::FilePageCount(uint32_t file_id) const {
-  if (file_id == 0 || file_id > files_.size()) return 0;
-  return static_cast<uint32_t>(files_[file_id - 1].size());
-}
-
 }  // namespace chunkcache::storage

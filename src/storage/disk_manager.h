@@ -45,9 +45,6 @@ class DiskManager {
   /// Writes `page` to `id`. The page must have been allocated.
   virtual Status WritePage(PageId id, const Page& page) = 0;
 
-  /// Number of pages currently allocated in `file_id`.
-  virtual uint32_t FilePageCount(uint32_t file_id) const = 0;
-
   /// Snapshot of the I/O counters. Counters are guarded by their own
   /// mutex so concurrent queries can read work deltas while other threads
   /// perform I/O (page data itself is serialized by the BufferPool).
@@ -101,7 +98,13 @@ class InMemoryDiskManager final : public DiskManager {
   Result<PageId> AllocatePage(uint32_t file_id) override;
   Status ReadPage(PageId id, Page* out) override;
   Status WritePage(PageId id, const Page& page) override;
-  uint32_t FilePageCount(uint32_t file_id) const override;
+
+  /// Number of pages allocated in `file_id` (0 for an unknown id): how
+  /// tests see a file's length.
+  uint32_t FilePageCount(uint32_t file_id) const {
+    if (file_id == 0 || file_id > files_.size()) return 0;
+    return static_cast<uint32_t>(files_[file_id - 1].size());
+  }
 
  private:
   // files_[file_id - 1] is the page vector of that file.

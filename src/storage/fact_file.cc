@@ -9,35 +9,7 @@ Result<FactFile> FactFile::Create(BufferPool* pool, TupleDesc desc) {
   if (desc.num_dims == 0 || desc.num_dims > kMaxDims) {
     return Status::InvalidArgument("FactFile: bad dimension count");
   }
-  const uint32_t file_id = pool->disk()->CreateFile();
-  FactFile f(pool, file_id, desc);
-  // Page 0 is the header page.
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard, pool->Allocate(file_id));
-  auto* h = guard.page()->As<Header>();
-  h->magic = kMagic;
-  h->num_dims = desc.num_dims;
-  h->flags = 0;
-  h->num_tuples = 0;
-  guard.MarkDirty();
-  return f;
-}
-
-Result<FactFile> FactFile::Open(BufferPool* pool, uint32_t file_id) {
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                              pool->Fetch(PageId{file_id, 0}));
-  const auto* h = guard.page()->As<Header>();
-  if (h->magic != kMagic) {
-    return Status::Corruption("FactFile: bad header magic");
-  }
-  if (h->num_dims == 0 || h->num_dims > kMaxDims) {
-    return Status::Corruption("FactFile: bad header dimension count");
-  }
-  if (h->flags != 0) {
-    return Status::Corruption("FactFile: unsupported header flags");
-  }
-  FactFile f(pool, file_id, TupleDesc{h->num_dims});
-  f.num_tuples_ = h->num_tuples;
-  return f;
+  return FactFile(pool, pool->disk()->CreateFile(), desc);
 }
 
 Result<PageGuard> FactFile::PinAppendPage() {
@@ -84,19 +56,6 @@ Result<RowId> FactFile::AppendInOrder(const std::vector<Tuple>& tuples,
   return first;
 }
 
-Status FactFile::Get(RowId rid, Tuple* out) {
-  if (rid >= num_tuples_) {
-    return Status::OutOfRange("FactFile::Get: rid beyond EOF");
-  }
-  const uint32_t page_no = PageOfRow(rid);
-  const uint32_t slot = static_cast<uint32_t>(rid % tuples_per_page_);
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                              pool_->Fetch(PageId{file_id_, page_no}));
-  out->Deserialize(desc_,
-                   guard.page()->data.data() + slot * desc_.RecordSize());
-  return Status::OK();
-}
-
 Status FactFile::ScanRange(RowId first, uint64_t count,
                            const std::function<bool(RowId, const Tuple&)>& fn) {
   if (first > num_tuples_) {
@@ -111,8 +70,7 @@ Status FactFile::ScanRange(RowId first, uint64_t count,
                                 pool_->Fetch(PageId{file_id_, page_no}));
     const uint8_t* base = guard.page()->data.data();
     // All rids of this page that fall in [rid, end).
-    const RowId page_first =
-        static_cast<RowId>(page_no - 1) * tuples_per_page_;
+    const RowId page_first = static_cast<RowId>(page_no) * tuples_per_page_;
     const RowId page_end = std::min<RowId>(page_first + tuples_per_page_, end);
     for (; rid < page_end; ++rid) {
       const uint32_t slot = static_cast<uint32_t>(rid - page_first);
@@ -139,8 +97,7 @@ Status FactFile::ScanRangeColumns(RowId first, uint64_t count,
     CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
                                 pool_->Fetch(PageId{file_id_, page_no}));
     const uint8_t* base = guard.page()->data.data();
-    const RowId page_first =
-        static_cast<RowId>(page_no - 1) * tuples_per_page_;
+    const RowId page_first = static_cast<RowId>(page_no) * tuples_per_page_;
     const RowId page_end = std::min<RowId>(page_first + tuples_per_page_, end);
     for (; rid < page_end; ++rid) {
       const uint8_t* rec =
@@ -162,15 +119,15 @@ Status FactFile::FetchRows(const std::vector<RowId>& rids,
                            std::vector<Tuple>* out) {
   out->clear();
   out->reserve(rids.size());
-  PageGuard guard;
-  uint32_t pinned_page = 0;  // 0 = none (page 0 is the header, never data)
+  PageGuard guard;  // pins page `pinned_page` once valid
+  uint32_t pinned_page = 0;
   Tuple t;
   for (RowId rid : rids) {
     if (rid >= num_tuples_) {
       return Status::OutOfRange("FactFile::FetchRows: rid beyond EOF");
     }
     const uint32_t page_no = PageOfRow(rid);
-    if (page_no != pinned_page) {
+    if (!guard.valid() || page_no != pinned_page) {
       CHUNKCACHE_ASSIGN_OR_RETURN(guard,
                                   pool_->Fetch(PageId{file_id_, page_no}));
       pinned_page = page_no;
@@ -184,19 +141,8 @@ Status FactFile::FetchRows(const std::vector<RowId>& rids,
 }
 
 uint32_t FactFile::num_data_pages() const {
-  return num_tuples_ == 0
-             ? 0
-             : static_cast<uint32_t>((num_tuples_ + tuples_per_page_ - 1) /
-                                     tuples_per_page_);
-}
-
-Status FactFile::SyncHeader() {
-  CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                              pool_->Fetch(PageId{file_id_, 0}));
-  auto* h = guard.page()->As<Header>();
-  h->num_tuples = num_tuples_;
-  guard.MarkDirty();
-  return Status::OK();
+  return static_cast<uint32_t>((num_tuples_ + tuples_per_page_ - 1) /
+                               tuples_per_page_);
 }
 
 }  // namespace chunkcache::storage

@@ -19,18 +19,14 @@ using RowId = uint64_t;
 /// file" of RJZN97 that the paper's PARADISE implementation uses): records
 /// are packed back to back with no slot directory, so the page holds
 /// floor(kPageSize / record_size) records and a RowId maps to a page with
-/// one division. Supports append (bulk load), point reads, full scans, and
-/// skipped-sequential scans over RowId ranges — the access pattern chunk
-/// reads need.
+/// one division. Rows start at page 0: the file is built once, by bulk
+/// load, and never reopened, so no page holds a header. Supports append
+/// (bulk load), full scans, and skipped-sequential scans over RowId
+/// ranges — the access pattern chunk reads need.
 class FactFile {
  public:
-  /// Creates a new empty fact file inside `pool`'s disk manager.
+  /// Creates a new empty fact file (no pages) inside `pool`'s disk manager.
   static Result<FactFile> Create(BufferPool* pool, TupleDesc desc);
-
-  /// Opens an existing fact file by its DiskManager file id. A header whose
-  /// dimension count is outside [1, kMaxDims] or whose flags word is
-  /// nonzero is Corruption.
-  static Result<FactFile> Open(BufferPool* pool, uint32_t file_id);
 
   FactFile(FactFile&&) = default;
   FactFile& operator=(FactFile&&) = default;
@@ -44,9 +40,6 @@ class FactFile {
   /// RowId of the first.
   Result<RowId> AppendInOrder(const std::vector<Tuple>& tuples,
                               const std::vector<uint32_t>& order);
-
-  /// Reads the tuple at `rid`.
-  Status Get(RowId rid, Tuple* out);
 
   /// Scans tuples with rid in [first, first + count), invoking
   /// `fn(rid, tuple)`; each touched page is pinned exactly once. `fn`
@@ -81,11 +74,8 @@ class FactFile {
   /// Page number (within this file) holding `rid`; useful for analyses that
   /// count distinct pages a row set touches.
   uint32_t PageOfRow(RowId rid) const {
-    return 1 + static_cast<uint32_t>(rid / tuples_per_page_);
+    return static_cast<uint32_t>(rid / tuples_per_page_);
   }
-
-  /// Persists the header (tuple count). Call after a bulk load.
-  Status SyncHeader();
 
  private:
   FactFile(BufferPool* pool, uint32_t file_id, TupleDesc desc)
@@ -95,14 +85,6 @@ class FactFile {
   /// Pins the page that row num_tuples_ goes to, allocating it when the
   /// row starts a page.
   Result<PageGuard> PinAppendPage();
-
-  struct Header {
-    uint64_t magic;
-    uint32_t num_dims;
-    uint32_t flags;  // must be 0: nonzero marks a layout Open refuses
-    uint64_t num_tuples;
-  };
-  static constexpr uint64_t kMagic = 0x4641435446494C45ULL;  // "FACTFILE"
 
   BufferPool* pool_;
   uint32_t file_id_;

@@ -83,8 +83,6 @@ struct AggTuple {
     sum += other.sum;
     count += other.count;
   }
-
-  double Avg() const { return count == 0 ? 0.0 : sum / count; }
 };
 
 }  // namespace chunkcache::storage

@@ -92,12 +92,4 @@ uint64_t HashQuery(const StarJoinQuery& q, uint64_t seed) {
   return acc;
 }
 
-uint64_t SessionStreamHash(const schema::StarSchema& schema,
-                           const SessionOptions& options, size_t n) {
-  SessionGenerator gen(&schema, options);
-  uint64_t acc = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n; ++i) acc = HashQuery(gen.Next(), acc);
-  return acc;
-}
-
 }  // namespace chunkcache::workload

@@ -34,8 +34,8 @@ struct SessionOptions {
 /// Determinism contract (the serving harness leans on this): the stream is
 /// a pure function of (schema, options) — the generator owns its Random,
 /// touches no global or time-dependent state, and is oblivious to how many
-/// threads consume the queries downstream. SessionStreamHash pins the
-/// contract with a golden hash in workload_test.
+/// threads consume the queries downstream. workload_test pins the
+/// contract with a golden HashQuery chain over the stream.
 class SessionGenerator {
  public:
   SessionGenerator(const schema::StarSchema* schema, SessionOptions options);
@@ -61,14 +61,6 @@ class SessionGenerator {
 /// Order-sensitive FNV-1a over one query's normalized fields; chain over a
 /// stream by passing the previous hash as `seed`.
 uint64_t HashQuery(const backend::StarJoinQuery& q, uint64_t seed);
-
-/// Hash of the first `n` queries a fresh SessionGenerator(schema, options)
-/// emits. Two runs (any machine, any consumer thread count) agree on this
-/// value iff they saw the identical query stream — the regression tests
-/// compare it against a golden constant, so a latency difference can
-/// never be explained away by workload drift.
-uint64_t SessionStreamHash(const schema::StarSchema& schema,
-                           const SessionOptions& options, size_t n);
 
 }  // namespace chunkcache::workload
 

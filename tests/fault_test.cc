@@ -70,9 +70,6 @@ class FaultyDiskManager final : public DiskManager {
     CountWrite();
     return inner_->WritePage(id, page);
   }
-  uint32_t FilePageCount(uint32_t file_id) const override {
-    return inner_->FilePageCount(file_id);
-  }
 
  private:
   bool Exhausted() {
@@ -109,13 +106,12 @@ TEST(FaultTest, BTreeOperationsSurfaceIoErrorsAtEveryStage) {
   InMemoryDiskManager real;
   FaultyDiskManager disk(&real);
   BufferPool pool(&disk, 8);
-  auto tree = index::BTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   std::vector<std::pair<uint64_t, index::BTreePayload>> entries;
   for (uint64_t k = 0; k < 2000; ++k) {
     entries.emplace_back(k, index::BTreePayload{k, 0});
   }
-  ASSERT_TRUE(tree->BulkLoad(entries).ok());
+  auto tree = index::BTree::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
   // Fail during lookups at several budgets: must return IoError, never
   // crash or return wrong data.
   for (int64_t budget : {0, 1, 2, 3, 5}) {
@@ -198,15 +194,16 @@ TEST(FaultTest, BitmapIndexReadFaultsPropagate) {
     t.keys[0] = i % 10;
     ASSERT_TRUE(file->Append(t).ok());
   }
-  auto idx = index::BitmapIndex::Build(&pool, &*file, 0, 10);
-  ASSERT_TRUE(idx.ok());
+  auto built = index::BitmapIndex::BuildMany(&pool, &*file, {{0, 10}});
+  ASSERT_TRUE(built.ok());
+  index::BitmapIndex& idx = (*built)[0];
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(pool.EvictAll().ok());
   disk.SetBudget(0);
   index::Bitmap b;
-  EXPECT_EQ(idx->ReadBitmap(3, &b).code(), StatusCode::kIoError);
+  EXPECT_EQ(idx.ReadBitmap(3, &b).code(), StatusCode::kIoError);
   disk.SetBudget(-1);
-  ASSERT_TRUE(idx->ReadBitmap(3, &b).ok());
+  ASSERT_TRUE(idx.ReadBitmap(3, &b).ok());
   EXPECT_EQ(b.CountSet(), 500u);
 }
 
@@ -619,9 +616,6 @@ class GateDiskManager final : public DiskManager {
   Status WritePage(PageId id, const Page& page) override {
     return inner_->WritePage(id, page);
   }
-  uint32_t FilePageCount(uint32_t file_id) const override {
-    return inner_->FilePageCount(file_id);
-  }
 
  private:
   DiskManager* inner_;
@@ -654,7 +648,9 @@ TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
   backend::BackendEngine engine(&pool, &*file, &*scheme);
   ASSERT_TRUE(engine.BuildBitmapIndexes().ok());
 
-  backend::ScanScheduler sched(&engine, /*max_outstanding_scans=*/1);
+  MetricsRegistry metrics;
+  backend::ScanScheduler sched(&engine, /*max_outstanding_scans=*/1,
+                               &metrics);
 
   // An already-expired control is refused at admission without queueing.
   {
@@ -703,7 +699,7 @@ TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
                              &work_b, &ctrl);
   ASSERT_FALSE(res_b.ok());
   EXPECT_EQ(res_b.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(sched.stats().deadline_sheds, 1u);
+  EXPECT_GE(metrics.TakeSnapshot().counter("scheduler.deadline_sheds"), 1u);
 
   gate.OpenGate();
   holder.join();

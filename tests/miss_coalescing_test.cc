@@ -222,7 +222,7 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
   opts.num_workers = 4;
   opts.cache_shards = 8;
   ChunkCacheManager mgr(engine_.get(), opts);
-  engine_->ResetKernelStats();
+  const uint64_t kernels_before = TotalKernels(*engine_);
 
   constexpr int kThreads = 16;
   std::vector<QueryStats> stats(kThreads);
@@ -241,7 +241,7 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
   // Exactly one backend computation per distinct chunk: the kernel tally
   // increments once per computed chunk, so a single duplicated chunk
   // (cache race, scheduler recompute, ...) fails this equality.
-  EXPECT_EQ(TotalKernels(*engine_), distinct);
+  EXPECT_EQ(TotalKernels(*engine_) - kernels_before, distinct);
   uint64_t backend_total = 0;
   uint64_t accounted = 0;
   for (const QueryStats& st : stats) {
@@ -288,7 +288,7 @@ TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
   opts.num_workers = 4;
   opts.cache_shards = 8;
   ChunkCacheManager mgr(engine_.get(), opts);
-  engine_->ResetKernelStats();
+  const uint64_t kernels_before = TotalKernels(*engine_);
 
   constexpr int kThreads = 16;
   std::atomic<int> mismatches{0};
@@ -306,7 +306,7 @@ TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
   EXPECT_EQ(mismatches.load(), 0);
   // The union of all variants' chunks is exactly the base query's set, and
   // every distinct chunk was computed exactly once across the whole storm.
-  EXPECT_EQ(TotalKernels(*engine_), distinct);
+  EXPECT_EQ(TotalKernels(*engine_) - kernels_before, distinct);
 }
 
 // --------------------------- fault / gate fixture ---------------------------
@@ -357,9 +357,6 @@ class GateDiskManager final : public storage::DiskManager {
   }
   Status WritePage(storage::PageId id, const storage::Page& page) override {
     return inner_->WritePage(id, page);
-  }
-  uint32_t FilePageCount(uint32_t file_id) const override {
-    return inner_->FilePageCount(file_id);
   }
 
  private:
@@ -484,7 +481,12 @@ TEST_F(GatedBackendFixture, SchedulerQueuesSameTargetRequestsWithoutMerging) {
   const std::vector<uint64_t> req3 = {3, 4, 5};  // overlaps req2 on 3
 
   // A single scan slot forces queueing.
-  backend::ScanScheduler sched(engine_.get(), /*max_outstanding_scans=*/1);
+  MetricsRegistry metrics;
+  backend::ScanScheduler sched(engine_.get(), /*max_outstanding_scans=*/1,
+                               &metrics);
+  const auto counter = [&metrics](const char* name) {
+    return metrics.TakeSnapshot().counter(name);
+  };
 
   // The first request takes the only slot and stalls in ReadPage behind
   // the closed gate (an empty pool guarantees it reaches the disk).
@@ -505,9 +507,10 @@ TEST_F(GatedBackendFixture, SchedulerQueuesSameTargetRequestsWithoutMerging) {
   Result<std::vector<ChunkData>> r3 = std::vector<ChunkData>{};
   std::thread t2([&] { r2 = sched.Compute(target, req2, {}, &w2); });
   std::thread t3([&] { r3 = sched.Compute(target, req3, {}, &w3); });
-  ASSERT_TRUE(WaitFor([&] { return sched.stats().requests == 3; }));
-  EXPECT_EQ(sched.stats().completions, 0u);
-  EXPECT_EQ(sched.stats().outstanding_scans, 1u);
+  ASSERT_TRUE(
+      WaitFor([&] { return counter("scheduler.requests") == 3; }));
+  EXPECT_EQ(counter("scheduler.completions"), 0u);
+  EXPECT_EQ(metrics.TakeSnapshot().gauge("scheduler.outstanding_hwm"), 1);
 
   gate_->OpenGate();
   t1.join();
@@ -517,11 +520,9 @@ TEST_F(GatedBackendFixture, SchedulerQueuesSameTargetRequestsWithoutMerging) {
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(r3.ok());
 
-  const backend::ScanSchedulerStats ss = sched.stats();
-  EXPECT_EQ(ss.requests, 3u);
-  EXPECT_EQ(ss.completions, 3u);
-  EXPECT_EQ(ss.outstanding_hwm, 1u);
-  EXPECT_EQ(ss.outstanding_scans, 0u);
+  EXPECT_EQ(counter("scheduler.requests"), 3u);
+  EXPECT_EQ(counter("scheduler.completions"), 3u);
+  EXPECT_EQ(metrics.TakeSnapshot().gauge("scheduler.outstanding_hwm"), 1);
 
   // Every request got exactly its chunks and its own work, bit-identical
   // to a direct engine computation.
@@ -577,8 +578,11 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
               .ok());
     });
   }
+  // Neither holder can finish behind the closed gate, so a high-water
+  // mark of 2 means both slots are held.
+  const auto snapshot = [&mgr] { return mgr.metrics().TakeSnapshot(); };
   ASSERT_TRUE(WaitFor([&] {
-    return sched->stats().outstanding_scans == 2 &&
+    return snapshot().gauge("scheduler.outstanding_hwm") == 2 &&
            gate_->blocked_readers() > 0;
   })) << "holders never filled both slots";
 
@@ -589,7 +593,8 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   QueryStats st_a;
   Result<std::vector<backend::ResultRow>> res_a = Status::Internal("not run");
   std::thread a([&] { res_a = mgr.Execute(query, &st_a, ctrl_a); });
-  ASSERT_TRUE(WaitFor([&] { return sched->stats().requests == 3; }));
+  ASSERT_TRUE(WaitFor(
+      [&] { return snapshot().counter("scheduler.requests") == 3; }));
 
   // Waiter B, with no deadline, finds every chunk owned by A.
   QueryStats st_b;

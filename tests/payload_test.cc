@@ -330,8 +330,9 @@ TEST(ChunkPayloadProperty, AppendRowsInsideMatchesFilterRows) {
     }
     std::vector<AggTuple> got;
     ChunkPayload(cols).AppendRowsInside(sel, &got);
-    const std::vector<AggTuple> want =
-        backend::FilterRows(cols.ToRows(), nd, sel);
+    std::vector<AggTuple> rows;
+    for (size_t i = 0; i < cols.size(); ++i) rows.push_back(cols.RowAt(i));
+    const std::vector<AggTuple> want = backend::FilterRows(rows, nd, sel);
     ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].coords, want[i].coords);

@@ -55,10 +55,12 @@ namespace fs = std::filesystem;
 
 using backend::ResultRow;
 using backend::StarJoinQuery;
+using chunks::GroupBySpec;
 using core::ChunkCacheManager;
 using core::ChunkManagerOptions;
 using core::QueryStats;
 using storage::AggColumns;
+using storage::AggTuple;
 using storage::CachePersistence;
 using storage::PersistedChunk;
 using storage::RecoveryStats;
@@ -820,6 +822,90 @@ TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
     EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
   }
   warm.persistence()->SimulateCrash();
+}
+
+// A record that names a real chunk must also hold only rows a computation
+// of that chunk yields. One row past the chunk's edge along a grouped
+// dimension would, served, add a cell to every answer over that level;
+// a repeated cell or a COUNT of 0 is no computed chunk either. Each is
+// quarantined, and the warm manager answers like a cold one.
+TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
+  const auto queries = MakeQueries(12, 67);
+  PersistedChunk real;
+  uint32_t along = 0;
+  {
+    ChunkCacheManager mgr(engine_, ChunkManagerOptions{});
+    for (const auto& q : queries) {
+      QueryStats st;
+      ASSERT_TRUE(mgr.Execute(q, &st).ok());
+    }
+    // An unfiltered chunk with a next chunk along some grouped dimension.
+    mgr.chunk_cache().ForEachEntry([&](const cache::ChunkHandle& h) {
+      if (real.cols.size() > 0 || h->filter_hash != 0) return;
+      const GroupBySpec spec = scheme_->SpecOfId(h->group_by_id);
+      const auto extent = scheme_->ChunkExtent(spec, h->chunk_num);
+      for (uint32_t d = 0; d < spec.num_dims; ++d) {
+        const auto& hier = schema_->dimension(d).hierarchy;
+        if (spec.levels[d] > 0 &&
+            extent[d].end + 1 < hier.LevelCardinality(spec.levels[d])) {
+          real = PersistedChunk{h->group_by_id, h->chunk_num, 0, h->benefit,
+                                h->payload.ToColumns()};
+          along = d;
+          return;
+        }
+      }
+    });
+  }
+  ASSERT_GT(real.cols.size(), 0u);
+  const GroupBySpec spec = scheme_->SpecOfId(real.group_by_id);
+  const uint32_t nd = real.cols.num_dims();
+  const AggTuple last = real.cols.RowAt(real.cols.size() - 1);
+  // The chunk's rows plus one in the next chunk along `along`: still
+  // strictly row-major, and one past the chunk's edge.
+  PersistedChunk outside = real;
+  AggTuple next = last;
+  next.coords[along] =
+      scheme_->ChunkExtent(spec, real.chunk_num)[along].end + 1;
+  outside.cols.PushRow(next);
+  // The last row twice.
+  PersistedChunk repeated = real;
+  repeated.cols.PushRow(last);
+  // The rows as computed, the last with COUNT 0.
+  PersistedChunk zero_count = real;
+  zero_count.cols = AggColumns(nd);
+  for (size_t i = 0; i + 1 < real.cols.size(); ++i) {
+    zero_count.cols.PushRow(real.cols.RowAt(i));
+  }
+  AggTuple empty = last;
+  empty.count = 0;
+  zero_count.cols.PushRow(empty);
+
+  ScratchDir dir;
+  for (const PersistedChunk* bad : {&outside, &repeated, &zero_count}) {
+    {
+      auto p = OpenOrDie(dir.path, main_->file->fingerprint());
+      ASSERT_TRUE(WriteChunks(p.get(), {*bad}).ok());
+    }
+    ChunkManagerOptions opts = PersistOpts(dir.path);
+    opts.persist_snapshot_every = 0;
+    ChunkCacheManager warm(engine_, opts);
+    EXPECT_EQ(warm.recovery_stats().quarantined, 1u);
+    EXPECT_EQ(warm.chunk_cache().num_chunks(), 0u);
+    // The whole level of the record's group-by.
+    StarJoinQuery whole;
+    whole.group_by = spec;
+    for (uint32_t d = 0; d < nd; ++d) {
+      const auto& hier = schema_->dimension(d).hierarchy;
+      whole.selection[d] = {0, spec.levels[d] == 0
+                                   ? 0
+                                   : hier.LevelCardinality(spec.levels[d]) - 1};
+    }
+    QueryStats st;
+    auto got = warm.Execute(whole, &st);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(RowsEqual(*got, ReferenceRows({whole})[0]));
+    warm.persistence()->SimulateCrash();
+  }
 }
 
 // ------------------------- background persister ----------------------------

@@ -96,7 +96,16 @@ TEST(FrameTest, RoundTripsThroughByteAtATimeReader) {
   EXPECT_EQ(f.header.deadline_ms, 1500u);
   EXPECT_EQ(f.header.request_id, 0x1122334455667788ull);
   EXPECT_EQ(f.payload, payload);
-  EXPECT_EQ(reader.buffered(), 0u);
+  // The frame was consumed exactly: a second copy appended at once parses
+  // whole, and nothing follows it.
+  reader.Append(bytes.data(), bytes.size());
+  auto again = reader.Next();
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(again->has_value());
+  EXPECT_EQ((*again)->payload, payload);
+  auto none = reader.Next();
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none->has_value());
 }
 
 TEST(FrameTest, ParsesBackToBackFramesFromOneAppend) {
@@ -321,7 +330,7 @@ TEST(AdmissionTest, GlobalCapChecksBeforeTenantState) {
   EXPECT_EQ(adm.TryAdmit(1, 0), AdmitDecision::kAdmitted);
   EXPECT_EQ(adm.TryAdmit(2, 0), AdmitDecision::kAdmitted);
   EXPECT_EQ(adm.TryAdmit(3, 0), AdmitDecision::kShedGlobalInflight);
-  EXPECT_EQ(adm.global_inflight(), 2u);
+  EXPECT_EQ(metrics.TakeSnapshot().gauge("server.admission.inflight"), 2);
   adm.Release(1);
   EXPECT_EQ(adm.TryAdmit(3, 0), AdmitDecision::kAdmitted);
 }

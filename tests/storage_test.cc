@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "common/random.h"
@@ -208,7 +207,9 @@ Tuple MakeTuple(uint32_t a, uint32_t b, double m) {
   return t;
 }
 
-TEST(FactFileTest, AppendAndGet) {
+// Rows start at page 0: the first page holds row 0, and both scan paths
+// read it from there.
+TEST(FactFileTest, AppendThenScanFromRowZero) {
   InMemoryDiskManager dm;
   BufferPool pool(&dm, 64);
   auto file = FactFile::Create(&pool, TupleDesc{2});
@@ -219,12 +220,58 @@ TEST(FactFileTest, AppendAndGet) {
     EXPECT_EQ(*rid, i);
   }
   EXPECT_EQ(file->num_tuples(), 1000u);
-  Tuple t;
-  ASSERT_TRUE(file->Get(123, &t).ok());
-  EXPECT_EQ(t.keys[0], 123u);
-  EXPECT_EQ(t.keys[1], 246u);
-  EXPECT_DOUBLE_EQ(t.measure, 61.5);
-  EXPECT_EQ(file->Get(1000, &t).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file->PageOfRow(0), 0u);
+  EXPECT_EQ(dm.FilePageCount(file->file_id()), file->num_data_pages());
+  ASSERT_TRUE(pool.EvictAll().ok());
+
+  std::vector<Tuple> seen;
+  ASSERT_TRUE(file->ScanRange(0, 3,
+                              [&](RowId, const Tuple& t) {
+                                seen.push_back(t);
+                                return true;
+                              })
+                  .ok());
+  ASSERT_EQ(seen.size(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i].keys[0], i);
+    EXPECT_EQ(seen[i].keys[1], i * 2);
+    EXPECT_DOUBLE_EQ(seen[i].measure, i * 0.5);
+  }
+
+  TupleColumns cols;
+  ASSERT_TRUE(file->ScanRangeColumns(0, 1000, &cols).ok());
+  ASSERT_EQ(cols.size(), 1000u);
+  for (uint32_t i = 0; i < 1000; i += 123) {
+    EXPECT_EQ(cols.keys[0][i], i);
+    EXPECT_EQ(cols.keys[1][i], i * 2);
+    EXPECT_DOUBLE_EQ(cols.measure[i], i * 0.5);
+  }
+  EXPECT_EQ(file->ScanRangeColumns(1001, 1, &cols).code(),
+            StatusCode::kOutOfRange);
+}
+
+// A fact file with no rows has no pages, and every read of it is empty.
+TEST(FactFileTest, EmptyFileHasNoPages) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 16);
+  auto file = FactFile::Create(&pool, TupleDesc{2});
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file->num_tuples(), 0u);
+  EXPECT_EQ(file->num_data_pages(), 0u);
+  EXPECT_EQ(dm.FilePageCount(file->file_id()), 0u);
+  int visited = 0;
+  ASSERT_TRUE(file->Scan([&](RowId, const Tuple&) {
+                    ++visited;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(visited, 0);
+  TupleColumns cols;
+  ASSERT_TRUE(file->ScanRangeColumns(0, 10, &cols).ok());
+  EXPECT_EQ(cols.size(), 0u);
+  std::vector<Tuple> out;
+  EXPECT_EQ(file->FetchRows({0}, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dm.stats().reads, 0u);
 }
 
 TEST(FactFileTest, TuplesPerPageMatchesRecordSize) {
@@ -319,78 +366,14 @@ TEST(FactFileTest, FetchRowsCountsOnePinPerPage) {
   ASSERT_TRUE(pool.EvictAll().ok());
   pool.ResetStats();
   // Three rows on the same page -> one miss; one row on another page.
+  // Rows 0-2 sit on page 0, which the first fetch must pin.
   std::vector<RowId> rids = {0, 1, 2, static_cast<RowId>(tpp * 2)};
   std::vector<Tuple> out;
   ASSERT_TRUE(file->FetchRows(rids, &out).ok());
   ASSERT_EQ(out.size(), 4u);
+  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(out[i].keys[0], i);
   EXPECT_EQ(out[3].keys[0], tpp * 2);
   EXPECT_EQ(pool.stats().misses, 2u);
-}
-
-TEST(FactFileTest, ReopenSeesSyncedHeader) {
-  InMemoryDiskManager dm;
-  BufferPool pool(&dm, 64);
-  uint32_t file_id;
-  {
-    auto file = FactFile::Create(&pool, TupleDesc{3});
-    ASSERT_TRUE(file.ok());
-    file_id = file->file_id();
-    for (uint32_t i = 0; i < 500; ++i) {
-      Tuple t;
-      t.keys[0] = i;
-      t.keys[1] = i + 1;
-      t.keys[2] = i + 2;
-      t.measure = i;
-      ASSERT_TRUE(file->Append(t).ok());
-    }
-    ASSERT_TRUE(file->SyncHeader().ok());
-  }
-  auto reopened = FactFile::Open(&pool, file_id);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened->num_tuples(), 500u);
-  EXPECT_EQ(reopened->desc().num_dims, 3u);
-  Tuple t;
-  ASSERT_TRUE(reopened->Get(499, &t).ok());
-  EXPECT_EQ(t.keys[2], 501u);
-}
-
-TEST(FactFileTest, OpenRejectsCorruptHeader) {
-  // The header comes back from disk, so Open must not trust it: a dimension
-  // count above kMaxDims would overrun Tuple's key array on every read,
-  // zero dimensions is no fact table, and a nonzero flags word marks a page
-  // layout this file cannot read. Header layout: u64 magic | u32 num_dims |
-  // u32 flags | u64 count.
-  struct Patch {
-    uint32_t num_dims;
-    uint32_t flags;
-    bool ok;
-  };
-  for (const Patch& patch :
-       {Patch{2, 0, true}, Patch{0, 0, false}, Patch{9, 0, false},
-        Patch{3, 1, false}}) {
-    InMemoryDiskManager dm;
-    BufferPool pool(&dm, 64);
-    auto file = FactFile::Create(&pool, TupleDesc{3});
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE(file->SyncHeader().ok());
-    {
-      auto guard = pool.Fetch(PageId{file->file_id(), 0});
-      ASSERT_TRUE(guard.ok());
-      uint8_t* header = guard->page()->data.data();
-      std::memcpy(header + 8, &patch.num_dims, 4);
-      std::memcpy(header + 12, &patch.flags, 4);
-      guard->MarkDirty();
-    }
-    auto reopened = FactFile::Open(&pool, file->file_id());
-    if (patch.ok) {
-      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-      EXPECT_EQ(reopened->desc().num_dims, patch.num_dims);
-      continue;
-    }
-    ASSERT_FALSE(reopened.ok())
-        << "num_dims " << patch.num_dims << " flags " << patch.flags;
-    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-  }
 }
 
 TEST(FactFileTest, LargeBulkLoadSurvivesSmallPool) {

@@ -232,6 +232,16 @@ TEST_F(GeneratorFixture, SessionWidthsRespectOptions) {
   }
 }
 
+/// HashQuery chained over the first `n` queries a fresh
+/// SessionGenerator(schema, options) emits.
+uint64_t SessionStreamHash(const schema::StarSchema& schema,
+                           const SessionOptions& options, size_t n) {
+  SessionGenerator gen(&schema, options);
+  uint64_t acc = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < n; ++i) acc = HashQuery(gen.Next(), acc);
+  return acc;
+}
+
 TEST_F(GeneratorFixture, SessionStreamHashMatchesGolden) {
   // Golden hash of the default serving workload stream (seed 1, 256
   // queries). This pins the generator's output bit-for-bit across runs and

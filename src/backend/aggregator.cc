@@ -482,6 +482,18 @@ void DenseChunkAggregator::AddBaseColumns(
   }
 }
 
+void DenseChunkAggregator::FoldAggRows(const AggRow* rows, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    const AggRow& r = rows[j];
+    CHUNKCACHE_DCHECK(r.off < num_cells_);
+    Cell& c = cells_[r.off];
+    c.sum += r.sum;
+    c.count += r.count;
+    if (r.min < c.min) c.min = r.min;
+    if (r.max > c.max) c.max = r.max;
+  }
+}
+
 void DenseChunkAggregator::AddAggColumns(const AggColumns& batch,
                                          const GroupBySpec& src) {
   CHUNKCACHE_DCHECK(target_.CoarserOrEqual(src));
@@ -495,6 +507,8 @@ void DenseChunkAggregator::AddAggColumns(const AggColumns& batch,
   const std::vector<uint64_t>& counts = batch.counts();
   const std::vector<double>& mins = batch.mins();
   const std::vector<double>& maxs = batch.maxs();
+  AggRow rows[kAggBlock];
+  size_t staged = 0;
   for (size_t i = 0; i < n; ++i) {
     uint64_t off = 0;
     for (uint32_t d = 0; d < nd; ++d) {
@@ -502,14 +516,14 @@ void DenseChunkAggregator::AddAggColumns(const AggColumns& batch,
           src.levels[d], batch.coords(d)[i], target_.levels[d]);
       off += static_cast<uint64_t>(c - base_[d]) * mult_[d];
     }
-    CHUNKCACHE_DCHECK(off < num_cells_);
-    Cell& c = cells_[off];
-    c.sum += sums[i];
-    c.count += counts[i];
-    if (mins[i] < c.min) c.min = mins[i];
-    if (maxs[i] > c.max) c.max = maxs[i];
-    ++rows_consumed_;
+    rows[staged++] = {off, sums[i], counts[i], mins[i], maxs[i]};
+    if (staged == kAggBlock) {
+      FoldAggRows(rows, staged);
+      staged = 0;
+    }
   }
+  FoldAggRows(rows, staged);
+  rows_consumed_ += n;
 }
 
 void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
@@ -524,6 +538,8 @@ void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
     hier[d] = &scheme_->schema().dimension(d).hierarchy;
     begin[d] = payload.box_begin(d);
   }
+  AggRow rows[kAggBlock];
+  size_t staged = 0;
   payload.ForEachRow([&](const uint32_t* rel,
                          const storage::ChunkPayload::Measures& m) {
     uint64_t off = 0;
@@ -532,15 +548,13 @@ void DenseChunkAggregator::AddPayload(const storage::ChunkPayload& payload,
                                              target_.levels[d]);
       off += static_cast<uint64_t>(c - base_[d]) * mult_[d];
     }
-    CHUNKCACHE_DCHECK(off < num_cells_);
-    Cell& c = cells_[off];
-    c.sum += m.sum();
-    c.count += m.count;
-    const double lo = m.min();
-    const double hi = m.max();
-    if (lo < c.min) c.min = lo;
-    if (hi > c.max) c.max = hi;
+    rows[staged++] = {off, m.sum(), m.count, m.min(), m.max()};
+    if (staged == kAggBlock) {
+      FoldAggRows(rows, staged);
+      staged = 0;
+    }
   });
+  FoldAggRows(rows, staged);
   rows_consumed_ += payload.size();
 }
 

@@ -174,6 +174,22 @@ class DenseChunkAggregator {
                                                 const double* measures,
                                                 size_t n);
 
+  /// One aggregate row, staged with its cell offset for FoldAggRows.
+  struct AggRow {
+    uint64_t off;
+    double sum;
+    uint64_t count;
+    double min;
+    double max;
+  };
+  /// Rows per FoldAggRows block.
+  static constexpr size_t kAggBlock = 256;
+  /// Folds a block of staged aggregate rows. Noinline for the reason
+  /// FoldOffsetsU32 is: AddAggColumns and AddPayload both fold through this
+  /// one machine-code copy, so a SUM of NaNs with different payloads comes
+  /// out bit-identical whichever reads the rows.
+  __attribute__((noinline)) void FoldAggRows(const AggRow* rows, size_t n);
+
   /// Dimension-count-specialized unfiltered fold loop: with ND a compile
   /// time constant the offset computation fully unrolls and the lookup
   /// table pointers stay in registers. Boxes that fit 32-bit offsets run

@@ -23,34 +23,6 @@ using chunks::ChunkCoords;
 using chunks::GroupBySpec;
 using storage::AggTuple;
 
-namespace {
-
-/// True when `cols` can be the rows of chunk `chunk_num` of `spec`, in one
-/// pass: every row lies inside the chunk's extent, rows are strictly
-/// row-major (so no cell appears twice) and every COUNT is at least 1.
-bool RowsFitChunk(const chunks::ChunkingScheme& scheme,
-                  const GroupBySpec& spec, uint64_t chunk_num,
-                  const storage::AggColumns& cols) {
-  const auto extent = scheme.ChunkExtent(spec, chunk_num);
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (cols.counts()[i] == 0) return false;
-    bool after_previous = i == 0;
-    for (uint32_t d = 0; d < cols.num_dims(); ++d) {
-      const uint32_t c = cols.coords(d)[i];
-      if (!extent[d].Contains(c)) return false;
-      if (!after_previous) {
-        const uint32_t prev = cols.coords(d)[i - 1];
-        if (c < prev) return false;
-        after_previous = c > prev;
-      }
-    }
-    if (!after_previous) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 /// Background snapshot trigger: counts cache admit and evict events (the
 /// cache delivers them outside every shard lock) and wakes one persister
 /// thread once persist_snapshot_every of them have accumulated. A query
@@ -166,43 +138,44 @@ ChunkCacheManager::~ChunkCacheManager() {
 
 void ChunkCacheManager::RecoverPersistedCache() {
   if (options_.persist_dir.empty()) return;
+  // Each recovered entry is admitted as recovery reads it, through
+  // AdmitChunk like a computed chunk, so the byte budget, replacement
+  // policy and shard accounting all see it. Recovery already quarantined every record
+  // whose frame CRC or payload failed to parse, and a parsed payload's
+  // rows lie inside its box, strictly row-major, with COUNT >= 1. The
+  // fingerprint vouches for the data, not for each record: one that names
+  // no chunk of this scheme, holds rows of another width, or whose box
+  // reaches outside its chunk is quarantined the same way.
+  const chunks::ChunkingScheme& scheme = engine_->scheme();
+  const auto admit = [this, &scheme](const storage::PersistedChunk& key,
+                                     storage::ChunkPayload payload) {
+    if (key.group_by_id >= scheme.NumGroupByIds() ||
+        payload.num_dims() != scheme.num_dims()) {
+      return false;
+    }
+    const GroupBySpec spec = scheme.SpecOfId(key.group_by_id);
+    if (key.chunk_num >= scheme.GridFor(spec).num_chunks()) return false;
+    if (!payload.empty()) {
+      const auto extent = scheme.ChunkExtent(spec, key.chunk_num);
+      for (uint32_t d = 0; d < payload.num_dims(); ++d) {
+        if (payload.box_begin(d) < extent[d].begin ||
+            payload.box_begin(d) + (payload.box_width(d) - 1) >
+                extent[d].end) {
+          return false;
+        }
+      }
+    }
+    AdmitChunk({key.group_by_id, key.chunk_num, key.filter_hash},
+               key.benefit, std::move(payload), /*slot=*/nullptr);
+    return true;
+  };
   // Snapshots taken against other data (another tuple set or chunking)
   // are never read: their chunks would be served as this data's.
   auto opened = storage::CachePersistence::Open(
-      options_.persist_dir, engine_->file().fingerprint(), metrics_);
+      options_.persist_dir, engine_->file().fingerprint(), admit, metrics_);
   CHUNKCACHE_CHECK_MSG(opened.ok(), "persist_dir is unusable");
   persist_ = std::move(*opened);
-  storage::RecoveryStats rec = persist_->TakeRecovery();
-  // Re-admit every recovered entry through the normal Insert path so the
-  // byte budget, replacement policy and shard accounting all see it.
-  // Recovery already dropped and counted every record whose frame CRC or
-  // columns failed to parse. The fingerprint vouches for the data, not
-  // for each record: one that names no chunk of this scheme, holds rows
-  // of another width, or holds rows no computation of that chunk yields
-  // (outside it, repeated or out of order, or with COUNT 0) is
-  // quarantined the same way.
-  const chunks::ChunkingScheme& scheme = engine_->scheme();
-  for (storage::PersistedChunk& pc : rec.entries) {
-    if (pc.group_by_id >= scheme.NumGroupByIds() ||
-        pc.cols.num_dims() != scheme.num_dims() ||
-        pc.chunk_num >=
-            scheme.GridFor(scheme.SpecOfId(pc.group_by_id)).num_chunks() ||
-        !RowsFitChunk(scheme, scheme.SpecOfId(pc.group_by_id), pc.chunk_num,
-                      pc.cols)) {
-      persist_->CountQuarantined();
-      ++rec.quarantined;
-      continue;
-    }
-    auto entry = std::make_shared<cache::CachedChunk>();
-    entry->group_by_id = pc.group_by_id;
-    entry->chunk_num = pc.chunk_num;
-    entry->filter_hash = pc.filter_hash;
-    entry->benefit = pc.benefit;
-    entry->payload = storage::ChunkPayload(pc.cols);
-    cache_.Insert(std::move(entry));
-  }
-  rec.entries.clear();
-  recovery_info_ = std::move(rec);
+  recovery_info_ = persist_->recovery();
   // Only now start counting: the recovered entries are already durable.
   if (options_.persist_snapshot_every > 0) {
     persist_sink_ =
@@ -214,13 +187,12 @@ void ChunkCacheManager::RecoverPersistedCache() {
 Status ChunkCacheManager::PersistSnapshot() {
   if (persist_ == nullptr) return Status::OK();
   // Streams shard by shard: ForEachEntry pins one shard's entries at a
-  // time, and each entry's columns are serialized straight into the
+  // time, and each entry's payload bytes are framed straight into the
   // writer's reused frame buffer.
   return persist_->WriteSnapshot([this](storage::SnapshotWriter* w) {
     cache_.ForEachEntry([w](const cache::ChunkHandle& h) {
-      w->Add(storage::PersistedChunk{h->group_by_id, h->chunk_num,
-                                     h->filter_hash, h->benefit,
-                                     h->payload.ToColumns()});
+      w->Add({h->group_by_id, h->chunk_num, h->filter_hash, h->benefit},
+             h->payload);
     });
   });
 }
@@ -297,14 +269,14 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
 }
 
 cache::ChunkHandle ChunkCacheManager::AdmitChunk(
-    const ChunkKey& key, double benefit, const storage::AggColumns& cols,
+    const ChunkKey& key, double benefit, storage::ChunkPayload payload,
     const Inflight::SlotPtr& slot) {
   auto entry = std::make_shared<cache::CachedChunk>();
   entry->group_by_id = key.group_by_id;
   entry->chunk_num = key.chunk_num;
   entry->filter_hash = key.filter_hash;
   entry->benefit = benefit;
-  entry->payload = storage::ChunkPayload(cols);
+  entry->payload = std::move(payload);
   cache::ChunkHandle handle = entry;
   cache_.Insert(std::move(entry));
   // Insert before Publish: a claimant that re-probes after the entry
@@ -488,8 +460,8 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
       }
       // Admitted, so the next query gets a direct hit and any waiter the
       // same allocation.
-      c->entry =
-          AdmitChunk(plan->Key(c->chunk_num), plan->benefit, *cols, c->slot);
+      c->entry = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
+                            storage::ChunkPayload(*cols), c->slot);
       c->source = Provenance::kAggregation;
     }
     trace->Tag(agg_span.id(), "chunks",
@@ -542,7 +514,7 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
   for (size_t i = 0; i < owned.size(); ++i) {
     PlannedChunk* c = owned[i];
     c->entry = AdmitChunk(plan->Key(c->chunk_num), plan->benefit,
-                          (*computed)[i].cols, c->slot);
+                          storage::ChunkPayload((*computed)[i].cols), c->slot);
     c->source = source;
   }
   trace->Tag(miss_span, "provenance",
@@ -600,7 +572,8 @@ Status ChunkCacheManager::CollectWait(QueryPlan* plan, PlannedChunk* c,
   if (!cols) return res.status();
   // Not the owner of this key, so no slot to publish — just admit the
   // assembled chunk for future queries and use its rows.
-  c->entry = AdmitChunk(key, plan->benefit, *cols, /*slot=*/nullptr);
+  c->entry = AdmitChunk(key, plan->benefit, storage::ChunkPayload(*cols),
+                        /*slot=*/nullptr);
   c->source = Provenance::kDegraded;
   return Status::OK();
 }

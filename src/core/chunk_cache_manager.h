@@ -158,8 +158,7 @@ class ChunkCacheManager final : public MiddleTier {
   /// Persistence subsystem; null when persist_dir is empty.
   storage::CachePersistence* persistence() { return persist_.get(); }
 
-  /// What recovery found at construction (entry payloads excluded — they
-  /// went into the cache). All-zero without persist_dir.
+  /// What recovery found at construction. All-zero without persist_dir.
   const storage::RecoveryStats& recovery_stats() const {
     return recovery_info_;
   }
@@ -294,12 +293,11 @@ class ChunkCacheManager final : public MiddleTier {
   std::optional<storage::AggColumns> TryInCacheAggregation(QueryPlan* plan,
                                                            uint64_t chunk_num);
 
-  /// Builds the cache entry for a fresh chunk of `key` from its columns
-  /// (canonical order), inserts it, and publishes it to `slot` when
-  /// non-null. Returns the entry, pinned.
-  cache::ChunkHandle AdmitChunk(
-      const cache::ChunkKey& key, double benefit,
-      const storage::AggColumns& cols, const Inflight::SlotPtr& slot);
+  /// Builds the cache entry for chunk `key` around `payload`, inserts it,
+  /// and publishes it to `slot` when non-null. Returns the entry, pinned.
+  cache::ChunkHandle AdmitChunk(const cache::ChunkKey& key, double benefit,
+                                storage::ChunkPayload payload,
+                                const Inflight::SlotPtr& slot);
 
   /// Computes `chunk_nums` of `query`'s group-by through the scan
   /// scheduler, retrying transient failures under `ctrl`, and charges the

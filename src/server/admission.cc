@@ -37,9 +37,18 @@ AdmissionController::Tenant& AdmissionController::GetTenantLocked(
                              : options_.default_quota;
   auto tenant = std::make_unique<Tenant>(q);
   const std::string base = "server.tenant." + std::to_string(tenant_id);
-  tenant->admitted = metrics_->GetCounter(base + ".admitted");
-  tenant->shed = metrics_->GetCounter(base + ".shed");
+  tenant->counters = {metrics_->GetCounter(base + ".offered"),
+                      metrics_->GetCounter(base + ".admitted"),
+                      metrics_->GetCounter(base + ".shed"),
+                      metrics_->GetCounter(base + ".ok"),
+                      metrics_->GetCounter(base + ".errors")};
   return *tenants_.emplace(tenant_id, std::move(tenant)).first->second;
+}
+
+const AdmissionController::TenantCounters& AdmissionController::Counters(
+    uint32_t tenant_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetTenantLocked(tenant_id).counters;
 }
 
 AdmitDecision AdmissionController::TryAdmit(uint32_t tenant_id,
@@ -49,23 +58,23 @@ AdmitDecision AdmissionController::TryAdmit(uint32_t tenant_id,
   if (options_.global_max_inflight != 0 &&
       global_inflight_ >= options_.global_max_inflight) {
     shed_global_->Increment();
-    t.shed->Increment();
+    t.counters.shed->Increment();
     return AdmitDecision::kShedGlobalInflight;
   }
   if (t.quota.max_inflight != 0 && t.inflight >= t.quota.max_inflight) {
     shed_tenant_->Increment();
-    t.shed->Increment();
+    t.counters.shed->Increment();
     return AdmitDecision::kShedTenantInflight;
   }
   if (!t.bucket.TryAcquire(now_ns)) {
     shed_rate_->Increment();
-    t.shed->Increment();
+    t.counters.shed->Increment();
     return AdmitDecision::kShedRate;
   }
   ++t.inflight;
   ++global_inflight_;
   admitted_->Increment();
-  t.admitted->Increment();
+  t.counters.admitted->Increment();
   inflight_gauge_->Set(global_inflight_);
   inflight_peak_->SetMax(global_inflight_);
   return AdmitDecision::kAdmitted;

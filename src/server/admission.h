@@ -53,12 +53,27 @@ const char* AdmitDecisionName(AdmitDecision d);
 ///
 /// Metrics (on the registry passed in): server.admission.admitted plus one
 /// server.admission.shed_* counter per reason, an inflight gauge + peak,
-/// and per-tenant server.tenant.<id>.{admitted,shed} counters.
+/// and each tenant's server.tenant.<id>.* counters (TenantCounters).
 class AdmissionController {
  public:
+  /// One tenant's server.tenant.<id>.{offered,admitted,shed,ok,errors}
+  /// counters, registered once per tenant. The controller counts admitted
+  /// and shed; the server counts the others.
+  struct TenantCounters {
+    Counter* offered = nullptr;
+    Counter* admitted = nullptr;
+    Counter* shed = nullptr;
+    Counter* ok = nullptr;
+    Counter* errors = nullptr;
+  };
+
   AdmissionController(AdmissionOptions options, MetricsRegistry* metrics);
 
   AdmitDecision TryAdmit(uint32_t tenant_id, uint64_t now_ns);
+
+  /// `tenant_id`'s counters; the reference stays valid for the
+  /// controller's lifetime.
+  const TenantCounters& Counters(uint32_t tenant_id);
 
   /// Releases one admitted query's slot (tenant + global inflight).
   void Release(uint32_t tenant_id);
@@ -75,8 +90,7 @@ class AdmissionController {
     TenantQuota quota;
     TokenBucket bucket;
     uint32_t inflight = 0;
-    Counter* admitted = nullptr;
-    Counter* shed = nullptr;
+    TenantCounters counters;
   };
 
   Tenant& GetTenantLocked(uint32_t tenant_id);

@@ -256,15 +256,15 @@ void ChunkServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case FrameType::kQuery: {
+      const AdmissionController::TenantCounters& tenant =
+          admission_->Counters(h.tenant_id);
       queries_offered_->Increment();
-      metrics_
-          ->GetCounter("server.tenant." + std::to_string(h.tenant_id) +
-                       ".offered")
-          ->Increment();
+      tenant.offered->Increment();
       auto query = wire::DecodeQuery(frame.payload.data(),
                                      frame.payload.size());
       if (!query.ok()) {
         queries_error_->Increment();
+        tenant.errors->Increment();
         SendError(conn, h, query.status(), 0);
         return;
       }
@@ -279,8 +279,8 @@ void ChunkServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       inflight_.Add();
-      pool_->Submit([this, conn, h, q = std::move(*query), now]() {
-        ExecuteQuery(conn, h, q, now);
+      pool_->Submit([this, conn, h, q = std::move(*query), now, &tenant]() {
+        ExecuteQuery(conn, h, q, now, tenant);
         inflight_.Done();
       });
       return;
@@ -300,7 +300,9 @@ void ChunkServer::HandleFrame(const std::shared_ptr<Connection>& conn,
 void ChunkServer::ExecuteQuery(const std::shared_ptr<Connection>& conn,
                                FrameHeader req,
                                const backend::StarJoinQuery& query,
-                               uint64_t admit_ns) {
+                               uint64_t admit_ns,
+                               const AdmissionController::TenantCounters&
+                                   tenant) {
   core::QueryStats stats;
   ExecControl ctrl;
   uint64_t deadline_ms = req.deadline_ms;
@@ -315,11 +317,9 @@ void ChunkServer::ExecuteQuery(const std::shared_ptr<Connection>& conn,
 
   admission_->Release(req.tenant_id);
   query_latency_ns_->Record(NowNs() - admit_ns);
-  const std::string tenant_base =
-      "server.tenant." + std::to_string(req.tenant_id);
   if (!rows.ok()) {
     queries_error_->Increment();
-    metrics_->GetCounter(tenant_base + ".errors")->Increment();
+    tenant.errors->Increment();
     if (rows.status().code() == StatusCode::kDeadlineExceeded) {
       queries_deadline_->Increment();
     }
@@ -327,7 +327,7 @@ void ChunkServer::ExecuteQuery(const std::shared_ptr<Connection>& conn,
     return;
   }
   queries_ok_->Increment();
-  metrics_->GetCounter(tenant_base + ".ok")->Increment();
+  tenant.ok->Increment();
 
   const size_t rows_per_frame =
       std::max<size_t>(1, options_.result_batch_bytes / wire::kRowBytes);

@@ -88,7 +88,8 @@ class ChunkServer {
   void ReadConnection(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
   void ExecuteQuery(const std::shared_ptr<Connection>& conn, FrameHeader req,
-                    const backend::StarJoinQuery& query, uint64_t admit_ns);
+                    const backend::StarJoinQuery& query, uint64_t admit_ns,
+                    const AdmissionController::TenantCounters& tenant);
   /// Sends a kError frame echoing `req`'s request/tenant ids.
   void SendError(const std::shared_ptr<Connection>& conn,
                  const FrameHeader& req, const Status& status,

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "storage/tuple.h"
 
 namespace chunkcache::storage {
@@ -61,15 +60,6 @@ class AggColumns {
   /// Sorts rows into row-major coordinate order (dimension 0 outermost) —
   /// the canonical order SortRows defines for row vectors.
   void SortRowMajor();
-
-  /// Flat little-endian serialization: header (num_dims, num_rows) then
-  /// each coordinate column, then sum/count/min/max columns back to back.
-  /// Appends to `out`. The cache's snapshot records hold these bytes.
-  void SerializeTo(std::vector<uint8_t>* out) const;
-  /// Parses exactly the bytes SerializeTo wrote: a truncated input, a
-  /// header whose row count the input cannot hold, or bytes past the last
-  /// column return Corruption.
-  static Result<AggColumns> Deserialize(const uint8_t* data, size_t len);
 
   friend bool operator==(const AggColumns& a, const AggColumns& b);
 

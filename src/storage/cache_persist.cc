@@ -23,6 +23,9 @@ namespace {
 /// is treated as a desynced length field, not a real record.
 constexpr uint64_t kMaxRecordBytes = 256ull << 20;
 
+/// Bytes of an admit record's key and benefit, before the payload.
+constexpr size_t kAdmitKeyBytes = 4 + 8 + 8 + 8;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -30,58 +33,13 @@ uint64_t NowNs() {
           .count());
 }
 
-void PutU32(std::vector<uint8_t>* b, uint32_t v) {
+/// Appends `v`'s little-endian bytes.
+template <typename T>
+void Put(std::vector<uint8_t>* b, T v) {
   const size_t n = b->size();
-  b->resize(n + 4);
-  std::memcpy(b->data() + n, &v, 4);
+  b->resize(n + sizeof(T));
+  std::memcpy(b->data() + n, &v, sizeof(T));
 }
-
-void PutU64(std::vector<uint8_t>* b, uint64_t v) {
-  const size_t n = b->size();
-  b->resize(n + 8);
-  std::memcpy(b->data() + n, &v, 8);
-}
-
-void PutF64(std::vector<uint8_t>* b, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(b, bits);
-}
-
-/// Bounds-checked sequential reader over one record payload. Every Get
-/// clears `ok` on underrun instead of reading past the end, so a damaged
-/// payload surfaces as ok == false, never as garbage values.
-struct Cursor {
-  const uint8_t* p;
-  const uint8_t* end;
-  bool ok = true;
-
-  bool Get(void* out, size_t n) {
-    if (!ok || static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    return true;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Get(&v, 4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Get(&v, 8);
-    return v;
-  }
-  double F64() {
-    uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-};
 
 /// write(2) until done; false on error or short write (disk full).
 bool WriteAll(int fd, const uint8_t* data, size_t n) {
@@ -118,34 +76,9 @@ bool FsyncDir(const std::string& dir) {
   return ok;
 }
 
-/// Reads the whole file, honoring the recovery-read fault site: an
-/// injected fault makes the file look unreadable, exactly like a media
-/// error mid-recovery.
-bool ReadFileFully(const std::string& path, std::vector<uint8_t>* out) {
-  FaultInjector& fi = FaultInjector::Global();
-  if (fi.armed() && fi.ShouldInject(FaultSite::kRecoveryRead)) return false;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return false;
-  }
-  out->resize(static_cast<size_t>(st.st_size));
-  size_t off = 0;
-  while (off < out->size()) {
-    const ssize_t r =
-        ::read(fd, out->data() + off, out->size() - off);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<size_t>(r);
-  }
-  ::close(fd);
-  return true;
-}
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 std::string SnapshotPath(const std::string& dir, uint64_t gen) {
   return dir + "/snapshot-" + std::to_string(gen);
@@ -170,51 +103,30 @@ bool ParseGeneration(const std::string& name, const char* prefix,
   return true;
 }
 
-bool DecodeAdmitPayload(const uint8_t* p, size_t len, PersistedChunk* out) {
-  Cursor c{p, p + len};
-  out->group_by_id = c.U32();
-  out->chunk_num = c.U64();
-  out->filter_hash = c.U64();
-  out->benefit = c.F64();
-  if (!c.ok) return false;
-  Result<AggColumns> cols =
-      AggColumns::Deserialize(c.p, static_cast<size_t>(c.end - c.p));
-  if (!cols.ok()) return false;
-  out->cols = std::move(cols).value();
-  return true;
-}
-
-/// Starts a record of `type` in `frame`, leaving room for its header.
-void BeginFrame(std::vector<uint8_t>* frame, uint8_t type) {
-  frame->resize(CachePersistence::kRecordHeaderBytes);
-  frame->push_back(type);
-}
-
-/// Fills in the header of the record `frame` holds: crc32c and length of
-/// type|payload.
-void SealFrame(std::vector<uint8_t>* frame) {
-  constexpr size_t kHeader = CachePersistence::kRecordHeaderBytes;
-  const uint32_t len = static_cast<uint32_t>(frame->size() - kHeader);
-  const uint32_t crc = Crc32c(frame->data() + kHeader, len);
-  std::memcpy(frame->data(), &crc, 4);
-  std::memcpy(frame->data() + 4, &len, 4);
-}
-
 }  // namespace
 
 // -- SnapshotWriter --------------------------------------------------------
 
-void SnapshotWriter::Add(const PersistedChunk& chunk) {
+void SnapshotWriter::Add(const PersistedChunk& chunk,
+                         const ChunkPayload& payload) {
   if (!ok_) return;
-  BeginFrame(&frame_, CachePersistence::kAdmit);
-  PutU32(&frame_, chunk.group_by_id);
-  PutU64(&frame_, chunk.chunk_num);
-  PutU64(&frame_, chunk.filter_hash);
-  PutF64(&frame_, chunk.benefit);
-  chunk.cols.SerializeTo(&frame_);
-  SealFrame(&frame_);
+  // The record header (crc32c and length of type|payload) goes in last.
+  constexpr size_t kHeader = CachePersistence::kRecordHeaderBytes;
+  frame_.resize(kHeader);
+  frame_.push_back(CachePersistence::kAdmit);
+  Put(&frame_, chunk.group_by_id);
+  Put(&frame_, chunk.chunk_num);
+  Put(&frame_, chunk.filter_hash);
+  Put(&frame_, chunk.benefit);
+  const size_t at = frame_.size();
+  const size_t n = static_cast<size_t>(payload.capacity_bytes());
+  frame_.resize(at + n);
+  if (n != 0) std::memcpy(frame_.data() + at, payload.data(), n);
+  const uint32_t len = static_cast<uint32_t>(frame_.size() - kHeader);
+  const uint32_t crc = Crc32c(frame_.data() + kHeader, len);
+  std::memcpy(frame_.data(), &crc, 4);
+  std::memcpy(frame_.data() + 4, &len, 4);
   Flush();
-  if (ok_) entries_++;
 }
 
 void SnapshotWriter::Flush() {
@@ -231,7 +143,8 @@ void SnapshotWriter::Flush() {
 // -- CachePersistence ------------------------------------------------------
 
 Result<std::unique_ptr<CachePersistence>> CachePersistence::Open(
-    std::string dir, uint64_t fingerprint, MetricsRegistry* metrics) {
+    std::string dir, uint64_t fingerprint, const AdmitFn& admit,
+    MetricsRegistry* metrics) {
   std::unique_ptr<CachePersistence> p(
       new CachePersistence(std::move(dir), fingerprint, metrics));
   if (!MkDirs(p->dir_)) {
@@ -239,7 +152,7 @@ Result<std::unique_ptr<CachePersistence>> CachePersistence::Open(
                            p->dir_);
   }
   const uint64_t start = NowNs();
-  p->Recover();
+  p->Recover(admit);
   p->recovery_.recovery_ns = NowNs() - start;
   p->recovery_ns_->Record(p->recovery_.recovery_ns);
   return p;
@@ -262,10 +175,6 @@ CachePersistence::CachePersistence(std::string dir, uint64_t fingerprint,
   recovery_ns_ = metrics_->GetHistogram("persist.recovery_ns");
 }
 
-RecoveryStats CachePersistence::TakeRecovery() {
-  return std::move(recovery_);
-}
-
 void CachePersistence::SimulateCrash() {
   std::lock_guard<std::mutex> lock(commit_mu_);
   crashed_.store(true, std::memory_order_release);
@@ -273,7 +182,7 @@ void CachePersistence::SimulateCrash() {
 
 // -- Recovery --------------------------------------------------------------
 
-void CachePersistence::Recover() {
+void CachePersistence::Recover(const AdmitFn& admit) {
   // Inventory the directory: generation-numbered snapshots, plus strays
   // that are deleted. A .tmp is a snapshot a crash interrupted, never
   // authoritative. A wal-<G> is a write-ahead log from the older directory
@@ -303,63 +212,93 @@ void CachePersistence::Recover() {
   // disk until a *successful* newer snapshot GCs it), and with none left
   // the cache starts cold.
   for (uint64_t gen : snapshot_gens) {
-    recovery_.entries.clear();
-    if (ReadSnapshot(gen, &recovery_.entries)) {
+    if (ReadSnapshot(gen, admit)) {
       recovery_.generation = gen;
       break;
     }
   }
-  recovery_.snapshot_entries = recovery_.entries.size();
 
-  recovered_entries_->Add(recovery_.entries.size());
+  recovered_entries_->Add(recovery_.snapshot_entries);
   quarantined_->Add(recovery_.quarantined);
   generation_.store(recovery_.generation, std::memory_order_relaxed);
   next_generation_ = max_gen + 1;
 }
 
 bool CachePersistence::ReadSnapshot(uint64_t generation,
-                                    std::vector<PersistedChunk>* entries) {
-  std::vector<uint8_t> data;
-  if (!ReadFileFully(SnapshotPath(dir_, generation), &data)) return false;
-  if (data.size() < kFileHeaderBytes) return false;
+                                    const AdmitFn& admit) {
+  // An injected recovery-read fault makes the file look unreadable,
+  // exactly like a media error mid-recovery.
+  FaultInjector& fi = FaultInjector::Global();
+  if (fi.armed() && fi.ShouldInject(FaultSite::kRecoveryRead)) return false;
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(SnapshotPath(dir_, generation).c_str(), "rb"));
+  if (file == nullptr) return false;
+  struct stat st;
+  if (::fstat(::fileno(file.get()), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return false;
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  uint8_t header[kFileHeaderBytes] = {};
+  if (std::fread(header, 1, kFileHeaderBytes, file.get()) !=
+      kFileHeaderBytes) {
+    return false;
+  }
   uint64_t magic = 0;
   uint64_t fingerprint = 0;
-  std::memcpy(&magic, data.data(), 8);
-  std::memcpy(&fingerprint, data.data() + 16, 8);
+  std::memcpy(&magic, header, 8);
+  std::memcpy(&fingerprint, header + 16, 8);
   // Entries computed from other data would be served as this data's.
   if (magic != kSnapMagic || fingerprint != fingerprint_) return false;
 
-  // Snapshot records are individually CRC-framed, so one rotted entry is
-  // quarantined (skipped + counted) without sacrificing its neighbors. A
-  // corrupt *length* desyncs the frame walk; everything after it is
-  // unparseable and dropped.
+  // This file is the snapshot now, and each record is offered to `admit`
+  // as it is read. Records are individually CRC-framed, so one rotted
+  // entry is quarantined (skipped + counted) without sacrificing its
+  // neighbors. A corrupt *length* desyncs the frame walk, and a failed
+  // read ends it; everything after either is dropped, and the entries
+  // admitted before it are a subset, which is a correct cache.
+  std::vector<uint8_t> body;
   size_t off = kFileHeaderBytes;
-  while (off + kRecordHeaderBytes <= data.size()) {
-    uint32_t crc = 0, len = 0;
-    std::memcpy(&crc, data.data() + off, 4);
-    std::memcpy(&len, data.data() + off + 4, 4);
-    const size_t remaining = data.size() - off - kRecordHeaderBytes;
+  while (off + kRecordHeaderBytes <= size) {
+    uint32_t crc_len[2] = {};  // the record header: crc32c, then length
+    if (std::fread(crc_len, 1, kRecordHeaderBytes, file.get()) !=
+        kRecordHeaderBytes) {
+      break;
+    }
+    const uint32_t crc = crc_len[0];
+    const uint32_t len = crc_len[1];
+    const size_t remaining = size - off - kRecordHeaderBytes;
     if (len < 1 || len > remaining || len > kMaxRecordBytes) {
       recovery_.quarantined++;
       break;
     }
-    const uint8_t* body = data.data() + off + kRecordHeaderBytes;
+    body.resize(len);
+    if (std::fread(body.data(), 1, len, file.get()) != len) break;
     off += kRecordHeaderBytes + len;
-    if (Crc32c(body, len) != crc) {
+    if (Crc32c(body.data(), len) != crc) {
       recovery_.quarantined++;
       continue;
     }
-    if (body[0] == kAdmit) {
-      PersistedChunk chunk;
-      if (DecodeAdmitPayload(body + 1, len - 1, &chunk)) {
-        entries->push_back(std::move(chunk));
-      } else {
-        recovery_.quarantined++;
-      }
+    // Unknown types (the retired types 2, 3 and 4 among them) carry no
+    // recoverable state; the snapshot is usable either way (partial
+    // warmth beats a cold start).
+    if (body[0] != kAdmit) continue;
+    if (len < 1 + kAdmitKeyBytes) {
+      recovery_.quarantined++;
+      continue;
     }
-    // kFooter and unknown types (the retired types 2 and 3 among them)
-    // carry no recoverable state; the snapshot is usable either way
-    // (partial warmth beats a cold start).
+    const uint8_t* key = body.data() + 1;
+    PersistedChunk chunk;
+    std::memcpy(&chunk.group_by_id, key, 4);
+    std::memcpy(&chunk.chunk_num, key + 4, 8);
+    std::memcpy(&chunk.filter_hash, key + 12, 8);
+    std::memcpy(&chunk.benefit, key + 20, 8);
+    Result<ChunkPayload> payload = ChunkPayload::FromBytes(
+        key + kAdmitKeyBytes, len - 1 - kAdmitKeyBytes);
+    if (payload.ok() && admit(chunk, std::move(payload).value())) {
+      recovery_.snapshot_entries++;
+    } else {
+      recovery_.quarantined++;
+    }
   }
   return true;
 }
@@ -381,17 +320,11 @@ Status CachePersistence::WriteSnapshot(
   }
 
   SnapshotWriter w(fd, &crashed_);
-  PutU64(&w.frame_, kSnapMagic);
-  PutU64(&w.frame_, gen);
-  PutU64(&w.frame_, fingerprint_);
+  Put(&w.frame_, kSnapMagic);
+  Put(&w.frame_, gen);
+  Put(&w.frame_, fingerprint_);
   w.Flush();
   produce(&w);
-  if (w.ok_) {
-    BeginFrame(&w.frame_, kFooter);
-    PutU64(&w.frame_, w.entries_);
-    SealFrame(&w.frame_);
-    w.Flush();
-  }
   FaultInjector& fi = FaultInjector::Global();
   const bool written = w.ok_ &&
                        !(fi.armed() &&

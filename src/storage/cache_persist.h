@@ -11,41 +11,38 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "storage/agg_columns.h"
+#include "storage/chunk_payload.h"
 
 namespace chunkcache::storage {
 
-/// One cache entry in its durable form: the chunk key triple, the
-/// replacement-policy benefit, and the rows as columns. A snapshot record
-/// holds the columns' AggColumns::SerializeTo bytes under the record
-/// frame's CRC32C, and recovery parses them with AggColumns::Deserialize.
+/// A cache entry's key triple and replacement-policy benefit. An admit
+/// record holds them, then the entry's ChunkPayload allocation byte for
+/// byte, all under the record frame's CRC32C; recovery parses the payload
+/// back with ChunkPayload::FromBytes.
 struct PersistedChunk {
   uint32_t group_by_id = 0;
   uint64_t chunk_num = 0;
   uint64_t filter_hash = 0;
   double benefit = 0.0;
-  AggColumns cols;
 };
 
-/// What recovery found. Entries are handed to the manager exactly once
-/// via CachePersistence::TakeRecovery().
+/// What recovery found.
 struct RecoveryStats {
-  uint64_t generation = 0;          ///< Snapshot generation recovered from.
-  uint64_t snapshot_entries = 0;    ///< Entries read from the snapshot.
-  uint64_t quarantined = 0;         ///< Corrupt entries dropped, not served.
+  uint64_t generation = 0;        ///< Snapshot generation recovered from.
+  uint64_t snapshot_entries = 0;  ///< Entries admitted from the snapshot.
+  uint64_t quarantined = 0;       ///< Corrupt entries dropped, not served.
   uint64_t recovery_ns = 0;
-  std::vector<PersistedChunk> entries;  ///< Surviving state, stable order.
 };
 
 /// Streams one snapshot's admit records into its shadow file through one
-/// reused frame buffer, so no snapshot ever holds more than one serialized
-/// entry. Handed to the producer of CachePersistence::WriteSnapshot.
+/// reused frame buffer, so no snapshot ever holds more than one entry's
+/// record. Handed to the producer of CachePersistence::WriteSnapshot.
 class SnapshotWriter {
  public:
-  /// Frames one admit record: `chunk`'s key and benefit, then its columns'
-  /// SerializeTo bytes. After a failed write, or once SimulateCrash()
-  /// fires, every later call is a no-op and the snapshot is abandoned.
-  void Add(const PersistedChunk& chunk);
+  /// Frames one admit record: `chunk`'s key and benefit, then `payload`'s
+  /// bytes. After a failed write, or once SimulateCrash() fires, every
+  /// later call is a no-op and the snapshot is abandoned.
+  void Add(const PersistedChunk& chunk, const ChunkPayload& payload);
 
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
@@ -62,7 +59,6 @@ class SnapshotWriter {
   const std::atomic<bool>* crashed_;
   std::vector<uint8_t> frame_;
   bool ok_ = true;
-  uint64_t entries_ = 0;
   uint64_t bytes_ = 0;
 };
 
@@ -81,20 +77,26 @@ class SnapshotWriter {
 /// serialize, so at most one snapshot runs at a time.
 class CachePersistence {
  public:
+  /// Offered each entry recovery parses, as it parses it; returns whether
+  /// the entry was admitted. A refused entry counts as quarantined.
+  using AdmitFn = std::function<bool(const PersistedChunk&, ChunkPayload)>;
+
   /// Opens `dir` (creating it) and recovers from the snapshots taken
   /// against `fingerprint`, which identifies the data the cached chunks
   /// were computed from (backend::ChunkedFile::fingerprint()); a snapshot
-  /// of any other fingerprint is never read. `metrics` may be null
-  /// (counters then live on a private registry).
+  /// of any other fingerprint is never read. Each record of the recovered
+  /// snapshot goes to `admit` as it is read, so recovery holds one record
+  /// at a time. `metrics` may be null (counters then live on a private
+  /// registry).
   static Result<std::unique_ptr<CachePersistence>> Open(
-      std::string dir, uint64_t fingerprint,
+      std::string dir, uint64_t fingerprint, const AdmitFn& admit,
       MetricsRegistry* metrics = nullptr);
 
   CachePersistence(const CachePersistence&) = delete;
   CachePersistence& operator=(const CachePersistence&) = delete;
 
-  /// Moves the recovered state out (entries are large; call once).
-  RecoveryStats TakeRecovery();
+  /// What Open() recovered.
+  const RecoveryStats& recovery() const { return recovery_; }
 
   /// Writes the next snapshot generation: `produce` streams every entry
   /// through the SnapshotWriter into snapshot-<G>.tmp, which is fsynced,
@@ -108,10 +110,6 @@ class CachePersistence {
     return generation_.load(std::memory_order_relaxed);
   }
 
-  /// Counts one recovered entry the manager dropped (a record that names
-  /// no chunk of its scheme) on the shared persist.quarantined counter.
-  void CountQuarantined() { quarantined_->Increment(); }
-
   /// Test hook simulating a process kill: a snapshot in flight is
   /// abandoned before its rename and every later one (the manager's
   /// shutdown snapshot included) is a no-op, so a subsequent Open() sees
@@ -122,16 +120,18 @@ class CachePersistence {
   // File = 24-byte header (magic u64 | generation u64 | fingerprint u64)
   // then records:
   //   u32 crc32c(type|payload) | u32 len(type|payload) | u8 type | payload
-  // The magic names the format: files of the codec-blob format
-  // ("CHCCSNAP") are not read.
-  static constexpr uint64_t kSnapMagic = 0x32504E53'43434843ull;  // CHCCSNP2
+  // An admit record's payload is u32 group_by_id | u64 chunk_num |
+  // u64 filter_hash | f64 benefit | the entry's ChunkPayload bytes. The
+  // magic names the format: files of the earlier formats ("CHCCSNAP",
+  // codec blobs, and "CHCCSNP2", AggColumns bytes) are not read. The
+  // fsync and the atomic rename mark a snapshot complete.
+  static constexpr uint64_t kSnapMagic = 0x33504E53'43434843ull;  // CHCCSNP3
   static constexpr size_t kFileHeaderBytes = 24;
   static constexpr size_t kRecordHeaderBytes = 8;
-  // Types 2 and 3 are retired and never reused. Recovery skips them like
-  // any unknown type.
+  // Types 2, 3 and 4 (the footer) are retired and never reused. Recovery
+  // skips them like any unknown type.
   enum RecordType : uint8_t {
-    kAdmit = 1,   ///< key, benefit, AggColumns::SerializeTo bytes
-    kFooter = 4,  ///< entry count (validity marker)
+    kAdmit = 1,  ///< key, benefit, ChunkPayload bytes
   };
 
  private:
@@ -141,16 +141,14 @@ class CachePersistence {
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   /// Recovery pipeline (Open only; no locks needed).
-  void Recover();
-  bool ReadSnapshot(uint64_t generation,
-                    std::vector<PersistedChunk>* entries);
+  void Recover(const AdmitFn& admit);
+  bool ReadSnapshot(uint64_t generation, const AdmitFn& admit);
 
   const std::string dir_;
   const uint64_t fingerprint_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;
 
-  // Recovered state, moved out by TakeRecovery().
   RecoveryStats recovery_;
 
   std::mutex snapshot_mu_;  ///< Serializes WriteSnapshot.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <string>
 
 namespace chunkcache::storage {
 
@@ -150,6 +151,123 @@ ChunkPayload::ChunkPayload(const AggColumns& cols) {
   }
 }
 
+Result<ChunkPayload> ChunkPayload::FromBytes(const unsigned char* data,
+                                             size_t len) {
+  const auto bad = [](const char* what) {
+    return Status::Corruption(std::string("ChunkPayload: ") + what);
+  };
+  // The layout helpers trust their input, so every size is checked here
+  // on the raw bytes before any of them runs.
+  Header h;
+  if (len < kHeaderBytes) return bad("shorter than its header");
+  std::memcpy(&h, data, kHeaderBytes);
+  const Form form = static_cast<Form>(h.form);
+  if (form != Form::kBitmap && form != Form::kSparse) return bad("unknown form");
+  const uint32_t nd = h.num_dims;
+  if (nd < 1 || nd > kMaxDims) return bad("bad dimension count");
+  if (!std::has_single_bit(h.count_bytes) || h.count_bytes > 8) {
+    return bad("bad COUNT width");
+  }
+
+  // The box, and the coordinate and class sections it implies.
+  const size_t box_end = kHeaderBytes + 8 * size_t{nd};
+  if (len < box_end) return bad("box past the end");
+  uint32_t begin[kMaxDims] = {};
+  uint32_t width[kMaxDims] = {};
+  std::memcpy(begin, data + kHeaderBytes, 4 * nd);
+  std::memcpy(width, data + kHeaderBytes + 4 * nd, 4 * nd);
+  uint64_t cells = 1;
+  for (uint32_t d = 0; d < nd && h.rows > 0; ++d) {
+    if (width[d] == 0) return bad("box of width 0");
+    if (uint64_t{begin[d]} + (width[d] - 1) >
+        std::numeric_limits<uint32_t>::max()) {
+      return bad("box wraps");
+    }
+    if (form == Form::kBitmap) {
+      if (cells > std::numeric_limits<uint64_t>::max() / width[d]) {
+        return bad("box cell count overflows");
+      }
+      cells *= width[d];
+    }
+  }
+  size_t coord_bytes = 0;
+  if (form == Form::kSparse) {
+    coord_bytes = RoundUp8(size_t{4} * nd * h.rows);
+  } else if (h.rows > 0) {
+    coord_bytes = cells / 64 * 8 + (cells % 64 != 0 ? 8 : 0);
+  }
+  const size_t class_bytes = (size_t{h.rows} + 7) / 8;
+  if (coord_bytes > len - box_end ||
+      class_bytes > len - box_end - coord_bytes) {
+    return bad("rows past the end");
+  }
+  const unsigned char* coords = data + box_end;
+  const unsigned char* classes = coords + coord_bytes;
+  // layout() counts whole class bytes, so none may be set past the rows.
+  if (h.rows % 8 != 0 && (classes[class_bytes - 1] >> (h.rows % 8)) != 0) {
+    return bad("class bit past the last row");
+  }
+  const Layout l = BoxLayout(h, coord_bytes, PopCount(classes, class_bytes));
+  if (l.total != len) return bad("size differs from its header's");
+
+  // ForEachRow reads bitmap words until it has seen `rows` set bits, and
+  // a bit past the box would decode outside it.
+  if (form == Form::kBitmap && h.rows > 0) {
+    uint64_t last;
+    std::memcpy(&last, coords + coord_bytes - 8, 8);
+    if (cells % 64 != 0 && (last >> (cells % 64)) != 0) {
+      return bad("bitmap bit past the box");
+    }
+    if (PopCount(coords, coord_bytes) != h.rows) {
+      return bad("bitmap bits differ from the row count");
+    }
+  }
+
+  // One pass over the rows: sparse coordinates inside the box and strictly
+  // row-major, and every general row's COUNT at least 1.
+  uint32_t prev[kMaxDims] = {};
+  size_t general = 0;
+  for (size_t i = 0; i < h.rows; ++i) {
+    if (form == Form::kSparse) {
+      uint32_t rel[kMaxDims] = {};
+      std::memcpy(rel, coords + 4 * nd * i, 4 * nd);
+      bool after = i == 0;
+      for (uint32_t d = 0; d < nd; ++d) {
+        if (rel[d] >= width[d]) return bad("row outside its box");
+        if (!after) {
+          if (rel[d] < prev[d]) return bad("rows out of row-major order");
+          after = rel[d] > prev[d];
+        }
+      }
+      if (!after) return bad("repeated row");
+      std::memcpy(prev, rel, 4 * nd);
+    }
+    if (((classes[i / 8] >> (i % 8)) & 1) == 0 &&
+        CountAt(data + l.counts, h.count_bytes, general++) == 0) {
+      return bad("COUNT 0");
+    }
+  }
+
+  ChunkPayload p;
+  p.data_.reset(new unsigned char[len]);
+  std::memcpy(p.data_.get(), data, len);
+  return p;
+}
+
+size_t ChunkPayload::PopCount(const unsigned char* bits, size_t bytes) {
+  size_t set = 0;
+  size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bits + i, 8);
+    set += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  for (; i < bytes; ++i) {
+    set += static_cast<size_t>(__builtin_popcount(bits[i]));
+  }
+  return set;
+}
+
 size_t ChunkPayload::CoordBytes(const Header& h) const {
   if (static_cast<Form>(h.form) == Form::kSparse) {
     return RoundUp8(size_t{4} * h.num_dims * h.rows);
@@ -177,18 +295,7 @@ ChunkPayload::Layout ChunkPayload::layout(const Header& h) const {
   const size_t coord_bytes = CoordBytes(h);
   const unsigned char* bits =
       data_.get() + kHeaderBytes + 8 * size_t{h.num_dims} + coord_bytes;
-  const size_t bytes = (size_t{h.rows} + 7) / 8;
-  size_t singletons = 0;
-  size_t i = 0;
-  for (; i + 8 <= bytes; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, bits + i, 8);
-    singletons += static_cast<size_t>(__builtin_popcountll(word));
-  }
-  for (; i < bytes; ++i) {
-    singletons += static_cast<size_t>(__builtin_popcount(bits[i]));
-  }
-  return BoxLayout(h, coord_bytes, singletons);
+  return BoxLayout(h, coord_bytes, PopCount(bits, (size_t{h.rows} + 7) / 8));
 }
 
 size_t ChunkPayload::singleton_rows() const {

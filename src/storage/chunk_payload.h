@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "schema/hierarchy.h"
 #include "storage/agg_columns.h"
 #include "storage/tuple.h"
@@ -51,6 +52,19 @@ class ChunkPayload {
   /// The payload of `cols`, row for row and bit for bit; ToColumns()
   /// returns `cols` again.
   explicit ChunkPayload(const AggColumns& cols);
+
+  /// Parses `len` bytes as a payload's allocation (data() and
+  /// capacity_bytes() of one): returns Corruption unless the sizes add up
+  /// exactly and every row lies inside the box, in strictly row-major
+  /// order, with a COUNT of at least 1. The bytes are copied only after
+  /// every check passes, so a payload it returns reads back through
+  /// ForEachRow in full.
+  static Result<ChunkPayload> FromBytes(const unsigned char* data,
+                                        size_t len);
+
+  /// The allocation's capacity_bytes() bytes (null for a
+  /// default-constructed payload).
+  const unsigned char* data() const { return data_.get(); }
 
   Form form() const { return static_cast<Form>(header().form); }
   uint32_t num_dims() const { return header().num_dims; }
@@ -129,6 +143,8 @@ class ChunkPayload {
                           size_t singletons);
   /// The layout of this payload, counting its set class bits.
   Layout layout(const Header& h) const;
+  /// Set bits in the `bytes` bytes at `bits`.
+  static size_t PopCount(const unsigned char* bits, size_t bytes);
 
   static size_t RoundUp8(size_t n) { return (n + 7) / 8 * 8; }
   static double DoubleAt(const unsigned char* column, size_t i) {

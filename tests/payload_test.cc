@@ -2,16 +2,22 @@
 // canonical AggColumns with singleton and general rows round-trip through
 // it bit for bit in both coordinate forms and every COUNT width, the
 // boundary filter keeps what FilterRows keeps, and the roll-up fold over a
-// payload equals the fold over its columns.
+// payload equals the fold over its columns. FromBytes, which parses a
+// snapshot record's payload bytes, rejects one crafted case per check and
+// every truncation, and whatever bit flips or garbage it accepts reads
+// back in full (FromBytesHardening; the tier2 payload_fuzz entry reruns
+// the random cases with CHUNKCACHE_STORM_ITERS=10).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -205,6 +211,11 @@ TEST(ChunkPayloadProperty, CanonicalColumnsRoundTripBitForBit) {
     all_singletons += singletons;
     all_rows += rows;
     ExpectBitIdentical(cols, p.ToColumns());
+    // A payload's bytes parse back to the same bytes.
+    auto parsed = ChunkPayload::FromBytes(p.data(), p.capacity_bytes());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    ASSERT_EQ(parsed->capacity_bytes(), p.capacity_bytes());
+    EXPECT_EQ(std::memcmp(parsed->data(), p.data(), p.capacity_bytes()), 0);
   }
   EXPECT_GT(forms[0], 100u);
   EXPECT_GT(forms[1], 100u);
@@ -403,6 +414,335 @@ TEST(ChunkPayloadProperty, PayloadFoldEqualsColumnFold) {
   }
   EXPECT_GT(folded[0], 1000u);  // dense kernel
   EXPECT_GT(folded[1], 1000u);  // hash fallback
+}
+
+// ---------------------------- FromBytes hardening ---------------------------
+// Snapshot records hold a payload's bytes, so FromBytes parses bytes read
+// back from disk. The crafted cases edit bytes at the offsets of the
+// layout chunk_payload.h documents: the 8-byte header (form, num_dims,
+// count_bytes, unused, u32 rows), each dimension's u32 box begin, then
+// each one's u32 width, then the coordinates and the class bits.
+
+using Bytes = std::vector<unsigned char>;
+
+Bytes BytesOf(const ChunkPayload& p) {
+  return Bytes(p.data(), p.data() + p.capacity_bytes());
+}
+
+template <typename T>
+void PutAt(Bytes* b, size_t at, T v) {
+  std::memcpy(b->data() + at, &v, sizeof(T));
+}
+
+/// Expects FromBytes to refuse `b` with a message naming `why`.
+void ExpectRejected(const Bytes& b, const char* why) {
+  auto r = ChunkPayload::FromBytes(b.data(), b.size());
+  ASSERT_FALSE(r.ok()) << "accepted; wanted: " << why;
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find(why), std::string::npos)
+      << r.status().message() << "; wanted: " << why;
+}
+
+/// Six rows of a 4 x 5 box at (10, 20), three singletons and three
+/// general rows: a bitmap payload of one word, 20 cells, one class byte.
+AggColumns BitmapRows() {
+  AggColumns cols(2);
+  const uint32_t cells[6][2] = {{10, 20}, {10, 24}, {11, 22},
+                                {12, 21}, {13, 20}, {13, 24}};
+  for (int i = 0; i < 6; ++i) {
+    const double v = 1.5 * i;
+    if (i % 2 == 0) {
+      cols.PushCell(cells[i], v, 1, v, v);
+    } else {
+      cols.PushCell(cells[i], v, 1 + i, v - 1, v + 1);
+    }
+  }
+  return cols;
+}
+
+/// Three rows of a 501 x 1001 box: sparse form.
+AggColumns SparseRows() {
+  AggColumns cols(2);
+  const uint32_t cells[3][2] = {{0, 0}, {0, 1000}, {500, 7}};
+  for (int i = 0; i < 3; ++i) cols.PushCell(cells[i], i, 2, -1.0 * i, i);
+  return cols;
+}
+
+// Offsets in a two-dimension payload.
+constexpr size_t kFormAt = 0, kDimsAt = 1, kCountWidthAt = 2, kRowsAt = 4;
+constexpr size_t kBeginAt = 8, kWidthAt = 16, kCoordsAt = 24;
+constexpr size_t kBitmapClassesAt = kCoordsAt + 8;  // after one word
+
+/// Walks an accepted payload in full: exactly size() rows, each inside
+/// its box, strictly row-major, every COUNT at least 1.
+void ExpectReadsBackCleanly(const ChunkPayload& p) {
+  const uint32_t nd = p.num_dims();
+  ASSERT_GE(nd, 1u);
+  ASSERT_LE(nd, kMaxDims);
+  size_t rows = 0;
+  std::array<uint32_t, kMaxDims> prev{};
+  p.ForEachRow([&](const uint32_t* rel, const ChunkPayload::Measures& m) {
+    bool after = rows == 0;
+    for (uint32_t d = 0; d < nd; ++d) {
+      EXPECT_LT(rel[d], p.box_width(d));
+      EXPECT_LE(uint64_t{p.box_begin(d)} + rel[d],
+                std::numeric_limits<uint32_t>::max());
+      if (!after && rel[d] != prev[d]) {
+        EXPECT_GT(rel[d], prev[d]) << "row " << rows << " out of order";
+        after = true;
+      }
+    }
+    EXPECT_TRUE(after) << "row " << rows << " repeats the one before";
+    EXPECT_GE(m.count, 1u);
+    std::copy(rel, rel + nd, prev.begin());
+    ++rows;
+  });
+  EXPECT_EQ(rows, p.size());
+  EXPECT_EQ(p.ToColumns().size(), p.size());
+}
+
+int StormIters(int fallback) {
+  const char* s = std::getenv("CHUNKCACHE_STORM_ITERS");
+  const int n = s == nullptr ? 0 : std::atoi(s);
+  return n > 0 ? n : fallback;
+}
+
+TEST(FromBytesHardening, CraftedPayloadsAreTheOnesTheConstructorBuilds) {
+  const ChunkPayload bitmap(BitmapRows());
+  ASSERT_EQ(bitmap.form(), ChunkPayload::Form::kBitmap);
+  ASSERT_EQ(bitmap.singleton_rows(), 3u);
+  const ChunkPayload sparse(SparseRows());
+  ASSERT_EQ(sparse.form(), ChunkPayload::Form::kSparse);
+  for (const ChunkPayload* p : {&bitmap, &sparse}) {
+    const Bytes b = BytesOf(*p);
+    auto parsed = ChunkPayload::FromBytes(b.data(), b.size());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_EQ(BytesOf(*parsed), b);
+    ExpectReadsBackCleanly(*parsed);
+  }
+}
+
+// Check 1: at least a header, of a known form.
+TEST(FromBytesHardening, ShortInputOrUnknownFormRejected) {
+  const Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  ExpectRejected(Bytes(b.begin(), b.begin() + 7), "shorter than its header");
+  Bytes form = b;
+  form[kFormAt] = 2;
+  ExpectRejected(form, "unknown form");
+}
+
+// Check 2: 1 to kMaxDims dimensions, a COUNT width of 1, 2, 4 or 8.
+TEST(FromBytesHardening, DimensionCountAndCountWidthChecked) {
+  const Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  for (uint8_t nd : {uint8_t{0}, uint8_t{kMaxDims + 1}}) {
+    Bytes bad = b;
+    bad[kDimsAt] = nd;
+    ExpectRejected(bad, "bad dimension count");
+  }
+  for (uint8_t w : {uint8_t{0}, uint8_t{3}, uint8_t{16}}) {
+    Bytes bad = b;
+    bad[kCountWidthAt] = w;
+    ExpectRejected(bad, "bad COUNT width");
+  }
+}
+
+// Check 3: the box fits, has no empty or wrapping dimension, and a bitmap
+// box's cell count fits 64 bits; the sections it implies fit too.
+TEST(FromBytesHardening, BoxMustFitAndNotWrap) {
+  const Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  ExpectRejected(Bytes(b.begin(), b.begin() + kCoordsAt - 1),
+                 "box past the end");
+  Bytes empty = b;
+  PutAt(&empty, kWidthAt, uint32_t{0});
+  ExpectRejected(empty, "box of width 0");
+  Bytes wraps = b;
+  PutAt(&wraps, kBeginAt, std::numeric_limits<uint32_t>::max());
+  ExpectRejected(wraps, "box wraps");
+  // Three dimensions of 2^31 cells each: 2^93 cells.
+  Bytes huge = b;
+  huge[kDimsAt] = 3;
+  for (size_t d = 0; d < 3; ++d) {
+    PutAt(&huge, 8 + 4 * d, uint32_t{0});
+    PutAt(&huge, 8 + 4 * (3 + d), uint32_t{1} << 31);
+  }
+  ExpectRejected(huge, "box cell count overflows");
+  // 4 x 5000 cells need 2,504 bitmap bytes; the input holds 136.
+  Bytes wide = b;
+  PutAt(&wide, kWidthAt + 4, uint32_t{5000});
+  ExpectRejected(wide, "rows past the end");
+}
+
+// Check 4: no class bit past the last row (layout() counts whole bytes).
+TEST(FromBytesHardening, ClassBitsPastTheRowsRejected) {
+  Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  b[kBitmapClassesAt] |= 0x80;  // row 7 of 6
+  ExpectRejected(b, "class bit past the last row");
+}
+
+// Check 5: the sections add up to exactly the input.
+TEST(FromBytesHardening, SizeMustMatchTheHeaderExactly) {
+  const Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  for (size_t extra : {size_t{1}, size_t{8}}) {
+    Bytes longer = b;
+    longer.resize(b.size() + extra, 0);
+    ExpectRejected(longer, "size differs from its header's");
+  }
+  ExpectRejected(Bytes(b.begin(), b.end() - 8),
+                 "size differs from its header's");
+  // A singleton row turned general: 24 bytes more are needed.
+  Bytes reclassed = b;
+  reclassed[kBitmapClassesAt] &= 0xFE;
+  ExpectRejected(reclassed, "size differs from its header's");
+}
+
+// Check 6: the bitmap holds exactly `rows` set bits, all inside the box.
+TEST(FromBytesHardening, BitmapBitsMustCountTheRowsInsideTheBox) {
+  const Bytes b = BytesOf(ChunkPayload(BitmapRows()));
+  // Rows sit at cells 0, 4, 7, 11, 15 and 19 of the 20.
+  Bytes extra = b;
+  extra[kCoordsAt] |= 0x02;  // cell 1
+  ExpectRejected(extra, "bitmap bits differ from the row count");
+  Bytes missing = b;
+  missing[kCoordsAt] &= 0xFE;  // cell 0
+  ExpectRejected(missing, "bitmap bits differ from the row count");
+  Bytes past = b;
+  past[kCoordsAt + 2] |= 0x10;  // cell 20
+  ExpectRejected(past, "bitmap bit past the box");
+}
+
+// Check 7: sparse rows lie inside their box, strictly row-major.
+TEST(FromBytesHardening, SparseRowsMustLieInsideTheirBoxInOrder) {
+  Bytes outside = BytesOf(ChunkPayload(SparseRows()));
+  PutAt(&outside, kCoordsAt + 2 * 4 * 2, uint32_t{501});  // row 2, dim 0
+  ExpectRejected(outside, "row outside its box");
+  // The constructor keeps rows out of order, or repeated, in sparse form.
+  const uint32_t hi[2] = {5, 5};
+  const uint32_t lo[2] = {3, 3};
+  AggColumns descending(2);
+  descending.PushCell(hi, 1.0, 1, 1.0, 1.0);
+  descending.PushCell(lo, 2.0, 1, 2.0, 2.0);
+  ExpectRejected(BytesOf(ChunkPayload(descending)),
+                 "rows out of row-major order");
+  AggColumns repeated(2);
+  repeated.PushCell(lo, 1.0, 1, 1.0, 1.0);
+  repeated.PushCell(lo, 2.0, 1, 2.0, 2.0);
+  ExpectRejected(BytesOf(ChunkPayload(repeated)), "repeated row");
+}
+
+// Check 8: every general row's COUNT is at least 1.
+TEST(FromBytesHardening, GeneralRowsNeedACountOfAtLeastOne) {
+  AggColumns cols = BitmapRows();
+  const uint32_t cell[2] = {14, 20};  // after the last row
+  cols.PushCell(cell, 4.0, 0, 1.0, 3.0);
+  ExpectRejected(BytesOf(ChunkPayload(cols)), "COUNT 0");
+}
+
+TEST(FromBytesHardening, EmptyPayloadIsValid) {
+  const Bytes b = BytesOf(ChunkPayload(AggColumns(3)));
+  auto parsed = ChunkPayload::FromBytes(b.data(), b.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->num_dims(), 3u);
+  EXPECT_TRUE(parsed->empty());
+  EXPECT_EQ(BytesOf(*parsed), b);
+}
+
+// A header claiming 2^32 - 1 rows is refused by comparing the sections it
+// implies with the bytes present; FromBytes never allocates more than the
+// input it was given.
+TEST(FromBytesHardening, HugeRowCountRejectedBeforeAllocation) {
+  for (const AggColumns& cols : {BitmapRows(), SparseRows()}) {
+    Bytes b = BytesOf(ChunkPayload(cols));
+    PutAt(&b, kRowsAt, std::numeric_limits<uint32_t>::max());
+    ExpectRejected(b, "rows past the end");
+  }
+}
+
+TEST(FromBytesHardening, TruncatedPrefixesAndTrailingBytesRejected) {
+  Random rng(31);
+  std::array<uint32_t, kMaxDims> begins{};
+  std::array<uint32_t, kMaxDims> narrow{};
+  std::array<uint32_t, kMaxDims> wide{};
+  narrow.fill(4);
+  wide.fill(3000);
+  for (const auto* widths : {&narrow, &wide}) {
+    const ChunkPayload p(
+        RandomCanonical(&rng, 4, 60, begins, *widths, /*count_cap=*/~0ULL));
+    const Bytes b = BytesOf(p);
+    for (size_t len = 0; len < b.size(); ++len) {
+      EXPECT_FALSE(ChunkPayload::FromBytes(b.data(), len).ok())
+          << "prefix of " << len << " bytes parsed";
+    }
+    for (size_t extra : {size_t{1}, size_t{7}, size_t{32}}) {
+      Bytes longer = b;
+      longer.resize(b.size() + extra, 0);
+      EXPECT_FALSE(ChunkPayload::FromBytes(longer.data(), longer.size()).ok())
+          << extra << " trailing bytes parsed";
+    }
+    EXPECT_TRUE(ChunkPayload::FromBytes(b.data(), b.size()).ok());
+  }
+}
+
+// Payloads of both forms and every COUNT width, flipped 1 to 8 bits at a
+// time. No checksum covers the payload itself, so some flips parse into
+// other values; each one that parses must read back in full.
+TEST(FromBytesHardening, RandomBitFlipsReadBackCleanly) {
+  Random rng(77);
+  std::vector<Bytes> bases;
+  static constexpr uint64_t kCaps[] = {0xFF, 0xFFFF, 0xFFFFFFFFULL, ~0ULL};
+  for (int i = 0; i < 8; ++i) {
+    const uint32_t nd = 1 + static_cast<uint32_t>(i % 4);
+    std::array<uint32_t, kMaxDims> begins{};
+    std::array<uint32_t, kMaxDims> widths{};
+    begins.fill(100);
+    widths.fill(i < 4 ? 4 : 900);
+    // At most one row in two of a bitmap box's cells.
+    const size_t rows = 1 + rng.Uniform(i < 4 ? 2u << (2 * nd - 2) : 40);
+    bases.push_back(BytesOf(ChunkPayload(
+        RandomCanonical(&rng, nd, rows, begins, widths, kCaps[i % 4]))));
+  }
+  const int iters = 2000 * StormIters(1);
+  size_t accepted = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    for (const Bytes& base : bases) {
+      Bytes bad = base;
+      const int flips = 1 + static_cast<int>(rng.Uniform(8));
+      for (int f = 0; f < flips; ++f) {
+        bad[rng.Uniform(bad.size())] ^=
+            static_cast<unsigned char>(1u << rng.Uniform(8));
+      }
+      auto parsed = ChunkPayload::FromBytes(bad.data(), bad.size());
+      if (!parsed.ok()) continue;
+      ++accepted;
+      EXPECT_EQ(BytesOf(*parsed), bad);
+      ExpectReadsBackCleanly(*parsed);
+    }
+  }
+  // Flips in measures keep the layout: many mutants parse.
+  EXPECT_GT(accepted, static_cast<size_t>(iters));
+}
+
+// Random bytes, half of them under a plausible header (a known form, 1 to
+// 4 dimensions, a valid COUNT width, at most 8 rows): whatever parses
+// reads back in full.
+TEST(FromBytesHardening, RandomGarbageReadsBackCleanly) {
+  Random rng(88);
+  const int iters = 20000 * StormIters(1);
+  size_t accepted = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    Bytes junk(rng.Uniform(200));
+    for (auto& b : junk) b = static_cast<unsigned char>(rng.Uniform(256));
+    if (junk.size() >= 8 && iter % 2 == 0) {
+      junk[kFormAt] = static_cast<unsigned char>(rng.Uniform(2));
+      junk[kDimsAt] = static_cast<unsigned char>(1 + rng.Uniform(4));
+      junk[kCountWidthAt] = static_cast<unsigned char>(1u << rng.Uniform(4));
+      PutAt(&junk, kRowsAt, static_cast<uint32_t>(rng.Uniform(9)));
+    }
+    auto parsed = ChunkPayload::FromBytes(junk.data(), junk.size());
+    if (!parsed.ok()) continue;
+    ++accepted;
+    ExpectReadsBackCleanly(*parsed);
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 //  1. CachePersistence unit tests on raw temp directories — snapshot
 //     rotation/GC, skip-and-quarantine of corrupt snapshot records, the
-//     retired record type 3, snapshots of another data fingerprint, and a
-//     simulated kill in the middle of a snapshot.
+//     retired record types 3 and 4, snapshots of another data
+//     fingerprint, and a simulated kill in the middle of a snapshot.
 //  2. End-to-end warm restart through ChunkCacheManager — a restarted
 //     manager must answer bit-identically to a cold one while doing
 //     strictly less backend work, whether it restarts from the shutdown
@@ -62,6 +62,7 @@ using core::QueryStats;
 using storage::AggColumns;
 using storage::AggTuple;
 using storage::CachePersistence;
+using storage::ChunkPayload;
 using storage::PersistedChunk;
 using storage::RecoveryStats;
 using storage::SnapshotWriter;
@@ -158,19 +159,32 @@ std::vector<uint8_t> HandFrame(uint8_t type,
   return frame;
 }
 
-/// Payload of an admit record (type 1): key and benefit, then the
-/// columns' SerializeTo bytes.
-std::vector<uint8_t> AdmitPayload(const PersistedChunk& c) {
+/// A chunk as the tests persist it: its key and benefit, and the rows
+/// its payload is built from.
+struct TestChunk {
+  PersistedChunk key;
+  AggColumns cols;
+};
+
+/// The bytes of `p`'s one allocation.
+std::vector<uint8_t> PayloadBytes(const ChunkPayload& p) {
+  return std::vector<uint8_t>(p.data(), p.data() + p.capacity_bytes());
+}
+
+/// Payload of an admit record (type 1): key and benefit, then the bytes
+/// of the payload built from the columns.
+std::vector<uint8_t> AdmitPayload(const TestChunk& c) {
   std::vector<uint8_t> b;
-  Put(&b, c.group_by_id);
-  Put(&b, c.chunk_num);
-  Put(&b, c.filter_hash);
-  Put(&b, c.benefit);
-  c.cols.SerializeTo(&b);
+  Put(&b, c.key.group_by_id);
+  Put(&b, c.key.chunk_num);
+  Put(&b, c.key.filter_hash);
+  Put(&b, c.key.benefit);
+  const std::vector<uint8_t> payload = PayloadBytes(ChunkPayload(c.cols));
+  b.insert(b.end(), payload.begin(), payload.end());
   return b;
 }
 
-/// Bytes of an admit record's key and benefit, before its columns.
+/// Bytes of an admit record's key and benefit, before its payload.
 constexpr size_t kAdmitKeyBytes = 4 + 8 + 8 + 8;
 
 /// A valid-CRC frame of record type 3, retired from the format. It carried
@@ -191,30 +205,50 @@ void SpliceFrame(const std::string& path, size_t at,
   WriteFileBytes(path, image);
 }
 
+/// Rewrites `path` with `frame` appended.
+void AppendFrame(const std::string& path, const std::vector<uint8_t>& frame) {
+  SpliceFrame(path, fs::file_size(path), frame);
+}
+
 /// The data fingerprint the unit tests' snapshots are taken against.
 constexpr uint64_t kFingerprint = 0x5EED'0000'0000'0001ull;
 
+/// An entry recovery offered: its key and benefit, and its payload bytes.
+struct RecoveredChunk {
+  PersistedChunk key;
+  std::vector<uint8_t> payload;
+};
+
+/// Opens `dir`, admitting every entry recovery offers into `recovered`
+/// (when given).
 std::unique_ptr<CachePersistence> OpenOrDie(
-    const std::string& dir, uint64_t fingerprint = kFingerprint) {
-  auto r = CachePersistence::Open(dir, fingerprint);
+    const std::string& dir, uint64_t fingerprint = kFingerprint,
+    std::vector<RecoveredChunk>* recovered = nullptr) {
+  auto r = CachePersistence::Open(
+      dir, fingerprint,
+      [recovered](const PersistedChunk& key, ChunkPayload payload) {
+        if (recovered != nullptr) {
+          recovered->push_back({key, PayloadBytes(payload)});
+        }
+        return true;
+      });
   EXPECT_TRUE(r.ok()) << r.status().message();
   return std::move(r).value();
 }
 
 /// Streams `chunks` through the SnapshotWriter as one snapshot.
-Status WriteChunks(CachePersistence* p,
-                   const std::vector<PersistedChunk>& chunks) {
+Status WriteChunks(CachePersistence* p, const std::vector<TestChunk>& chunks) {
   return p->WriteSnapshot([&chunks](SnapshotWriter* w) {
-    for (const PersistedChunk& c : chunks) w->Add(c);
+    for (const TestChunk& c : chunks) w->Add(c.key, ChunkPayload(c.cols));
   });
 }
 
-PersistedChunk MakeChunk(uint32_t gb, uint64_t num, uint8_t fill) {
-  PersistedChunk c;
-  c.group_by_id = gb;
-  c.chunk_num = num;
-  c.filter_hash = 0x9E3779B97F4A7C15ull * (num + 1);
-  c.benefit = 0.5 + static_cast<double>(fill);
+TestChunk MakeChunk(uint32_t gb, uint64_t num, uint8_t fill) {
+  TestChunk c;
+  c.key.group_by_id = gb;
+  c.key.chunk_num = num;
+  c.key.filter_hash = 0x9E3779B97F4A7C15ull * (num + 1);
+  c.key.benefit = 0.5 + static_cast<double>(fill);
   c.cols = AggColumns(2);
   for (uint32_t r = 0; r < 4u + gb; ++r) {
     const uint32_t coords[2] = {r, fill};
@@ -223,16 +257,18 @@ PersistedChunk MakeChunk(uint32_t gb, uint64_t num, uint8_t fill) {
   return c;
 }
 
-std::vector<uint8_t> Serialized(const AggColumns& cols) {
-  std::vector<uint8_t> b;
-  cols.SerializeTo(&b);
-  return b;
+bool SameChunk(const RecoveredChunk& got, const TestChunk& want) {
+  return got.key.group_by_id == want.key.group_by_id &&
+         got.key.chunk_num == want.key.chunk_num &&
+         got.key.filter_hash == want.key.filter_hash &&
+         got.key.benefit == want.key.benefit &&
+         got.payload == PayloadBytes(ChunkPayload(want.cols));
 }
 
-bool SameChunk(const PersistedChunk& a, const PersistedChunk& b) {
-  return a.group_by_id == b.group_by_id && a.chunk_num == b.chunk_num &&
-         a.filter_hash == b.filter_hash && a.benefit == b.benefit &&
-         Serialized(a.cols) == Serialized(b.cols);
+/// The entry `h` holds, as the tests persist it.
+TestChunk ChunkOf(const cache::ChunkHandle& h) {
+  return TestChunk{{h->group_by_id, h->chunk_num, h->filter_hash, h->benefit},
+                   h->payload.ToColumns()};
 }
 
 int StormIters(int fallback) {
@@ -246,9 +282,9 @@ int StormIters(int fallback) {
 
 TEST(PersistSnapshot, RotateRecoverAndGc) {
   ScratchDir dir;
-  const PersistedChunk a = MakeChunk(1, 100, 1);
-  const PersistedChunk b = MakeChunk(1, 101, 2);
-  const PersistedChunk c = MakeChunk(2, 102, 3);
+  const TestChunk a = MakeChunk(1, 100, 1);
+  const TestChunk b = MakeChunk(1, 101, 2);
+  const TestChunk c = MakeChunk(2, 102, 3);
   {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
@@ -262,15 +298,16 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-1"));
   EXPECT_TRUE(fs::exists(dir.path + "/snapshot-2"));
 
-  auto p = OpenOrDie(dir.path);
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
   EXPECT_EQ(p->generation(), 2u);
-  RecoveryStats rec = p->TakeRecovery();
+  const RecoveryStats& rec = p->recovery();
   EXPECT_EQ(rec.generation, 2u);
   EXPECT_EQ(rec.snapshot_entries, 3u);
-  ASSERT_EQ(rec.entries.size(), 3u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
-  EXPECT_TRUE(SameChunk(rec.entries[1], b));
-  EXPECT_TRUE(SameChunk(rec.entries[2], c));
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_TRUE(SameChunk(entries[0], a));
+  EXPECT_TRUE(SameChunk(entries[1], b));
+  EXPECT_TRUE(SameChunk(entries[2], c));
   // The next snapshot continues above every generation on disk.
   ASSERT_TRUE(WriteChunks(p.get(), {c}).ok());
   EXPECT_EQ(p->generation(), 3u);
@@ -279,7 +316,7 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
 // Corrupt snapshot record: skipped and quarantined; neighbors survive.
 TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   ScratchDir dir;
-  std::vector<PersistedChunk> chunks;
+  std::vector<TestChunk> chunks;
   for (uint8_t i = 0; i < 3; ++i) chunks.push_back(MakeChunk(4, i, i));
   {
     auto p = OpenOrDie(dir.path);
@@ -289,69 +326,133 @@ TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   std::vector<uint8_t> image = ReadFileBytes(snap);
   const std::vector<Frame> frames = ParseFrames(image);
-  // 3 admits + footer.
-  ASSERT_EQ(frames.size(), 4u);
+  // 3 admits and nothing after them: no footer.
+  ASSERT_EQ(frames.size(), 3u);
   ASSERT_EQ(frames[1].type, CachePersistence::kAdmit);
   image[frames[1].offset + CachePersistence::kRecordHeaderBytes + 6] ^= 0x01;
   WriteFileBytes(snap, image);
 
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.quarantined, 1u);
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], chunks[0]));
-  EXPECT_TRUE(SameChunk(rec.entries[1], chunks[2]));
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_EQ(p->recovery().quarantined, 1u);
+  EXPECT_EQ(p->recovery().snapshot_entries, 2u);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_TRUE(SameChunk(entries[0], chunks[0]));
+  EXPECT_TRUE(SameChunk(entries[1], chunks[2]));
 }
 
-// A record whose frame CRC holds but whose columns do not parse (here,
-// one byte past them) is quarantined like a rotted one.
-TEST(PersistSnapshot, ValidFrameWithBadColumnsQuarantined) {
+// A corrupt length desyncs the frame walk: that record is quarantined and
+// everything after it is dropped; the records before it survive.
+TEST(PersistSnapshot, CorruptLengthDropsTheRestOfTheSnapshot) {
   ScratchDir dir;
-  const PersistedChunk a = MakeChunk(1, 1, 1);
-  const PersistedChunk b = MakeChunk(1, 2, 2);
+  std::vector<TestChunk> chunks;
+  for (uint8_t i = 0; i < 3; ++i) chunks.push_back(MakeChunk(4, i, i));
+  {
+    auto p = OpenOrDie(dir.path);
+    ASSERT_TRUE(WriteChunks(p.get(), chunks).ok());
+  }
+  const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
+  std::vector<uint8_t> image = ReadFileBytes(snap);
+  const std::vector<Frame> frames = ParseFrames(image);
+  ASSERT_EQ(frames.size(), 3u);
+  const uint32_t past_the_end = static_cast<uint32_t>(image.size());
+  std::memcpy(image.data() + frames[1].offset + 4, &past_the_end, 4);
+  WriteFileBytes(snap, image);
+
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_EQ(p->recovery().quarantined, 1u);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(SameChunk(entries[0], chunks[0]));
+}
+
+// A record whose frame CRC holds but whose payload does not parse (here,
+// one byte past it, or a COUNT of 0) is quarantined like a rotted one, and
+// so is a record too short to hold its key.
+TEST(PersistSnapshot, ValidFrameWithBadPayloadQuarantined) {
+  ScratchDir dir;
+  const TestChunk a = MakeChunk(1, 1, 1);
+  const TestChunk b = MakeChunk(1, 2, 2);
   {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a, b}).ok());
   }
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   const std::vector<Frame> frames = ParseFrames(ReadFileBytes(snap));
-  ASSERT_EQ(frames.size(), 3u);
-  std::vector<uint8_t> bad = AdmitPayload(MakeChunk(3, 3, 3));
-  bad.push_back(0);
-  SpliceFrame(snap, frames[1].offset,
-              HandFrame(CachePersistence::kAdmit, bad));
+  ASSERT_EQ(frames.size(), 2u);
+  std::vector<uint8_t> trailing = AdmitPayload(MakeChunk(3, 3, 3));
+  trailing.push_back(0);
+  TestChunk zero_count = MakeChunk(3, 4, 3);
+  const uint32_t cell[2] = {9, 9};
+  zero_count.cols.PushCell(cell, 1.0, 0, 1.0, 1.0);
+  std::vector<uint8_t> short_key = AdmitPayload(MakeChunk(3, 5, 3));
+  short_key.resize(kAdmitKeyBytes - 1);
+  for (const auto& bad : {trailing, AdmitPayload(zero_count), short_key}) {
+    SpliceFrame(snap, frames[1].offset,
+                HandFrame(CachePersistence::kAdmit, bad));
+  }
 
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.quarantined, 1u);
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
-  EXPECT_TRUE(SameChunk(rec.entries[1], b));
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_EQ(p->recovery().quarantined, 3u);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_TRUE(SameChunk(entries[0], a));
+  EXPECT_TRUE(SameChunk(entries[1], b));
+}
+
+// Recovery hands each record to the admit callback as it reads it; a
+// record the callback refuses counts as quarantined, not recovered.
+TEST(PersistSnapshot, RefusedEntriesCountAsQuarantined) {
+  ScratchDir dir;
+  std::vector<TestChunk> chunks;
+  for (uint8_t i = 0; i < 4; ++i) chunks.push_back(MakeChunk(2, i, i));
+  {
+    auto p = OpenOrDie(dir.path);
+    ASSERT_TRUE(WriteChunks(p.get(), chunks).ok());
+  }
+  MetricsRegistry metrics;
+  std::vector<uint64_t> offered;
+  auto r = CachePersistence::Open(
+      dir.path, kFingerprint,
+      [&offered](const PersistedChunk& key, ChunkPayload) {
+        offered.push_back(key.chunk_num);
+        return key.chunk_num % 2 == 0;
+      },
+      &metrics);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(offered, (std::vector<uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ((*r)->recovery().snapshot_entries, 2u);
+  EXPECT_EQ((*r)->recovery().quarantined, 2u);
+  const auto snap = metrics.TakeSnapshot();
+  EXPECT_EQ(snap.counter("persist.recovered_entries"), 2u);
+  EXPECT_EQ(snap.counter("persist.quarantined"), 2u);
 }
 
 // A snapshot taken against another data fingerprint is never read: the
 // cache starts cold, and the next snapshot supersedes it.
 TEST(PersistSnapshot, OtherFingerprintRecoversCold) {
   ScratchDir dir;
-  const PersistedChunk a = MakeChunk(1, 1, 1);
+  const TestChunk a = MakeChunk(1, 1, 1);
   {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
   }
   {
-    auto p = OpenOrDie(dir.path, kFingerprint + 1);
-    RecoveryStats rec = p->TakeRecovery();
+    std::vector<RecoveredChunk> entries;
+    auto p = OpenOrDie(dir.path, kFingerprint + 1, &entries);
+    const RecoveryStats& rec = p->recovery();
     EXPECT_EQ(rec.generation, 0u);
     EXPECT_EQ(rec.snapshot_entries, 0u);
     EXPECT_EQ(rec.quarantined, 0u);
-    EXPECT_TRUE(rec.entries.empty());
+    EXPECT_TRUE(entries.empty());
     // Generations continue above every file on disk.
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
     EXPECT_EQ(p->generation(), 2u);
   }
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-1"));
-  auto p = OpenOrDie(dir.path);
-  EXPECT_TRUE(p->TakeRecovery().entries.empty());
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_TRUE(entries.empty());
 }
 
 // An unreadable snapshot (bad magic) falls back to cold, never an error.
@@ -366,26 +467,26 @@ TEST(PersistSnapshot, BadMagicFallsBackCold) {
   image[0] ^= 0xFF;
   WriteFileBytes(snap, image);
 
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.snapshot_entries, 0u);
-  EXPECT_TRUE(rec.entries.empty());
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_EQ(p->recovery().snapshot_entries, 0u);
+  EXPECT_TRUE(entries.empty());
 }
 
 // A stray .tmp (crash between shadow write and rename) is ignored and
 // cleaned up; the previous generation stays authoritative.
 TEST(PersistSnapshot, StrayTmpIgnoredAndUnlinked) {
   ScratchDir dir;
-  const PersistedChunk a = MakeChunk(9, 5, 2);
+  const TestChunk a = MakeChunk(9, 5, 2);
   {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
   }
   WriteFileBytes(dir.path + "/snapshot-7.tmp", {1, 2, 3, 4});
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  ASSERT_EQ(rec.entries.size(), 1u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(SameChunk(entries[0], a));
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-7.tmp"));
 }
 
@@ -394,15 +495,15 @@ TEST(PersistSnapshot, StrayTmpIgnoredAndUnlinked) {
 // shutdown one included) commits.
 TEST(PersistSnapshot, CrashMidSnapshotKeepsPreviousGeneration) {
   ScratchDir dir;
-  const PersistedChunk a = MakeChunk(1, 1, 1);
-  const PersistedChunk b = MakeChunk(1, 2, 2);
+  const TestChunk a = MakeChunk(1, 1, 1);
+  const TestChunk b = MakeChunk(1, 2, 2);
   {
     auto p = OpenOrDie(dir.path);
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
     Status s = p->WriteSnapshot([&](SnapshotWriter* w) {
-      w->Add(b);
+      w->Add(b.key, ChunkPayload(b.cols));
       p->SimulateCrash();
-      w->Add(a);
+      w->Add(a.key, ChunkPayload(a.cols));
     });
     EXPECT_TRUE(s.ok()) << s.message();
     EXPECT_EQ(p->generation(), 1u);
@@ -412,11 +513,11 @@ TEST(PersistSnapshot, CrashMidSnapshotKeepsPreviousGeneration) {
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2"));
   EXPECT_TRUE(fs::exists(dir.path + "/snapshot-2.tmp"));
 
-  auto p = OpenOrDie(dir.path);
-  RecoveryStats rec = p->TakeRecovery();
-  EXPECT_EQ(rec.generation, 1u);
-  ASSERT_EQ(rec.entries.size(), 1u);
-  EXPECT_TRUE(SameChunk(rec.entries[0], a));
+  std::vector<RecoveredChunk> entries;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  EXPECT_EQ(p->recovery().generation, 1u);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(SameChunk(entries[0], a));
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2.tmp"));
 }
 
@@ -571,14 +672,16 @@ TEST_F(PersistenceFixture, WarmRestartBitIdenticalRaw) {
   RunWarmRestart(engine_, queries, reference, PersistOpts(dir.path));
 }
 
-// A snapshot holds, per entry, the SerializeTo bytes of the very columns
-// the backend computed and the cache admitted, under a header that
-// records this data's fingerprint.
-TEST_F(PersistenceFixture, SnapshotRecordIsSerializeOfAdmittedColumns) {
+// A snapshot holds, per entry, the key, the benefit and the admitted
+// entry's payload allocation byte for byte (the payload built from the
+// very columns the backend computed), under a header that records this
+// data's fingerprint, and nothing else: no footer follows the records.
+TEST_F(PersistenceFixture, SnapshotRecordIsTheAdmittedPayload) {
   const auto queries = MakeQueries(16, 37);
   // The columns each chunk was admitted from, recomputed by the backend
   // (deterministic), keyed like the cache.
-  std::map<std::tuple<uint32_t, uint64_t, uint64_t>, AggColumns> admitted;
+  using Key = std::tuple<uint32_t, uint64_t, uint64_t>;
+  std::map<Key, AggColumns> computed;
   for (const StarJoinQuery& q : queries) {
     std::vector<uint64_t> nums;
     scheme_->BoxForSelection(q.group_by, q.selection)
@@ -591,19 +694,25 @@ TEST_F(PersistenceFixture, SnapshotRecordIsSerializeOfAdmittedColumns) {
         engine_->ComputeChunks(q.group_by, nums, q.non_group_by, &work);
     ASSERT_TRUE(data.ok());
     for (backend::ChunkData& c : *data) {
-      admitted[{scheme_->GroupById(q.group_by), c.chunk_num,
+      computed[{scheme_->GroupById(q.group_by), c.chunk_num,
                 ChunkCacheManager::FilterHash(q.non_group_by)}] =
           std::move(c.cols);
     }
   }
   ScratchDir dir;
+  // Each cached entry's benefit and payload bytes, read from the cache.
+  std::map<Key, std::pair<double, std::vector<uint8_t>>> admitted;
   {
     ChunkCacheManager mgr(engine_, PersistOpts(dir.path));
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
-    EXPECT_EQ(mgr.chunk_cache().num_chunks(), admitted.size());
+    mgr.chunk_cache().ForEachEntry([&admitted](const cache::ChunkHandle& h) {
+      admitted[{h->group_by_id, h->chunk_num, h->filter_hash}] = {
+          h->benefit, PayloadBytes(h->payload)};
+    });
+    EXPECT_EQ(admitted.size(), computed.size());
   }  // clean shutdown: final snapshot written
   const std::vector<uint8_t> image =
       ReadFileBytes(OnlyFileWithPrefix(dir.path, "snapshot-"));
@@ -615,24 +724,33 @@ TEST_F(PersistenceFixture, SnapshotRecordIsSerializeOfAdmittedColumns) {
   EXPECT_EQ(magic, CachePersistence::kSnapMagic);
   EXPECT_EQ(fingerprint, main_->file->fingerprint());
   size_t records = 0;
+  size_t end = CachePersistence::kFileHeaderBytes;
   for (const Frame& f : ParseFrames(image)) {
-    if (f.type != CachePersistence::kAdmit) continue;
+    ASSERT_EQ(f.type, CachePersistence::kAdmit);
     ++records;
+    end = f.offset + CachePersistence::kRecordHeaderBytes + f.len;
     const uint8_t* body =
         image.data() + f.offset + CachePersistence::kRecordHeaderBytes + 1;
     uint32_t gb = 0;
     uint64_t num = 0;
     uint64_t filter = 0;
+    double benefit = 0;
     std::memcpy(&gb, body, 4);
     std::memcpy(&num, body + 4, 8);
     std::memcpy(&filter, body + 12, 8);
+    std::memcpy(&benefit, body + 20, 8);
     const auto it = admitted.find({gb, num, filter});
     ASSERT_NE(it, admitted.end()) << "chunk " << num;
-    const std::vector<uint8_t> columns(body + kAdmitKeyBytes,
+    EXPECT_EQ(benefit, it->second.first) << "chunk " << num;
+    const std::vector<uint8_t> payload(body + kAdmitKeyBytes,
                                        body + f.len - 1);
-    EXPECT_EQ(columns, Serialized(it->second)) << "chunk " << num;
+    EXPECT_EQ(payload, it->second.second) << "chunk " << num;
+    EXPECT_EQ(payload, PayloadBytes(ChunkPayload(computed.at({gb, num,
+                                                              filter}))))
+        << "chunk " << num;
   }
   EXPECT_EQ(records, admitted.size());
+  EXPECT_EQ(end, image.size());
 }
 
 // A snapshot is never recovered against other data: the same number of
@@ -712,13 +830,13 @@ TEST_F(PersistenceFixture, WarmRestartMetricsHaveOneKindPerName) {
   }
 }
 
-// ------------------------- retired record type 3 ---------------------------
+// ------------------------- retired record types ----------------------------
 
-// Directories written while record type 3 existed may still hold one. A
-// snapshot skips it and keeps its neighbours, and the warm cache answers
-// exactly like a cold one: a retired record costs warmth, never
-// correctness.
-TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
+// Record types 3 (a learned per-group-by benefit) and 4 (the snapshot
+// footer: an entry count) are retired. A snapshot that holds one skips it
+// and keeps its neighbours, and the warm cache answers exactly like a
+// cold one: a retired record costs warmth, never correctness.
+TEST_F(PersistenceFixture, RetiredRecordTypesCostWarmthNotCorrectness) {
   const auto queries = MakeQueries(12, 59);
   const auto reference = ReferenceRows(queries);
   ScratchDir dir;
@@ -738,16 +856,18 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
   // Snapshot: admit, type 3, admit, ..., footer keeps every admit.
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
   const std::vector<Frame> snap_frames = ParseFrames(ReadFileBytes(snap));
-  ASSERT_GE(snap_frames.size(), 3u);
-  ASSERT_EQ(snap_frames.back().type, CachePersistence::kFooter);
-  const size_t admits = snap_frames.size() - 1;
+  ASSERT_GE(snap_frames.size(), 2u);
+  const size_t admits = snap_frames.size();
   SpliceFrame(snap, snap_frames[1].offset, RetiredType3Frame());
+  std::vector<uint8_t> footer;
+  Put(&footer, static_cast<uint64_t>(admits));
+  AppendFrame(snap, HandFrame(4, footer));
   {
-    auto p = OpenOrDie(dir.path, main_->file->fingerprint());
-    RecoveryStats rec = p->TakeRecovery();
-    EXPECT_EQ(rec.snapshot_entries, admits);
-    EXPECT_EQ(rec.entries.size(), admits);
-    EXPECT_EQ(rec.quarantined, 0u);
+    std::vector<RecoveredChunk> entries;
+    auto p = OpenOrDie(dir.path, main_->file->fingerprint(), &entries);
+    EXPECT_EQ(p->recovery().snapshot_entries, admits);
+    EXPECT_EQ(entries.size(), admits);
+    EXPECT_EQ(p->recovery().quarantined, 0u);
   }
 
   ChunkManagerOptions opts;
@@ -764,10 +884,11 @@ TEST_F(PersistenceFixture, RetiredType3RecordCostsWarmthNotCorrectness) {
 
 // ------------------------- records the scheme rejects -----------------------
 
-// A record whose frame and columns are well formed, under this data's
+// A record whose frame and payload are well formed, under this data's
 // fingerprint, must still name a chunk of this scheme and hold rows of
-// its width. One that does not is quarantined: served, a two-dimension
-// record under a real key would answer for that chunk.
+// its width. One that does not is quarantined, and counts as quarantined
+// only, not as recovered: served, a two-dimension record under a real key
+// would answer for that chunk.
 TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
   const auto queries = MakeQueries(12, 67);
   const auto reference = ReferenceRows(queries);
@@ -775,7 +896,7 @@ TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
   ChunkManagerOptions opts = PersistOpts(dir.path);
   opts.persist_snapshot_every = 0;
   uint64_t entries = 0;
-  PersistedChunk real;
+  TestChunk real;
   {
     ChunkCacheManager mgr(engine_, opts);
     for (const auto& q : queries) {
@@ -783,37 +904,34 @@ TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
     entries = mgr.chunk_cache().num_chunks();
-    mgr.chunk_cache().ForEachEntry([&real](const cache::ChunkHandle& h) {
-      real = PersistedChunk{h->group_by_id, h->chunk_num, h->filter_hash,
-                            h->benefit, h->payload.ToColumns()};
-    });
+    mgr.chunk_cache().ForEachEntry(
+        [&real](const cache::ChunkHandle& h) { real = ChunkOf(h); });
   }  // clean shutdown: final snapshot written
   ASSERT_GT(real.cols.size(), 0u);
-  PersistedChunk no_group_by = real;
-  no_group_by.group_by_id = scheme_->NumGroupByIds();
-  PersistedChunk no_chunk = real;
-  no_chunk.chunk_num =
-      scheme_->GridFor(scheme_->SpecOfId(real.group_by_id)).num_chunks();
+  TestChunk no_group_by = real;
+  no_group_by.key.group_by_id = scheme_->NumGroupByIds();
+  TestChunk no_chunk = real;
+  no_chunk.key.chunk_num =
+      scheme_->GridFor(scheme_->SpecOfId(real.key.group_by_id)).num_chunks();
   // The real chunk's key, with its rows cut to two dimensions.
-  PersistedChunk narrow = real;
+  TestChunk narrow = real;
   narrow.cols = AggColumns(2);
   for (size_t i = 0; i < real.cols.size(); ++i) {
     const uint32_t coords[2] = {real.cols.coords(0)[i],
                                 real.cols.coords(1)[i]};
     narrow.cols.PushCell(coords, 1.0, 1, 1.0, 1.0);
   }
-  // Spliced before the footer, so they come after every real record.
+  // Appended, so they come after every real record.
   const std::string snap = OnlyFileWithPrefix(dir.path, "snapshot-");
-  for (const PersistedChunk* bad : {&no_group_by, &no_chunk, &narrow}) {
-    const std::vector<Frame> frames = ParseFrames(ReadFileBytes(snap));
-    ASSERT_EQ(frames.back().type, CachePersistence::kFooter);
-    SpliceFrame(snap, frames.back().offset,
-                HandFrame(CachePersistence::kAdmit, AdmitPayload(*bad)));
+  for (const TestChunk* bad : {&no_group_by, &no_chunk, &narrow}) {
+    AppendFrame(snap, HandFrame(CachePersistence::kAdmit, AdmitPayload(*bad)));
   }
 
   ChunkCacheManager warm(engine_, opts);
   EXPECT_EQ(warm.recovery_stats().quarantined, 3u);
+  EXPECT_EQ(warm.recovery_stats().snapshot_entries, entries);
   EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 3u);
+  EXPECT_EQ(warm.StatsSnapshot().persist_recovered_entries, entries);
   EXPECT_EQ(warm.chunk_cache().num_chunks(), entries);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
@@ -827,11 +945,12 @@ TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
 // A record that names a real chunk must also hold only rows a computation
 // of that chunk yields. One row past the chunk's edge along a grouped
 // dimension would, served, add a cell to every answer over that level;
-// a repeated cell or a COUNT of 0 is no computed chunk either. Each is
-// quarantined, and the warm manager answers like a cold one.
+// a repeated cell (which the payload keeps in sparse form) or a COUNT of
+// 0 is no computed chunk either. Each is quarantined, and the warm
+// manager answers like a cold one.
 TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
   const auto queries = MakeQueries(12, 67);
-  PersistedChunk real;
+  TestChunk real;
   uint32_t along = 0;
   {
     ChunkCacheManager mgr(engine_, ChunkManagerOptions{});
@@ -848,8 +967,7 @@ TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
         const auto& hier = schema_->dimension(d).hierarchy;
         if (spec.levels[d] > 0 &&
             extent[d].end + 1 < hier.LevelCardinality(spec.levels[d])) {
-          real = PersistedChunk{h->group_by_id, h->chunk_num, 0, h->benefit,
-                                h->payload.ToColumns()};
+          real = ChunkOf(h);
           along = d;
           return;
         }
@@ -857,21 +975,21 @@ TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
     });
   }
   ASSERT_GT(real.cols.size(), 0u);
-  const GroupBySpec spec = scheme_->SpecOfId(real.group_by_id);
+  const GroupBySpec spec = scheme_->SpecOfId(real.key.group_by_id);
   const uint32_t nd = real.cols.num_dims();
   const AggTuple last = real.cols.RowAt(real.cols.size() - 1);
   // The chunk's rows plus one in the next chunk along `along`: still
   // strictly row-major, and one past the chunk's edge.
-  PersistedChunk outside = real;
+  TestChunk outside = real;
   AggTuple next = last;
   next.coords[along] =
-      scheme_->ChunkExtent(spec, real.chunk_num)[along].end + 1;
+      scheme_->ChunkExtent(spec, real.key.chunk_num)[along].end + 1;
   outside.cols.PushRow(next);
   // The last row twice.
-  PersistedChunk repeated = real;
+  TestChunk repeated = real;
   repeated.cols.PushRow(last);
   // The rows as computed, the last with COUNT 0.
-  PersistedChunk zero_count = real;
+  TestChunk zero_count = real;
   zero_count.cols = AggColumns(nd);
   for (size_t i = 0; i + 1 < real.cols.size(); ++i) {
     zero_count.cols.PushRow(real.cols.RowAt(i));
@@ -881,7 +999,7 @@ TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
   zero_count.cols.PushRow(empty);
 
   ScratchDir dir;
-  for (const PersistedChunk* bad : {&outside, &repeated, &zero_count}) {
+  for (const TestChunk* bad : {&outside, &repeated, &zero_count}) {
     {
       auto p = OpenOrDie(dir.path, main_->file->fingerprint());
       ASSERT_TRUE(WriteChunks(p.get(), {*bad}).ok());
@@ -956,39 +1074,57 @@ TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
 
 // ----------------------- older directory formats ---------------------------
 
-// A directory in the codec-blob format holds snapshots under the magic
-// "CHCCSNAP": a 16-byte header (magic, generation) and admit records of
-// key, benefit, raw_bytes, rows and a codec blob. Older directories also
-// hold write-ahead logs (wal-<G>) of admit and evict records. Recovery
-// reads neither: it unlinks the log unread and skips the snapshot by its
-// magic before any record, so the blobs here are opaque bytes. The cache
-// starts cold and answers bit-identically, and its first snapshot
-// supersedes the old one.
+// A directory of the parent format holds snapshots under the magic
+// "CHCCSNP2", with this data's fingerprint, whose admit records hold the
+// key, the benefit and the rows as flat columns (u64 num_dims, u64 rows,
+// each coordinate column, then the SUM, COUNT, MIN and MAX columns),
+// followed by a footer record (type 4) with the entry count. Older
+// directories hold snapshots of the codec-blob format ("CHCCSNAP": a
+// 16-byte header, admit records of key, benefit, raw_bytes, rows and a
+// codec blob) and write-ahead logs (wal-<G>) of admit and evict records.
+// Recovery reads none of them: it unlinks the log unread and skips each
+// snapshot by its magic before any record. The cache starts cold and
+// answers bit-identically, and its first snapshot supersedes them.
 TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
   const auto queries = MakeQueries(12, 61);
   const auto reference = ReferenceRows(queries);
-  std::vector<PersistedChunk> chunks;
+  std::vector<TestChunk> chunks;
   {
     ChunkCacheManager mgr(engine_, ChunkManagerOptions{});
     for (const auto& q : queries) {
       QueryStats st;
       ASSERT_TRUE(mgr.Execute(q, &st).ok());
     }
-    mgr.chunk_cache().ForEachEntry([&chunks](const cache::ChunkHandle& h) {
-      chunks.push_back(PersistedChunk{h->group_by_id, h->chunk_num,
-                                      h->filter_hash, h->benefit,
-                                      h->payload.ToColumns()});
-    });
+    mgr.chunk_cache().ForEachEntry(
+        [&chunks](const cache::ChunkHandle& h) { chunks.push_back(ChunkOf(h)); });
   }
   ASSERT_GE(chunks.size(), 4u);
   const size_t half = chunks.size() / 2;
-  // A codec-format admit record: key, benefit, raw_bytes, rows, blob.
-  const auto codec_admit = [](const PersistedChunk& c) {
+  const auto key = [](const TestChunk& c) {
     std::vector<uint8_t> b;
-    Put(&b, c.group_by_id);
-    Put(&b, c.chunk_num);
-    Put(&b, c.filter_hash);
-    Put(&b, c.benefit);
+    Put(&b, c.key.group_by_id);
+    Put(&b, c.key.chunk_num);
+    Put(&b, c.key.filter_hash);
+    Put(&b, c.key.benefit);
+    return b;
+  };
+  // A parent-format admit record: key, benefit, flat columns.
+  const auto columns_admit = [&key](const TestChunk& c) {
+    std::vector<uint8_t> b = key(c);
+    Put(&b, uint64_t{c.cols.num_dims()});
+    Put(&b, static_cast<uint64_t>(c.cols.size()));
+    for (uint32_t d = 0; d < c.cols.num_dims(); ++d) {
+      for (uint32_t v : c.cols.coords(d)) Put(&b, v);
+    }
+    for (double v : c.cols.sums()) Put(&b, v);
+    for (uint64_t v : c.cols.counts()) Put(&b, v);
+    for (double v : c.cols.mins()) Put(&b, v);
+    for (double v : c.cols.maxs()) Put(&b, v);
+    return HandFrame(CachePersistence::kAdmit, b);
+  };
+  // A codec-format admit record: key, benefit, raw_bytes, rows, blob.
+  const auto codec_admit = [&key](const TestChunk& c) {
+    std::vector<uint8_t> b = key(c);
     Put(&b, static_cast<uint64_t>(48 * c.cols.size()));
     Put(&b, static_cast<uint32_t>(c.cols.size()));
     const std::vector<uint8_t> blob(16 + c.cols.size(), 0xA5);
@@ -996,41 +1132,47 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
     b.insert(b.end(), blob.begin(), blob.end());
     return HandFrame(CachePersistence::kAdmit, b);
   };
-  const auto old_header = [](uint64_t magic) {
+  const auto footer = [](uint64_t entries) {
     std::vector<uint8_t> b;
-    Put(&b, magic);
-    Put(&b, uint64_t{2});
-    return b;
+    Put(&b, entries);
+    return HandFrame(4, b);
+  };
+  const auto append = [](std::vector<uint8_t>* to,
+                         const std::vector<uint8_t>& bytes) {
+    to->insert(to->end(), bytes.begin(), bytes.end());
   };
 
   ScratchDir dir;
+  constexpr uint64_t kParentSnapMagic = 0x32504E53'43434843ull;  // CHCCSNP2
+  std::vector<uint8_t> parent;
+  Put(&parent, kParentSnapMagic);
+  Put(&parent, uint64_t{2});
+  Put(&parent, main_->file->fingerprint());
+  for (const TestChunk& c : chunks) append(&parent, columns_admit(c));
+  append(&parent, footer(chunks.size()));
+  WriteFileBytes(dir.path + "/snapshot-2", parent);
+
   constexpr uint64_t kCodecSnapMagic = 0x50414E53'43434843ull;  // CHCCSNAP
-  std::vector<uint8_t> snap = old_header(kCodecSnapMagic);
-  for (size_t i = 0; i < half; ++i) {
-    const auto f = codec_admit(chunks[i]);
-    snap.insert(snap.end(), f.begin(), f.end());
-  }
-  std::vector<uint8_t> footer;
-  Put(&footer, static_cast<uint64_t>(half));
-  const auto ff = HandFrame(CachePersistence::kFooter, footer);
-  snap.insert(snap.end(), ff.begin(), ff.end());
-  WriteFileBytes(dir.path + "/snapshot-2", snap);
+  std::vector<uint8_t> codec;
+  Put(&codec, kCodecSnapMagic);
+  Put(&codec, uint64_t{1});
+  for (size_t i = 0; i < half; ++i) append(&codec, codec_admit(chunks[i]));
+  append(&codec, footer(half));
+  WriteFileBytes(dir.path + "/snapshot-1", codec);
 
   // The log: admits of the other chunks, then an evict (type 2: key
   // only) of the first snapshot entry.
   constexpr uint64_t kOldLogMagic = 0x314C4157'43434843ull;
-  std::vector<uint8_t> log = old_header(kOldLogMagic);
+  std::vector<uint8_t> log;
+  Put(&log, kOldLogMagic);
+  Put(&log, uint64_t{1});
   for (size_t i = half; i < chunks.size(); ++i) {
-    const auto f = codec_admit(chunks[i]);
-    log.insert(log.end(), f.begin(), f.end());
+    append(&log, codec_admit(chunks[i]));
   }
-  std::vector<uint8_t> evict;
-  Put(&evict, chunks[0].group_by_id);
-  Put(&evict, chunks[0].chunk_num);
-  Put(&evict, chunks[0].filter_hash);
-  const auto ef = HandFrame(2, evict);
-  log.insert(log.end(), ef.begin(), ef.end());
-  const std::string log_path = dir.path + "/wal-2";
+  std::vector<uint8_t> evict = key(chunks[0]);
+  evict.resize(4 + 8 + 8);
+  append(&log, HandFrame(2, evict));
+  const std::string log_path = dir.path + "/wal-1";
   WriteFileBytes(log_path, log);
 
   {
@@ -1051,6 +1193,7 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
       EXPECT_TRUE(RowsEqual(*r, reference[i])) << "query " << i;
     }
   }  // clean shutdown: the first snapshot in this format
+  EXPECT_FALSE(fs::exists(dir.path + "/snapshot-1"));
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2"));
   EXPECT_TRUE(fs::exists(dir.path + "/snapshot-3"));
   ChunkManagerOptions opts;
@@ -1058,6 +1201,7 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
   ChunkCacheManager warm(engine_, opts);
   EXPECT_EQ(warm.recovery_stats().generation, 3u);
   EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 0u);
 }
 
 // ----------------------------- crash-point fuzz -----------------------------

@@ -550,6 +550,52 @@ TEST_F(ServerFixture, MalformedQueryPayloadAnswersErrorAndKeepsConnection) {
   ExpectExactAccounting();
 }
 
+// A tenant's server.tenant.<id>.{offered,ok,errors} count that tenant's
+// queries only, and offered == ok + shed + errors holds per tenant as it
+// does server-wide: a query payload that does not decode is offered and
+// answered with an error, so it counts as an error of its tenant.
+TEST_F(ServerFixture, PerTenantCountersCountThatTenantsQueries) {
+  StartServer(ServerOptions{});
+  auto seven = NewClient(/*tenant=*/7);
+  auto eight = NewClient(/*tenant=*/8);
+  for (int i = 0; i < 2; ++i) {
+    auto resp = seven->Execute(SampleQuery());
+    ASSERT_TRUE(resp.ok());
+    EXPECT_TRUE(resp->status.ok());
+  }
+  tier_.service_ms.store(10'000);
+  auto late = seven->Execute(SampleQuery(), /*deadline_ms=*/20);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(late->status.code(), StatusCode::kDeadlineExceeded);
+  tier_.service_ms.store(0);
+  FrameHeader h;
+  h.type = FrameType::kQuery;
+  h.flags = kFlagLast;
+  h.tenant_id = 7;
+  h.request_id = 777;
+  const uint8_t junk[] = {0xDE, 0xAD};
+  std::vector<uint8_t> bytes;
+  EncodeFrame(h, junk, sizeof(junk), &bytes);
+  ASSERT_TRUE(seven->SendRaw(bytes.data(), bytes.size()).ok());
+  auto malformed = seven->WaitResponse(777);
+  ASSERT_TRUE(malformed.ok());
+  EXPECT_FALSE(malformed->status.ok());
+  auto other = eight->Execute(SampleQuery());
+  ASSERT_TRUE(other.ok());
+  EXPECT_TRUE(other->status.ok());
+
+  const auto snap = server_->metrics().TakeSnapshot();
+  EXPECT_EQ(snap.counter("server.tenant.7.offered"), 4u);
+  EXPECT_EQ(snap.counter("server.tenant.7.admitted"), 3u);
+  EXPECT_EQ(snap.counter("server.tenant.7.ok"), 2u);
+  EXPECT_EQ(snap.counter("server.tenant.7.errors"), 2u);
+  EXPECT_EQ(snap.counter("server.tenant.7.shed"), 0u);
+  EXPECT_EQ(snap.counter("server.tenant.8.offered"), 1u);
+  EXPECT_EQ(snap.counter("server.tenant.8.ok"), 1u);
+  EXPECT_EQ(snap.counter("server.tenant.8.errors"), 0u);
+  ExpectExactAccounting();
+}
+
 TEST_F(ServerFixture, ClientVanishingMidQueryStillCountsAnOutcome) {
   StartServer(ServerOptions{});
   tier_.service_ms.store(150);

@@ -261,7 +261,6 @@ struct StreamVolume {
 Result<StreamVolume> RunColdStream(bench::System* sys, bool counting) {
   CHUNKCACHE_RETURN_IF_ERROR(sys->ResetBackend());
   core::ChunkManagerOptions opts;
-  opts.num_workers = 4;
   opts.cache_shards = 8;
   opts.trace_capacity = counting ? 256 : 0;
   core::ChunkCacheManager tier(&sys->engine(), opts);

@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
   // flag left out keeps the option's own default.
   core::ChunkManagerOptions mopts;
   mopts.enable_in_cache_aggregation = true;
-  mopts.num_workers = 4;      // four scan slots
   mopts.cache_shards = 8;     // sharded, thread-safe chunk cache
   mopts.trace_capacity = 64;  // per-query span trees for .trace
   server::ServerOptions sopts;
@@ -309,9 +308,6 @@ int main(int argc, char** argv) {
       std::printf("coalescing: waits=%llu inflight peak=%llu\n",
                   (unsigned long long)cs.coalesced_waits,
                   (unsigned long long)cs.inflight_peak);
-      std::printf("scan slots: requests=%llu deadline sheds=%llu\n",
-                  (unsigned long long)cs.shared_scan_requests,
-                  (unsigned long long)cs.scan_deadline_sheds);
       std::printf("faults: injected=%llu retries=%llu degraded=%llu "
                   "deadline expired=%llu checksum failures=%llu\n",
                   (unsigned long long)cs.faults_injected,

@@ -110,7 +110,8 @@ class BackendEngine {
   /// order.
   ///
   /// A call takes no deadline: once started it runs to completion.
-  /// Callers bound the wait *before* it (ScanScheduler's slot admission).
+  /// Callers check theirs before each call (the chunk tier's
+  /// RunWithRetry).
   Result<std::vector<ChunkData>> ComputeChunks(
       const chunks::GroupBySpec& target,
       const std::vector<uint64_t>& chunk_nums,

@@ -131,21 +131,18 @@ struct ChunkCacheStats {
   uint64_t runs_merged = 0;
 
   // Miss-coalescing counters, filled by ChunkCacheManager::StatsSnapshot
-  // from the in-flight table and the scan scheduler; zero when read
-  // straight off a ChunkCache.
-  uint64_t coalesced_waits = 0;       ///< Misses that waited on an owner.
-  uint64_t inflight_peak = 0;         ///< In-flight table high-water mark.
-  uint64_t shared_scan_requests = 0;  ///< Miss batches through the scheduler.
+  // from the in-flight table; zero when read straight off a ChunkCache.
+  uint64_t coalesced_waits = 0;  ///< Misses that waited on an owner.
+  uint64_t inflight_peak = 0;    ///< In-flight table high-water mark.
 
   // Robustness counters, filled by ChunkCacheManager::StatsSnapshot from
-  // the fault injector, retry plumbing, disk manager and scheduler; zero
-  // when read straight off a ChunkCache.
+  // the fault injector, retry plumbing and disk manager; zero when read
+  // straight off a ChunkCache.
   uint64_t faults_injected = 0;    ///< Faults fired by the global injector.
   uint64_t retries = 0;            ///< Backend compute attempts repeated.
   uint64_t degraded_answers = 0;   ///< Chunks answered via closure fallback.
   uint64_t deadline_expired = 0;   ///< Chunk waits/computes cut by deadline.
   uint64_t checksum_failures = 0;  ///< Page CRC mismatches caught on read.
-  uint64_t scan_deadline_sheds = 0;  ///< Scheduler admissions given up.
 
   /// Active SIMD dispatch level (simd::IsaLevel: 0 = scalar, 1 = avx2),
   /// filled by ChunkCacheManager::StatsSnapshot.

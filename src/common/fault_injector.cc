@@ -11,8 +11,6 @@ namespace {
 /// Arm calls may override.
 StatusCode NaturalCode(FaultSite site) {
   switch (site) {
-    case FaultSite::kScanAdmit:
-      return StatusCode::kResourceExhausted;
     case FaultSite::kDiskCorrupt:
       return StatusCode::kCorruption;  // nominal; effect is a byte flip
     default:
@@ -44,8 +42,6 @@ const char* FaultSiteName(FaultSite site) {
       return "fact-scan";
     case FaultSite::kAggScan:
       return "agg-scan";
-    case FaultSite::kScanAdmit:
-      return "scan-admit";
     case FaultSite::kCacheInsert:
       return "cache-insert";
     case FaultSite::kSnapshotWrite:

@@ -20,13 +20,12 @@ enum class FaultSite : uint8_t {
                    ///< Status::Corruption instead of served bad bytes.
   kFactScan,       ///< ChunkedFile chunk-run scans -> IoError
   kAggScan,        ///< AggFile range scans -> IoError
-  kScanAdmit,      ///< ScanScheduler::Compute admission -> ResourceExhausted
   kCacheInsert,    ///< ChunkCache::Insert silently dropped (admission loss)
   kSnapshotWrite,  ///< Cache snapshot shadow-file write -> IoError
   kSnapshotRename, ///< Cache snapshot atomic rename -> IoError
   kRecoveryRead,   ///< Snapshot read during recovery -> IoError
 };
-inline constexpr uint32_t kNumFaultSites = 11;
+inline constexpr uint32_t kNumFaultSites = 10;
 
 /// Stable human-readable site name ("disk-read", "cache-insert", ...).
 const char* FaultSiteName(FaultSite site);
@@ -34,7 +33,6 @@ const char* FaultSiteName(FaultSite site);
 /// Process-wide probabilistic fault injection, designed so the *disarmed*
 /// hook is essentially free: CHUNKCACHE_FAULT_POINT is one relaxed atomic
 /// load and a never-taken branch (bench_micro measures it at ~1 ns).
-/// Compiling with -DCHUNKCACHE_NO_FAULT_POINTS removes the hooks entirely.
 ///
 /// Each site is configured independently with
 ///   - `probability`: chance a checked operation faults,
@@ -116,11 +114,6 @@ class FaultInjector {
 /// Compiled-in injection point: returns the injected Status out of the
 /// enclosing function (which must return Status or Result<T>) when the
 /// site fires; ~1 ns and branch-predictable when the injector is disarmed.
-#ifdef CHUNKCACHE_NO_FAULT_POINTS
-#define CHUNKCACHE_FAULT_POINT(site) \
-  do {                               \
-  } while (0)
-#else
 #define CHUNKCACHE_FAULT_POINT(site)                             \
   do {                                                           \
     ::chunkcache::FaultInjector& _fi =                           \
@@ -130,7 +123,6 @@ class FaultInjector {
       if (!_fs.ok()) return _fs;                                 \
     }                                                            \
   } while (0)
-#endif
 
 }  // namespace chunkcache
 

@@ -14,7 +14,7 @@ namespace chunkcache {
 
 /// Naming convention (enforced only by review): lowercase dotted paths,
 /// `<subsystem>.<noun>[_<unit>]` — e.g. "cache.lookups", "disk.read_ns",
-/// "scheduler.scan_ns". The Prometheus exporter prefixes "chunkcache_" and
+/// "query.latency_ns". The Prometheus exporter prefixes "chunkcache_" and
 /// maps '.'/'-' to '_'.
 namespace metrics_internal {
 

@@ -101,8 +101,9 @@ class CancellationSource {
 };
 
 /// Per-query execution control threaded through Execute, the miss
-/// pipeline, and scan admission. Defaults mean "run forever, never
-/// cancelled", so pre-existing call sites keep their behaviour.
+/// pipeline's backend retries and its waits on other queries. Defaults
+/// mean "run forever, never cancelled", so pre-existing call sites keep
+/// their behaviour.
 struct ExecControl {
   Deadline deadline;
   CancellationToken cancel;

@@ -23,6 +23,11 @@ using chunks::ChunkCoords;
 using chunks::GroupBySpec;
 using storage::AggTuple;
 
+/// Retries of a failed backend call, RetryPolicy's defaults: three
+/// attempts in all, sleeping 100 us then 200 us, each cut by up to half
+/// at random.
+constexpr RetryPolicy kBackendRetry{};
+
 /// Background snapshot trigger: counts cache admit and evict events (the
 /// cache delivers them outside every shard lock) and wakes one persister
 /// thread once persist_snapshot_every of them have accumulated. A query
@@ -99,8 +104,6 @@ ChunkCacheManager::ChunkCacheManager(backend::BackendEngine* engine,
                                            : owned_metrics_.get()),
       cache_(options_.cache_bytes, options_.policy,
              std::max<uint32_t>(1, options_.cache_shards), metrics_) {
-  scheduler_ = std::make_unique<backend::ScanScheduler>(
-      engine_, std::max<uint32_t>(2, options_.num_workers), metrics_);
   if (options_.trace_capacity > 0) {
     trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
   }
@@ -250,8 +253,6 @@ cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
   s.runs_merged = static_cast<uint64_t>(snap.gauge("kernels.runs_merged"));
   s.coalesced_waits = snap.counter("chunks.coalesced_waits");
   s.inflight_peak = static_cast<uint64_t>(snap.gauge("inflight.peak"));
-  s.shared_scan_requests = snap.counter("scheduler.requests");
-  s.scan_deadline_sheds = snap.counter("scheduler.deadline_sheds");
   s.faults_injected = static_cast<uint64_t>(snap.gauge("faults.injected"));
   s.retries = snap.counter("backend.retries");
   s.degraded_answers = snap.counter("chunks.degraded_answers");
@@ -290,9 +291,9 @@ Result<std::vector<ChunkData>> ChunkCacheManager::ComputeFromBackend(
     const ExecControl& ctrl, QueryStats* stats) {
   // Bounded retries with backoff: transient backend faults (injected or
   // real) re-attempt instead of failing the query and its waiters.
-  return RunWithRetry(options_.retry, ctrl, &stats->retries, [&] {
-    return scheduler_->Compute(query.group_by, chunk_nums, query.non_group_by,
-                               &stats->backend_work, &ctrl);
+  return RunWithRetry(kBackendRetry, ctrl, &stats->retries, [&] {
+    return engine_->ComputeChunks(query.group_by, chunk_nums,
+                                  query.non_group_by, &stats->backend_work);
   });
 }
 
@@ -471,7 +472,7 @@ Status ChunkCacheManager::ResolveOwned(QueryPlan* plan,
   // A full cache hit has no miss pipeline — and no span for it.
   if (owned.empty()) return Status::OK();
 
-  // The rest: one backend call through the scan scheduler's slot gate.
+  // The rest: one backend call.
   const uint32_t miss_span = trace->BeginSpan("miss_pipeline", trace->root());
   trace->Tag(miss_span, "chunks", static_cast<uint64_t>(owned.size()));
   std::vector<uint64_t> nums;

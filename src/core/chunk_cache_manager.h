@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "backend/engine.h"
-#include "backend/scan_scheduler.h"
 #include "cache/chunk_cache.h"
 #include "common/inflight_table.h"
 #include "common/metrics.h"
@@ -28,11 +27,7 @@ struct ChunkManagerOptions {
   /// valid set.
   std::string policy = "benefit-clock";
 
-  /// Sizes the scan scheduler's slot gate: at most max(2, num_workers)
-  /// backend scans run at once, across every caller. Each query still runs
-  /// serially on the thread that calls Execute (the server's workers, or
-  /// a direct caller's own threads); the tier starts no threads of its own
-  /// for queries.
+  /// Read by no code; kept only because bench/e2e/e2e.cc assigns it.
   uint32_t num_workers = 1;
 
   /// Shards of the chunk cache (rounded up to a power of two). 1 keeps
@@ -44,11 +39,6 @@ struct ChunkManagerOptions {
   /// Paper §7 future work: answer a missing chunk by aggregating *finer*
   /// chunks already in the cache instead of going to the backend.
   bool enable_in_cache_aggregation = false;
-
-  /// Retry policy for backend chunk computation: a retryable failure
-  /// (I/O error, corruption, resource exhaustion) re-attempts the compute
-  /// with jittered exponential backoff instead of failing the query.
-  RetryPolicy retry;
 
   /// Read by no code; kept only because bench/e2e/e2e.cc assigns it.
   bool enable_compression = false;
@@ -77,10 +67,10 @@ struct ChunkManagerOptions {
   /// (bench_micro measures both modes).
   uint32_t trace_capacity = 0;
 
-  /// Registry all middle-tier statistics are homed on — the cache's,
-  /// the scheduler's and the manager's own. nullptr (the default) gives
-  /// the manager a private registry so concurrently-running tiers stay
-  /// attributable; pass one shared registry for a process-wide export.
+  /// Registry all middle-tier statistics are homed on — the cache's and
+  /// the manager's own. nullptr (the default) gives the manager a private
+  /// registry so concurrently-running tiers stay attributable; pass one
+  /// shared registry for a process-wide export.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -100,23 +90,24 @@ struct ChunkManagerOptions {
 /// (group-by, chunk, filter) owns it through the in-flight table and
 /// publishes the result, and concurrent missers wait on it instead of
 /// duplicating backend work. Each query's owned misses go to the backend
-/// as one call through the scan scheduler, which bounds how many run at
-/// once. A chunk the backend cannot deliver (retries exhausted, deadline
-/// expired) is assembled from cached chunks of a strictly finer group-by
-/// when the closure property allows; QueryStats::degraded_answers records
-/// that provenance.
+/// as one call on the query's own thread, so the threads that call
+/// Execute bound how many scans run at once. A chunk the backend cannot
+/// deliver (retries exhausted, deadline expired) is assembled from cached
+/// chunks of a strictly finer group-by when the closure property allows;
+/// QueryStats::degraded_answers records that provenance.
 ///
-/// The ExecControl passed to Execute is honored at claim time, at
-/// scan-scheduler admission and while waiting on chunks owned by other
-/// queries; a backend scan that has started runs to completion. An
-/// expired/cancelled query fails fast with DeadlineExceeded/Cancelled
-/// without claiming in-flight slots, and a waiter whose owner gave up for
-/// the owner's own deadline or cancellation claims the chunk again.
+/// The ExecControl passed to Execute is honored at claim time, before
+/// each backend attempt and during retry backoff, and while waiting on
+/// chunks owned by other queries; a backend scan that has started runs to
+/// completion. An expired/cancelled query fails fast with
+/// DeadlineExceeded/Cancelled without claiming in-flight slots, and a
+/// waiter whose owner gave up for the owner's own deadline or
+/// cancellation claims the chunk again.
 ///
 /// Thread safety: Execute may be called concurrently from many threads —
 /// the chunk cache is sharded and lookups return pinned handles, the
-/// in-flight table hands each missing chunk to one owner, and the slot
-/// gate bounds concurrent scans. Each caller passes its own QueryStats.
+/// in-flight table hands each missing chunk to one owner. Each caller
+/// passes its own QueryStats.
 class ChunkCacheManager final : public MiddleTier {
  public:
   ChunkCacheManager(backend::BackendEngine* engine,
@@ -145,9 +136,6 @@ class ChunkCacheManager final : public MiddleTier {
 
   /// Trace ring; null when options.trace_capacity == 0.
   TraceRecorder* trace_recorder() { return trace_.get(); }
-
-  /// Slot gate every owned miss batch goes through.
-  backend::ScanScheduler* scan_scheduler() { return scheduler_.get(); }
 
   /// Writes a cache snapshot generation now (shadow file, atomic rename,
   /// GC) on the calling thread, after any snapshot already running. No-op
@@ -244,10 +232,10 @@ class ChunkCacheManager final : public MiddleTier {
                  TraceBuilder* trace);
 
   /// Builds `owned` (chunks whose slots this query holds): by in-cache
-  /// roll-up when enabled, the rest with one backend call through the
-  /// slot gate; if that call fails, the rest by degraded roll-up, all of
-  /// them or none. Publishes every chunk, or fails every slot still held
-  /// and returns the backend's error.
+  /// roll-up when enabled, the rest with one backend call; if that call
+  /// fails, the rest by degraded roll-up, all of them or none. Publishes
+  /// every chunk, or fails every slot still held and returns the
+  /// backend's error.
   Status ResolveOwned(QueryPlan* plan, std::vector<PlannedChunk*> owned,
                       const ExecControl& ctrl, QueryStats* stats,
                       TraceBuilder* trace);
@@ -299,9 +287,9 @@ class ChunkCacheManager final : public MiddleTier {
                                 storage::ChunkPayload payload,
                                 const Inflight::SlotPtr& slot);
 
-  /// Computes `chunk_nums` of `query`'s group-by through the scan
-  /// scheduler, retrying transient failures under `ctrl`, and charges the
-  /// work and retries to `stats`.
+  /// Computes `chunk_nums` of `query`'s group-by with one engine call,
+  /// retrying transient failures under `ctrl`, and charges the work and
+  /// retries to `stats`.
   Result<std::vector<backend::ChunkData>> ComputeFromBackend(
       const backend::StarJoinQuery& query,
       const std::vector<uint64_t>& chunk_nums, const ExecControl& ctrl,
@@ -316,13 +304,12 @@ class ChunkCacheManager final : public MiddleTier {
 
   backend::BackendEngine* engine_;
   ChunkManagerOptions options_;
-  // Declared before cache_: the cache (and scheduler) home their
-  // statistics on this registry.
+  // Declared before cache_: the cache homes its statistics on this
+  // registry.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   cache::ChunkCache cache_;
   Inflight inflight_;
-  std::unique_ptr<backend::ScanScheduler> scheduler_;
   std::unique_ptr<TraceRecorder> trace_;
 
   // Registry-backed cumulative counters; pointers cached at construction.

@@ -21,8 +21,9 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Workers executing admitted queries (the serving thread pool; the
-  /// tier's own miss pipeline parallelism is configured on the tier).
+  /// Workers executing admitted queries (the serving thread pool). Each
+  /// runs its query's backend scan on its own thread, so this also bounds
+  /// the tier's concurrent scans.
   uint32_t num_workers = 4;
   /// Hard cap on any received frame's payload; a frame declaring more is
   /// rejected before buffering (ResourceExhausted, connection closed).

@@ -277,7 +277,8 @@ class PipelineFixture : public ::testing::Test {
 TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   // A serial reference manager answers a deterministic query stream; then
   // 4 client threads replay the same stream against a concurrent manager
-  // (sharded cache, four scan slots). Every answer must match.
+  // (sharded cache, each client scanning on its own thread). Every answer
+  // must match.
   workload::WorkloadOptions wopts;
   wopts.seed = 99;
   constexpr int kQueries = 48;
@@ -299,7 +300,6 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   }
 
   ChunkManagerOptions par_opts = serial_opts;
-  par_opts.num_workers = 4;
   par_opts.cache_shards = 8;
   core::ChunkCacheManager par_mgr(engine_.get(), par_opts);
 

@@ -485,8 +485,6 @@ TEST_P(RollupReferenceTest, RolledUpChunksMatchReferenceBitForBit) {
     ChunkManagerOptions opts;
     opts.cache_bytes = 256ull << 20;  // nothing evicts
     opts.enable_in_cache_aggregation = !degraded;
-    opts.retry.backoff_base_us = 20;
-    opts.retry.backoff_max_us = 200;
     ChunkCacheManager mgr = MakeChunkManager(opts);
 
     std::set<uint32_t> candidates;

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -22,7 +21,6 @@
 
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
-#include "backend/scan_scheduler.h"
 #include "common/fault_injector.h"
 #include "common/retry.h"
 #include "common/trace.h"
@@ -363,13 +361,6 @@ class RobustTierFixture : public ::testing::Test {
 
   void TearDown() override { InjectorReset::Reset(); }
 
-  core::ChunkManagerOptions FastRetryOptions() const {
-    core::ChunkManagerOptions opts;
-    opts.retry.backoff_base_us = 20;
-    opts.retry.backoff_max_us = 200;
-    return opts;
-  }
-
   backend::StarJoinQuery FullDomainQuery(const chunks::GroupBySpec& gb) const {
     backend::StarJoinQuery q;
     q.group_by = gb;
@@ -394,24 +385,24 @@ class RobustTierFixture : public ::testing::Test {
 };
 
 TEST_F(RobustTierFixture, RetryRecoversFromTransientFaults) {
-  core::ChunkCacheManager tier(engine_.get(), FastRetryOptions());
+  core::ChunkCacheManager tier(engine_.get(), core::ChunkManagerOptions());
   const auto q = CoarseQuery();
   core::QueryStats stats;
   auto ref = tier.Execute(q, &stats);
   ASSERT_TRUE(ref.ok());
   tier.chunk_cache().Clear();
 
-  // Two admission faults, default policy of three attempts: the query
-  // must recover on the last attempt without surfacing any error.
+  // Two scan faults, the tier's three attempts: the query must recover on
+  // the last attempt without surfacing any error.
   FaultInjector& fi = FaultInjector::Global();
-  fi.Arm(FaultSite::kScanAdmit, 1.0, StatusCode::kResourceExhausted,
+  fi.Arm(FaultSite::kFactScan, 1.0, StatusCode::kResourceExhausted,
          /*max_faults=*/2);
   core::QueryStats retry_stats;
   auto rows = tier.Execute(q, &retry_stats);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_TRUE(RowsEqual(*rows, *ref));
   EXPECT_EQ(retry_stats.retries, 2u);
-  EXPECT_EQ(fi.faults_injected(FaultSite::kScanAdmit), 2u);
+  EXPECT_EQ(fi.faults_injected(FaultSite::kFactScan), 2u);
 
   const auto snap = tier.StatsSnapshot();
   EXPECT_GE(snap.retries, 2u);
@@ -419,7 +410,7 @@ TEST_F(RobustTierFixture, RetryRecoversFromTransientFaults) {
 }
 
 TEST_F(RobustTierFixture, DegradedModeAnswersFromFinerChunks) {
-  const auto opts = FastRetryOptions();
+  const core::ChunkManagerOptions opts{};
   core::ChunkCacheManager tier(engine_.get(), opts);
   core::ChunkCacheManager reference(engine_.get(), opts);
 
@@ -482,7 +473,7 @@ TEST_F(RobustTierFixture, DegradedModeAnswersFromFinerChunks) {
 }
 
 TEST_F(RobustTierFixture, GoldenDegradedTrace) {
-  auto opts = FastRetryOptions();
+  core::ChunkManagerOptions opts;
   opts.trace_capacity = 4;
   core::ChunkCacheManager tier(engine_.get(), opts);
   core::QueryStats warm_stats;
@@ -540,7 +531,7 @@ TEST_F(RobustTierFixture, GoldenDegradedTrace) {
 }
 
 TEST_F(RobustTierFixture, ExpiredControlFailsFastWithoutPoisoningInflight) {
-  core::ChunkCacheManager mgr(engine_.get(), FastRetryOptions());
+  core::ChunkCacheManager mgr(engine_.get(), core::ChunkManagerOptions());
   // Through the interface the serving layer uses: the control must reach
   // the chunk tier's pipeline, not be dropped on the way.
   core::MiddleTier& tier = mgr;
@@ -574,146 +565,12 @@ TEST_F(RobustTierFixture, ExpiredControlFailsFastWithoutPoisoningInflight) {
   EXPECT_GT(ok->size(), 0u);
 }
 
-// ---------------------- scheduler admission deadlines -----------------------
-
-/// DiskManager decorator whose gate blocks ReadPage while closed; holds a
-/// scheduler leader mid-scan so a second batch queues deterministically.
-class GateDiskManager final : public DiskManager {
- public:
-  explicit GateDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  int blocked_readers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return blocked_;
-  }
-
-  uint32_t CreateFile() override { return inner_->CreateFile(); }
-  Result<PageId> AllocatePage(uint32_t file_id) override {
-    return inner_->AllocatePage(file_id);
-  }
-  Status ReadPage(PageId id, Page* out) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!open_) {
-        ++blocked_;
-        cv_.wait(lock, [&] { return open_; });
-        --blocked_;
-      }
-    }
-    return inner_->ReadPage(id, out);
-  }
-  Status WritePage(PageId id, const Page& page) override {
-    return inner_->WritePage(id, page);
-  }
-
- private:
-  DiskManager* inner_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = true;
-  int blocked_ = 0;
-};
-
-TEST(SchedulerDeadlineTest, QueuedRequestShedsWhenDeadlineExpires) {
-  InjectorReset guard;
-  auto s = schema::BuildPaperSchema();
-  ASSERT_TRUE(s.ok());
-  auto schema = std::make_unique<schema::StarSchema>(std::move(s).value());
-  chunks::ChunkingOptions copts;
-  copts.range_fraction = 0.2;
-  auto scheme = chunks::ChunkingScheme::Build(schema.get(), copts, 6000);
-  ASSERT_TRUE(scheme.ok());
-  InMemoryDiskManager disk;
-  GateDiskManager gate(&disk);
-  // Tiny pool: reads cannot hide in the buffer pool, so the gate always
-  // reaches the disk layer.
-  BufferPool pool(&gate, 4);
-  schema::FactGenOptions gen;
-  gen.num_tuples = 6000;
-  gen.seed = 7;
-  auto file = backend::ChunkedFile::BulkLoad(
-      &pool, &*scheme, schema::GenerateFactTuples(*schema, gen));
-  ASSERT_TRUE(file.ok());
-  backend::BackendEngine engine(&pool, &*file, &*scheme);
-  ASSERT_TRUE(engine.BuildBitmapIndexes().ok());
-
-  MetricsRegistry metrics;
-  backend::ScanScheduler sched(&engine, /*max_outstanding_scans=*/1,
-                               &metrics);
-
-  // An already-expired control is refused at admission without queueing.
-  {
-    ExecControl dead;
-    dead.deadline = Deadline(std::chrono::steady_clock::now());
-    WorkCounters work;
-    auto res = sched.Compute(chunks::GroupBySpec{{2, 1, 1, 1}, 4}, {0}, {},
-                             &work);
-    ASSERT_TRUE(res.ok());  // sanity: the scan itself works when ungated
-    auto refused = sched.Compute(chunks::GroupBySpec{{2, 1, 1, 1}, 4}, {0},
-                                 {}, &work, &dead);
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded);
-  }
-
-  // Drop every pooled page so the gated scan is guaranteed to reach the
-  // disk layer (the sanity scan above may have pooled the hot pages).
-  ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_TRUE(pool.EvictAll().ok());
-
-  gate.CloseGate();
-  WorkCounters work_a;
-  Result<std::vector<backend::ChunkData>> res_a =
-      Status::Internal("not yet run");
-  std::thread holder([&] {
-    res_a = sched.Compute(chunks::GroupBySpec{{1, 1, 1, 1}, 4}, {0}, {},
-                          &work_a);
-  });
-  bool reached_gate = false;
-  for (int i = 0; i < 10000 && !reached_gate; ++i) {
-    reached_gate = gate.blocked_readers() > 0;
-    if (!reached_gate) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (!reached_gate) {
-    gate.OpenGate();
-    holder.join();
-    FAIL() << "slot holder never reached the gated disk";
-  }
-
-  // The second request never gets the single scan slot; its deadline
-  // sheds it instead of wedging.
-  ExecControl ctrl;
-  ctrl.deadline = Deadline::AfterMs(100);
-  WorkCounters work_b;
-  auto res_b = sched.Compute(chunks::GroupBySpec{{3, 1, 1, 1}, 4}, {0}, {},
-                             &work_b, &ctrl);
-  ASSERT_FALSE(res_b.ok());
-  EXPECT_EQ(res_b.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(metrics.TakeSnapshot().counter("scheduler.deadline_sheds"), 1u);
-
-  gate.OpenGate();
-  holder.join();
-  ASSERT_TRUE(res_a.ok()) << res_a.status().ToString();
-  ASSERT_EQ(res_a->size(), 1u);
-}
-
 // ------------------------------- fault storm --------------------------------
 
 class FaultStorm : public RobustTierFixture {};
 
 TEST_F(FaultStorm, SeededStormNeverCorruptsAndRecoversBitIdentical) {
-  auto opts = FastRetryOptions();
-  opts.num_workers = 2;
+  core::ChunkManagerOptions opts;
   opts.cache_shards = 4;
   core::ChunkCacheManager tier(engine_.get(), opts);
 

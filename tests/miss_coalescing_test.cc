@@ -1,13 +1,16 @@
 // Tests for cross-query miss coalescing: the in-flight (singleflight)
-// table, the scan scheduler's slot gate, failure propagation to waiters,
-// and the exactly-one-computation-per-distinct-chunk guarantee under query
-// storms. Runs under ThreadSanitizer in CI (see .github/workflows/ci.yml).
+// table, failure propagation to waiters, reclaiming a chunk whose owner
+// gave up, and the exactly-one-computation-per-distinct-chunk guarantee
+// under query storms. Runs under ThreadSanitizer in CI (see
+// .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,8 +18,8 @@
 
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
-#include "backend/scan_scheduler.h"
 #include "cache/chunk_cache.h"
+#include "common/fault_injector.h"
 #include "common/inflight_table.h"
 #include "core/chunk_cache_manager.h"
 #include "schema/synthetic.h"
@@ -27,13 +30,10 @@
 namespace chunkcache {
 namespace {
 
-using backend::ChunkData;
 using backend::RowRun;
 using backend::StarJoinQuery;
-using chunks::ChunkCoords;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
-using chunks::GroupBySpec;
 using core::ChunkCacheManager;
 using core::ChunkManagerOptions;
 using core::QueryStats;
@@ -219,7 +219,6 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
       ReferenceRows(engine_.get(), query);
 
   ChunkManagerOptions opts;
-  opts.num_workers = 4;
   opts.cache_shards = 8;
   ChunkCacheManager mgr(engine_.get(), opts);
   const uint64_t kernels_before = TotalKernels(*engine_);
@@ -240,7 +239,7 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
 
   // Exactly one backend computation per distinct chunk: the kernel tally
   // increments once per computed chunk, so a single duplicated chunk
-  // (cache race, scheduler recompute, ...) fails this equality.
+  // (a cache race, a second owner, ...) fails this equality.
   EXPECT_EQ(TotalKernels(*engine_) - kernels_before, distinct);
   uint64_t backend_total = 0;
   uint64_t accounted = 0;
@@ -255,7 +254,6 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
 
   const cache::ChunkCacheStats cs = mgr.StatsSnapshot();
   EXPECT_GE(cs.inflight_peak, 1u);
-  EXPECT_GE(cs.shared_scan_requests, 1u);
 }
 
 TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
@@ -285,7 +283,6 @@ TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
   }
 
   ChunkManagerOptions opts;
-  opts.num_workers = 4;
   opts.cache_shards = 8;
   ChunkCacheManager mgr(engine_.get(), opts);
   const uint64_t kernels_before = TotalKernels(*engine_);
@@ -400,6 +397,13 @@ class GatedBackendFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
+  /// The fault injector is process-wide: leave it disarmed for the next
+  /// test.
+  void TearDown() override {
+    FaultInjector::Global().DisarmAll();
+    FaultInjector::Global().ResetCounters();
+  }
+
   /// Polls `cond` for up to 30 s; returns its final value.
   template <typename Cond>
   static bool WaitFor(Cond cond) {
@@ -435,7 +439,6 @@ TEST_F(GatedBackendFixture, FailureReachesAllWaitersAndRetrySucceeds) {
   }();
 
   ChunkManagerOptions opts;
-  opts.num_workers = 4;
   opts.cache_shards = 4;
   ChunkCacheManager mgr(engine_.get(), opts);
 
@@ -472,85 +475,6 @@ TEST_F(GatedBackendFixture, FailureReachesAllWaitersAndRetrySucceeds) {
   EXPECT_GT(st.chunks_from_backend, 0u);
 }
 
-TEST_F(GatedBackendFixture, SchedulerQueuesSameTargetRequestsWithoutMerging) {
-  const GroupBySpec target{{1, 1, 1, 1}, 4};
-  const uint64_t total = scheme_->GridFor(target).num_chunks();
-  ASSERT_GE(total, 6u);
-  const std::vector<uint64_t> req1 = {0, 1};
-  const std::vector<uint64_t> req2 = {2, 3};
-  const std::vector<uint64_t> req3 = {3, 4, 5};  // overlaps req2 on 3
-
-  // A single scan slot forces queueing.
-  MetricsRegistry metrics;
-  backend::ScanScheduler sched(engine_.get(), /*max_outstanding_scans=*/1,
-                               &metrics);
-  const auto counter = [&metrics](const char* name) {
-    return metrics.TakeSnapshot().counter(name);
-  };
-
-  // The first request takes the only slot and stalls in ReadPage behind
-  // the closed gate (an empty pool guarantees it reaches the disk).
-  ASSERT_TRUE(pool_->FlushAll().ok());
-  ASSERT_TRUE(pool_->EvictAll().ok());
-  gate_->CloseGate();
-  WorkCounters w1;
-  Result<std::vector<ChunkData>> r1 = std::vector<ChunkData>{};
-  std::thread t1([&] { r1 = sched.Compute(target, req1, {}, &w1); });
-  ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
-      << "first request never reached the disk";
-
-  // Two more same-target requests arrive while the slot is busy. Each
-  // queues for the slot and later runs its own scan.
-  WorkCounters w2;
-  WorkCounters w3;
-  Result<std::vector<ChunkData>> r2 = std::vector<ChunkData>{};
-  Result<std::vector<ChunkData>> r3 = std::vector<ChunkData>{};
-  std::thread t2([&] { r2 = sched.Compute(target, req2, {}, &w2); });
-  std::thread t3([&] { r3 = sched.Compute(target, req3, {}, &w3); });
-  ASSERT_TRUE(
-      WaitFor([&] { return counter("scheduler.requests") == 3; }));
-  EXPECT_EQ(counter("scheduler.completions"), 0u);
-  EXPECT_EQ(metrics.TakeSnapshot().gauge("scheduler.outstanding_hwm"), 1);
-
-  gate_->OpenGate();
-  t1.join();
-  t2.join();
-  t3.join();
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(r3.ok());
-
-  EXPECT_EQ(counter("scheduler.requests"), 3u);
-  EXPECT_EQ(counter("scheduler.completions"), 3u);
-  EXPECT_EQ(metrics.TakeSnapshot().gauge("scheduler.outstanding_hwm"), 1);
-
-  // Every request got exactly its chunks and its own work, bit-identical
-  // to a direct engine computation.
-  const auto check = [&](const std::vector<uint64_t>& want_nums,
-                         const std::vector<ChunkData>& got,
-                         const WorkCounters& got_work) {
-    ASSERT_EQ(got.size(), want_nums.size());
-    WorkCounters direct_work;
-    auto direct = engine_->ComputeChunks(target, want_nums, {}, &direct_work);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(got_work.tuples_processed, direct_work.tuples_processed);
-    for (size_t i = 0; i < want_nums.size(); ++i) {
-      EXPECT_EQ(got[i].chunk_num, want_nums[i]);
-      ASSERT_EQ(got[i].cols.size(), (*direct)[i].cols.size());
-      for (size_t r = 0; r < got[i].cols.size(); ++r) {
-        const storage::AggTuple x = got[i].cols.RowAt(r);
-        const storage::AggTuple y = (*direct)[i].cols.RowAt(r);
-        EXPECT_EQ(x.coords, y.coords);
-        EXPECT_EQ(x.sum, y.sum);
-        EXPECT_EQ(x.count, y.count);
-      }
-    }
-  };
-  check(req1, *r1, w1);
-  check(req2, *r2, w2);
-  check(req3, *r3, w3);
-}
-
 TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   workload::WorkloadOptions wopts;
   wopts.seed = 5;
@@ -559,60 +483,51 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   const std::vector<backend::ResultRow> want =
       ReferenceRows(engine_.get(), query);
 
-  ChunkManagerOptions opts;
-  opts.num_workers = 1;  // max(2, 1) = 2 scan slots
-  ChunkCacheManager mgr(engine_.get(), opts);
-  backend::ScanScheduler* sched = mgr.scan_scheduler();
+  ChunkCacheManager mgr(engine_.get(), ChunkManagerOptions());
 
-  // Two holders take both scan slots and stall behind the closed gate
-  // (one in ReadPage, the other on the buffer pool it holds).
+  // Owner A claims every chunk of the query under a 1 s deadline and
+  // stalls on its first read behind the closed gate.
   ASSERT_TRUE(pool_->FlushAll().ok());
   ASSERT_TRUE(pool_->EvictAll().ok());
   gate_->CloseGate();
-  std::vector<std::thread> holders;
-  for (uint64_t chunk : {0, 1}) {
-    holders.emplace_back([&, chunk] {
-      WorkCounters work;
-      EXPECT_TRUE(
-          sched->Compute(GroupBySpec{{1, 1, 1, 1}, 4}, {chunk}, {}, &work)
-              .ok());
-    });
-  }
-  // Neither holder can finish behind the closed gate, so a high-water
-  // mark of 2 means both slots are held.
-  const auto snapshot = [&mgr] { return mgr.metrics().TakeSnapshot(); };
-  ASSERT_TRUE(WaitFor([&] {
-    return snapshot().gauge("scheduler.outstanding_hwm") == 2 &&
-           gate_->blocked_readers() > 0;
-  })) << "holders never filled both slots";
-
-  // Owner A claims every chunk of the query, then queues for a slot under
-  // a 1 s deadline.
   ExecControl ctrl_a;
   ctrl_a.deadline = Deadline::AfterMs(1000);
   QueryStats st_a;
   Result<std::vector<backend::ResultRow>> res_a = Status::Internal("not run");
   std::thread a([&] { res_a = mgr.Execute(query, &st_a, ctrl_a); });
-  ASSERT_TRUE(WaitFor(
-      [&] { return snapshot().counter("scheduler.requests") == 3; }));
+  ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
+      << "owner never reached the disk";
+  const uint64_t owner_lookups = mgr.chunk_cache().stats().lookups;
 
-  // Waiter B, with no deadline, finds every chunk owned by A.
+  // Waiter B, with no deadline, finds every chunk owned by A and waits.
+  // The pause after its probes lets its claims land while A owns them.
   QueryStats st_b;
   Result<std::vector<backend::ResultRow>> res_b = Status::Internal("not run");
   std::thread b([&] { res_b = mgr.Execute(query, &st_b); });
+  ASSERT_TRUE(WaitFor([&] {
+    return mgr.chunk_cache().stats().lookups == 2 * owner_lookups;
+  })) << "waiter never probed";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
+  // Once A's deadline has passed, A's stalled read fails once, retryably.
+  // RunWithRetry finds the deadline spent before a second attempt, so A
+  // fails its slots with DeadlineExceeded.
+  ASSERT_TRUE(WaitFor([&] { return ctrl_a.deadline.expired(); }));
+  FaultInjector& fi = FaultInjector::Global();
+  fi.Arm(FaultSite::kDiskRead, 1.0, StatusCode::kIoError, /*max_faults=*/1);
+  gate_->OpenGate();
   a.join();
+  b.join();
   ASSERT_FALSE(res_a.ok());
   EXPECT_EQ(res_a.status().code(), StatusCode::kDeadlineExceeded);
-  gate_->OpenGate();
-  for (auto& h : holders) h.join();
-  b.join();
+  EXPECT_EQ(fi.faults_injected(FaultSite::kDiskRead), 1u);
 
-  // A's deadline was A's alone: B claimed the chunks again and computed
-  // them itself.
+  // A's deadline was A's alone: B claimed every chunk again and computed
+  // it itself.
   ASSERT_TRUE(res_b.ok()) << res_b.status().ToString();
   EXPECT_TRUE(RowsEqual(*res_b, want));
   EXPECT_EQ(st_b.deadline_expired, 0u);
+  EXPECT_EQ(st_b.chunks_from_backend, st_b.chunks_needed);
   EXPECT_EQ(st_b.chunks_from_backend + st_b.chunks_from_cache +
                 st_b.coalesced_waits,
             st_b.chunks_needed);

@@ -1310,7 +1310,6 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
   ScratchDir dir;
   {
     ChunkManagerOptions opts = PersistOpts(dir.path);
-    opts.num_workers = 4;
     opts.cache_shards = 4;
     opts.persist_snapshot_every = 16;  // background persister live too
     ChunkCacheManager mgr(engine_, opts);

@@ -747,7 +747,6 @@ class BitIdentityFixture : public ::testing::Test {
 
 TEST_F(BitIdentityFixture, ServedEqualsDirect) {
   ChunkManagerOptions mopts;
-  mopts.num_workers = 2;
   mopts.cache_shards = 4;
   ChunkCacheManager direct_mgr(engine_.get(), mopts);
   ChunkCacheManager served_mgr(engine_.get(), mopts);

@@ -1,9 +1,8 @@
 // Cross-subsystem statistics invariants, checked against the metrics
 // registry after real workloads: every chunk a successful query requested
-// is accounted for by exactly one provenance counter, the cache can never
-// evict more than it inserted, and every scheduler admission reaches
-// exactly one terminal outcome. The StatsInvariantStorm suite re-checks
-// all of it while the fault injector is firing.
+// is accounted for by exactly one provenance counter, and the cache can
+// never evict more than it inserted. The StatsInvariantStorm suite
+// re-checks all of it while the fault injector is firing.
 
 #include <gtest/gtest.h>
 
@@ -78,13 +77,6 @@ void ExpectInvariants(ChunkCacheManager& tier, uint64_t executions,
   }
   EXPECT_EQ(shard_lookups, s.lookups);
   EXPECT_EQ(shard_hits, s.hits);
-
-  // Scheduler: once quiesced, every admitted miss batch reached exactly
-  // one terminal outcome.
-  EXPECT_EQ(m.counter("scheduler.requests"),
-            m.counter("scheduler.completions") +
-                m.counter("scheduler.deadline_sheds") +
-                m.counter("scheduler.request_errors"));
 }
 
 class StatsInvariantFixture : public ::testing::Test {
@@ -203,11 +195,10 @@ TEST_F(StatsInvariantFixture, EvictionPressureKeepsLifecycleConsistent) {
   ExpectInvariants(tier, 2 * queries.size(), 2 * queries.size());
 }
 
-TEST_F(StatsInvariantFixture, SchedulerAdmissionsReachOneTerminalOutcome) {
-  // More clients than scan slots (max(2, num_workers) = 2), so owners
-  // queue at the slot gate.
+TEST_F(StatsInvariantFixture, ConcurrentClientsKeepEveryInvariant) {
+  // Eight clients run the same workload at once, so owners and waiters
+  // interleave; the counters must still add up exactly.
   ChunkManagerOptions opts;
-  opts.num_workers = 2;
   opts.cache_shards = 4;
   ChunkCacheManager tier(engine_.get(), opts);
 
@@ -226,11 +217,6 @@ TEST_F(StatsInvariantFixture, SchedulerAdmissionsReachOneTerminalOutcome) {
   }
   for (auto& th : threads) th.join();
   ASSERT_EQ(ok_count.load(), kThreads * queries.size());
-  const MetricsRegistry::Snapshot m = tier.metrics().TakeSnapshot();
-  EXPECT_GT(m.counter("scheduler.requests"), 0u);
-  EXPECT_EQ(m.counter("scheduler.deadline_sheds"), 0u);
-  EXPECT_EQ(m.counter("scheduler.request_errors"), 0u);
-  EXPECT_LE(m.gauge("scheduler.outstanding_hwm"), 2);
   ExpectInvariants(tier, kThreads * queries.size(), ok_count.load());
 }
 
@@ -239,7 +225,6 @@ TEST_F(StatsInvariantFixture, StatsSnapshotAgreesWithRegistry) {
   // registry snapshot, so its fields must agree exactly with the
   // registry's own counters — there is no second bookkeeping to drift.
   ChunkManagerOptions opts;
-  opts.num_workers = 2;
   opts.enable_in_cache_aggregation = true;
   ChunkCacheManager tier(engine_.get(), opts);
   for (const StarJoinQuery& q : MixedWorkload()) {
@@ -259,8 +244,6 @@ TEST_F(StatsInvariantFixture, StatsSnapshotAgreesWithRegistry) {
   EXPECT_EQ(s.degraded_answers, m.counter("chunks.degraded_answers"));
   EXPECT_EQ(s.retries, m.counter("backend.retries"));
   EXPECT_EQ(s.deadline_expired, m.counter("query.deadline_expired"));
-  EXPECT_EQ(s.shared_scan_requests, m.counter("scheduler.requests"));
-  EXPECT_EQ(s.scan_deadline_sheds, m.counter("scheduler.deadline_sheds"));
   EXPECT_EQ(s.faults_injected,
             FaultInjector::Global().faults_injected());
   EXPECT_EQ(s.contention_ns,
@@ -280,9 +263,6 @@ using StatsInvariantStorm = StatsInvariantFixture;
 
 TEST_F(StatsInvariantStorm, InvariantsSurviveSeededFaultStorm) {
   ChunkManagerOptions opts;
-  opts.retry.backoff_base_us = 20;
-  opts.retry.backoff_max_us = 200;
-  opts.num_workers = 3;
   opts.cache_shards = 4;
   ChunkCacheManager tier(engine_.get(), opts);
   const auto queries = MixedWorkload();

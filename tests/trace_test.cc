@@ -104,11 +104,10 @@ class TraceFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->BuildBitmapIndexes().ok());
   }
 
-  /// Serial tracing options: one worker and one shard so the canned 4-d
-  /// workload below is fully deterministic.
+  /// Serial tracing options: one shard so the canned 4-d workload below is
+  /// fully deterministic.
   static ChunkManagerOptions TracedOptions() {
     ChunkManagerOptions opts;
-    opts.num_workers = 1;
     opts.cache_shards = 1;
     opts.trace_capacity = 32;
     return opts;

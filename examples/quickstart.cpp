@@ -102,12 +102,13 @@ int main() {
       "AND D3.L2 BETWEEN 'D3.2.10' AND 'D3.2.34' "
       "GROUP BY D0.L2, D3.L2");
 
-  const auto& cs = tier.chunk_cache().stats();
-  std::printf("\ncache: %zu chunks, %llu/%llu bytes, %llu hits / %llu "
-              "lookups\n",
+  const MetricsRegistry::Snapshot m = tier.metrics().TakeSnapshot();
+  std::printf("\ncache: %zu chunks, %llu/%llu bytes, %llu of %llu requested "
+              "chunks from cache\n",
               tier.chunk_cache().num_chunks(),
               (unsigned long long)tier.chunk_cache().bytes_used(),
               (unsigned long long)tier.chunk_cache().capacity_bytes(),
-              (unsigned long long)cs.hits, (unsigned long long)cs.lookups);
+              (unsigned long long)m.counter("chunks.from_cache"),
+              (unsigned long long)m.counter("chunks.requested"));
   return 0;
 }

@@ -203,9 +203,11 @@ int main() {
       "WHERE Store.city BETWEEN 'Madison' AND 'Milwaukee' "
       "GROUP BY Store.city");
 
-  const auto& cs = tier.chunk_cache().stats();
-  std::printf("\nsession cache: %zu chunks, %llu hits / %llu lookups\n",
-              tier.chunk_cache().num_chunks(), (unsigned long long)cs.hits,
-              (unsigned long long)cs.lookups);
+  const MetricsRegistry::Snapshot m = tier.metrics().TakeSnapshot();
+  std::printf("\nsession cache: %zu chunks, %llu of %llu requested chunks "
+              "from cache\n",
+              tier.chunk_cache().num_chunks(),
+              (unsigned long long)m.counter("chunks.from_cache"),
+              (unsigned long long)m.counter("chunks.requested"));
   return 0;
 }

@@ -6,7 +6,7 @@
 //             [--snapshot-every=N]
 //   chunkcache> SELECT D0.L1, SUM(dollar_sales) FROM Sales, D0 GROUP BY D0.L1
 //   chunkcache> .schema
-//   chunkcache> .cache
+//   chunkcache> .stats
 //   chunkcache> .quit
 //
 // --persist-dir keeps the cache across restarts, snapshot-only: a
@@ -20,6 +20,9 @@
 //
 //   $ ./shell --serve            # ephemeral port, printed on startup
 //   $ ./shell --serve=7437 --rate-qps=200 --max-deadline-ms=500
+//
+// --rate-qps is one budget that every tenant shares: the shell configures
+// no tenant of its own (server::AdmissionOptions::default_quota).
 //
 // An unknown argument, a numeric flag whose value is not a number, an
 // unknown --policy= name or an empty --persist-dir= prints the usage line
@@ -116,7 +119,7 @@ void PrintHelp() {
       "star-join SQL:\n"
       "  SELECT D0.L2, D3.L2, SUM(dollar_sales) FROM Sales, D0, D3\n"
       "  WHERE D0.L2 BETWEEN 'D0.2.5' AND 'D0.2.25' GROUP BY D0.L2, D3.L2\n"
-      "dot-commands: .schema  .cache  .stats  .metrics  .trace [n]  .reset\n"
+      "dot-commands: .schema  .stats  .metrics  .trace [n]  .reset\n"
       "              .help  .quit\n"
       "  .metrics    Prometheus-style export of every registered metric\n"
       "  .trace [n]  span trees of the last n queries (default 1), JSONL\n");
@@ -216,7 +219,8 @@ int main(int argc, char** argv) {
     }
     const double rate_qps = sopts.admission.default_quota.rate_qps;
     std::printf("chunkcache serving %llu synthetic sales facts on "
-                "%s:%u (tenant rate %s, deadline cap %s) — EOF stops.\n",
+                "%s:%u (rate %s shared by all tenants, deadline cap %s) "
+                "— EOF stops.\n",
                 (unsigned long long)tuples, sopts.bind_address.c_str(),
                 srv.port(),
                 rate_qps > 0 ? (std::to_string(rate_qps) + " qps").c_str()
@@ -251,92 +255,72 @@ int main(int argc, char** argv) {
       PrintSchema(*schema);
       continue;
     }
-    if (line == ".cache") {
-      const auto& cs = tier.chunk_cache().stats();
-      std::printf("chunks=%zu bytes=%llu/%llu hits=%llu lookups=%llu "
-                  "evictions=%llu\n",
-                  tier.chunk_cache().num_chunks(),
-                  (unsigned long long)tier.chunk_cache().bytes_used(),
-                  (unsigned long long)tier.chunk_cache().capacity_bytes(),
-                  (unsigned long long)cs.hits,
-                  (unsigned long long)cs.lookups,
-                  (unsigned long long)cs.evictions);
-      continue;
-    }
     if (line == ".stats" || line == "stats") {
-      const auto cs = tier.StatsSnapshot();
-      std::printf("cache: chunks=%zu bytes=%llu/%llu shards=%u\n",
-                  tier.chunk_cache().num_chunks(),
-                  (unsigned long long)tier.chunk_cache().bytes_used(),
+      tier.RefreshMetrics();
+      const MetricsRegistry::Snapshot ms = tier.metrics().TakeSnapshot();
+      const auto c = [&ms](const char* name) {
+        return (unsigned long long)ms.counter(name);
+      };
+      const auto g = [&ms](const char* name) {
+        return (unsigned long long)ms.gauge(name);
+      };
+      const auto h = [&ms](const char* name) {
+        auto it = ms.histograms.find(name);
+        return it == ms.histograms.end() ? HistogramSnapshot{} : it->second;
+      };
+      std::printf("cache: chunks=%llu bytes=%llu/%llu shards=%u\n",
+                  g("cache.entries"), g("cache.bytes_used"),
                   (unsigned long long)tier.chunk_cache().capacity_bytes(),
                   tier.chunk_cache().num_shards());
+      const unsigned long long lookups = c("cache.lookups");
+      const unsigned long long hits = c("cache.hits");
       std::printf("  lookups=%llu hits=%llu (%.1f%%) insertions=%llu "
                   "evictions=%llu rejected=%llu\n",
-                  (unsigned long long)cs.lookups, (unsigned long long)cs.hits,
-                  cs.lookups ? 100.0 * cs.hits / cs.lookups : 0.0,
-                  (unsigned long long)cs.insertions,
-                  (unsigned long long)cs.evictions,
-                  (unsigned long long)cs.rejected);
-      std::printf("  lock contention: %.3f ms total\n", cs.contention_ns / 1e6);
+                  lookups, hits, lookups ? 100.0 * hits / lookups : 0.0,
+                  c("cache.insertions"), c("cache.evictions"),
+                  c("cache.rejected"));
+      std::printf("  lock contention: %.3f ms total\n",
+                  h("cache.lock_wait_ns").sum / 1e6);
       std::printf("replacement: policy=%s\n",
                   tier.chunk_cache().policy_name().c_str());
-      for (size_t i = 0; i < cs.shards.size(); ++i) {
-        const auto& sh = cs.shards[i];
-        std::printf("  shard %2zu: chunks=%llu bytes=%llu lookups=%llu "
-                    "hit%%=%.1f\n",
-                    i, (unsigned long long)sh.chunks,
-                    (unsigned long long)sh.bytes_used,
-                    (unsigned long long)sh.lookups,
-                    sh.lookups ? 100.0 * sh.hits / sh.lookups : 0.0);
-      }
       std::printf("simd: level=%s detected=%s override=%s\n",
                   simd::IsaLevelName(
-                      static_cast<simd::IsaLevel>(cs.simd_level)),
+                      static_cast<simd::IsaLevel>(g("simd.level"))),
                   simd::IsaLevelName(simd::DetectedLevel()),
                   simd::OverrideName());
       std::printf("kernels: dense=%llu hash=%llu rows folded dense=%llu "
                   "hash=%llu\n",
-                  (unsigned long long)cs.dense_kernels,
-                  (unsigned long long)cs.hash_kernels,
-                  (unsigned long long)cs.rows_folded_dense,
-                  (unsigned long long)cs.rows_folded_hash);
+                  g("kernels.dense"), g("kernels.hash"),
+                  g("kernels.rows_folded_dense"),
+                  g("kernels.rows_folded_hash"));
       std::printf("run i/o: coalesced reads=%llu single-run reads=%llu "
                   "runs merged=%llu\n",
-                  (unsigned long long)cs.coalesced_reads,
-                  (unsigned long long)cs.single_run_reads,
-                  (unsigned long long)cs.runs_merged);
+                  g("kernels.coalesced_reads"), g("kernels.single_run_reads"),
+                  g("kernels.runs_merged"));
       std::printf("coalescing: waits=%llu inflight peak=%llu\n",
-                  (unsigned long long)cs.coalesced_waits,
-                  (unsigned long long)cs.inflight_peak);
+                  c("chunks.coalesced_waits"), g("inflight.peak"));
       std::printf("faults: injected=%llu retries=%llu degraded=%llu "
                   "deadline expired=%llu checksum failures=%llu\n",
-                  (unsigned long long)cs.faults_injected,
-                  (unsigned long long)cs.retries,
-                  (unsigned long long)cs.degraded_answers,
-                  (unsigned long long)cs.deadline_expired,
-                  (unsigned long long)cs.checksum_failures);
-      const MetricsRegistry::Snapshot ms = tier.metrics().TakeSnapshot();
+                  g("faults.injected"), c("backend.retries"),
+                  c("chunks.degraded_answers"), c("query.deadline_expired"),
+                  g("disk.checksum_failures"));
       if (tier.persistence() != nullptr) {
-        const auto& rec = tier.recovery_stats();
         std::printf("persist: snapshots=%llu bytes=%llu errors=%llu\n",
-                    (unsigned long long)cs.persist_snapshots,
-                    (unsigned long long)cs.persist_snapshot_bytes,
-                    (unsigned long long)cs.persist_snapshot_errors);
+                    c("persist.snapshots"), c("persist.snapshot_bytes"),
+                    c("persist.snapshot_errors"));
         std::printf("  recovery: entries=%llu quarantined=%llu in %.2fms "
                     "(generation %llu)\n",
-                    (unsigned long long)cs.persist_recovered_entries,
-                    (unsigned long long)cs.persist_quarantined,
-                    rec.recovery_ns / 1e6,
+                    c("persist.recovered_entries"), c("persist.quarantined"),
+                    h("persist.recovery_ns").sum / 1e6,
                     (unsigned long long)tier.persistence()->generation());
       }
-      auto lat = ms.histograms.find("query.latency_ns");
-      if (lat != ms.histograms.end() && lat->second.count > 0) {
-        const HistogramSnapshot& h = lat->second;
+      const HistogramSnapshot lat = h("query.latency_ns");
+      if (lat.count > 0) {
         std::printf("latency: queries=%llu mean=%.2fms p50=%.2fms "
                     "p95=%.2fms p99=%.2fms\n",
-                    (unsigned long long)h.count, h.Mean() / 1e6,
-                    h.Quantile(0.5) / 1e6, h.Quantile(0.95) / 1e6,
-                    h.Quantile(0.99) / 1e6);
+                    (unsigned long long)lat.count, lat.Mean() / 1e6,
+                    lat.Quantile(0.5) / 1e6, lat.Quantile(0.95) / 1e6,
+                    lat.Quantile(0.99) / 1e6);
       }
       continue;
     }

@@ -23,6 +23,8 @@ ChunkCache::ChunkCache(uint64_t capacity_bytes, const std::string& policy,
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
+  lookups_ = metrics_->GetCounter("cache.lookups");
+  hits_ = metrics_->GetCounter("cache.hits");
   insertions_ = metrics_->GetCounter("cache.insertions");
   evictions_ = metrics_->GetCounter("cache.evictions");
   rejected_ = metrics_->GetCounter("cache.rejected");
@@ -33,9 +35,6 @@ ChunkCache::ChunkCache(uint64_t capacity_bytes, const std::string& policy,
     auto shard = std::make_unique<Shard>();
     shard->policy = MakePolicy(policy);
     shard->capacity_bytes = capacity_bytes / n;
-    const std::string prefix = "cache.shard" + std::to_string(i);
-    shard->lookups = metrics_->GetCounter(prefix + ".lookups");
-    shard->hits = metrics_->GetCounter(prefix + ".hits");
     shards_.push_back(std::move(shard));
   }
 }
@@ -57,10 +56,10 @@ ChunkHandle ChunkCache::Lookup(uint32_t group_by_id, uint64_t chunk_num,
   const Key key{group_by_id, chunk_num, filter_hash};
   Shard& s = ShardFor(key);
   auto lock = LockShard(s);
-  s.lookups->Increment();
+  lookups_->Increment();
   auto it = s.entries.find(key);
   if (it == s.entries.end()) return nullptr;
-  s.hits->Increment();
+  hits_->Increment();
   s.policy->OnAccess(&it->second);
   return it->second.chunk;
 }
@@ -216,29 +215,6 @@ size_t ChunkCache::num_chunks() const {
 
 std::string ChunkCache::policy_name() const {
   return shards_[0]->policy->name();
-}
-
-ChunkCacheStats ChunkCache::stats() const {
-  ChunkCacheStats out;
-  out.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ChunkShardStats per;
-    per.lookups = shard->lookups->Value();
-    per.hits = shard->hits->Value();
-    {
-      auto lock = LockShard(*shard);
-      per.chunks = shard->entries.size();
-      per.bytes_used = shard->bytes_used;
-    }
-    out.lookups += per.lookups;
-    out.hits += per.hits;
-    out.shards.push_back(per);
-  }
-  out.insertions = insertions_->Value();
-  out.evictions = evictions_->Value();
-  out.rejected = rejected_->Value();
-  out.contention_ns = lock_wait_ns_->Snapshot().sum;
-  return out;
 }
 
 }  // namespace chunkcache::cache

@@ -96,68 +96,6 @@ struct ChunkKeyHash {
   }
 };
 
-/// Per-shard counters, reported inside ChunkCacheStats so callers can see
-/// hash skew and per-shard hit rates.
-struct ChunkShardStats {
-  uint64_t lookups = 0;
-  uint64_t hits = 0;
-  uint64_t chunks = 0;
-  uint64_t bytes_used = 0;
-};
-
-struct ChunkCacheStats {
-  uint64_t lookups = 0;
-  uint64_t hits = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t rejected = 0;  ///< Entries larger than their shard's budget.
-
-  /// Nanoseconds threads spent blocked on shard mutexes (contended
-  /// acquisitions only); the "mostly uncontended" claim is checkable.
-  uint64_t contention_ns = 0;
-
-  /// Per-shard breakdown (empty until stats() fills it).
-  std::vector<ChunkShardStats> shards;
-
-  // Aggregation-kernel and run-I/O counters, filled by
-  // ChunkCacheManager::StatsSnapshot from the backend engine; zero when
-  // read straight off a ChunkCache.
-  uint64_t dense_kernels = 0;
-  uint64_t hash_kernels = 0;
-  uint64_t rows_folded_dense = 0;
-  uint64_t rows_folded_hash = 0;
-  uint64_t coalesced_reads = 0;
-  uint64_t single_run_reads = 0;
-  uint64_t runs_merged = 0;
-
-  // Miss-coalescing counters, filled by ChunkCacheManager::StatsSnapshot
-  // from the in-flight table; zero when read straight off a ChunkCache.
-  uint64_t coalesced_waits = 0;  ///< Misses that waited on an owner.
-  uint64_t inflight_peak = 0;    ///< In-flight table high-water mark.
-
-  // Robustness counters, filled by ChunkCacheManager::StatsSnapshot from
-  // the fault injector, retry plumbing and disk manager; zero when read
-  // straight off a ChunkCache.
-  uint64_t faults_injected = 0;    ///< Faults fired by the global injector.
-  uint64_t retries = 0;            ///< Backend compute attempts repeated.
-  uint64_t degraded_answers = 0;   ///< Chunks answered via closure fallback.
-  uint64_t deadline_expired = 0;   ///< Chunk waits/computes cut by deadline.
-  uint64_t checksum_failures = 0;  ///< Page CRC mismatches caught on read.
-
-  /// Active SIMD dispatch level (simd::IsaLevel: 0 = scalar, 1 = avx2),
-  /// filled by ChunkCacheManager::StatsSnapshot.
-  uint64_t simd_level = 0;
-
-  // Persistence counters, filled by ChunkCacheManager::StatsSnapshot when
-  // persist_dir is configured; zero otherwise. (DESIGN.md §14.)
-  uint64_t persist_snapshots = 0;      ///< Snapshot generations completed.
-  uint64_t persist_snapshot_bytes = 0;
-  uint64_t persist_snapshot_errors = 0;
-  uint64_t persist_recovered_entries = 0;  ///< Entries served warm at boot.
-  uint64_t persist_quarantined = 0;        ///< Corrupt entries dropped.
-  uint64_t persist_recovery_ns = 0;        ///< Wall time of last recovery.
-};
-
 /// Observer of cache admission state changes; the persistence layer counts
 /// them to trigger background snapshots. Both callbacks run OUTSIDE every
 /// shard lock, so implementations may call back into the cache without
@@ -180,7 +118,7 @@ class CacheEventSink {
 ///
 /// Thread safety: the cache is split into `num_shards` (a power of two)
 /// independent shards, each with its own mutex, replacement-policy
-/// instance, byte budget (capacity / num_shards) and statistics; entries
+/// instance and byte budget (capacity / num_shards); entries
 /// map to shards by the same hash that keys the tables, so concurrent
 /// Lookup/Insert/Contains from many clients are mostly uncontended. With
 /// one shard the behavior (eviction order included) is identical to the
@@ -206,13 +144,13 @@ class ChunkCache {
   ChunkHandle Lookup(uint32_t group_by_id, uint64_t chunk_num,
                      uint64_t filter_hash);
 
-  /// Probes without touching replacement state or hit statistics (used by
-  /// planners to inspect cache contents).
+  /// Probes without touching replacement state or the cache.lookups and
+  /// cache.hits counters (used by planners to inspect cache contents).
   bool Contains(uint32_t group_by_id, uint64_t chunk_num,
                 uint64_t filter_hash) const;
 
   /// Inserts `chunk`, evicting per policy until it fits its shard. A chunk
-  /// larger than the shard budget is rejected (counted in stats).
+  /// larger than the shard budget is rejected (counted on cache.rejected).
   /// Re-inserting an existing key replaces the old rows.
   void Insert(CachedChunk chunk);
 
@@ -230,12 +168,6 @@ class ChunkCache {
   size_t num_chunks() const;
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   std::string policy_name() const;
-
-  /// Merged snapshot of all shard counters (per-shard breakdown included).
-  /// Counter totals come from atomic registry folds, so concurrent readers
-  /// never see torn 32/32 values (the old plain-uint64 fields could tear
-  /// when read off-shard); map sizes/bytes are read under the shard locks.
-  ChunkCacheStats stats() const;
 
   /// The registry backing every "cache.*" statistic — the one passed at
   /// construction, or the cache's own private one.
@@ -275,10 +207,6 @@ class ChunkCache {
     Map entries;
     std::vector<uint64_t> per_group_by;  // group-by id -> cached chunks
     uint64_t bytes_used = 0;
-    // Registry-backed counters ("cache.shard<i>.*"), cached at
-    // construction so the hot path never touches the registry lock.
-    Counter* lookups = nullptr;
-    Counter* hits = nullptr;
   };
 
   /// Shard selection reuses KeyHash (well mixed; libstdc++'s table uses
@@ -304,6 +232,10 @@ class ChunkCache {
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was passed
   MetricsRegistry* metrics_ = nullptr;
+  // Registry-backed, cached at construction so the hot path never touches
+  // the registry lock.
+  Counter* lookups_ = nullptr;
+  Counter* hits_ = nullptr;
   Counter* insertions_ = nullptr;
   Counter* evictions_ = nullptr;
   Counter* rejected_ = nullptr;

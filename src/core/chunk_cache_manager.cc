@@ -178,7 +178,6 @@ void ChunkCacheManager::RecoverPersistedCache() {
       options_.persist_dir, engine_->file().fingerprint(), admit, metrics_);
   CHUNKCACHE_CHECK_MSG(opened.ok(), "persist_dir is unusable");
   persist_ = std::move(*opened);
-  recovery_info_ = persist_->recovery();
   // Only now start counting: the recovered entries are already durable.
   if (options_.persist_snapshot_every > 0) {
     persist_sink_ =
@@ -232,41 +231,6 @@ void ChunkCacheManager::RefreshMetrics() const {
       ->Set(static_cast<int64_t>(cache_.num_chunks()));
   metrics_->GetGauge("cache.bytes_used")
       ->Set(static_cast<int64_t>(cache_.bytes_used()));
-}
-
-cache::ChunkCacheStats ChunkCacheManager::StatsSnapshot() const {
-  // Build the whole struct from one registry snapshot — a single source
-  // of truth for `.stats`, `.metrics` and this accessor.
-  RefreshMetrics();
-  cache::ChunkCacheStats s = cache_.stats();  // registry-backed already
-  const MetricsRegistry::Snapshot snap = metrics_->TakeSnapshot();
-  s.dense_kernels = static_cast<uint64_t>(snap.gauge("kernels.dense"));
-  s.hash_kernels = static_cast<uint64_t>(snap.gauge("kernels.hash"));
-  s.rows_folded_dense =
-      static_cast<uint64_t>(snap.gauge("kernels.rows_folded_dense"));
-  s.rows_folded_hash =
-      static_cast<uint64_t>(snap.gauge("kernels.rows_folded_hash"));
-  s.coalesced_reads =
-      static_cast<uint64_t>(snap.gauge("kernels.coalesced_reads"));
-  s.single_run_reads =
-      static_cast<uint64_t>(snap.gauge("kernels.single_run_reads"));
-  s.runs_merged = static_cast<uint64_t>(snap.gauge("kernels.runs_merged"));
-  s.coalesced_waits = snap.counter("chunks.coalesced_waits");
-  s.inflight_peak = static_cast<uint64_t>(snap.gauge("inflight.peak"));
-  s.faults_injected = static_cast<uint64_t>(snap.gauge("faults.injected"));
-  s.retries = snap.counter("backend.retries");
-  s.degraded_answers = snap.counter("chunks.degraded_answers");
-  s.deadline_expired = snap.counter("query.deadline_expired");
-  s.checksum_failures =
-      static_cast<uint64_t>(snap.gauge("disk.checksum_failures"));
-  s.simd_level = static_cast<uint64_t>(snap.gauge("simd.level"));
-  s.persist_snapshots = snap.counter("persist.snapshots");
-  s.persist_snapshot_bytes = snap.counter("persist.snapshot_bytes");
-  s.persist_snapshot_errors = snap.counter("persist.snapshot_errors");
-  s.persist_recovered_entries = snap.counter("persist.recovered_entries");
-  s.persist_quarantined = snap.counter("persist.quarantined");
-  s.persist_recovery_ns = recovery_info_.recovery_ns;
-  return s;
 }
 
 cache::ChunkHandle ChunkCacheManager::AdmitChunk(

@@ -119,19 +119,14 @@ class ChunkCacheManager final : public MiddleTier {
   cache::ChunkCache& chunk_cache() { return cache_; }
   const ChunkManagerOptions& options() const { return options_; }
 
-  /// Cache stats plus the miss-coalescing, robustness and persistence
-  /// counters; what `examples/shell.cpp`'s `stats` command
-  /// prints. Every cumulative value is served from the metrics registry
-  /// (the single store), after RefreshMetrics, so the registry export and
-  /// this struct always agree.
-  cache::ChunkCacheStats StatsSnapshot() const;
-
   /// Folds the natively-atomic subsystem counters (kernels, in-flight
-  /// peak, fault injector, disk, SIMD level) into registry gauges.
+  /// peak, fault injector, disk, SIMD level) and the cache's entry count
+  /// and bytes into registry gauges. Call it before reading those gauges.
   void RefreshMetrics() const override;
 
   /// The registry every middle-tier statistic lives on (the one passed in
-  /// options, or the manager's own private one).
+  /// options, or the manager's own private one); the only store of the
+  /// tier's statistics.
   MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Trace ring; null when options.trace_capacity == 0.
@@ -145,11 +140,6 @@ class ChunkCacheManager final : public MiddleTier {
 
   /// Persistence subsystem; null when persist_dir is empty.
   storage::CachePersistence* persistence() { return persist_.get(); }
-
-  /// What recovery found at construction. All-zero without persist_dir.
-  const storage::RecoveryStats& recovery_stats() const {
-    return recovery_info_;
-  }
 
   /// Signature of a query's non-group-by predicate list; part of every
   /// cached chunk's identity (0 = no predicates). Exposed for tests.
@@ -333,7 +323,6 @@ class ChunkCacheManager final : public MiddleTier {
   class PersistSink;
   std::unique_ptr<storage::CachePersistence> persist_;
   std::unique_ptr<PersistSink> persist_sink_;
-  storage::RecoveryStats recovery_info_;
 };
 
 }  // namespace chunkcache::core

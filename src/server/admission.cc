@@ -16,45 +16,50 @@ const char* AdmitDecisionName(AdmitDecision d) {
   return "unknown";
 }
 
+AdmissionController::Tenant::Tenant(const TenantQuota& q,
+                                    MetricsRegistry* metrics,
+                                    const std::string& label)
+    : quota(q),
+      bucket(q.rate_qps,
+             q.burst > 0 ? q.burst : (q.rate_qps > 0 ? q.rate_qps / 10 : 1)) {
+  const std::string base = "server.tenant." + label;
+  counters = {metrics->GetCounter(base + ".offered"),
+              metrics->GetCounter(base + ".admitted"),
+              metrics->GetCounter(base + ".shed"),
+              metrics->GetCounter(base + ".ok"),
+              metrics->GetCounter(base + ".errors")};
+}
+
 AdmissionController::AdmissionController(AdmissionOptions options,
                                          MetricsRegistry* metrics)
     : options_(std::move(options)),
-      metrics_(metrics),
       admitted_(metrics->GetCounter("server.admission.admitted")),
       shed_rate_(metrics->GetCounter("server.admission.shed_rate")),
       shed_tenant_(metrics->GetCounter("server.admission.shed_tenant_inflight")),
       shed_global_(metrics->GetCounter("server.admission.shed_global_inflight")),
       inflight_gauge_(metrics->GetGauge("server.admission.inflight")),
-      inflight_peak_(metrics->GetGauge("server.admission.inflight_peak")) {}
+      inflight_peak_(metrics->GetGauge("server.admission.inflight_peak")),
+      shared_(options_.default_quota, metrics, "default") {
+  for (const auto& [id, quota] : options_.tenant_quotas) {
+    configured_.try_emplace(id, quota, metrics, std::to_string(id));
+  }
+}
 
-AdmissionController::Tenant& AdmissionController::GetTenantLocked(
+AdmissionController::Tenant& AdmissionController::TenantFor(
     uint32_t tenant_id) {
-  auto it = tenants_.find(tenant_id);
-  if (it != tenants_.end()) return *it->second;
-  auto quota_it = options_.tenant_quotas.find(tenant_id);
-  const TenantQuota& q = quota_it != options_.tenant_quotas.end()
-                             ? quota_it->second
-                             : options_.default_quota;
-  auto tenant = std::make_unique<Tenant>(q);
-  const std::string base = "server.tenant." + std::to_string(tenant_id);
-  tenant->counters = {metrics_->GetCounter(base + ".offered"),
-                      metrics_->GetCounter(base + ".admitted"),
-                      metrics_->GetCounter(base + ".shed"),
-                      metrics_->GetCounter(base + ".ok"),
-                      metrics_->GetCounter(base + ".errors")};
-  return *tenants_.emplace(tenant_id, std::move(tenant)).first->second;
+  auto it = configured_.find(tenant_id);
+  return it != configured_.end() ? it->second : shared_;
 }
 
 const AdmissionController::TenantCounters& AdmissionController::Counters(
     uint32_t tenant_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetTenantLocked(tenant_id).counters;
+  return TenantFor(tenant_id).counters;
 }
 
 AdmitDecision AdmissionController::TryAdmit(uint32_t tenant_id,
                                             uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& t = GetTenantLocked(tenant_id);
+  Tenant& t = TenantFor(tenant_id);
   if (options_.global_max_inflight != 0 &&
       global_inflight_ >= options_.global_max_inflight) {
     shed_global_->Increment();
@@ -82,7 +87,7 @@ AdmitDecision AdmissionController::TryAdmit(uint32_t tenant_id,
 
 void AdmissionController::Release(uint32_t tenant_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& t = GetTenantLocked(tenant_id);
+  Tenant& t = TenantFor(tenant_id);
   if (t.inflight > 0) --t.inflight;
   if (global_inflight_ > 0) --global_inflight_;
   inflight_gauge_->Set(global_inflight_);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -21,9 +20,12 @@ struct TenantQuota {
 };
 
 struct AdmissionOptions {
-  /// Quota applied to any tenant without an explicit entry below.
+  /// One budget shared by every tenant without an entry below: all of
+  /// them together draw on one token bucket and one inflight count, so
+  /// a client cannot gain capacity by sending fresh tenant ids.
   TenantQuota default_quota;
-  /// Per-tenant overrides, keyed by the frame header's tenant id.
+  /// Per-tenant quotas, keyed by the frame header's tenant id; each
+  /// tenant listed here has a budget of its own.
   std::map<uint32_t, TenantQuota> tenant_quotas;
   /// Cap on concurrently admitted queries across all tenants — the
   /// server-wide overload backstop (0 = unlimited).
@@ -41,9 +43,13 @@ enum class AdmitDecision : uint8_t {
 
 const char* AdmitDecisionName(AdmitDecision d);
 
-/// Multi-tenant admission: one token bucket + inflight count per tenant,
-/// plus a global inflight cap, all under one mutex (the hot path is a few
+/// Multi-tenant admission: one token bucket + inflight count per
+/// configured tenant and one shared by all other tenant ids, plus a
+/// global inflight cap, all under one mutex (the hot path is a few
 /// arithmetic ops; the serving layer calls this once per query frame).
+/// The records are built at construction from AdmissionOptions, so the
+/// state and the metric names are fixed by configuration: a frame's
+/// tenant id selects a record and never creates one.
 ///
 /// Time is an explicit nanosecond argument (see TokenBucket), so tests
 /// drive a synthetic clock and decisions are deterministic. Checks are
@@ -53,12 +59,13 @@ const char* AdmitDecisionName(AdmitDecision d);
 ///
 /// Metrics (on the registry passed in): server.admission.admitted plus one
 /// server.admission.shed_* counter per reason, an inflight gauge + peak,
-/// and each tenant's server.tenant.<id>.* counters (TenantCounters).
+/// and each record's counters (TenantCounters): server.tenant.<id>.* for
+/// a configured tenant, server.tenant.default.* for the shared record.
 class AdmissionController {
  public:
-  /// One tenant's server.tenant.<id>.{offered,admitted,shed,ok,errors}
-  /// counters, registered once per tenant. The controller counts admitted
-  /// and shed; the server counts the others.
+  /// One record's server.tenant.<id or default>.{offered,admitted,shed,ok,
+  /// errors} counters. The controller counts admitted and shed; the
+  /// server counts the others.
   struct TenantCounters {
     Counter* offered = nullptr;
     Counter* admitted = nullptr;
@@ -71,8 +78,8 @@ class AdmissionController {
 
   AdmitDecision TryAdmit(uint32_t tenant_id, uint64_t now_ns);
 
-  /// `tenant_id`'s counters; the reference stays valid for the
-  /// controller's lifetime.
+  /// The counters of `tenant_id`'s record; the reference stays valid for
+  /// the controller's lifetime.
   const TenantCounters& Counters(uint32_t tenant_id);
 
   /// Releases one admitted query's slot (tenant + global inflight).
@@ -82,21 +89,20 @@ class AdmissionController {
 
  private:
   struct Tenant {
-    explicit Tenant(const TenantQuota& q)
-        : quota(q),
-          bucket(q.rate_qps, q.burst > 0 ? q.burst
-                                         : (q.rate_qps > 0 ? q.rate_qps / 10
-                                                           : 1)) {}
+    /// Registers the server.tenant.<label>.* counters on `metrics`.
+    Tenant(const TenantQuota& q, MetricsRegistry* metrics,
+           const std::string& label);
     TenantQuota quota;
-    TokenBucket bucket;
-    uint32_t inflight = 0;
+    TokenBucket bucket;     // guarded by mu_
+    uint32_t inflight = 0;  // guarded by mu_
     TenantCounters counters;
   };
 
-  Tenant& GetTenantLocked(uint32_t tenant_id);
+  /// `tenant_id`'s record: its own when configured, else the shared one.
+  /// The map is not modified after construction, so no lock is needed.
+  Tenant& TenantFor(uint32_t tenant_id);
 
   AdmissionOptions options_;
-  MetricsRegistry* metrics_;
   Counter* admitted_;
   Counter* shed_rate_;
   Counter* shed_tenant_;
@@ -104,9 +110,11 @@ class AdmissionController {
   Gauge* inflight_gauge_;
   Gauge* inflight_peak_;
 
-  mutable std::mutex mu_;
-  uint32_t global_inflight_ = 0;
-  std::map<uint32_t, std::unique_ptr<Tenant>> tenants_;
+  std::map<uint32_t, Tenant> configured_;  // one per tenant_quotas key
+  Tenant shared_;                          // every other tenant id
+
+  std::mutex mu_;
+  uint32_t global_inflight_ = 0;  // guarded by mu_
 };
 
 }  // namespace chunkcache::server

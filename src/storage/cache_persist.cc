@@ -153,8 +153,7 @@ Result<std::unique_ptr<CachePersistence>> CachePersistence::Open(
   }
   const uint64_t start = NowNs();
   p->Recover(admit);
-  p->recovery_.recovery_ns = NowNs() - start;
-  p->recovery_ns_->Record(p->recovery_.recovery_ns);
+  p->recovery_ns_->Record(NowNs() - start);
   return p;
 }
 
@@ -165,14 +164,13 @@ CachePersistence::CachePersistence(std::string dir, uint64_t fingerprint,
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
   }
-  metrics_ = metrics;
-  snapshots_ = metrics_->GetCounter("persist.snapshots");
-  snapshot_bytes_ = metrics_->GetCounter("persist.snapshot_bytes");
-  snapshot_errors_ = metrics_->GetCounter("persist.snapshot_errors");
-  recovered_entries_ = metrics_->GetCounter("persist.recovered_entries");
-  quarantined_ = metrics_->GetCounter("persist.quarantined");
-  snapshot_ns_ = metrics_->GetHistogram("persist.snapshot_ns");
-  recovery_ns_ = metrics_->GetHistogram("persist.recovery_ns");
+  snapshots_ = metrics->GetCounter("persist.snapshots");
+  snapshot_bytes_ = metrics->GetCounter("persist.snapshot_bytes");
+  snapshot_errors_ = metrics->GetCounter("persist.snapshot_errors");
+  recovered_entries_ = metrics->GetCounter("persist.recovered_entries");
+  quarantined_ = metrics->GetCounter("persist.quarantined");
+  snapshot_ns_ = metrics->GetHistogram("persist.snapshot_ns");
+  recovery_ns_ = metrics->GetHistogram("persist.recovery_ns");
 }
 
 void CachePersistence::SimulateCrash() {
@@ -213,14 +211,10 @@ void CachePersistence::Recover(const AdmitFn& admit) {
   // the cache starts cold.
   for (uint64_t gen : snapshot_gens) {
     if (ReadSnapshot(gen, admit)) {
-      recovery_.generation = gen;
+      generation_.store(gen, std::memory_order_relaxed);
       break;
     }
   }
-
-  recovered_entries_->Add(recovery_.snapshot_entries);
-  quarantined_->Add(recovery_.quarantined);
-  generation_.store(recovery_.generation, std::memory_order_relaxed);
   next_generation_ = max_gen + 1;
 }
 
@@ -268,14 +262,14 @@ bool CachePersistence::ReadSnapshot(uint64_t generation,
     const uint32_t len = crc_len[1];
     const size_t remaining = size - off - kRecordHeaderBytes;
     if (len < 1 || len > remaining || len > kMaxRecordBytes) {
-      recovery_.quarantined++;
+      quarantined_->Increment();
       break;
     }
     body.resize(len);
     if (std::fread(body.data(), 1, len, file.get()) != len) break;
     off += kRecordHeaderBytes + len;
     if (Crc32c(body.data(), len) != crc) {
-      recovery_.quarantined++;
+      quarantined_->Increment();
       continue;
     }
     // Unknown types (the retired types 2, 3 and 4 among them) carry no
@@ -283,7 +277,7 @@ bool CachePersistence::ReadSnapshot(uint64_t generation,
     // warmth beats a cold start).
     if (body[0] != kAdmit) continue;
     if (len < 1 + kAdmitKeyBytes) {
-      recovery_.quarantined++;
+      quarantined_->Increment();
       continue;
     }
     const uint8_t* key = body.data() + 1;
@@ -295,9 +289,9 @@ bool CachePersistence::ReadSnapshot(uint64_t generation,
     Result<ChunkPayload> payload = ChunkPayload::FromBytes(
         key + kAdmitKeyBytes, len - 1 - kAdmitKeyBytes);
     if (payload.ok() && admit(chunk, std::move(payload).value())) {
-      recovery_.snapshot_entries++;
+      recovered_entries_->Increment();
     } else {
-      recovery_.quarantined++;
+      quarantined_->Increment();
     }
   }
   return true;

@@ -26,14 +26,6 @@ struct PersistedChunk {
   double benefit = 0.0;
 };
 
-/// What recovery found.
-struct RecoveryStats {
-  uint64_t generation = 0;        ///< Snapshot generation recovered from.
-  uint64_t snapshot_entries = 0;  ///< Entries admitted from the snapshot.
-  uint64_t quarantined = 0;       ///< Corrupt entries dropped, not served.
-  uint64_t recovery_ns = 0;
-};
-
 /// Streams one snapshot's admit records into its shadow file through one
 /// reused frame buffer, so no snapshot ever holds more than one entry's
 /// record. Handed to the producer of CachePersistence::WriteSnapshot.
@@ -86,17 +78,17 @@ class CachePersistence {
   /// were computed from (backend::ChunkedFile::fingerprint()); a snapshot
   /// of any other fingerprint is never read. Each record of the recovered
   /// snapshot goes to `admit` as it is read, so recovery holds one record
-  /// at a time. `metrics` may be null (counters then live on a private
-  /// registry).
+  /// at a time. Recovery adds the entries it admitted to
+  /// persist.recovered_entries, the ones it dropped to
+  /// persist.quarantined, and records its wall time in the
+  /// persist.recovery_ns histogram. `metrics` may be null (counters then
+  /// live on a private registry).
   static Result<std::unique_ptr<CachePersistence>> Open(
       std::string dir, uint64_t fingerprint, const AdmitFn& admit,
       MetricsRegistry* metrics = nullptr);
 
   CachePersistence(const CachePersistence&) = delete;
   CachePersistence& operator=(const CachePersistence&) = delete;
-
-  /// What Open() recovered.
-  const RecoveryStats& recovery() const { return recovery_; }
 
   /// Writes the next snapshot generation: `produce` streams every entry
   /// through the SnapshotWriter into snapshot-<G>.tmp, which is fsynced,
@@ -105,7 +97,7 @@ class CachePersistence {
   /// snapshot remains authoritative.
   Status WriteSnapshot(const std::function<void(SnapshotWriter*)>& produce);
 
-  /// Generation of the newest snapshot recovered or written.
+  /// Generation of the newest snapshot recovered or written (0 = none).
   uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
@@ -146,10 +138,7 @@ class CachePersistence {
 
   const std::string dir_;
   const uint64_t fingerprint_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_;
-
-  RecoveryStats recovery_;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was passed
 
   std::mutex snapshot_mu_;  ///< Serializes WriteSnapshot.
   uint64_t next_generation_ = 1;  ///< Guarded by snapshot_mu_.

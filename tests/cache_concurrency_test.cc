@@ -134,13 +134,10 @@ TEST(CacheConcurrencyTest, HammerLookupInsertClearKeepsInvariants) {
   for (uint64_t n : cache.GroupByCounts(4)) by_group += n;
   EXPECT_EQ(by_group, cache.num_chunks());
 
-  cache::ChunkCacheStats s = cache.stats();
-  EXPECT_EQ(s.shards.size(), 8u);
-  EXPECT_GT(s.lookups, 0u);
-  EXPECT_GT(s.insertions, 0u);
-  uint64_t shard_bytes = 0;
-  for (const auto& shard : s.shards) shard_bytes += shard.bytes_used;
-  EXPECT_EQ(shard_bytes, cache.bytes_used());
+  EXPECT_EQ(cache.num_shards(), 8u);
+  const MetricsRegistry::Snapshot m = cache.metrics().TakeSnapshot();
+  EXPECT_GT(m.counters.at("cache.lookups"), 0u);
+  EXPECT_GT(m.counters.at("cache.insertions"), 0u);
 }
 
 TEST(CacheConcurrencyTest, DisjointWritersLandEveryChunk) {
@@ -320,8 +317,7 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
   for (auto& th : clients) th.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  cache::ChunkCacheStats s = par_mgr.StatsSnapshot();
-  EXPECT_EQ(s.shards.size(), 8u);
+  EXPECT_EQ(par_mgr.chunk_cache().num_shards(), 8u);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -32,6 +31,7 @@
 #include "storage/disk_manager.h"
 #include "storage/fact_file.h"
 #include "reference_oracle.h"
+#include "storm_iters.h"
 
 namespace chunkcache {
 namespace {
@@ -325,6 +325,62 @@ TEST(FaultInjectorTest, ChecksumTurnsBitFlipsIntoCorruption) {
   EXPECT_EQ(std::memcmp(again.data.data(), p.data.data(), p.data.size()), 0);
 }
 
+// The disk-alloc and disk-write sites are crossed only while files are
+// built; the storms arm them after the build, when queries only read. Here
+// each is armed for one fault at its first, a middle and its last crossing
+// during a build (BulkLoad, BuildBitmapIndexes, FlushAll), with a pool that
+// holds every page and one that must write pages back while loading. The
+// fault must surface as an IoError naming its site from whichever call
+// crossed it; the sanitizer builds check that nothing leaks on the way.
+TEST(FaultInjectorTest, LoadTimeDiskFaultsSurfaceFromTheBuild) {
+  InjectorReset guard;
+  auto s = schema::BuildPaperSchema();
+  ASSERT_TRUE(s.ok());
+  const schema::StarSchema schema = std::move(s).value();
+  chunks::ChunkingOptions copts;
+  copts.range_fraction = 0.2;
+  auto scheme = chunks::ChunkingScheme::Build(&schema, copts, 2000);
+  ASSERT_TRUE(scheme.ok());
+  schema::FactGenOptions gen;
+  gen.num_tuples = 2000;
+  const std::vector<Tuple> tuples = schema::GenerateFactTuples(schema, gen);
+  const auto build = [&](size_t frames) -> Status {
+    InMemoryDiskManager disk;
+    BufferPool pool(&disk, frames);
+    auto file = backend::ChunkedFile::BulkLoad(&pool, &*scheme, tuples);
+    if (!file.ok()) return file.status();
+    backend::BackendEngine engine(&pool, &*file, &*scheme);
+    CHUNKCACHE_RETURN_IF_ERROR(engine.BuildBitmapIndexes());
+    return pool.FlushAll();
+  };
+
+  FaultInjector& fi = FaultInjector::Global();
+  for (const FaultSite site : {FaultSite::kDiskAlloc, FaultSite::kDiskWrite}) {
+    for (const size_t frames : {2048, 16}) {
+      // A dry run armed at probability 0 counts the site's crossings.
+      fi.ResetCounters();
+      fi.Arm(site, 0.0);
+      ASSERT_TRUE(build(frames).ok());
+      const uint64_t crossings = fi.checks();
+      fi.DisarmAll();
+      ASSERT_GE(crossings, 2u) << FaultSiteName(site) << " " << frames;
+      for (const uint64_t skip : {uint64_t{0}, crossings / 2, crossings - 1}) {
+        fi.ResetCounters();
+        fi.Arm(site, 1.0, StatusCode::kIoError, /*max_faults=*/1, skip);
+        const Status st = build(frames);
+        fi.DisarmAll();
+        const std::string where = std::string(FaultSiteName(site)) + " " +
+                                  std::to_string(frames) + " frames, skip " +
+                                  std::to_string(skip);
+        EXPECT_EQ(fi.faults_injected(site), 1u) << where;
+        EXPECT_EQ(st.code(), StatusCode::kIoError) << where;
+        EXPECT_NE(st.ToString().find(FaultSiteName(site)), std::string::npos)
+            << where << ": " << st.ToString();
+      }
+    }
+  }
+}
+
 /// Backend + middle tier over a healthy in-memory disk; faults come from
 /// the compiled-in injection sites rather than a decorator, so the whole
 /// production stack (checksums, retries, degraded mode) is exercised.
@@ -404,9 +460,10 @@ TEST_F(RobustTierFixture, RetryRecoversFromTransientFaults) {
   EXPECT_EQ(retry_stats.retries, 2u);
   EXPECT_EQ(fi.faults_injected(FaultSite::kFactScan), 2u);
 
-  const auto snap = tier.StatsSnapshot();
-  EXPECT_GE(snap.retries, 2u);
-  EXPECT_GE(snap.faults_injected, 2u);
+  tier.RefreshMetrics();
+  const auto snap = tier.metrics().TakeSnapshot();
+  EXPECT_GE(snap.counters.at("backend.retries"), 2u);
+  EXPECT_GE(snap.gauges.at("faults.injected"), 2);
 }
 
 TEST_F(RobustTierFixture, DegradedModeAnswersFromFinerChunks) {
@@ -438,7 +495,9 @@ TEST_F(RobustTierFixture, DegradedModeAnswersFromFinerChunks) {
   EXPECT_EQ(stats.chunks_from_backend, 0u);
   EXPECT_EQ(stats.degraded_answers, stats.chunks_needed);
   EXPECT_GE(stats.retries, 1u);
-  EXPECT_GE(tier.StatsSnapshot().degraded_answers, stats.degraded_answers);
+  EXPECT_GE(
+      tier.metrics().TakeSnapshot().counters.at("chunks.degraded_answers"),
+      stats.degraded_answers);
 
   // The degraded answer is exactly what the healthy in-cache-aggregation
   // extension produces from the same cached chunks — bit-for-bit: the
@@ -599,11 +658,7 @@ TEST_F(FaultStorm, SeededStormNeverCorruptsAndRecoversBitIdentical) {
     ref.push_back(std::move(*rows));
   }
 
-  int iters = 3;  // CI's fault_storm target raises this via the environment
-  if (const char* env = std::getenv("CHUNKCACHE_STORM_ITERS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) iters = parsed;
-  }
+  const int iters = StormIters(3);  // the fault_storm entry raises this
   constexpr int kThreads = 3;
 
   FaultInjector& fi = FaultInjector::Global();

@@ -199,8 +199,9 @@ TEST_P(TierEquivalenceTest, AllTiersAgreeUnderPressure) {
   // evicted.
   EXPECT_LE(chunk_tier.chunk_cache().bytes_used(), cache_bytes);
   EXPECT_LE(query_tier.query_cache().bytes_used(), cache_bytes);
-  EXPECT_GT(chunk_tier.chunk_cache().stats().evictions, 0u);
-  EXPECT_EQ(roomy.chunk_cache().stats().evictions, 0u);
+  EXPECT_GT(chunk_tier.metrics().TakeSnapshot().counters.at("cache.evictions"),
+            0u);
+  EXPECT_EQ(roomy.metrics().TakeSnapshot().counters.at("cache.evictions"), 0u);
 }
 
 // Budgets of 1/16 and 3/4 of the roomy working set.

@@ -56,6 +56,11 @@ uint64_t TotalKernels(const backend::BackendEngine& engine) {
   return ks.dense_kernels + ks.hash_kernels;
 }
 
+/// The cache probes `mgr`'s queries have made so far.
+uint64_t Lookups(const ChunkCacheManager& mgr) {
+  return mgr.metrics().TakeSnapshot().counters.at("cache.lookups");
+}
+
 /// The answer of a cold, serial, default-options manager: with nothing
 /// cached and no concurrent query, every chunk comes from the backend.
 std::vector<backend::ResultRow> ReferenceRows(backend::BackendEngine* engine,
@@ -252,8 +257,8 @@ TEST_F(MissCoalescingFixture, IdenticalStormComputesEachDistinctChunkOnce) {
   EXPECT_EQ(backend_total, distinct);
   EXPECT_EQ(accounted, static_cast<uint64_t>(kThreads) * distinct);
 
-  const cache::ChunkCacheStats cs = mgr.StatsSnapshot();
-  EXPECT_GE(cs.inflight_peak, 1u);
+  mgr.RefreshMetrics();
+  EXPECT_GE(mgr.metrics().TakeSnapshot().gauges.at("inflight.peak"), 1);
 }
 
 TEST_F(MissCoalescingFixture, OverlappingStormComputesUnionOnce) {
@@ -497,7 +502,7 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   std::thread a([&] { res_a = mgr.Execute(query, &st_a, ctrl_a); });
   ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
       << "owner never reached the disk";
-  const uint64_t owner_lookups = mgr.chunk_cache().stats().lookups;
+  const uint64_t owner_lookups = Lookups(mgr);
 
   // Waiter B, with no deadline, finds every chunk owned by A and waits.
   // The pause after its probes lets its claims land while A owns them.
@@ -505,7 +510,7 @@ TEST_F(GatedBackendFixture, WaiterOutlivesOwnersDeadline) {
   Result<std::vector<backend::ResultRow>> res_b = Status::Internal("not run");
   std::thread b([&] { res_b = mgr.Execute(query, &st_b); });
   ASSERT_TRUE(WaitFor([&] {
-    return mgr.chunk_cache().stats().lookups == 2 * owner_lookups;
+    return Lookups(mgr) == 2 * owner_lookups;
   })) << "waiter never probed";
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -553,7 +558,7 @@ TEST_F(GatedBackendFixture, WaiterTraceShowsWaitCoalesced) {
   std::thread a([&] { res_a = mgr.Execute(query, &st_a); });
   ASSERT_TRUE(WaitFor([&] { return gate_->blocked_readers() > 0; }))
       << "owner never reached the disk";
-  const uint64_t owner_lookups = mgr.chunk_cache().stats().lookups;
+  const uint64_t owner_lookups = Lookups(mgr);
 
   // Traced waiter B probes every chunk, finds each owned by A and waits.
   // Its last probe is followed at once by its last claim; the pause before
@@ -562,7 +567,7 @@ TEST_F(GatedBackendFixture, WaiterTraceShowsWaitCoalesced) {
   Result<std::vector<backend::ResultRow>> res_b = Status::Internal("not run");
   std::thread b([&] { res_b = mgr.Execute(query, &st_b); });
   ASSERT_TRUE(WaitFor([&] {
-    return mgr.chunk_cache().stats().lookups == 2 * owner_lookups;
+    return Lookups(mgr) == 2 * owner_lookups;
   })) << "waiter never probed";
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   gate_->OpenGate();

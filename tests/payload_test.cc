@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -27,6 +26,7 @@
 #include "schema/synthetic.h"
 #include "storage/agg_columns.h"
 #include "storage/chunk_payload.h"
+#include "storm_iters.h"
 
 namespace chunkcache::storage {
 namespace {
@@ -499,12 +499,6 @@ void ExpectReadsBackCleanly(const ChunkPayload& p) {
   });
   EXPECT_EQ(rows, p.size());
   EXPECT_EQ(p.ToColumns().size(), p.size());
-}
-
-int StormIters(int fallback) {
-  const char* s = std::getenv("CHUNKCACHE_STORM_ITERS");
-  const int n = s == nullptr ? 0 : std::atoi(s);
-  return n > 0 ? n : fallback;
 }
 
 TEST(FromBytesHardening, CraftedPayloadsAreTheOnesTheConstructorBuilds) {

@@ -47,6 +47,7 @@
 #include "storage/cache_persist.h"
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
+#include "storm_iters.h"
 
 namespace chunkcache {
 namespace {
@@ -64,7 +65,6 @@ using storage::AggTuple;
 using storage::CachePersistence;
 using storage::ChunkPayload;
 using storage::PersistedChunk;
-using storage::RecoveryStats;
 using storage::SnapshotWriter;
 
 // ------------------------------ helpers -------------------------------------
@@ -220,10 +220,11 @@ struct RecoveredChunk {
 };
 
 /// Opens `dir`, admitting every entry recovery offers into `recovered`
-/// (when given).
+/// (when given), with the persist.* metrics on `metrics` (when given).
 std::unique_ptr<CachePersistence> OpenOrDie(
     const std::string& dir, uint64_t fingerprint = kFingerprint,
-    std::vector<RecoveredChunk>* recovered = nullptr) {
+    std::vector<RecoveredChunk>* recovered = nullptr,
+    MetricsRegistry* metrics = nullptr) {
   auto r = CachePersistence::Open(
       dir, fingerprint,
       [recovered](const PersistedChunk& key, ChunkPayload payload) {
@@ -231,9 +232,15 @@ std::unique_ptr<CachePersistence> OpenOrDie(
           recovered->push_back({key, PayloadBytes(payload)});
         }
         return true;
-      });
+      },
+      metrics);
   EXPECT_TRUE(r.ok()) << r.status().message();
   return std::move(r).value();
+}
+
+/// Counter `name` of `metrics`, which must have registered it.
+uint64_t Counted(const MetricsRegistry& metrics, const std::string& name) {
+  return metrics.TakeSnapshot().counters.at(name);
 }
 
 /// Streams `chunks` through the SnapshotWriter as one snapshot.
@@ -271,13 +278,6 @@ TestChunk ChunkOf(const cache::ChunkHandle& h) {
                    h->payload.ToColumns()};
 }
 
-int StormIters(int fallback) {
-  const char* s = std::getenv("CHUNKCACHE_STORM_ITERS");
-  if (s == nullptr) return fallback;
-  const int n = std::atoi(s);
-  return n > 0 ? n : fallback;
-}
-
 // ------------------------------- snapshots ----------------------------------
 
 TEST(PersistSnapshot, RotateRecoverAndGc) {
@@ -299,11 +299,10 @@ TEST(PersistSnapshot, RotateRecoverAndGc) {
   EXPECT_TRUE(fs::exists(dir.path + "/snapshot-2"));
 
   std::vector<RecoveredChunk> entries;
-  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
+  MetricsRegistry metrics;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries, &metrics);
   EXPECT_EQ(p->generation(), 2u);
-  const RecoveryStats& rec = p->recovery();
-  EXPECT_EQ(rec.generation, 2u);
-  EXPECT_EQ(rec.snapshot_entries, 3u);
+  EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), 3u);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_TRUE(SameChunk(entries[0], a));
   EXPECT_TRUE(SameChunk(entries[1], b));
@@ -333,9 +332,10 @@ TEST(PersistSnapshot, CorruptRecordQuarantinedNeighborsSurvive) {
   WriteFileBytes(snap, image);
 
   std::vector<RecoveredChunk> entries;
-  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
-  EXPECT_EQ(p->recovery().quarantined, 1u);
-  EXPECT_EQ(p->recovery().snapshot_entries, 2u);
+  MetricsRegistry metrics;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries, &metrics);
+  EXPECT_EQ(Counted(metrics, "persist.quarantined"), 1u);
+  EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), 2u);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_TRUE(SameChunk(entries[0], chunks[0]));
   EXPECT_TRUE(SameChunk(entries[1], chunks[2]));
@@ -360,8 +360,9 @@ TEST(PersistSnapshot, CorruptLengthDropsTheRestOfTheSnapshot) {
   WriteFileBytes(snap, image);
 
   std::vector<RecoveredChunk> entries;
-  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
-  EXPECT_EQ(p->recovery().quarantined, 1u);
+  MetricsRegistry metrics;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries, &metrics);
+  EXPECT_EQ(Counted(metrics, "persist.quarantined"), 1u);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(SameChunk(entries[0], chunks[0]));
 }
@@ -393,8 +394,9 @@ TEST(PersistSnapshot, ValidFrameWithBadPayloadQuarantined) {
   }
 
   std::vector<RecoveredChunk> entries;
-  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
-  EXPECT_EQ(p->recovery().quarantined, 3u);
+  MetricsRegistry metrics;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries, &metrics);
+  EXPECT_EQ(Counted(metrics, "persist.quarantined"), 3u);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_TRUE(SameChunk(entries[0], a));
   EXPECT_TRUE(SameChunk(entries[1], b));
@@ -421,11 +423,8 @@ TEST(PersistSnapshot, RefusedEntriesCountAsQuarantined) {
       &metrics);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(offered, (std::vector<uint64_t>{0, 1, 2, 3}));
-  EXPECT_EQ((*r)->recovery().snapshot_entries, 2u);
-  EXPECT_EQ((*r)->recovery().quarantined, 2u);
-  const auto snap = metrics.TakeSnapshot();
-  EXPECT_EQ(snap.counter("persist.recovered_entries"), 2u);
-  EXPECT_EQ(snap.counter("persist.quarantined"), 2u);
+  EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), 2u);
+  EXPECT_EQ(Counted(metrics, "persist.quarantined"), 2u);
 }
 
 // A snapshot taken against another data fingerprint is never read: the
@@ -439,11 +438,11 @@ TEST(PersistSnapshot, OtherFingerprintRecoversCold) {
   }
   {
     std::vector<RecoveredChunk> entries;
-    auto p = OpenOrDie(dir.path, kFingerprint + 1, &entries);
-    const RecoveryStats& rec = p->recovery();
-    EXPECT_EQ(rec.generation, 0u);
-    EXPECT_EQ(rec.snapshot_entries, 0u);
-    EXPECT_EQ(rec.quarantined, 0u);
+    MetricsRegistry metrics;
+    auto p = OpenOrDie(dir.path, kFingerprint + 1, &entries, &metrics);
+    EXPECT_EQ(p->generation(), 0u);
+    EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), 0u);
+    EXPECT_EQ(Counted(metrics, "persist.quarantined"), 0u);
     EXPECT_TRUE(entries.empty());
     // Generations continue above every file on disk.
     ASSERT_TRUE(WriteChunks(p.get(), {a}).ok());
@@ -468,8 +467,10 @@ TEST(PersistSnapshot, BadMagicFallsBackCold) {
   WriteFileBytes(snap, image);
 
   std::vector<RecoveredChunk> entries;
-  auto p = OpenOrDie(dir.path, kFingerprint, &entries);
-  EXPECT_EQ(p->recovery().snapshot_entries, 0u);
+  MetricsRegistry metrics;
+  auto p = OpenOrDie(dir.path, kFingerprint, &entries, &metrics);
+  EXPECT_EQ(p->generation(), 0u);
+  EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), 0u);
   EXPECT_TRUE(entries.empty());
 }
 
@@ -515,7 +516,7 @@ TEST(PersistSnapshot, CrashMidSnapshotKeepsPreviousGeneration) {
 
   std::vector<RecoveredChunk> entries;
   auto p = OpenOrDie(dir.path, kFingerprint, &entries);
-  EXPECT_EQ(p->recovery().generation, 1u);
+  EXPECT_EQ(p->generation(), 1u);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(SameChunk(entries[0], a));
   EXPECT_FALSE(fs::exists(dir.path + "/snapshot-2.tmp"));
@@ -632,7 +633,7 @@ void RunWarmRestart(backend::BackendEngine* engine,
   uint64_t cold_backend = 0;
   {
     ChunkCacheManager cold(engine, opts);
-    EXPECT_EQ(cold.StatsSnapshot().persist_recovered_entries, 0u);
+    EXPECT_EQ(Counted(cold.metrics(), "persist.recovered_entries"), 0u);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
       auto r = cold.Execute(queries[i], &st);
@@ -643,12 +644,8 @@ void RunWarmRestart(backend::BackendEngine* engine,
   }  // clean shutdown: final snapshot written
 
   ChunkCacheManager warm(engine, opts);
-  const auto& rec = warm.recovery_stats();
-  EXPECT_GT(rec.snapshot_entries, 0u);
-  EXPECT_EQ(rec.quarantined, 0u);
-  const auto warm_stats = warm.StatsSnapshot();
-  EXPECT_GT(warm_stats.persist_recovered_entries, 0u);
-  EXPECT_EQ(warm_stats.persist_quarantined, 0u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
+  EXPECT_EQ(Counted(warm.metrics(), "persist.quarantined"), 0u);
 
   uint64_t warm_backend = 0, warm_hits = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -778,8 +775,7 @@ TEST_F(PersistenceFixture, SnapshotOfOtherDataRecoversCold) {
     ChunkManagerOptions opts = PersistOpts(dir.path);
     opts.persist_snapshot_every = 0;
     ChunkCacheManager warm(other->engine.get(), opts);
-    EXPECT_EQ(warm.recovery_stats().snapshot_entries, 0u);
-    EXPECT_EQ(warm.StatsSnapshot().persist_recovered_entries, 0u);
+    EXPECT_EQ(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
     EXPECT_EQ(warm.chunk_cache().num_chunks(), 0u);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
@@ -793,12 +789,12 @@ TEST_F(PersistenceFixture, SnapshotOfOtherDataRecoversCold) {
   }
   // The fixture's own data still recovers it.
   ChunkCacheManager warm(engine_, PersistOpts(dir.path));
-  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
 }
 
 // One kind per metric name: an exposition that declares a name under two
 // kinds is rejected by a Prometheus scraper. A warm restart registers the
-// persistence metrics, and StatsSnapshot folds in every gauge.
+// persistence metrics, and RefreshMetrics registers every gauge.
 TEST_F(PersistenceFixture, WarmRestartMetricsHaveOneKindPerName) {
   const auto queries = MakeQueries(12, 23);
   ScratchDir dir;
@@ -810,11 +806,11 @@ TEST_F(PersistenceFixture, WarmRestartMetricsHaveOneKindPerName) {
     }
   }
   ChunkCacheManager warm(engine_, PersistOpts(dir.path));
-  const auto stats = warm.StatsSnapshot();
-  ASSERT_GT(stats.persist_recovered_entries, 0u);
-  EXPECT_EQ(stats.persist_recovery_ns, warm.recovery_stats().recovery_ns);
-
+  warm.RefreshMetrics();
   const auto snap = warm.metrics().TakeSnapshot();
+  ASSERT_GT(snap.counters.at("persist.recovered_entries"), 0u);
+  EXPECT_EQ(snap.histograms.at("persist.recovery_ns").count, 1u);
+
   std::map<std::string, int> kinds;
   for (const auto& [name, v] : snap.counters) ++kinds[name];
   for (const auto& [name, v] : snap.gauges) ++kinds[name];
@@ -864,16 +860,18 @@ TEST_F(PersistenceFixture, RetiredRecordTypesCostWarmthNotCorrectness) {
   AppendFrame(snap, HandFrame(4, footer));
   {
     std::vector<RecoveredChunk> entries;
-    auto p = OpenOrDie(dir.path, main_->file->fingerprint(), &entries);
-    EXPECT_EQ(p->recovery().snapshot_entries, admits);
+    MetricsRegistry metrics;
+    auto p =
+        OpenOrDie(dir.path, main_->file->fingerprint(), &entries, &metrics);
+    EXPECT_EQ(Counted(metrics, "persist.recovered_entries"), admits);
     EXPECT_EQ(entries.size(), admits);
-    EXPECT_EQ(p->recovery().quarantined, 0u);
+    EXPECT_EQ(Counted(metrics, "persist.quarantined"), 0u);
   }
 
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
   ChunkCacheManager warm(engine_, opts);
-  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
     auto r = warm.Execute(queries[i], &st);
@@ -928,10 +926,8 @@ TEST_F(PersistenceFixture, RecordsNamingNoChunkOfTheSchemeAreQuarantined) {
   }
 
   ChunkCacheManager warm(engine_, opts);
-  EXPECT_EQ(warm.recovery_stats().quarantined, 3u);
-  EXPECT_EQ(warm.recovery_stats().snapshot_entries, entries);
-  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 3u);
-  EXPECT_EQ(warm.StatsSnapshot().persist_recovered_entries, entries);
+  EXPECT_EQ(Counted(warm.metrics(), "persist.quarantined"), 3u);
+  EXPECT_EQ(Counted(warm.metrics(), "persist.recovered_entries"), entries);
   EXPECT_EQ(warm.chunk_cache().num_chunks(), entries);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
@@ -1007,7 +1003,7 @@ TEST_F(PersistenceFixture, RecordsWithRowsOutsideTheirChunkAreQuarantined) {
     ChunkManagerOptions opts = PersistOpts(dir.path);
     opts.persist_snapshot_every = 0;
     ChunkCacheManager warm(engine_, opts);
-    EXPECT_EQ(warm.recovery_stats().quarantined, 1u);
+    EXPECT_EQ(Counted(warm.metrics(), "persist.quarantined"), 1u);
     EXPECT_EQ(warm.chunk_cache().num_chunks(), 0u);
     // The whole level of the record's group-by.
     StarJoinQuery whole;
@@ -1049,18 +1045,17 @@ TEST_F(PersistenceFixture, BackgroundSnapshotWarmsACrashRestart) {
     }
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (cold.StatsSnapshot().persist_snapshots < 1 &&
+    while (Counted(cold.metrics(), "persist.snapshots") < 1 &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    ASSERT_GE(cold.StatsSnapshot().persist_snapshots, 1u);
+    ASSERT_GE(Counted(cold.metrics(), "persist.snapshots"), 1u);
     cold.persistence()->SimulateCrash();  // no shutdown snapshot
   }
 
   ChunkCacheManager warm(engine_, opts);
-  EXPECT_GT(warm.recovery_stats().snapshot_entries, 0u);
-  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
-  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 0u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
+  EXPECT_EQ(Counted(warm.metrics(), "persist.quarantined"), 0u);
   uint64_t warm_backend = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
@@ -1180,11 +1175,9 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
     opts.persist_dir = dir.path;
     ChunkCacheManager cold(engine_, opts);
     EXPECT_FALSE(fs::exists(log_path));
-    EXPECT_EQ(cold.recovery_stats().generation, 0u);
-    EXPECT_EQ(cold.recovery_stats().snapshot_entries, 0u);
-    const auto stats = cold.StatsSnapshot();
-    EXPECT_EQ(stats.persist_recovered_entries, 0u);
-    EXPECT_EQ(stats.persist_quarantined, 0u);
+    EXPECT_EQ(cold.persistence()->generation(), 0u);
+    EXPECT_EQ(Counted(cold.metrics(), "persist.recovered_entries"), 0u);
+    EXPECT_EQ(Counted(cold.metrics(), "persist.quarantined"), 0u);
     EXPECT_EQ(cold.chunk_cache().num_chunks(), 0u);
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats st;
@@ -1199,9 +1192,9 @@ TEST_F(PersistenceFixture, ParentFormatDirectoryRecoversCold) {
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
   ChunkCacheManager warm(engine_, opts);
-  EXPECT_EQ(warm.recovery_stats().generation, 3u);
-  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
-  EXPECT_EQ(warm.StatsSnapshot().persist_quarantined, 0u);
+  EXPECT_EQ(warm.persistence()->generation(), 3u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
+  EXPECT_EQ(Counted(warm.metrics(), "persist.quarantined"), 0u);
 }
 
 // ----------------------------- crash-point fuzz -----------------------------
@@ -1332,7 +1325,7 @@ TEST_F(PersistenceFixture, ConcurrentTrafficWithSnapshots) {
     for (auto& th : threads) th.join();
   }
   ChunkCacheManager warm(engine_, PersistOpts(dir.path));
-  EXPECT_GT(warm.StatsSnapshot().persist_recovered_entries, 0u);
+  EXPECT_GT(Counted(warm.metrics(), "persist.recovered_entries"), 0u);
   for (size_t i = 0; i < reference_queries.size(); ++i) {
     QueryStats st;
     auto r = warm.Execute(reference_queries[i], &st);
@@ -1384,7 +1377,7 @@ TEST_F(PersistenceFixture, CrashStormKillRestartCycles) {
   ChunkManagerOptions opts;
   opts.persist_dir = dir.path;
   ChunkCacheManager mgr(engine_, opts);
-  EXPECT_EQ(mgr.recovery_stats().quarantined, 0u);
+  EXPECT_EQ(Counted(mgr.metrics(), "persist.quarantined"), 0u);
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats st;
     auto r = mgr.Execute(queries[i], &st);

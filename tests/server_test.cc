@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "workload/session_generator.h"
+#include "storm_iters.h"
 
 namespace chunkcache::server {
 namespace {
@@ -38,12 +40,6 @@ using backend::StarJoinQuery;
 using core::ChunkCacheManager;
 using core::ChunkManagerOptions;
 using core::QueryStats;
-
-uint64_t StormIters(uint64_t dflt) {
-  const char* env = std::getenv("CHUNKCACHE_STORM_ITERS");
-  if (env == nullptr) return dflt;
-  return std::max<uint64_t>(1, std::strtoull(env, nullptr, 10));
-}
 
 StarJoinQuery SampleQuery() {
   StarJoinQuery q;
@@ -282,8 +278,11 @@ TEST(WireTest, ErrorRoundTripsStatusCode) {
 TEST(AdmissionTest, RateLimitIsDeterministicUnderSyntheticClock) {
   MetricsRegistry metrics;
   AdmissionOptions opts;
-  opts.default_quota.rate_qps = 10;  // one token per 100 ms
-  opts.default_quota.burst = 2;
+  TenantQuota quota;
+  quota.rate_qps = 10;  // one token per 100 ms
+  quota.burst = 2;
+  opts.tenant_quotas[1] = quota;
+  opts.tenant_quotas[2] = quota;
   AdmissionController adm(opts, &metrics);
 
   // Burst of 2 admits, third sheds, 100 ms later one more token exists.
@@ -297,11 +296,39 @@ TEST(AdmissionTest, RateLimitIsDeterministicUnderSyntheticClock) {
   EXPECT_EQ(adm.TryAdmit(2, 100'000'000), AdmitDecision::kAdmitted);
 
   const auto snap = metrics.TakeSnapshot();
-  EXPECT_EQ(snap.counter("server.admission.admitted"), 4u);
-  EXPECT_EQ(snap.counter("server.admission.shed_rate"), 2u);
-  EXPECT_EQ(snap.counter("server.tenant.1.admitted"), 3u);
-  EXPECT_EQ(snap.counter("server.tenant.1.shed"), 2u);
-  EXPECT_EQ(snap.counter("server.tenant.2.admitted"), 1u);
+  EXPECT_EQ(snap.counters.at("server.admission.admitted"), 4u);
+  EXPECT_EQ(snap.counters.at("server.admission.shed_rate"), 2u);
+  EXPECT_EQ(snap.counters.at("server.tenant.1.admitted"), 3u);
+  EXPECT_EQ(snap.counters.at("server.tenant.1.shed"), 2u);
+  EXPECT_EQ(snap.counters.at("server.tenant.2.admitted"), 1u);
+}
+
+// Tenants without a quota of their own share the default one, so a fresh
+// tenant id buys no capacity: with a 1-qps, burst-1 default, any number of
+// distinct ids arriving at one instant get one admission between them.
+// A lookup creates nothing, so the registry holds the same counters after
+// 10 ids as after 10,000.
+TEST(AdmissionTest, UnconfiguredTenantsShareOneDefaultBudget) {
+  std::vector<size_t> counters_registered;
+  for (const uint32_t ids : {10u, 10'000u}) {
+    MetricsRegistry metrics;
+    AdmissionOptions opts;
+    opts.default_quota.rate_qps = 1;
+    opts.default_quota.burst = 1;
+    AdmissionController adm(opts, &metrics);
+    uint64_t admitted = 0;
+    for (uint32_t id = 0; id < ids; ++id) {
+      adm.Counters(id).offered->Increment();
+      if (adm.TryAdmit(id, 0) == AdmitDecision::kAdmitted) ++admitted;
+    }
+    EXPECT_EQ(admitted, 1u) << ids << " ids";
+    const auto snap = metrics.TakeSnapshot();
+    EXPECT_EQ(snap.counters.at("server.tenant.default.offered"), ids);
+    EXPECT_EQ(snap.counters.at("server.tenant.default.admitted"), 1u);
+    EXPECT_EQ(snap.counters.at("server.tenant.default.shed"), ids - 1);
+    counters_registered.push_back(snap.counters.size());
+  }
+  EXPECT_EQ(counters_registered[0], counters_registered[1]);
 }
 
 TEST(AdmissionTest, ShedDoesNotConsumeTokens) {
@@ -555,7 +582,10 @@ TEST_F(ServerFixture, MalformedQueryPayloadAnswersErrorAndKeepsConnection) {
 // does server-wide: a query payload that does not decode is offered and
 // answered with an error, so it counts as an error of its tenant.
 TEST_F(ServerFixture, PerTenantCountersCountThatTenantsQueries) {
-  StartServer(ServerOptions{});
+  ServerOptions opts;
+  opts.admission.tenant_quotas[7] = TenantQuota{};
+  opts.admission.tenant_quotas[8] = TenantQuota{};
+  StartServer(opts);
   auto seven = NewClient(/*tenant=*/7);
   auto eight = NewClient(/*tenant=*/8);
   for (int i = 0; i < 2; ++i) {
@@ -585,14 +615,14 @@ TEST_F(ServerFixture, PerTenantCountersCountThatTenantsQueries) {
   EXPECT_TRUE(other->status.ok());
 
   const auto snap = server_->metrics().TakeSnapshot();
-  EXPECT_EQ(snap.counter("server.tenant.7.offered"), 4u);
-  EXPECT_EQ(snap.counter("server.tenant.7.admitted"), 3u);
-  EXPECT_EQ(snap.counter("server.tenant.7.ok"), 2u);
-  EXPECT_EQ(snap.counter("server.tenant.7.errors"), 2u);
-  EXPECT_EQ(snap.counter("server.tenant.7.shed"), 0u);
-  EXPECT_EQ(snap.counter("server.tenant.8.offered"), 1u);
-  EXPECT_EQ(snap.counter("server.tenant.8.ok"), 1u);
-  EXPECT_EQ(snap.counter("server.tenant.8.errors"), 0u);
+  EXPECT_EQ(snap.counters.at("server.tenant.7.offered"), 4u);
+  EXPECT_EQ(snap.counters.at("server.tenant.7.admitted"), 3u);
+  EXPECT_EQ(snap.counters.at("server.tenant.7.ok"), 2u);
+  EXPECT_EQ(snap.counters.at("server.tenant.7.errors"), 2u);
+  EXPECT_EQ(snap.counters.at("server.tenant.7.shed"), 0u);
+  EXPECT_EQ(snap.counters.at("server.tenant.8.offered"), 1u);
+  EXPECT_EQ(snap.counters.at("server.tenant.8.ok"), 1u);
+  EXPECT_EQ(snap.counters.at("server.tenant.8.errors"), 0u);
   ExpectExactAccounting();
 }
 
@@ -647,7 +677,7 @@ TEST_F(ServerFixture, ServingStorm) {
   opts.num_workers = 4;
   StartServer(opts);
   tier_.service_ms.store(2);
-  const uint64_t rounds = StormIters(1) * 20;
+  const uint64_t rounds = static_cast<uint64_t>(StormIters(1)) * 20;
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> stable_ok{0};
@@ -829,6 +859,62 @@ TEST_F(BitIdentityFixture, ServedMetricsDumpCarriesTierGauges) {
         << key;
   }
   server.Stop();
+}
+
+// The registry's names are fixed by configuration, not by traffic: a chunk
+// tier and a server homed on one registry register the same names with a
+// one-shard or an eight-shard cache, and whether the same queries arrive
+// under one tenant id or under a thousand.
+TEST_F(BitIdentityFixture, RegistryNamesAreFixedByConfiguration) {
+  workload::SessionOptions wopts;
+  wopts.seed = 9;
+  workload::SessionGenerator gen(schema_.get(), wopts);
+  std::vector<std::vector<uint8_t>> payloads(8);
+  for (auto& payload : payloads) wire::EncodeQuery(gen.Next(), &payload);
+  constexpr uint32_t kQueries = 1000;
+
+  std::vector<std::set<std::string>> names;
+  for (const uint32_t shards : {1u, 8u}) {
+    for (const uint32_t tenants : {1u, kQueries}) {
+      ChunkManagerOptions mopts;
+      mopts.cache_shards = shards;
+      ChunkCacheManager mgr(engine_.get(), mopts);
+      ServerOptions sopts;
+      sopts.metrics = &mgr.metrics();
+      ChunkServer server(&mgr, sopts);
+      ASSERT_TRUE(server.Start().ok());
+      ClientOptions copts;
+      copts.port = server.port();
+      auto client = ChunkClient::Connect(copts);
+      ASSERT_TRUE(client.ok());
+      for (uint32_t i = 0; i < kQueries; ++i) {
+        FrameHeader h;
+        h.type = FrameType::kQuery;
+        h.flags = kFlagLast;
+        h.tenant_id = i % tenants;
+        h.request_id = i + 1;
+        const std::vector<uint8_t>& payload = payloads[i % payloads.size()];
+        std::vector<uint8_t> bytes;
+        EncodeFrame(h, payload.data(), payload.size(), &bytes);
+        ASSERT_TRUE((*client)->SendRaw(bytes.data(), bytes.size()).ok());
+        auto resp = (*client)->WaitResponse(h.request_id);
+        ASSERT_TRUE(resp.ok());
+        ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
+      }
+      server.Stop();
+      mgr.RefreshMetrics();
+      const auto snap = mgr.metrics().TakeSnapshot();
+      std::set<std::string>& set = names.emplace_back();
+      for (const auto& [name, v] : snap.counters) set.insert(name);
+      for (const auto& [name, v] : snap.gauges) set.insert(name);
+      for (const auto& [name, h] : snap.histograms) set.insert(name);
+      EXPECT_EQ(snap.counters.at("server.tenant.default.ok"), kQueries)
+          << shards << " shards, " << tenants << " tenants";
+    }
+  }
+  for (size_t i = 1; i < names.size(); ++i) {
+    EXPECT_EQ(names[i], names[0]) << "setup " << i;
+  }
 }
 
 }  // namespace

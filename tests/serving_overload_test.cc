@@ -143,8 +143,12 @@ TEST(ServingOverloadTest, ExactAccountingAndBoundedLatencyAtOverload) {
   DelayTier tier(kServiceMs);
   ServerOptions opts;
   opts.num_workers = 4;
-  opts.admission.default_quota.rate_qps = 50;
-  opts.admission.default_quota.burst = 4;
+  TenantQuota quota;
+  quota.rate_qps = 50;
+  quota.burst = 4;
+  for (uint32_t t = 1; t <= kNumTenants; ++t) {
+    opts.admission.tenant_quotas[t] = quota;
+  }
   // The global cap bounds queueing delay for admitted queries: at most 8
   // admitted-but-unfinished queries exist, so an admitted query waits at
   // most ~ (8/4 workers) service times behind others.

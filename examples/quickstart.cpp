@@ -34,7 +34,7 @@ int main() {
   auto scheme = std::make_unique<chunks::ChunkingScheme>(
       std::move(scheme_or).value());
 
-  // --- 3. Backend: chunked fact file + bitmap indexes. --------------------
+  // --- 3. Backend: the chunked fact file and its chunk index. -------------
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 2048);  // 8 MiB
   schema::FactGenOptions gen;
@@ -45,7 +45,6 @@ int main() {
   auto file = std::make_unique<backend::ChunkedFile>(
       std::move(file_or).value());
   backend::BackendEngine engine(&pool, file.get(), scheme.get());
-  if (!engine.BuildBitmapIndexes().ok()) return 1;
   std::printf("loaded %llu tuples into %llu non-empty chunks\n",
               (unsigned long long)file->num_tuples(),
               (unsigned long long)file->num_nonempty_chunks());

@@ -126,7 +126,6 @@ int main() {
   auto file = std::make_unique<backend::ChunkedFile>(
       std::move(file_or).value());
   backend::BackendEngine engine(&pool, file.get(), scheme.get());
-  if (!engine.BuildBitmapIndexes().ok()) return 1;
 
   core::ChunkManagerOptions mopts;
   mopts.cache_bytes = 16ull << 20;

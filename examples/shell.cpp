@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
   auto file = std::make_unique<backend::ChunkedFile>(
       std::move(file_or).value());
   backend::BackendEngine engine(&pool, file.get(), scheme.get());
-  if (!engine.BuildBitmapIndexes().ok()) return 1;
   // Drops every cached page and zeroes the I/O statistics, so the next
   // query reads from disk as on a cold start.
   const auto cold_backend = [&] {

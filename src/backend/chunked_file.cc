@@ -55,17 +55,15 @@ std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
 }
 
 Result<std::vector<RowRun>> CoalescedChunkRuns(
-    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    const index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
     uint64_t max_rows) {
+  std::vector<index::BTreePayload> found;
+  found.reserve(chunk_nums.size());
+  CHUNKCACHE_RETURN_IF_ERROR(chunk_index.GetAscending(chunk_nums, &found));
   std::vector<RowRun> runs;
-  runs.reserve(chunk_nums.size());
-  for (uint64_t chunk_num : chunk_nums) {
-    auto payload = chunk_index.Get(chunk_num);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    runs.push_back(RowRun{payload->v1, payload->v2, 1});
+  runs.reserve(found.size());
+  for (const index::BTreePayload& p : found) {
+    runs.push_back(RowRun{p.v1, p.v2, 1});
   }
   return CoalesceRowRuns(std::move(runs), max_rows);
 }
@@ -81,11 +79,14 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
   // Each tuple's base chunk number, then the load order: input order, or
   // when clustering, a counting sort by chunk number (stable, so tuples of
   // one chunk keep their input order). The same pass folds the tuples'
-  // records into the fingerprint.
+  // records into the fingerprint, a block of records per Crc32c call:
+  // CRC32C streams, so that is the value of one call per record.
   const storage::TupleDesc desc = scheme->schema().tuple_desc();
+  const uint32_t record_size = desc.RecordSize();
   const uint64_t num_tuples = tuples.size();
   uint32_t tuples_crc = Crc32c(&num_tuples, sizeof(num_tuples));
-  uint8_t record[storage::kMaxDims * 4 + 8];
+  constexpr size_t kBlockRecords = 256;
+  std::vector<uint8_t> block(kBlockRecords * record_size);
   std::vector<uint32_t> chunk_of(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
     chunks::ChunkCoords cell{};
@@ -93,8 +94,11 @@ Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
       cell[d] = tuples[i].keys[d];
     }
     chunk_of[i] = static_cast<uint32_t>(scheme->ChunkOfCell(base, cell));
-    tuples[i].Serialize(desc, record);
-    tuples_crc = Crc32c(record, desc.RecordSize(), tuples_crc);
+    const size_t slot = i % kBlockRecords;
+    tuples[i].Serialize(desc, block.data() + slot * record_size);
+    if (slot + 1 == kBlockRecords || i + 1 == tuples.size()) {
+      tuples_crc = Crc32c(block.data(), (slot + 1) * record_size, tuples_crc);
+    }
   }
   std::vector<uint32_t> order(tuples.size());
   if (clustered) {

@@ -21,6 +21,8 @@ struct RowRun {
   storage::RowId first = 0;
   uint64_t count = 0;
   uint32_t chunks = 0;  ///< how many chunk runs this read covers
+
+  friend bool operator==(const RowRun&, const RowRun&) = default;
 };
 
 /// Sorts `runs` by starting row and merges back-to-back neighbours
@@ -32,12 +34,14 @@ struct RowRun {
 std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
                                     uint64_t max_rows = 0);
 
-/// Looks up the run of every chunk in `chunk_nums` in `chunk_index` (a
-/// chunk without an entry is empty and skipped) and coalesces them into
-/// maximal sequential reads of at most `max_rows` rows each (0 =
-/// unlimited). Serves the base file and every materialized aggregate.
+/// Looks up the run of every chunk in `chunk_nums` (strictly ascending, as
+/// ChunkBox::ForEach lists a box's chunks; InvalidArgument otherwise) in
+/// `chunk_index` with one BTree::GetAscending walk (a chunk without an
+/// entry is empty and skipped) and coalesces them into maximal sequential
+/// reads of at most `max_rows` rows each (0 = unlimited). Serves the base
+/// file and every materialized aggregate.
 Result<std::vector<RowRun>> CoalescedChunkRuns(
-    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    const index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
     uint64_t max_rows);
 
 /// The paper's chunked file organization (Section 4): fact tuples stored as
@@ -83,7 +87,7 @@ class ChunkedFile {
   bool clustered() const { return clustered_; }
   uint64_t num_tuples() const { return fact_.num_tuples(); }
   storage::FactFile& fact_file() { return fact_; }
-  index::BTree& chunk_index() { return *chunk_index_; }
+  const index::BTree& chunk_index() const { return *chunk_index_; }
   const chunks::ChunkingScheme& scheme() const { return *scheme_; }
 
   /// Number of non-empty base chunks (chunk-index entries).

@@ -184,6 +184,11 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
   std::vector<ChunkData> out;
   out.reserve(chunk_nums.size());
   uint64_t tuples_scanned = 0;
+  // One batch serves every run of every requested chunk: each read clears
+  // it and refills it within the capacity earlier reads grew.
+  storage::AggColumns agg_batch(scheme_->num_dims());
+  storage::TupleColumns base_batch;
+  base_batch.num_dims = scheme_->num_dims();
   for (uint64_t chunk_num : chunk_nums) {
     CHUNKCACHE_ASSIGN_OR_RETURN(
         const chunks::ChunkBox box,
@@ -201,9 +206,6 @@ Result<std::vector<ChunkData>> BackendEngine::ComputeChunks(
             ? CoalescedChunkRuns(mat->chunk_index(), src_chunks,
                                  options_.max_merged_run_rows)
             : file_->CoalescedRuns(src_chunks, options_.max_merged_run_rows));
-    storage::AggColumns agg_batch(scheme_->num_dims());
-    storage::TupleColumns base_batch;
-    base_batch.num_dims = scheme_->num_dims();
     for (const RowRun& run : runs) {
       if (run.chunks > 1) {
         kernel_counters_.coalesced_reads.fetch_add(1,

@@ -43,7 +43,7 @@ class MaterializedAggregate {
   uint64_t num_rows() const { return file_.num_rows(); }
 
   AggFile& file() { return file_; }
-  index::BTree& chunk_index() { return chunk_index_; }
+  const index::BTree& chunk_index() const { return chunk_index_; }
 
  private:
   chunks::GroupBySpec spec_;

@@ -46,6 +46,25 @@ size_t NodeTake(size_t left, size_t cap, size_t min) {
   return std::min(left, cap);
 }
 
+// std::lower_bound(first, last, key), probing first + 1, + 3, + 7, ...
+// before a binary search of the last gap: a walk's next key usually lies
+// a few entries on, and this reads the cache lines near it first.
+const uint64_t* GallopLowerBound(const uint64_t* first, const uint64_t* last,
+                                 uint64_t key) {
+  size_t step = 1;
+  while (first != last && *first < key) {
+    if (step >= static_cast<size_t>(last - first)) {
+      return std::lower_bound(first + 1, last, key);
+    }
+    if (first[step] >= key) {
+      return std::lower_bound(first + 1, first + step, key);
+    }
+    first += step;
+    step *= 2;
+  }
+  return first;
+}
+
 }  // namespace
 
 Result<PageGuard> BTree::NewNode(bool leaf) {
@@ -57,7 +76,7 @@ Result<PageGuard> BTree::NewNode(bool leaf) {
   return guard;
 }
 
-Result<BTreePayload> BTree::Get(uint64_t key) {
+Result<BTreePayload> BTree::Get(uint64_t key) const {
   if (height_ == 0) return Status::NotFound("BTree: empty");
   uint32_t cur = root_page_;
   for (uint32_t level = 0;; ++level) {
@@ -77,6 +96,53 @@ Result<BTreePayload> BTree::Get(uint64_t key) {
     cur = Children(node.page())[idx];
     if (level > height_) return Status::Corruption("BTree: cycle in descent");
   }
+}
+
+Status BTree::GetAscending(const std::vector<uint64_t>& keys,
+                           std::vector<BTreePayload>* out) const {
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i - 1] >= keys[i]) {
+      return Status::InvalidArgument("GetAscending: keys not ascending");
+    }
+  }
+  if (height_ == 0) return Status::OK();
+  size_t i = 0;
+  while (i < keys.size()) {
+    // Descend to the leaf whose range holds keys[i]. `hi` (when `bounded`)
+    // is that range's exclusive upper end: the separator right of the child
+    // taken at the deepest level that has one.
+    uint32_t cur = root_page_;
+    uint64_t hi = 0;
+    bool bounded = false;
+    for (uint32_t level = 0;; ++level) {
+      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard node, pool_->Fetch(Pid(cur)));
+      auto* h = Header(node.page());
+      const uint64_t* node_keys = Keys(node.page());
+      if (h->is_leaf) {
+        // Every key below `hi` lies in this leaf's range.
+        const uint64_t* end = node_keys + h->count;
+        const uint64_t* it = node_keys;
+        const BTreePayload* payloads = Payloads(node.page());
+        for (; i < keys.size() && (!bounded || keys[i] < hi); ++i) {
+          it = GallopLowerBound(it, end, keys[i]);
+          if (it != end && *it == keys[i]) {
+            out->push_back(payloads[it - node_keys]);
+          }
+        }
+        break;
+      }
+      const uint32_t idx = static_cast<uint32_t>(
+          std::upper_bound(node_keys, node_keys + h->count, keys[i]) -
+          node_keys);
+      if (idx < h->count) {
+        hi = node_keys[idx];
+        bounded = true;
+      }
+      cur = Children(node.page())[idx];
+      if (level > height_) return Status::Corruption("BTree: cycle in descent");
+    }
+  }
+  return Status::OK();
 }
 
 Result<BTree> BTree::BulkLoad(
@@ -136,7 +202,7 @@ Result<BTree> BTree::BulkLoad(
   return t;
 }
 
-Status BTree::CheckInvariants() {
+Status BTree::CheckInvariants() const {
   if (height_ == 0) return Status::OK();  // empty: no pages
   struct StackEntry {
     uint32_t page;

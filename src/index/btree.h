@@ -30,7 +30,13 @@ struct BTreePayload {
 ///
 /// A tree is bulk-loaded bottom-up from sorted input once, into a file of
 /// its own that holds only nodes, and then answers point lookups. Keys are
-/// unique. Not thread-safe.
+/// unique.
+///
+/// Thread contract: BulkLoad is single-threaded. After it returns the tree
+/// is read-only, and lookups (Get, GetAscending, CheckInvariants) touch no
+/// member and read node pages only through pins taken from the buffer
+/// pool, whose frame table is locked. So any number of threads may look up
+/// concurrently, as every server worker does when it resolves chunk runs.
 class BTree {
  public:
   /// Builds a tree in a fresh DiskManager file from strictly ascending
@@ -45,7 +51,17 @@ class BTree {
   BTree& operator=(BTree&&) = default;
 
   /// Point lookup; NotFound if absent.
-  Result<BTreePayload> Get(uint64_t key);
+  Result<BTreePayload> Get(uint64_t key) const;
+
+  /// Point lookups of strictly ascending `keys` in one walk: appends the
+  /// payload of each present key to `*out`, in key order, and skips absent
+  /// keys. It descends once per leaf the keys fall in and scans forward
+  /// inside that leaf, pinning one page at a time. So it pins the pages Get
+  /// would pin for each key in turn, in the same order, minus the repeated
+  /// descents to a leaf just visited. InvalidArgument, before any page is
+  /// pinned, if `keys` is not strictly ascending.
+  Status GetAscending(const std::vector<uint64_t>& keys,
+                      std::vector<BTreePayload>* out) const;
 
   /// Number of entries.
   uint64_t size() const { return size_; }
@@ -57,7 +73,7 @@ class BTree {
 
   /// Verifies structural invariants (key order, subtree bounds, minimum
   /// fill, equal leaf depth, entry count); used by tests. O(n).
-  Status CheckInvariants();
+  Status CheckInvariants() const;
 
  private:
   BTree(storage::BufferPool* pool, uint32_t file_id)

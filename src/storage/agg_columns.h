@@ -93,6 +93,11 @@ struct TupleColumns {
     measure.reserve(n);
   }
 
+  void Resize(size_t n) {
+    for (uint32_t d = 0; d < num_dims; ++d) keys[d].resize(n);
+    measure.resize(n);
+  }
+
   void PushTuple(const Tuple& t) {
     for (uint32_t d = 0; d < num_dims; ++d) keys[d].push_back(t.keys[d]);
     measure.push_back(t.measure);

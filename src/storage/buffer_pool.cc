@@ -44,7 +44,13 @@ void PageGuard::Release() {
 BufferPool::BufferPool(DiskManager* disk, uint32_t num_frames)
     : disk_(disk), frames_(num_frames) {
   CHUNKCACHE_CHECK(num_frames > 0);
-  table_.reserve(num_frames * 2);
+}
+
+uint32_t& BufferPool::PageTableSlot(PageId id) {
+  if (id.file_id >= page_table_.size()) page_table_.resize(id.file_id + 1);
+  std::vector<uint32_t>& pages = page_table_[id.file_id];
+  if (id.page_no >= pages.size()) pages.resize(id.page_no + 1, kNoFrame);
+  return pages[id.page_no];
 }
 
 void BufferPool::BindMetrics(MetricsRegistry* m) {
@@ -75,13 +81,13 @@ Status BufferPool::WriteTimed(PageId id, const Page& page) {
 
 Result<PageGuard> BufferPool::Fetch(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& f = frames_[it->second];
+  const uint32_t resident = FrameOf(id);
+  if (resident != kNoFrame) {
+    Frame& f = frames_[resident];
     f.pin_count++;
     f.referenced = true;
     ++stats_.hits;
-    return PageGuard(this, it->second, id, &f.page);
+    return PageGuard(this, resident, id, &f.page);
   }
   ++stats_.misses;
   CHUNKCACHE_ASSIGN_OR_RETURN(uint32_t frame, GrabFrame());
@@ -92,7 +98,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   f.dirty = false;
   f.referenced = true;
   f.in_use = true;
-  table_.emplace(id, frame);
+  PageTableSlot(id) = frame;
   return PageGuard(this, frame, id, &f.page);
 }
 
@@ -107,7 +113,7 @@ Result<PageGuard> BufferPool::Allocate(uint32_t file_id) {
   f.dirty = true;  // fresh page must eventually reach disk
   f.referenced = true;
   f.in_use = true;
-  table_.emplace(id, frame);
+  PageTableSlot(id) = frame;
   return PageGuard(this, frame, id, &f.page);
 }
 
@@ -134,8 +140,8 @@ Status BufferPool::EvictAll() {
       CHUNKCACHE_RETURN_IF_ERROR(WriteTimed(f.id, f.page));
       ++stats_.dirty_writebacks;
     }
-    table_.erase(f.id);
-    f = Frame();
+    PageTableSlot(f.id) = kNoFrame;
+    f.Clear();
   }
   return Status::OK();
 }
@@ -172,9 +178,9 @@ Result<uint32_t> BufferPool::GrabFrame() {
       CHUNKCACHE_RETURN_IF_ERROR(WriteTimed(f.id, f.page));
       ++stats_.dirty_writebacks;
     }
-    table_.erase(f.id);
+    PageTableSlot(f.id) = kNoFrame;
     ++stats_.evictions;
-    f = Frame();
+    f.Clear();
     return current;
   }
   return Status::ResourceExhausted("buffer pool: all frames pinned");

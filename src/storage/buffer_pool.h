@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -138,7 +137,28 @@ class BufferPool {
     bool dirty = false;
     bool referenced = false;
     bool in_use = false;
+
+    /// Frees the frame. The page bytes stay: the next occupant's disk read
+    /// or zero-fill overwrites them.
+    void Clear() {
+      id = kInvalidPageId;
+      pin_count = 0;
+      dirty = false;
+      referenced = false;
+      in_use = false;
+    }
   };
+
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// Frame holding page `id`, or kNoFrame when it is not resident.
+  uint32_t FrameOf(PageId id) const {
+    if (id.file_id >= page_table_.size()) return kNoFrame;
+    const std::vector<uint32_t>& pages = page_table_[id.file_id];
+    return id.page_no < pages.size() ? pages[id.page_no] : kNoFrame;
+  }
+  /// page_table_'s slot for `id`, grown to hold it.
+  uint32_t& PageTableSlot(PageId id);
 
   void Unpin(uint32_t frame, bool dirty);
   void MarkFrameDirty(uint32_t frame);
@@ -154,7 +174,10 @@ class BufferPool {
   mutable std::mutex mu_;
   DiskManager* disk_;
   std::vector<Frame> frames_;
-  std::unordered_map<PageId, uint32_t, PageIdHash> table_;
+  /// Resident pages: page_table_[file_id][page_no] is the frame holding
+  /// that page, or kNoFrame. A file's array grows to the highest page
+  /// number that has been resident, one uint32_t per page.
+  std::vector<std::vector<uint32_t>> page_table_;
   uint32_t clock_hand_ = 0;
   BufferPoolStats stats_;
 

@@ -9,8 +9,7 @@ namespace chunkcache::storage {
 // Page checksums (shared by all DiskManager implementations)
 // ---------------------------------------------------------------------------
 
-void DiskManager::RecordPageChecksum(PageId id, const Page& page) {
-  const uint32_t crc = Crc32c(page.data.data(), kPageSize);
+void DiskManager::RecordPageChecksum(PageId id, uint32_t crc) {
   std::lock_guard<std::mutex> lock(crc_mu_);
   page_crc_[id.AsU64()] = crc;
 }
@@ -48,11 +47,16 @@ Result<PageId> InMemoryDiskManager::AllocatePage(uint32_t file_id) {
     return Status::InvalidArgument("AllocatePage: unknown file id " +
                                    std::to_string(file_id));
   }
+  // Every fresh page holds the same zero bytes, so one CRC serves them all.
+  static const uint32_t kZeroPageCrc = [] {
+    Page zero;
+    zero.Zero();
+    return Crc32c(zero.data.data(), kPageSize);
+  }();
   auto& pages = files_[file_id - 1];
-  auto page = std::make_unique<Page>();
-  page->Zero();
+  auto page = std::make_unique<Page>();  // value-initialized: all zero
   const PageId id{file_id, static_cast<uint32_t>(pages.size())};
-  RecordPageChecksum(id, *page);
+  RecordPageChecksum(id, kZeroPageCrc);
   pages.push_back(std::move(page));
   CountAllocation();
   return id;
@@ -90,7 +94,7 @@ Status InMemoryDiskManager::WritePage(PageId id, const Page& page) {
     return Status::IoError("WritePage: page beyond EOF");
   }
   *pages[id.page_no] = page;
-  RecordPageChecksum(id, page);
+  RecordPageChecksum(id, Crc32c(page.data.data(), kPageSize));
   CountWrite();
   return Status::OK();
 }

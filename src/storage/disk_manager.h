@@ -71,12 +71,13 @@ class DiskManager {
     ++stats_.allocations;
   }
 
-  /// End-to-end page integrity: WritePage records a CRC32C of the payload
-  /// in a side table keyed by PageId, ReadPage verifies against it and
-  /// fails with Status::Corruption instead of serving bad bytes. Keeping
-  /// the checksum out of the page keeps the on-page capacity math and the
-  /// page format unchanged. A page with no recorded checksum reads as OK.
-  void RecordPageChecksum(PageId id, const Page& page);
+  /// End-to-end page integrity: AllocatePage and WritePage record a CRC32C
+  /// of the page (`crc`) in a side table keyed by PageId, ReadPage verifies
+  /// against it and fails with Status::Corruption instead of serving bad
+  /// bytes. Keeping the checksum out of the page keeps the on-page capacity
+  /// math and the page format unchanged. A page with no recorded checksum
+  /// reads as OK.
+  void RecordPageChecksum(PageId id, uint32_t crc);
   Status VerifyPageChecksum(PageId id, const Page& page);
 
  private:

@@ -1,6 +1,7 @@
 #include "storage/fact_file.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace chunkcache::storage {
@@ -88,29 +89,36 @@ Status FactFile::ScanRangeColumns(RowId first, uint64_t count,
   }
   const RowId end = std::min<RowId>(first + count, num_tuples_);
   if (first >= end) return Status::OK();
-  out->num_dims = desc_.num_dims;
-  out->Reserve(out->size() + static_cast<size_t>(end - first));
+  const uint32_t num_dims = desc_.num_dims;
   const uint32_t record_size = desc_.RecordSize();
+  const size_t at = out->size();
+  out->num_dims = num_dims;
+  out->Resize(at + static_cast<size_t>(end - first));
+  std::array<uint32_t*, kMaxDims> keys{};
+  for (uint32_t d = 0; d < num_dims; ++d) keys[d] = out->keys[d].data() + at;
+  double* measure = out->measure.data() + at;
   RowId rid = first;
   while (rid < end) {
     const uint32_t page_no = PageOfRow(rid);
-    CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard guard,
-                                pool_->Fetch(PageId{file_id_, page_no}));
-    const uint8_t* base = guard.page()->data.data();
+    auto guard = pool_->Fetch(PageId{file_id_, page_no});
+    if (!guard.ok()) {
+      out->Resize(at);
+      return guard.status();
+    }
     const RowId page_first = static_cast<RowId>(page_no) * tuples_per_page_;
     const RowId page_end = std::min<RowId>(page_first + tuples_per_page_, end);
-    for (; rid < page_end; ++rid) {
-      const uint8_t* rec =
-          base + static_cast<uint32_t>(rid - page_first) * record_size;
-      for (uint32_t d = 0; d < desc_.num_dims; ++d) {
-        uint32_t key;
-        std::memcpy(&key, rec + d * 4, 4);
-        out->keys[d].push_back(key);
+    const uint8_t* rec = guard->page()->data.data() +
+                         static_cast<size_t>(rid - page_first) * record_size;
+    const size_t n = static_cast<size_t>(page_end - rid);
+    for (size_t k = 0; k < n; ++k, rec += record_size) {
+      for (uint32_t d = 0; d < num_dims; ++d) {
+        std::memcpy(keys[d] + k, rec + d * 4, 4);
       }
-      double measure;
-      std::memcpy(&measure, rec + desc_.num_dims * 4, 8);
-      out->measure.push_back(measure);
+      std::memcpy(measure + k, rec + num_dims * 4, 8);
     }
+    for (uint32_t d = 0; d < num_dims; ++d) keys[d] += n;
+    measure += n;
+    rid = page_end;
   }
   return Status::OK();
 }

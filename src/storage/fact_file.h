@@ -54,8 +54,10 @@ class FactFile {
 
   /// Bulk-decodes tuples with rid in [first, first + count) into `*out`,
   /// *appending* to its columns (callers accumulate several coalesced
-  /// chunk runs into one batch). One pin and one tight decode loop per
-  /// touched page — the columnar feed of the dense aggregation kernels.
+  /// chunk runs into one batch). The columns grow once per call; then each
+  /// touched page is pinned once and its records are decoded straight into
+  /// them — the columnar feed of the dense aggregation kernels. On error
+  /// `*out` keeps only the rows it held before the call.
   Status ScanRangeColumns(RowId first, uint64_t count, TupleColumns* out);
 
   /// Fetches the tuples whose RowIds are listed in `rids` (ascending order

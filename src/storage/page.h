@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 
 namespace chunkcache::storage {
 
@@ -46,14 +45,6 @@ struct alignas(64) Page {
   template <typename T>
   const T* As(uint32_t offset = 0) const {
     return reinterpret_cast<const T*>(data.data() + offset);
-  }
-};
-
-struct PageIdHash {
-  size_t operator()(const PageId& id) const {
-    // 64-bit mix of the combined id; cheap and well distributed.
-    uint64_t x = id.AsU64() * 0x9E3779B97F4A7C15ULL;
-    return static_cast<size_t>(x ^ (x >> 32));
   }
 };
 

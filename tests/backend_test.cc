@@ -7,6 +7,7 @@
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
 #include "backend/star_join_query.h"
+#include "common/random.h"
 #include "schema/synthetic.h"
 #include "storage/agg_columns.h"
 #include "storage/buffer_pool.h"
@@ -71,6 +72,40 @@ TEST(BulkLoadDigest, FilesMatchTheRecordedBytes) {
     EXPECT_EQ(DigestDisk(&disk),
               clustered ? 0xf4c577f21f26dc33ULL : 0xdf1a79ffabbef4cbULL)
         << "clustered " << clustered;
+  }
+}
+
+// The data fingerprint of fixed loads: the first n tuples of the digest
+// test's seed, for n on both sides of the loader's 256-record CRC blocks.
+// BulkLoad folds the records a block at a time, and must give the values
+// recorded from a fold of one record at a time.
+TEST(BulkLoadDigest, FingerprintMatchesTheRecordedValues) {
+  auto s = schema::BuildPaperSchema();
+  ASSERT_TRUE(s.ok());
+  const schema::StarSchema schema = std::move(s).value();
+  ChunkingOptions opts;
+  opts.range_fraction = 0.2;
+  auto scheme = ChunkingScheme::Build(&schema, opts, 20000);
+  ASSERT_TRUE(scheme.ok());
+  schema::FactGenOptions gen;
+  gen.num_tuples = 20000;
+  gen.seed = 17;
+  const std::vector<Tuple> tuples = schema::GenerateFactTuples(schema, gen);
+  const std::vector<std::pair<size_t, uint64_t>> recorded = {
+      {0, 0xc2cce4608c28b28aULL},   {1, 0xc2cce460710bf4d7ULL},
+      {255, 0xc2cce46062612af6ULL}, {256, 0xc2cce460f86652d0ULL},
+      {257, 0xc2cce46042d136c3ULL}, {513, 0xc2cce46073efce27ULL},
+      {20000, 0xc2cce460166bb9e8ULL}};
+  for (const bool clustered : {true, false}) {
+    for (const auto& [n, fingerprint] : recorded) {
+      InMemoryDiskManager disk;
+      BufferPool pool(&disk, 64);
+      auto file = ChunkedFile::BulkLoad(
+          &pool, &*scheme, {tuples.begin(), tuples.begin() + n}, clustered);
+      ASSERT_TRUE(file.ok());
+      EXPECT_EQ(file->fingerprint(), fingerprint)
+          << "clustered " << clustered << " n " << n;
+    }
   }
 }
 
@@ -195,6 +230,88 @@ TEST_F(BackendFixture, ChunkScanCostProportionalToChunk) {
   EXPECT_GT(ReadChunks({0}).size(), 0u);
   const uint64_t chunk_pages = disk_.stats().reads - before.reads;
   EXPECT_LT(chunk_pages, file_->fact_file().num_data_pages() / 4);
+}
+
+/// The reference for CoalescedChunkRuns: one Get per chunk, then the
+/// same coalescing.
+std::vector<RowRun> PerChunkRuns(const index::BTree& chunk_index,
+                                 const std::vector<uint64_t>& chunk_nums,
+                                 uint64_t max_rows) {
+  std::vector<RowRun> runs;
+  for (uint64_t c : chunk_nums) {
+    auto p = chunk_index.Get(c);
+    if (p.ok()) {
+      runs.push_back(RowRun{p->v1, p->v2, 1});
+    } else {
+      EXPECT_EQ(p.status().code(), StatusCode::kNotFound);
+    }
+  }
+  return CoalesceRowRuns(std::move(runs), max_rows);
+}
+
+// One chunk-index walk per box resolves exactly the runs a Get per chunk
+// does: random target chunks at random group-bys, their source boxes over
+// the base file and over a materialized aggregate's index, with and
+// without a cap on merged reads. The fixture's tuples fill every chunk, so
+// this file keeps only those outside the middle third of dimension 0 and
+// outside every fifth base chunk: boxes mix present and absent chunks, and
+// some have none present. A box listed out of order is refused.
+TEST_F(BackendFixture, CoalescedRunsMatchPerChunkGets) {
+  const GroupBySpec base = scheme_->BaseSpec();
+  const uint32_t card0 = schema_->dimension(0).hierarchy.LevelCardinality(
+      schema_->dimension(0).hierarchy.depth());
+  std::vector<Tuple> sparse;
+  for (const Tuple& t : tuples_) {
+    ChunkCoords cell{};
+    for (uint32_t d = 0; d < 4; ++d) cell[d] = t.keys[d];
+    const bool middle = t.keys[0] >= card0 / 3 && t.keys[0] < 2 * card0 / 3;
+    if (!middle && scheme_->ChunkOfCell(base, cell) % 5 != 2) {
+      sparse.push_back(t);
+    }
+  }
+  auto file = ChunkedFile::BulkLoad(pool_.get(), scheme_.get(), sparse);
+  ASSERT_TRUE(file.ok());
+  BackendEngine engine(pool_.get(), &*file, scheme_.get());
+  const GroupBySpec mid{{2, 1, 2, 1}, 4};
+  ASSERT_TRUE(engine.MaterializeAggregate(mid).ok());
+  const MaterializedAggregate& mat = engine.materialized()[0];
+  Random rng(2024);
+  for (const GroupBySpec& source : {base, mid}) {
+    const index::BTree& chunk_index =
+        source == base ? file->chunk_index() : mat.chunk_index();
+    ASSERT_GE(chunk_index.height(), 2u) << source.ToString();
+    uint64_t all_absent = 0;
+    for (int round = 0; round < 400; ++round) {
+      GroupBySpec target{{}, 4};
+      for (uint32_t d = 0; d < 4; ++d) {
+        target.levels[d] =
+            static_cast<uint8_t>(rng.Uniform(source.levels[d] + 1u));
+      }
+      const uint64_t chunk =
+          rng.Uniform(scheme_->GridFor(target).num_chunks());
+      auto box = scheme_->SourceBox(target, chunk, source);
+      ASSERT_TRUE(box.ok());
+      std::vector<uint64_t> nums;
+      box->ForEach(scheme_->GridFor(source),
+                   [&](uint64_t c, const ChunkCoords&) { nums.push_back(c); });
+      const uint64_t max_rows = rng.Uniform(3) == 0 ? 0 : 1 + rng.Uniform(300);
+      auto got = CoalescedChunkRuns(chunk_index, nums, max_rows);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<RowRun> want =
+          PerChunkRuns(chunk_index, nums, max_rows);
+      ASSERT_TRUE(*got == want)
+          << "target " << target.ToString() << " chunk " << chunk;
+      all_absent += want.empty();
+      if (nums.size() > 1) {
+        std::swap(nums.front(), nums.back());
+        EXPECT_EQ(CoalescedChunkRuns(chunk_index, nums, max_rows)
+                      .status()
+                      .code(),
+                  StatusCode::kInvalidArgument);
+      }
+    }
+    EXPECT_GT(all_absent, 0u) << source.ToString();
+  }
 }
 
 TEST(ChunkedFileUnclustered, ChunkInterfaceUnsupported) {

@@ -12,6 +12,7 @@
 #include "backend/chunked_file.h"
 #include "backend/engine.h"
 #include "cache/chunk_cache.h"
+#include "common/random.h"
 #include "core/chunk_cache_manager.h"
 #include "schema/synthetic.h"
 #include "storage/buffer_pool.h"
@@ -318,6 +319,102 @@ TEST_F(PipelineFixture, ConcurrentClientsMatchSerialManager) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(par_mgr.chunk_cache().num_shards(), 8u);
+}
+
+// The chunk index's thread contract (btree.h): read-only after BulkLoad,
+// with lookups that pin through the locked buffer pool, so walks may run
+// at once, as every server worker's do. Four threads walk overlapping
+// source boxes over the base file's index and a materialized aggregate's,
+// through an 8-frame pool that evicts and re-reads pages under them, and
+// read the base runs' rows. Each walk's runs, and each base walk's rows,
+// must equal a serial walk's.
+TEST_F(PipelineFixture, ConcurrentChunkIndexWalksMatchSerial) {
+  storage::InMemoryDiskManager disk;
+  storage::BufferPool pool(&disk, 8);
+  auto file = backend::ChunkedFile::BulkLoad(&pool, scheme_.get(), tuples_);
+  ASSERT_TRUE(file.ok());
+  backend::BackendEngine engine(&pool, &*file, scheme_.get());
+  const GroupBySpec mid{{2, 1, 2, 1}, 4};
+  ASSERT_TRUE(engine.MaterializeAggregate(mid).ok());
+  const GroupBySpec base = scheme_->BaseSpec();
+
+  struct Walk {
+    const index::BTree* chunk_index;
+    std::vector<uint64_t> chunk_nums;
+    std::vector<backend::RowRun> runs;
+    uint64_t rows_digest = 0;  // base walks only
+  };
+  // Folds the rows of base `runs` into one digest; false on a read error.
+  const auto digest_rows = [&](const std::vector<backend::RowRun>& runs,
+                               uint64_t* digest) {
+    storage::TupleColumns cols;
+    for (const backend::RowRun& run : runs) {
+      if (!file->fact_file().ScanRangeColumns(run.first, run.count, &cols)
+               .ok()) {
+        return false;
+      }
+    }
+    uint64_t h = cols.size();
+    for (size_t i = 0; i < cols.size(); ++i) {
+      for (uint32_t d = 0; d < cols.num_dims; ++d) {
+        h = (h ^ cols.keys[d][i]) * 0x100000001b3ULL;
+      }
+      h = (h ^ static_cast<uint64_t>(cols.measure[i] * 1024)) *
+          0x100000001b3ULL;
+    }
+    *digest = h;
+    return true;
+  };
+  std::vector<Walk> walks;
+  Random rng(5);
+  for (const GroupBySpec& source : {base, mid}) {
+    for (int i = 0; i < 24; ++i) {
+      GroupBySpec target{{}, 4};
+      for (uint32_t d = 0; d < 4; ++d) {
+        target.levels[d] =
+            static_cast<uint8_t>(rng.Uniform(source.levels[d] + 1u));
+      }
+      auto box = scheme_->SourceBox(
+          target, rng.Uniform(scheme_->GridFor(target).num_chunks()), source);
+      ASSERT_TRUE(box.ok());
+      Walk w;
+      w.chunk_index = source == base ? &file->chunk_index()
+                                     : &engine.materialized()[0].chunk_index();
+      box->ForEach(scheme_->GridFor(source),
+                   [&](uint64_t c, const chunks::ChunkCoords&) {
+                     w.chunk_nums.push_back(c);
+                   });
+      auto runs = backend::CoalescedChunkRuns(*w.chunk_index, w.chunk_nums, 0);
+      ASSERT_TRUE(runs.ok());
+      w.runs = std::move(*runs);
+      if (source == base) {
+        ASSERT_TRUE(digest_rows(w.runs, &w.rows_digest));
+      }
+      walks.push_back(std::move(w));
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < 3 * walks.size(); ++k) {
+        const Walk& w = walks[(k + t * walks.size() / kThreads) % walks.size()];
+        auto runs =
+            backend::CoalescedChunkRuns(*w.chunk_index, w.chunk_nums, 0);
+        bool same = runs.ok() && *runs == w.runs;
+        if (same && w.chunk_index == &file->chunk_index()) {
+          uint64_t digest = 0;
+          same = digest_rows(*runs, &digest) && digest == w.rows_digest;
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(pool.stats().evictions, 0u);
 }
 
 }  // namespace

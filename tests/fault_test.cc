@@ -325,6 +325,27 @@ TEST(FaultInjectorTest, ChecksumTurnsBitFlipsIntoCorruption) {
   EXPECT_EQ(std::memcmp(again.data.data(), p.data.data(), p.data.size()), 0);
 }
 
+// A page allocated and never written is covered by the zero page's
+// checksum: it reads clean, and a flip in a read of it is caught.
+TEST(FaultInjectorTest, NeverWrittenPageIsStillVerified) {
+  InjectorReset guard;
+  InMemoryDiskManager disk;
+  const uint32_t file_id = disk.CreateFile();
+  auto first = disk.AllocatePage(file_id);
+  auto second = disk.AllocatePage(file_id);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  Page out;
+  ASSERT_TRUE(disk.ReadPage(*second, &out).ok());
+
+  FaultInjector& fi = FaultInjector::Global();
+  fi.Arm(FaultSite::kDiskCorrupt, 1.0, StatusCode::kIoError, /*max_faults=*/1);
+  EXPECT_EQ(disk.ReadPage(*first, &out).code(), StatusCode::kCorruption);
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  ASSERT_TRUE(disk.ReadPage(*first, &out).ok());
+  for (uint8_t b : out.data) ASSERT_EQ(b, 0);
+}
+
 // The disk-alloc and disk-write sites are crossed only while files are
 // built; the storms arm them after the build, when queries only read. Here
 // each is armed for one fault at its first, a middle and its last crossing

@@ -197,6 +197,67 @@ TEST(BufferPoolTest, GuardMoveTransfersPin) {
   EXPECT_TRUE(g3.ok());
 }
 
+// A fixed stream of fetches over three files of 300 pages each, through a
+// 64-frame pool: a warm pass, EvictAll, and a second pass after it. Pages
+// come and go from every file, at page numbers far past any page table's
+// first size. Each fetch must see its own page's bytes, and the pool's
+// counters must read what they read when a hash table found resident
+// pages: CLOCK picks the same victims whatever finds a resident page.
+TEST(BufferPoolTest, FixedStreamKeepsHitsMissesAndEvictions) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 64);
+  constexpr uint32_t kFiles = 3;
+  constexpr uint32_t kPages = 300;
+  std::vector<uint32_t> files;
+  for (uint32_t i = 0; i < kFiles; ++i) files.push_back(dm.CreateFile());
+  for (uint32_t page = 0; page < kPages; ++page) {
+    for (uint32_t file : files) {
+      auto g = pool.Allocate(file);
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(g->id().page_no, page);
+      g->page()->data[0] = static_cast<uint8_t>(file);
+      g->page()->data[1] = static_cast<uint8_t>(page);
+      g->page()->data[2] = static_cast<uint8_t>(page >> 8);
+      g->MarkDirty();
+    }
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.EvictAll().ok());
+  pool.ResetStats();
+  Random rng(99);
+  const auto pass = [&] {
+    for (int i = 0; i < 6000; ++i) {
+      // Half the fetches go to a 40-page hot range of one file.
+      const uint32_t file = files[rng.Uniform(kFiles)];
+      const uint32_t page = rng.Uniform(2) == 0
+                                ? static_cast<uint32_t>(rng.Uniform(40)) + 100
+                                : static_cast<uint32_t>(rng.Uniform(kPages));
+      auto g = pool.Fetch(PageId{file, page});
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(g->page()->data[0], static_cast<uint8_t>(file));
+      ASSERT_EQ(g->page()->data[1] | g->page()->data[2] << 8, page);
+    }
+  };
+  pass();
+  const BufferPoolStats warm = pool.stats();
+  ASSERT_TRUE(pool.EvictAll().ok());
+  pass();
+  const BufferPoolStats both = pool.stats();
+  EXPECT_EQ(warm.hits, 1048u);
+  EXPECT_EQ(warm.misses, 4952u);
+  EXPECT_EQ(warm.evictions, 4888u);
+  EXPECT_EQ(both.hits, 2021u);
+  EXPECT_EQ(both.misses, 9979u);
+  EXPECT_EQ(both.evictions, 9851u);
+  EXPECT_EQ(both.dirty_writebacks, 0u);
+  // Fetching past a file's end fails and leaves nothing resident.
+  EXPECT_EQ(pool.Fetch(PageId{files[0], kPages}).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(pool.Fetch(PageId{files.back() + 1, 0}).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(pool.stats().hits, both.hits);
+}
+
 // -------------------------------- FactFile ----------------------------------
 
 Tuple MakeTuple(uint32_t a, uint32_t b, double m) {

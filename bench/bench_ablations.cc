@@ -124,7 +124,6 @@ int Run() {
         /*clustered=*/false);
     if (!unordered.ok()) return 1;
     backend::BackendEngine engine2(&pool2, &*unordered, &(*system)->scheme());
-    if (!engine2.BuildBitmapIndexes().ok()) return 1;
     // Start cold, exactly like the chunked system below.
     if (!pool2.FlushAll().ok() || !pool2.EvictAll().ok()) return 1;
     pool2.ResetStats();

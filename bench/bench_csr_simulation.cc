@@ -29,6 +29,8 @@ int Run() {
                  system.status().ToString().c_str());
     return 1;
   }
+  // The query-level tier reads the bitmap indexes.
+  if (!(*system)->engine().BuildBitmapIndexes().ok()) return 1;
 
   // Cache sized to hold the hot region comfortably under chunk caching:
   // 20 % of the cube. We approximate "cube size" by the aggregate bytes of

@@ -25,6 +25,8 @@ int Run() {
                  system.status().ToString().c_str());
     return 1;
   }
+  // The query-level, semantic and no-cache tiers read the bitmap indexes.
+  if (!(*system)->engine().BuildBitmapIndexes().ok()) return 1;
 
   struct Stream {
     const char* name;

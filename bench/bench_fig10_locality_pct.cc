@@ -22,6 +22,8 @@ int Run() {
                  system.status().ToString().c_str());
     return 1;
   }
+  // The query-level tier reads the bitmap indexes.
+  if (!(*system)->engine().BuildBitmapIndexes().ok()) return 1;
 
   bool header = true;
   for (double pct : {0.6, 0.8, 1.0}) {

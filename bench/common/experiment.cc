@@ -54,7 +54,6 @@ Result<std::unique_ptr<System>> System::Build(const ExperimentConfig& config) {
   system->file_ = std::make_unique<backend::ChunkedFile>(std::move(file));
   system->engine_ = std::make_unique<backend::BackendEngine>(
       system->pool_.get(), system->file_.get(), system->scheme_.get());
-  CHUNKCACHE_RETURN_IF_ERROR(system->engine_->BuildBitmapIndexes());
   CHUNKCACHE_RETURN_IF_ERROR(system->ResetBackend());
   return system;
 }

@@ -37,7 +37,10 @@ struct ExperimentConfig {
 };
 
 /// A fully built system: synthetic data bulk-loaded into a chunked file
-/// with bitmap indexes, ready to attach middle tiers to.
+/// (the fact file and its chunk index), ready to attach middle tiers to.
+/// It holds no bitmap index: only the star-join baselines (query-level,
+/// semantic and no-cache tiers) read them, so a bench that runs one calls
+/// engine().BuildBitmapIndexes() before its first ResetBackend().
 class System {
  public:
   static Result<std::unique_ptr<System>> Build(const ExperimentConfig& config);

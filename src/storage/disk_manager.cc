@@ -5,37 +5,6 @@
 
 namespace chunkcache::storage {
 
-// ---------------------------------------------------------------------------
-// Page checksums (shared by all DiskManager implementations)
-// ---------------------------------------------------------------------------
-
-void DiskManager::RecordPageChecksum(PageId id, uint32_t crc) {
-  std::lock_guard<std::mutex> lock(crc_mu_);
-  page_crc_[id.AsU64()] = crc;
-}
-
-Status DiskManager::VerifyPageChecksum(PageId id, const Page& page) {
-  uint32_t expected;
-  {
-    std::lock_guard<std::mutex> lock(crc_mu_);
-    auto it = page_crc_.find(id.AsU64());
-    if (it == page_crc_.end()) return Status::OK();  // no coverage yet
-    expected = it->second;
-  }
-  if (Crc32c(page.data.data(), kPageSize) == expected) return Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.checksum_failures;
-  }
-  return Status::Corruption("page checksum mismatch at file " +
-                            std::to_string(id.file_id) + " page " +
-                            std::to_string(id.page_no));
-}
-
-// ---------------------------------------------------------------------------
-// InMemoryDiskManager
-// ---------------------------------------------------------------------------
-
 uint32_t InMemoryDiskManager::CreateFile() {
   files_.emplace_back();
   return static_cast<uint32_t>(files_.size());  // ids start at 1
@@ -54,10 +23,9 @@ Result<PageId> InMemoryDiskManager::AllocatePage(uint32_t file_id) {
     return Crc32c(zero.data.data(), kPageSize);
   }();
   auto& pages = files_[file_id - 1];
-  auto page = std::make_unique<Page>();  // value-initialized: all zero
   const PageId id{file_id, static_cast<uint32_t>(pages.size())};
-  RecordPageChecksum(id, kZeroPageCrc);
-  pages.push_back(std::move(page));
+  // make_unique value-initializes the page: all zero, as kZeroPageCrc says.
+  pages.push_back(StoredPage{std::make_unique<Page>(), kZeroPageCrc});
   CountAllocation();
   return id;
 }
@@ -73,7 +41,8 @@ Status InMemoryDiskManager::ReadPage(PageId id, Page* out) {
                            " beyond EOF of file " +
                            std::to_string(id.file_id));
   }
-  *out = *pages[id.page_no];
+  const StoredPage& stored = pages[id.page_no];
+  *out = *stored.page;
   CountRead();
   // Corrupt only the returned copy — the store stays clean, so a retry of
   // the same read recovers (models a transient bus/DMA flip).
@@ -81,7 +50,11 @@ Status InMemoryDiskManager::ReadPage(PageId id, Page* out) {
   if (fi.armed() && fi.ShouldInject(FaultSite::kDiskCorrupt)) {
     fi.CorruptBuffer(out->data.data(), kPageSize);
   }
-  return VerifyPageChecksum(id, *out);
+  if (Crc32c(out->data.data(), kPageSize) == stored.crc) return Status::OK();
+  CountChecksumFailure();
+  return Status::Corruption("page checksum mismatch at file " +
+                            std::to_string(id.file_id) + " page " +
+                            std::to_string(id.page_no));
 }
 
 Status InMemoryDiskManager::WritePage(PageId id, const Page& page) {
@@ -93,8 +66,9 @@ Status InMemoryDiskManager::WritePage(PageId id, const Page& page) {
   if (id.page_no >= pages.size()) {
     return Status::IoError("WritePage: page beyond EOF");
   }
-  *pages[id.page_no] = page;
-  RecordPageChecksum(id, Crc32c(page.data.data(), kPageSize));
+  StoredPage& stored = pages[id.page_no];
+  *stored.page = page;
+  stored.crc = Crc32c(page.data.data(), kPageSize);
   CountWrite();
   return Status::OK();
 }

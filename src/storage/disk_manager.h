@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -70,24 +69,24 @@ class DiskManager {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.allocations;
   }
-
-  /// End-to-end page integrity: AllocatePage and WritePage record a CRC32C
-  /// of the page (`crc`) in a side table keyed by PageId, ReadPage verifies
-  /// against it and fails with Status::Corruption instead of serving bad
-  /// bytes. Keeping the checksum out of the page keeps the on-page capacity
-  /// math and the page format unchanged. A page with no recorded checksum
-  /// reads as OK.
-  void RecordPageChecksum(PageId id, uint32_t crc);
-  Status VerifyPageChecksum(PageId id, const Page& page);
+  void CountChecksumFailure() {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.checksum_failures;
+  }
 
  private:
   mutable std::mutex stats_mu_;
   DiskStats stats_;
-  mutable std::mutex crc_mu_;
-  std::unordered_map<uint64_t, uint32_t> page_crc_;  // PageId::AsU64() -> crc
 };
 
 /// RAM-backed DiskManager with exact physical-I/O accounting.
+///
+/// End-to-end page integrity: every stored page keeps a CRC32C of its bytes
+/// beside it. AllocatePage records the zero page's CRC and WritePage the
+/// CRC of the page it stores; ReadPage checks the copy it hands out against
+/// it and fails with Status::Corruption instead of serving bad bytes.
+/// Keeping the checksum out of the page keeps the on-page capacity math and
+/// the page format unchanged.
 class InMemoryDiskManager final : public DiskManager {
  public:
   InMemoryDiskManager() = default;
@@ -108,8 +107,13 @@ class InMemoryDiskManager final : public DiskManager {
   }
 
  private:
+  struct StoredPage {
+    std::unique_ptr<Page> page;
+    uint32_t crc = 0;  ///< CRC32C of *page.
+  };
+
   // files_[file_id - 1] is the page vector of that file.
-  std::vector<std::vector<std::unique_ptr<Page>>> files_;
+  std::vector<std::vector<StoredPage>> files_;
 };
 
 }  // namespace chunkcache::storage

@@ -21,6 +21,7 @@ using chunks::ChunkCoords;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
 using chunks::GroupBySpec;
+using oracle::ExpectIdenticalRows;
 using oracle::ExpectRowsEqual;
 using schema::OrdinalRange;
 using storage::AggTuple;
@@ -474,25 +475,67 @@ TEST_F(BackendFixture, ExecuteStarJoinMatchesNaiveOnRestrictedQuery) {
   ExpectRowsEqual(*rows, Naive(q), 4);
 }
 
+// The bitmap path fetches the rows its bitmaps select in ascending row-id
+// order and the scan path visits every row in that order, so both fold the
+// same tuples in the same order and must agree bit for bit, SUM included.
+// A seeded list of restricted queries at random group-bys, each narrow
+// enough on one dimension that the default engine takes the bitmap path,
+// some with a non-group-by predicate.
 TEST_F(BackendFixture, BitmapAndScanPathsAgree) {
-  StarJoinQuery q;
-  q.group_by = GroupBySpec{{3, 2, 0, 0}, 4};
-  q.selection[0] = OrdinalRange{12, 19};  // narrow: bitmap path
-  q.selection[1] = OrdinalRange{0, 49};
-  q.selection[2] = OrdinalRange{0, 0};
-  q.selection[3] = OrdinalRange{0, 0};
-  WorkCounters w1, w2;
-  auto via_bitmap = engine_->ExecuteStarJoin(q, &w1);
-  ASSERT_TRUE(via_bitmap.ok());
-  // Force the scan path through a second engine with scan-only options.
+  const double threshold = BackendOptions{}.bitmap_selectivity_threshold;
   BackendOptions scan_only;
   scan_only.bitmap_selectivity_threshold = -1.0;
   BackendEngine scan_engine(pool_.get(), file_.get(), scheme_.get(),
                             scan_only);
-  auto via_scan = scan_engine.ExecuteStarJoin(q, &w2);
-  ASSERT_TRUE(via_scan.ok());
-  ExpectRowsEqual(*via_bitmap, *via_scan, 4);
-  ExpectRowsEqual(*via_bitmap, Naive(q), 4);
+  const auto card = [&](uint32_t d, uint32_t level) {
+    return schema_->dimension(d).hierarchy.LevelCardinality(level);
+  };
+  const auto depth = [&](uint32_t d) {
+    return schema_->dimension(d).hierarchy.depth();
+  };
+  // A range of `width` ordinals at a random offset below `n`.
+  Random rng(31);
+  const auto range = [&](uint32_t n, uint32_t width) {
+    const uint32_t begin = static_cast<uint32_t>(rng.Uniform(n - width + 1));
+    return OrdinalRange{begin, begin + width - 1};
+  };
+  for (int i = 0; i < 48; ++i) {
+    StarJoinQuery q;
+    q.group_by.num_dims = 4;
+    const uint32_t narrow = static_cast<uint32_t>(rng.Uniform(4));
+    for (uint32_t d = 0; d < 4; ++d) {
+      const uint32_t lo = d == narrow ? 2 : 0;  // >= 4 ordinals to narrow
+      const uint32_t level =
+          lo + static_cast<uint32_t>(rng.Uniform(depth(d) - lo + 1));
+      q.group_by.levels[d] = static_cast<uint8_t>(level);
+      const uint32_t n = card(d, level);
+      const uint32_t width =
+          d == narrow ? 1 + static_cast<uint32_t>(rng.Uniform(n / 4))
+                      : 1 + static_cast<uint32_t>(rng.Uniform(n));
+      q.selection[d] = range(n, width);
+    }
+    // A predicate on a dimension the group-by leaves at ALL can never
+    // contradict the selection, so the query still reaches both paths.
+    const uint32_t d = static_cast<uint32_t>(rng.Uniform(4));
+    if (q.group_by.levels[d] == 0 && rng.Uniform(2) == 0) {
+      const uint32_t level = 1 + static_cast<uint32_t>(rng.Uniform(depth(d)));
+      const uint32_t n = card(d, level);
+      q.non_group_by.push_back(NonGroupByPredicate{
+          d, level, range(n, 1 + static_cast<uint32_t>(rng.Uniform(n)))});
+    }
+    const std::string context = "query " + std::to_string(i);
+    ASSERT_LE(engine_->Selectivity(q), threshold) << context;
+    WorkCounters w1, w2;
+    auto via_bitmap = engine_->ExecuteStarJoin(q, &w1);
+    ASSERT_TRUE(via_bitmap.ok()) << context;
+    auto via_scan = scan_engine.ExecuteStarJoin(q, &w2);
+    ASSERT_TRUE(via_scan.ok()) << context;
+    // The scan visits every row; the bitmap path folds only those selected.
+    ASSERT_EQ(w2.tuples_processed, kTuples) << context;
+    ASSERT_LT(w1.tuples_processed, kTuples) << context;
+    ExpectIdenticalRows(*via_bitmap, *via_scan, 4, context);
+    ExpectRowsEqual(*via_bitmap, Naive(q), 4);
+  }
 }
 
 TEST_F(BackendFixture, NonGroupByPredicateFiltersBeforeAggregation) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -23,6 +22,7 @@
 #include "storage/disk_manager.h"
 #include "workload/query_generator.h"
 #include "workload/session_generator.h"
+#include "reference_oracle.h"
 
 namespace chunkcache {
 namespace {
@@ -31,6 +31,7 @@ using backend::ResultRow;
 using backend::StarJoinQuery;
 using chunks::ChunkingOptions;
 using chunks::ChunkingScheme;
+using oracle::ExpectIdenticalRows;
 using storage::AggTuple;
 
 struct FullSystem {
@@ -80,29 +81,6 @@ void ExpectSameRows(const std::vector<AggTuple>& a,
     }
     ASSERT_NEAR(a[i].sum, b[i].sum, 1e-6) << context << " row " << i;
     ASSERT_EQ(a[i].count, b[i].count) << context << " row " << i;
-  }
-}
-
-// Bit-for-bit row equality: coords, count and the bit patterns of sum,
-// min and max.
-void ExpectIdenticalRows(const std::vector<AggTuple>& a,
-                         const std::vector<AggTuple>& b, uint32_t num_dims,
-                         const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (uint32_t d = 0; d < num_dims; ++d) {
-      ASSERT_EQ(a[i].coords[d], b[i].coords[d]) << context << " row " << i;
-    }
-    ASSERT_EQ(a[i].count, b[i].count) << context << " row " << i;
-    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].sum),
-              std::bit_cast<uint64_t>(b[i].sum))
-        << context << " row " << i;
-    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].min_v),
-              std::bit_cast<uint64_t>(b[i].min_v))
-        << context << " row " << i;
-    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].max_v),
-              std::bit_cast<uint64_t>(b[i].max_v))
-        << context << " row " << i;
   }
 }
 

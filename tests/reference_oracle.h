@@ -1,13 +1,14 @@
 // Reference oracle shared by the engine and middle-tier suites: a
 // brute-force star-join evaluator over the generated tuples that folds all
-// four aggregates, the row comparison every answer is checked with, and
-// the per-query provenance invariant.
+// four aggregates, the row comparisons answers are checked with (SUM within
+// 1e-6, or every field bit for bit), and the per-query provenance invariant.
 
 #ifndef CHUNKCACHE_TESTS_REFERENCE_ORACLE_H_
 #define CHUNKCACHE_TESTS_REFERENCE_ORACLE_H_
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -69,6 +70,30 @@ inline void ExpectRowsEqual(const std::vector<storage::AggTuple>& got,
     EXPECT_EQ(got[i].count, want[i].count) << "row " << i;
     EXPECT_EQ(got[i].min_v, want[i].min_v) << "row " << i;
     EXPECT_EQ(got[i].max_v, want[i].max_v) << "row " << i;
+  }
+}
+
+/// Bit-for-bit row equality: coordinates, COUNT and the bit patterns of
+/// SUM, MIN and MAX. For two answers that fold the same values in the same
+/// order.
+inline void ExpectIdenticalRows(const std::vector<storage::AggTuple>& a,
+                                const std::vector<storage::AggTuple>& b,
+                                uint32_t num_dims, const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (uint32_t d = 0; d < num_dims; ++d) {
+      ASSERT_EQ(a[i].coords[d], b[i].coords[d]) << context << " row " << i;
+    }
+    ASSERT_EQ(a[i].count, b[i].count) << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].sum),
+              std::bit_cast<uint64_t>(b[i].sum))
+        << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].min_v),
+              std::bit_cast<uint64_t>(b[i].min_v))
+        << context << " row " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i].max_v),
+              std::bit_cast<uint64_t>(b[i].max_v))
+        << context << " row " << i;
   }
 }
 
